@@ -19,13 +19,33 @@ baseline comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, MutableMapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.similarity import text_distance
+import numpy as np
+
+from repro.core.similarity import (
+    jaccard_distance_column,
+    text_distance,
+    token_postings,
+    tokenize,
+)
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.cdd import CDDRule, group_rules_by_dependent
 from repro.imputation.dd import DDRule, dd_rules_as_cdds
 from repro.imputation.repository import DataRepository
+
+if TYPE_CHECKING:  # pragma: no cover - the index package imports this one
+    from repro.indexes.dr_index import DRIndex
 
 #: Optional hook that, given (record, rule), returns candidate repository
 #: samples to test against the rule.  The index-join engine plugs the
@@ -91,6 +111,24 @@ def candidate_set_for_sample(sample_value: str, domain: Sequence[str],
     return [value for _, value in scored[:max_candidates]]
 
 
+def candidate_set_from_columns(sample_value: str, domain: Sequence[str],
+                               postings, sizes,
+                               dependent_interval: Tuple[float, float],
+                               max_candidates: int = 12) -> List[str]:
+    """Columnar :func:`candidate_set_for_sample`: same values, same order.
+
+    ``postings`` / ``sizes`` are :func:`token_postings` of ``domain``.  The
+    whole domain is scored by one :func:`jaccard_distance_column` call; the
+    ``(distance, value)`` sort and the cap touch the survivors only.
+    """
+    low, high = dependent_interval
+    distances = jaccard_distance_column(tokenize(sample_value), postings, sizes)
+    rows = np.flatnonzero((low - 1e-9 <= distances) & (distances <= high + 1e-9))
+    scored = sorted(zip(distances[rows].tolist(),
+                        (domain[row] for row in rows.tolist())))
+    return [value for _, value in scored[:max_candidates]]
+
+
 def truncate_distribution(distribution: Dict[str, float],
                           max_values: int) -> Dict[str, float]:
     """Keep the ``max_values`` most probable candidates and renormalise.
@@ -150,6 +188,12 @@ class CDDImputer:
         only grows (the repository is append-only), so stale hits are
         impossible.  ``None`` (the default) disables memoisation and keeps
         the single-tuple engine's exact seed behaviour.
+
+    ``packed_index`` (not a constructor argument; ``None`` by default) is the
+    DR-index behind ``sample_retriever``.  Once the batched runtime sets it,
+    ``matching_samples`` is answered by the index's packed probe and
+    ``cand(s[A_j])`` by the columnar domain scan — bit-identical to the
+    scalar retrieve-then-verify path, which stays the reference.
     """
 
     repository: DataRepository
@@ -160,7 +204,12 @@ class CDDImputer:
     sample_retriever: Optional[SampleRetriever] = None
     stats: ImputationStats = field(default_factory=ImputationStats)
     candidate_cache: Optional[MutableMapping] = field(default=None, repr=False)
+    packed_index: Optional["DRIndex"] = field(default=None, init=False,
+                                              repr=False)
     _rules_by_dependent: Dict[str, List[CDDRule]] = field(default_factory=dict, repr=False)
+    #: attribute -> ``token_postings`` of its domain (columnar scan only).
+    _domain_columns: Dict[str, tuple] = field(default_factory=dict, init=False,
+                                              repr=False)
 
     def __post_init__(self) -> None:
         self._regroup_rules()
@@ -220,30 +269,68 @@ class CDDImputer:
 
     def matching_samples(self, record: Record, rule: CDDRule) -> List[Record]:
         """Repository samples satisfying the rule's determinant constraints."""
-        matched = []
-        for sample in self._samples_for_rule(record, rule):
-            self.stats.samples_scanned += 1
-            if rule.matches_sample(record, sample):
-                matched.append(sample)
+        if self.packed_index is not None:
+            scanned, matched = self.packed_index.matching_samples(record, rule)
+            self.stats.samples_scanned += scanned
+        else:
+            matched = []
+            for sample in self._samples_for_rule(record, rule):
+                self.stats.samples_scanned += 1
+                if rule.matches_sample(record, sample):
+                    matched.append(sample)
         self.stats.samples_matched += len(matched)
         return matched
+
+    def _scan_domain(self, sample_value: str, attribute: str,
+                     domain: Sequence[str], rule: CDDRule) -> List[str]:
+        """One uncached ``cand(s[A_j])`` computation."""
+        if self.packed_index is None:
+            return candidate_set_for_sample(sample_value, domain,
+                                            rule.dependent_interval,
+                                            self.max_candidates_per_sample)
+        columns = self._domain_columns.get(attribute)
+        if columns is None or len(columns[1]) != len(domain):
+            # Domains are append-only, so a changed length is the only way
+            # the posting index can go stale (Section 5.5 repository growth).
+            columns = self._domain_columns[attribute] = token_postings(domain)
+        return candidate_set_from_columns(sample_value, domain, *columns,
+                                          rule.dependent_interval,
+                                          self.max_candidates_per_sample)
 
     def _candidate_set(self, sample_value: str, attribute: str,
                        domain: Sequence[str], rule: CDDRule) -> List[str]:
         """``cand(s[A_j])`` with optional cross-record memoisation."""
         if self.candidate_cache is None:
-            return candidate_set_for_sample(sample_value, domain,
-                                            rule.dependent_interval,
-                                            self.max_candidates_per_sample)
+            return self._scan_domain(sample_value, attribute, domain, rule)
         key = (attribute, sample_value, rule.dependent_interval,
                self.max_candidates_per_sample, len(domain))
         cached = self.candidate_cache.get(key)
         if cached is None:
-            cached = candidate_set_for_sample(sample_value, domain,
-                                              rule.dependent_interval,
-                                              self.max_candidates_per_sample)
+            cached = self._scan_domain(sample_value, attribute, domain, rule)
             self.candidate_cache[key] = cached
         return cached
+
+    def _select_rules(self, record: Record, attribute: str,
+                      rules: Optional[Sequence[CDDRule]]) -> List[CDDRule]:
+        if rules is None:
+            return self.rules_for(record, attribute)
+        return self.scoped_rules_for(record, attribute, rules)
+
+    def _rule_frequencies(self, record: Record, attribute: str, rule: CDDRule,
+                          domain: Sequence[str]) -> Dict[str, int]:
+        """Equation (3) for one rule: candidate-value frequencies over the
+        samples matching the rule (empty when the rule yields nothing)."""
+        frequencies: Dict[str, int] = {}
+        for sample in self.matching_samples(record, rule):
+            sample_value = sample[attribute]
+            if sample_value is None:
+                continue
+            for value in self._candidate_set(sample_value, attribute,
+                                             domain, rule):
+                frequencies[value] = frequencies.get(value, 0) + 1
+        if frequencies:
+            self.stats.rules_applied += 1
+        return frequencies
 
     # -- imputation --------------------------------------------------------------
     def candidate_distribution(self, record: Record, attribute: str,
@@ -257,27 +344,12 @@ class CDDImputer:
         distribution is bit-identical to running a scoped imputer built from
         those rules.
         """
-        if rules is None:
-            selected = self.rules_for(record, attribute)
-        else:
-            selected = self.scoped_rules_for(record, attribute, rules)
         domain = self.repository.domain(attribute)
         per_rule: List[Dict[str, int]] = []
-        for rule in selected:
-            samples = self.matching_samples(record, rule)
-            if not samples:
-                continue
-            frequencies: Dict[str, int] = {}
-            for sample in samples:
-                sample_value = sample[attribute]
-                if sample_value is None:
-                    continue
-                for value in self._candidate_set(sample_value, attribute,
-                                                 domain, rule):
-                    frequencies[value] = frequencies.get(value, 0) + 1
+        for rule in self._select_rules(record, attribute, rules):
+            frequencies = self._rule_frequencies(record, attribute, rule, domain)
             if frequencies:
                 per_rule.append(frequencies)
-                self.stats.rules_applied += 1
         distribution = truncate_distribution(combine_frequencies(per_rule),
                                              self.max_candidate_values)
         self.stats.candidate_values += len(distribution)
@@ -314,25 +386,10 @@ class SingleCDDImputer(CDDImputer):
     def candidate_distribution(self, record: Record, attribute: str,
                                rules: Optional[Sequence[CDDRule]] = None,
                                ) -> Dict[str, float]:
-        if rules is None:
-            selected = self.rules_for(record, attribute)
-        else:
-            selected = self.scoped_rules_for(record, attribute, rules)
         domain = self.repository.domain(attribute)
-        for rule in selected:
-            samples = self.matching_samples(record, rule)
-            if not samples:
-                continue
-            frequencies: Dict[str, int] = {}
-            for sample in samples:
-                sample_value = sample[attribute]
-                if sample_value is None:
-                    continue
-                for value in self._candidate_set(sample_value, attribute,
-                                                 domain, rule):
-                    frequencies[value] = frequencies.get(value, 0) + 1
+        for rule in self._select_rules(record, attribute, rules):
+            frequencies = self._rule_frequencies(record, attribute, rule, domain)
             if frequencies:
-                self.stats.rules_applied += 1
                 distribution = truncate_distribution(
                     combine_frequencies([frequencies]), self.max_candidate_values)
                 self.stats.candidate_values += len(distribution)

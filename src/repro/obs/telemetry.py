@@ -278,6 +278,17 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         lambda: float(ctx.grid.tuples_examined),
         help="ER-grid tuples examined during candidate lookup")
 
+    # DR-index work by path: which of the two answered imputation probes.
+    registry.bind(
+        "terids_dr_index_nodes_visited_total",
+        lambda: float(ctx.dr_index.nodes_visited),
+        help="aR-tree nodes visited by DR-index candidate_samples "
+             "(scalar path)")
+    registry.bind(
+        "terids_dr_index_packed_probes_total",
+        lambda: float(ctx.dr_index.packed_probes),
+        help="DR-index probes answered from the packed repository mirror")
+
     # Rule-install dispatch (skip / patch / rebuild).
     for attr, outcome in (("installs_skipped", "skipped"),
                           ("installs_patched", "patched"),

@@ -502,6 +502,12 @@ class MicroBatchExecutor(Executor):
         if ctx.imputer.candidate_cache is None:
             # Cross-record memoisation of cand(s[A_j]) — see CDDImputer.
             ctx.imputer.candidate_cache = {}
+        # The DR-index's packed probe is the exact columnar equivalent of
+        # retrieving through that index — and of nothing else.
+        ctx.imputer.packed_index = (
+            ctx.dr_index
+            if ctx.imputer.sample_retriever is ctx.dr_index.make_retriever()
+            else None)
         pooled = self.max_workers is not None and (self.max_workers > 1
                                                    or self.shard_lookup)
         sharded = pooled and self.shard_lookup
