@@ -534,20 +534,32 @@ class PackedStore:
     keep one: in-window synopses occupy rows of shared ``(capacity, d, P)``
     arrays so that a candidate list gathers into the kernel's stacked
     matrices with one fancy-indexing operation instead of per-candidate
-    restacking.  Rows are recycled through a free list on eviction.
+    restacking.
+
+    Row lifetime: a removed row keeps its data and still answers
+    :meth:`row_for` until the owner's next :meth:`begin_epoch` — a
+    micro-batch evicts during maintenance but evaluates its pairs
+    afterwards, so every candidate (and query) a batch recorded stays
+    gatherable until that batch ends.  Every owner opens an epoch at batch
+    start; only then are the rows removed during the previous batch
+    recycled.
     """
 
     def __init__(self, arena=None) -> None:
         self._rows: Dict[Tuple[str, str], int] = {}
-        #: Fast row lookup by object identity (the hot gather path); entries
-        #: are deleted on removal/overwrite so recycled ids can never alias.
+        #: Fast row lookup by object identity (the hot gather path).  An
+        #: entry lives exactly as long as ``_objects`` holds the synopsis, so
+        #: a garbage-collected synopsis' ``id()`` can never alias a new one.
         self._rows_by_id: Dict[int, int] = {}
         self._objects: List[Optional[RecordSynopsis]] = []
         self._free: List[int] = []
-        #: Arena-backed stores defer row recycling to the next epoch: a row
-        #: freed mid-batch may still be referenced by in-flight worker
-        #: orders, so it must not be rewritten until ``begin_epoch``.
+        #: Rows removed since the last ``begin_epoch``: still readable by
+        #: the batch in flight (and, arena-backed, by worker orders), so not
+        #: rewritten until the next epoch opens.
         self._pending_free: List[int] = []
+        #: Times a kernel input could not be gathered from the rows and was
+        #: restacked from per-synopsis blocks instead (0 in steady state).
+        self.restacks = 0
         self._arena = arena
         self._shape: Optional[Tuple[int, int]] = None
         self.dist_lb = None
@@ -569,10 +581,16 @@ class PackedStore:
         return self._arena
 
     def begin_epoch(self) -> None:
-        """Release rows freed last epoch for reuse (arena-backed stores)."""
-        if self._pending_free:
-            self._free.extend(self._pending_free)
-            del self._pending_free[:]
+        """Open a batch: recycle the rows removed during the previous one."""
+        rows_by_id = self._rows_by_id
+        for row in self._pending_free:
+            # Unless the very same object was re-inserted meanwhile (it then
+            # answers from its new row).
+            if rows_by_id[id(self._objects[row])] == row:
+                del rows_by_id[id(self._objects[row])]
+            self._objects[row] = None
+        self._free.extend(self._pending_free)
+        del self._pending_free[:]
 
     def localize(self) -> None:
         """Copy the arrays out of the arena into plain process memory.
@@ -589,7 +607,6 @@ class PackedStore:
             if array is not None:
                 setattr(self, name, _np.array(array))
         self._arena = None
-        self.begin_epoch()
 
     def _grow(self, capacity: int) -> None:
         dimensionality, pivot_width = self._shape  # type: ignore[misc]
@@ -645,25 +662,26 @@ class PackedStore:
             return None
         key = (synopsis.rid, synopsis.source)
         row = self._rows.get(key)
+        if row is not None and self._objects[row] is not synopsis:
+            # A same-key re-arrival: the superseded synopsis may still be a
+            # candidate of the batch in flight, so it keeps its row until
+            # the next epoch like any other removal.
+            self.remove(*key)
+            row = None
         if row is None:
             if self._free:
                 row = self._free.pop()
             else:
                 # Allocated rows are exactly 0 .. len(rows) + len(free) +
                 # len(pending_free) - 1; with an empty free list the next
-                # fresh row is past all of them (pending rows are still
-                # live for in-flight readers and must not be reused yet).
+                # fresh row is past all of them.
                 row = len(self._rows) + len(self._pending_free)
                 if row >= self.may_kw.shape[0]:
                     self._grow(max(64, 2 * self.may_kw.shape[0]))
+                self._objects.append(None)
             self._rows[key] = row
-        while len(self._objects) <= row:
-            self._objects.append(None)
-        previous = self._objects[row]
-        if previous is not None:
-            self._rows_by_id.pop(id(previous), None)
-        self._objects[row] = synopsis
-        self._rows_by_id[id(synopsis)] = row
+            self._objects[row] = synopsis
+            self._rows_by_id[id(synopsis)] = row
         self.dist_lb[row] = packed.dist_lb
         self.dist_ub[row] = packed.dist_ub
         self.dist_exp[row] = packed.dist_exp
@@ -677,27 +695,52 @@ class PackedStore:
         return row
 
     def remove(self, rid: str, source: str) -> bool:
+        """Unbind one key; its row stays readable until the next epoch."""
         row = self._rows.pop((rid, source), None)
         if row is None:
             return False
-        previous = self._objects[row]
-        if previous is not None:
-            self._rows_by_id.pop(id(previous), None)
-        self._objects[row] = None
-        if self._arena is not None:
-            self._pending_free.append(row)
-        else:
-            self._free.append(row)
+        self._pending_free.append(row)
         return True
+
+    def discard(self, synopsis: RecordSynopsis) -> bool:
+        """:meth:`remove` ``synopsis`` only while it is the live occupant of
+        its key (a same-key re-arrival may already have superseded it)."""
+        key = (synopsis.rid, synopsis.source)
+        row = self._rows.get(key)
+        return (row is not None and self._objects[row] is synopsis
+                and self.remove(*key))
 
     def row_for(self, synopsis: RecordSynopsis) -> Optional[int]:
         """The row of exactly this synopsis object (``None`` when absent).
 
-        Identity (not just key equality) decides, so a row recycled within
-        the same batch — the stored tuple evicted and its slot reused — can
-        never be served for a stale candidate reference.
+        Identity (not just key equality) decides, so a re-built synopsis
+        with the same key never hits another object's row.  Answers for
+        removed synopses too, until the next :meth:`begin_epoch`.
         """
         return self._rows_by_id.get(id(synopsis))
+
+    def rows_for(self, synopses):
+        """``intp`` row array of ``synopses`` (``None`` if any is absent)."""
+        rows_by_id = self._rows_by_id
+        try:
+            rows = [rows_by_id[id(synopsis)] for synopsis in synopses]
+        except KeyError:
+            return None
+        return _np.array(rows, dtype=_np.intp)
+
+
+def gather_rows(columns, index):
+    """The 7-tuple of stacked kernel inputs for one row set: one
+    fancy-indexing copy per packed column.
+
+    ``columns`` exposes the columns as attributes — a :class:`PackedStore`,
+    or a worker's view of the same arrays mapped from shared memory — so
+    every caller feeds the kernel the same bytes.
+    """
+    return (columns.dist_lb[index], columns.dist_ub[index],
+            columns.tok_min[index], columns.tok_max[index],
+            columns.may_kw[index], columns.limits[index],
+            columns.totals[index])
 
 
 def _stack_candidates(candidates: Sequence[RecordSynopsis],
@@ -706,16 +749,14 @@ def _stack_candidates(candidates: Sequence[RecordSynopsis],
 
     Gathers rows from the resident store when every candidate is stored
     (the steady-state path: one fancy-indexing copy); otherwise stacks the
-    per-synopsis packed blocks, edge-padding to a common pivot width.
+    per-synopsis packed blocks, edge-padding to a common pivot width — and
+    counts the detour in ``store.restacks``.
     """
     if store is not None:
-        rows = [store.row_for(candidate) for candidate in candidates]
-        if all(row is not None for row in rows):
-            index = _np.fromiter(rows, dtype=_np.intp, count=len(rows))
-            return (store.dist_lb[index], store.dist_ub[index],
-                    store.tok_min[index], store.tok_max[index],
-                    store.may_kw[index], store.limits[index],
-                    store.totals[index])
+        index = store.rows_for(candidates)
+        if index is not None:
+            return gather_rows(store, index)
+        store.restacks += 1
     packed = [ensure_packed(candidate) for candidate in candidates]
     width = max(block.dist_lb.shape[1] for block in packed)
 
@@ -774,44 +815,89 @@ def batch_cell_scan(query_lb, query_ub, cell_lb, cell_ub):
     return _sequential_sum(per_attribute, per_attribute.shape[1])
 
 
-def batch_prune(query: RecordSynopsis,
-                candidates: Sequence[RecordSynopsis],
+#: Pairs per kernel pass of the batch-granular :func:`batch_prune` form.
+#: The gathers and the ~8 live ``(block, d, P)`` temporaries of one pass
+#: scale with it: unblocked (~11k pairs per batch) they raised the e2e
+#: benchmark's peak RSS by 24 %; at this size the call overhead is already
+#: amortised and the working set stays cache-sized.
+PAIR_BLOCK = 1024
+
+
+def batch_prune(query, candidates,
                 keywords: FrozenSet[str], gamma: float, alpha: float,
                 use_topic: bool = True, use_similarity: bool = True,
                 use_probability: bool = True,
                 store: Optional[PackedStore] = None):
-    """Theorems 4.1–4.3 for one query against its whole candidate list.
+    """Theorems 4.1–4.3 for one query against its whole candidate list, or
+    for a whole micro-batch of (query, candidate) pairs.
+
+    Two call forms feed the one kernel body (:func:`batch_prune_stacked`):
+
+    * *one query* — ``query`` is a :class:`RecordSynopsis` and
+      ``candidates`` its candidate synopses (gathered from ``store`` when
+      all are resident, restacked otherwise);
+    * *pairs* — ``query`` and ``candidates`` are equal-length integer
+      arrays of resident ``store`` rows, pair ``k`` being ``(query[k],
+      candidates[k])``; any number of distinct queries may be mixed.  The
+      pairs run through the kernel in blocks of :data:`PAIR_BLOCK`.
 
     Returns ``(alive, pruned_topic, pruned_similarity, pruned_probability)``
-    where ``alive`` is the boolean survivor mask over ``candidates`` (in
-    order) and the counters attribute each pruned pair to the first strategy
-    that eliminated it, exactly like the scalar cascade.  Survivor-for-
-    survivor and count-for-count identical to evaluating
+    where ``alive`` is the boolean survivor mask over the candidates / pairs
+    (in order) and the counters attribute each pruned pair to the first
+    strategy that eliminated it, exactly like the scalar cascade.  Survivor-
+    for-survivor and count-for-count identical to evaluating
     :func:`topic_keyword_prune` / :func:`similarity_prune` /
     :func:`probability_prune` per pair: the bound arithmetic performs the
     same IEEE operations on the same operands, only batched.
     """
     if _np is None:
         raise RuntimeError("numpy is required for batch_prune")
-    return batch_prune_stacked(ensure_packed(query),
-                               _stack_candidates(candidates, store),
-                               len(candidates), keywords, gamma, alpha,
-                               use_topic=use_topic,
-                               use_similarity=use_similarity,
-                               use_probability=use_probability)
+    switches = dict(use_topic=use_topic, use_similarity=use_similarity,
+                    use_probability=use_probability)
+    if isinstance(query, RecordSynopsis):
+        return batch_prune_stacked(
+            _query_side(ensure_packed(query)),
+            _stack_candidates(candidates, store), len(candidates),
+            keywords, gamma, alpha, **switches)
+    count = len(candidates)
+    alive = _np.empty(count, dtype=bool)
+    pruned = _np.zeros(3, dtype=_np.int64)  # topic, similarity, probability
+    for start in range(0, count, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        candidate_rows = candidates[block]
+        alive[block], *block_pruned = batch_prune_stacked(
+            gather_rows(store, query[block]),
+            gather_rows(store, candidate_rows),
+            len(candidate_rows), keywords, gamma, alpha, **switches)
+        pruned += block_pruned
+    return (alive, *pruned.tolist())
 
 
-def batch_prune_stacked(query_packed: "PackedSynopsis", stacked, count: int,
+def _query_side(packed: "PackedSynopsis"):
+    """One packed block as kernel inputs with a leading pair axis of 1."""
+    return (packed.dist_lb[_np.newaxis], packed.dist_ub[_np.newaxis],
+            packed.tok_min[_np.newaxis], packed.tok_max[_np.newaxis],
+            _np.array([packed.may_have_keyword]),
+            _np.array([packed.pivot_limit]),
+            _np.array([(packed.total_exp0, packed.total_lb0,
+                        packed.total_ub0)]))
+
+
+def batch_prune_stacked(query_stacked, stacked, count: int,
                         keywords: FrozenSet[str], gamma: float, alpha: float,
                         use_topic: bool = True, use_similarity: bool = True,
                         use_probability: bool = True):
     """The :func:`batch_prune` cascade over pre-stacked kernel inputs.
 
-    ``stacked`` is the 7-tuple :func:`_stack_candidates` produces — which a
-    shared-memory worker gathers directly from the mapped packed arena with
-    the identical fancy-indexing copy, so both callers feed the kernel the
-    same bytes.
+    ``stacked`` is the candidate side: the 7-tuple :func:`_stack_candidates`
+    / :func:`gather_rows` produce.
+    ``query_stacked`` is the query side in the same layout, its leading axis
+    either ``1`` (one query against ``count`` candidates) or ``count`` (lane
+    ``k`` is the pair ``(query_stacked[k], stacked[k])``); the arithmetic
+    broadcasts, so both shapes perform the same operation per lane.
     """
+    (query_lb, query_ub, query_tok_min, query_tok_max,
+     query_may_kw, query_limits, query_totals) = query_stacked
     (cand_lb, cand_ub, cand_tok_min, cand_tok_max,
      cand_may_kw, cand_limits, cand_totals) = stacked
 
@@ -821,23 +907,22 @@ def batch_prune_stacked(query_packed: "PackedSynopsis", stacked, count: int,
     pruned_probability = 0
 
     # --- Theorem 4.1: topic keyword pruning --------------------------------
-    if use_topic and keywords and not query_packed.may_have_keyword:
-        topic_mask = ~cand_may_kw
+    if use_topic and keywords:
+        topic_mask = ~(query_may_kw | cand_may_kw)
         pruned_topic = int(_np.count_nonzero(topic_mask))
         alive &= ~topic_mask
 
-    dimensionality = query_packed.dist_lb.shape[0]
+    dimensionality = cand_lb.shape[1]
 
     # --- Theorem 4.2: similarity upper bound (Lemmas 4.1 + 4.2) ------------
     if use_similarity and alive.any():
         per_attribute = attribute_similarity_upper_bound_batch(
-            query_packed.tok_min, query_packed.tok_max,
-            cand_tok_min, cand_tok_max)
+            query_tok_min, query_tok_max, cand_tok_min, cand_tok_max)
         size_bound = _sequential_sum(per_attribute, dimensionality)
 
-        width = min(query_packed.dist_lb.shape[1], cand_lb.shape[2])
-        q_lb = query_packed.dist_lb[_np.newaxis, :, :width]
-        q_ub = query_packed.dist_ub[_np.newaxis, :, :width]
+        width = min(query_lb.shape[2], cand_lb.shape[2])
+        q_lb = query_lb[:, :, :width]
+        q_ub = query_ub[:, :, :width]
         c_lb = cand_lb[:, :, :width]
         c_ub = cand_ub[:, :, :width]
         # min_attribute_distance: only one of the two differences can be
@@ -850,7 +935,7 @@ def batch_prune_stacked(query_packed: "PackedSynopsis", stacked, count: int,
         # mask the padded / extra columns out of the running minimum.  With
         # one shared pivot table every limit covers the full width and the
         # masking is skipped.
-        limits = _np.minimum(cand_limits, query_packed.pivot_limit)
+        limits = _np.minimum(cand_limits, query_limits)
         if int(limits.min(initial=width)) < width:
             invalid = (_np.arange(width)[_np.newaxis, :]
                        >= limits[:, _np.newaxis])
@@ -863,25 +948,40 @@ def batch_prune_stacked(query_packed: "PackedSynopsis", stacked, count: int,
     # --- Theorem 4.3: Paley–Zygmund probability upper bound ----------------
     if use_probability and alive.any():
         margin = dimensionality - gamma
-        query_exp = query_packed.total_exp0
-        query_lb = query_packed.total_lb0
-        query_ub = query_packed.total_ub0
-        cand_exp0 = cand_totals[:, 0]
-        cand_lb0 = cand_totals[:, 1]
-        cand_ub0 = cand_totals[:, 2]
-        # Overlapping total-distance intervals fall through to a bound of
-        # 1.0 in the scalar code; only the disjoint lanes need the exact
-        # Lemma 4.3 arithmetic, which runs through the shared scalar helper
-        # so that even the libm-pow squaring matches bit-for-bit.
-        disjoint = (query_lb >= cand_ub0) | (cand_lb0 >= query_ub)
-        probability_mask = alive & _np.full(count, 1.0 <= alpha, dtype=bool)
-        for lane in _np.nonzero(alive & disjoint)[0]:
+        query_exp0, query_lb0, query_ub0 = _np.broadcast_to(
+            query_totals, cand_totals.shape).T
+        cand_exp0, cand_lb0, cand_ub0 = cand_totals.T
+        # Lemma 4.3 yields 1.0 unless one of its two orientations produces a
+        # value: the conditions under which the scalar ``bound()`` gives up
+        # are one subtraction, one division and comparisons — bit-exact in
+        # numpy — so they are decided for every lane at once, and only the
+        # lanes that can yield a value below 1.0 go through the shared
+        # scalar helper (keeping even the libm-pow squaring bit-for-bit).
+        yields = (
+            _paley_zygmund_yields(margin, query_lb0 >= cand_ub0,
+                                  query_exp0 - cand_exp0,
+                                  query_ub0 - cand_lb0)
+            | _paley_zygmund_yields(margin, cand_lb0 >= query_ub0,
+                                    cand_exp0 - query_exp0,
+                                    cand_ub0 - query_lb0))
+        probability_mask = alive & (1.0 <= alpha)
+        for lane in _np.nonzero(alive & yields)[0]:
             value = paley_zygmund_bound_from_totals(
-                margin, query_exp, query_lb, query_ub,
-                float(cand_exp0[lane]), float(cand_lb0[lane]),
-                float(cand_ub0[lane]))
+                margin, float(query_exp0[lane]), float(query_lb0[lane]),
+                float(query_ub0[lane]), float(cand_exp0[lane]),
+                float(cand_lb0[lane]), float(cand_ub0[lane]))
             probability_mask[lane] = value <= alpha
         pruned_probability = int(_np.count_nonzero(probability_mask))
         alive &= ~probability_mask
 
     return alive, pruned_topic, pruned_similarity, pruned_probability
+
+
+def _paley_zygmund_yields(margin: float, disjoint, gap, spread):
+    """Lanes where one orientation of Lemma 4.3's ``bound()`` returns a
+    value: ``disjoint`` intervals, ``gap > 0``, ``spread > 0`` and
+    ``theta = margin / gap`` inside ``[0, 1]``."""
+    usable = disjoint & ~(gap <= 0) & ~(spread <= 0)
+    theta = _np.divide(margin, gap, out=_np.full(gap.shape, -1.0),
+                       where=usable)
+    return usable & (0.0 <= theta) & (theta <= 1.0)

@@ -137,30 +137,30 @@ def attribute_similarity_upper_bound(
 
 def attribute_similarity_upper_bound_batch(left_min, left_max,
                                            right_min, right_max):
-    """Vectorized Lemma 4.1 bound: one query against a candidate column.
+    """Vectorized Lemma 4.1 bound: query lanes against candidate lanes.
 
-    ``left_min`` / ``left_max`` are the query's per-attribute token-size
-    bounds (shape ``(d,)``); ``right_min`` / ``right_max`` stack the
-    candidates' bounds (shape ``(n, d)``).  Element-for-element this performs
-    the exact float operations of :func:`attribute_similarity_upper_bound`
-    (same comparisons, same division, same ``min``), so the result is
-    bit-identical to the scalar bound — just computed for every
-    (query, candidate, attribute) cell at once.
+    ``right_min`` / ``right_max`` stack the candidates' per-attribute
+    token-size bounds (shape ``(n, d)``); ``left_min`` / ``left_max`` are
+    the query side in any shape that broadcasts against them — ``(d,)`` or
+    ``(1, d)`` for one query, ``(n, d)`` for one query per lane.
+    Element-for-element this performs the exact float operations of
+    :func:`attribute_similarity_upper_bound` (same comparisons, same
+    division, same ``min``), so the result is bit-identical to the scalar
+    bound — just computed for every (query, candidate, attribute) cell at
+    once.
     """
     if _np is None:  # pragma: no cover - callers gate on HAS_NUMPY
         raise RuntimeError("numpy is required for the batched similarity bound")
-    l_min = left_min[_np.newaxis, :]
-    l_max = left_max[_np.newaxis, :]
     # Branch 1: the query's smallest set is larger than the candidate's
-    # largest (size_bounded(l_min, r_max)); branch 2 is the mirror case.
-    branch1 = l_min > right_max
-    branch2 = l_max < right_min
+    # largest (size_bounded(left_min, right_max)); branch 2 is the mirror.
+    branch1 = left_min > right_max
+    branch2 = left_max < right_min
     # Denominators are clamped to 1 only to keep the un-taken lanes finite;
     # wherever a branch is actually taken its denominator is >= 1 already
     # (it exceeds a token count, which is >= 0), so values are unchanged.
-    ratio1 = _np.minimum(1.0, right_max / _np.maximum(l_min, 1.0))
-    ratio1 = _np.where(l_min <= 0, 1.0, ratio1)
-    ratio2 = _np.minimum(1.0, l_max / _np.maximum(right_min, 1.0))
+    ratio1 = _np.minimum(1.0, right_max / _np.maximum(left_min, 1.0))
+    ratio1 = _np.where(left_min <= 0, 1.0, ratio1)
+    ratio2 = _np.minimum(1.0, left_max / _np.maximum(right_min, 1.0))
     ratio2 = _np.where(right_min <= 0, 1.0, ratio2)
     return _np.where(branch1, ratio1, _np.where(branch2, ratio2, 1.0))
 

@@ -97,12 +97,35 @@ class GridCell:
         self.distance_intervals = new_distance
         self.token_size_intervals = new_sizes
 
-    def remove(self, rid: str, source: str, schema: Schema) -> bool:
-        """Evict one tuple; aggregates are recomputed from scratch."""
+    def refresh_from_rows(self, store: PackedStore) -> bool:
+        """Columnar :meth:`recompute` over the entries' ``store`` rows.
+
+        min / max / any are exact, so the aggregates equal the scalar walk's
+        value for value (and type for type).  ``False`` — nothing written —
+        when an entry is not resident in the store.
+        """
+        rows = store.rows_for(self.entries.values())
+        if rows is None or not len(rows):
+            return False
+        self.may_have_keyword = bool(store.may_kw[rows].any())
+        self.distance_intervals = list(zip(
+            store.dist_lb[rows, :, 0].min(axis=0).tolist(),
+            store.dist_ub[rows, :, 0].max(axis=0).tolist()))
+        self.token_size_intervals = list(zip(
+            store.tok_min[rows].min(axis=0).astype(int).tolist(),
+            store.tok_max[rows].max(axis=0).astype(int).tolist()))
+        return True
+
+    def remove(self, rid: str, source: str, schema: Schema,
+               store: Optional[PackedStore] = None) -> bool:
+        """Evict one tuple and re-derive the aggregates from the remaining
+        entries — from their rows of ``store`` when the grid keeps one, by
+        the scalar walk otherwise."""
         removed = self.entries.pop((rid, source), None)
         if removed is None:
             return False
-        self.recompute(schema)
+        if store is None or not self.refresh_from_rows(store):
+            self.recompute(schema)
         return True
 
 
@@ -268,13 +291,24 @@ class ERGrid:
         """
         if not HAS_NUMPY:
             return None
-        if self._packed_store is None or (
-                arena is not None and self._packed_store.arena is not arena):
+        previous = self._packed_store
+        if previous is None or (
+                arena is not None and previous.arena is not arena):
             store = PackedStore(arena=arena)
             for synopsis in self._synopses.values():
                 store.insert(synopsis)
+            if previous is not None:
+                store.restacks = previous.restacks
             self._packed_store = store
         return self._packed_store
+
+    def begin_epoch(self) -> None:
+        """Open a batch: the packed store (if any) recycles the rows evicted
+        during the previous one.  Every executor calls this at batch start —
+        evicted rows stay readable for exactly the batch that evicted them.
+        """
+        if self._packed_store is not None:
+            self._packed_store.begin_epoch()
 
     @property
     def cell_store(self) -> Optional["CellStore"]:
@@ -478,7 +512,7 @@ class ERGrid:
             cell = self._cells.get(coordinates)
             if cell is None:
                 continue
-            cell.remove(rid, source, self.schema)
+            cell.remove(rid, source, self.schema, self._packed_store)
             if not cell.entries:
                 del self._cells[coordinates]
                 if self._cell_store is not None:

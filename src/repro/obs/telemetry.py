@@ -289,6 +289,17 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         lambda: float(ctx.dr_index.packed_probes),
         help="DR-index probes answered from the packed repository mirror")
 
+    # The silent fallback of the packed ER phase: kernel inputs restacked
+    # per synopsis because a row was not resident (0 in steady state).
+    def restacks() -> float:
+        store = ctx.grid.packed_store
+        return float(store.restacks) if store is not None else 0.0
+
+    registry.bind(
+        "terids_packed_store_restacks_total", restacks,
+        help="Pruning-kernel inputs restacked instead of gathered from the "
+             "resident packed store")
+
     # Rule-install dispatch (skip / patch / rebuild).
     for attr, outcome in (("installs_skipped", "skipped"),
                           ("installs_patched", "patched"),

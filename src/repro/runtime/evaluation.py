@@ -40,6 +40,9 @@ from repro.core.pruning import (
 )
 from repro.core.similarity import jaccard_similarity
 
+if HAS_NUMPY:
+    import numpy as _np
+
 #: Attribute under which profiles are cached on a synopsis.  The cache is
 #: keyed by the keyword set so a synopsis shared between differently
 #: configured operators can never leak a stale topic flag.
@@ -257,43 +260,58 @@ def evaluate_candidates(query: RecordSynopsis,
                 stats=stats)
             for candidate in candidates
         ]
-    verdicts, survivors = _vectorized_prune_pass(
+    alive = _counted_prune(
         query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
         use_topic=use_topic, use_similarity=use_similarity,
         use_probability=use_probability, stats=stats, store=store)
-    for position in survivors:
+    verdicts: List[Tuple[bool, float]] = [(False, 0.0)] * len(candidates)
+    for position in alive.nonzero()[0].tolist():
         verdicts[position] = refine_pair_cached(
             query, candidates[position], keywords, gamma, alpha,
             use_instance, stats)
     return verdicts
 
 
-def _vectorized_prune_pass(query: RecordSynopsis,
-                           candidates: Sequence[RecordSynopsis],
-                           keywords: FrozenSet[str], gamma: float,
-                           alpha: float, use_topic: bool,
-                           use_similarity: bool, use_probability: bool,
-                           stats: PruningStats,
-                           store: Optional[PackedStore],
-                           ) -> Tuple[List[Tuple[bool, float]], List[int]]:
-    """The three bound strategies + counter accounting for one query.
+def _counted_prune(query, candidates, stats: PruningStats, **kernel_args):
+    """One :func:`batch_prune` call (either form) folded into ``stats``.
 
     The single authority for how the vectorized kernel's results map onto
-    the cascade's counters (shared by :func:`evaluate_candidates` and
-    :func:`evaluate_task_batch`, which only schedule the refinement tail
-    differently).  Returns the default-pruned verdict list and the
-    ascending candidate positions that fall through to refinement.
+    the cascade's counters; returns the survivor mask.
     """
     alive, pruned_topic, pruned_similarity, pruned_probability = batch_prune(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-        use_topic=use_topic, use_similarity=use_similarity,
-        use_probability=use_probability, store=store)
+        query, candidates, **kernel_args)
     stats.pairs_considered += len(candidates)
     stats.pruned_by_topic += pruned_topic
     stats.pruned_by_similarity += pruned_similarity
     stats.pruned_by_probability += pruned_probability
-    verdicts: List[Tuple[bool, float]] = [(False, 0.0)] * len(candidates)
-    return verdicts, [int(index) for index in alive.nonzero()[0]]
+    return alive
+
+
+def _batch_pair_rows(items, store: Optional[PackedStore]):
+    """``(query_rows, candidate_rows, starts)`` of a micro-batch's pairs.
+
+    The two flat row arrays hold one entry per (query, candidate) pair, item
+    after item; item ``i`` owns the flat positions ``starts[i]:starts[i+1]``.
+    ``None`` when the pairs cannot all be gathered from ``store`` — no store
+    enabled, or a synopsis is not resident (a foreign pivot shape is never
+    stored) — which sends the batch down the per-query path.
+    """
+    if store is None or not items:
+        return None
+    query_rows: List[int] = []
+    candidate_rows = []  # one row array per item
+    for query, candidates in items:
+        row = store.row_for(query)
+        rows = store.rows_for(candidates)
+        if row is None or rows is None:
+            store.restacks += 1
+            return None
+        query_rows.append(row)
+        candidate_rows.append(rows)
+    counts = [len(rows) for rows in candidate_rows]
+    return (_np.repeat(_np.array(query_rows, dtype=_np.intp), counts),
+            _np.concatenate(candidate_rows),
+            _np.cumsum([0] + counts))
 
 
 def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
@@ -307,8 +325,10 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
     """Verdicts for a whole micro-batch of ``(query, candidates)`` items.
 
     Two passes instead of per-query interleaving: first the three bound
-    strategies run for every item (through the vectorized kernel when
-    available), then the instance-level refinement (Theorem 4.4) sweeps
+    strategies run for every pair of the batch — one blocked
+    :func:`~repro.core.pruning.batch_prune` pass over the rows of ``store``
+    when every synopsis is resident there, one kernel call per query
+    otherwise — then the instance-level refinement (Theorem 4.4) sweeps
     *all* surviving pairs of the batch at once over the cached pre-sorted
     profiles.  Verdicts, probabilities and counters are identical to
     calling :func:`evaluate_candidates` item by item — the per-pair work is
@@ -324,23 +344,34 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
                 stats=stats, vectorized=False)
             for query, candidates in items
         ]
-    verdicts_per_item: List[List[Tuple[bool, float]]] = []
-    survivors: List[Tuple[int, int, RecordSynopsis, RecordSynopsis]] = []
-    for item_index, (query, candidates) in enumerate(items):
-        if not candidates:
-            verdicts_per_item.append([])
-            continue
-        verdicts, positions = _vectorized_prune_pass(
-            query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-            use_topic=use_topic, use_similarity=use_similarity,
-            use_probability=use_probability, stats=stats, store=store)
-        verdicts_per_item.append(verdicts)
-        for position in positions:
-            survivors.append((item_index, position, query,
-                              candidates[position]))
-    for item_index, position, query, candidate in survivors:
+    kernel_args = dict(keywords=keywords, gamma=gamma, alpha=alpha,
+                       use_topic=use_topic, use_similarity=use_similarity,
+                       use_probability=use_probability, stats=stats,
+                       store=store)
+    verdicts_per_item: List[List[Tuple[bool, float]]] = [
+        [(False, 0.0)] * len(candidates) for _, candidates in items]
+    #: (item, position) of every pair the bound strategies left alive.
+    survivors: List[Tuple[int, int]] = []
+    pair_rows = _batch_pair_rows(items, store)
+    if pair_rows is not None:
+        query_rows, candidate_rows, starts = pair_rows
+        alive = _counted_prune(query_rows, candidate_rows, **kernel_args)
+        # Flat pair positions back to (item, position within the item).
+        flat = alive.nonzero()[0]
+        owners = _np.searchsorted(starts, flat, side="right") - 1
+        survivors = list(zip(owners.tolist(),
+                             (flat - starts[owners]).tolist()))
+    else:
+        for item_index, (query, candidates) in enumerate(items):
+            if candidates:
+                alive = _counted_prune(query, candidates, **kernel_args)
+                survivors.extend((item_index, position)
+                                 for position in alive.nonzero()[0].tolist())
+    for item_index, position in survivors:
+        query, candidates = items[item_index]
         verdicts_per_item[item_index][position] = refine_pair_cached(
-            query, candidate, keywords, gamma, alpha, use_instance, stats)
+            query, candidates[position], keywords, gamma, alpha,
+            use_instance, stats)
     return verdicts_per_item
 
 

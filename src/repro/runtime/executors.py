@@ -90,6 +90,9 @@ class SerialExecutor(Executor):
     def process_batch(self, pipeline: Pipeline,
                       records: Sequence[Record]) -> List[List[MatchPair]]:
         with pipeline.ctx.begin_batch(len(records)):
+            # Only matters on a grid whose packed store an earlier
+            # micro-batch run enabled: it keeps being maintained.
+            pipeline.ctx.grid.begin_epoch()
             return [pipeline.process_one(record) for record in records]
 
 
@@ -519,6 +522,9 @@ class MicroBatchExecutor(Executor):
             ctx.grid.enable_cell_store()
             if not pooled:
                 ctx.grid.enable_packed_store()
+        # Rows evicted during the previous batch stayed gatherable until its
+        # pairs (shm plane: its workers' orders) were evaluated; recycle them.
+        ctx.grid.begin_epoch()
         tasks = [TupleTask(record=record) for record in records]
 
         # Phase 1: order-free stages over the whole batch.

@@ -48,7 +48,7 @@ import os
 import signal
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pruning import HAS_NUMPY, PackedSynopsis
+from repro.core.pruning import HAS_NUMPY
 
 if HAS_NUMPY:
     import numpy as _np
@@ -421,13 +421,10 @@ class ShmPlane:
 
 
 class PackedPlaneView:
-    """Kernel-facing accessor over a mapped packed arena.
-
-    Mirrors the gather the in-process :func:`~repro.core.pruning
-    ._stack_candidates` performs against the resident
-    :class:`~repro.core.pruning.PackedStore` — one fancy-indexing copy out
-    of the mapped arrays — plus the per-row :class:`PackedSynopsis`
-    reconstruction for query rows.
+    """The packed columns of a mapped arena as attributes — the shape
+    :func:`repro.core.pruning.gather_rows` reads, so a worker gathers its
+    kernel inputs exactly like the in-process
+    :class:`~repro.core.pruning.PackedStore` owner does.
     """
 
     _NAMES = ("dist_lb", "dist_ub", "dist_exp", "tok_min", "tok_max",
@@ -440,31 +437,6 @@ class PackedPlaneView:
         if name in self._NAMES:
             return self._view.arrays[name]
         raise AttributeError(name)
-
-    def gather(self, index):
-        """The 7-tuple of stacked kernel inputs for one candidate row set."""
-        arrays = self._view.arrays
-        return (arrays["dist_lb"][index], arrays["dist_ub"][index],
-                arrays["tok_min"][index], arrays["tok_max"][index],
-                arrays["may_kw"][index], arrays["limits"][index],
-                arrays["totals"][index])
-
-    def packed_row(self, row: int) -> PackedSynopsis:
-        """The query-side packed block of one mapped row."""
-        arrays = self._view.arrays
-        totals = arrays["totals"]
-        return PackedSynopsis(
-            dist_lb=arrays["dist_lb"][row],
-            dist_ub=arrays["dist_ub"][row],
-            dist_exp=arrays["dist_exp"][row],
-            tok_min=arrays["tok_min"][row],
-            tok_max=arrays["tok_max"][row],
-            may_have_keyword=bool(arrays["may_kw"][row]),
-            pivot_limit=int(arrays["limits"][row]),
-            total_exp0=float(totals[row, 0]),
-            total_lb0=float(totals[row, 1]),
-            total_ub0=float(totals[row, 2]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from repro.core.pruning import (
     RecordSynopsis,
     batch_cell_scan,
     batch_prune_stacked,
+    gather_rows,
 )
 from repro.core.tuples import ImputedRecord, Record
 
@@ -129,55 +130,78 @@ def place_workers(processes) -> Optional[List[int]]:
     return placement
 
 
-def _worker_main(worker_id: int, requests, responses, params_blob: bytes) -> None:
-    """Worker loop: apply deltas, evaluate orders, apply evictions."""
-    from repro.runtime.evaluation import evaluate_candidates
+class ResidentRefiner:
+    """One persistent-pool worker's resident state: the handle-keyed
+    synopsis store and its :class:`~repro.core.pruning.PackedStore` mirror.
 
-    params = pickle.loads(params_blob)
-    vectorized = params.pop("vectorized")
-    pivots = params.pop("pivots")
-    keywords = params["keywords"]
-    schema = pivots.schema
-    store: Dict[int, RecordSynopsis] = {}
-    packed: Optional[PackedStore] = (
-        PackedStore() if (vectorized and HAS_NUMPY) else None)
+    Lives in the worker process (:func:`_worker_main`); constructible
+    in-process so tests can drive the batch protocol without spawning.
+    """
+
+    def __init__(self, params: Dict) -> None:
+        params = dict(params)
+        self.vectorized = params.pop("vectorized")
+        self.pivots = params.pop("pivots")
+        #: keywords / gamma / alpha / use_* — the evaluate_candidates kwargs.
+        self.eval_params = params
+        self.store: Dict[int, RecordSynopsis] = {}
+        self.packed: Optional[PackedStore] = (
+            PackedStore() if (self.vectorized and HAS_NUMPY) else None)
+
+    def handle(self, insertions: Sequence[Insertion], orders, evictions,
+               want_spans: bool = False):
+        """One batch message: apply deltas, evaluate orders, apply evictions.
+
+        Returns ``(results, stats, spans)``.  Evictions run last, so an
+        order may reference a synopsis this same batch evicts.
+        """
+        from repro.runtime.evaluation import evaluate_candidates
+
+        base = perf_counter()
+        store, packed = self.store, self.packed
+        if packed is not None:
+            packed.begin_epoch()
+        schema = self.pivots.schema
+        keywords = self.eval_params["keywords"]
+        for handle, record, candidates in insertions:
+            imputed = _rebuild_imputed(record, schema, candidates)
+            synopsis = RecordSynopsis.build(imputed, self.pivots, keywords)
+            store[handle] = synopsis
+            if packed is not None:
+                packed.insert(synopsis)
+        applied = perf_counter()
+        stats = PruningStats()
+        results: List[Tuple[int, List[Tuple[bool, float]]]] = []
+        for task_index, query_handle, candidate_handles in orders:
+            query = store[query_handle]
+            candidates = [store[handle] for handle in candidate_handles]
+            results.append((task_index, evaluate_candidates(
+                query, candidates, stats=stats, vectorized=self.vectorized,
+                store=packed, **self.eval_params)))
+        refined = perf_counter()
+        for handle in evictions:
+            synopsis = store.pop(handle, None)
+            if synopsis is not None and packed is not None:
+                packed.discard(synopsis)
+        # Span rows ship as (name, rel_start, duration) with starts relative
+        # to this worker's message receipt: worker clocks are not
+        # synchronised with the parent, only the relative layout is
+        # meaningful (the parent re-anchors them under the live trace).
+        spans = ([("apply_deltas", 0.0, applied - base),
+                  ("refine", applied - base, refined - applied)]
+                 if want_spans else None)
+        return results, stats, spans
+
+
+def _worker_main(worker_id: int, requests, responses, params_blob: bytes) -> None:
+    """Worker loop: one :meth:`ResidentRefiner.handle` per batch message."""
+    refiner = ResidentRefiner(pickle.loads(params_blob))
     while True:
         message = requests.get()
         if message is None:
             break
         try:
-            insertions, orders, evictions, want_spans = pickle.loads(message)
-            base = perf_counter()
-            for handle, record, candidates in insertions:
-                imputed = _rebuild_imputed(record, schema, candidates)
-                synopsis = RecordSynopsis.build(imputed, pivots, keywords)
-                store[handle] = synopsis
-                if packed is not None:
-                    packed.insert(synopsis)
-            applied = perf_counter()
-            stats = PruningStats()
-            results: List[Tuple[int, List[Tuple[bool, float]]]] = []
-            for task_index, query_handle, candidate_handles in orders:
-                query = store[query_handle]
-                candidates = [store[handle] for handle in candidate_handles]
-                results.append((task_index, evaluate_candidates(
-                    query, candidates, stats=stats, vectorized=vectorized,
-                    store=packed, **params)))
-            refined = perf_counter()
-            for handle in evictions:
-                synopsis = store.pop(handle, None)
-                # Only drop the packed row if it still belongs to this
-                # synopsis: a same-key re-arrival may have overwritten it.
-                if (synopsis is not None and packed is not None
-                        and packed.row_for(synopsis) is not None):
-                    packed.remove(synopsis.rid, synopsis.source)
-            # Span rows ship as (name, rel_start, duration) with starts
-            # relative to this worker's message receipt: worker clocks are
-            # not synchronised with the parent, only the relative layout is
-            # meaningful (the parent re-anchors them under the live trace).
-            spans = ([("apply_deltas", 0.0, applied - base),
-                      ("refine", applied - base, refined - applied)]
-                     if want_spans else None)
+            results, stats, spans = refiner.handle(*pickle.loads(message))
             responses.put((worker_id, results, stats, spans, None))
         except Exception:  # pragma: no cover - surfaced in the parent
             responses.put((worker_id, None, None, None,
@@ -538,6 +562,7 @@ class ResidentShard:
 
         base = perf_counter() if spans is not None else 0.0
         grid = self.grid
+        grid.begin_epoch()
         cells_before = grid.cells_examined
         tuples_before = grid.tuples_examined
         stats = PruningStats()
@@ -1064,9 +1089,9 @@ class _ShmShardReplica:
     def _lookup(self, key: SynopsisKey, row: int, overlay, stats):
         """Cell scan + pruning cascade of one query against the plane.
 
-        Mirrors ``ERGrid.candidate_synopses`` (store path) +
-        ``_vectorized_prune_pass`` exactly: same kernel calls over the same
-        float64 values, same iteration order, same counters.  Returns the
+        Mirrors ``ERGrid.candidate_synopses`` (store path) + the bound
+        pass of ``evaluate_candidates`` exactly: same kernel calls over the
+        same float64 values, same iteration order, same counters.  Returns the
         ``tuples_examined`` delta and the surviving ``(position, key,
         handle)`` list (``None`` when the candidate list is empty, matching
         the main-side ``if candidates:`` gate).
@@ -1114,8 +1139,9 @@ class _ShmShardReplica:
                              dtype=_np.intp, count=len(candidate_handles))
         alive, pruned_topic, pruned_similarity, pruned_probability = \
             batch_prune_stacked(
-                self.packed_plane.packed_row(row),
-                self.packed_plane.gather(index), len(candidate_keys),
+                gather_rows(self.packed_plane,
+                            _np.array([row], dtype=_np.intp)),
+                gather_rows(self.packed_plane, index), len(candidate_keys),
                 self.keywords, self.gamma, self.alpha,
                 use_topic=self.use_topic,
                 use_similarity=self.use_similarity,
@@ -1215,8 +1241,11 @@ class ShmShardedERPool(_ResidentWorkerPool):
 
     # -- batch protocol ------------------------------------------------------
     def begin_batch(self, grid):
-        """Flush last epoch's freed rows; snapshot on out-of-band mutation.
+        """Snapshot the grid on out-of-band mutation.
 
+        The executor has already opened the packed store's epoch for this
+        batch, so the rows evicted during the previous one — which its
+        in-flight orders could still reference — are free for rewriting.
         Returns the reset payload (cell table + key bindings) when the
         grid mutated outside the op stream since the last batch — the
         first batch, a checkpoint restore, a watermark retraction — and
@@ -1224,7 +1253,6 @@ class ShmShardedERPool(_ResidentWorkerPool):
         worker mirrors in lock-step.
         """
         store = grid.packed_store
-        store.begin_epoch()
         if grid.mutation_count == self._synced_mutations:
             return None
         self._by_handle.clear()

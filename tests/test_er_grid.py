@@ -1,9 +1,10 @@
 """Unit tests for the ER-grid synopsis over sliding windows (Section 5.2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.matching import ter_ids_probability
-from repro.core.pruning import RecordSynopsis
+from repro.core.pruning import HAS_NUMPY, RecordSynopsis
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.repository import DataRepository
 from repro.indexes.er_grid import ERGrid, GridCell
@@ -122,6 +123,75 @@ class TestCellAggregates:
         bounds = grid.cell_bounds((0, 3))
         assert bounds[0] == (0.0, 0.25)
         assert bounds[1] == (0.75, 1.0)
+
+
+#: Token pool for the random maintenance sequences (overlaps the pivots and
+#: the keyword, so aggregates and the keyword flag actually move).
+_WORDS = ("fever", "cough", "chills", "weight", "loss", "diabetes", "flu",
+          "red", "eye", "thirst")
+_text = st.lists(st.sampled_from(_WORDS), min_size=0, max_size=4).map(" ".join)
+_imputed = st.dictionaries(st.sampled_from(_WORDS),
+                           st.floats(min_value=0.05, max_value=0.3),
+                           min_size=1, max_size=3)
+#: One maintenance step: insert a tuple (complete, or with an imputed
+#: diagnosis) or — ``None`` — evict the oldest one.
+_step = st.one_of(st.none(), st.tuples(_text, _text, st.none() | _imputed))
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
+class TestColumnarCellRefresh:
+    """With a packed store the grid refreshes an evicted tuple's cells from
+    the entries' rows; the scalar ``GridCell.recompute`` is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(_step, min_size=4, max_size=40),
+           cells_per_dim=st.sampled_from([1, 2, 4]),
+           epoch_every=st.integers(min_value=1, max_value=8))
+    def test_refresh_equals_scalar_recompute(self, steps, cells_per_dim,
+                                             epoch_every):
+        grid = ERGrid(SCHEMA, cells_per_dim=cells_per_dim)
+        grid.enable_packed_store()
+        live = []
+        for index, step in enumerate(steps):
+            if index % epoch_every == 0:
+                grid.begin_epoch()
+            if step is None:
+                if not live:
+                    continue
+                grid.remove(*live.pop(0))
+            else:
+                symptom, diagnosis, imputed = step
+                candidates = ({"diagnosis": imputed}
+                              if imputed and not diagnosis else None)
+                synopsis = _synopsis(f"r{index}", symptom or None,
+                                     diagnosis or None, candidates)
+                grid.insert(synopsis)
+                live.append((synopsis.rid, synopsis.source))
+            for cell in grid._cells.values():
+                oracle = GridCell(coordinates=cell.coordinates,
+                                  entries=dict(cell.entries))
+                oracle.recompute(SCHEMA)
+                assert cell.may_have_keyword is oracle.may_have_keyword
+                assert cell.distance_intervals == oracle.distance_intervals
+                assert cell.token_size_intervals == oracle.token_size_intervals
+                for low, high in cell.distance_intervals:
+                    assert type(low) is float and type(high) is float
+                for low, high in cell.token_size_intervals:
+                    assert type(low) is int and type(high) is int
+
+    def test_refresh_reads_rows_not_entries(self, monkeypatch):
+        """The store path must not fall back to the scalar walk."""
+        grid = ERGrid(SCHEMA, cells_per_dim=1)
+        grid.enable_packed_store()
+        for index, (symptom, diagnosis) in enumerate(
+                [("thirst", "diabetes"), ("fever", "flu"), ("red eye", "flu")]):
+            grid.insert(_synopsis(f"r{index}", symptom, diagnosis))
+        monkeypatch.setattr(GridCell, "recompute", lambda *args: pytest.fail(
+            "scalar recompute ran although every entry is resident"))
+        grid.remove("r0", "s1")
+        cell = next(iter(grid._cells.values()))
+        assert not cell.may_have_keyword
+        assert len(cell.entries) == 2
 
 
 class TestCandidateRetrieval:

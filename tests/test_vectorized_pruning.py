@@ -8,6 +8,8 @@ golden workloads (both executors, in-process and both pooled refinement
 modes).
 """
 
+import contextlib
+import gc
 import json
 
 import pytest
@@ -24,14 +26,17 @@ from golden_utils import (
     golden_path,
     run_reference,
 )
+from repro.core import pruning as pruning_module
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.pruning import (
+    PAIR_BLOCK,
     PackedStore,
     PruningStats,
     RecordSynopsis,
     batch_prune,
     ensure_packed,
+    paley_zygmund_bound_from_totals,
     probability_prune,
     similarity_prune,
     topic_keyword_prune,
@@ -47,6 +52,8 @@ from repro.runtime import (
     evaluate_candidates,
     evaluate_pair_cached,
 )
+from repro.runtime.shm_plane import HAS_SHM
+from repro.runtime.workers import ResidentRefiner, ResidentShard
 
 SCHEMA = Schema(attributes=("symptom", "diagnosis"))
 KEYWORDS = frozenset({"diabetes"})
@@ -243,6 +250,132 @@ def test_evaluate_candidates_verdicts_and_stats_match_scalar():
         ]
         assert vectorized == scalar
     assert vector_stats == scalar_stats
+
+
+# ---------------------------------------------------------------------------
+# The pair form: many queries per kernel pass, blocked
+# ---------------------------------------------------------------------------
+def _pair_rows(store, synopses, count):
+    """``count`` (query, candidate) pairs over ``synopses``: every synopsis
+    in turn as the query against all others, as rows of ``store``."""
+    pairs = [(query, candidate) for query in synopses
+             for candidate in synopses if candidate is not query][:count]
+    assert len(pairs) == count
+    return (pairs, store.rows_for([query for query, _ in pairs]),
+            store.rows_for([candidate for _, candidate in pairs]))
+
+
+def _scalar_pairs(pairs, keywords, gamma, alpha, **toggles):
+    mask, counts = [], [0, 0, 0]
+    for query, candidate in pairs:
+        pair_mask, pair_counts = _scalar_cascade(
+            query, [candidate], keywords, gamma, alpha, **toggles)
+        mask += pair_mask
+        counts = [total + one for total, one in zip(counts, pair_counts)]
+    return mask, tuple(counts)
+
+
+@contextlib.contextmanager
+def _pair_block(size):
+    saved = pruning_module.PAIR_BLOCK
+    pruning_module.PAIR_BLOCK = size
+    try:
+        yield
+    finally:
+        pruning_module.PAIR_BLOCK = saved
+
+
+@pytest.mark.parametrize("count", [PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
+def test_pair_kernel_matches_scalar_cascade_around_the_block_size(count):
+    engine, config = _populated_engine()
+    store = PackedStore()
+    synopses = engine.grid.synopses()
+    for synopsis in synopses:
+        store.insert(synopsis)
+    pairs, query_rows, candidate_rows = _pair_rows(store, synopses, count)
+    # Several distinct queries share each block.
+    assert len(set(query_rows[:PAIR_BLOCK].tolist())) > 5
+    alive, topic, similarity, probability = batch_prune(
+        query_rows, candidate_rows, keywords=config.keywords,
+        gamma=config.gamma, alpha=config.alpha, store=store)
+    mask, counts = _scalar_pairs(pairs, config.keywords, config.gamma,
+                                 config.alpha)
+    assert alive.tolist() == mask
+    assert (topic, similarity, probability) == counts
+    assert store.restacks == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(record_strategy, min_size=3, max_size=7),
+    gamma=st.floats(min_value=0.1, max_value=1.9),
+    alpha=st.floats(min_value=0.05, max_value=0.95),
+    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    block=st.integers(min_value=1, max_value=9),
+)
+def test_pair_kernel_identical_to_scalar_cascade(records, gamma, alpha,
+                                                 toggles, block):
+    use_topic, use_similarity, use_probability = toggles
+    store = PackedStore()
+    synopses = []
+    for index, (symptom, diagnosis, extra) in enumerate(records):
+        candidates = {"diagnosis": extra} if (extra and not diagnosis) else None
+        synopses.append(_make_synopsis(index, symptom, diagnosis, candidates))
+        store.insert(synopses[-1])
+    count = len(synopses) * (len(synopses) - 1)
+    pairs, query_rows, candidate_rows = _pair_rows(store, synopses, count)
+    switches = dict(use_topic=use_topic, use_similarity=use_similarity,
+                    use_probability=use_probability)
+    with _pair_block(block):
+        alive, topic, similarity, probability = batch_prune(
+            query_rows, candidate_rows, keywords=KEYWORDS, gamma=gamma,
+            alpha=alpha, store=store, **switches)
+    mask, counts = _scalar_pairs(pairs, KEYWORDS, gamma, alpha, **switches)
+    assert alive.tolist() == mask
+    assert (topic, similarity, probability) == counts
+
+
+# ---------------------------------------------------------------------------
+# Theorem 4.3 lanes: the columnar pre-filter vs the scalar helper
+# ---------------------------------------------------------------------------
+#: Totals drawn from a coarse grid, so touching intervals (``lb == ub``
+#: across the pair, zero gaps, zero spreads) are common, not measure-zero.
+_grid_total = st.integers(min_value=0, max_value=8).map(lambda k: k / 4.0)
+_totals = st.tuples(_grid_total, _grid_total, _grid_total).map(sorted).map(
+    lambda t: (t[1], t[0], t[2]))  # (exp, lb, ub) with lb <= exp <= ub
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query=_totals,
+    candidates=st.lists(_totals, min_size=1, max_size=12),
+    gamma=st.floats(min_value=0.1, max_value=1.9),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_probability_lanes_equal_scalar_bound(query, candidates, gamma,
+                                              alpha):
+    dimensionality = len(SCHEMA)
+    count = len(candidates)
+
+    def side(rows):
+        """Kernel inputs that only Theorem 4.3 reads (the totals)."""
+        lanes = len(rows)
+        blank = np.zeros((lanes, dimensionality, 1))
+        return (blank, blank, np.ones((lanes, dimensionality)),
+                np.ones((lanes, dimensionality)),
+                np.ones(lanes, dtype=bool), np.ones(lanes, dtype=np.int64),
+                np.array(rows, dtype=float))
+
+    alive, _, _, pruned = pruning_module.batch_prune_stacked(
+        side([query]), side(candidates), count, frozenset(), gamma, alpha,
+        use_topic=False, use_similarity=False)
+    expected = [
+        paley_zygmund_bound_from_totals(dimensionality - gamma, *query,
+                                        *candidate) <= alpha
+        for candidate in candidates
+    ]
+    assert (~alive).tolist() == expected
+    assert pruned == sum(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +596,21 @@ class TestPackedStore:
             assert np.array_equal(store.tok_max[row], packed.tok_max)
 
     def test_remove_recycles_rows(self):
+        """A removed row is recycled at the next epoch, not before."""
         store = PackedStore()
         synopses = self._synopses()
         rows = [store.insert(s) for s in synopses]
-        assert store.remove(synopses[2].rid, synopses[2].source)
-        assert store.row_for(synopses[2]) is None
+        evicted = synopses[2]
+        assert store.remove(evicted.rid, evicted.source)
+        assert len(store) == len(synopses) - 1
+        # Until the epoch turns, the batch in flight can still gather it.
+        assert store.row_for(evicted) == rows[2]
+        assert np.array_equal(store.dist_lb[rows[2]],
+                              ensure_packed(evicted).dist_lb)
+        newcomer = _make_synopsis(98, "sore throat", "cold", None)
+        assert store.insert(newcomer) not in rows
+        store.begin_epoch()
+        assert store.row_for(evicted) is None
         replacement = _make_synopsis(99, "red eye", "conjunctivitis", None)
         assert store.insert(replacement) == rows[2]
         assert store.row_for(replacement) == rows[2]
@@ -490,6 +633,195 @@ class TestPackedStore:
             store.insert(synopsis)
         assert len(store) == 130
         assert store.row_for(synopses[-1]) is not None
+
+
+    def test_same_key_rearrival_keeps_the_superseded_row_until_the_epoch(self):
+        store = PackedStore()
+        original = self._synopses(1)[0]
+        row = store.insert(original)
+        rebuilt = _make_synopsis(0, "fever cough", "flu", None)
+        assert store.insert(rebuilt) != row
+        assert store.row_for(original) == row
+        assert len(store) == 1
+        assert not store.discard(original)  # superseded: nothing to remove
+        assert len(store) == 1
+        assert store.discard(rebuilt)
+        assert len(store) == 0
+
+    def test_reinserting_the_removed_object_moves_it_to_a_fresh_row(self):
+        store = PackedStore()
+        synopsis = self._synopses(1)[0]
+        old_row = store.insert(synopsis)
+        store.remove(synopsis.rid, synopsis.source)
+        new_row = store.insert(synopsis)
+        assert new_row != old_row and store.row_for(synopsis) == new_row
+        store.begin_epoch()  # recycles old_row only
+        assert store.row_for(synopsis) == new_row
+        store.remove(synopsis.rid, synopsis.source)
+        store.begin_epoch()
+        assert store.row_for(synopsis) is None and len(store) == 0
+
+    def test_evicted_id_cannot_alias_before_the_epoch(self):
+        """The store keeps an evicted synopsis alive until ``begin_epoch``,
+        so no new object can take its ``id()`` and hit its row."""
+        store = PackedStore()
+        evicted = self._synopses(1)[0]
+        store.insert(evicted)
+        store.remove(evicted.rid, evicted.source)
+        stale_id = id(evicted)
+        del evicted
+        gc.collect()
+        fresh = [_make_synopsis(100 + index, "fever", "flu", None)
+                 for index in range(200)]
+        assert stale_id not in {id(synopsis) for synopsis in fresh}
+        assert all(store.row_for(synopsis) is None for synopsis in fresh)
+        store.begin_epoch()
+        assert stale_id not in store._rows_by_id
+
+
+# ---------------------------------------------------------------------------
+# Rows stay resident until the batch ends — and not longer
+# ---------------------------------------------------------------------------
+def _allocated_rows(store):
+    """High-water mark of the rows a store ever handed out."""
+    return len(store._objects)
+
+
+def test_tiny_window_large_batch_evicts_inside_the_batch():
+    """Window 5 under batches of 64: most candidates *and* queries are
+    evicted before their batch's pairs are evaluated; every one must still
+    be gathered from its row, and the output must equal the serial run."""
+    dataset, scale, seed, _ = GOLDEN_WORKLOADS[0]
+    workload = build_workload(dataset, scale, seed)
+    config = build_config(workload, 5)
+    serial = run_reference(
+        lambda **kwargs: TERiDSEngine(executor=SerialExecutor(), **kwargs),
+        workload, config)
+    engines = []
+
+    def factory(**kwargs):
+        engines.append(TERiDSEngine(
+            executor=MicroBatchExecutor(batch_size=64), **kwargs))
+        return engines[-1]
+
+    got = run_reference(factory, build_workload(dataset, scale, seed), config)
+    assert got == serial
+    assert got["pruning_stats"]["pairs_considered"] > 0
+    assert engines[0].grid.packed_store.restacks == 0
+
+
+def _stream_engine(executor, window=4):
+    dataset, scale, seed, _ = GOLDEN_WORKLOADS[0]
+    workload = build_workload(dataset, scale, seed)
+    engine = TERiDSEngine(repository=workload.repository,
+                          config=build_config(workload, window),
+                          executor=executor)
+    records = list(workload.interleaved_records())
+    sources = {record.source for record in records}
+    assert len(records) >= 10 * window * len(sources)
+    return engine, records, window * len(sources)
+
+
+def _shm_inline_executor(batch_size):
+    executor = MicroBatchExecutor(batch_size=batch_size, max_workers=1,
+                                  shard_lookup=True, shm_plane=True)
+    executor._shm_inline = True
+    return executor
+
+
+@pytest.mark.parametrize("make_executor", [
+    pytest.param(lambda batch: MicroBatchExecutor(batch_size=batch),
+                 id="in-process"),
+    pytest.param(_shm_inline_executor, id="shm", marks=pytest.mark.skipif(
+        not HAS_SHM, reason="requires multiprocessing.shared_memory")),
+])
+def test_grid_store_stays_within_window_plus_one_batch(make_executor):
+    batch = 16
+    engine, records, window_total = _stream_engine(make_executor(batch))
+    try:
+        for start in range(0, len(records), batch):
+            engine.process_batch(records[start:start + batch])
+            store = engine.grid.packed_store
+            assert len(store) <= window_total
+            assert _allocated_rows(store) <= window_total + batch
+        assert store.restacks == 0
+    finally:
+        engine.close()
+
+
+def _sliding_stream(total, window, batch):
+    """Synthetic count-based window over ``total`` arrivals, in batches of
+    ``(synopsis, window contents it is evaluated against, synopsis its
+    arrival evicts or None)``."""
+    live = []
+    synopses = [_make_synopsis(index, " ".join(WORDS[index % 7:index % 7 + 3]),
+                               WORDS[index % 5], None)
+                for index in range(total)]
+    for start in range(0, total, batch):
+        arrivals = []
+        for synopsis in synopses[start:start + batch]:
+            evicted = live.pop(0) if len(live) == window else None
+            arrivals.append((synopsis, list(live), evicted))
+            live.append(synopsis)
+        yield arrivals
+
+
+_WORKER_PARAMS = dict(pivots=PIVOTS, vectorized=True, keywords=KEYWORDS,
+                      gamma=1.0, alpha=0.5, use_topic=True,
+                      use_similarity=True, use_probability=True,
+                      use_instance=True)
+
+
+def _ship(arrivals, handles):
+    """Fresh handles + the insertion deltas of one batch's arrivals."""
+    insertions = []
+    for synopsis, _, _ in arrivals:
+        handles[id(synopsis)] = len(handles)
+        insertions.append((handles[id(synopsis)], synopsis.record.base,
+                           synopsis.record.candidates))
+    return insertions
+
+
+def test_persistent_pool_worker_store_stays_within_window_plus_one_batch():
+    window, batch = 6, 16
+    refiner = ResidentRefiner(_WORKER_PARAMS)
+    handles = {}
+    for arrivals in _sliding_stream(10 * window + 3, window, batch):
+        insertions = _ship(arrivals, handles)
+        orders = [(index, handles[id(query)],
+                   [handles[id(candidate)] for candidate in candidates])
+                  for index, (query, candidates, _) in enumerate(arrivals)]
+        evictions = [handles[id(evicted)] for _, _, evicted in arrivals
+                     if evicted is not None]
+        _, stats, _ = refiner.handle(insertions, orders, evictions)
+        assert stats.pairs_considered == sum(
+            len(candidates) for _, candidates, _ in arrivals)
+        assert len(refiner.packed) <= window
+        assert _allocated_rows(refiner.packed) <= window + batch
+    assert refiner.packed.restacks == 0
+
+
+def test_sharded_replica_store_stays_within_window_plus_one_batch():
+    window, batch = 6, 16
+    shard = ResidentShard(dict(_WORKER_PARAMS, worker_count=1,
+                               cells_per_dim=5), worker_id=0)
+    handles = {}
+    considered = 0
+    for arrivals in _sliding_stream(10 * window + 3, window, batch):
+        shard.apply_insertions(_ship(arrivals, handles))
+        ops = [(index,
+                [] if evicted is None else [(evicted.rid, evicted.source)],
+                handles[id(synopsis)], 0)
+               for index, (synopsis, _, evicted) in enumerate(arrivals)]
+        _, stats, _ = shard.execute(ops)
+        considered += stats.pairs_considered
+        shard.retire([handles[id(evicted)] for _, _, evicted in arrivals
+                      if evicted is not None])
+        store = shard.grid.packed_store
+        assert len(store) <= window
+        assert _allocated_rows(store) <= window + batch
+    assert considered > 0
+    assert shard.grid.packed_store.restacks == 0
 
 
 # ---------------------------------------------------------------------------
