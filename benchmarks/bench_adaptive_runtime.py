@@ -4,20 +4,15 @@ Replays every load-regime scenario of :mod:`scenarios` (burst, skew,
 out-of-order, late data, high missing rate — each a recorded event-time
 trace through ``ReplaySource``) under three runtime configurations:
 
-* **static-worst** — ``max_batch=1, max_workers=2, pool_mode="per-batch"``:
-  the minimum-latency, fan-out-everything configuration.  Each knob is
-  individually defensible (smallest batches for freshness, parallel
-  refinement for heavy pair loads) — frozen together on a CPU-quota'd box
-  they mean a process-pool spin-up per single-tuple batch, the exact
-  mis-configuration class a self-tuning controller exists to escape;
-* **static-best** — ``max_batch=64, max_workers=1``: the hand-tuned
-  throughput configuration for this hardware (inline refinement, large
-  batches);
-* **adaptive** — starts from *static-worst's exact knobs* with an active
-  :class:`~repro.runtime.controller.RuntimeController`: the clamp rule
-  rightsizes workers to the schedulable CPUs, batch-policy retargeting
-  grows ``max_batch`` toward the latency SLO, and the run must recover to
-  near static-best throughput without ever changing an answer.
+* **static-worst** — ``max_batch=1``: the minimum-latency configuration
+  (smallest batches for freshness), which forfeits everything a micro-batch
+  amortises;
+* **static-best** — ``max_batch=64``: the hand-tuned throughput
+  configuration (large batches);
+* **adaptive** — starts from *static-worst's exact policy* with an active
+  :class:`~repro.runtime.controller.RuntimeController`: batch-policy
+  retargeting grows ``max_batch`` toward the latency SLO, and the run must
+  recover to near static-best throughput without ever changing an answer.
 
 Per scenario it reports throughput, p95 batch latency and the controller's
 decision trail, asserts the match sets of all three runs are identical,
@@ -26,9 +21,7 @@ and publishes ``BENCH_adaptive_runtime.json``.  The headline claims:
 * adaptive ≥ 1.5× static-worst throughput at full scale;
 * adaptive within 15% of static-best throughput at full scale.
 
-Both targets are asserted only on the full (non-smoke) run; worker
-*scale-up* beyond the clamp additionally keys on ``effective_cpus`` with a
-visible note, mirroring the sharded-grid bench convention.
+Both targets are asserted only on the full (non-smoke) run.
 
 Run with::
 
@@ -37,7 +30,6 @@ Run with::
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -61,15 +53,12 @@ QUEUE_CAPACITY = 256
 TARGET_VS_WORST = 1.5
 TARGET_WITHIN_BEST_PCT = 15.0
 
-#: The three compared configurations:
-#: ``(label, max_batch, max_workers, adaptive)`` — pool_mode is
-#: ``"per-batch"`` throughout (``max_workers=1`` refines inline, so only
-#: the oversubscribed configs ever pay a pool).  The adaptive run starts
-#: from static-worst's exact knobs.
+#: The three compared configurations: ``(label, max_batch, adaptive)``.
+#: The adaptive run starts from static-worst's exact policy.
 CONFIGURATIONS = (
-    ("static-worst", 1, 2, False),
-    ("static-best", 64, 1, False),
-    ("adaptive", 1, 2, True),
+    ("static-worst", 1, False),
+    ("static-best", 64, False),
+    ("adaptive", 1, True),
 )
 
 #: Latency SLO the adaptive run steers toward.  Far above any single
@@ -79,28 +68,15 @@ CONFIGURATIONS = (
 SLO_P95_SECONDS = 0.5
 
 
-def effective_cpus() -> int:
-    """Schedulable CPUs of this process (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux platforms
-        return os.cpu_count() or 1
-
-
 def controller_policy() -> ControllerPolicy:
-    # Tight window/cooldown: every applied retarget clears the latency
-    # window, so convergence from the mis-sized start to the workload's
-    # preferred batch size costs ``window`` batches per doubling — a short
-    # window lets the controller converge while the stream is still live.
+    # Tight window: every applied retarget clears the latency window, so
+    # convergence from the mis-sized start to the workload's preferred
+    # batch size costs ``window`` batches per doubling — a short window
+    # lets the controller converge while the stream is still live.
     return ControllerPolicy(
         slo_p95_seconds=SLO_P95_SECONDS,
         window=2,
-        cooldown_batches=1,
-        min_workers=1,
-        max_workers=max(2, min(4, effective_cpus())),
-        clamp_workers_to_cpus=True,
         backlog_high=8,
-        backlog_low=2,
         min_max_batch=1,
         max_max_batch=256,
     )
@@ -114,16 +90,13 @@ def canonical(matches) -> List:
     return rows
 
 
-def run_configuration(scenario, label: str, max_batch: int, workers: int,
-                      adaptive: bool, scale: float,
-                      window: int) -> Dict[str, object]:
+def run_configuration(scenario, label: str, max_batch: int, adaptive: bool,
+                      scale: float, window: int) -> Dict[str, object]:
     workload = build_workload(scenario, scale=scale, seed=BENCH_SEED)
     config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
                           window_size=window)
     engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=MicroBatchExecutor(batch_size=32,
-                                                      max_workers=workers,
-                                                      pool_mode="per-batch"))
+                          executor=MicroBatchExecutor(batch_size=32))
     engine.enable_telemetry()
     controller: Optional[RuntimeController] = None
     if adaptive:
@@ -161,11 +134,8 @@ def run_configuration(scenario, label: str, max_batch: int, workers: int,
             "evaluations": controller.state["evaluations"],
             "decisions": dict(controller.state["decisions"]),
             "final_max_batch": controller.batcher.policy.max_batch,
-            "final_workers": engine.executor.max_workers,
         }
-    matches = canonical(engine.current_matches())
-    engine.close()
-    return row, matches
+    return row, canonical(engine.current_matches())
 
 
 def run_scenario(scenario, scale: float, window: int,
@@ -179,9 +149,9 @@ def run_scenario(scenario, scale: float, window: int,
     # hit every configuration alike instead of one configuration's whole
     # block.  Match identity is asserted on every run.
     for _ in range(repeats):
-        for label, max_batch, workers, adaptive in CONFIGURATIONS:
+        for label, max_batch, adaptive in CONFIGURATIONS:
             row, matches = run_configuration(scenario, label, max_batch,
-                                             workers, adaptive, scale, window)
+                                             adaptive, scale, window)
             if reference_matches is None:
                 reference_matches = matches
             elif matches != reference_matches:
@@ -190,7 +160,7 @@ def run_scenario(scenario, scale: float, window: int,
             if (best is None or row["tuples_per_second"]
                     > best["tuples_per_second"]):
                 best_rows[label] = row
-    rows = [best_rows[label] for label, _, _, _ in CONFIGURATIONS]
+    rows = [best_rows[label] for label, _, _ in CONFIGURATIONS]
     by_label = {row["configuration"]: row for row in rows}
     worst = by_label["static-worst"]["tuples_per_second"]
     best = by_label["static-best"]["tuples_per_second"]
@@ -218,17 +188,6 @@ def main() -> int:
     scale = 0.3 if args.smoke else 3.0
     window = 20 if args.smoke else 40
     repeats = 1 if args.smoke else 3
-
-    cpus = effective_cpus()
-    worker_note = None
-    if cpus < 2:
-        worker_note = (
-            f"worker scale-up unavailable: {cpus} effective cpu(s) "
-            f"(sched_getaffinity) — on this hardware the controller's "
-            f"worker path is the rightsizing clamp (2 -> {cpus}); the "
-            f"batch-policy adaptation targets below do not depend on "
-            f"parallelism")
-        print(f"NOTE: {worker_note}")
 
     results = []
     for scenario in SCENARIOS:
@@ -270,9 +229,6 @@ def main() -> int:
             "scale": scale,
             "window": window,
             "repeats": repeats,
-            "cpus": os.cpu_count(),
-            "effective_cpus": cpus,
-            "worker_scaling_note": worker_note,
             "smoke": args.smoke,
         }, path=args.json or None)
 

@@ -5,13 +5,8 @@ tuple-at-a-time semantics) and the ``MicroBatchExecutor`` at several batch
 sizes, verifies that every configuration reports the *same match set*, and
 prints the throughput (tuples/second) plus the speedup over serial.  The
 acceptance bar for the micro-batch runtime is >= 1.5x at batch size >= 32.
-
-A second section compares the two pooled refinement modes on the same
-workload: the legacy per-batch pool (re-pickles every partition's synopses
-each batch) against the persistent worker pool with resident synopsis
-stores (ships only record deltas, handle orders and evictions).  The
-acceptance bar there is a >= 10x drop in steady-state bytes shipped per
-batch.
+A second section measures the wall-clock overhead of the enabled telemetry
+plane (gated in CI).
 
 Run directly::
 
@@ -27,7 +22,7 @@ from __future__ import annotations
 import gc
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -39,12 +34,7 @@ from repro.core.engine import TERiDSEngine  # noqa: E402
 from repro.datasets.synthetic import generate_dataset  # noqa: E402
 from repro.experiments.harness import format_rows  # noqa: E402
 from repro.metrics.timing import now  # noqa: E402
-from repro.runtime import (  # noqa: E402
-    POOL_PER_BATCH,
-    POOL_PERSISTENT,
-    MicroBatchExecutor,
-    SerialExecutor,
-)
+from repro.runtime import MicroBatchExecutor, SerialExecutor  # noqa: E402
 
 BENCH_NAME = "runtime_batching"
 BENCH_DATASET = "citations"
@@ -52,9 +42,6 @@ BENCH_SCALE = 1.0
 BENCH_SEED = 7
 BENCH_WINDOW = 60
 BATCH_SIZES = (8, 32, 64, 128)
-TRANSPORT_WORKERS = 2
-TRANSPORT_BATCH = 32
-TARGET_TRANSPORT_RATIO = 10.0
 TELEMETRY_BATCH = 32
 TELEMETRY_REPEATS = 5
 TARGET_OVERHEAD_PCT = 5.0
@@ -86,29 +73,17 @@ def _run(executor, scale: float = BENCH_SCALE,
     report = engine.run(records)
     elapsed = now() - start
     breakup = report.breakup_cost.as_dict()
-    transport = engine.ctx.transport
-    result = {
+    return {
         "tuples": len(records),
         "seconds": elapsed,
         "throughput": len(records) / elapsed if elapsed > 0 else float("inf"),
         "match_keys": sorted(pair.key() for pair in report.matches),
         "stage_seconds": {stage: round(value * len(records), 6)
                           for stage, value in breakup.items()},
-        "transport": {
-            "batches": transport.batches,
-            "bytes_shipped": transport.bytes_shipped,
-            "synopses_shipped": transport.synopses_shipped,
-            "orders_shipped": transport.orders_shipped,
-            "per_batch_bytes": list(transport.per_batch_bytes),
-            "steady_state_bytes_per_batch": transport.steady_state_bytes(),
-        },
     }
-    engine.close()
-    return result
 
 
-def run_bench(batch_sizes=BATCH_SIZES, max_workers: Optional[int] = None,
-              scale: float = BENCH_SCALE,
+def run_bench(batch_sizes=BATCH_SIZES, scale: float = BENCH_SCALE,
               window: int = BENCH_WINDOW) -> List[Dict[str, object]]:
     """Run the serial baseline and every batch size; return printable rows."""
     serial = _run(SerialExecutor(), scale, window)
@@ -122,9 +97,8 @@ def run_bench(batch_sizes=BATCH_SIZES, max_workers: Optional[int] = None,
         "matches_identical": True,
     }]
     for batch_size in batch_sizes:
-        result = _run(MicroBatchExecutor(batch_size=batch_size,
-                                         max_workers=max_workers),
-                      scale, window)
+        result = _run(MicroBatchExecutor(batch_size=batch_size), scale,
+                      window)
         rows.append({
             "executor": "micro-batch",
             "batch_size": batch_size,
@@ -136,36 +110,6 @@ def run_bench(batch_sizes=BATCH_SIZES, max_workers: Optional[int] = None,
             "matches_identical": result["match_keys"] == serial["match_keys"],
         })
     return rows
-
-
-def run_transport_bench(scale: float = BENCH_SCALE,
-                        window: int = BENCH_WINDOW,
-                        batch_size: int = TRANSPORT_BATCH,
-                        max_workers: int = TRANSPORT_WORKERS,
-                        ) -> Dict[str, object]:
-    """Bytes shipped per batch: per-batch pool vs persistent workers."""
-    results = {}
-    for mode in (POOL_PER_BATCH, POOL_PERSISTENT):
-        results[mode] = _run(
-            MicroBatchExecutor(batch_size=batch_size, max_workers=max_workers,
-                               pool_mode=mode),
-            scale, window)
-    per_batch = results[POOL_PER_BATCH]
-    persistent = results[POOL_PERSISTENT]
-    legacy_steady = per_batch["transport"]["steady_state_bytes_per_batch"]
-    resident_steady = persistent["transport"]["steady_state_bytes_per_batch"]
-    return {
-        "batch_size": batch_size,
-        "max_workers": max_workers,
-        "matches_identical": (per_batch["match_keys"]
-                              == persistent["match_keys"]),
-        "per_batch_pool": per_batch["transport"],
-        "persistent_pool": persistent["transport"],
-        "per_batch_tuples_per_sec": round(per_batch["throughput"], 1),
-        "persistent_tuples_per_sec": round(persistent["throughput"], 1),
-        "steady_state_bytes_ratio": round(
-            legacy_steady / resident_steady, 2) if resident_steady else None,
-    }
 
 
 def run_telemetry_overhead(scale: float = BENCH_SCALE,
@@ -234,7 +178,7 @@ def test_runtime_batching(benchmark):
 
 def main(argv=None) -> int:
     parser = bench_argument_parser(
-        "Serial vs micro-batch throughput + pooled transport comparison")
+        "Serial vs micro-batch throughput + telemetry overhead")
     args = parser.parse_args(argv)
     scale = 0.4 if args.smoke else BENCH_SCALE
     window = 30 if args.smoke else BENCH_WINDOW
@@ -253,27 +197,6 @@ def main(argv=None) -> int:
     print(f"\nbest speedup at batch_size >= 32: {best:.2f}x "
           f"(target: >= 1.5x)")
 
-    transport = run_transport_bench(scale=scale, window=window)
-    ratio = transport["steady_state_bytes_ratio"]
-    print("\n=== pooled refinement transport: per-batch vs persistent ===")
-    print(f"per-batch pool:   "
-          f"{transport['per_batch_pool']['steady_state_bytes_per_batch']:.0f}"
-          f" steady bytes/batch "
-          f"({transport['per_batch_pool']['synopses_shipped']} synopses)")
-    print(f"persistent pool:  "
-          f"{transport['persistent_pool']['steady_state_bytes_per_batch']:.0f}"
-          f" steady bytes/batch "
-          f"({transport['persistent_pool']['synopses_shipped']} synopses)")
-    if ratio is not None:
-        print(f"steady-state bytes ratio: {ratio:.1f}x "
-              f"(target: >= {TARGET_TRANSPORT_RATIO}x)")
-    else:
-        print("steady-state bytes ratio: n/a (persistent pool shipped "
-              "no steady-state bytes)")
-    if not transport["matches_identical"]:
-        print("FAIL: pooled refinement modes disagree on the match set")
-        return 1
-
     overhead = run_telemetry_overhead(scale=scale, window=window,
                                       repeats=1 if args.smoke
                                       else TELEMETRY_REPEATS)
@@ -290,19 +213,15 @@ def main(argv=None) -> int:
     if args.json is not None:
         write_bench_json(BENCH_NAME, {
             "rows": rows,
-            "pooled_transport": transport,
             "telemetry_overhead": overhead,
             "params": {"dataset": BENCH_DATASET, "scale": scale,
                        "window": window, "smoke": args.smoke},
             "best_speedup_at_batch_32": best,
-            "target_transport_ratio": TARGET_TRANSPORT_RATIO,
             "target_overhead_pct": TARGET_OVERHEAD_PCT,
         }, path=args.json or None)
     if args.smoke:
         return 0
-    if best < 1.5:
-        return 1
-    return 0 if (ratio or 0) >= TARGET_TRANSPORT_RATIO else 1
+    return 0 if best >= 1.5 else 1
 
 
 if __name__ == "__main__":

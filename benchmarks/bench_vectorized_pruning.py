@@ -34,7 +34,6 @@ from bench_utils import bench_argument_parser, write_bench_json  # noqa: E402
 from repro.core.config import TERiDSConfig  # noqa: E402
 from repro.core.engine import TERiDSEngine  # noqa: E402
 from repro.core.pruning import (  # noqa: E402
-    HAS_NUMPY,
     PackedStore,
     batch_prune,
     probability_prune,
@@ -167,9 +166,6 @@ def main(argv=None) -> int:
     parser = bench_argument_parser(
         "Vectorized prune-cascade kernel vs the scalar per-pair bounds")
     args = parser.parse_args(argv)
-    if not HAS_NUMPY:
-        print("numpy unavailable: the vectorized kernel cannot run")
-        return 1
     params: Dict[str, object] = {}
     rows = run_bench(smoke=args.smoke, params_out=params)
     print(f"=== vectorized prune cascade vs scalar ({BENCH_DATASET}, "

@@ -6,10 +6,10 @@ ingestion subsystem:
 1. ``engine.enable_telemetry()`` switches the runtime context from the
    no-op null plane onto the full one — a process-wide metrics registry
    the existing stat objects are bound onto, per-batch span traces that
-   stitch main-process stages and pooled worker spans into one tree, and
-   an optional cProfile capture of the slowest batches;
-2. an ``on_batch`` hook prints a refreshing per-stage / per-shard latency
-   and queue-depth table while two paced sources stream through a sharded
+   hold every pipeline stage of a batch in one tree, and an optional
+   cProfile capture of the slowest batches;
+2. an ``on_batch`` hook prints a refreshing per-stage latency and
+   queue-depth table while two paced sources stream through the
    micro-batch executor;
 3. after the drain: the slowest batch's span tree, a metrics-snapshot
    digest, and a taste of the Prometheus text exposition the service tier
@@ -41,18 +41,12 @@ REFRESH_EVERY = 3  # batches between table refreshes
 
 
 def stage_table(telemetry, ctx) -> str:
-    """Render the per-stage / per-shard latency table from the registry."""
+    """Render the per-stage latency table from the registry."""
     lines = ["  stage                            p50 ms    p95 ms     count"]
     stage = telemetry.registry.histogram("terids_stage_seconds",
                                          labelnames=("stage",))
     for key, hist in sorted(stage._children.items()):
         lines.append(f"  {key[0]:<28} {hist.quantile(0.5) * 1e3:9.3f} "
-                     f"{hist.quantile(0.95) * 1e3:9.3f} {hist.count:9d}")
-    pool = telemetry.registry.histogram(
-        "terids_pool_stage_seconds", labelnames=("pool", "shard", "stage"))
-    for key, hist in sorted(pool._children.items()):
-        label = f"shard {key[1]}: {key[2]}"
-        lines.append(f"  {label:<28} {hist.quantile(0.5) * 1e3:9.3f} "
                      f"{hist.quantile(0.95) * 1e3:9.3f} {hist.count:9d}")
     depth = (ctx.ingest.queue_depths[-1] if ctx.ingest.queue_depths else 0)
     lines.append(f"  queue depth now/max          {depth:9d} "
@@ -67,8 +61,7 @@ def main() -> None:
                           window_size=40)
     engine = TERiDSEngine(
         repository=workload.repository, config=config,
-        executor=MicroBatchExecutor(batch_size=24, max_workers=2,
-                                    shard_lookup=True))
+        executor=MicroBatchExecutor(batch_size=24))
     telemetry = engine.enable_telemetry(trace_ring=32, profile_slowest=1)
     ctx = engine.ctx
 
@@ -103,17 +96,13 @@ def main() -> None:
     print(f"formation p95    : "
           f"{ctx.ingest.p95_formation_latency() * 1e3:.2f} ms")
 
-    # The trace ring holds the most recent batch trees; print the last one
-    # with its stitched worker spans.
+    # The trace ring holds the most recent batch trees; print the last one.
     trace = telemetry.tracer.export()[-1]
     print(f"\n— span tree of {trace['trace_id']} —")
 
     def walk(span, depth=0):
-        labels = span.get("labels", {})
-        pool = (f"  [{labels['pool']} shard {labels['shard']}]"
-                if "pool" in labels else "")
         print(f"  {'  ' * depth}{span['name']:<24} "
-              f"{span['duration'] * 1e3:8.3f} ms{pool}")
+              f"{span['duration'] * 1e3:8.3f} ms")
         for child in span.get("children", []):
             walk(child, depth + 1)
 

@@ -273,7 +273,7 @@ class TERiDSEngine:
         )
 
     def close(self) -> None:
-        """Release executor resources (e.g. the micro-batch process pool)."""
+        """Release whatever the executor owns (:meth:`Executor.close`)."""
         self.executor.close()
 
     # ------------------------------------------------------------------

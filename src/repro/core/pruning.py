@@ -26,19 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.matching import ter_ids_probability_with_cutoff
 from repro.core.similarity import (
-    HAS_NUMPY,
     attribute_similarity_upper_bound,
     attribute_similarity_upper_bound_batch,
     text_distance,
     tokenize,
 )
-
-if HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 from repro.core.tuples import ImputedRecord, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - only needed for type checkers
@@ -465,9 +461,7 @@ class PackedSynopsis:
 
 
 def pack_synopsis(synopsis: RecordSynopsis) -> "PackedSynopsis":
-    """Build the packed columnar block of one synopsis (numpy required)."""
-    if _np is None:  # pragma: no cover - callers gate on HAS_NUMPY
-        raise RuntimeError("numpy is required to pack synopses")
+    """Build the packed columnar block of one synopsis."""
     schema = synopsis.schema
     dimensionality = len(schema)
     bounds = [synopsis.distance_bounds[name] for name in schema]
@@ -512,14 +506,8 @@ def pack_synopsis(synopsis: RecordSynopsis) -> "PackedSynopsis":
     )
 
 
-def ensure_packed(synopsis: RecordSynopsis) -> Optional["PackedSynopsis"]:
-    """The synopsis' packed block, built once and cached on the object.
-
-    Returns ``None`` when numpy is unavailable so callers can fall back to
-    the scalar cascade.
-    """
-    if _np is None:
-        return None
+def ensure_packed(synopsis: RecordSynopsis) -> "PackedSynopsis":
+    """The synopsis' packed block, built once and cached on the object."""
     packed = getattr(synopsis, _PACKED_ATTR, None)
     if packed is None:
         packed = pack_synopsis(synopsis)
@@ -530,11 +518,10 @@ def ensure_packed(synopsis: RecordSynopsis) -> Optional["PackedSynopsis"]:
 class PackedStore:
     """A resident, columnar store of packed synopses keyed by (rid, source).
 
-    The ER-grid (main process) and the persistent refinement workers each
-    keep one: in-window synopses occupy rows of shared ``(capacity, d, P)``
-    arrays so that a candidate list gathers into the kernel's stacked
-    matrices with one fancy-indexing operation instead of per-candidate
-    restacking.
+    The ER-grid keeps one: in-window synopses occupy rows of shared
+    ``(capacity, d, P)`` arrays so that a candidate list gathers into the
+    kernel's stacked matrices with one fancy-indexing operation instead of
+    per-candidate restacking.
 
     Row lifetime: a removed row keeps its data and still answers
     :meth:`row_for` until the owner's next :meth:`begin_epoch` — a
@@ -545,7 +532,7 @@ class PackedStore:
     recycled.
     """
 
-    def __init__(self, arena=None) -> None:
+    def __init__(self) -> None:
         self._rows: Dict[Tuple[str, str], int] = {}
         #: Fast row lookup by object identity (the hot gather path).  An
         #: entry lives exactly as long as ``_objects`` holds the synopsis, so
@@ -554,13 +541,11 @@ class PackedStore:
         self._objects: List[Optional[RecordSynopsis]] = []
         self._free: List[int] = []
         #: Rows removed since the last ``begin_epoch``: still readable by
-        #: the batch in flight (and, arena-backed, by worker orders), so not
-        #: rewritten until the next epoch opens.
+        #: the batch in flight, so not rewritten until the next epoch opens.
         self._pending_free: List[int] = []
         #: Times a kernel input could not be gathered from the rows and was
         #: restacked from per-synopsis blocks instead (0 in steady state).
         self.restacks = 0
-        self._arena = arena
         self._shape: Optional[Tuple[int, int]] = None
         self.dist_lb = None
         self.dist_ub = None
@@ -575,11 +560,6 @@ class PackedStore:
     def __len__(self) -> int:
         return len(self._rows)
 
-    @property
-    def arena(self):
-        """The shared-memory arena backing the arrays (``None`` in-process)."""
-        return self._arena
-
     def begin_epoch(self) -> None:
         """Open a batch: recycle the rows removed during the previous one."""
         rows_by_id = self._rows_by_id
@@ -592,38 +572,9 @@ class PackedStore:
         self._free.extend(self._pending_free)
         del self._pending_free[:]
 
-    def localize(self) -> None:
-        """Copy the arrays out of the arena into plain process memory.
-
-        Called before the arena's segments are unlinked so the store keeps
-        working (e.g. an engine that continues serially after its pool
-        closed).
-        """
-        if self._arena is None:
-            return
-        for name in ("dist_lb", "dist_ub", "dist_exp", "tok_min", "tok_max",
-                     "may_kw", "limits", "totals"):
-            array = getattr(self, name)
-            if array is not None:
-                setattr(self, name, _np.array(array))
-        self._arena = None
-
     def _grow(self, capacity: int) -> None:
         dimensionality, pivot_width = self._shape  # type: ignore[misc]
-        if self._arena is not None:
-            arrays = self._arena.rebuild([
-                ("dist_lb", (capacity, dimensionality, pivot_width), "f8"),
-                ("dist_ub", (capacity, dimensionality, pivot_width), "f8"),
-                ("dist_exp", (capacity, dimensionality, pivot_width), "f8"),
-                ("tok_min", (capacity, dimensionality), "f8"),
-                ("tok_max", (capacity, dimensionality), "f8"),
-                ("totals", (capacity, 3), "f8"),
-                ("may_kw", (capacity,), "?"),
-                ("limits", (capacity,), "i8"),
-            ])
-            for name, array in arrays.items():
-                setattr(self, name, array)
-            return
+
         def expand(array, shape):
             fresh = _np.zeros(shape)
             if array is not None:
@@ -651,8 +602,6 @@ class PackedStore:
         are mixed) is simply not stored — the kernel falls back to stacking
         such candidates individually.
         """
-        if _np is None:
-            return None
         packed = ensure_packed(synopsis)
         if self._shape is None:
             self._shape = packed.dist_lb.shape
@@ -729,18 +678,13 @@ class PackedStore:
         return _np.array(rows, dtype=_np.intp)
 
 
-def gather_rows(columns, index):
+def gather_rows(store: PackedStore, index):
     """The 7-tuple of stacked kernel inputs for one row set: one
-    fancy-indexing copy per packed column.
-
-    ``columns`` exposes the columns as attributes — a :class:`PackedStore`,
-    or a worker's view of the same arrays mapped from shared memory — so
-    every caller feeds the kernel the same bytes.
-    """
-    return (columns.dist_lb[index], columns.dist_ub[index],
-            columns.tok_min[index], columns.tok_max[index],
-            columns.may_kw[index], columns.limits[index],
-            columns.totals[index])
+    fancy-indexing copy per packed column."""
+    return (store.dist_lb[index], store.dist_ub[index],
+            store.tok_min[index], store.tok_max[index],
+            store.may_kw[index], store.limits[index],
+            store.totals[index])
 
 
 def _stack_candidates(candidates: Sequence[RecordSynopsis],
@@ -807,8 +751,6 @@ def batch_cell_scan(query_lb, query_ub, cell_lb, cell_ub):
     are non-positive for overlapping ones), and the per-attribute totals are
     accumulated left-to-right like the scalar loop.
     """
-    if _np is None:  # pragma: no cover - callers gate on HAS_NUMPY
-        raise RuntimeError("numpy is required for batch_cell_scan")
     per_attribute = _np.maximum(
         0.0, _np.maximum(query_lb[_np.newaxis, :] - cell_ub,
                          cell_lb - query_ub[_np.newaxis, :]))
@@ -850,8 +792,6 @@ def batch_prune(query, candidates,
     :func:`probability_prune` per pair: the bound arithmetic performs the
     same IEEE operations on the same operands, only batched.
     """
-    if _np is None:
-        raise RuntimeError("numpy is required for batch_prune")
     switches = dict(use_topic=use_topic, use_similarity=use_similarity,
                     use_probability=use_probability)
     if isinstance(query, RecordSynopsis):

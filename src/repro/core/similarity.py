@@ -14,12 +14,7 @@ import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
 
-try:  # numpy is optional: the vectorized kernels fall back to scalar code.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
-
-HAS_NUMPY = _np is not None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.tuples import Record, Schema
@@ -149,8 +144,6 @@ def attribute_similarity_upper_bound_batch(left_min, left_max,
     bound — just computed for every (query, candidate, attribute) cell at
     once.
     """
-    if _np is None:  # pragma: no cover - callers gate on HAS_NUMPY
-        raise RuntimeError("numpy is required for the batched similarity bound")
     # Branch 1: the query's smallest set is larger than the candidate's
     # largest (size_bounded(left_min, right_max)); branch 2 is the mirror.
     branch1 = left_min > right_max

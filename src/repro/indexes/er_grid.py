@@ -19,19 +19,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.core.pruning import (
-    HAS_NUMPY,
     PackedStore,
     RecordSynopsis,
     batch_cell_scan,
     min_attribute_distance,
 )
 from repro.core.tuples import ImputedRecord, Schema
-
-if HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 
 @dataclass
@@ -144,11 +140,10 @@ class CellStore:
     per-cell Python walk.
     """
 
-    def __init__(self, dimensionality: int, arena=None) -> None:
+    def __init__(self, dimensionality: int) -> None:
         self.dimensionality = dimensionality
         self._rows: Dict[Tuple[int, ...], int] = {}
         self._free: List[int] = []
-        self._arena = arena
         self.lb = None
         self.ub = None
         self.may_kw = None
@@ -156,33 +151,7 @@ class CellStore:
     def __len__(self) -> int:
         return len(self._rows)
 
-    @property
-    def arena(self):
-        """The shared-memory arena backing the arrays (``None`` in-process)."""
-        return self._arena
-
-    def localize(self) -> None:
-        """Copy the arrays out of the arena into plain process memory."""
-        if self._arena is None:
-            return
-        for name in ("lb", "ub", "may_kw"):
-            array = getattr(self, name)
-            if array is not None:
-                setattr(self, name, _np.array(array))
-        self._arena = None
-
     def _grow(self, capacity: int) -> None:
-        if self._arena is not None:
-            arrays = self._arena.rebuild([
-                ("lb", (capacity, self.dimensionality), "f8"),
-                ("ub", (capacity, self.dimensionality), "f8"),
-                ("may_kw", (capacity,), "?"),
-            ])
-            self.lb = arrays["lb"]
-            self.ub = arrays["ub"]
-            self.may_kw = arrays["may_kw"]
-            return
-
         def expand(array, shape, dtype=float):
             fresh = _np.zeros(shape, dtype=dtype)
             if array is not None:
@@ -193,7 +162,7 @@ class CellStore:
         self.ub = expand(self.ub, (capacity, self.dimensionality))
         self.may_kw = expand(self.may_kw, (capacity,), dtype=bool)
 
-    def update(self, cell: GridCell, journal=None) -> None:
+    def update(self, cell: GridCell) -> None:
         """Write (or refresh) one cell's aggregate row."""
         row = self._rows.get(cell.coordinates)
         if row is None:
@@ -204,11 +173,6 @@ class CellStore:
                 if self.may_kw is None or row >= self.may_kw.shape[0]:
                     self._grow(max(64, 2 * row))
             self._rows[cell.coordinates] = row
-        if journal is not None:
-            # Pre-image of the row's first write this batch: shm readers
-            # need the pre-batch value for rows rewritten later in the
-            # batch than the op they are evaluating.
-            journal.capture_pre(row, self.lb[row], self.ub[row])
         for index, (low, high) in enumerate(cell.distance_intervals):
             self.lb[row, index] = low
             self.ub[row, index] = high
@@ -264,10 +228,6 @@ class ERGrid:
         self._synopses: Dict[Tuple[str, str], RecordSynopsis] = {}
         self._packed_store: Optional[PackedStore] = None
         self._cell_store: Optional[CellStore] = None
-        #: Optional :class:`~repro.runtime.shm_plane.GridJournal` recording
-        #: per-batch cell-membership mutations for shared-memory workers.
-        self.journal = None
-        self._mutations = 0
         self._maintenance_listeners: List = []
         self.cells_examined = 0
         self.tuples_examined = 0
@@ -278,27 +238,18 @@ class ERGrid:
         """The resident columnar synopsis store (``None`` until enabled)."""
         return self._packed_store
 
-    def enable_packed_store(self, arena=None) -> Optional[PackedStore]:
+    def enable_packed_store(self) -> PackedStore:
         """Keep a columnar :class:`PackedStore` in sync with the grid.
 
         Enabled on demand by the vectorized refinement path (so the serial
         executor pays nothing); on first call the current window contents
         are back-filled, afterwards :meth:`insert` / :meth:`remove` maintain
-        the store incrementally.  With ``arena`` the store's arrays live in
-        that shared-memory arena (an existing in-process store is rebuilt
-        into it; re-enabling with the same arena is a no-op).  A no-op
-        returning ``None`` without numpy.
+        the store incrementally.
         """
-        if not HAS_NUMPY:
-            return None
-        previous = self._packed_store
-        if previous is None or (
-                arena is not None and previous.arena is not arena):
-            store = PackedStore(arena=arena)
+        if self._packed_store is None:
+            store = PackedStore()
             for synopsis in self._synopses.values():
                 store.insert(synopsis)
-            if previous is not None:
-                store.restacks = previous.restacks
             self._packed_store = store
         return self._packed_store
 
@@ -315,22 +266,17 @@ class ERGrid:
         """The resident columnar cell-aggregate store (``None`` until enabled)."""
         return self._cell_store
 
-    def enable_cell_store(self, arena=None) -> Optional["CellStore"]:
+    def enable_cell_store(self) -> "CellStore":
         """Keep a columnar :class:`CellStore` in sync with the cell aggregates.
 
         Enabled on demand by the vectorized lookup path (the serial executor
         pays nothing); on first call the current cells are back-filled,
         afterwards :meth:`insert` / :meth:`remove` maintain the store
         incrementally and :meth:`candidate_synopses` scans the whole grid
-        with one :func:`~repro.core.pruning.batch_cell_scan` call.  With
-        ``arena`` the store's arrays live in that shared-memory arena.  A
-        no-op returning ``None`` without numpy.
+        with one :func:`~repro.core.pruning.batch_cell_scan` call.
         """
-        if not HAS_NUMPY:
-            return None
-        if self._cell_store is None or (
-                arena is not None and self._cell_store.arena is not arena):
-            store = CellStore(len(self.schema), arena=arena)
+        if self._cell_store is None:
+            store = CellStore(len(self.schema))
             for cell in self._cells.values():
                 store.update(cell)
             self._cell_store = store
@@ -395,42 +341,6 @@ class ERGrid:
                 within.add(coordinates)
         return within
 
-    def home_cell(self, synopsis: RecordSynopsis) -> Tuple[int, ...]:
-        """Anchor cell of a synopsis: the cell of its rectangle's min corner."""
-        return tuple(self._bucket(low)
-                     for low, _ in synopsis.coordinate_rectangle())
-
-    def region_of(self, synopsis: RecordSynopsis, regions: int) -> int:
-        """Deterministic region id in ``[0, regions)`` for one synopsis.
-
-        The grid space is partitioned by the synopsis' home cell, so tuples
-        that land in the same neighbourhood share a region.  The micro-batch
-        executor uses this hook to shard candidate-pair refinement work
-        across a process pool; any other sharded deployment (per-region
-        workers, per-region grids) can reuse the same partitioning.
-        """
-        if regions <= 1:
-            return 0
-        value = 0
-        for coordinate in self.home_cell(synopsis):
-            value = value * self.cells_per_dim + coordinate
-        return value % regions
-
-    def region_of_cell(self, coordinates: Tuple[int, ...],
-                       regions: int) -> int:
-        """Region id of one cell — the same flattening as :meth:`region_of`.
-
-        A synopsis' home cell maps to the synopsis' own region, so routing a
-        record's delta to the regions of all its touched cells always covers
-        the region that will evaluate its lookup.
-        """
-        if regions <= 1:
-            return 0
-        value = 0
-        for coordinate in coordinates:
-            value = value * self.cells_per_dim + coordinate
-        return value % regions
-
     # -- maintenance ----------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._synopses)
@@ -438,19 +348,6 @@ class ERGrid:
     @property
     def cell_count(self) -> int:
         return len(self._cells)
-
-    @property
-    def mutation_count(self) -> int:
-        """Monotone count of grid mutations (inserts + removals).
-
-        The sharded worker pool compares it against the count recorded
-        after its last batch to decide whether a residency reconciliation
-        sweep is needed at all — in steady state (every mutation flowing
-        through the batch ops) the counts match and the O(window) sweep is
-        skipped; any out-of-band mutation (checkpoint restore, event-time
-        retraction) bumps it and forces the full diff.
-        """
-        return self._mutations
 
     def add_maintenance_listener(self, listener) -> None:
         """Subscribe to grid mutations: ``listener(cell_coordinates)`` runs
@@ -477,7 +374,6 @@ class ERGrid:
         key = (synopsis.record.rid, synopsis.record.source)
         if key in self._synopses:
             self.remove(*key)
-        self._mutations += 1
         rectangle = synopsis.coordinate_rectangle()
         cell_keys: List[Tuple[int, ...]] = []
         for coordinates in self._cells_for_rectangle(rectangle):
@@ -487,12 +383,7 @@ class ERGrid:
                 self._cells[coordinates] = cell
             cell.add(synopsis, self.schema)
             if self._cell_store is not None:
-                self._cell_store.update(cell, journal=self.journal)
-                if self.journal is not None:
-                    self.journal.record(
-                        ("a", coordinates,
-                         self._cell_store.row_of(coordinates), key,
-                         tuple(cell.distance_intervals)))
+                self._cell_store.update(cell)
             cell_keys.append(coordinates)
         self._record_cells[key] = cell_keys
         self._synopses[key] = synopsis
@@ -507,7 +398,6 @@ class ERGrid:
         cell_keys = self._record_cells.pop(key, None)
         if cell_keys is None:
             return False
-        self._mutations += 1
         for coordinates in cell_keys:
             cell = self._cells.get(coordinates)
             if cell is None:
@@ -517,15 +407,8 @@ class ERGrid:
                 del self._cells[coordinates]
                 if self._cell_store is not None:
                     self._cell_store.remove(coordinates)
-                    if self.journal is not None:
-                        self.journal.record(("d", coordinates, key))
             elif self._cell_store is not None:
-                self._cell_store.update(cell, journal=self.journal)
-                if self.journal is not None:
-                    self.journal.record(
-                        ("r", coordinates,
-                         self._cell_store.row_of(coordinates), key,
-                         tuple(cell.distance_intervals)))
+                self._cell_store.update(cell)
         del self._synopses[key]
         if self._packed_store is not None:
             self._packed_store.remove(rid, source)
@@ -538,34 +421,13 @@ class ERGrid:
         return list(self._synopses.values())
 
     def synopsis_items(self) -> List[Tuple[Tuple[str, str], RecordSynopsis]]:
-        """``((rid, source), synopsis)`` pairs in grid insertion order.
-
-        The sharded worker pool reconciles its resident replicas against
-        this view each batch (identity-checked), which is what makes the
-        residency protocol self-healing after a checkpoint restore or an
-        out-of-band retraction.
-        """
+        """``((rid, source), synopsis)`` pairs in grid insertion order."""
         return list(self._synopses.items())
 
     def record_cells(self, rid: str, source: str) -> List[Tuple[int, ...]]:
-        """Coordinates of the cells one in-window record touches.
-
-        The shm-plane executor routes each record's delta to the regions of
-        these cells (plus the record's own region).
-        """
+        """Coordinates of the cells one in-window record touches (the
+        query-result cache keys its invalidation regions on them)."""
         return self._record_cells.get((rid, source), [])
-
-    def cell_table(self) -> List[Tuple[Tuple[int, ...], int,
-                                       List[Tuple[str, str]]]]:
-        """``(coordinates, store_row, member_keys)`` per cell, in grid order.
-
-        The reset payload shm workers rebuild their membership mirror from;
-        requires the cell store to be enabled.
-        """
-        store = self._cell_store
-        return [(coordinates, store.row_of(coordinates),
-                 list(cell.entries.keys()))
-                for coordinates, cell in self._cells.items()]
 
     # -- candidate retrieval -------------------------------------------------------
     def _cell_min_distance(self, cell: GridCell,

@@ -90,7 +90,7 @@ class IngestDriver:
     ----------
     engine:
         The :class:`~repro.core.engine.TERiDSEngine` to feed; its executor
-        (serial or micro-batch, pooled or not) is used as-is.
+        (serial or micro-batch) is used as-is.
     sources:
         The ingest sources; each holds its own watermark until exhausted.
     policy:
@@ -144,8 +144,7 @@ class IngestDriver:
         retargets act on the real trigger policy) and its
         :meth:`~repro.runtime.controller.RuntimeController.after_batch` is
         invoked after each processed batch — a quiescent point even with
-        ``process_in_executor`` (the batch has fully returned), so
-        reconfiguration tears pools down at a safe boundary.  Runs after
+        ``process_in_executor`` (the batch has fully returned).  Runs after
         ``on_batch``.
     collect_matches:
         Accumulate every discovered pair on ``driver.matches`` (the replay
@@ -566,7 +565,7 @@ class IngestDriver:
             self.on_batch(self, records)
         if self.controller is not None:
             # A quiescent point even off-loop: the batch above has fully
-            # returned, so pool teardown/re-seed here is bit-identity safe.
+            # returned.
             self.controller.after_batch(self, records)
         if (self.checkpoint_every_batches is not None
                 and self.batches_processed % self.checkpoint_every_batches == 0):

@@ -319,8 +319,8 @@ class MetricsRegistry:
 
         Re-binding the same ``(name, labels)`` *replaces* the previous
         getter instead of accumulating a duplicate sample row: re-enabling
-        telemetry against a shared registry (e.g. after a controller pool
-        rebuild) must not double every bound series.
+        telemetry against a shared registry must not double every bound
+        series.
         """
         labels = dict(labels or {})
         family = self._family(name, help, kind, tuple(labels))

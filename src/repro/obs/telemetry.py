@@ -128,12 +128,8 @@ class Telemetry:
             buckets=exponential_buckets(1.0, 2.0, 16))
         self.stage_seconds = reg.histogram(
             "terids_stage_seconds",
-            "Wall time of main-process pipeline stages per batch",
+            "Wall time of pipeline stages per batch",
             labelnames=("stage",))
-        self.pool_stage_seconds = reg.histogram(
-            "terids_pool_stage_seconds",
-            "Wall time of pooled worker stages, per pool and shard",
-            labelnames=("pool", "shard", "stage"))
         self.resolve_seconds = reg.histogram(
             "terids_resolve_seconds",
             "Query-time resolve() latency by cache outcome",
@@ -157,12 +153,7 @@ class Telemetry:
         return trace.span(name)
 
     def _on_span(self, span: Span) -> None:
-        labels = span.labels
-        if labels and "pool" in labels:
-            self.pool_stage_seconds.labels(
-                pool=labels["pool"], shard=labels["shard"],
-                stage=span.name).observe(span.duration)
-        elif span.name != "batch":
+        if span.name != "batch":
             self.stage_seconds.labels(stage=span.name).observe(span.duration)
 
     # -- query path ----------------------------------------------------------
@@ -233,21 +224,6 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         "terids_ingest_formation_seconds",
         lambda: ctx.ingest.formation,
         help="Batch formation latency", kind=HISTOGRAM)
-
-    # Transport (pool shipping).
-    for attr in ("batches", "bytes_shipped", "synopses_shipped",
-                 "orders_shipped", "evictions_shipped", "deltas_routed",
-                 "backfills"):
-        registry.bind(
-            "terids_transport_events_total",
-            (lambda a=attr: float(getattr(ctx.transport, a))),
-            help="Worker-pool transport counts by kind",
-            labels={"kind": attr})
-    registry.bind(
-        "terids_transport_shm_bytes_mapped",
-        lambda: float(ctx.transport.shm_bytes_mapped),
-        help="Bytes of shared-memory plane currently mapped by workers",
-        kind=GAUGE)
 
     # Query-time resolution.
     for attr in ("resolves", "cache_hits", "cache_misses",
@@ -323,11 +299,8 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
     # ``ctx.controller_state`` — a plain dict the controller maintains — so
     # the closures work whether the controller attaches before or after
     # telemetry is enabled (all-zero samples until it does).
-    def _controller(key, default=0.0):
-        state = ctx.controller_state
-        if not state:
-            return float(default)
-        return float(state.get(key, default))
+    def _controller(key):
+        return float((ctx.controller_state or {}).get(key, 0.0))
 
     registry.bind_multi(
         "terids_controller_decisions_total", "action",
@@ -338,23 +311,9 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         lambda: _controller("evaluations"),
         help="Sense→decide→act evaluations run between batches")
     registry.bind(
-        "terids_controller_target_workers",
-        lambda: _controller("target_workers"),
-        help="Worker/shard count the controller is currently steering to",
-        kind=GAUGE)
-    registry.bind(
         "terids_controller_target_max_batch",
         lambda: _controller("target_max_batch"),
         help="Batch-policy max_batch the controller is steering to",
-        kind=GAUGE)
-    registry.bind(
-        "terids_controller_cooldown_remaining",
-        lambda: _controller("cooldown_remaining"),
-        help="Batches until the next scaling action is allowed", kind=GAUGE)
-    registry.bind(
-        "terids_controller_delta_routing",
-        lambda: _controller("delta_routing", 1.0),
-        help="1 when the shm delta mode is routed, 0 when broadcast",
         kind=GAUGE)
     registry.bind(
         "terids_controller_last_p95_seconds",

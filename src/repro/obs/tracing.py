@@ -1,25 +1,17 @@
-"""Per-batch span tracing, stitched across process boundaries.
+"""Per-batch span tracing.
 
 A :class:`BatchTrace` is born when an executor starts a batch
 (``RuntimeContext.begin_batch``) and dies when the batch's results have
-been replayed.  Main-process stages open nested spans through
-``Telemetry.span``; pooled workers cannot share the trace object, so they
-time their own work as plain ``(name, rel_start, duration)`` tuples —
-relative to their own message receipt, because worker clocks are not
-synchronised with the parent — ship them back with the batch results, and
-the parent stitches them under the live trace via
-:meth:`BatchTrace.add_worker_spans`.
-
-The result is one exported tree per batch: the root ``batch`` span, its
-main-process stage children, and under the pool-boundary stages the
-per-shard worker spans labelled with their pool and shard id.
+been replayed.  Pipeline stages open nested spans through
+``Telemetry.span``; the result is one exported tree per batch — the root
+``batch`` span and its stage children.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 
 class Span:
@@ -99,28 +91,6 @@ class BatchTrace:
         self._stack[-1].children.append(child)
         self._stack.append(child)
         return _SpanScope(self, child)
-
-    def add_worker_spans(self, pool: str, shard: int,
-                         spans: Optional[Iterable[Tuple[str, float, float]]]
-                         ) -> None:
-        """Stitch a worker's shipped ``(name, rel_start, duration)`` rows.
-
-        Worker clocks are unsynchronised with the parent, so the rows are
-        re-anchored at the parent's current position in the trace: they
-        keep their *relative* layout (rel_start offsets within the
-        worker's processing of this batch) but hang under the currently
-        open span, labelled with their pool and shard id.
-        """
-        if not spans:
-            return
-        anchor = time.perf_counter() - self._epoch
-        parent = self._stack[-1]
-        for name, rel_start, duration in spans:
-            child = Span(name, anchor + rel_start,
-                         {"pool": pool, "shard": str(shard)})
-            child.duration = duration
-            parent.children.append(child)
-            self._notify(child)
 
     def finish(self) -> None:
         self.root.duration = time.perf_counter() - self._epoch

@@ -4,12 +4,11 @@ Decomposes the online operator (Algorithm 2) into independently schedulable
 stages over a shared :class:`~repro.runtime.context.RuntimeContext`, a
 :class:`~repro.runtime.pipeline.Pipeline` composing them, and pluggable
 :class:`~repro.runtime.executors.Executor` strategies — the seed-faithful
-:class:`~repro.runtime.executors.SerialExecutor` and the amortising
-:class:`~repro.runtime.executors.MicroBatchExecutor` (optionally fanned out
-to a process pool sharded by ER-grid region).  Checkpoint / restore of the
-online state lives in :mod:`repro.runtime.checkpoint`; the self-tuning
-sense→decide→act loop over the executor/ingest knobs lives in
-:mod:`repro.runtime.controller`.
+:class:`~repro.runtime.executors.SerialExecutor` and the amortising,
+vectorized :class:`~repro.runtime.executors.MicroBatchExecutor`.
+Checkpoint / restore of the online state lives in
+:mod:`repro.runtime.checkpoint`; the self-tuning sense→decide→act loop over
+the ingest batch policy lives in :mod:`repro.runtime.controller`.
 """
 
 from repro.runtime.checkpoint import engine_state_to_dict, restore_engine_state
@@ -20,12 +19,7 @@ from repro.runtime.controller import (
     ControllerPolicy,
     RuntimeController,
 )
-from repro.runtime.context import (
-    IngestStats,
-    QueryStats,
-    RuntimeContext,
-    TransportStats,
-)
+from repro.runtime.context import IngestStats, QueryStats, RuntimeContext
 from repro.runtime.query import QueryResolver, ResolvedCluster
 from repro.runtime.evaluation import (
     evaluate_candidates,
@@ -35,20 +29,11 @@ from repro.runtime.evaluation import (
     refine_pair_cached,
 )
 from repro.runtime.executors import (
-    POOL_AUTO,
-    POOL_PER_BATCH,
-    POOL_PERSISTENT,
     Executor,
     MicroBatchExecutor,
     SerialExecutor,
-    resolve_auto_pool_mode,
 )
 from repro.runtime.pipeline import Pipeline
-from repro.runtime.workers import (
-    PersistentRefinementPool,
-    ResidentShard,
-    ShardedERPool,
-)
 from repro.runtime.stages import (
     CandidateLookupStage,
     ImputationStage,
@@ -72,23 +57,16 @@ __all__ = [
     "MODE_OFF",
     "MatchingStage",
     "MicroBatchExecutor",
-    "POOL_AUTO",
-    "POOL_PERSISTENT",
-    "POOL_PER_BATCH",
-    "PersistentRefinementPool",
     "Pipeline",
     "QueryResolver",
     "QueryStats",
-    "ResidentShard",
     "ResolvedCluster",
     "RuleSelectionStage",
     "RuntimeContext",
     "RuntimeController",
     "SerialExecutor",
-    "ShardedERPool",
     "Stage",
     "SynopsisStage",
-    "TransportStats",
     "TupleTask",
     "engine_state_to_dict",
     "evaluate_candidates",
@@ -96,6 +74,5 @@ __all__ = [
     "evaluate_task_batch",
     "instance_profiles",
     "refine_pair_cached",
-    "resolve_auto_pool_mode",
     "restore_engine_state",
 ]

@@ -55,11 +55,6 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         # context) ride along so a drain/resume cycle keeps its arrival,
         # lateness and backpressure accounting.
         "ingest_stats": ctx.ingest.as_dict(),
-        # Pooled-refinement / sharded-lookup shipping counters.  Worker
-        # residency itself is NOT persisted: the sharded pool reconciles
-        # its replicas against the restored grid on the next batch
-        # (self-healing), so only the accounting needs to survive.
-        "transport_stats": ctx.transport.as_dict(),
         # Query-time resolution counters.  The resolver's result cache is
         # deliberately absent: cached clusters are scratch derived from the
         # live window (the engine drops them on restore), so only the
@@ -73,11 +68,11 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
                       "trace_id": ctx.last_trace_id},
     }
     if ctx.controller_state is not None:
-        # Runtime-controller state (AIMD targets, cool-down, decision
-        # counters): persisting it lets a restored run resume with the
-        # knob targets and cadence it had converged to instead of
-        # re-thrashing from the construction-time defaults.  Plain
-        # JSON-safe dict, attached by repro.runtime.controller.
+        # Runtime-controller state (batch-size target, decision counters):
+        # persisting it lets a restored run resume with the target it had
+        # converged to instead of re-converging from the construction-time
+        # default.  Plain JSON-safe dict, attached by
+        # repro.runtime.controller.
         state["controller"] = dict(ctx.controller_state)
     if ctx.rule_maintainer is not None:
         # Incremental rule maintenance (Section 5.5): unlike the other
@@ -95,12 +90,8 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     The context must have been built over the same repository,
     configuration and rule set as the checkpointed engine; windows, grid and
     result set are cleared and repopulated, counters are overwritten.
-
-    Shared-memory plane state is deliberately absent from checkpoints: the
-    plane's segments are process-local scratch (rebuilt from the grid at
-    any time), so restore only recreates the *logical* grid here — an
-    shm-backed executor detects the out-of-band mutation via the grid's
-    mutation counter and re-snapshots its workers on the next batch.
+    Keys this version no longer writes (``transport_stats`` and the
+    worker / routing fields of older ``controller`` states) are ignored.
     """
     ctx.clear_online_state()
 
@@ -152,7 +143,6 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     ctx.grid.tuples_examined = grid_counters.get("tuples_examined", 0)
 
     ctx.ingest.restore(state.get("ingest_stats", {}))
-    ctx.transport.restore(state.get("transport_stats", {}))
     ctx.query.restore(state.get("query_stats", {}))
 
     maintainer_state = state.get("rule_maintainer")

@@ -38,93 +38,19 @@ from repro.obs.registry import HistogramValue
 from repro.obs.telemetry import NULL_TELEMETRY
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransportStats:
-    """Bytes/objects shipped to pooled refinement workers, per micro-batch.
+    """All-zero stub: nothing is shipped between processes any more.
 
-    Maintained by the pooled executor paths (both the per-batch pool and
-    the persistent-worker pool) so that benchmarks and operators can watch
-    the serialisation cost — the dominant overhead of pooled refinement —
-    shrink once the resident synopsis caches are warm.
+    Kept only because the frozen end-to-end benchmark reads these three
+    fields off ``ctx.transport`` (``benchmarks/e2e/layers.py``, the
+    ``runtime.workers.*`` rows); it goes when a ``benchmark`` issue drops
+    those rows.
     """
 
-    batches: int = 0
     bytes_shipped: int = 0
-    synopses_shipped: int = 0
     orders_shipped: int = 0
-    evictions_shipped: int = 0
-    #: Synopsis deltas routed to a strict subset of the workers by the
-    #: shm-plane targeted-routing protocol (vs. broadcast to every worker).
-    deltas_routed: int = 0
-    #: Lazy backfills: synopses shipped on demand because a cross-region
-    #: query referenced a record its shard never received a delta for.
     backfills: int = 0
-    #: Current size of the shared-memory columnar plane the workers map
-    #: (a gauge, not a running total: rewritten each batch).
-    shm_bytes_mapped: int = 0
-    per_batch_bytes: List[int] = field(default_factory=list)
-    #: Per-worker CPU placement of the live shm pool (core id per worker,
-    #: ``-1`` = pin failed), from best-effort ``sched_setaffinity`` spread
-    #: (:func:`repro.runtime.workers.place_workers`).  ``None`` when no
-    #: placement-capable pool is live.  A live-pool diagnostic like
-    #: ``per_batch_bytes``, deliberately not persisted: a restored run
-    #: re-places its rebuilt pool.
-    worker_placement: Optional[List[int]] = None
-
-    def record_batch(self, nbytes: int, synopses: int = 0, orders: int = 0,
-                     evictions: int = 0, routed: int = 0, backfills: int = 0,
-                     shm_mapped: Optional[int] = None,
-                     placement: Optional[List[int]] = None) -> None:
-        self.batches += 1
-        self.bytes_shipped += nbytes
-        self.synopses_shipped += synopses
-        self.orders_shipped += orders
-        self.evictions_shipped += evictions
-        self.deltas_routed += routed
-        self.backfills += backfills
-        if shm_mapped is not None:
-            self.shm_bytes_mapped = shm_mapped
-        if placement is not None:
-            self.worker_placement = list(placement)
-        self.per_batch_bytes.append(nbytes)
-
-    def steady_state_bytes(self, skip: Optional[int] = None) -> float:
-        """Mean bytes/batch once the caches are warm.
-
-        The first batches of a run back-fill the window (and the resident
-        worker stores), so by default the first half of the batch series is
-        treated as warm-up and the mean is taken over the second half.
-        """
-        if skip is None:
-            skip = len(self.per_batch_bytes) // 2
-        window = self.per_batch_bytes[skip:] or self.per_batch_bytes
-        if not window:
-            return 0.0
-        return sum(window) / len(window)
-
-    _SCALARS = ("batches", "bytes_shipped", "synopses_shipped",
-                "orders_shipped", "evictions_shipped", "deltas_routed",
-                "backfills", "shm_bytes_mapped")
-
-    def as_dict(self) -> Dict:
-        """Checkpointable summary (lifetime scalar counters).
-
-        The per-batch byte series is a bounded in-memory diagnostic and is
-        deliberately not persisted; worker residency is not persisted
-        either — the sharded pool's reconciliation re-ships whatever a
-        restored run is missing (self-healing), so the counters are the
-        only transport state a resume needs.
-        """
-        return {name: getattr(self, name) for name in self._SCALARS}
-
-    def restore(self, state: Dict) -> None:
-        for name in self._SCALARS:
-            setattr(self, name, state.get(name, 0))
-        self.per_batch_bytes.clear()
-        self.worker_placement = None
-
-    def reset(self) -> None:
-        self.restore({})
 
 
 @dataclass
@@ -132,10 +58,10 @@ class QueryStats:
     """Query-time resolution accounting (see :mod:`repro.runtime.query`).
 
     Maintained by the :class:`~repro.runtime.query.QueryResolver` next to
-    the ingest/transport stats.  Lives on the runtime context so the
-    counters ride in checkpoints and survive a drain/resume cycle; the
-    resolver's cached clusters themselves are scratch — dropped on restore,
-    never persisted — so only this accounting crosses a checkpoint.
+    the ingest stats.  Lives on the runtime context so the counters ride in
+    checkpoints and survive a drain/resume cycle; the resolver's cached
+    clusters themselves are scratch — dropped on restore, never persisted —
+    so only this accounting crosses a checkpoint.
     """
 
     #: ``resolve`` calls answered (cache hits + cold expansions).
@@ -172,10 +98,10 @@ class IngestStats:
     """Arrival/backpressure accounting of the async ingestion front-end.
 
     Maintained by :class:`~repro.ingest.driver.IngestDriver` (the asyncio
-    ingestion subsystem) next to :class:`TransportStats` so operators can
-    watch batch formation, queue depth and lateness handling in one place.
-    Lives on the runtime context — not on the driver — so the counters ride
-    in checkpoints and survive a drain/resume cycle.
+    ingestion subsystem) so operators can watch batch formation, queue depth
+    and lateness handling in one place.  Lives on the runtime context — not
+    on the driver — so the counters ride in checkpoints and survive a
+    drain/resume cycle.
     """
 
     tuples_ingested: int = 0
@@ -284,8 +210,8 @@ class RuntimeContext:
     #: Incremental rule maintainer (Section 5.5).  ``None`` in ``full``
     #: maintenance mode, where rules only change through an explicit re-mine.
     rule_maintainer: Optional[IncrementalRuleMaintainer] = None
-    #: Serialisation traffic of pooled refinement (see :class:`TransportStats`).
-    transport: TransportStats = field(default_factory=TransportStats)
+    #: See :class:`TransportStats`: an all-zero stub the benchmark reads.
+    transport: TransportStats = TransportStats()
     #: Arrival/backpressure accounting of the async ingestion front-end
     #: (see :class:`IngestStats`); zero unless an ``IngestDriver`` feeds
     #: this context.
@@ -317,7 +243,7 @@ class RuntimeContext:
     last_trace_id: Optional[str] = None
     #: Live state of the runtime controller steering this context's
     #: executor (see :mod:`repro.runtime.controller`): a plain JSON-safe
-    #: dict (mode, AIMD targets, cool-down, decision counters) so
+    #: dict (mode, batch-size target, decision counters) so
     #: checkpoints and the metrics registry reach it through the context
     #: without importing the controller.  ``None`` until one attaches.
     controller_state: Optional[Dict] = None
@@ -486,11 +412,6 @@ class RuntimeContext:
             "imputation": {name: getattr(self.imputer.stats, name)
                            for name in IMPUTATION_FIELDS},
             "ingest": self.ingest.as_dict(),
-            # The live-pool placement diagnostic rides in snapshots (it is
-            # a current-state gauge) but not in checkpoints (a restored run
-            # re-places its rebuilt pool).
-            "transport": {**self.transport.as_dict(),
-                          "worker_placement": self.transport.worker_placement},
             "query": self.query.as_dict(),
             "grid": {"cells_examined": self.grid.cells_examined,
                      "tuples_examined": self.grid.tuples_examined},

@@ -1,71 +1,45 @@
 """Self-tuning runtime controller: a sense→decide→act loop between batches.
 
-The executor/ingest knob space is large (``max_workers``, ``pool_mode``,
-``delta_routing``, batch policy) and, before this module, frozen at
-construction: a configuration sized for a burst wastes workers at trickle
-rates and a configuration sized for steady state collapses under skewed
-bursts.  The :class:`RuntimeController` closes the loop the telemetry
-plane (PR 9) opened:
+A batch policy sized for a burst adds latency at trickle rates, and one
+sized for steady state collapses under bursts.  The
+:class:`RuntimeController` closes the loop the telemetry plane opened, over
+the one knob whose retargeting measured a gain (PR 10) — the ingest
+batcher's ``max_batch``:
 
-* **sense** — between batches it reads the live measured signals: the
-  recent batch-latency distribution (p95 over a bounded window, read from
-  the registry's ``terids_batch_seconds`` sample ring when telemetry is
-  enabled, from its own ring otherwise), arrival-queue depth and
-  backpressure waits (``IngestStats``), bytes-per-order and the
-  routed-delta backfill rate (``TransportStats``), and per-shard
-  utilisation skew (the registry's ``terids_pool_stage_seconds``
-  families);
-* **decide** — hysteresis-banded policies: AIMD worker/shard scaling
-  (additive increase under sustained SLO violation with backlog,
-  multiplicative decrease when far under the SLO with an empty queue)
-  gated by a cool-down, plus an opt-in structural clamp of the worker
-  count to the schedulable CPUs; batch-policy retargeting toward the
-  latency SLO
-  (halve ``max_batch`` when p95 breaches the SLO, double it when latency
-  headroom meets a standing backlog); routed↔broadcast delta-mode
-  selection keyed on the *measured* backfill rate;
-* **act** — every decision goes through the safe reconfiguration hooks:
-  :meth:`~repro.runtime.executors.MicroBatchExecutor.reconfigure` (pool
-  teardown/re-seed at a quiescent batch boundary — residency self-healing
-  makes this bit-identical) and
-  :meth:`~repro.ingest.batcher.AdaptiveBatcher.retarget`.
+* **sense** — between batches it reads the recent batch-latency
+  distribution (p95 over a bounded window, read from the registry's
+  ``terids_batch_seconds`` sample ring when telemetry is enabled, from its
+  own ring otherwise) and the arrival-queue depth (``IngestStats``);
+* **decide** — a hysteresis-banded policy: halve ``max_batch`` when p95
+  breaches the SLO, double it when latency headroom meets a standing
+  backlog;
+* **act** — through :meth:`~repro.ingest.batcher.AdaptiveBatcher.retarget`
+  at a quiescent batch boundary.
 
 Every decision is recorded three ways: ``terids_controller_*`` metric
 families (bound in :func:`repro.obs.telemetry.bind_context_metrics`), a
 bounded in-memory decision log (+ ``logging`` lines under
 ``repro.runtime.controller``), and the JSON-safe state dict riding on
 ``RuntimeContext.controller_state`` — which checkpoints persist, so a
-restored run resumes its cool-downs and decision counters instead of
-re-thrashing.
+restored run resumes with the target and decision counters it had.
 
 Modes: ``"off"`` (the loop never runs), ``"observe"`` (sense + decide +
 log, but never act — a dry run for sizing the bands), ``"active"``
 (decisions are applied).  Bit-identity to the golden serial reference is
-the invariant in every mode: the controller only moves knobs whose every
-setting is already proven bit-identical.
+the invariant in every mode: match sets do not depend on how the stream is
+cut into batches.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.ingest.batcher import BatchPolicy
-from repro.runtime.executors import MicroBatchExecutor
 
 logger = logging.getLogger(__name__)
-
-
-def _effective_cpus() -> int:
-    """CPUs this process may actually be scheduled on (cgroup/affinity
-    aware — the honest parallelism bound, unlike ``os.cpu_count``)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux platforms
-        return os.cpu_count() or 1
 
 
 #: Controller modes.
@@ -76,17 +50,13 @@ _MODES = (MODE_OFF, MODE_OBSERVE, MODE_ACTIVE)
 
 #: Decision action labels (the ``action`` label of
 #: ``terids_controller_decisions_total``).
-ACTION_SCALE_UP = "scale_up"
-ACTION_SCALE_DOWN = "scale_down"
 ACTION_RETARGET_DOWN = "retarget_down"
 ACTION_RETARGET_UP = "retarget_up"
-ACTION_BROADCAST = "broadcast"
-ACTION_ROUTE = "route"
 
 
 @dataclass(frozen=True)
 class ControllerPolicy:
-    """The hysteresis bands and bounds of the decision rules.
+    """The hysteresis bands and bounds of the decision rule.
 
     All latency comparisons are against ``slo_p95_seconds``: the operator's
     per-batch latency objective.  ``high_band``/``low_band`` scale it into
@@ -97,39 +67,19 @@ class ControllerPolicy:
 
     #: Target p95 end-to-end batch latency, seconds.
     slo_p95_seconds: float = 0.25
-    #: p95 above ``high_band * slo`` = overloaded (scale up / shrink batch).
+    #: p95 above ``high_band * slo`` = overloaded (shrink the batch).
     high_band: float = 1.0
-    #: p95 below ``low_band * slo`` = underloaded (scale down / grow batch).
+    #: p95 below ``low_band * slo`` = underloaded (grow the batch).
     low_band: float = 0.4
     #: Recent batches the sensing window covers; no decision fires until
-    #: the window is full (and it is refilled after every applied scaling
-    #: or retarget, a built-in settle time).
+    #: the window is full (and it is refilled after every applied
+    #: retarget, a built-in settle time).
     window: int = 8
-    #: Batches between worker-scaling actions (the AIMD cool-down).
-    cooldown_batches: int = 4
-    #: Worker-count bounds of the AIMD rule.
-    min_workers: int = 1
-    max_workers: int = 4
-    #: Rightsize ``max_workers`` down to the *schedulable* CPU count
-    #: (``sched_getaffinity`` — cgroup/affinity aware).  A worker count
-    #: frozen for bigger hardware is a structural misfit, not a load
-    #: signal: every extra worker is pure pool/IPC overhead, so the clamp
-    #: fires without waiting for the latency window (cool-down still
-    #: applies).  Off by default — opt-in for deployments whose CPU quota
-    #: can differ from the sizing environment.
-    clamp_workers_to_cpus: bool = False
-    #: Arrival-queue depth treated as a standing backlog / as drained.
+    #: Arrival-queue depth treated as a standing backlog.
     backlog_high: int = 16
-    backlog_low: int = 2
     #: ``max_batch`` bounds of the batch-policy retarget rule.
     min_max_batch: int = 8
     max_max_batch: int = 256
-    #: Backfills per work order above which routed delta mode is judged to
-    #: be thrashing (flip to broadcast), and the probe length after which a
-    #: broadcast pool re-tries routed mode (broadcast mode serves no
-    #: backfills, so the rate can only be re-measured by flipping back).
-    backfill_broadcast_rate: float = 0.5
-    broadcast_probe_batches: int = 32
     #: Bounded decision-log length.
     decision_log: int = 256
 
@@ -142,13 +92,6 @@ class ControllerPolicy:
                              f"low={self.low_band} high={self.high_band}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.cooldown_batches < 0:
-            raise ValueError(f"cooldown_batches must be >= 0, "
-                             f"got {self.cooldown_batches}")
-        if not 1 <= self.min_workers <= self.max_workers:
-            raise ValueError(
-                f"need 1 <= min_workers <= max_workers, got "
-                f"{self.min_workers}..{self.max_workers}")
         if not 1 <= self.min_max_batch <= self.max_max_batch:
             raise ValueError(
                 f"need 1 <= min_max_batch <= max_max_batch, got "
@@ -156,15 +99,13 @@ class ControllerPolicy:
 
 
 class RuntimeController:
-    """Telemetry-driven adaptation of the executor and ingest knobs.
+    """Telemetry-driven adaptation of the ingest batch policy.
 
     Parameters
     ----------
     engine:
-        The :class:`~repro.core.engine.TERiDSEngine` to steer.  Its
-        executor must be a :class:`MicroBatchExecutor` for worker/routing
-        decisions to apply (a serial executor still gets batch-policy
-        retargeting and full observability).
+        The :class:`~repro.core.engine.TERiDSEngine` whose context is
+        sensed.
     mode:
         ``"off"`` / ``"observe"`` / ``"active"`` — see the module docstring.
     policy:
@@ -172,8 +113,8 @@ class RuntimeController:
         bundled workloads.
     batcher:
         The live :class:`~repro.ingest.batcher.AdaptiveBatcher` to
-        retarget, when an ingest driver feeds the engine.  ``None``
-        disables batch-policy actions (decisions are still logged).
+        retarget, when an ingest driver feeds the engine.  ``None``: the
+        loop senses but has nothing to retarget.
 
     Call :meth:`after_batch` between batches — manually, or let
     :class:`~repro.ingest.driver.IngestDriver` do it by passing the
@@ -193,32 +134,17 @@ class RuntimeController:
         self.batcher = batcher
         self.decision_log: Deque[Dict] = deque(maxlen=self.policy.decision_log)
         self._latencies: Deque[float] = deque(maxlen=self.policy.window)
-        #: Stage-seconds / transport / ingest totals at the last sense, for
-        #: windowed deltas.
-        self._marks: Optional[Dict[str, float]] = None
-        #: Windowed (backfills, orders) deltas for the routing rule.
-        self._backfill_window: Deque = deque(maxlen=self.policy.window)
-        state = self.ctx.controller_state
-        restored = dict(state) if state else {}
-        executor = engine.executor
-        target_workers = restored.get("target_workers")
-        if not target_workers:
-            target_workers = (executor.max_workers
-                              if getattr(executor, "max_workers", None)
-                              else 0)
+        #: Stage-seconds total at the last sense, for the windowed delta.
+        self._timer_mark: Optional[float] = None
+        restored = self.ctx.controller_state or {}
         self.state: Dict = {
             "mode": mode,
             "slo_p95_seconds": self.policy.slo_p95_seconds,
             "evaluations": restored.get("evaluations", 0),
             "decisions": dict(restored.get("decisions", {})),
-            "cooldown_remaining": restored.get("cooldown_remaining", 0),
-            "target_workers": target_workers,
             "target_max_batch": restored.get(
                 "target_max_batch",
                 batcher.policy.max_batch if batcher is not None else 0),
-            "delta_routing": 1 if getattr(executor, "delta_routing", True)
-            else 0,
-            "broadcast_age": restored.get("broadcast_age", 0),
             "last_p95_seconds": 0.0,
             "last_decision": restored.get("last_decision"),
         }
@@ -226,41 +152,18 @@ class RuntimeController:
 
     # -- sense ----------------------------------------------------------------
     def _sense(self) -> Dict[str, float]:
-        """Windowed deltas of every measured signal since the last call."""
+        """The measured signals the rule reads, as of this batch boundary."""
         ctx = self.ctx
         timer_total = sum(ctx.timer.totals.values())
-        transport = ctx.transport
+        if self._timer_mark is not None:
+            self._latencies.append(timer_total - self._timer_mark)
+        self._timer_mark = timer_total
         ingest = ctx.ingest
-        marks = self._marks
-        signals: Dict[str, float] = {}
-        if marks is not None:
-            batch_seconds = timer_total - marks["timer_total"]
-            orders = transport.orders_shipped - marks["orders"]
-            backfills = transport.backfills - marks["backfills"]
-            bytes_delta = transport.bytes_shipped - marks["bytes"]
-            signals["batch_seconds"] = batch_seconds
-            signals["orders"] = orders
-            signals["backfills"] = backfills
-            signals["bytes_per_order"] = (bytes_delta / orders
-                                          if orders > 0 else 0.0)
-            signals["backpressure_waits"] = (
-                ingest.backpressure_waits - marks["backpressure"])
-            self._latencies.append(batch_seconds)
-            self._backfill_window.append((backfills, orders))
-        self._marks = {
-            "timer_total": timer_total,
-            "orders": float(transport.orders_shipped),
-            "backfills": float(transport.backfills),
-            "bytes": float(transport.bytes_shipped),
-            "backpressure": float(ingest.backpressure_waits),
+        return {
+            "queue_depth": float(ingest.queue_depths[-1]
+                                 if ingest.queue_depths else 0),
+            "p95_seconds": self._p95(),
         }
-        signals["queue_depth"] = float(ingest.queue_depths[-1]
-                                       if ingest.queue_depths else 0)
-        signals["effective_cpus"] = float(_effective_cpus())
-        signals["p95_seconds"] = self._p95()
-        signals["formation_p95_seconds"] = ingest.p95_formation_latency()
-        signals["shard_skew"] = self._shard_skew()
-        return signals
 
     def _p95(self) -> float:
         """p95 batch latency: the registry's ``terids_batch_seconds`` ring
@@ -276,25 +179,6 @@ class RuntimeController:
         ordered = sorted(self._latencies)
         return ordered[int(0.95 * (len(ordered) - 1))]
 
-    def _shard_skew(self) -> float:
-        """Max/mean ratio of per-shard pooled wall time (1.0 = balanced,
-        0.0 = no pooled signal yet)."""
-        telemetry = self.ctx.telemetry
-        if not getattr(telemetry, "enabled", False):
-            return 0.0
-        totals: Dict[str, float] = {}
-        family = telemetry.pool_stage_seconds
-        for key, child in family._children.items():
-            labels = dict(zip(family.labelnames, key))
-            shard = labels.get("shard", "")
-            totals[shard] = totals.get(shard, 0.0) + child.sum
-        if not totals:
-            return 0.0
-        mean = sum(totals.values()) / len(totals)
-        if mean <= 0.0:
-            return 0.0
-        return max(totals.values()) / mean
-
     # -- decide + act ---------------------------------------------------------
     def after_batch(self, driver=None, records=None) -> List[Dict]:
         """Run one sense→decide→act evaluation at a batch boundary.
@@ -309,90 +193,9 @@ class RuntimeController:
         signals = self._sense()
         self.state["last_p95_seconds"] = signals["p95_seconds"]
         decisions: List[Dict] = []
-        self._decide_worker_clamp(signals, decisions)
         if len(self._latencies) >= self.policy.window:
-            self._decide_workers(signals, decisions)
             self._decide_batch_policy(signals, decisions)
-        self._decide_delta_routing(signals, decisions)
-        cooldown = self.state["cooldown_remaining"]
-        if cooldown > 0 and not decisions:
-            self.state["cooldown_remaining"] = cooldown - 1
         return decisions
-
-    def _decide_worker_clamp(self, signals: Dict[str, float],
-                             decisions: List[Dict]) -> None:
-        """Rightsize the worker count to the schedulable CPUs.
-
-        A structural rule, not a load rule: it compares two configuration
-        facts (``max_workers`` vs ``sched_getaffinity``), so it fires
-        before the latency window is even full — oversubscribed workers on
-        a CPU-quota'd box pay pool spin-up and IPC for zero parallelism on
-        every single batch, and waiting ``window`` batches to notice only
-        prolongs the damage.
-        """
-        if not self.policy.clamp_workers_to_cpus:
-            return
-        executor = self.engine.executor
-        if not isinstance(executor, MicroBatchExecutor) \
-                or executor.max_workers is None:
-            return
-        if self.state["cooldown_remaining"] > 0:
-            return
-        workers = executor.max_workers
-        target = max(self.policy.min_workers, int(signals["effective_cpus"]))
-        if workers <= target:
-            return
-        record = self._act(
-            ACTION_SCALE_DOWN, "max_workers", workers, target,
-            reason=(f"workers={workers} exceed effective_cpus="
-                    f"{signals['effective_cpus']:.0f}"),
-            reconfigure={"max_workers": target})
-        decisions.append(record)
-        self.state["cooldown_remaining"] = self.policy.cooldown_batches
-        if record["applied"]:
-            self.state["target_workers"] = target
-            self._latencies.clear()
-
-    def _decide_workers(self, signals: Dict[str, float],
-                        decisions: List[Dict]) -> None:
-        """AIMD worker scaling: +1 under sustained overload, halve when
-        idle; gated on the cool-down and the hysteresis corridor."""
-        executor = self.engine.executor
-        if not isinstance(executor, MicroBatchExecutor) \
-                or executor.max_workers is None:
-            return
-        if self.state["cooldown_remaining"] > 0:
-            return
-        policy = self.policy
-        p95 = signals["p95_seconds"]
-        slo = policy.slo_p95_seconds
-        workers = executor.max_workers
-        ceiling = policy.max_workers
-        if policy.clamp_workers_to_cpus:
-            # Never scale back above the bound the clamp rule enforces.
-            ceiling = min(ceiling, max(policy.min_workers,
-                                       int(signals["effective_cpus"])))
-        overloaded = (p95 > policy.high_band * slo
-                      and (signals["queue_depth"] >= policy.backlog_high
-                           or signals.get("backpressure_waits", 0) > 0))
-        underloaded = (p95 < policy.low_band * slo
-                       and signals["queue_depth"] <= policy.backlog_low)
-        if overloaded and workers < ceiling:
-            target = workers + 1  # additive increase
-        elif underloaded and workers > policy.min_workers:
-            target = max(policy.min_workers, workers // 2)  # mult. decrease
-        else:
-            return
-        action = ACTION_SCALE_UP if target > workers else ACTION_SCALE_DOWN
-        record = self._act(action, "max_workers", workers, target,
-                           reason=(f"p95={p95:.4f}s slo={slo}s "
-                                   f"queue={signals['queue_depth']:.0f}"),
-                           reconfigure={"max_workers": target})
-        decisions.append(record)
-        self.state["cooldown_remaining"] = policy.cooldown_batches
-        if record["applied"]:
-            self.state["target_workers"] = target
-            self._latencies.clear()  # settle: re-fill the window post-change
 
     def _decide_batch_policy(self, signals: Dict[str, float],
                              decisions: List[Dict]) -> None:
@@ -427,63 +230,12 @@ class RuntimeController:
             self.state["target_max_batch"] = target
             self._latencies.clear()
 
-    def _decide_delta_routing(self, signals: Dict[str, float],
-                              decisions: List[Dict]) -> None:
-        """Routed↔broadcast keyed on the measured backfill rate.
-
-        Routed mode thrashing (cross-region queries forcing lazy backfills
-        on a large fraction of orders) flips to broadcast; because
-        broadcast serves no backfills, the rate cannot be re-measured in
-        place — after ``broadcast_probe_batches`` evaluations the
-        controller probes routed mode again.
-        """
-        executor = self.engine.executor
-        if not isinstance(executor, MicroBatchExecutor) \
-                or not executor.shm_plane:
-            return
-        policy = self.policy
-        if executor.delta_routing:
-            backfills = sum(row[0] for row in self._backfill_window)
-            orders = sum(row[1] for row in self._backfill_window)
-            if orders < policy.window:  # too little signal to judge
-                return
-            rate = backfills / orders
-            if rate > policy.backfill_broadcast_rate:
-                record = self._act(
-                    ACTION_BROADCAST, "delta_routing", True, False,
-                    reason=f"backfill_rate={rate:.3f} over "
-                           f"{policy.backfill_broadcast_rate}",
-                    reconfigure={"delta_routing": False})
-                decisions.append(record)
-                if record["applied"]:
-                    self.state["delta_routing"] = 0
-                    self.state["broadcast_age"] = 0
-                    self._backfill_window.clear()
-        else:
-            self.state["broadcast_age"] += 1
-            if self.state["broadcast_age"] >= policy.broadcast_probe_batches:
-                record = self._act(
-                    ACTION_ROUTE, "delta_routing", False, True,
-                    reason=(f"probe after {self.state['broadcast_age']} "
-                            "broadcast batches"),
-                    reconfigure={"delta_routing": True})
-                decisions.append(record)
-                if record["applied"]:
-                    self.state["delta_routing"] = 1
-                    self.state["broadcast_age"] = 0
-                    self._backfill_window.clear()
-
     def _act(self, action: str, knob: str, old, new, reason: str,
-             reconfigure: Optional[Dict] = None,
-             retarget: Optional[BatchPolicy] = None) -> Dict:
+             retarget: BatchPolicy) -> Dict:
         """Record one decision and (in active mode) apply it."""
-        applied = False
-        if self.mode == MODE_ACTIVE:
-            if reconfigure is not None:
-                self.engine.executor.reconfigure(**reconfigure)
-            if retarget is not None:
-                self.batcher.retarget(retarget)
-            applied = True
+        applied = self.mode == MODE_ACTIVE
+        if applied:
+            self.batcher.retarget(retarget)
         record = {
             "batch_seq": self.ctx.batch_seq,
             "action": action,

@@ -16,20 +16,15 @@ probabilities are bit-identical to
 :func:`repro.core.matching.ter_ids_probability_with_cutoff` /
 :func:`repro.core.matching.ter_ids_probability`; only the redundant work is
 gone.
-
-The module-level :func:`evaluate_partition` is the unit of work the
-micro-batch executor ships to a ``concurrent.futures`` process pool when
-batch partitions are fanned out by ER-grid region.
 """
 
 from __future__ import annotations
 
-import pickle
-from time import perf_counter
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.pruning import (
-    HAS_NUMPY,
     PackedStore,
     PruningStats,
     RecordSynopsis,
@@ -39,9 +34,6 @@ from repro.core.pruning import (
     topic_keyword_prune,
 )
 from repro.core.similarity import jaccard_similarity
-
-if HAS_NUMPY:
-    import numpy as _np
 
 #: Attribute under which profiles are cached on a synopsis.  The cache is
 #: keyed by the keyword set so a synopsis shared between differently
@@ -240,18 +232,18 @@ def evaluate_candidates(query: RecordSynopsis,
                         ) -> List[Tuple[bool, float]]:
     """Verdicts of one query against its whole candidate list (in order).
 
-    With ``vectorized`` (and numpy available) the three bound strategies run
-    through :func:`~repro.core.pruning.batch_prune` — a handful of columnar
-    array operations over the packed synopses, gathered from ``store`` when
-    the candidates are resident — and only the surviving pairs fall through
-    to the scalar instance-level refinement.  Verdicts, probabilities and
+    With ``vectorized`` the three bound strategies run through
+    :func:`~repro.core.pruning.batch_prune` — a handful of columnar array
+    operations over the packed synopses, gathered from ``store`` when the
+    candidates are resident — and only the surviving pairs fall through to
+    the scalar instance-level refinement.  Verdicts, probabilities and
     every counter are identical to the per-pair scalar cascade; the
-    ``vectorized=False`` path (also the automatic numpy-less fallback) *is*
-    that scalar cascade.
+    ``vectorized=False`` path *is* that scalar cascade, kept as the oracle
+    the kernel tests compare against.
     """
     if not candidates:
         return []
-    if not (vectorized and HAS_NUMPY):
+    if not vectorized:
         return [
             evaluate_pair_cached(
                 query, candidate, keywords=keywords, gamma=gamma, alpha=alpha,
@@ -334,7 +326,7 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
     calling :func:`evaluate_candidates` item by item — the per-pair work is
     a pure function of the two synopses, only the schedule changes.
     """
-    if not (vectorized and HAS_NUMPY):
+    if not vectorized:
         return [
             evaluate_candidates(
                 query, candidates, keywords=keywords, gamma=gamma,
@@ -373,67 +365,3 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
             query, candidates[position], keywords, gamma, alpha,
             use_instance, stats)
     return verdicts_per_item
-
-
-# ---------------------------------------------------------------------------
-# Process-pool partition worker
-# ---------------------------------------------------------------------------
-#: One shippable unit: (query synopsis, its candidate synopses).
-PartitionItem = Tuple[RecordSynopsis, List[RecordSynopsis]]
-
-
-def evaluate_partition(items: Sequence[PartitionItem],
-                       keywords: FrozenSet[str], gamma: float, alpha: float,
-                       use_topic: bool, use_similarity: bool,
-                       use_probability: bool, use_instance: bool,
-                       vectorized: bool = False, want_spans: bool = False,
-                       ) -> Tuple[List[List[Tuple[bool, float]]], PruningStats,
-                                  Optional[List[Tuple[str, float, float]]]]:
-    """Evaluate one grid-region partition of a micro-batch.
-
-    Runs in a worker process; returns, per item, the ``(is_match,
-    probability)`` verdict of each candidate (in candidate order), the
-    pruning counters accumulated by the partition (which the executor
-    merges back into the shared :class:`PruningStats`), and — when
-    ``want_spans`` — ``(name, rel_start, duration)`` timing rows relative
-    to this call's entry, which the parent re-anchors under the live batch
-    trace (worker clocks are unsynchronised, only the relative layout
-    ships).  ``spans`` is ``None`` when not requested.
-    """
-    base = perf_counter() if want_spans else 0.0
-    stats = PruningStats()
-    results: List[List[Tuple[bool, float]]] = []
-    for query, candidates in items:
-        results.append(evaluate_candidates(
-            query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-            use_topic=use_topic, use_similarity=use_similarity,
-            use_probability=use_probability, use_instance=use_instance,
-            stats=stats, vectorized=vectorized))
-    spans = ([("refine", 0.0, perf_counter() - base)]
-             if want_spans else None)
-    return results, stats, spans
-
-
-def evaluate_partition_blob(blob: bytes, **kwargs
-                            ) -> Tuple[List[List[Tuple[bool, float]]],
-                                       PruningStats,
-                                       Optional[List[Tuple[str, float,
-                                                           float]]]]:
-    """:func:`evaluate_partition` over a pre-pickled item list.
-
-    The per-batch pool path pickles each partition exactly once in the
-    parent (so the executor can account the bytes it ships) and hands the
-    blob through; the worker deserialises here.  With ``want_spans`` the
-    deserialisation is timed as its own ``unpickle`` row ahead of the
-    evaluation rows.
-    """
-    if not kwargs.get("want_spans"):
-        return evaluate_partition(pickle.loads(blob), **kwargs)
-    base = perf_counter()
-    items = pickle.loads(blob)
-    unpickled = perf_counter() - base
-    results, stats, spans = evaluate_partition(items, **kwargs)
-    spans = [("unpickle", 0.0, unpickled)] + [
-        (name, start + unpickled, duration)
-        for name, start, duration in spans]
-    return results, stats, spans

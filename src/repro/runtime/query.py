@@ -22,8 +22,8 @@ oriented as the eager path saw it, ``(later arrival, earlier arrival)``, so
 probabilities accumulate in the same order — which makes the returned
 cluster the connected component of the query record under the eager match
 edges: bit-identical to the transitive closure of ``ES`` restricted to the
-query's component (pinned by ``tests/test_query_time.py`` across the
-serial, sharded and shm-plane configurations).
+query's component (pinned by ``tests/test_query_time.py`` under both
+executors).
 
 **Result cache.**  Clusters land in an LRU cache keyed by ``(rid, source,
 topic signature, gamma)``.  Each entry records the grid *regions* it
@@ -48,7 +48,7 @@ from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.matching import MatchPair, normalise_keywords
-from repro.core.pruning import HAS_NUMPY, PruningStats, RecordSynopsis
+from repro.core.pruning import PruningStats, RecordSynopsis
 from repro.runtime.context import RuntimeContext
 from repro.runtime.evaluation import evaluate_task_batch
 
@@ -100,11 +100,9 @@ class _CacheEntry:
 class QueryResolver:
     """On-demand collective resolution with a region-invalidated LRU cache.
 
-    Runs main-side against the live grid whatever executor drives the
-    eager path — the serial reference, the vectorized micro-batch executor,
-    the sharded lookup pool (whose main grid is thin: no packed/cell
-    stores) and the shm-plane all leave the main process a complete logical
-    grid, which is all the resolver reads.
+    Runs against the live grid whichever executor drives the eager path:
+    the complete logical grid is all the resolver reads (the packed store,
+    when a micro-batch run enabled one, only speeds the cascade up).
 
     Parameters
     ----------
@@ -322,7 +320,7 @@ class QueryResolver:
                     use_similarity=pruning.use_similarity,
                     use_probability=pruning.use_probability,
                     use_instance=pruning.use_instance, stats=scratch,
-                    vectorized=HAS_NUMPY, store=grid.packed_store)
+                    store=grid.packed_store)
                 ring = []
                 for (query, candidates), item_verdicts in zip(items,
                                                               verdicts):

@@ -17,10 +17,10 @@ the micro-batch executor) and the stage timers.
 
 The first three stages are *order-free*: they read only the offline
 substrates, never the online window/grid state, so a batch executor may run
-them for many tuples at once (grouped, cached, or on a process pool).  The
-last three are *order-bound*: candidate lookup for tuple ``t`` must observe
-exactly the evictions and insertions of all tuples that arrived before
-``t``, which is why executors interleave them per tuple in arrival order.
+them for many tuples at once (grouped and cached).  The last three are
+*order-bound*: candidate lookup for tuple ``t`` must observe exactly the
+evictions and insertions of all tuples that arrived before ``t``, which is
+why executors interleave them per tuple in arrival order.
 """
 
 from __future__ import annotations
@@ -237,39 +237,6 @@ class MatchingStage:
                 pair = self.make_pair(task, candidate, probability)
                 task.matches.append(pair)
                 ctx.result_set.add(pair)
-
-    def evaluate_pure(self, task: TupleTask, stats=None,
-                      vectorized: bool = False) -> None:
-        """Side-effect-free evaluation used by the micro-batch executor.
-
-        Pair verdicts are a pure function of the two synopses and the
-        operator thresholds, so they may be computed out of arrival order
-        (or on another process); the executor replays the result-set
-        mutations in arrival order afterwards.  Uses the cached per-instance
-        profiles of :mod:`repro.runtime.evaluation`; with ``vectorized`` the
-        three bound strategies run through the columnar
-        :func:`~repro.core.pruning.batch_prune` kernel over the ER-grid's
-        resident packed store (identical verdicts and counters).
-        """
-        from repro.runtime.evaluation import evaluate_candidates
-
-        ctx = self.ctx
-        pruning = ctx.pruning
-        if stats is None:
-            stats = pruning.stats
-        verdicts = evaluate_candidates(
-            task.synopsis, task.candidates,
-            keywords=pruning.keywords, gamma=pruning.gamma,
-            alpha=pruning.alpha, use_topic=pruning.use_topic,
-            use_similarity=pruning.use_similarity,
-            use_probability=pruning.use_probability,
-            use_instance=pruning.use_instance, stats=stats,
-            vectorized=vectorized, store=ctx.grid.packed_store)
-        for candidate, (is_match, probability) in zip(task.candidates,
-                                                      verdicts):
-            if is_match:
-                task.matches.append(self.make_pair(task, candidate,
-                                                   probability))
 
     def run(self, tasks: Sequence[TupleTask]) -> None:
         for task in tasks:

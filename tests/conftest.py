@@ -110,34 +110,6 @@ def rng() -> random.Random:
     return random.Random(1234)
 
 
-@pytest.fixture(autouse=True)
-def no_shm_segment_leaks():
-    """Fail any test that leaves shared-memory plane segments behind.
-
-    Checked against both the module registry (segments the process still
-    *owns*) and ``/dev/shm`` under this process' name prefix (segments
-    whose files survived a broken cleanup path).  Leftovers are unlinked
-    first so one leaking test cannot cascade into later ones.
-    """
-    yield
-    from repro.runtime import shm_plane
-
-    shm_plane._sweep_stale()
-    leaked = set(shm_plane.active_segment_names())
-    leaked.update(shm_plane.scan_dev_shm())
-    for name in leaked:
-        shm = shm_plane._LIVE.get(name)
-        if shm is not None:
-            shm_plane._retire_segment(shm)
-        else:  # an on-disk leftover with no live handle
-            try:
-                import _posixshmem
-                _posixshmem.shm_unlink("/" + name)
-            except (ImportError, OSError):
-                pass
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
 def make_imputed(record: Record, schema: Schema, candidates=None) -> ImputedRecord:
     """Helper constructing an imputed record with optional candidates."""
     return ImputedRecord(base=record, schema=schema, candidates=candidates or {})

@@ -1,19 +1,19 @@
-"""Tests for the self-tuning runtime controller and the reconfiguration seams.
+"""Tests for the self-tuning runtime controller.
 
-The heavyweight guarantee: **bit-identity under any reconfiguration
-schedule**.  Whatever sequence of worker re-scalings, pool-mode flips,
-batch-size changes and routed↔broadcast transitions is applied at batch
-boundaries — by hand or by an active :class:`RuntimeController` — the match
-set, the result set and every pruning / grid counter equal the serial
-reference exactly (a hypothesis property drives random schedules through
-the same assertion).  Around it: hysteresis / cool-down unit tests of the
-decision rules, checkpoint round-trips of the controller state, and
-regression tests for the seams the reconfiguration path exposed (executor
-close→reuse, params-blob staleness, metric re-binding).
+The heavyweight guarantee: **bit-identity under any batch-size schedule**.
+However the stream is cut into batches — by hand, by reassigning
+``executor.batch_size`` between batches, or by an active
+:class:`RuntimeController` retargeting the ingest batcher — the match set,
+the result set and every pruning / grid counter equal the serial reference
+exactly (a hypothesis property drives random schedules through the same
+assertion).  Around it: hysteresis unit tests of the decision rule,
+checkpoint round-trips of the controller state (including parent-format
+checkpoints carrying keys this version no longer writes), and regression
+tests for the seams the adaptation path exposed (executor close→reuse,
+metric re-binding).
 """
 
 import json
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +26,9 @@ from golden_utils import (
     canonical_matches,
     golden_path,
 )
-from test_sharded_grid import _observables, _run, _small_config, _small_workload
+from test_er_grid import _observables, _small_config, _small_workload
 from repro.core.engine import TERiDSEngine
-from repro.ingest.batcher import BatchPolicy
+from repro.ingest.batcher import AdaptiveBatcher, BatchPolicy
 from repro.ingest.driver import IngestDriver
 from repro.ingest.sources import ReplaySource
 from repro.obs.registry import MetricsRegistry
@@ -41,159 +41,68 @@ from repro.runtime import (
     RuntimeController,
     SerialExecutor,
 )
-from repro.runtime.controller import (
-    ACTION_BROADCAST,
-    ACTION_RETARGET_DOWN,
-    ACTION_RETARGET_UP,
-    ACTION_ROUTE,
-    ACTION_SCALE_DOWN,
-    ACTION_SCALE_UP,
-    _effective_cpus,
-)
-from repro.runtime.shm_plane import HAS_SHM
-
-needs_shm = pytest.mark.skipif(
-    not HAS_SHM, reason="requires numpy and multiprocessing.shared_memory")
+from repro.runtime.controller import ACTION_RETARGET_DOWN, ACTION_RETARGET_UP
 
 _WORKLOAD = _small_workload()
-_SERIAL = _run(_WORKLOAD, _small_config(_WORKLOAD), SerialExecutor())
 
 
-def _run_with_schedule(executor, schedule, chunk=16):
-    """Feed the workload in fixed chunks, reconfiguring at batch boundaries.
+def _engine(executor):
+    return TERiDSEngine(repository=_WORKLOAD.repository,
+                        config=_small_config(_WORKLOAD), executor=executor)
 
-    ``schedule`` maps chunk index → ``reconfigure`` kwargs, applied *before*
-    that chunk is processed (a quiescent point, exactly where the controller
-    acts).
+
+def _run_with_schedule(executor, schedule):
+    """Feed the workload one ``executor.batch_size`` batch at a time.
+
+    ``schedule`` maps batch index → the batch size assigned *before* that
+    batch is cut (a quiescent point: ``batch_size`` is a plain attribute).
     """
-    config = _small_config(_WORKLOAD)
-    engine = TERiDSEngine(repository=_WORKLOAD.repository, config=config,
-                          executor=executor)
+    engine = _engine(executor)
     records = list(_WORKLOAD.interleaved_records())
     matches = []
-    try:
-        for index in range(0, len(records), chunk):
-            step = schedule.get(index // chunk)
-            if step:
-                engine.executor.reconfigure(**step)
-            matches.extend(engine.process_batch(records[index:index + chunk]))
-        return _observables(engine, matches)
-    finally:
-        engine.close()
+    start = 0
+    batch_index = 0
+    while start < len(records):
+        if batch_index in schedule:
+            executor.batch_size = schedule[batch_index]
+        batch = records[start:start + executor.batch_size]
+        matches.extend(engine.process_batch(batch))
+        start += len(batch)
+        batch_index += 1
+    return _observables(engine, matches)
+
+
+_SERIAL = _run_with_schedule(SerialExecutor(), {})
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity under forced reconfiguration schedules
+# Bit-identity under batch-size schedules
 # ---------------------------------------------------------------------------
-def test_worker_rescale_schedule_is_bit_identical():
-    """1 → 2 → 4 → 2 workers mid-stream changes nothing observable."""
-    executor = MicroBatchExecutor(batch_size=16, max_workers=1,
-                                  pool_mode="per-batch")
-    schedule = {1: {"max_workers": 2}, 2: {"max_workers": 4},
-                4: {"max_workers": 2}}
-    assert _run_with_schedule(executor, schedule) == _SERIAL
-
-
-def test_pool_mode_flip_schedule_is_bit_identical():
-    """persistent ↔ per-batch flips tear pools down and re-seed cleanly."""
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  pool_mode="persistent")
-    schedule = {1: {"pool_mode": "per-batch"},
-                3: {"pool_mode": "persistent"},
-                5: {"pool_mode": "auto"}}
-    assert _run_with_schedule(executor, schedule) == _SERIAL
-
-
 def test_batch_size_retarget_schedule_is_bit_identical():
     executor = MicroBatchExecutor(batch_size=16)
-    schedule = {1: {"batch_size": 4}, 3: {"batch_size": 64},
-                5: {"batch_size": 1}}
+    schedule = {1: 4, 3: 64, 5: 1}
     assert _run_with_schedule(executor, schedule) == _SERIAL
-
-
-def test_combined_schedule_is_bit_identical():
-    executor = MicroBatchExecutor(batch_size=8, max_workers=1,
-                                  pool_mode="per-batch")
-    schedule = {
-        1: {"max_workers": 3, "pool_mode": "persistent", "batch_size": 4},
-        3: {"max_workers": 2, "pool_mode": "per-batch"},
-        4: {"batch_size": 32},
-    }
-    assert _run_with_schedule(executor, schedule) == _SERIAL
-
-
-@needs_shm
-def test_delta_routing_flip_schedule_is_bit_identical():
-    """routed ↔ broadcast flips on the live shm plane change nothing."""
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  shard_lookup=True, shm_plane=True,
-                                  delta_routing=True)
-    executor._shm_inline = True
-    schedule = {1: {"delta_routing": False}, 3: {"delta_routing": True},
-                4: {"delta_routing": False}}
-    assert _run_with_schedule(executor, schedule) == _SERIAL
-
-
-_ACTIONS = st.sampled_from([
-    {"max_workers": 1}, {"max_workers": 2}, {"max_workers": 3},
-    {"pool_mode": "persistent"}, {"pool_mode": "per-batch"},
-    {"pool_mode": "auto"},
-    {"batch_size": 4}, {"batch_size": 16},
-    {"max_workers": 2, "pool_mode": "persistent", "batch_size": 8},
-])
 
 
 @given(schedule=st.dictionaries(st.integers(min_value=0, max_value=8),
-                                _ACTIONS, max_size=4))
+                                st.integers(min_value=1, max_value=64),
+                                max_size=4))
 @settings(max_examples=8, deadline=None)
 def test_random_reconfiguration_schedules_are_bit_identical(schedule):
-    executor = MicroBatchExecutor(batch_size=8, max_workers=1,
-                                  pool_mode="per-batch")
+    executor = MicroBatchExecutor(batch_size=8)
     assert _run_with_schedule(executor, schedule) == _SERIAL
 
 
 # ---------------------------------------------------------------------------
-# reconfigure() validation
+# Controller decision rule (hysteresis, modes)
 # ---------------------------------------------------------------------------
-class TestReconfigureValidation:
-    def test_rejects_bad_knob_values(self):
-        executor = MicroBatchExecutor(batch_size=8)
-        with pytest.raises(ValueError, match="batch_size"):
-            executor.reconfigure(batch_size=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            executor.reconfigure(max_workers=0)
-        with pytest.raises(ValueError, match="pool_mode"):
-            executor.reconfigure(pool_mode="sometimes")
-
-    def test_rejects_delta_routing_without_shm_plane(self):
-        executor = MicroBatchExecutor(batch_size=8, max_workers=2)
-        with pytest.raises(ValueError, match="shm_plane"):
-            executor.reconfigure(delta_routing=False)
-
-    @needs_shm
-    def test_rejects_non_persistent_pool_on_shm_plane(self):
-        executor = MicroBatchExecutor(batch_size=8, max_workers=2,
-                                      shard_lookup=True, shm_plane=True)
-        with pytest.raises(ValueError, match="persistent"):
-            executor.reconfigure(pool_mode="per-batch")
-
-    def test_reports_changed_knobs_only(self):
-        executor = MicroBatchExecutor(batch_size=8, max_workers=2,
-                                      pool_mode="per-batch")
-        changed = executor.reconfigure(max_workers=4, batch_size=8)
-        assert changed == {"max_workers": (2, 4)}
-        assert executor.reconfigure(max_workers=4) == {}
-
-
-# ---------------------------------------------------------------------------
-# Controller decision rules (hysteresis, cool-down, modes)
-# ---------------------------------------------------------------------------
-def _controller_engine(max_workers=2):
-    config = _small_config(_WORKLOAD)
-    return TERiDSEngine(
-        repository=_WORKLOAD.repository, config=config,
-        executor=MicroBatchExecutor(batch_size=8, max_workers=max_workers,
-                                    pool_mode="per-batch"))
+def _controller(mode, policy, max_batch=64):
+    """A controller over a fresh engine, bound to a live batcher."""
+    engine = _engine(MicroBatchExecutor(batch_size=8))
+    batcher = AdaptiveBatcher(BatchPolicy(max_batch=max_batch),
+                              engine.ctx.ingest)
+    return RuntimeController(engine, mode=mode, policy=policy,
+                             batcher=batcher)
 
 
 def _tick(controller, seconds, queue_depth):
@@ -208,177 +117,54 @@ def _tick(controller, seconds, queue_depth):
 
 
 class TestControllerDecisions:
-    def test_scale_up_under_sustained_overload(self):
-        engine = _controller_engine(max_workers=2)
-        policy = ControllerPolicy(slo_p95_seconds=0.1, window=3,
-                                  cooldown_batches=2, backlog_high=10)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-        try:
-            decisions = []
-            for _ in range(5):
-                decisions.extend(_tick(ctrl, seconds=1.0, queue_depth=50))
-            ups = [d for d in decisions if d["action"] == ACTION_SCALE_UP]
-            assert ups and ups[0]["applied"]
-            assert engine.executor.max_workers == 3
-            assert ctrl.state["target_workers"] == 3
-            assert ctrl.state["decisions"][ACTION_SCALE_UP] == 1
-        finally:
-            engine.close()
-
-    def test_cooldown_blocks_consecutive_scalings(self):
-        engine = _controller_engine(max_workers=1)
-        policy = ControllerPolicy(slo_p95_seconds=0.1, window=2,
-                                  cooldown_batches=3, backlog_high=10)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-        try:
-            # Enough overloaded ticks to fill the window twice over: without
-            # the cool-down this would scale twice, with it exactly once
-            # (the second needs the window *and* the cool-down to elapse).
-            for _ in range(5):
-                _tick(ctrl, seconds=1.0, queue_depth=50)
-            assert engine.executor.max_workers == 2
-            assert ctrl.state["cooldown_remaining"] > 0
-        finally:
-            engine.close()
-
-    def test_scale_down_when_idle(self):
-        engine = _controller_engine(max_workers=4)
-        policy = ControllerPolicy(slo_p95_seconds=10.0, window=3,
-                                  cooldown_batches=0, backlog_low=5)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-        try:
-            decisions = []
-            for _ in range(4):
-                decisions.extend(_tick(ctrl, seconds=0.001, queue_depth=0))
-            downs = [d for d in decisions
-                     if d["action"] == ACTION_SCALE_DOWN]
-            assert downs  # multiplicative decrease: 4 -> 2
-            assert engine.executor.max_workers == 2
-        finally:
-            engine.close()
-
-    def test_clamp_rightsizes_workers_to_effective_cpus(self):
-        cpus = _effective_cpus()
-        engine = _controller_engine(max_workers=cpus + 3)
-        policy = ControllerPolicy(max_workers=cpus + 3,
-                                  clamp_workers_to_cpus=True, window=8)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-        try:
-            # Structural rule: fires on the very first evaluation, long
-            # before the 8-batch latency window could fill.
-            decisions = _tick(ctrl, seconds=0.01, queue_depth=50)
-            downs = [d for d in decisions
-                     if d["action"] == ACTION_SCALE_DOWN]
-            assert downs and downs[0]["applied"]
-            assert "effective_cpus" in downs[0]["reason"]
-            assert engine.executor.max_workers == max(1, cpus)
-            assert ctrl.state["target_workers"] == max(1, cpus)
-            # Rightsized already — the clamp never fires a second time.
-            assert _tick(ctrl, seconds=0.01, queue_depth=50) == []
-        finally:
-            engine.close()
-
-    def test_clamp_disabled_by_default(self):
-        engine = _controller_engine(max_workers=_effective_cpus() + 3)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE,
-                                 policy=ControllerPolicy(window=8))
-        try:
-            assert _tick(ctrl, seconds=0.01, queue_depth=50) == []
-            assert engine.executor.max_workers == _effective_cpus() + 3
-        finally:
-            engine.close()
-
-    def test_clamp_caps_aimd_scale_up(self):
-        cpus = _effective_cpus()
-        engine = _controller_engine(max_workers=cpus)
-        policy = ControllerPolicy(slo_p95_seconds=0.1, window=2,
-                                  cooldown_batches=0, backlog_high=10,
-                                  max_workers=cpus + 3,
-                                  clamp_workers_to_cpus=True)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-        try:
-            # Sustained overload would scale up, but the clamp's bound is
-            # also the AIMD ceiling — oversubscribing can't help.
-            for _ in range(6):
-                decisions = _tick(ctrl, seconds=1.0, queue_depth=50)
-                assert not [d for d in decisions
-                            if d["action"] == ACTION_SCALE_UP]
-            assert engine.executor.max_workers == cpus
-        finally:
-            engine.close()
-
     def test_no_decision_inside_hysteresis_corridor(self):
-        engine = _controller_engine(max_workers=2)
         policy = ControllerPolicy(slo_p95_seconds=1.0, window=2,
-                                  cooldown_batches=0, low_band=0.4)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-        try:
-            for _ in range(6):  # p95 ~0.7 * slo: inside the corridor
-                assert _tick(ctrl, seconds=0.7, queue_depth=0) == []
-            assert engine.executor.max_workers == 2
-            assert ctrl.state["decisions"] == {}
-        finally:
-            engine.close()
+                                  low_band=0.4)
+        ctrl = _controller(MODE_ACTIVE, policy)
+        for _ in range(6):  # p95 ~0.7 * slo: inside the corridor
+            assert _tick(ctrl, seconds=0.7, queue_depth=50) == []
+        assert ctrl.batcher.policy.max_batch == 64
+        assert ctrl.state["decisions"] == {}
 
     def test_observe_mode_logs_without_acting(self):
-        engine = _controller_engine(max_workers=2)
-        policy = ControllerPolicy(slo_p95_seconds=0.1, window=2,
-                                  cooldown_batches=0, backlog_high=10)
-        ctrl = RuntimeController(engine, mode=MODE_OBSERVE, policy=policy)
-        try:
-            decisions = []
-            for _ in range(4):
-                decisions.extend(_tick(ctrl, seconds=1.0, queue_depth=50))
-            assert decisions and not any(d["applied"] for d in decisions)
-            assert engine.executor.max_workers == 2  # untouched
-            assert ctrl.state["decisions"][ACTION_SCALE_UP] >= 1
-        finally:
-            engine.close()
+        policy = ControllerPolicy(slo_p95_seconds=0.1, window=2)
+        ctrl = _controller(MODE_OBSERVE, policy)
+        decisions = []
+        for _ in range(4):
+            decisions.extend(_tick(ctrl, seconds=1.0, queue_depth=50))
+        assert decisions and not any(d["applied"] for d in decisions)
+        assert ctrl.batcher.policy.max_batch == 64  # untouched
+        assert ctrl.state["decisions"][ACTION_RETARGET_DOWN] >= 1
 
     def test_off_mode_never_evaluates(self):
-        engine = _controller_engine()
-        ctrl = RuntimeController(engine, mode=MODE_OFF)
-        try:
-            assert _tick(ctrl, seconds=1.0, queue_depth=50) == []
-            assert ctrl.state["evaluations"] == 0
-        finally:
-            engine.close()
+        ctrl = _controller(MODE_OFF, ControllerPolicy())
+        assert _tick(ctrl, seconds=1.0, queue_depth=50) == []
+        assert ctrl.state["evaluations"] == 0
 
     def test_batch_policy_retargets_toward_slo(self):
-        engine = _controller_engine(max_workers=1)
         policy = ControllerPolicy(slo_p95_seconds=0.1, window=2,
-                                  cooldown_batches=0, backlog_high=10,
-                                  min_max_batch=8, max_max_batch=256)
-        ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-        batcher_stats = engine.ctx.ingest
-        from repro.ingest.batcher import AdaptiveBatcher
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch=64), batcher_stats)
-        ctrl.batcher = batcher
-        try:
-            decisions = []
-            for _ in range(3):  # overload with empty queue: retarget only
-                decisions.extend(_tick(ctrl, seconds=1.0, queue_depth=0))
-            assert any(d["action"] == ACTION_RETARGET_DOWN
-                       and d["applied"] for d in decisions)
-            assert batcher.policy.max_batch == 32
-            # Now idle with a standing backlog: grow the batch back.
-            decisions = []
-            for _ in range(3):
-                decisions.extend(_tick(ctrl, seconds=0.0001,
-                                       queue_depth=50))
-            assert any(d["action"] == ACTION_RETARGET_UP
-                       and d["applied"] for d in decisions)
-            assert batcher.policy.max_batch == 64
-        finally:
-            engine.close()
+                                  backlog_high=10, min_max_batch=8,
+                                  max_max_batch=256)
+        ctrl = _controller(MODE_ACTIVE, policy)
+        batcher = ctrl.batcher
+        decisions = []
+        for _ in range(3):  # overloaded: shrink the batch
+            decisions.extend(_tick(ctrl, seconds=1.0, queue_depth=0))
+        assert any(d["action"] == ACTION_RETARGET_DOWN
+                   and d["applied"] for d in decisions)
+        assert batcher.policy.max_batch == 32
+        assert ctrl.state["target_max_batch"] == 32
+        # Now idle with a standing backlog: grow the batch back.
+        decisions = []
+        for _ in range(3):
+            decisions.extend(_tick(ctrl, seconds=0.0001, queue_depth=50))
+        assert any(d["action"] == ACTION_RETARGET_UP
+                   and d["applied"] for d in decisions)
+        assert batcher.policy.max_batch == 64
 
     def test_rejects_unknown_mode(self):
-        engine = _controller_engine()
-        try:
-            with pytest.raises(ValueError, match="mode"):
-                RuntimeController(engine, mode="turbo")
-        finally:
-            engine.close()
+        with pytest.raises(ValueError, match="mode"):
+            _controller("turbo", ControllerPolicy())
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="slo"):
@@ -387,200 +173,154 @@ class TestControllerDecisions:
             ControllerPolicy(low_band=1.2, high_band=1.0)
         with pytest.raises(ValueError, match="window"):
             ControllerPolicy(window=0)
-        with pytest.raises(ValueError, match="min_workers"):
-            ControllerPolicy(min_workers=5, max_workers=2)
+        with pytest.raises(ValueError, match="min_max_batch"):
+            ControllerPolicy(min_max_batch=64, max_max_batch=8)
 
     def test_decision_log_is_bounded(self):
-        engine = _controller_engine(max_workers=1)
         policy = ControllerPolicy(slo_p95_seconds=0.1, window=2,
-                                  cooldown_batches=0, backlog_high=10,
-                                  max_workers=2, decision_log=4)
-        ctrl = RuntimeController(engine, mode=MODE_OBSERVE, policy=policy)
-        try:
-            for _ in range(20):
-                _tick(ctrl, seconds=1.0, queue_depth=50)
-            assert len(ctrl.decision_log) <= 4
-        finally:
-            engine.close()
-
-
-@needs_shm
-def test_routing_decisions_follow_measured_backfill_rate():
-    config = _small_config(_WORKLOAD)
-    executor = MicroBatchExecutor(batch_size=8, max_workers=2,
-                                  shard_lookup=True, shm_plane=True,
-                                  delta_routing=True)
-    executor._shm_inline = True
-    engine = TERiDSEngine(repository=_WORKLOAD.repository, config=config,
-                          executor=executor)
-    policy = ControllerPolicy(slo_p95_seconds=10.0, window=2,
-                              backfill_broadcast_rate=0.5,
-                              broadcast_probe_batches=3)
-    ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-    try:
-        transport = engine.ctx.transport
-        # Simulate a thrashing routed plane: most orders need a backfill.
-        decisions = []
-        for _ in range(4):
-            transport.record_batch(nbytes=0, orders=4, backfills=4)
-            decisions.extend(_tick(ctrl, seconds=0.0, queue_depth=0))
-        flips = [d for d in decisions if d["action"] == ACTION_BROADCAST]
-        assert flips and flips[0]["applied"]
-        assert executor.delta_routing is False
-        # After the probe interval the controller re-tries routed mode.
-        decisions = []
-        for _ in range(4):
-            decisions.extend(_tick(ctrl, seconds=0.0, queue_depth=0))
-        probes = [d for d in decisions if d["action"] == ACTION_ROUTE]
-        assert probes and executor.delta_routing is True
-    finally:
-        engine.close()
+                                  decision_log=4)
+        ctrl = _controller(MODE_OBSERVE, policy)
+        for _ in range(20):
+            _tick(ctrl, seconds=1.0, queue_depth=50)
+        assert ctrl.state["decisions"][ACTION_RETARGET_DOWN] > 4
+        assert len(ctrl.decision_log) == 4
 
 
 # ---------------------------------------------------------------------------
 # Active controller end-to-end: bit-identity + observability
 # ---------------------------------------------------------------------------
 def test_active_controller_run_is_bit_identical_and_observable():
-    """A deliberately twitchy active controller reconfigures mid-stream yet
-    the run equals the golden fixture; its decisions are visible in the
-    rendered metrics and the decision log."""
+    """A deliberately twitchy active controller retargets the batcher
+    mid-stream yet the run equals the golden fixture; its decisions are
+    visible in the rendered metrics and the decision log."""
     dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
     golden = json.loads(golden_path(dataset).read_text())["reference"]
     workload = build_workload(dataset, scale, seed)
     config = build_config(workload, window)
-    engine = TERiDSEngine(
-        repository=workload.repository, config=config,
-        executor=MicroBatchExecutor(batch_size=16, max_workers=1,
-                                    pool_mode="per-batch"))
+    engine = TERiDSEngine(repository=workload.repository, config=config,
+                          executor=MicroBatchExecutor(batch_size=16))
     engine.enable_telemetry()
     policy = ControllerPolicy(slo_p95_seconds=1e-5, window=2,
-                              cooldown_batches=1, backlog_high=0,
-                              max_workers=3)
+                              min_max_batch=4)
     ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
     driver = IngestDriver(engine, [ReplaySource(workload.interleaved_records())],
                           policy=BatchPolicy(max_batch=16), controller=ctrl)
-    try:
-        driver.run()
-        assert canonical_matches(engine.current_matches()) \
-            == golden["result_set"]
-        assert ctrl.state["decisions"].get(ACTION_SCALE_UP, 0) >= 1
-        assert engine.executor.max_workers == 3
-        text = engine.render_metrics()
-        assert "terids_controller_evaluations_total" in text
-        assert 'terids_controller_decisions_total{action="scale_up"}' in text
-        assert any(entry["applied"] for entry in ctrl.decision_log)
-    finally:
-        engine.close()
+    driver.run()
+    assert canonical_matches(engine.current_matches()) \
+        == golden["result_set"]
+    assert ctrl.state["decisions"].get(ACTION_RETARGET_DOWN, 0) >= 1
+    assert ctrl.batcher.policy.max_batch == 4
+    text = engine.render_metrics()
+    assert "terids_controller_evaluations_total" in text
+    assert 'terids_controller_decisions_total{action="retarget_down"}' in text
+    assert "terids_controller_target_max_batch 4" in text
+    assert any(entry["applied"] for entry in ctrl.decision_log)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint round-trip of controller state
 # ---------------------------------------------------------------------------
 def test_controller_state_survives_checkpoint_roundtrip():
-    engine = _controller_engine(max_workers=1)
-    policy = ControllerPolicy(slo_p95_seconds=0.1, window=2,
-                              cooldown_batches=4, backlog_high=10,
-                              max_workers=2)
-    ctrl = RuntimeController(engine, mode=MODE_ACTIVE, policy=policy)
-    try:
-        records = list(_WORKLOAD.interleaved_records())
-        engine.process_batch(records[:20])
-        for _ in range(3):
-            _tick(ctrl, seconds=1.0, queue_depth=50)
-        assert ctrl.state["decisions"]  # scaled at least once
-        state = engine.checkpoint()
-        assert state["controller"]["target_workers"] == 2
-        assert state["controller"]["cooldown_remaining"] > 0
-    finally:
-        engine.close()
+    policy = ControllerPolicy(slo_p95_seconds=0.1, window=2)
+    ctrl = _controller(MODE_ACTIVE, policy)
+    engine = ctrl.engine
+    records = list(_WORKLOAD.interleaved_records())
+    engine.process_batch(records[:20])
+    for _ in range(3):
+        _tick(ctrl, seconds=1.0, queue_depth=50)
+    assert ctrl.state["decisions"]  # retargeted at least once
+    state = engine.checkpoint()
+    assert state["controller"]["target_max_batch"] == 32
 
-    resumed = _controller_engine(max_workers=1)
-    try:
-        resumed.restore_checkpoint(state)
-        assert resumed.ctx.controller_state is not None
-        adopted = RuntimeController(resumed, mode=MODE_ACTIVE, policy=policy)
-        assert adopted.state["evaluations"] == ctrl.state["evaluations"]
-        assert adopted.state["decisions"] == ctrl.state["decisions"]
-        assert adopted.state["cooldown_remaining"] \
-            == ctrl.state["cooldown_remaining"]
-        assert adopted.state["target_workers"] == 2
-    finally:
-        resumed.close()
+    resumed = _engine(MicroBatchExecutor(batch_size=8))
+    resumed.restore_checkpoint(state)
+    assert resumed.ctx.controller_state is not None
+    adopted = RuntimeController(resumed, mode=MODE_ACTIVE, policy=policy)
+    assert adopted.state["evaluations"] == ctrl.state["evaluations"]
+    assert adopted.state["decisions"] == ctrl.state["decisions"]
+    assert adopted.state["target_max_batch"] == 32
 
 
 def test_restore_without_controller_state_clears_leftovers():
-    engine = _controller_engine()
-    try:
-        records = list(_WORKLOAD.interleaved_records())
-        engine.process_batch(records[:10])
-        state = engine.checkpoint()
-        assert "controller" not in state
-        engine.ctx.controller_state = {"mode": "stale"}
-        engine.restore_checkpoint(state)
-        assert engine.ctx.controller_state is None
-    finally:
-        engine.close()
+    engine = _engine(MicroBatchExecutor(batch_size=8))
+    records = list(_WORKLOAD.interleaved_records())
+    engine.process_batch(records[:10])
+    state = engine.checkpoint()
+    assert "controller" not in state
+    engine.ctx.controller_state = {"mode": "stale"}
+    engine.restore_checkpoint(state)
+    assert engine.ctx.controller_state is None
 
 
-# ---------------------------------------------------------------------------
-# Regression: the seams the reconfiguration path exposed
-# ---------------------------------------------------------------------------
-def test_executor_is_reusable_after_close():
-    """close() is a full teardown, not a tombstone: pools and caches are
-    lazily re-seeded on the next batch (the controller's teardown path)."""
-    config = _small_config(_WORKLOAD)
-    engine = TERiDSEngine(
-        repository=_WORKLOAD.repository, config=config,
-        executor=MicroBatchExecutor(batch_size=16, max_workers=2,
-                                    pool_mode="persistent"))
+def test_parent_format_checkpoint_restores_and_resumes_identically():
+    """A checkpoint written before the execution matrix collapsed carries
+    ``transport_stats`` and worker / routing controller keys; they are
+    ignored, and the resumed run equals one restored without them."""
     records = list(_WORKLOAD.interleaved_records())
     half = len(records) // 2
-    matches = []
-    try:
-        matches.extend(engine.process_batch(records[:half]))
-        engine.executor.close()
-        engine.executor.close()  # idempotent
-        assert engine.executor._shard_params_cache is None
-        assert engine.executor._auto_choice is None
-        matches.extend(engine.process_batch(records[half:]))
-        assert _observables(engine, matches) == _SERIAL
-    finally:
-        engine.close()
+    first = _engine(MicroBatchExecutor(batch_size=8))
+    first.process_batch(records[:half])
+    state = first.checkpoint()
+    assert "transport_stats" not in state
+
+    old_format = json.loads(json.dumps(state))
+    old_format["transport_stats"] = {
+        "batches": 7, "bytes_shipped": 123456, "synopses_shipped": 321,
+        "orders_shipped": 56, "evictions_shipped": 12, "deltas_routed": 40,
+        "backfills": 3, "shm_bytes_mapped": 65536}
+    old_format["controller"] = {
+        "mode": "active", "slo_p95_seconds": 0.25, "evaluations": 9,
+        "decisions": {"scale_up": 1, "broadcast": 1, "retarget_down": 2},
+        "cooldown_remaining": 3, "target_workers": 2, "target_max_batch": 16,
+        "delta_routing": 0, "broadcast_age": 5, "last_p95_seconds": 0.3,
+        "last_decision": "scale_up workers 1->2 (p95=0.3000s)"}
+
+    def resume(checkpoint):
+        engine = _engine(MicroBatchExecutor(batch_size=8))
+        engine.restore_checkpoint(checkpoint)
+        ctrl = RuntimeController(engine, mode=MODE_OBSERVE)
+        matches = engine.process_batch(records[half:])
+        return engine, ctrl, _observables(engine, matches)
+
+    _, _, plain = resume(state)
+    engine, ctrl, from_old = resume(old_format)
+    assert from_old == plain
+    assert ctrl.state["evaluations"] == 9
+    assert ctrl.state["target_max_batch"] == 16
+    assert not {"target_workers", "delta_routing", "broadcast_age",
+                "cooldown_remaining"} & set(ctrl.state)
+    rewritten = engine.checkpoint()
+    assert "transport_stats" not in rewritten
+    assert set(rewritten["controller"]) == set(ctrl.state)
 
 
-def test_shard_params_blob_tracks_reconfigured_worker_count():
-    """The pickled shard params must never ship a stale worker_count."""
-    config = _small_config(_WORKLOAD)
-    engine = TERiDSEngine(
-        repository=_WORKLOAD.repository, config=config,
-        executor=MicroBatchExecutor(batch_size=8, max_workers=2,
-                                    pool_mode="per-batch", shard_lookup=True))
-    try:
-        executor = engine.executor
-        first = pickle.loads(executor._shard_params_blob(engine.ctx))
-        assert first["worker_count"] == 2
-        executor.reconfigure(max_workers=3)
-        second = pickle.loads(executor._shard_params_blob(engine.ctx))
-        assert second["worker_count"] == 3
-    finally:
-        engine.close()
+# ---------------------------------------------------------------------------
+# Regression: the seams the adaptation path exposed
+# ---------------------------------------------------------------------------
+def test_executor_is_reusable_after_close():
+    """close() is not a tombstone: the executor keeps working after it."""
+    executor = MicroBatchExecutor(batch_size=16)
+    engine = _engine(executor)
+    records = list(_WORKLOAD.interleaved_records())
+    half = len(records) // 2
+    matches = list(engine.process_batch(records[:half]))
+    executor.close()
+    executor.close()  # idempotent
+    matches.extend(engine.process_batch(records[half:]))
+    assert _observables(engine, matches) == _SERIAL
 
 
 def test_reenabling_telemetry_does_not_duplicate_bound_metrics():
-    """Re-binding the same registry (pool rebuild, telemetry toggle) must
-    replace the bound getters, not stack duplicates."""
-    config = _small_config(_WORKLOAD)
-    engine = TERiDSEngine(repository=_WORKLOAD.repository, config=config)
-    try:
-        registry = MetricsRegistry()
-        engine.enable_telemetry(registry=registry)
-        engine.enable_telemetry(registry=registry)
-        text = engine.render_metrics()
-        sample_lines = [line for line in text.splitlines()
-                        if line.startswith("terids_batch_seq ")]
-        assert len(sample_lines) == 1
-        multi_lines = [line for line in text.splitlines()
-                       if line.startswith("terids_ingest_batches_total")]
-        assert len(multi_lines) == len(set(multi_lines))
-    finally:
-        engine.close()
+    """Re-binding the same registry (telemetry toggle) must replace the
+    bound getters, not stack duplicates."""
+    engine = _engine(SerialExecutor())
+    registry = MetricsRegistry()
+    engine.enable_telemetry(registry=registry)
+    engine.enable_telemetry(registry=registry)
+    text = engine.render_metrics()
+    sample_lines = [line for line in text.splitlines()
+                    if line.startswith("terids_batch_seq ")]
+    assert len(sample_lines) == 1
+    multi_lines = [line for line in text.splitlines()
+                   if line.startswith("terids_ingest_batches_total")]
+    assert len(multi_lines) == len(set(multi_lines))

@@ -3,9 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden_utils import canonical_matches
+from repro.core.config import TERiDSConfig
+from repro.core.engine import TERiDSEngine
 from repro.core.matching import ter_ids_probability
-from repro.core.pruning import HAS_NUMPY, RecordSynopsis
+from repro.core.pruning import RecordSynopsis
 from repro.core.tuples import ImputedRecord, Record, Schema
+from repro.datasets.synthetic import generate_dataset
 from repro.imputation.repository import DataRepository
 from repro.indexes.er_grid import ERGrid, GridCell
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
@@ -138,7 +142,6 @@ _imputed = st.dictionaries(st.sampled_from(_WORDS),
 _step = st.one_of(st.none(), st.tuples(_text, _text, st.none() | _imputed))
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
 class TestColumnarCellRefresh:
     """With a packed store the grid refreshes an evicted tuple's cells from
     the entries' rows; the scalar ``GridCell.recompute`` is the oracle."""
@@ -272,8 +275,6 @@ class TestCellStoreEdgeCases:
         query-time resolve against a just-enabled grid."""
         grid = ERGrid(SCHEMA, cells_per_dim=4)
         store = grid.enable_cell_store()
-        if store is None:
-            pytest.skip("requires numpy")
         query = _synopsis("q", "weight loss", "diabetes", source="sq")
         mask = store.scan(query.coordinate_rectangle(), margin=2.0,
                           require_keyword=False)
@@ -291,3 +292,95 @@ class TestMaintenanceListeners:
         assert events == [touched]
         grid.remove("r1", "s1")
         assert events == [touched, touched]
+
+
+# ---------------------------------------------------------------------------
+# Vectorized cell scan == scalar walk, bit for bit
+# ---------------------------------------------------------------------------
+def _small_workload():
+    return generate_dataset("citations", missing_rate=0.3, scale=0.3, seed=11)
+
+
+def _small_config(workload, window=20):
+    return TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
+                        alpha=0.5, similarity_ratio=0.5, window_size=window)
+
+
+def _observables(engine, matches):
+    stats = engine.pruning.stats
+    return {
+        "timestamps": engine.timestamps_processed,
+        "matches": canonical_matches(matches),
+        "result_set": canonical_matches(engine.current_matches()),
+        "pruning": {
+            "pairs_considered": stats.pairs_considered,
+            "pruned_by_topic": stats.pruned_by_topic,
+            "pruned_by_similarity": stats.pruned_by_similarity,
+            "pruned_by_probability": stats.pruned_by_probability,
+            "pruned_by_instance": stats.pruned_by_instance,
+            "refined_matches": stats.refined_matches,
+            "refined_non_matches": stats.refined_non_matches,
+        },
+        "grid": (engine.grid.cells_examined, engine.grid.tuples_examined),
+    }
+
+
+def test_cell_store_scan_identical_to_scalar_walk():
+    workload = _small_workload()
+    config = _small_config(workload)
+    records = list(workload.interleaved_records())
+
+    scalar = TERiDSEngine(repository=workload.repository, config=config)
+    vectorized = TERiDSEngine(repository=workload.repository, config=config)
+    assert vectorized.grid.enable_cell_store() is not None
+    scalar_report = scalar.run(records)
+    vectorized_report = vectorized.run(records)
+
+    assert (_observables(scalar, scalar_report.matches)
+            == _observables(vectorized, vectorized_report.matches))
+    # The store tracked every live cell and no more.
+    assert len(vectorized.grid.cell_store) == vectorized.grid.cell_count
+
+
+def test_cell_store_enabled_mid_stream_backfills():
+    """Enabling the store on a populated grid back-fills every cell."""
+    workload = _small_workload()
+    config = _small_config(workload)
+    records = list(workload.interleaved_records())
+    engine = TERiDSEngine(repository=workload.repository, config=config)
+    engine.run(records[: len(records) // 2])
+    store = engine.grid.enable_cell_store()
+    assert len(store) == engine.grid.cell_count
+    # Same object on re-enable, still in sync after more maintenance.
+    assert engine.grid.enable_cell_store() is store
+    engine.run(records[len(records) // 2:])
+    assert len(store) == engine.grid.cell_count
+
+
+def test_cell_store_recycles_rows_on_cell_eviction(health_pivots,
+                                                   health_schema):
+    grid = ERGrid(health_schema, cells_per_dim=3)
+    store = grid.enable_cell_store()
+    assert store is not None and len(store) == 0
+
+    from repro.core.pruning import RecordSynopsis
+    from repro.core.tuples import ImputedRecord, Record
+
+    def synopsis(rid, symptom):
+        record = Record(rid=rid,
+                        values={"gender": "male", "symptom": symptom,
+                                "diagnosis": "diabetes",
+                                "treatment": "drug therapy"},
+                        source="stream-a")
+        imputed = ImputedRecord.from_complete(record, health_schema)
+        return RecordSynopsis.build(imputed, health_pivots, frozenset())
+
+    first = synopsis("r1", "weight loss blurred vision")
+    grid.insert(first)
+    rows_with_one = len(store)
+    assert rows_with_one == grid.cell_count
+    grid.remove("r1", "stream-a")
+    assert len(store) == 0 == grid.cell_count
+    # Rows are recycled, not leaked: re-inserting reuses the free list.
+    grid.insert(first)
+    assert len(store) == rows_with_one

@@ -5,9 +5,8 @@ The heavyweight guarantees:
 * **Closure bit-identity** — ``resolve(entity)`` returns exactly the
   transitive closure of the eager result set restricted to the query's
   connected component (members, pair orientation, probabilities and
-  timestamps all bit-identical), for *every* in-window entity, across the
-  serial, vectorized, sharded and shm-plane configurations and at any
-  point mid-stream;
+  timestamps all bit-identical), for *every* in-window entity, under both
+  executors and at any point mid-stream;
 * **Cache soundness** — a cached cluster is never served stale: entries
   are dropped when window maintenance (insert, count-based expiry,
   event-time retraction, checkpoint restore) touches their grid regions,
@@ -18,7 +17,6 @@ The heavyweight guarantees:
 
 import json
 from collections import defaultdict
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -31,14 +29,8 @@ from golden_utils import (
 )
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
-from repro.core.pruning import HAS_NUMPY
 from repro.datasets.synthetic import generate_dataset
 from repro.runtime import MicroBatchExecutor, QueryResolver, SerialExecutor
-from repro.runtime.shm_plane import HAS_SHM
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
-needs_shm = pytest.mark.skipif(
-    not HAS_SHM, reason="requires numpy and multiprocessing.shared_memory")
 
 
 def _small_workload():
@@ -50,20 +42,6 @@ def _small_config(workload, window=20):
                         alpha=0.5, similarity_ratio=0.5, window_size=window)
 
 
-class _InlinePool:
-    """Future-returning inline stand-in for a process pool (see
-    ``test_sharded_grid``): exercises the sharded code path without
-    process spawn cost."""
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-    def shutdown(self, wait=True):
-        pass
-
-
 def _serial_executor():
     return SerialExecutor()
 
@@ -72,28 +50,9 @@ def _vectorized_executor():
     return MicroBatchExecutor(batch_size=8)
 
 
-def _sharded_executor():
-    executor = MicroBatchExecutor(batch_size=8, max_workers=2,
-                                  pool_mode="per-batch", shard_lookup=True)
-    executor._pool = _InlinePool()
-    return executor
-
-
-def _shm_inline_executor():
-    executor = MicroBatchExecutor(batch_size=8, max_workers=2,
-                                  shard_lookup=True, shm_plane=True,
-                                  delta_routing=True)
-    executor._shm_inline = True
-    return executor
-
-
 EXECUTORS = [
     pytest.param(_serial_executor, id="serial"),
-    pytest.param(_vectorized_executor, id="vectorized",
-                 marks=needs_numpy),
-    pytest.param(_sharded_executor, id="sharded-inline",
-                 marks=needs_numpy),
-    pytest.param(_shm_inline_executor, id="shm-inline", marks=needs_shm),
+    pytest.param(_vectorized_executor, id="vectorized"),
 ]
 
 
@@ -195,14 +154,7 @@ def test_resolve_mid_stream_tracks_the_moving_window():
 _PROPERTY_WORKLOAD = _small_workload()
 _PROPERTY_RECORDS = list(_PROPERTY_WORKLOAD.interleaved_records())
 
-#: ``(factory, available)`` — unavailable configurations degrade to serial
-#: so every drawn example still checks the property somewhere.
-_PROPERTY_CONFIGS = [
-    (_serial_executor, True),
-    (_vectorized_executor, HAS_NUMPY),
-    (_sharded_executor, HAS_NUMPY),
-    (_shm_inline_executor, HAS_SHM),
-]
+_PROPERTY_CONFIGS = [_serial_executor, _vectorized_executor]
 
 
 @given(config_index=st.integers(min_value=0,
@@ -210,9 +162,7 @@ _PROPERTY_CONFIGS = [
        probe=st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=12, deadline=None)
 def test_property_any_entity_any_config_matches_closure(config_index, probe):
-    factory, available = _PROPERTY_CONFIGS[config_index]
-    if not available:
-        factory = _serial_executor
+    factory = _PROPERTY_CONFIGS[config_index]
     engine = TERiDSEngine(repository=_PROPERTY_WORKLOAD.repository,
                           config=_small_config(_PROPERTY_WORKLOAD),
                           executor=factory())

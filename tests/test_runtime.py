@@ -7,12 +7,15 @@ The heavyweight guarantees:
   under ``tests/data/`` (generated from the seed implementation);
 * ``MicroBatchExecutor`` produces the same match sets (and, because its
   cached refinement replicates the seed's float operation order, the same
-  counters) at any batch size, with or without the process pool;
+  counters) at any batch size;
 * window expiry keeps the ER-grid and the entity result set free of evicted
   tuples under both executors.
 """
 
+import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,22 +71,6 @@ def test_micro_batch_executor_matches_seed_goldens(dataset, scale, seed,
         lambda **kwargs: TERiDSEngine(
             executor=MicroBatchExecutor(batch_size=batch_size), **kwargs),
         workload, config)
-    assert got == golden
-
-
-def test_pooled_micro_batch_matches_seed_golden():
-    """The process-pool fan-out (sharded by grid region) changes nothing."""
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    golden = json.loads(golden_path(dataset).read_text())["reference"]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2)
-    try:
-        got = run_reference(
-            lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-            workload, config)
-    finally:
-        executor.close()
     assert got == golden
 
 
@@ -305,8 +292,12 @@ class TestEngineFacade:
     def test_micro_batch_executor_validates_arguments(self):
         with pytest.raises(ValueError):
             MicroBatchExecutor(batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatchExecutor(batch_size=4, max_workers=0)
+
+    def test_micro_batch_executor_takes_batch_size_only(self):
+        """The execution matrix is two classes, not a knob space."""
+        parameters = inspect.signature(MicroBatchExecutor).parameters
+        assert list(parameters) == ["batch_size"]
+        assert not hasattr(MicroBatchExecutor, "reconfigure")
 
 
 # ---------------------------------------------------------------------------
@@ -494,130 +485,13 @@ class TestScopedImputation:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive pool-mode selection (pool_mode="auto")
+# Import surface: the library is single-process
 # ---------------------------------------------------------------------------
-class TestAutoPoolMode:
-    """Pins the decision boundaries of ``resolve_auto_pool_mode``."""
-
-    def _transport(self, batches=0, orders=0, nbytes=0):
-        from repro.runtime import TransportStats
-
-        transport = TransportStats()
-        for _ in range(batches):
-            transport.record_batch(0)
-        transport.orders_shipped = orders
-        transport.bytes_shipped = nbytes
-        return transport
-
-    def test_large_configured_batches_always_pick_persistent(self):
-        from repro.runtime.executors import (
-            AUTO_PERSISTENT_MIN_BATCH,
-            POOL_PERSISTENT,
-            resolve_auto_pool_mode,
-        )
-
-        transport = self._transport()
-        assert resolve_auto_pool_mode(AUTO_PERSISTENT_MIN_BATCH,
-                                      transport) == POOL_PERSISTENT
-        assert resolve_auto_pool_mode(AUTO_PERSISTENT_MIN_BATCH + 100,
-                                      transport) == POOL_PERSISTENT
-
-    def test_small_batches_start_per_batch_without_history(self):
-        from repro.runtime.executors import (
-            AUTO_PERSISTENT_MIN_BATCH,
-            POOL_PER_BATCH,
-            resolve_auto_pool_mode,
-        )
-
-        transport = self._transport()
-        assert resolve_auto_pool_mode(AUTO_PERSISTENT_MIN_BATCH - 1,
-                                      transport) == POOL_PER_BATCH
-        assert resolve_auto_pool_mode(1, transport) == POOL_PER_BATCH
-
-    def test_measured_shipping_cost_upgrades_small_batches(self):
-        from repro.runtime.executors import (
-            AUTO_PERSISTENT_BYTES_PER_ORDER,
-            AUTO_WARMUP_BATCHES,
-            POOL_PER_BATCH,
-            POOL_PERSISTENT,
-            resolve_auto_pool_mode,
-        )
-
-        heavy = self._transport(
-            batches=AUTO_WARMUP_BATCHES, orders=4,
-            nbytes=4 * AUTO_PERSISTENT_BYTES_PER_ORDER + 1)
-        assert resolve_auto_pool_mode(4, heavy) == POOL_PERSISTENT
-        # Exactly at the threshold (strict >) stays per-batch.
-        at_threshold = self._transport(
-            batches=AUTO_WARMUP_BATCHES, orders=4,
-            nbytes=4 * AUTO_PERSISTENT_BYTES_PER_ORDER)
-        assert resolve_auto_pool_mode(4, at_threshold) == POOL_PER_BATCH
-        # Insufficient warm-up history is not trusted, however heavy.
-        cold = self._transport(
-            batches=AUTO_WARMUP_BATCHES - 1, orders=4,
-            nbytes=40 * AUTO_PERSISTENT_BYTES_PER_ORDER)
-        assert resolve_auto_pool_mode(4, cold) == POOL_PER_BATCH
-
-    def test_executor_resolution_is_sticky_once_persistent(self):
-        from repro.runtime.executors import (
-            AUTO_PERSISTENT_BYTES_PER_ORDER,
-            POOL_AUTO,
-            POOL_PER_BATCH,
-            POOL_PERSISTENT,
-        )
-
-        class _Ctx:
-            pass
-
-        class _FakePool:
-            shut_down = False
-
-            def shutdown(self):
-                self.shut_down = True
-
-        ctx = _Ctx()
-        ctx.transport = self._transport()
-        executor = MicroBatchExecutor(batch_size=4, max_workers=2,
-                                      pool_mode=POOL_AUTO)
-        assert executor._resolve_pool_mode(ctx, batch_len=4) == POOL_PER_BATCH
-        warmup_pool = _FakePool()
-        executor._pool = warmup_pool
-        # Heavy measured shipping upgrades the choice…
-        ctx.transport = self._transport(
-            batches=5, orders=5,
-            nbytes=5 * (AUTO_PERSISTENT_BYTES_PER_ORDER + 1))
-        assert executor._resolve_pool_mode(ctx, batch_len=4) == POOL_PERSISTENT
-        # …releasing the warm-up phase's per-batch pool as it goes.
-        assert warmup_pool.shut_down
-        assert executor._pool is None
-        # …and it sticks even if the stats go quiet again (the workers'
-        # resident stores are warm).
-        ctx.transport = self._transport()
-        assert executor._resolve_pool_mode(ctx, batch_len=4) == POOL_PERSISTENT
-
-    def test_explicit_modes_bypass_resolution(self):
-        from repro.runtime.executors import POOL_PER_BATCH, POOL_PERSISTENT
-
-        for mode in (POOL_PERSISTENT, POOL_PER_BATCH):
-            executor = MicroBatchExecutor(batch_size=4, max_workers=2,
-                                          pool_mode=mode)
-            assert executor._resolve_pool_mode(ctx=None, batch_len=4) == mode
-        with pytest.raises(ValueError):
-            MicroBatchExecutor(pool_mode="bogus")
-
-    def test_auto_pooled_micro_batch_matches_seed_golden(self):
-        """End to end: auto mode (resolving to persistent) changes nothing."""
-        dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-        golden = json.loads(golden_path(dataset).read_text())["reference"]
-        workload = build_workload(dataset, scale, seed)
-        config = build_config(workload, window)
-        executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                      pool_mode="auto")
-        try:
-            got = run_reference(
-                lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-                workload, config)
-            assert executor._auto_choice == "persistent"
-        finally:
-            executor.close()
-        assert got == golden
+def test_import_repro_loads_no_multiprocessing_or_mmap():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; import repro; "
+             "print([name for name in sys.modules "
+             "if name == 'mmap' or name.split('.')[0] == 'multiprocessing'])")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

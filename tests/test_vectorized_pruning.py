@@ -1,28 +1,24 @@
-"""Differential tests: the vectorized pruning kernel and the persistent pool.
+"""Differential tests: the vectorized pruning kernel and its packed store.
 
 The contract under test is *identity*, not just safety: the columnar
 :func:`~repro.core.pruning.batch_prune` kernel must reproduce the scalar
 cascade's survivor mask, per-strategy pruned counts, verdicts and
 probabilities bit-for-bit, for arbitrary synopses (hypothesis) and on the
-golden workloads (both executors, in-process and both pooled refinement
-modes).
+golden workloads.
 """
 
 import contextlib
 import gc
 import json
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings, strategies as st
 
 from golden_utils import (
     GOLDEN_WORKLOADS,
     build_config,
     build_workload,
-    canonical_matches,
     golden_path,
     run_reference,
 )
@@ -45,15 +41,12 @@ from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
 from repro.runtime import (
-    POOL_PER_BATCH,
-    POOL_PERSISTENT,
     MicroBatchExecutor,
     SerialExecutor,
     evaluate_candidates,
     evaluate_pair_cached,
+    evaluate_task_batch,
 )
-from repro.runtime.shm_plane import HAS_SHM
-from repro.runtime.workers import ResidentRefiner, ResidentShard
 
 SCHEMA = Schema(attributes=("symptom", "diagnosis"))
 KEYWORDS = frozenset({"diabetes"})
@@ -252,6 +245,29 @@ def test_evaluate_candidates_verdicts_and_stats_match_scalar():
     assert vector_stats == scalar_stats
 
 
+def test_evaluate_task_batch_verdicts_and_stats_match_scalar():
+    """The whole-batch schedule (one blocked bound pass over the resident
+    rows, then one refinement sweep) against the scalar cascade item by
+    item."""
+    engine, config = _populated_engine()
+    synopses = engine.grid.synopses()
+    store = engine.grid.enable_packed_store()
+    items = [(query, [s for s in synopses if s is not query])
+             for query in synopses[:20]]
+    arguments = dict(keywords=config.keywords, gamma=config.gamma,
+                     alpha=config.alpha, use_topic=True, use_similarity=True,
+                     use_probability=True, use_instance=True)
+    vector_stats = PruningStats()
+    scalar_stats = PruningStats()
+    vectorized = evaluate_task_batch(items, stats=vector_stats, store=store,
+                                     **arguments)
+    scalar = evaluate_task_batch(items, stats=scalar_stats, vectorized=False,
+                                 **arguments)
+    assert vectorized == scalar
+    assert vector_stats == scalar_stats
+    assert store.restacks == 0
+
+
 # ---------------------------------------------------------------------------
 # The pair form: many queries per kernel pass, blocked
 # ---------------------------------------------------------------------------
@@ -379,7 +395,7 @@ def test_probability_lanes_equal_scalar_bound(query, candidates, gamma,
 
 
 # ---------------------------------------------------------------------------
-# Golden regression: vectorized kernel on, every refinement mode
+# Golden regression: the vectorized micro-batch path
 # ---------------------------------------------------------------------------
 def _golden(dataset):
     return json.loads(golden_path(dataset).read_text())["reference"]
@@ -392,188 +408,10 @@ def test_vectorized_in_process_matches_seed_goldens(dataset, scale, seed,
     config = build_config(workload, window)
     got = run_reference(
         lambda **kwargs: TERiDSEngine(
-            executor=MicroBatchExecutor(batch_size=16, vectorized=True),
+            executor=MicroBatchExecutor(batch_size=16),
             **kwargs),
         workload, config)
     assert got == _golden(dataset)
-
-
-@pytest.mark.parametrize("pool_mode", [POOL_PERSISTENT, POOL_PER_BATCH])
-def test_vectorized_pooled_matches_seed_golden(pool_mode):
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  vectorized=True, pool_mode=pool_mode)
-    try:
-        got = run_reference(
-            lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-            workload, config)
-    finally:
-        executor.close()
-    assert got == _golden(dataset)
-
-
-def test_scalar_pooled_matches_seed_golden():
-    """The persistent pool is verdict-identical with the kernel off too."""
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  vectorized=False)
-    try:
-        got = run_reference(
-            lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-            workload, config)
-    finally:
-        executor.close()
-    assert got == _golden(dataset)
-
-
-# ---------------------------------------------------------------------------
-# Persistent pool: transport accounting + self-healing residency
-# ---------------------------------------------------------------------------
-def _transport_run(pool_mode, batch_size=16):
-    workload = build_workload("citations", 0.5, 7)
-    config = build_config(workload, 40)
-    executor = MicroBatchExecutor(batch_size=batch_size, max_workers=2,
-                                  pool_mode=pool_mode)
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=executor)
-    report = engine.run(workload.interleaved_records())
-    transport = engine.ctx.transport
-    engine.close()
-    return sorted(pair.key() for pair in report.matches), transport
-
-
-def test_persistent_pool_ships_fewer_bytes_than_per_batch():
-    per_batch_matches, per_batch = _transport_run(POOL_PER_BATCH)
-    persistent_matches, persistent = _transport_run(POOL_PERSISTENT)
-    assert persistent_matches == per_batch_matches
-    assert per_batch.batches == persistent.batches > 0
-    # Every batch re-ships the window in per-batch mode; the resident-store
-    # protocol ships each synopsis roughly once.
-    assert persistent.synopses_shipped < per_batch.synopses_shipped / 4
-    assert (persistent.steady_state_bytes()
-            < per_batch.steady_state_bytes() / 2)
-
-
-def test_persistent_pool_repairs_residency_after_restore(tmp_path):
-    """A restored engine re-ships re-built window synopses transparently."""
-    dataset, scale, seed, window = "citations", 0.5, 7, 40
-    split = 60
-
-    reference_workload = build_workload(dataset, scale, seed)
-    reference = TERiDSEngine(repository=reference_workload.repository,
-                             config=build_config(reference_workload, window))
-    reference_report = reference.run(reference_workload.interleaved_records())
-
-    workload = build_workload(dataset, scale, seed)
-    records = list(workload.interleaved_records())
-    first = TERiDSEngine(repository=workload.repository,
-                         config=build_config(workload, window))
-    matches = []
-    for record in records[:split]:
-        matches.extend(first.process(record))
-    path = tmp_path / "persistent.ckpt.json"
-    first.save_checkpoint(path)
-
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  pool_mode=POOL_PERSISTENT)
-    resumed = TERiDSEngine(repository=workload.repository,
-                           config=build_config(workload, window),
-                           executor=executor)
-    resumed.load_checkpoint(path)
-    matches.extend(resumed.process_batch(records[split:]))
-    resumed.close()
-    assert (canonical_matches(matches)
-            == canonical_matches(reference_report.matches))
-
-
-def test_persistent_pool_matches_in_process_on_unvalidatable_record():
-    """Worker-side rebuild must mirror pickle, not re-run validation.
-
-    A record whose candidate map was emptied after construction is handled
-    by ``RecordSynopsis.build`` everywhere in-process; the delta protocol
-    rebuilds the imputed record in the worker and must tolerate (and agree
-    on) the same state instead of dying in ``ImputedRecord.__init__``.
-    """
-    from repro.core.pruning import PruningStats as Stats
-    from repro.runtime import PersistentRefinementPool, TupleTask
-
-    record = Record(rid="q1", values={"symptom": "weight loss",
-                                      "diagnosis": None}, source="s0")
-    imputed = ImputedRecord(base=record, schema=SCHEMA,
-                            candidates={"diagnosis": {"diabetes": 1.0}})
-    imputed.candidates["diagnosis"] = {}
-    query = RecordSynopsis.build(imputed, PIVOTS, KEYWORDS)
-    candidates = [_make_synopsis(index, "weight loss blurred vision",
-                                 "diabetes", None) for index in (1, 2, 3)]
-
-    expected_stats = Stats()
-    expected = evaluate_candidates(
-        query, candidates, keywords=KEYWORDS, gamma=1.0, alpha=0.3,
-        use_topic=True, use_similarity=True, use_probability=True,
-        use_instance=True, stats=expected_stats, vectorized=True)
-
-    task = TupleTask(record=record)
-    task.synopsis = query
-    task.candidates = candidates
-    pool = PersistentRefinementPool(workers=1, params={
-        "pivots": PIVOTS, "keywords": KEYWORDS, "gamma": 1.0, "alpha": 0.3,
-        "use_topic": True, "use_similarity": True, "use_probability": True,
-        "use_instance": True, "vectorized": True})
-    try:
-        verdicts, stats = pool.evaluate_batch([task], [(0, 0)], [])
-    finally:
-        pool.close()
-    assert verdicts[0] == expected
-    assert stats == expected_stats
-
-
-def test_persistent_pool_rebinds_when_executor_is_reused():
-    """Handing the executor to a second engine must not keep stale params.
-
-    The pool freezes the pivot table and thresholds at creation; a second
-    engine (different config/repository) must get a fresh pool, or its
-    verdicts would silently use the first operator's parameters.
-    """
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2)
-
-    workload = build_workload("citations", 0.4, 7)
-    first = TERiDSEngine(repository=workload.repository,
-                         config=build_config(workload, 30), executor=executor)
-    first.run(list(workload.interleaved_records())[:60])
-    first_pool = executor._persistent_pool
-    assert first_pool is not None
-
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[1]
-    golden_workload = build_workload(dataset, scale, seed)
-    config = build_config(golden_workload, window)
-    got = run_reference(
-        lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-        golden_workload, config)
-    assert executor._persistent_pool is not first_pool
-    executor.close()
-    assert got == _golden(dataset)
-
-
-def test_persistent_pool_tracks_residency_and_closes_idempotently():
-    workload = build_workload("citations", 0.4, 7)
-    config = build_config(workload, 30)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  pool_mode=POOL_PERSISTENT)
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=executor)
-    engine.run(list(workload.interleaved_records())[:90])
-    pool = executor._persistent_pool
-    assert pool is not None
-    # Residency is bounded by what is (or recently was) referenced from the
-    # windows — it can never exceed the union of window capacities.
-    assert 0 < pool.resident_count <= 2 * config.window_size
-    engine.close()
-    engine.close()
-    assert executor._persistent_pool is None
 
 
 # ---------------------------------------------------------------------------
@@ -722,114 +560,20 @@ def _stream_engine(executor, window=4):
     return engine, records, window * len(sources)
 
 
-def _shm_inline_executor(batch_size):
-    executor = MicroBatchExecutor(batch_size=batch_size, max_workers=1,
-                                  shard_lookup=True, shm_plane=True)
-    executor._shm_inline = True
-    return executor
-
-
 @pytest.mark.parametrize("make_executor", [
     pytest.param(lambda batch: MicroBatchExecutor(batch_size=batch),
                  id="in-process"),
-    pytest.param(_shm_inline_executor, id="shm", marks=pytest.mark.skipif(
-        not HAS_SHM, reason="requires multiprocessing.shared_memory")),
+    # Only opens epochs on a store an earlier micro-batch run enabled.
+    pytest.param(lambda batch: SerialExecutor(), id="serial"),
 ])
 def test_grid_store_stays_within_window_plus_one_batch(make_executor):
+    """Both store owners open an epoch per batch, so evicted rows are
+    recycled one batch later and the store never outgrows the window."""
     batch = 16
     engine, records, window_total = _stream_engine(make_executor(batch))
-    try:
-        for start in range(0, len(records), batch):
-            engine.process_batch(records[start:start + batch])
-            store = engine.grid.packed_store
-            assert len(store) <= window_total
-            assert _allocated_rows(store) <= window_total + batch
-        assert store.restacks == 0
-    finally:
-        engine.close()
-
-
-def _sliding_stream(total, window, batch):
-    """Synthetic count-based window over ``total`` arrivals, in batches of
-    ``(synopsis, window contents it is evaluated against, synopsis its
-    arrival evicts or None)``."""
-    live = []
-    synopses = [_make_synopsis(index, " ".join(WORDS[index % 7:index % 7 + 3]),
-                               WORDS[index % 5], None)
-                for index in range(total)]
-    for start in range(0, total, batch):
-        arrivals = []
-        for synopsis in synopses[start:start + batch]:
-            evicted = live.pop(0) if len(live) == window else None
-            arrivals.append((synopsis, list(live), evicted))
-            live.append(synopsis)
-        yield arrivals
-
-
-_WORKER_PARAMS = dict(pivots=PIVOTS, vectorized=True, keywords=KEYWORDS,
-                      gamma=1.0, alpha=0.5, use_topic=True,
-                      use_similarity=True, use_probability=True,
-                      use_instance=True)
-
-
-def _ship(arrivals, handles):
-    """Fresh handles + the insertion deltas of one batch's arrivals."""
-    insertions = []
-    for synopsis, _, _ in arrivals:
-        handles[id(synopsis)] = len(handles)
-        insertions.append((handles[id(synopsis)], synopsis.record.base,
-                           synopsis.record.candidates))
-    return insertions
-
-
-def test_persistent_pool_worker_store_stays_within_window_plus_one_batch():
-    window, batch = 6, 16
-    refiner = ResidentRefiner(_WORKER_PARAMS)
-    handles = {}
-    for arrivals in _sliding_stream(10 * window + 3, window, batch):
-        insertions = _ship(arrivals, handles)
-        orders = [(index, handles[id(query)],
-                   [handles[id(candidate)] for candidate in candidates])
-                  for index, (query, candidates, _) in enumerate(arrivals)]
-        evictions = [handles[id(evicted)] for _, _, evicted in arrivals
-                     if evicted is not None]
-        _, stats, _ = refiner.handle(insertions, orders, evictions)
-        assert stats.pairs_considered == sum(
-            len(candidates) for _, candidates, _ in arrivals)
-        assert len(refiner.packed) <= window
-        assert _allocated_rows(refiner.packed) <= window + batch
-    assert refiner.packed.restacks == 0
-
-
-def test_sharded_replica_store_stays_within_window_plus_one_batch():
-    window, batch = 6, 16
-    shard = ResidentShard(dict(_WORKER_PARAMS, worker_count=1,
-                               cells_per_dim=5), worker_id=0)
-    handles = {}
-    considered = 0
-    for arrivals in _sliding_stream(10 * window + 3, window, batch):
-        shard.apply_insertions(_ship(arrivals, handles))
-        ops = [(index,
-                [] if evicted is None else [(evicted.rid, evicted.source)],
-                handles[id(synopsis)], 0)
-               for index, (synopsis, _, evicted) in enumerate(arrivals)]
-        _, stats, _ = shard.execute(ops)
-        considered += stats.pairs_considered
-        shard.retire([handles[id(evicted)] for _, _, evicted in arrivals
-                      if evicted is not None])
-        store = shard.grid.packed_store
-        assert len(store) <= window
-        assert _allocated_rows(store) <= window + batch
-    assert considered > 0
-    assert shard.grid.packed_store.restacks == 0
-
-
-# ---------------------------------------------------------------------------
-# Executor argument surface
-# ---------------------------------------------------------------------------
-def test_micro_batch_executor_validates_new_arguments():
-    with pytest.raises(ValueError):
-        MicroBatchExecutor(batch_size=4, pool_mode="bogus")
-    executor = MicroBatchExecutor(batch_size=4)
-    assert executor.vectorized is True  # numpy present in the test env
-    assert MicroBatchExecutor(batch_size=4, vectorized=False).vectorized is False
+    store = engine.grid.enable_packed_store()
+    for start in range(0, len(records), batch):
+        engine.process_batch(records[start:start + batch])
+        assert len(store) <= window_total
+        assert _allocated_rows(store) <= window_total + batch
+    assert store.restacks == 0
