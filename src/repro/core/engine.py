@@ -151,7 +151,9 @@ class TERiDSEngine:
         )
         self.pipeline = Pipeline(self.ctx)
         self.executor: Executor = executor if executor is not None else SerialExecutor()
-        self._resolver: Optional[QueryResolver] = None
+        #: The query-time resolver over this engine's live window
+        #: (stateless: it holds the context and nothing else).
+        self.resolver = QueryResolver(self.ctx)
 
     # ------------------------------------------------------------------
     # state passthroughs (historical attribute names of the monolith)
@@ -279,17 +281,6 @@ class TERiDSEngine:
     # ------------------------------------------------------------------
     # query-time resolution (on-demand read path)
     # ------------------------------------------------------------------
-    @property
-    def resolver(self) -> QueryResolver:
-        """The query-time resolver over this engine's live window.
-
-        Created lazily (and registered on the grid's maintenance
-        notifications) on first use, so eager-only deployments pay nothing.
-        """
-        if self._resolver is None:
-            self._resolver = QueryResolver(self.ctx)
-        return self._resolver
-
     def resolve(self, rid: str, source: str, topic=None,
                 gamma=None) -> ResolvedCluster:
         """Resolved cluster of one in-window record, on demand.
@@ -307,8 +298,8 @@ class TERiDSEngine:
         """Resolve several in-window records in one shared expansion.
 
         ``entities`` is a sequence of ``(rid, source)`` pairs; returns the
-        positionally aligned list of :class:`ResolvedCluster`.  Cache
-        misses share one frontier expansion and one batched cascade per
+        positionally aligned list of :class:`ResolvedCluster`.  The
+        entities share one frontier expansion and one batched cascade per
         ring (see :meth:`~repro.runtime.query.QueryResolver.resolve_many`),
         so a dashboard refresh over N entities costs far less than N
         :meth:`resolve` calls while returning bit-identical clusters.
@@ -369,12 +360,6 @@ class TERiDSEngine:
     def restore_checkpoint(self, state: Dict) -> None:
         """Rebuild the online state from a :meth:`checkpoint` snapshot."""
         restore_engine_state(self.ctx, state)
-        if self._resolver is not None:
-            # The query-result cache is scratch over the live window: the
-            # grid rebuild already invalidated every entry region by
-            # region, and this keeps the guarantee explicit whatever the
-            # restore path touched.
-            self._resolver.clear()
 
     def save_checkpoint(self, path) -> None:
         """Write a :meth:`checkpoint` snapshot to a JSON file."""

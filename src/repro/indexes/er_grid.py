@@ -228,7 +228,6 @@ class ERGrid:
         self._synopses: Dict[Tuple[str, str], RecordSynopsis] = {}
         self._packed_store: Optional[PackedStore] = None
         self._cell_store: Optional[CellStore] = None
-        self._maintenance_listeners: List = []
         self.cells_examined = 0
         self.tuples_examined = 0
 
@@ -302,45 +301,6 @@ class ERGrid:
         width = 1.0 / self.cells_per_dim
         return [(index * width, (index + 1) * width) for index in coordinates]
 
-    def cells_within_margin(self, rectangle: Sequence[Tuple[float, float]],
-                            margin: float, lattice_cap: Optional[int] = None,
-                            ) -> Optional[Set[Tuple[int, ...]]]:
-        """Every lattice cell whose min L1 distance to ``rectangle`` is
-        below ``margin`` — whether or not the cell currently exists.
-
-        This is the *region set* of a query rectangle: by the cell-level
-        distance bound (Lemma 4.2), a record can only have an instance pair
-        with similarity above ``d − margin`` against a tuple whose rectangle
-        intersects one of these cells — so any future insert outside the set
-        provably cannot match the query.  The query-result cache keys its
-        invalidation on exactly this set.  With ``lattice_cap`` set, returns
-        ``None`` instead of enumerating a lattice larger than the cap
-        (callers degrade to coarse invalidation).
-        """
-        dimensions = len(rectangle)
-        if lattice_cap is not None and self.cells_per_dim ** dimensions > lattice_cap:
-            return None
-        if margin <= 0:
-            return set()
-        width = 1.0 / self.cells_per_dim
-        axis_distances = [
-            [min_attribute_distance(interval, (index * width,
-                                               (index + 1) * width))
-             for index in range(self.cells_per_dim)]
-            for interval in rectangle
-        ]
-        within: Set[Tuple[int, ...]] = set()
-        for coordinates in itertools.product(range(self.cells_per_dim),
-                                             repeat=dimensions):
-            total = 0.0
-            for dimension, coordinate in enumerate(coordinates):
-                total += axis_distances[dimension][coordinate]
-                if total >= margin:
-                    break
-            else:
-                within.add(coordinates)
-        return within
-
     # -- maintenance ----------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._synopses)
@@ -348,20 +308,6 @@ class ERGrid:
     @property
     def cell_count(self) -> int:
         return len(self._cells)
-
-    def add_maintenance_listener(self, listener) -> None:
-        """Subscribe to grid mutations: ``listener(cell_coordinates)`` runs
-        after every :meth:`insert` / :meth:`remove` with the coordinates of
-        the cells the mutation touched.  Every window-maintenance path —
-        arrival insertion, count-based expiry, event-time retraction and
-        checkpoint restore — flows through those two methods, so this is
-        the single chokepoint the query-result cache keys its region-based
-        invalidation on."""
-        self._maintenance_listeners.append(listener)
-
-    def _notify_maintenance(self, cell_keys: List[Tuple[int, ...]]) -> None:
-        for listener in self._maintenance_listeners:
-            listener(cell_keys)
 
     def contains(self, rid: str, source: str) -> bool:
         return (rid, source) in self._synopses
@@ -389,8 +335,6 @@ class ERGrid:
         self._synopses[key] = synopsis
         if self._packed_store is not None:
             self._packed_store.insert(synopsis)
-        if self._maintenance_listeners:
-            self._notify_maintenance(cell_keys)
 
     def remove(self, rid: str, source: str) -> bool:
         """Evict one (expired) tuple (Algorithm 2, lines 2–7)."""
@@ -412,8 +356,6 @@ class ERGrid:
         del self._synopses[key]
         if self._packed_store is not None:
             self._packed_store.remove(rid, source)
-        if self._maintenance_listeners:
-            self._notify_maintenance(cell_keys)
         return True
 
     def synopses(self) -> List[RecordSynopsis]:
@@ -423,11 +365,6 @@ class ERGrid:
     def synopsis_items(self) -> List[Tuple[Tuple[str, str], RecordSynopsis]]:
         """``((rid, source), synopsis)`` pairs in grid insertion order."""
         return list(self._synopses.items())
-
-    def record_cells(self, rid: str, source: str) -> List[Tuple[int, ...]]:
-        """Coordinates of the cells one in-window record touches (the
-        query-result cache keys its invalidation regions on them)."""
-        return self._record_cells.get((rid, source), [])
 
     # -- candidate retrieval -------------------------------------------------------
     def _cell_min_distance(self, cell: GridCell,

@@ -429,7 +429,7 @@ class IngestDriver:
     def resolve_many(self, entities, topic=None, gamma=None):
         """Resolve a batch of in-window entities between batches.
 
-        One shared frontier expansion serves all cache misses (see
+        One shared frontier expansion serves all of them (see
         :meth:`~repro.core.engine.TERiDSEngine.resolve_many`); same
         threading rules as :meth:`resolve`.
         """

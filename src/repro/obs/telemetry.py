@@ -69,7 +69,7 @@ class NullTelemetry:
     def span(self, name: str) -> _NullScope:
         return NULL_SCOPE
 
-    def observe_resolve(self, seconds: float, cached: bool) -> None:
+    def observe_resolve(self, seconds: float) -> None:
         return None
 
     def snapshot(self) -> None:
@@ -132,8 +132,7 @@ class Telemetry:
             labelnames=("stage",))
         self.resolve_seconds = reg.histogram(
             "terids_resolve_seconds",
-            "Query-time resolve() latency by cache outcome",
-            labelnames=("result",))
+            "Query-time resolve() / resolve_many() latency per call")
 
     enabled = True
 
@@ -157,9 +156,8 @@ class Telemetry:
             self.stage_seconds.labels(stage=span.name).observe(span.duration)
 
     # -- query path ----------------------------------------------------------
-    def observe_resolve(self, seconds: float, cached: bool) -> None:
-        self.resolve_seconds.labels(
-            result="hit" if cached else "miss").observe(seconds)
+    def observe_resolve(self, seconds: float) -> None:
+        self.resolve_seconds.observe(seconds)
 
     # -- export ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -226,8 +224,7 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         help="Batch formation latency", kind=HISTOGRAM)
 
     # Query-time resolution.
-    for attr in ("resolves", "cache_hits", "cache_misses",
-                 "cache_invalidations", "frontier_expansions"):
+    for attr in ("resolves", "frontier_expansions"):
         registry.bind(
             "terids_query_events_total",
             (lambda a=attr: float(getattr(ctx.query, a))),

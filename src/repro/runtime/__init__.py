@@ -40,7 +40,6 @@ from repro.runtime.stages import (
     MaintenanceStage,
     MatchingStage,
     RuleSelectionStage,
-    Stage,
     SynopsisStage,
     TupleTask,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "RuntimeContext",
     "RuntimeController",
     "SerialExecutor",
-    "Stage",
     "SynopsisStage",
     "TupleTask",
     "engine_state_to_dict",

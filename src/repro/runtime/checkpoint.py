@@ -55,10 +55,7 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         # context) ride along so a drain/resume cycle keeps its arrival,
         # lateness and backpressure accounting.
         "ingest_stats": ctx.ingest.as_dict(),
-        # Query-time resolution counters.  The resolver's result cache is
-        # deliberately absent: cached clusters are scratch derived from the
-        # live window (the engine drops them on restore), so only the
-        # accounting crosses a checkpoint.
+        # Query-time resolution counters.
         "query_stats": ctx.query.as_dict(),
         # Telemetry correlation metadata: the monotonic batch sequence and
         # the last trace id let a restored run's traces be lined up with

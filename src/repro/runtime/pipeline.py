@@ -10,7 +10,7 @@ the same stage objects with different interleaving.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.matching import MatchPair
 from repro.core.tuples import Record
@@ -26,7 +26,6 @@ from repro.runtime.stages import (
     MaintenanceStage,
     MatchingStage,
     RuleSelectionStage,
-    Stage,
     SynopsisStage,
     TupleTask,
 )
@@ -45,7 +44,7 @@ class Pipeline:
         self.maintenance = MaintenanceStage(ctx)
 
     @property
-    def stages(self) -> Tuple[Stage, ...]:
+    def stages(self) -> tuple:
         """The stages in dataflow order (rule selection → maintenance)."""
         return (self.rule_selection, self.imputation, self.synopsis,
                 self.candidates, self.matching, self.maintenance)

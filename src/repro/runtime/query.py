@@ -25,19 +25,8 @@ edges: bit-identical to the transitive closure of ``ES`` restricted to the
 query's component (pinned by ``tests/test_query_time.py`` under both
 executors).
 
-**Result cache.**  Clusters land in an LRU cache keyed by ``(rid, source,
-topic signature, gamma)``.  Each entry records the grid *regions* it
-depends on — the cells its members touch plus every lattice cell within the
-match margin ``d − γ`` of a member's rectangle (a new record can only match
-a member if one of its cells lands inside that margin, by the cell-level
-distance bound).  Window maintenance (insert, count-based expiry,
-event-time retraction, checkpoint restore) notifies the resolver through
-:meth:`~repro.indexes.er_grid.ERGrid.add_maintenance_listener` with the
-touched cell coordinates, and only intersecting entries are dropped — so
-steady-state repeat queries are near-free while a stale cluster is never
-served.  The cache itself is scratch: checkpoints carry only the
-:class:`~repro.runtime.context.QueryStats` counters, and a restore clears
-every entry.
+The resolver keeps no state between calls: every lookup expands against the
+live grid, so there is nothing for window maintenance to invalidate.
 """
 
 from __future__ import annotations
@@ -54,9 +43,6 @@ from repro.runtime.evaluation import evaluate_task_batch
 
 #: ``(rid, source)`` identity of one in-window record.
 RecordKey = Tuple[str, str]
-
-#: One cache key: record identity + topic signature + match threshold.
-CacheKey = Tuple[str, str, FrozenSet[str], float]
 
 
 @dataclass(frozen=True)
@@ -84,21 +70,8 @@ class ResolvedCluster:
         return (source, rid) in self.members
 
 
-class _CacheEntry:
-    """One cached cluster + the grid regions that can invalidate it."""
-
-    __slots__ = ("cluster", "regions")
-
-    def __init__(self, cluster: ResolvedCluster,
-                 regions: Optional[FrozenSet[Tuple[int, ...]]]) -> None:
-        self.cluster = cluster
-        #: ``None`` marks a *global* entry (lattice too large to enumerate):
-        #: any grid mutation invalidates it.
-        self.regions = regions
-
-
 class QueryResolver:
-    """On-demand collective resolution with a region-invalidated LRU cache.
+    """Stateless on-demand collective resolution over the live window.
 
     Runs against the live grid whichever executor drives the eager path:
     the complete logical grid is all the resolver reads (the packed store,
@@ -108,23 +81,10 @@ class QueryResolver:
     ----------
     ctx:
         The runtime context of the engine whose window is queried.
-    cache_size:
-        LRU bound of the result cache (entries, not bytes).
     """
 
-    #: Above this lattice size the exact within-margin region set is not
-    #: enumerated; entries degrade to invalidate-on-any-mutation.
-    LATTICE_CAP = 4096
-
-    def __init__(self, ctx: RuntimeContext, cache_size: int = 128) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
+    def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
-        self.cache_size = cache_size
-        self._cache: "OrderedDict[CacheKey, _CacheEntry]" = OrderedDict()
-        self._by_cell: Dict[Tuple[int, ...], Set[CacheKey]] = {}
-        self._global_keys: Set[CacheKey] = set()
-        ctx.grid.add_maintenance_listener(self._on_grid_mutation)
 
     # -- public API ----------------------------------------------------------
     def resolve(self, rid: str, source: str,
@@ -136,34 +96,11 @@ class QueryResolver:
         the defaults the cluster equals the eager transitive closure; a
         caller may narrow a lookup to a different topic keyword set or a
         stricter similarity threshold, which re-runs the same cascade under
-        those parameters (cached separately per signature).
+        those parameters.
 
         Raises :class:`KeyError` when the record is not in the live window.
         """
-        ctx = self.ctx
-        pruning = ctx.pruning
-        keywords = (pruning.keywords if topic is None
-                    else normalise_keywords(topic))
-        gamma_value = pruning.gamma if gamma is None else float(gamma)
-        if not ctx.grid.contains(rid, source):
-            raise KeyError(f"({rid!r}, {source!r}) is not in the live window")
-        tel = ctx.telemetry
-        start = perf_counter()
-        ctx.query.resolves += 1
-        cache_key: CacheKey = (rid, source, keywords, gamma_value)
-        entry = self._cache.get(cache_key)
-        if entry is not None:
-            ctx.query.cache_hits += 1
-            self._cache.move_to_end(cache_key)
-            tel.observe_resolve(perf_counter() - start, cached=True)
-            return entry.cluster
-        ctx.query.cache_misses += 1
-        with tel.span("resolve"):
-            cluster, member_synopses = self._expand(
-                (rid, source), keywords, gamma_value)
-        self._store(cache_key, cluster, member_synopses, gamma_value)
-        tel.observe_resolve(perf_counter() - start, cached=False)
-        return cluster
+        return self.resolve_many([(rid, source)], topic=topic, gamma=gamma)[0]
 
     def resolve_many(self, entities,
                      topic: Optional[FrozenSet[str]] = None,
@@ -171,16 +108,14 @@ class QueryResolver:
         """Resolve several in-window records in one collective expansion.
 
         ``entities`` is a sequence of ``(rid, source)`` pairs; the result
-        list is positionally aligned with it.  Cache hits are served
-        directly; every miss joins ONE shared frontier — the fixpoint loop
-        seeds all of them at once, so overlapping neighbourhoods are
-        expanded once, each candidate ring is evaluated in one batched
-        cascade across all queries, and a pair of records is never
-        evaluated twice however many queries reach it.  Per-seed clusters
-        are then read off the connected components of the shared match
-        edges, and each is cached under its normal per-seed key — so every
-        returned cluster is bit-identical to what :meth:`resolve` would
-        have returned for that entity alone.
+        list is positionally aligned with it.  All of them join ONE shared
+        frontier — the fixpoint loop seeds every entity at once, so
+        overlapping neighbourhoods are expanded once, each candidate ring
+        is evaluated in one batched cascade across all queries, and a pair
+        of records is never evaluated twice however many queries reach it.
+        Per-seed clusters are then read off the connected components of the
+        shared match edges — so every returned cluster is bit-identical to
+        what :meth:`resolve` would have returned for that entity alone.
 
         Raises :class:`KeyError` when any named record is not in the live
         window (before any expansion work is done).
@@ -198,60 +133,20 @@ class QueryResolver:
             keys.append((rid, source))
         tel = ctx.telemetry
         start = perf_counter()
-        resolved: Dict[RecordKey, ResolvedCluster] = {}
-        misses: List[RecordKey] = []
-        for key in keys:
-            if key in resolved or key in misses:
-                continue  # duplicate input entity: one expansion suffices
-            ctx.query.resolves += 1
-            cache_key: CacheKey = (key[0], key[1], keywords, gamma_value)
-            entry = self._cache.get(cache_key)
-            if entry is not None:
-                ctx.query.cache_hits += 1
-                self._cache.move_to_end(cache_key)
-                tel.observe_resolve(perf_counter() - start, cached=True)
-                resolved[key] = entry.cluster
-            else:
-                ctx.query.cache_misses += 1
-                misses.append(key)
-        if misses:
-            with tel.span("resolve"):
-                members, edges = self._collect(misses, keywords, gamma_value)
-            components = self._components(members, edges)
-            elapsed = perf_counter() - start
-            for seed in misses:
-                component = components[seed]
-                cluster = self._component_cluster(
-                    seed, component, edges, keywords, gamma_value)
-                member_synopses = {key: members[key] for key in component}
-                self._store((seed[0], seed[1], keywords, gamma_value),
-                            cluster, member_synopses, gamma_value)
-                resolved[seed] = cluster
-                tel.observe_resolve(elapsed, cached=False)
+        # A duplicate input entity is one seed: one expansion suffices.
+        seeds = list(dict.fromkeys(keys))
+        ctx.query.resolves += len(seeds)
+        with tel.span("resolve"):
+            members, edges = self._collect(seeds, keywords, gamma_value)
+        components = self._components(members, edges)
+        resolved = {
+            seed: self._component_cluster(seed, components[seed], edges,
+                                          keywords, gamma_value)
+            for seed in seeds}
+        tel.observe_resolve(perf_counter() - start)
         return [resolved[key] for key in keys]
 
-    def clear(self) -> None:
-        """Drop every cached cluster (counted as invalidations)."""
-        self.ctx.query.cache_invalidations += len(self._cache)
-        self._cache.clear()
-        self._by_cell.clear()
-        self._global_keys.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
     # -- collective expansion ------------------------------------------------
-    def _expand(self, seed: RecordKey, keywords: FrozenSet[str],
-                gamma: float) -> Tuple[ResolvedCluster,
-                                       Dict[RecordKey, RecordSynopsis]]:
-        """Frontier fixpoint around ``seed``; returns cluster + member map."""
-        members, edges = self._collect([seed], keywords, gamma)
-        # A single-seed expansion only admits members through match edges,
-        # so every member is in the seed's component already.
-        cluster = self._component_cluster(seed, set(members), edges,
-                                          keywords, gamma)
-        return cluster, members
-
     def _collect(self, seeds: List[RecordKey], keywords: FrozenSet[str],
                  gamma: float) -> Tuple[Dict[RecordKey, RecordSynopsis],
                                         Dict[Tuple, MatchPair]]:
@@ -383,62 +278,3 @@ class QueryResolver:
             members=tuple(sorted((source, rid)
                                  for rid, source in component)),
             pairs=tuple(sorted(pairs, key=lambda pair: pair.key())))
-
-    # -- cache bookkeeping ---------------------------------------------------
-    def _store(self, cache_key: CacheKey, cluster: ResolvedCluster,
-               member_synopses: Dict[RecordKey, RecordSynopsis],
-               gamma: float) -> None:
-        grid = self.ctx.grid
-        margin = len(grid.schema) - gamma
-        regions: Optional[Set[Tuple[int, ...]]] = set()
-        for (rid, source), synopsis in member_synopses.items():
-            # A member's own cells: its expiry/retraction must always hit.
-            regions.update(grid.record_cells(rid, source))
-            if margin <= 0:
-                continue
-            within = grid.cells_within_margin(
-                synopsis.coordinate_rectangle(), margin,
-                lattice_cap=self.LATTICE_CAP)
-            if within is None:
-                regions = None
-                break
-            regions.update(within)
-        while len(self._cache) >= self.cache_size:
-            evicted_key, evicted = self._cache.popitem(last=False)
-            self._forget(evicted_key, evicted)
-        entry = _CacheEntry(cluster,
-                            None if regions is None else frozenset(regions))
-        self._cache[cache_key] = entry
-        if entry.regions is None:
-            self._global_keys.add(cache_key)
-        else:
-            for coordinates in entry.regions:
-                self._by_cell.setdefault(coordinates, set()).add(cache_key)
-
-    def _forget(self, cache_key: CacheKey, entry: _CacheEntry) -> None:
-        """Unlink one entry from the region index (entry already popped)."""
-        if entry.regions is None:
-            self._global_keys.discard(cache_key)
-            return
-        for coordinates in entry.regions:
-            keys = self._by_cell.get(coordinates)
-            if keys is not None:
-                keys.discard(cache_key)
-                if not keys:
-                    del self._by_cell[coordinates]
-
-    def _on_grid_mutation(self, cells) -> None:
-        """Drop every cached cluster whose regions a mutation touched."""
-        if not self._cache:
-            return
-        stale: Set[CacheKey] = set(self._global_keys)
-        for coordinates in cells:
-            keys = self._by_cell.get(tuple(coordinates))
-            if keys:
-                stale.update(keys)
-        for cache_key in stale:
-            entry = self._cache.pop(cache_key, None)
-            if entry is None:
-                continue
-            self._forget(cache_key, entry)
-            self.ctx.query.cache_invalidations += 1

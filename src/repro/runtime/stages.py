@@ -26,7 +26,7 @@ why executors interleave them per tuple in arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.matching import MatchPair
 from repro.core.pruning import RecordSynopsis, ensure_packed
@@ -34,7 +34,6 @@ from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.cdd import CDDRule, discover_cdd_rules
 from repro.imputation.incremental import MaintenanceReport
 from repro.runtime.context import RuntimeContext
-from repro.runtime.evaluation import evaluate_pair_cached
 
 
 @dataclass
@@ -47,22 +46,6 @@ class TupleTask:
     synopsis: Optional[RecordSynopsis] = None
     candidates: Optional[List[RecordSynopsis]] = None
     matches: List[MatchPair] = field(default_factory=list)
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """A pipeline phase operating on a batch of tuple tasks.
-
-    ``run`` processes every task of a batch; stages amortise whatever they
-    can across the batch (grouped index lookups, shared caches).  Order-bound
-    stages additionally expose per-tuple verbs (``expire`` / ``lookup`` /
-    ``insert`` / ``evaluate``) that executors interleave in arrival order.
-    """
-
-    name: str
-
-    def run(self, tasks: Sequence[TupleTask]) -> None:  # pragma: no cover
-        ...
 
 
 class RuleSelectionStage:
@@ -202,10 +185,6 @@ class CandidateLookupStage:
             exclude_source=synopsis.record.source,
         )
 
-    def run(self, tasks: Sequence[TupleTask]) -> None:
-        for task in tasks:
-            task.candidates = self.lookup(task.synopsis)
-
 
 class MatchingStage:
     """Pruning + refinement over the candidate pairs (stage 3, Section 4)."""
@@ -237,10 +216,6 @@ class MatchingStage:
                 pair = self.make_pair(task, candidate, probability)
                 task.matches.append(pair)
                 ctx.result_set.add(pair)
-
-    def run(self, tasks: Sequence[TupleTask]) -> None:
-        for task in tasks:
-            self.evaluate_serial(task)
 
 
 class MaintenanceStage:
@@ -277,11 +252,6 @@ class MaintenanceStage:
         window = ctx.window_for(synopsis.record.source)
         window.insert(synopsis)
         ctx.grid.insert(synopsis)
-
-    def run(self, tasks: Sequence[TupleTask]) -> None:
-        for task in tasks:
-            self.expire(task.record.source)
-            self.insert(task.synopsis)
 
     # -- event-time expiry (time-based windows / watermarks) -----------------
     def retract(self, items: Sequence) -> int:

@@ -282,18 +282,6 @@ class TestCellStoreEdgeCases:
         assert grid.candidate_synopses(query, gamma=0.5) == []
 
 
-class TestMaintenanceListeners:
-    def test_listener_fires_on_insert_and_remove_with_touched_cells(self):
-        grid = ERGrid(SCHEMA, cells_per_dim=4)
-        events = []
-        grid.add_maintenance_listener(lambda cells: events.append(sorted(cells)))
-        grid.insert(_synopsis("r1", "fever", "flu"))
-        touched = sorted(grid.record_cells("r1", "s1"))
-        assert events == [touched]
-        grid.remove("r1", "s1")
-        assert events == [touched, touched]
-
-
 # ---------------------------------------------------------------------------
 # Vectorized cell scan == scalar walk, bit for bit
 # ---------------------------------------------------------------------------

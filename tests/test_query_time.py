@@ -7,14 +7,14 @@ The heavyweight guarantees:
   connected component (members, pair orientation, probabilities and
   timestamps all bit-identical), for *every* in-window entity, under both
   executors and at any point mid-stream;
-* **Cache soundness** — a cached cluster is never served stale: entries
-  are dropped when window maintenance (insert, count-based expiry,
-  event-time retraction, checkpoint restore) touches their grid regions,
-  and untouched entries survive;
+* **Freshness** — the resolver is stateless, so every answer reflects the
+  window as window maintenance (insert, count-based expiry, event-time
+  retraction, checkpoint restore) left it;
 * **Counter hygiene** — interactive lookups leave the eager path's
   golden-pinned pruning and grid counters untouched.
 """
 
+import inspect
 import json
 from collections import defaultdict
 
@@ -214,153 +214,127 @@ def test_resolve_with_stricter_gamma_shrinks_to_singleton():
         engine.close()
 
 
-def test_resolve_with_topic_override_caches_per_signature():
+def _first_multi_member_entity(engine):
+    for (rid, source), _ in engine.grid.synopsis_items():
+        if len(engine.resolve(rid, source)) > 1:
+            return rid, source
+    raise AssertionError("workload has no multi-member cluster")
+
+
+def test_resolve_with_topic_override_changes_the_cluster():
     workload = _small_workload()
     engine = TERiDSEngine(repository=workload.repository,
                           config=_small_config(workload))
     try:
         engine.run(workload.interleaved_records())
-        (rid, source), _ = engine.grid.synopsis_items()[0]
-        default = engine.resolve(rid, source)
+        rid, source = _first_multi_member_entity(engine)
+        # No record mentions the keyword, so no pair is topic-related.
         narrowed = engine.resolve(rid, source,
                                   topic=frozenset({"zzz-unseen-keyword"}))
         assert narrowed.topic == frozenset({"zzz-unseen-keyword"})
-        # Distinct signatures, distinct cache slots: repeating each is a hit.
-        assert engine.resolve(rid, source) is default
-        assert engine.resolve(
-            rid, source, topic=frozenset({"zzz-unseen-keyword"})) is narrowed
-        assert engine.ctx.query.cache_hits == 2
-        assert engine.ctx.query.cache_misses == 2
+        assert narrowed.members == ((source, rid),)
+        # The override is per call: the default lookup is still the closure.
+        assert_cluster_equals_closure(engine, rid, source)
     finally:
         engine.close()
 
 
-def test_resolver_rejects_bad_cache_size():
-    workload = _small_workload()
-    engine = TERiDSEngine(repository=workload.repository,
-                          config=_small_config(workload))
-    try:
-        with pytest.raises(ValueError, match="cache_size"):
-            QueryResolver(engine.ctx, cache_size=0)
-    finally:
-        engine.close()
+def test_resolver_takes_the_context_and_nothing_else():
+    assert list(inspect.signature(QueryResolver).parameters) == ["ctx"]
 
 
-# ---------------------------------------------------------------------------
-# Cache semantics: hits, LRU bound, region-targeted invalidation
-# ---------------------------------------------------------------------------
-def test_repeat_query_is_a_cache_hit_returning_the_same_object():
+def test_repeat_resolve_recomputes_an_equal_cluster():
     workload = _small_workload()
     engine = TERiDSEngine(repository=workload.repository,
                           config=_small_config(workload))
     try:
         engine.run(workload.interleaved_records())
-        (rid, source), _ = engine.grid.synopsis_items()[0]
+        rid, source = _first_multi_member_entity(engine)
+        start = engine.ctx.query.frontier_expansions
         first = engine.resolve(rid, source)
+        after_first = engine.ctx.query.frontier_expansions
         again = engine.resolve(rid, source)
-        assert again is first
-        stats = engine.ctx.query.as_dict()
-        assert stats["resolves"] == 2
-        assert stats["cache_hits"] == 1
-        assert stats["cache_misses"] == 1
+        assert again == first
+        assert after_first > start
+        assert engine.ctx.query.frontier_expansions > after_first
     finally:
         engine.close()
 
 
-def test_cache_respects_the_lru_bound():
-    workload = _small_workload()
-    engine = TERiDSEngine(repository=workload.repository,
-                          config=_small_config(workload))
-    try:
-        engine.run(workload.interleaved_records())
-        resolver = QueryResolver(engine.ctx, cache_size=4)
-        items = engine.grid.synopsis_items()
-        assert len(items) > 4
-        for (rid, source), _ in items:
-            resolver.resolve(rid, source)
-        assert len(resolver) == 4
-        # The most recent queries are the retained ones.
-        (rid, source), _ = items[-1]
-        hits_before = engine.ctx.query.cache_hits
-        resolver.resolve(rid, source)
-        assert engine.ctx.query.cache_hits == hits_before + 1
-    finally:
-        engine.close()
-
-
-def test_window_maintenance_invalidates_only_intersecting_entries():
-    """Every entity's cached cluster stays correct across the whole run:
-    stale entries are dropped by region, and whatever survives a batch is
-    re-checked against the ground-truth closure (a stale serve would fail
-    the bit-identity assertion)."""
+# ---------------------------------------------------------------------------
+# Freshness: every answer reflects the window as maintenance left it
+# ---------------------------------------------------------------------------
+def test_resolve_is_unchanged_by_unrelated_inserts_and_tracks_related_ones():
     workload = _small_workload()
     engine = TERiDSEngine(repository=workload.repository,
                           config=_small_config(workload, window=10))
     try:
         records = list(workload.interleaved_records())
         engine.process_batch(records[:30])
-        step = max(1, len(records[30:]) // 6)
-        invalidations_seen = 0
-        for start in range(30, len(records), step):
-            # Warm the cache for everything in-window...
-            for (rid, source), _ in engine.grid.synopsis_items():
-                engine.resolve(rid, source)
-            before = engine.ctx.query.cache_invalidations
-            engine.process_batch(records[start:start + step])
-            invalidations_seen += engine.ctx.query.cache_invalidations - before
-            # ...then verify every post-maintenance answer (cached or
-            # recomputed) against the eager closure.
-            for (rid, source), _ in engine.grid.synopsis_items():
-                assert_cluster_equals_closure(engine, rid, source)
-        assert invalidations_seen > 0  # maintenance did hit cached regions
+        unchanged = changed = 0
+        for record in records[30:]:
+            before = {key: engine.resolve(*key)
+                      for key, _ in engine.grid.synopsis_items()}
+            engine.process_batch([record])
+            for key, _ in engine.grid.synopsis_items():
+                after = assert_cluster_equals_closure(engine, *key)
+                if key not in before:
+                    continue
+                if after == before[key]:
+                    unchanged += 1
+                else:
+                    changed += 1
+        assert unchanged > 0 and changed > 0
     finally:
         engine.close()
 
 
-def test_member_expiry_drops_the_cached_cluster():
+def test_resolve_after_member_expiry_equals_closure():
+    """A cluster-mate's count-based expiry shrinks the survivor's cluster."""
     workload = _small_workload()
-    window = 10
     engine = TERiDSEngine(repository=workload.repository,
-                          config=_small_config(workload, window=window))
+                          config=_small_config(workload, window=10))
     try:
-        records = list(workload.interleaved_records())
-        engine.process_batch(records[:2 * window])
-        (rid, source), _ = engine.grid.synopsis_items()[0]  # oldest first
-        engine.resolve(rid, source)
-        # Push enough arrivals through the query's stream to expire it.
-        engine.process_batch(records[2 * window:4 * window])
-        assert not engine.grid.contains(rid, source)
-        with pytest.raises(KeyError):
-            engine.resolve(rid, source)
-        assert engine.ctx.query.cache_invalidations > 0
+        shrunk = 0
+        for record in workload.interleaved_records():
+            before = {key: engine.resolve(*key)
+                      for key, _ in engine.grid.synopsis_items()}
+            engine.process_batch([record])
+            for (rid, source), cluster in before.items():
+                expired = {member for member in cluster.members
+                           if not engine.grid.contains(member[1], member[0])}
+                if not expired:
+                    continue
+                if (source, rid) in expired:
+                    with pytest.raises(KeyError):
+                        engine.resolve(rid, source)
+                    continue
+                after = assert_cluster_equals_closure(engine, rid, source)
+                assert not expired & set(after.members)
+                shrunk += 1
+        assert shrunk > 0  # some survivor did lose a cluster-mate
     finally:
         engine.close()
 
 
-def test_event_time_retraction_drops_the_cached_cluster():
+def test_resolve_after_event_time_retraction_equals_closure():
     workload = _small_workload()
     engine = TERiDSEngine(repository=workload.repository,
                           config=_small_config(workload))
     try:
         engine.run(workload.interleaved_records())
-        (rid, source), _ = engine.grid.synopsis_items()[0]
-        cold = engine.resolve(rid, source)
-        assert engine.resolve(rid, source) is cold
-
-        class _Expired:
-            def __init__(self, rid, source):
-                self.rid = rid
-                self.source = source
-
-        before = engine.ctx.query.cache_invalidations
-        engine.pipeline.maintenance.retract([_Expired(rid, source)])
-        assert engine.ctx.query.cache_invalidations > before
-        assert not engine.grid.contains(rid, source)
+        rid, source = _first_multi_member_entity(engine)
+        mate_source, mate_rid = next(
+            member for member in engine.resolve(rid, source).members
+            if member != (source, rid))
+        # ``retract`` only reads ``rid`` / ``source`` off its items.
+        engine.pipeline.maintenance.retract(
+            [engine.grid.get_synopsis(mate_rid, mate_source)])
+        assert not engine.grid.contains(mate_rid, mate_source)
         with pytest.raises(KeyError):
-            engine.resolve(rid, source)
-        # Other entities still answer correctly after the retraction.
-        for (other_rid, other_source), _ in engine.grid.synopsis_items()[:5]:
-            assert_cluster_equals_closure(engine, other_rid, other_source)
+            engine.resolve(mate_rid, mate_source)
+        after = assert_cluster_equals_closure(engine, rid, source)
+        assert not after.contains(mate_rid, mate_source)
     finally:
         engine.close()
 
@@ -389,9 +363,9 @@ def test_counters_and_pruning_stats_untouched_by_lookups():
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: counters persist, cached clusters do not
+# Checkpoints: the query counters persist
 # ---------------------------------------------------------------------------
-def test_checkpoint_restores_query_stats_but_drops_the_cache():
+def test_checkpoint_restores_query_stats():
     workload = _small_workload()
     config = _small_config(workload)
     engine = TERiDSEngine(repository=workload.repository, config=config)
@@ -401,24 +375,27 @@ def test_checkpoint_restores_query_stats_but_drops_the_cache():
             engine.resolve(rid, source)
         expected = engine.ctx.query.as_dict()
         assert expected["resolves"] == 6
+        assert expected["frontier_expansions"] >= 6
         state = json.loads(json.dumps(engine.checkpoint()))  # JSON-safe
 
         clone = TERiDSEngine(repository=workload.repository, config=config)
         try:
             clone.restore_checkpoint(state)
             assert clone.ctx.query.as_dict() == expected
-            assert len(clone.resolver) == 0  # cache is scratch
-            # Post-restore lookups are cold but still the exact closure.
+            # Post-restore lookups are still the exact closure.
             (rid, source), _ = clone.grid.synopsis_items()[0]
             assert_cluster_equals_closure(clone, rid, source)
+
+            # A checkpoint written before the result cache was removed
+            # carries three more keys; they are ignored, not an error.
+            state["query_stats"] = {
+                "resolves": 9, "cache_hits": 4, "cache_misses": 5,
+                "cache_invalidations": 3, "frontier_expansions": 17}
+            clone.restore_checkpoint(state)
+            assert clone.ctx.query.as_dict() == {
+                "resolves": 9, "frontier_expansions": 17}
         finally:
             clone.close()
-
-        # Restoring into the *same* engine clears its warm cache too.
-        assert len(engine.resolver) > 0
-        engine.restore_checkpoint(state)
-        assert len(engine.resolver) == 0
-        assert engine.ctx.query.as_dict() == expected
     finally:
         engine.close()
 
@@ -446,7 +423,7 @@ def test_resolve_many_is_bit_identical_to_per_seed_resolve(make_executor):
         engine.close()
 
 
-def test_resolve_many_shares_expansion_and_caches_per_seed():
+def test_resolve_many_shares_one_expansion_across_seeds():
     workload = _small_workload()
     engine = TERiDSEngine(repository=workload.repository,
                           config=_small_config(workload))
@@ -454,22 +431,17 @@ def test_resolve_many_shares_expansion_and_caches_per_seed():
         engine.run(workload.interleaved_records())
         keys = [(rid, source)
                 for (rid, source), _ in engine.grid.synopsis_items()]
-        clusters = engine.resolve_many(keys)
+        engine.resolve_many(keys)
         stats = engine.ctx.query.as_dict()
         # One frontier expansion per unique entity: the shared ``evaluated``
         # set means no neighbourhood is expanded twice across the batch.
         assert stats["frontier_expansions"] == len(keys)
-        assert stats["cache_misses"] == len(keys)
-        # Every seed landed in the cache: a per-seed resolve is now a hit
-        # returning the identical cluster object.
-        for (rid, source), cluster in zip(keys, clusters):
-            assert engine.resolve(rid, source) is cluster
-        assert engine.ctx.query.as_dict()["cache_hits"] == len(keys)
+        assert stats["resolves"] == len(keys)
     finally:
         engine.close()
 
 
-def test_resolve_many_mixes_hits_misses_and_duplicates():
+def test_resolve_many_resolves_a_duplicate_input_once():
     workload = _small_workload()
     engine = TERiDSEngine(repository=workload.repository,
                           config=_small_config(workload))
@@ -477,14 +449,10 @@ def test_resolve_many_mixes_hits_misses_and_duplicates():
         engine.run(workload.interleaved_records())
         keys = [(rid, source)
                 for (rid, source), _ in engine.grid.synopsis_items()]
-        warm = engine.resolve(*keys[0])
         batch = [keys[0], keys[1], keys[0], keys[2]]
         clusters = engine.resolve_many(batch)
-        assert clusters[0] is warm          # served from the cache
         assert clusters[2] is clusters[0]   # duplicate input, one lookup
-        stats = engine.ctx.query.as_dict()
-        assert stats["cache_hits"] == 1
-        assert stats["cache_misses"] == 3   # keys[0] cold + keys[1] + keys[2]
+        assert engine.ctx.query.resolves == 3
         for (rid, source), cluster in zip(batch, clusters):
             assert_cluster_equals_closure(engine, rid, source,
                                           cluster=cluster)

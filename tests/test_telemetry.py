@@ -19,6 +19,7 @@ The heavyweight guarantees:
 import json
 import logging
 import random
+from time import perf_counter
 
 import pytest
 
@@ -47,7 +48,7 @@ from repro.obs import (
     exponential_buckets,
     render_prometheus,
 )
-from repro.runtime import MicroBatchExecutor, QueryResolver, SerialExecutor
+from repro.runtime import MicroBatchExecutor, SerialExecutor
 from repro.runtime.context import INGEST_SERIES_WINDOW, IngestStats
 
 PRUNING_FIELDS = (
@@ -277,7 +278,7 @@ class TestNullTelemetry:
         assert NULL_TELEMETRY.enabled is False
         assert NULL_TELEMETRY.current_trace is None
         assert NULL_TELEMETRY.snapshot() is None
-        NULL_TELEMETRY.observe_resolve(0.1, cached=True)
+        NULL_TELEMETRY.observe_resolve(0.1)
 
     def test_disabled_context_still_advances_batch_seq(self):
         workload = generate_dataset("citations", missing_rate=0.3,
@@ -431,7 +432,8 @@ class TestTraceStitching:
 # ---------------------------------------------------------------------------
 
 class TestResolveTelemetry:
-    def test_resolve_observes_hits_and_misses(self):
+    @staticmethod
+    def _engine_with_telemetry():
         workload = generate_dataset("citations", missing_rate=0.3, scale=0.3,
                                     seed=11)
         config = TERiDSConfig(schema=workload.schema,
@@ -440,22 +442,34 @@ class TestResolveTelemetry:
         engine = TERiDSEngine(workload.repository, config)
         telemetry = engine.enable_telemetry()
         engine.run(workload.interleaved_records())
-        resolver = QueryResolver(engine.ctx, cache_size=8)
-        source, window = next(iter(engine.ctx.windows.items()))
-        rid = next(iter(window.items())).record.rid
-        resolver.resolve(rid, source)   # cold: miss
-        resolver.resolve(rid, source)   # warm: hit
-        family = telemetry.registry.histogram("terids_resolve_seconds")
-        assert family.labels(result="miss").count == 1
-        assert family.labels(result="hit").count == 1
+        return engine, telemetry.registry.histogram("terids_resolve_seconds")
+
+    def test_resolve_is_observed_and_leaves_pruning_counters(self):
+        engine, family = self._engine_with_telemetry()
+        (rid, source), _ = engine.grid.synopsis_items()[0]
+        engine.resolve(rid, source)
+        engine.resolve(rid, source)
+        assert family.labels().count == 2
         # Pruning counters stay untouched by interactive lookups — the
         # goldens depend on it.
         before = {name: getattr(engine.ctx.pruning.stats, name)
                   for name in PRUNING_FIELDS}
-        resolver.resolve(rid, source)
+        engine.resolve(rid, source)
         after = {name: getattr(engine.ctx.pruning.stats, name)
                  for name in PRUNING_FIELDS}
         assert after == before
+
+    def test_resolve_many_observes_its_latency_once_per_call(self):
+        """Regression: the whole call's elapsed time was observed once per
+        seed, so the histogram sum was N x the wall time of an N-seed call."""
+        engine, family = self._engine_with_telemetry()
+        keys = [key for key, _ in engine.grid.synopsis_items()[:5]]
+        start = perf_counter()
+        engine.resolve_many(keys)
+        wall = perf_counter() - start
+        series = family.labels()
+        assert series.count == 1
+        assert 0.0 < series.sum <= wall
 
 
 class TestBatchSeqCheckpoint:
