@@ -72,6 +72,7 @@ from repro.imputation import (
 from repro.indexes import ARTree, CDDIndex, DRIndex, ERGrid, PivotTable, select_pivots
 from repro.metrics import AccuracyReport, evaluate_matches
 from repro.persistence import (
+    CheckpointError,
     load_checkpoint,
     load_matches,
     load_repository,
@@ -110,6 +111,7 @@ __all__ = [
     "CallbackSource",
     "CDDIndex",
     "CDDRule",
+    "CheckpointError",
     "DATASET_PROFILES",
     "DDRule",
     "DRIndex",

@@ -23,8 +23,8 @@ that the ER-grid stores as aggregates (Section 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as _np
 
@@ -52,15 +52,26 @@ PRUNING_ORDER = (
 
 @dataclass
 class PruningStats:
-    """Counters of how many candidate pairs each strategy eliminated."""
+    """Counters of how many candidate pairs each strategy eliminated.
 
-    pairs_considered: int = 0
-    pruned_by_topic: int = 0
-    pruned_by_similarity: int = 0
-    pruned_by_probability: int = 0
-    pruned_by_instance: int = 0
-    refined_matches: int = 0
-    refined_non_matches: int = 0
+    The one place the counters are named: checkpoints, snapshots and the
+    telemetry binding iterate :meth:`as_dict`, and each field's ``outcome``
+    metadata is its label on the ``terids_pruning_pairs_total`` metric.
+    """
+
+    pairs_considered: int = field(default=0,
+                                  metadata={"outcome": "considered"})
+    pruned_by_topic: int = field(default=0, metadata={"outcome": "topic"})
+    pruned_by_similarity: int = field(default=0,
+                                      metadata={"outcome": "similarity"})
+    pruned_by_probability: int = field(default=0,
+                                       metadata={"outcome": "probability"})
+    pruned_by_instance: int = field(default=0,
+                                    metadata={"outcome": "instance"})
+    refined_matches: int = field(default=0,
+                                 metadata={"outcome": "refined_match"})
+    refined_non_matches: int = field(default=0,
+                                     metadata={"outcome": "refined_non_match"})
 
     @property
     def total_pruned(self) -> int:
@@ -79,13 +90,12 @@ class PruningStats:
         }
 
     def merge(self, other: "PruningStats") -> None:
-        self.pairs_considered += other.pairs_considered
-        self.pruned_by_topic += other.pruned_by_topic
-        self.pruned_by_similarity += other.pruned_by_similarity
-        self.pruned_by_probability += other.pruned_by_probability
-        self.pruned_by_instance += other.pruned_by_instance
-        self.refined_matches += other.refined_matches
-        self.refined_non_matches += other.refined_non_matches
+        for name, value in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + value)
+
+    def as_dict(self) -> Dict[str, int]:
+        """Every counter by field name, in declaration order."""
+        return asdict(self)
 
 
 @dataclass
@@ -419,112 +429,69 @@ class PruningPipeline:
 
 
 # ---------------------------------------------------------------------------
-# Packed columnar synopses + the vectorized pruning kernel
+# Packed columnar synopses + the row pruning kernel
 # ---------------------------------------------------------------------------
-#: Attribute under which the packed block is cached on a synopsis (mirrors
-#: the instance-profile cache of :mod:`repro.runtime.evaluation`).
-_PACKED_ATTR = "_packed_synopsis"
+def pack_synopsis(synopsis: RecordSynopsis):
+    """One synopsis laid out in kernel order — a row of :class:`PackedStore`.
 
+    The per-attribute dicts are flattened into dense ``float64`` arrays in
+    schema order, returned as the tuple ``(dist_lb, dist_ub, tok_min,
+    tok_max, may_have_keyword, pivot_limit, totals)``:
 
-@dataclass
-class PackedSynopsis:
-    """Columnar numpy mirror of one :class:`RecordSynopsis`.
-
-    The per-attribute dicts of the dataclass are flattened into dense
-    ``float64`` arrays in schema order so that a whole candidate list can be
-    evaluated with a handful of array operations:
-
-    * ``dist_lb`` / ``dist_ub`` / ``dist_exp`` — shape ``(d, P)`` where ``P``
-      is the maximum pivot count over the attributes; attributes with fewer
-      pivots are edge-padded (replicating their last pivot, matching the
+    * ``dist_lb`` / ``dist_ub`` — shape ``(d, P)`` where ``P`` is the
+      maximum pivot count over the attributes; attributes with fewer pivots
+      are edge-padded (replicating their last pivot, matching the
       ``min(pivot_index, len - 1)`` clamping of the scalar accessors);
     * ``tok_min`` / ``tok_max`` — shape ``(d,)`` token-size bounds;
     * ``may_have_keyword`` — the Theorem 4.1 flag;
     * ``pivot_limit`` — the number of *real* (un-padded) pivots shared by
       every attribute, i.e. the exact pivot range the scalar
       :func:`similarity_upper_bound` iterates;
-    * ``total_exp0`` / ``total_lb0`` / ``total_ub0`` — the main-pivot
-      distance totals of Lemma 4.3, pre-accumulated in the scalar methods'
-      exact float order (they depend only on the record, not the pair).
+    * ``totals`` — ``(exp0, lb0, ub0)``, the main-pivot distance totals of
+      Lemma 4.3, pre-accumulated in the scalar methods' exact float order
+      (they depend only on the record, not the pair).
     """
-
-    dist_lb: "object"
-    dist_ub: "object"
-    dist_exp: "object"
-    tok_min: "object"
-    tok_max: "object"
-    may_have_keyword: bool
-    pivot_limit: int
-    total_exp0: float
-    total_lb0: float
-    total_ub0: float
-
-
-def pack_synopsis(synopsis: RecordSynopsis) -> "PackedSynopsis":
-    """Build the packed columnar block of one synopsis."""
     schema = synopsis.schema
     dimensionality = len(schema)
     bounds = [synopsis.distance_bounds[name] for name in schema]
-    expectations = [synopsis.distance_expectations[name] for name in schema]
     counts = [len(per_attribute) for per_attribute in bounds]
     if min(counts) < 1:
         raise ValueError("cannot pack a synopsis with a pivot-less attribute")
     pivot_width = max(counts)
     dist_lb = _np.empty((dimensionality, pivot_width))
     dist_ub = _np.empty((dimensionality, pivot_width))
-    dist_exp = _np.empty((dimensionality, pivot_width))
-    for row, (per_attribute, per_expectation, count) in enumerate(
-            zip(bounds, expectations, counts)):
+    for row, (per_attribute, count) in enumerate(zip(bounds, counts)):
         for column in range(pivot_width):
             index = column if column < count else count - 1
-            low, high = per_attribute[index]
-            dist_lb[row, column] = low
-            dist_ub[row, column] = high
-            dist_exp[row, column] = per_expectation[index]
+            dist_lb[row, column], dist_ub[row, column] = per_attribute[index]
     tok = [synopsis.token_size_bounds[name] for name in schema]
     # Main-pivot totals in the exact accumulation order of
     # ``expected_total_distance`` / ``total_distance_bounds``.
     total_exp0 = 0.0
     total_lb0 = 0.0
     total_ub0 = 0.0
-    for per_attribute, per_expectation in zip(bounds, expectations):
+    for name, per_attribute in zip(schema, bounds):
         low, high = per_attribute[0]
-        total_exp0 += per_expectation[0]
+        total_exp0 += synopsis.distance_expectations[name][0]
         total_lb0 += low
         total_ub0 += high
-    return PackedSynopsis(
-        dist_lb=dist_lb,
-        dist_ub=dist_ub,
-        dist_exp=dist_exp,
-        tok_min=_np.array([pair[0] for pair in tok], dtype=_np.float64),
-        tok_max=_np.array([pair[1] for pair in tok], dtype=_np.float64),
-        may_have_keyword=synopsis.may_have_keyword,
-        pivot_limit=min(counts),
-        total_exp0=total_exp0,
-        total_lb0=total_lb0,
-        total_ub0=total_ub0,
-    )
-
-
-def ensure_packed(synopsis: RecordSynopsis) -> "PackedSynopsis":
-    """The synopsis' packed block, built once and cached on the object."""
-    packed = getattr(synopsis, _PACKED_ATTR, None)
-    if packed is None:
-        packed = pack_synopsis(synopsis)
-        setattr(synopsis, _PACKED_ATTR, packed)
-    return packed
+    return (dist_lb, dist_ub,
+            _np.array([pair[0] for pair in tok], dtype=_np.float64),
+            _np.array([pair[1] for pair in tok], dtype=_np.float64),
+            synopsis.may_have_keyword, min(counts),
+            (total_exp0, total_lb0, total_ub0))
 
 
 class PackedStore:
     """A resident, columnar store of packed synopses keyed by (rid, source).
 
     The ER-grid keeps one: in-window synopses occupy rows of shared
-    ``(capacity, d, P)`` arrays so that a candidate list gathers into the
-    kernel's stacked matrices with one fancy-indexing operation instead of
-    per-candidate restacking.
+    ``(capacity, d, P)`` arrays, one column per field of
+    :func:`pack_synopsis`, so that a whole batch of pairs gathers into the
+    kernel's stacked matrices with one fancy-indexing operation per column.
 
     Row lifetime: a removed row keeps its data and still answers
-    :meth:`row_for` until the owner's next :meth:`begin_epoch` — a
+    :meth:`rows_for` until the owner's next :meth:`begin_epoch` — a
     micro-batch evicts during maintenance but evaluates its pairs
     afterwards, so every candidate (and query) a batch recorded stays
     gatherable until that batch ends.  Every owner opens an epoch at batch
@@ -543,13 +510,9 @@ class PackedStore:
         #: Rows removed since the last ``begin_epoch``: still readable by
         #: the batch in flight, so not rewritten until the next epoch opens.
         self._pending_free: List[int] = []
-        #: Times a kernel input could not be gathered from the rows and was
-        #: restacked from per-synopsis blocks instead (0 in steady state).
-        self.restacks = 0
         self._shape: Optional[Tuple[int, int]] = None
         self.dist_lb = None
         self.dist_ub = None
-        self.dist_exp = None
         self.tok_min = None
         self.tok_max = None
         self.may_kw = None
@@ -582,7 +545,6 @@ class PackedStore:
             return fresh
         self.dist_lb = expand(self.dist_lb, (capacity, dimensionality, pivot_width))
         self.dist_ub = expand(self.dist_ub, (capacity, dimensionality, pivot_width))
-        self.dist_exp = expand(self.dist_exp, (capacity, dimensionality, pivot_width))
         self.tok_min = expand(self.tok_min, (capacity, dimensionality))
         self.tok_max = expand(self.tok_max, (capacity, dimensionality))
         self.totals = expand(self.totals, (capacity, 3))
@@ -594,21 +556,22 @@ class PackedStore:
         self.may_kw = fresh_may
         self.limits = fresh_limits
 
-    def insert(self, synopsis: RecordSynopsis) -> Optional[int]:
-        """Register (or refresh) one synopsis; ``None`` if it does not fit.
+    def insert(self, synopsis: RecordSynopsis) -> int:
+        """Register (or refresh) one synopsis; returns its row.
 
-        A synopsis whose packed block has a different ``(d, P)`` shape than
-        the store (only possible when synopses from different pivot tables
-        are mixed) is simply not stored — the kernel falls back to stacking
-        such candidates individually.
+        One engine has one pivot table, so every synopsis packs to the same
+        ``(d, P)`` shape; one that does not raises :class:`ValueError`.
         """
-        packed = ensure_packed(synopsis)
+        packed = pack_synopsis(synopsis)
+        shape = packed[0].shape
         if self._shape is None:
-            self._shape = packed.dist_lb.shape
+            self._shape = shape
             self._grow(64)
-        elif packed.dist_lb.shape != self._shape:
-            self.remove(synopsis.rid, synopsis.source)
-            return None
+        elif shape != self._shape:
+            raise ValueError(
+                f"synopsis {(synopsis.rid, synopsis.source)!r} packs to "
+                f"shape {shape}, the store holds {self._shape}: synopses of "
+                "different pivot tables cannot share a store")
         key = (synopsis.rid, synopsis.source)
         row = self._rows.get(key)
         if row is not None and self._objects[row] is not synopsis:
@@ -631,16 +594,9 @@ class PackedStore:
             self._rows[key] = row
             self._objects[row] = synopsis
             self._rows_by_id[id(synopsis)] = row
-        self.dist_lb[row] = packed.dist_lb
-        self.dist_ub[row] = packed.dist_ub
-        self.dist_exp[row] = packed.dist_exp
-        self.tok_min[row] = packed.tok_min
-        self.tok_max[row] = packed.tok_max
-        self.may_kw[row] = packed.may_have_keyword
-        self.limits[row] = packed.pivot_limit
-        self.totals[row, 0] = packed.total_exp0
-        self.totals[row, 1] = packed.total_lb0
-        self.totals[row, 2] = packed.total_ub0
+        (self.dist_lb[row], self.dist_ub[row], self.tok_min[row],
+         self.tok_max[row], self.may_kw[row], self.limits[row],
+         self.totals[row]) = packed
         return row
 
     def remove(self, rid: str, source: str) -> bool:
@@ -651,30 +607,23 @@ class PackedStore:
         self._pending_free.append(row)
         return True
 
-    def discard(self, synopsis: RecordSynopsis) -> bool:
-        """:meth:`remove` ``synopsis`` only while it is the live occupant of
-        its key (a same-key re-arrival may already have superseded it)."""
-        key = (synopsis.rid, synopsis.source)
-        row = self._rows.get(key)
-        return (row is not None and self._objects[row] is synopsis
-                and self.remove(*key))
-
-    def row_for(self, synopsis: RecordSynopsis) -> Optional[int]:
-        """The row of exactly this synopsis object (``None`` when absent).
+    def rows_for(self, synopses: Collection[RecordSynopsis]):
+        """``intp`` row array of exactly these synopsis objects.
 
         Identity (not just key equality) decides, so a re-built synopsis
         with the same key never hits another object's row.  Answers for
-        removed synopses too, until the next :meth:`begin_epoch`.
+        removed synopses too, until the next :meth:`begin_epoch`; rows
+        outlive the batch that reads them, so a synopsis without one is a
+        bug in the caller and raises :class:`KeyError` naming its key.
         """
-        return self._rows_by_id.get(id(synopsis))
-
-    def rows_for(self, synopses):
-        """``intp`` row array of ``synopses`` (``None`` if any is absent)."""
         rows_by_id = self._rows_by_id
         try:
             rows = [rows_by_id[id(synopsis)] for synopsis in synopses]
         except KeyError:
-            return None
+            absent = next(synopsis for synopsis in synopses
+                          if id(synopsis) not in rows_by_id)
+            raise KeyError(f"synopsis {(absent.rid, absent.source)!r} has "
+                           "no row in the packed store") from None
         return _np.array(rows, dtype=_np.intp)
 
 
@@ -685,42 +634,6 @@ def gather_rows(store: PackedStore, index):
             store.tok_min[index], store.tok_max[index],
             store.may_kw[index], store.limits[index],
             store.totals[index])
-
-
-def _stack_candidates(candidates: Sequence[RecordSynopsis],
-                      store: Optional[PackedStore]):
-    """Stacked kernel inputs for one candidate list.
-
-    Gathers rows from the resident store when every candidate is stored
-    (the steady-state path: one fancy-indexing copy); otherwise stacks the
-    per-synopsis packed blocks, edge-padding to a common pivot width — and
-    counts the detour in ``store.restacks``.
-    """
-    if store is not None:
-        index = store.rows_for(candidates)
-        if index is not None:
-            return gather_rows(store, index)
-        store.restacks += 1
-    packed = [ensure_packed(candidate) for candidate in candidates]
-    width = max(block.dist_lb.shape[1] for block in packed)
-
-    def pad(array):
-        missing = width - array.shape[1]
-        if missing == 0:
-            return array
-        return _np.pad(array, ((0, 0), (0, missing)), mode="edge")
-
-    dist_lb = _np.stack([pad(block.dist_lb) for block in packed])
-    dist_ub = _np.stack([pad(block.dist_ub) for block in packed])
-    tok_min = _np.stack([block.tok_min for block in packed])
-    tok_max = _np.stack([block.tok_max for block in packed])
-    may_kw = _np.fromiter((block.may_have_keyword for block in packed),
-                          dtype=bool, count=len(packed))
-    limits = _np.fromiter((block.pivot_limit for block in packed),
-                          dtype=_np.int64, count=len(packed))
-    totals = _np.array([(block.total_exp0, block.total_lb0, block.total_ub0)
-                        for block in packed])
-    return dist_lb, dist_ub, tok_min, tok_max, may_kw, limits, totals
 
 
 def _sequential_sum(stacked, axis_length: int):
@@ -765,89 +678,58 @@ def batch_cell_scan(query_lb, query_ub, cell_lb, cell_ub):
 PAIR_BLOCK = 1024
 
 
-def batch_prune(query, candidates,
-                keywords: FrozenSet[str], gamma: float, alpha: float,
-                use_topic: bool = True, use_similarity: bool = True,
-                use_probability: bool = True,
-                store: Optional[PackedStore] = None):
-    """Theorems 4.1–4.3 for one query against its whole candidate list, or
-    for a whole micro-batch of (query, candidate) pairs.
+def batch_prune(query_rows, candidate_rows, pruning: PruningPipeline,
+                store: PackedStore):
+    """Theorems 4.1–4.3 for a whole micro-batch of (query, candidate) pairs.
 
-    Two call forms feed the one kernel body (:func:`batch_prune_stacked`):
-
-    * *one query* — ``query`` is a :class:`RecordSynopsis` and
-      ``candidates`` its candidate synopses (gathered from ``store`` when
-      all are resident, restacked otherwise);
-    * *pairs* — ``query`` and ``candidates`` are equal-length integer
-      arrays of resident ``store`` rows, pair ``k`` being ``(query[k],
-      candidates[k])``; any number of distinct queries may be mixed.  The
-      pairs run through the kernel in blocks of :data:`PAIR_BLOCK`.
+    ``query_rows`` and ``candidate_rows`` are equal-length integer arrays of
+    resident ``store`` rows, pair ``k`` being ``(query_rows[k],
+    candidate_rows[k])``; any number of distinct queries may be mixed.  The
+    pairs run through the kernel body (:func:`batch_prune_stacked`) in
+    blocks of :data:`PAIR_BLOCK`, under the thresholds and strategy
+    switches of ``pruning``.
 
     Returns ``(alive, pruned_topic, pruned_similarity, pruned_probability)``
-    where ``alive`` is the boolean survivor mask over the candidates / pairs
-    (in order) and the counters attribute each pruned pair to the first
-    strategy that eliminated it, exactly like the scalar cascade.  Survivor-
-    for-survivor and count-for-count identical to evaluating
+    where ``alive`` is the boolean survivor mask over the pairs (in order)
+    and the counters attribute each pruned pair to the first strategy that
+    eliminated it, exactly like :meth:`PruningPipeline.evaluate_pair`.
+    Survivor-for-survivor and count-for-count identical to evaluating
     :func:`topic_keyword_prune` / :func:`similarity_prune` /
     :func:`probability_prune` per pair: the bound arithmetic performs the
     same IEEE operations on the same operands, only batched.
     """
-    switches = dict(use_topic=use_topic, use_similarity=use_similarity,
-                    use_probability=use_probability)
-    if isinstance(query, RecordSynopsis):
-        return batch_prune_stacked(
-            _query_side(ensure_packed(query)),
-            _stack_candidates(candidates, store), len(candidates),
-            keywords, gamma, alpha, **switches)
-    count = len(candidates)
+    count = len(candidate_rows)
     alive = _np.empty(count, dtype=bool)
     pruned = _np.zeros(3, dtype=_np.int64)  # topic, similarity, probability
     for start in range(0, count, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        candidate_rows = candidates[block]
         alive[block], *block_pruned = batch_prune_stacked(
-            gather_rows(store, query[block]),
-            gather_rows(store, candidate_rows),
-            len(candidate_rows), keywords, gamma, alpha, **switches)
+            gather_rows(store, query_rows[block]),
+            gather_rows(store, candidate_rows[block]), pruning)
         pruned += block_pruned
     return (alive, *pruned.tolist())
 
 
-def _query_side(packed: "PackedSynopsis"):
-    """One packed block as kernel inputs with a leading pair axis of 1."""
-    return (packed.dist_lb[_np.newaxis], packed.dist_ub[_np.newaxis],
-            packed.tok_min[_np.newaxis], packed.tok_max[_np.newaxis],
-            _np.array([packed.may_have_keyword]),
-            _np.array([packed.pivot_limit]),
-            _np.array([(packed.total_exp0, packed.total_lb0,
-                        packed.total_ub0)]))
-
-
-def batch_prune_stacked(query_stacked, stacked, count: int,
-                        keywords: FrozenSet[str], gamma: float, alpha: float,
-                        use_topic: bool = True, use_similarity: bool = True,
-                        use_probability: bool = True):
+def batch_prune_stacked(query_stacked, stacked, pruning: PruningPipeline):
     """The :func:`batch_prune` cascade over pre-stacked kernel inputs.
 
-    ``stacked`` is the candidate side: the 7-tuple :func:`_stack_candidates`
-    / :func:`gather_rows` produce.
-    ``query_stacked`` is the query side in the same layout, its leading axis
-    either ``1`` (one query against ``count`` candidates) or ``count`` (lane
-    ``k`` is the pair ``(query_stacked[k], stacked[k])``); the arithmetic
-    broadcasts, so both shapes perform the same operation per lane.
+    ``query_stacked`` and ``stacked`` are the two sides of the pairs in the
+    7-tuple layout of :func:`gather_rows`: lane ``k`` is the pair
+    ``(query_stacked[k], stacked[k])``.
     """
+    keywords, gamma, alpha = pruning.keywords, pruning.gamma, pruning.alpha
     (query_lb, query_ub, query_tok_min, query_tok_max,
      query_may_kw, query_limits, query_totals) = query_stacked
     (cand_lb, cand_ub, cand_tok_min, cand_tok_max,
      cand_may_kw, cand_limits, cand_totals) = stacked
 
-    alive = _np.ones(count, dtype=bool)
+    alive = _np.ones(len(cand_may_kw), dtype=bool)
     pruned_topic = 0
     pruned_similarity = 0
     pruned_probability = 0
 
     # --- Theorem 4.1: topic keyword pruning --------------------------------
-    if use_topic and keywords:
+    if pruning.use_topic and keywords:
         topic_mask = ~(query_may_kw | cand_may_kw)
         pruned_topic = int(_np.count_nonzero(topic_mask))
         alive &= ~topic_mask
@@ -855,20 +737,16 @@ def batch_prune_stacked(query_stacked, stacked, count: int,
     dimensionality = cand_lb.shape[1]
 
     # --- Theorem 4.2: similarity upper bound (Lemmas 4.1 + 4.2) ------------
-    if use_similarity and alive.any():
+    if pruning.use_similarity and alive.any():
         per_attribute = attribute_similarity_upper_bound_batch(
             query_tok_min, query_tok_max, cand_tok_min, cand_tok_max)
         size_bound = _sequential_sum(per_attribute, dimensionality)
 
-        width = min(query_lb.shape[2], cand_lb.shape[2])
-        q_lb = query_lb[:, :, :width]
-        q_ub = query_ub[:, :, :width]
-        c_lb = cand_lb[:, :, :width]
-        c_ub = cand_ub[:, :, :width]
         # min_attribute_distance: only one of the two differences can be
         # positive (disjoint intervals), so the max-of-three formulation is
         # bit-identical to the scalar branches.
-        min_distance = _np.maximum(0.0, _np.maximum(q_lb - c_ub, c_lb - q_ub))
+        min_distance = _np.maximum(0.0, _np.maximum(query_lb - cand_ub,
+                                                    cand_lb - query_ub))
         pivot_bounds = float(dimensionality) - _sequential_sum(
             min_distance, dimensionality)
         # The scalar loop consults exactly min(left, right) pivots per pair;
@@ -876,6 +754,7 @@ def batch_prune_stacked(query_stacked, stacked, count: int,
         # one shared pivot table every limit covers the full width and the
         # masking is skipped.
         limits = _np.minimum(cand_limits, query_limits)
+        width = cand_lb.shape[2]
         if int(limits.min(initial=width)) < width:
             invalid = (_np.arange(width)[_np.newaxis, :]
                        >= limits[:, _np.newaxis])
@@ -886,10 +765,9 @@ def batch_prune_stacked(query_stacked, stacked, count: int,
         alive &= ~similarity_mask
 
     # --- Theorem 4.3: Paley–Zygmund probability upper bound ----------------
-    if use_probability and alive.any():
+    if pruning.use_probability and alive.any():
         margin = dimensionality - gamma
-        query_exp0, query_lb0, query_ub0 = _np.broadcast_to(
-            query_totals, cand_totals.shape).T
+        query_exp0, query_lb0, query_ub0 = query_totals.T
         cand_exp0, cand_lb0, cand_ub0 = cand_totals.T
         # Lemma 4.3 yields 1.0 unless one of its two orientations produces a
         # value: the conditions under which the scalar ``bound()`` gives up

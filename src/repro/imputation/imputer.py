@@ -18,7 +18,7 @@ baseline comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -68,27 +68,13 @@ class ImputationStats:
 
     def merge(self, other: "ImputationStats") -> None:
         """Accumulate another stats object into this one."""
-        self.records_imputed += other.records_imputed
-        self.attributes_imputed += other.attributes_imputed
-        self.attributes_unimputable += other.attributes_unimputable
-        self.rules_considered += other.rules_considered
-        self.rules_applied += other.rules_applied
-        self.samples_scanned += other.samples_scanned
-        self.samples_matched += other.samples_matched
-        self.candidate_values += other.candidate_values
+        for name, value in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + value)
 
     def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view used by the experiment harness."""
-        return {
-            "records_imputed": self.records_imputed,
-            "attributes_imputed": self.attributes_imputed,
-            "attributes_unimputable": self.attributes_unimputable,
-            "rules_considered": self.rules_considered,
-            "rules_applied": self.rules_applied,
-            "samples_scanned": self.samples_scanned,
-            "samples_matched": self.samples_matched,
-            "candidate_values": self.candidate_values,
-        }
+        """Every counter by field name, in declaration order (checkpoints,
+        snapshots, telemetry and the experiment harness read this)."""
+        return asdict(self)
 
 
 def candidate_set_for_sample(sample_value: str, domain: Sequence[str],

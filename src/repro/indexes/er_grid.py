@@ -93,16 +93,14 @@ class GridCell:
         self.distance_intervals = new_distance
         self.token_size_intervals = new_sizes
 
-    def refresh_from_rows(self, store: PackedStore) -> bool:
-        """Columnar :meth:`recompute` over the entries' ``store`` rows.
+    def refresh_from_rows(self, store: PackedStore) -> None:
+        """Columnar :meth:`recompute` over the (non-empty) entries' ``store``
+        rows.
 
         min / max / any are exact, so the aggregates equal the scalar walk's
-        value for value (and type for type).  ``False`` — nothing written —
-        when an entry is not resident in the store.
+        value for value (and type for type).
         """
         rows = store.rows_for(self.entries.values())
-        if rows is None or not len(rows):
-            return False
         self.may_have_keyword = bool(store.may_kw[rows].any())
         self.distance_intervals = list(zip(
             store.dist_lb[rows, :, 0].min(axis=0).tolist(),
@@ -110,7 +108,6 @@ class GridCell:
         self.token_size_intervals = list(zip(
             store.tok_min[rows].min(axis=0).astype(int).tolist(),
             store.tok_max[rows].max(axis=0).astype(int).tolist()))
-        return True
 
     def remove(self, rid: str, source: str, schema: Schema,
                store: Optional[PackedStore] = None) -> bool:
@@ -120,8 +117,10 @@ class GridCell:
         removed = self.entries.pop((rid, source), None)
         if removed is None:
             return False
-        if store is None or not self.refresh_from_rows(store):
+        if store is None or not self.entries:
             self.recompute(schema)
+        else:
+            self.refresh_from_rows(store)
         return True
 
 
@@ -240,10 +239,11 @@ class ERGrid:
     def enable_packed_store(self) -> PackedStore:
         """Keep a columnar :class:`PackedStore` in sync with the grid.
 
-        Enabled on demand by the vectorized refinement path (so the serial
-        executor pays nothing); on first call the current window contents
-        are back-filled, afterwards :meth:`insert` / :meth:`remove` maintain
-        the store incrementally.
+        Enabled on demand by the two callers of the row cascade — every
+        ``MicroBatchExecutor`` batch and every query-time ``resolve`` — so a
+        serial run that is never read pays nothing.  Idempotent: the first
+        call back-fills the current window contents, afterwards
+        :meth:`insert` / :meth:`remove` maintain the store incrementally.
         """
         if self._packed_store is None:
             store = PackedStore()

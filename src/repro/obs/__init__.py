@@ -11,8 +11,7 @@ from .registry import (COUNTER, DEFAULT_BUCKETS, DEFAULT_QUANTILES,
                        DEFAULT_SAMPLE_WINDOW, GAUGE, HISTOGRAM, CounterValue,
                        GaugeValue, HistogramValue, MetricFamily,
                        MetricsRegistry, exponential_buckets)
-from .telemetry import (IMPUTATION_FIELDS, NULL_SCOPE, NULL_TELEMETRY,
-                        PRUNING_FIELDS, NullTelemetry, Telemetry,
+from .telemetry import (NULL_SCOPE, NULL_TELEMETRY, NullTelemetry, Telemetry,
                         bind_context_metrics)
 from .tracing import BatchTrace, Span, Tracer
 
@@ -27,14 +26,12 @@ __all__ = [
     "DEFAULT_SAMPLE_WINDOW",
     "GaugeValue",
     "HistogramValue",
-    "IMPUTATION_FIELDS",
     "LogReporter",
     "MetricFamily",
     "MetricsRegistry",
     "NULL_SCOPE",
     "NULL_TELEMETRY",
     "NullTelemetry",
-    "PRUNING_FIELDS",
     "SlowBatchProfiler",
     "Span",
     "Telemetry",

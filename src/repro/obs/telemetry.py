@@ -15,30 +15,13 @@ never touches any value that participates in the golden comparisons.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import fields
+from typing import Dict, Optional
 
 from .profiler import SlowBatchProfiler
 from .registry import (GAUGE, HISTOGRAM, HistogramValue, MetricsRegistry,
                        exponential_buckets)
 from .tracing import BatchTrace, Span, Tracer
-
-#: ``PruningStats`` counter fields in declaration order; the outcome label
-#: each maps to mirrors the Figure-4 cascade stages.
-PRUNING_FIELDS: Tuple[Tuple[str, str], ...] = (
-    ("pairs_considered", "considered"),
-    ("pruned_by_topic", "topic"),
-    ("pruned_by_similarity", "similarity"),
-    ("pruned_by_probability", "probability"),
-    ("pruned_by_instance", "instance"),
-    ("refined_matches", "refined_match"),
-    ("refined_non_matches", "refined_non_match"),
-)
-
-IMPUTATION_FIELDS: Tuple[str, ...] = (
-    "records_imputed", "attributes_imputed", "attributes_unimputable",
-    "rules_considered", "rules_applied", "samples_scanned",
-    "samples_matched", "candidate_values",
-)
 
 
 class _NullScope:
@@ -174,20 +157,21 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
     """Bind a ``RuntimeContext``'s stat objects onto ``registry``.
 
     Everything goes through collect-time closures over ``ctx`` — never
-    over the stat objects themselves, because several of them are
-    *replaced* (not mutated) on checkpoint restore
-    (``ctx.imputer.stats``, ``ctx.pruning.stats`` via ``clear_online_state``).
+    over the stat objects themselves, because ``ctx.imputer.stats`` is
+    *replaced* (not mutated) on checkpoint restore.  (``ctx.pruning.stats``
+    is overwritten field by field; the same closures serve both.)
     """
-    # Pruning cascade — the Figure-4 counters.
-    for attr, outcome in PRUNING_FIELDS:
+    # Pruning cascade — the Figure-4 counters, labelled by the ``outcome``
+    # each ``PruningStats`` field declares.
+    for stat in fields(ctx.pruning.stats):
         registry.bind(
             "terids_pruning_pairs_total",
-            (lambda a=attr: float(getattr(ctx.pruning.stats, a))),
+            (lambda a=stat.name: float(getattr(ctx.pruning.stats, a))),
             help="Pruning-cascade pair outcomes (Figure 4 counters)",
-            labels={"outcome": outcome})
+            labels={"outcome": stat.metadata["outcome"]})
 
     # Imputation.
-    for attr in IMPUTATION_FIELDS:
+    for attr in ctx.imputer.stats.as_dict():
         registry.bind(
             "terids_imputation_events_total",
             (lambda a=attr: float(getattr(ctx.imputer.stats, a))),
@@ -196,10 +180,9 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
 
     # Ingest: scalars as counters, depth as gauges, triggers fanned out,
     # the formation-latency histogram bound live.
-    for attr in ("tuples_ingested", "batches_formed", "reordered",
-                 "force_released", "admitted_late", "shed_late",
-                 "backpressure_waits", "idle_timeouts", "executor_waits",
-                 "absorbed_samples", "expired_by_watermark"):
+    for attr in ctx.ingest._SCALARS:
+        if attr == "max_queue_depth":  # a high-water mark: the gauge below
+            continue
         registry.bind(
             "terids_ingest_events_total",
             (lambda a=attr: float(getattr(ctx.ingest, a))),
@@ -261,17 +244,6 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         "terids_dr_index_packed_probes_total",
         lambda: float(ctx.dr_index.packed_probes),
         help="DR-index probes answered from the packed repository mirror")
-
-    # The silent fallback of the packed ER phase: kernel inputs restacked
-    # per synopsis because a row was not resident (0 in steady state).
-    def restacks() -> float:
-        store = ctx.grid.packed_store
-        return float(store.restacks) if store is not None else 0.0
-
-    registry.bind(
-        "terids_packed_store_restacks_total", restacks,
-        help="Pruning-kernel inputs restacked instead of gathered from the "
-             "resident packed store")
 
     # Rule-install dispatch (skip / patch / rebuild).
     for attr, outcome in (("installs_skipped", "skipped"),

@@ -14,6 +14,7 @@ matching ``*_from_dict`` inverse and round-tripping is covered by tests.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Union
 
@@ -222,25 +223,51 @@ CHECKPOINT_FORMAT = "ter-ids-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file cannot be loaded; the message names the file and
+    says why (unreadable JSON, wrong shape, foreign format, old version)."""
+
+
 def save_checkpoint(state: Dict, path: PathLike) -> None:
     """Write an engine-state checkpoint (see ``repro.runtime.checkpoint``).
 
     The state dict is produced by ``TERiDSEngine.checkpoint()``; this helper
-    only wraps it in a format/version envelope and writes JSON.
+    wraps it in a format/version envelope, writes the JSON to a sibling
+    temporary file and renames that over ``path`` — so a process killed
+    mid-write leaves the previous checkpoint, never a truncated one.
     """
     payload = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
                "state": state}
-    Path(path).write_text(json.dumps(payload, indent=2))
+    path = Path(path)
+    scratch = path.with_name(path.name + ".tmp")
+    scratch.write_text(json.dumps(payload, indent=2))
+    os.replace(scratch, path)
 
 
 def load_checkpoint(path: PathLike) -> Dict:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    payload = json.loads(Path(path).read_text())
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises :class:`CheckpointError` for every way the file can be damaged.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as error:  # JSONDecodeError, undecodable bytes
+        raise CheckpointError(
+            f"{path} is not readable JSON (truncated or corrupt checkpoint?): "
+            f"{error}") from error
+    if not isinstance(payload, dict):
+        raise CheckpointError(
+            f"{path} is not a TER-iDS checkpoint: expected a JSON object, "
+            f"found {type(payload).__name__}")
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a TER-iDS checkpoint")
+        raise CheckpointError(f"{path} is not a TER-iDS checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {payload.get('version')!r}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version "
+            f"{payload.get('version')!r} (this build reads "
+            f"{CHECKPOINT_VERSION})")
+    if not isinstance(payload.get("state"), dict):
+        raise CheckpointError(f"{path}: checkpoint envelope has no 'state'")
     return payload["state"]
 
 

@@ -22,8 +22,6 @@ from repro.runtime.controller import (
 from repro.runtime.context import IngestStats, QueryStats, RuntimeContext
 from repro.runtime.query import QueryResolver, ResolvedCluster
 from repro.runtime.evaluation import (
-    evaluate_candidates,
-    evaluate_pair_cached,
     evaluate_task_batch,
     instance_profiles,
     refine_pair_cached,
@@ -67,8 +65,6 @@ __all__ = [
     "SynopsisStage",
     "TupleTask",
     "engine_state_to_dict",
-    "evaluate_candidates",
-    "evaluate_pair_cached",
     "evaluate_task_batch",
     "instance_profiles",
     "refine_pair_cached",

@@ -26,12 +26,6 @@ from repro.persistence import (
 )
 from repro.runtime.context import RuntimeContext
 
-_PRUNING_FIELDS = (
-    "pairs_considered", "pruned_by_topic", "pruned_by_similarity",
-    "pruned_by_probability", "pruned_by_instance", "refined_matches",
-    "refined_non_matches",
-)
-
 
 def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
     """Serialise the online state of one runtime context."""
@@ -39,13 +33,11 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         source: [imputed_record_to_dict(item.record) for item in window.items()]
         for source, window in sorted(ctx.windows.items())
     }
-    pruning_stats = ctx.pruning.stats
     state = {
         "timestamps_processed": ctx.timestamps_processed,
         "windows": windows,
         "matches": [match_to_dict(pair) for pair in ctx.result_set.pairs()],
-        "pruning_stats": {name: getattr(pruning_stats, name)
-                          for name in _PRUNING_FIELDS},
+        "pruning_stats": ctx.pruning.stats.as_dict(),
         "imputation_stats": ctx.imputer.stats.as_dict(),
         "timer": {"totals": dict(ctx.timer.totals),
                   "counts": dict(ctx.timer.counts)},
@@ -122,8 +114,9 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
         ctx.result_set.remove_record(rid, source)
 
     pruning_stats = ctx.pruning.stats
-    for name in _PRUNING_FIELDS:
-        setattr(pruning_stats, name, state.get("pruning_stats", {}).get(name, 0))
+    saved_pruning = state.get("pruning_stats", {})
+    for name in pruning_stats.as_dict():
+        setattr(pruning_stats, name, saved_pruning.get(name, 0))
 
     imputation = state.get("imputation_stats", {})
     fresh = ImputationStats()

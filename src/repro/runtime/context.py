@@ -396,17 +396,13 @@ class RuntimeContext:
         the context — and enriched with the registry/traces/profiles when
         the telemetry plane is enabled.
         """
-        from repro.obs.telemetry import IMPUTATION_FIELDS, PRUNING_FIELDS
-
         snapshot: Dict = {
             "batch_seq": self.batch_seq,
             "last_trace_id": self.last_trace_id,
             "timestamps_processed": self.timestamps_processed,
             "matches": len(self.result_set),
-            "pruning": {name: getattr(self.pruning.stats, name)
-                        for name, _ in PRUNING_FIELDS},
-            "imputation": {name: getattr(self.imputer.stats, name)
-                           for name in IMPUTATION_FIELDS},
+            "pruning": self.pruning.stats.as_dict(),
+            "imputation": self.imputer.stats.as_dict(),
             "ingest": self.ingest.as_dict(),
             "query": self.query.as_dict(),
             "grid": {"cells_examined": self.grid.cells_examined,

@@ -1,37 +1,36 @@
-"""Cached, batch-friendly candidate-pair evaluation.
+"""The row cascade: batch-granular candidate-pair evaluation.
 
-The refinement step (Theorem 4.4 / Equation (2)) dominates the online cost:
-for every surviving candidate pair it enumerates instance pairs, and for
-every instance pair the seed engine re-derives the instance's token sets and
-topic flag from scratch.  A tuple stays in its window for ``w`` arrivals and
-is evaluated against many queries, so that per-instance work is recomputed
-hundreds of times.
+The ER phase has two cascades and no switch between them.
+``PruningPipeline.evaluate_pair`` is the scalar oracle ``SerialExecutor``
+runs and every golden is pinned to; :func:`evaluate_task_batch` here is what
+``MicroBatchExecutor`` and the query-time resolver run — Theorems 4.1–4.3 in
+one blocked :func:`~repro.core.pruning.batch_prune` pass over the rows of the
+grid's :class:`~repro.core.pruning.PackedStore`, then Theorem 4.4 / Eq. (2)
+over the survivors.
 
-This module memoises an :class:`InstanceProfile` per instance — existence
-probability, per-attribute token sets in schema order, topic flag — directly
-on the :class:`~repro.core.pruning.RecordSynopsis`, and re-implements the
-exact refinement loops over the cached profiles.  Every floating-point
+That refinement dominates the online cost, and a tuple is refined against
+many queries while it stays in its window, so an :class:`InstanceProfile`
+per instance — existence probability, per-attribute token sets in schema
+order, topic flag — is memoised on the
+:class:`~repro.core.pruning.RecordSynopsis`.  Every floating-point
 accumulation replicates the seed's operation order, so verdicts and
 probabilities are bit-identical to
 :func:`repro.core.matching.ter_ids_probability_with_cutoff` /
-:func:`repro.core.matching.ter_ids_probability`; only the redundant work is
-gone.
+:func:`repro.core.matching.ter_ids_probability`.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as _np
 
 from repro.core.pruning import (
     PackedStore,
+    PruningPipeline,
     PruningStats,
     RecordSynopsis,
     batch_prune,
-    probability_prune,
-    similarity_prune,
-    topic_keyword_prune,
 )
 from repro.core.similarity import jaccard_similarity
 
@@ -74,7 +73,7 @@ def sorted_instance_profiles(synopsis: RecordSynopsis,
                              keywords: FrozenSet[str]) -> List[InstanceProfile]:
     """Descending-probability profiles of one synopsis, cached once.
 
-    ``cutoff_probability`` visits instances in descending probability; a
+    ``cutoff_probability_sorted`` visits instances in descending probability; a
     tuple is refined against many queries during its window residency, so
     the sort is hoisted out of the per-pair path.  Sorting is deterministic
     (stable sort over the same enumeration), so the cached order is exactly
@@ -102,27 +101,17 @@ def _profile_pair_matches(left: InstanceProfile, right: InstanceProfile,
     return similarity > gamma
 
 
-def cutoff_probability(lefts: Sequence[InstanceProfile],
-                       rights: Sequence[InstanceProfile],
-                       has_keywords: bool, gamma: float,
-                       alpha: float) -> Tuple[float, bool, int]:
-    """Theorem 4.4 early-terminating Eq. (2) over cached profiles.
-
-    Bit-identical to ``ter_ids_probability_with_cutoff``: same
-    descending-probability visit order (stable sort over the same instance
-    enumeration), same accumulation order, same bounds.
-    """
-    return cutoff_probability_sorted(
-        sorted(lefts, key=lambda profile: -profile[0]),
-        sorted(rights, key=lambda profile: -profile[0]),
-        has_keywords, gamma, alpha)
-
-
 def cutoff_probability_sorted(lefts: Sequence[InstanceProfile],
                               rights: Sequence[InstanceProfile],
                               has_keywords: bool, gamma: float,
                               alpha: float) -> Tuple[float, bool, int]:
-    """:func:`cutoff_probability` over already-sorted profile lists."""
+    """Theorem 4.4 early-terminating Eq. (2) over cached profiles, both
+    lists already in descending probability.
+
+    Bit-identical to ``ter_ids_probability_with_cutoff``: same visit order
+    (stable sort over the same instance enumeration), same accumulation
+    order, same bounds.
+    """
     matched_mass = 0.0
     explored_mass = 0.0
     pairs_checked = 0
@@ -161,10 +150,9 @@ def refine_pair_cached(left: RecordSynopsis, right: RecordSynopsis,
                        stats: PruningStats) -> Tuple[bool, float]:
     """Instance-level refinement (Theorem 4.4 / Eq. (2)) of one pair.
 
-    The tail of the cascade shared by the scalar per-pair path and the
-    vectorized kernel: pairs reaching it have survived the three bound
-    strategies, so only the exact (cutoff) probability and the refinement
-    counters remain.
+    The tail of the row cascade: pairs reaching it have survived the three
+    bound strategies, so only the exact (cutoff) probability and the
+    refinement counters remain.
     """
     has_keywords = bool(keywords)
     if use_instance:
@@ -193,175 +181,56 @@ def refine_pair_cached(left: RecordSynopsis, right: RecordSynopsis,
     return is_match, probability
 
 
-def evaluate_pair_cached(left: RecordSynopsis, right: RecordSynopsis,
-                         keywords: FrozenSet[str], gamma: float, alpha: float,
-                         use_topic: bool, use_similarity: bool,
-                         use_probability: bool, use_instance: bool,
-                         stats: PruningStats) -> Tuple[bool, float]:
-    """Profile-cached twin of ``PruningPipeline.evaluate_pair``.
-
-    Applies the four strategies in the paper's order with identical
-    counters; the refinement runs over the cached instance profiles instead
-    of re-deriving token sets per instance pair.
-    """
-    stats.pairs_considered += 1
-
-    if use_topic and topic_keyword_prune(left, right, keywords):
-        stats.pruned_by_topic += 1
-        return False, 0.0
-
-    if use_similarity and similarity_prune(left, right, gamma):
-        stats.pruned_by_similarity += 1
-        return False, 0.0
-
-    if use_probability and probability_prune(left, right, gamma, alpha):
-        stats.pruned_by_probability += 1
-        return False, 0.0
-
-    return refine_pair_cached(left, right, keywords, gamma, alpha,
-                              use_instance, stats)
-
-
-def evaluate_candidates(query: RecordSynopsis,
-                        candidates: Sequence[RecordSynopsis],
-                        keywords: FrozenSet[str], gamma: float, alpha: float,
-                        use_topic: bool, use_similarity: bool,
-                        use_probability: bool, use_instance: bool,
-                        stats: PruningStats, vectorized: bool = True,
-                        store: Optional[PackedStore] = None,
-                        ) -> List[Tuple[bool, float]]:
-    """Verdicts of one query against its whole candidate list (in order).
-
-    With ``vectorized`` the three bound strategies run through
-    :func:`~repro.core.pruning.batch_prune` — a handful of columnar array
-    operations over the packed synopses, gathered from ``store`` when the
-    candidates are resident — and only the surviving pairs fall through to
-    the scalar instance-level refinement.  Verdicts, probabilities and
-    every counter are identical to the per-pair scalar cascade; the
-    ``vectorized=False`` path *is* that scalar cascade, kept as the oracle
-    the kernel tests compare against.
-    """
-    if not candidates:
-        return []
-    if not vectorized:
-        return [
-            evaluate_pair_cached(
-                query, candidate, keywords=keywords, gamma=gamma, alpha=alpha,
-                use_topic=use_topic, use_similarity=use_similarity,
-                use_probability=use_probability, use_instance=use_instance,
-                stats=stats)
-            for candidate in candidates
-        ]
-    alive = _counted_prune(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-        use_topic=use_topic, use_similarity=use_similarity,
-        use_probability=use_probability, stats=stats, store=store)
-    verdicts: List[Tuple[bool, float]] = [(False, 0.0)] * len(candidates)
-    for position in alive.nonzero()[0].tolist():
-        verdicts[position] = refine_pair_cached(
-            query, candidates[position], keywords, gamma, alpha,
-            use_instance, stats)
-    return verdicts
-
-
-def _counted_prune(query, candidates, stats: PruningStats, **kernel_args):
-    """One :func:`batch_prune` call (either form) folded into ``stats``.
-
-    The single authority for how the vectorized kernel's results map onto
-    the cascade's counters; returns the survivor mask.
-    """
-    alive, pruned_topic, pruned_similarity, pruned_probability = batch_prune(
-        query, candidates, **kernel_args)
-    stats.pairs_considered += len(candidates)
-    stats.pruned_by_topic += pruned_topic
-    stats.pruned_by_similarity += pruned_similarity
-    stats.pruned_by_probability += pruned_probability
-    return alive
-
-
-def _batch_pair_rows(items, store: Optional[PackedStore]):
+def _batch_pair_rows(items, store: PackedStore):
     """``(query_rows, candidate_rows, starts)`` of a micro-batch's pairs.
 
     The two flat row arrays hold one entry per (query, candidate) pair, item
     after item; item ``i`` owns the flat positions ``starts[i]:starts[i+1]``.
-    ``None`` when the pairs cannot all be gathered from ``store`` — no store
-    enabled, or a synopsis is not resident (a foreign pivot shape is never
-    stored) — which sends the batch down the per-query path.
     """
-    if store is None or not items:
-        return None
-    query_rows: List[int] = []
-    candidate_rows = []  # one row array per item
-    for query, candidates in items:
-        row = store.row_for(query)
-        rows = store.rows_for(candidates)
-        if row is None or rows is None:
-            store.restacks += 1
-            return None
-        query_rows.append(row)
-        candidate_rows.append(rows)
+    candidate_rows = [store.rows_for(candidates) for _, candidates in items]
     counts = [len(rows) for rows in candidate_rows]
-    return (_np.repeat(_np.array(query_rows, dtype=_np.intp), counts),
+    return (_np.repeat(store.rows_for([query for query, _ in items]), counts),
             _np.concatenate(candidate_rows),
             _np.cumsum([0] + counts))
 
 
 def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
                                               Sequence[RecordSynopsis]]],
-                        keywords: FrozenSet[str], gamma: float, alpha: float,
-                        use_topic: bool, use_similarity: bool,
-                        use_probability: bool, use_instance: bool,
-                        stats: PruningStats, vectorized: bool = True,
-                        store: Optional[PackedStore] = None,
+                        pruning: PruningPipeline, store: PackedStore,
                         ) -> List[List[Tuple[bool, float]]]:
     """Verdicts for a whole micro-batch of ``(query, candidates)`` items.
 
     Two passes instead of per-query interleaving: first the three bound
     strategies run for every pair of the batch — one blocked
-    :func:`~repro.core.pruning.batch_prune` pass over the rows of ``store``
-    when every synopsis is resident there, one kernel call per query
-    otherwise — then the instance-level refinement (Theorem 4.4) sweeps
-    *all* surviving pairs of the batch at once over the cached pre-sorted
-    profiles.  Verdicts, probabilities and counters are identical to
-    calling :func:`evaluate_candidates` item by item — the per-pair work is
-    a pure function of the two synopses, only the schedule changes.
+    :func:`~repro.core.pruning.batch_prune` pass over the rows of ``store``,
+    where every synopsis of ``items`` must be resident — then the
+    instance-level refinement (Theorem 4.4) sweeps *all* surviving pairs of
+    the batch at once over the cached pre-sorted profiles.  Thresholds,
+    strategy switches and the counters written are those of ``pruning``.
+    Verdicts, probabilities and counters are identical to calling
+    ``pruning.evaluate_pair`` pair by pair — the per-pair work is a pure
+    function of the two synopses, only the schedule changes.
     """
-    if not vectorized:
-        return [
-            evaluate_candidates(
-                query, candidates, keywords=keywords, gamma=gamma,
-                alpha=alpha, use_topic=use_topic,
-                use_similarity=use_similarity,
-                use_probability=use_probability, use_instance=use_instance,
-                stats=stats, vectorized=False)
-            for query, candidates in items
-        ]
-    kernel_args = dict(keywords=keywords, gamma=gamma, alpha=alpha,
-                       use_topic=use_topic, use_similarity=use_similarity,
-                       use_probability=use_probability, stats=stats,
-                       store=store)
+    if not items:
+        return []
     verdicts_per_item: List[List[Tuple[bool, float]]] = [
         [(False, 0.0)] * len(candidates) for _, candidates in items]
-    #: (item, position) of every pair the bound strategies left alive.
-    survivors: List[Tuple[int, int]] = []
-    pair_rows = _batch_pair_rows(items, store)
-    if pair_rows is not None:
-        query_rows, candidate_rows, starts = pair_rows
-        alive = _counted_prune(query_rows, candidate_rows, **kernel_args)
-        # Flat pair positions back to (item, position within the item).
-        flat = alive.nonzero()[0]
-        owners = _np.searchsorted(starts, flat, side="right") - 1
-        survivors = list(zip(owners.tolist(),
-                             (flat - starts[owners]).tolist()))
-    else:
-        for item_index, (query, candidates) in enumerate(items):
-            if candidates:
-                alive = _counted_prune(query, candidates, **kernel_args)
-                survivors.extend((item_index, position)
-                                 for position in alive.nonzero()[0].tolist())
-    for item_index, position in survivors:
+    query_rows, candidate_rows, starts = _batch_pair_rows(items, store)
+    alive, pruned_topic, pruned_similarity, pruned_probability = batch_prune(
+        query_rows, candidate_rows, pruning, store)
+    stats = pruning.stats
+    stats.pairs_considered += len(candidate_rows)
+    stats.pruned_by_topic += pruned_topic
+    stats.pruned_by_similarity += pruned_similarity
+    stats.pruned_by_probability += pruned_probability
+    # Flat pair positions back to (item, position within the item).
+    flat = alive.nonzero()[0]
+    owners = _np.searchsorted(starts, flat, side="right") - 1
+    refine_args = (pruning.keywords, pruning.gamma, pruning.alpha,
+                   pruning.use_instance, stats)
+    for item_index, position in zip(owners.tolist(),
+                                    (flat - starts[owners]).tolist()):
         query, candidates = items[item_index]
         verdicts_per_item[item_index][position] = refine_pair_cached(
-            query, candidates[position], keywords, gamma, alpha,
-            use_instance, stats)
+            query, candidates[position], *refine_args)
     return verdicts_per_item

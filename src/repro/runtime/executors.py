@@ -11,14 +11,14 @@ Two implementations of the :class:`Executor` contract:
 
   1. the *order-free* stages (rule selection, imputation, synopsis) run for
      the whole batch up front — rule selection grouped by missing-attribute
-     signature, imputation with a cross-record ``cand(s[A_j])`` cache, and
-     synopsis packing into columnar blocks;
+     signature, imputation with a cross-record ``cand(s[A_j])`` cache;
   2. the *order-bound* maintenance + grid lookup run per tuple in arrival
      order (cheap), recording candidate lists and eviction events;
   3. pair refinement — the dominant cost — is evaluated as a pure function
-     of the recorded (query, candidate) synopses through the vectorized
-     :func:`~repro.core.pruning.batch_prune` kernel over the grid's
-     resident packed store;
+     of the recorded (query, candidate) synopses by
+     :func:`~repro.runtime.evaluation.evaluate_task_batch`, the row cascade
+     over the grid's resident packed store (each synopsis is packed into
+     its row when maintenance inserts it);
   4. the result-set mutations (evictions, new pairs) are replayed in
      arrival order, reproducing the serial entity-result-set exactly.
 
@@ -77,8 +77,9 @@ class SerialExecutor(Executor):
     def process_batch(self, pipeline: Pipeline,
                       records: Sequence[Record]) -> List[List[MatchPair]]:
         with pipeline.ctx.begin_batch(len(records)):
-            # Only matters on a grid whose packed store an earlier
-            # micro-batch run enabled: it keeps being maintained.
+            # Only matters on a grid whose packed store was enabled earlier,
+            # by a micro-batch run or by a ``resolve``: it keeps being
+            # maintained.
             pipeline.ctx.grid.begin_epoch()
             return [pipeline.process_one(record) for record in records]
 
@@ -135,7 +136,7 @@ class MicroBatchExecutor(Executor):
             pipeline.rule_selection.run(tasks)
         with ctx.timer.measure(STAGE_IMPUTATION), tel.span("imputation"):
             pipeline.imputation.run(tasks)
-            pipeline.synopsis.run(tasks, packed=True)
+            pipeline.synopsis.run(tasks)
 
         with ctx.timer.measure(STAGE_ER), tel.span("entity_resolution"):
             # Phase 2: order-bound maintenance + candidate lookup, with the
@@ -174,15 +175,9 @@ class MicroBatchExecutor(Executor):
         """Whole-batch evaluation: one blocked bound pass over the batch's
         pairs, one instance-level refinement sweep over the survivors."""
         ctx = pipeline.ctx
-        pruning = ctx.pruning
         verdict_lists = evaluate_task_batch(
             [(task.synopsis, task.candidates) for task in tasks],
-            keywords=pruning.keywords, gamma=pruning.gamma,
-            alpha=pruning.alpha, use_topic=pruning.use_topic,
-            use_similarity=pruning.use_similarity,
-            use_probability=pruning.use_probability,
-            use_instance=pruning.use_instance, stats=pruning.stats,
-            store=ctx.grid.packed_store)
+            ctx.pruning, ctx.grid.packed_store)
         for task, verdicts in zip(tasks, verdict_lists):
             for candidate, (is_match, probability) in zip(task.candidates,
                                                           verdicts):

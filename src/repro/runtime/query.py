@@ -7,8 +7,8 @@ Following the query-time ER formulation of Bhattacharya & Getoor, the
 :class:`QueryResolver` resolves *lazily around the named query*: it seeds a
 frontier from the query record's grid synopsis, retrieves each frontier
 ring's candidates through :meth:`~repro.indexes.er_grid.ERGrid.candidate_synopses`
-(cell-level Theorems 4.1 / Lemma 4.2), evaluates the ring with the batched
-pruning cascade + Theorem 4.4 refinement of :mod:`repro.runtime.evaluation`,
+(cell-level Theorems 4.1 / Lemma 4.2), evaluates the ring with the row
+cascade + Theorem 4.4 refinement of :mod:`repro.runtime.evaluation`,
 and expands collectively — matched neighbours join the frontier — until a
 fixpoint.
 
@@ -32,7 +32,7 @@ live grid, so there is nothing for window maintenance to invalidate.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -73,9 +73,11 @@ class ResolvedCluster:
 class QueryResolver:
     """Stateless on-demand collective resolution over the live window.
 
-    Runs against the live grid whichever executor drives the eager path:
-    the complete logical grid is all the resolver reads (the packed store,
-    when a micro-batch run enabled one, only speeds the cascade up).
+    Runs against the live grid whichever executor drives the eager path.
+    Every ring is evaluated by the row cascade, so the first lookup on a
+    ``SerialExecutor`` engine enables the grid's packed store (back-filled
+    from the window, maintained from then on); the eager path keeps running
+    the scalar oracle and its answers do not change.
 
     Parameters
     ----------
@@ -159,7 +161,7 @@ class QueryResolver:
         """
         ctx = self.ctx
         grid = ctx.grid
-        pruning = ctx.pruning
+        store = grid.enable_packed_store()
         # Grid insertion order is window-arrival order, which recovers the
         # orientation the eager path evaluated each pair under: the later
         # arrival was the query side.
@@ -169,10 +171,13 @@ class QueryResolver:
             seed: grid.get_synopsis(*seed) for seed in seeds}
         edges: Dict[Tuple, MatchPair] = {}
         evaluated: Set[Tuple[RecordKey, RecordKey]] = set()
-        scratch = PruningStats()
         ring: List[RecordKey] = list(members)
         # Interactive lookups must not perturb the Figure-4 style counters
-        # the goldens and checkpoints pin for the eager path.
+        # the goldens and checkpoints pin for the eager path: the cascade
+        # counts into a scratch copy of the operator's pipeline, the grid's
+        # examination counters are put back.
+        pruning = replace(ctx.pruning, keywords=keywords, gamma=gamma,
+                          stats=PruningStats())
         saved = (grid.cells_examined, grid.tuples_examined)
         try:
             while ring:
@@ -209,13 +214,7 @@ class QueryResolver:
                 items.extend(later_groups.values())
                 if not items:
                     break
-                verdicts = evaluate_task_batch(
-                    items, keywords=keywords, gamma=gamma,
-                    alpha=pruning.alpha, use_topic=pruning.use_topic,
-                    use_similarity=pruning.use_similarity,
-                    use_probability=pruning.use_probability,
-                    use_instance=pruning.use_instance, stats=scratch,
-                    store=grid.packed_store)
+                verdicts = evaluate_task_batch(items, pruning, store)
                 ring = []
                 for (query, candidates), item_verdicts in zip(items,
                                                               verdicts):

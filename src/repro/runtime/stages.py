@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.matching import MatchPair
-from repro.core.pruning import RecordSynopsis, ensure_packed
+from repro.core.pruning import RecordSynopsis
 from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.cdd import CDDRule, discover_cdd_rules
 from repro.imputation.incremental import MaintenanceReport
@@ -144,19 +144,13 @@ class SynopsisStage:
     def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
 
-    def build(self, imputed: ImputedRecord,
-              packed: bool = False) -> RecordSynopsis:
-        synopsis = RecordSynopsis.build(imputed, self.ctx.pivots,
-                                        self.ctx.config.keywords)
-        if packed:
-            # Build the columnar block once here (order-free, batchable)
-            # rather than lazily inside the matching stage's hot loop.
-            ensure_packed(synopsis)
-        return synopsis
+    def build(self, imputed: ImputedRecord) -> RecordSynopsis:
+        return RecordSynopsis.build(imputed, self.ctx.pivots,
+                                    self.ctx.config.keywords)
 
-    def run(self, tasks: Sequence[TupleTask], packed: bool = False) -> None:
+    def run(self, tasks: Sequence[TupleTask]) -> None:
         for task in tasks:
-            task.synopsis = self.build(task.imputed, packed=packed)
+            task.synopsis = self.build(task.imputed)
 
 
 class CandidateLookupStage:

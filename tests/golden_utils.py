@@ -89,15 +89,7 @@ def run_reference(engine_factory, workload, config) -> dict:
         "timestamps_processed": report.timestamps_processed,
         "matches": canonical_matches(report.matches),
         "result_set": canonical_matches(engine.current_matches()),
-        "pruning_stats": {
-            "pairs_considered": report.pruning_stats.pairs_considered,
-            "pruned_by_topic": report.pruning_stats.pruned_by_topic,
-            "pruned_by_similarity": report.pruning_stats.pruned_by_similarity,
-            "pruned_by_probability": report.pruning_stats.pruned_by_probability,
-            "pruned_by_instance": report.pruning_stats.pruned_by_instance,
-            "refined_matches": report.pruning_stats.refined_matches,
-            "refined_non_matches": report.pruning_stats.refined_non_matches,
-        },
+        "pruning_stats": report.pruning_stats.as_dict(),
         "imputation_stats": report.imputation_stats.as_dict(),
     }
 

@@ -7,7 +7,7 @@ import pytest
 from golden_utils import build_config, build_workload, canonical_matches
 from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record
-from repro.persistence import load_checkpoint, save_checkpoint
+from repro.persistence import CheckpointError, load_checkpoint, save_checkpoint
 from repro.runtime import MicroBatchExecutor, SerialExecutor
 
 
@@ -132,6 +132,49 @@ def test_checkpoint_file_roundtrip_and_validation(tmp_path, health_repository,
         "timestamps_processed": 0}
 
 
+_GOOD_ENVELOPE = {"format": "ter-ids-checkpoint", "version": 1, "state": {}}
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(json.dumps(_GOOD_ENVELOPE, indent=2)[:-9], id="truncated"),
+    pytest.param("", id="empty"),
+    pytest.param(json.dumps([_GOOD_ENVELOPE]), id="not-an-object"),
+    pytest.param(json.dumps({"format": "ter-ids-checkpoint", "version": 1}),
+                 id="no-state"),
+    pytest.param(json.dumps({**_GOOD_ENVELOPE, "format": "something-else"}),
+                 id="foreign-format"),
+    pytest.param(json.dumps({**_GOOD_ENVELOPE, "version": 999}),
+                 id="other-version"),
+])
+def test_damaged_checkpoint_raises_one_error_naming_the_file(tmp_path, text):
+    path = tmp_path / "damaged.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError) as raised:
+        load_checkpoint(path)
+    assert str(path) in str(raised.value)
+    assert isinstance(raised.value, ValueError)  # what callers caught before
+
+
+def test_interrupted_save_leaves_the_previous_checkpoint_loadable(
+        tmp_path, monkeypatch):
+    """The file is replaced whole: a writer killed before the rename leaves
+    the last good checkpoint, not a truncated one."""
+    path = tmp_path / "state.json"
+    save_checkpoint({"timestamps_processed": 1}, path)
+
+    def killed(source, target):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repro.persistence.os.replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint({"timestamps_processed": 2}, path)
+    monkeypatch.undo()
+    assert load_checkpoint(path) == {"timestamps_processed": 1}
+    save_checkpoint({"timestamps_processed": 3}, path)
+    assert load_checkpoint(path) == {"timestamps_processed": 3}
+    assert [entry.name for entry in tmp_path.iterdir()] == ["state.json"]
+
+
 def test_restore_into_smaller_window_keeps_grid_consistent(tmp_path):
     """Shrinking the window across a restore must not desync grid/windows."""
     workload = build_workload("citations", 0.4, 2)
@@ -168,3 +211,44 @@ def test_restore_clears_previous_online_state(health_repository, health_config):
     assert engine.timestamps_processed == 0
     assert len(engine.result_set) == 0
     assert all(len(window) == 0 for window in engine.windows.values())
+
+
+#: A checkpoint state exactly as the commit before ``PruningStats.as_dict``
+#: wrote it (counters only: no window, no match), key order included.
+_PARENT_FORMAT_STATE = {
+    "timestamps_processed": 60,
+    "windows": {},
+    "matches": [],
+    "pruning_stats": {
+        "pairs_considered": 393, "pruned_by_topic": 156,
+        "pruned_by_similarity": 15, "pruned_by_probability": 2,
+        "pruned_by_instance": 120, "refined_matches": 4,
+        "refined_non_matches": 96},
+    "imputation_stats": {
+        "records_imputed": 21, "attributes_imputed": 17,
+        "attributes_unimputable": 9, "rules_considered": 40,
+        "rules_applied": 31, "samples_scanned": 812, "samples_matched": 77,
+        "candidate_values": 52},
+    "timer": {"totals": {}, "counts": {}},
+    "grid_counters": {"cells_examined": 1450, "tuples_examined": 1210},
+    "ingest_stats": {
+        "tuples_ingested": 60, "batches_formed": 8, "reordered": 3,
+        "force_released": 1, "admitted_late": 2, "shed_late": 1,
+        "backpressure_waits": 4, "max_queue_depth": 16, "idle_timeouts": 1,
+        "executor_waits": 8, "absorbed_samples": 5,
+        "expired_by_watermark": 6, "triggers": {"size": 7, "drain": 1}},
+    "query_stats": {"resolves": 3, "frontier_expansions": 11},
+    "telemetry": {"batch_seq": 8, "trace_id": "batch-00000008"},
+}
+
+
+def test_parent_format_checkpoint_restores_and_reserialises_equal(
+        health_repository, health_config):
+    """The counters are named once, on their dataclasses; the checkpoint
+    JSON they produce must stay byte-identical, key order included."""
+    engine = TERiDSEngine(repository=health_repository, config=health_config)
+    engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
+    assert json.dumps(engine.checkpoint()) == json.dumps(_PARENT_FORMAT_STATE)
+    snapshot = engine.metrics_snapshot()
+    assert snapshot["pruning"] == _PARENT_FORMAT_STATE["pruning_stats"]
+    assert snapshot["imputation"] == _PARENT_FORMAT_STATE["imputation_stats"]

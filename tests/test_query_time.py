@@ -26,6 +26,8 @@ from golden_utils import (
     GOLDEN_WORKLOADS,
     build_config,
     build_workload,
+    canonical_matches,
+    golden_path,
 )
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
@@ -147,6 +149,36 @@ def test_resolve_mid_stream_tracks_the_moving_window():
             engine.process_batch(records[start:start + step])
             for (rid, source), _ in engine.grid.synopsis_items()[:5]:
                 assert_cluster_equals_closure(engine, rid, source)
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("dataset,scale,seed,window", GOLDEN_WORKLOADS)
+def test_serial_run_continued_after_a_read_equals_the_golden(dataset, scale,
+                                                            seed, window):
+    """The first ``resolve`` on a serial engine enables the grid's packed
+    store (the row cascade is the only one the resolver has); the store a
+    read enabled must not change a later eager answer or counter."""
+    workload = build_workload(dataset, scale, seed)
+    engine = TERiDSEngine(repository=workload.repository,
+                          config=build_config(workload, window),
+                          executor=SerialExecutor())
+    golden = json.loads(golden_path(dataset).read_text())["reference"]
+    try:
+        records = list(workload.interleaved_records())
+        middle = len(records) // 2
+        matches = engine.process_batch(records[:middle])
+        assert engine.grid.packed_store is None
+        for (rid, source), _ in engine.grid.synopsis_items():
+            assert_cluster_equals_closure(engine, rid, source)
+        assert engine.grid.packed_store is not None
+        for record in records[middle:]:
+            matches += engine.process_batch([record])
+        assert canonical_matches(matches) == golden["matches"]
+        assert canonical_matches(engine.current_matches()) == \
+            golden["result_set"]
+        assert engine.pruning.stats.as_dict() == golden["pruning_stats"]
+        assert engine.imputer.stats.as_dict() == golden["imputation_stats"]
     finally:
         engine.close()
 

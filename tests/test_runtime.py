@@ -37,7 +37,7 @@ from repro.runtime import (
     SerialExecutor,
     TupleTask,
 )
-from repro.runtime.evaluation import evaluate_pair_cached, instance_profiles
+from repro.runtime.evaluation import evaluate_task_batch, instance_profiles
 
 
 def _post(rid, gender, symptom, diagnosis, treatment, source="stream-a"):
@@ -135,6 +135,8 @@ class TestCachedEvaluation:
     def test_cached_evaluation_identical_to_pruning_pipeline(
             self, health_repository, health_config):
         """Exhaustive pairwise check: cached verdicts == seed verdicts."""
+        from dataclasses import replace
+
         from repro.core.pruning import PruningPipeline, PruningStats
 
         engine = TERiDSEngine(repository=health_repository, config=health_config)
@@ -155,24 +157,14 @@ class TestCachedEvaluation:
         reference = PruningPipeline(keywords=health_config.keywords,
                                     gamma=health_config.gamma,
                                     alpha=health_config.alpha)
-        cached_stats = PruningStats()
-        for i in range(len(synopses)):
-            for j in range(len(synopses)):
-                if i == j:
-                    continue
-                left, right = synopses[i], synopses[j]
-                expected = reference.evaluate_pair(left, right)
-                got = evaluate_pair_cached(
-                    left, right, keywords=health_config.keywords,
-                    gamma=health_config.gamma, alpha=health_config.alpha,
-                    use_topic=True, use_similarity=True, use_probability=True,
-                    use_instance=True, stats=cached_stats)
-                assert got == expected
-        ref_stats = reference.stats
-        assert cached_stats.pairs_considered == ref_stats.pairs_considered
-        assert cached_stats.pruned_by_topic == ref_stats.pruned_by_topic
-        assert cached_stats.pruned_by_instance == ref_stats.pruned_by_instance
-        assert cached_stats.refined_matches == ref_stats.refined_matches
+        items = [(left, [right for right in synopses if right is not left])
+                 for left in synopses]
+        cached = replace(reference, stats=PruningStats())
+        got = evaluate_task_batch(items, cached,
+                                  engine.grid.enable_packed_store())
+        assert got == [[reference.evaluate_pair(left, right)
+                        for right in rights] for left, rights in items]
+        assert cached.stats == reference.stats
 
     def test_instance_profiles_cached_on_synopsis(self, health_repository,
                                                   health_config):

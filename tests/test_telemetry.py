@@ -51,12 +51,6 @@ from repro.obs import (
 from repro.runtime import MicroBatchExecutor, SerialExecutor
 from repro.runtime.context import INGEST_SERIES_WINDOW, IngestStats
 
-PRUNING_FIELDS = (
-    "pairs_considered", "pruned_by_topic", "pruned_by_similarity",
-    "pruned_by_probability", "pruned_by_instance", "refined_matches",
-    "refined_non_matches",
-)
-
 
 # ---------------------------------------------------------------------------
 # Registry primitives
@@ -344,8 +338,7 @@ def _observables(engine, report):
     return {
         "matches": canonical_matches(report.matches),
         "result_set": canonical_matches(engine.current_matches()),
-        "pruning": {name: getattr(report.pruning_stats, name)
-                    for name in PRUNING_FIELDS},
+        "pruning": report.pruning_stats.as_dict(),
         "imputation": report.imputation_stats.as_dict(),
         "nodes_visited": {
             "dr_index": engine.ctx.dr_index.nodes_visited,
@@ -452,12 +445,9 @@ class TestResolveTelemetry:
         assert family.labels().count == 2
         # Pruning counters stay untouched by interactive lookups — the
         # goldens depend on it.
-        before = {name: getattr(engine.ctx.pruning.stats, name)
-                  for name in PRUNING_FIELDS}
+        before = engine.ctx.pruning.stats.as_dict()
         engine.resolve(rid, source)
-        after = {name: getattr(engine.ctx.pruning.stats, name)
-                 for name in PRUNING_FIELDS}
-        assert after == before
+        assert engine.ctx.pruning.stats.as_dict() == before
 
     def test_resolve_many_observes_its_latency_once_per_call(self):
         """Regression: the whole call's elapsed time was observed once per

@@ -1,15 +1,18 @@
-"""Differential tests: the vectorized pruning kernel and its packed store.
+"""Differential tests: the row pruning kernel and its packed store.
 
 The contract under test is *identity*, not just safety: the columnar
-:func:`~repro.core.pruning.batch_prune` kernel must reproduce the scalar
-cascade's survivor mask, per-strategy pruned counts, verdicts and
-probabilities bit-for-bit, for arbitrary synopses (hypothesis) and on the
-golden workloads.
+:func:`~repro.core.pruning.batch_prune` kernel and
+:func:`~repro.runtime.evaluation.evaluate_task_batch` above it must
+reproduce the scalar oracle :meth:`PruningPipeline.evaluate_pair` —
+survivor mask, verdicts, ``repr(probability)`` and all seven counters — for
+arbitrary synopses (hypothesis) and on the golden workloads.
 """
 
 import contextlib
 import gc
+import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,28 +26,27 @@ from golden_utils import (
     run_reference,
 )
 from repro.core import pruning as pruning_module
-from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.pruning import (
     PAIR_BLOCK,
     PackedStore,
+    PruningPipeline,
     PruningStats,
     RecordSynopsis,
     batch_prune,
-    ensure_packed,
+    pack_synopsis,
     paley_zygmund_bound_from_totals,
-    probability_prune,
-    similarity_prune,
-    topic_keyword_prune,
 )
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.repository import DataRepository
-from repro.indexes.pivots import PivotSelectionConfig, select_pivots
+from repro.indexes.pivots import (
+    PivotSelectionConfig,
+    PivotTable,
+    select_pivots,
+)
 from repro.runtime import (
     MicroBatchExecutor,
     SerialExecutor,
-    evaluate_candidates,
-    evaluate_pair_cached,
     evaluate_task_batch,
 )
 
@@ -77,37 +79,77 @@ WORDS = ("fever", "cough", "chills", "weight", "loss", "blurred", "vision",
          "diabetes", "flu", "red", "eye", "pain", "itchy", "thirst", "")
 
 
-def _make_synopsis(index, symptom, diagnosis, candidates):
+def _make_synopsis(index, symptom, diagnosis, candidates, pivots=PIVOTS):
     record = Record(rid=f"r{index}", values={"symptom": symptom or None,
                                              "diagnosis": diagnosis or None},
                     source=f"s{index % 2}")
     imputed = ImputedRecord(base=record, schema=SCHEMA,
                             candidates=candidates or {})
-    return RecordSynopsis.build(imputed, PIVOTS, KEYWORDS)
+    return RecordSynopsis.build(imputed, pivots, KEYWORDS)
 
 
-def _scalar_cascade(query, candidates, keywords, gamma, alpha,
-                    use_topic=True, use_similarity=True,
-                    use_probability=True):
-    """The three bound strategies applied per pair, with attribution."""
-    mask = []
-    counts = [0, 0, 0]
-    for candidate in candidates:
-        if use_topic and topic_keyword_prune(query, candidate, keywords):
-            counts[0] += 1
-            mask.append(False)
-            continue
-        if use_similarity and similarity_prune(query, candidate, gamma):
-            counts[1] += 1
-            mask.append(False)
-            continue
-        if use_probability and probability_prune(query, candidate, gamma,
-                                                 alpha):
-            counts[2] += 1
-            mask.append(False)
-            continue
-        mask.append(True)
-    return mask, tuple(counts)
+def _store_of(synopses):
+    store = PackedStore()
+    for synopsis in synopses:
+        store.insert(synopsis)
+    return store
+
+
+def _items(synopses, count=None):
+    """Every synopsis in turn as the query against all others — cut to the
+    first ``count`` pairs — as ``(query, candidates)`` items."""
+    pairs = [(query, candidate) for query in synopses
+             for candidate in synopses if candidate is not query][:count]
+    assert count is None or len(pairs) == count
+    items = []
+    for query, candidate in pairs:
+        if not items or items[-1][0] is not query:
+            items.append((query, []))
+        items[-1][1].append(candidate)
+    return items
+
+
+def _assert_rows_equal_oracle(items, oracle, store):
+    """Both entry points of the row cascade against ``oracle.evaluate_pair``
+    pair by pair: verdicts, ``repr(probability)``, all seven counters, and
+    the kernel's survivor mask and per-strategy counts."""
+    rows = replace(oracle, stats=PruningStats())
+    got = evaluate_task_batch(items, rows, store)
+
+    pairs = [(query, candidate) for query, candidates in items
+             for candidate in candidates]
+    stats = oracle.stats
+    verdicts, alive = [], []
+    for query, candidate in pairs:
+        bound_pruned = stats.total_pruned - stats.pruned_by_instance
+        verdicts.append(oracle.evaluate_pair(query, candidate))
+        alive.append(stats.total_pruned - stats.pruned_by_instance
+                     == bound_pruned)
+
+    assert [len(verdicts) for verdicts in got] == [
+        len(candidates) for _, candidates in items]
+    assert [(is_match, repr(probability))
+            for item in got for is_match, probability in item] == [
+        (is_match, repr(probability)) for is_match, probability in verdicts]
+    assert rows.stats == stats
+
+    mask, topic, similarity, probability = batch_prune(
+        store.rows_for([query for query, _ in pairs]),
+        store.rows_for([candidate for _, candidate in pairs]), oracle, store)
+    assert mask.tolist() == alive
+    assert (topic, similarity, probability) == (
+        stats.pruned_by_topic, stats.pruned_by_similarity,
+        stats.pruned_by_probability)
+
+
+@contextlib.contextmanager
+def _pair_block(size):
+    saved = pruning_module.PAIR_BLOCK
+    pruning_module.PAIR_BLOCK = size
+    try:
+        yield
+    finally:
+        pruning_module.PAIR_BLOCK = saved
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +166,25 @@ record_strategy = st.tuples(
     value_strategy,
     st.one_of(st.none(), candidates_strategy),
 )
+toggles_strategy = st.tuples(st.booleans(), st.booleans(), st.booleans(),
+                             st.booleans())
+
+
+def _synopses(records):
+    return [
+        _make_synopsis(index, symptom, diagnosis,
+                       {"diagnosis": extra} if (extra and not diagnosis)
+                       else None)
+        for index, (symptom, diagnosis, extra) in enumerate(records)
+    ]
+
+
+def _pipeline(keywords, gamma, alpha, toggles=(True, True, True, True)):
+    use_topic, use_similarity, use_probability, use_instance = toggles
+    return PruningPipeline(keywords=keywords, gamma=gamma, alpha=alpha,
+                           use_topic=use_topic, use_similarity=use_similarity,
+                           use_probability=use_probability,
+                           use_instance=use_instance)
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,32 +196,12 @@ record_strategy = st.tuples(
 )
 def test_vectorized_kernel_identical_to_scalar_cascade(records, gamma, alpha,
                                                        use_keywords):
-    keywords = KEYWORDS if use_keywords else frozenset()
-    synopses = []
-    for index, (symptom, diagnosis, extra) in enumerate(records):
-        candidates = {"diagnosis": extra} if (extra and not diagnosis) else None
-        synopses.append(_make_synopsis(index, symptom, diagnosis, candidates))
-    query, candidates = synopses[0], synopses[1:]
-
-    alive, topic, similarity, probability = batch_prune(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha)
-    mask, counts = _scalar_cascade(query, candidates, keywords, gamma, alpha)
-    assert list(alive) == mask
-    assert (topic, similarity, probability) == counts
-
-    # Full verdicts (bounds + instance-level refinement) and counters.
-    vector_stats = PruningStats()
-    scalar_stats = PruningStats()
-    vectorized = evaluate_candidates(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-        use_topic=True, use_similarity=True, use_probability=True,
-        use_instance=True, stats=vector_stats, vectorized=True)
-    scalar = evaluate_candidates(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-        use_topic=True, use_similarity=True, use_probability=True,
-        use_instance=True, stats=scalar_stats, vectorized=False)
-    assert vectorized == scalar
-    assert vector_stats == scalar_stats
+    """One query against its whole candidate list."""
+    synopses = _synopses(records)
+    _assert_rows_equal_oracle(
+        [(synopses[0], synopses[1:])],
+        _pipeline(KEYWORDS if use_keywords else frozenset(), gamma, alpha),
+        _store_of(synopses))
 
 
 @settings(max_examples=25, deadline=None)
@@ -168,157 +209,14 @@ def test_vectorized_kernel_identical_to_scalar_cascade(records, gamma, alpha,
     records=st.lists(record_strategy, min_size=2, max_size=6),
     gamma=st.floats(min_value=0.1, max_value=1.9),
     alpha=st.floats(min_value=0.05, max_value=0.95),
-    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    toggles=toggles_strategy,
 )
 def test_vectorized_kernel_respects_strategy_toggles(records, gamma, alpha,
                                                      toggles):
-    use_topic, use_similarity, use_probability = toggles
-    synopses = [
-        _make_synopsis(index, symptom, diagnosis,
-                       {"diagnosis": extra} if (extra and not diagnosis)
-                       else None)
-        for index, (symptom, diagnosis, extra) in enumerate(records)
-    ]
-    query, candidates = synopses[0], synopses[1:]
-    alive, topic, similarity, probability = batch_prune(
-        query, candidates, keywords=KEYWORDS, gamma=gamma, alpha=alpha,
-        use_topic=use_topic, use_similarity=use_similarity,
-        use_probability=use_probability)
-    mask, counts = _scalar_cascade(query, candidates, KEYWORDS, gamma, alpha,
-                                   use_topic=use_topic,
-                                   use_similarity=use_similarity,
-                                   use_probability=use_probability)
-    assert list(alive) == mask
-    assert (topic, similarity, probability) == counts
-
-
-# ---------------------------------------------------------------------------
-# Engine-populated window: kernel + store vs scalar, pair for pair
-# ---------------------------------------------------------------------------
-def _populated_engine():
-    workload = build_workload("citations", 0.4, 7)
-    config = build_config(workload, 40)
-    engine = TERiDSEngine(repository=workload.repository, config=config)
-    engine.run(list(workload.interleaved_records())[:120])
-    return engine, config
-
-
-def test_kernel_with_resident_store_matches_scalar_on_window():
-    engine, config = _populated_engine()
-    synopses = engine.grid.synopses()
-    assert len(synopses) > 30
-    store = PackedStore()
-    for synopsis in synopses:
-        store.insert(synopsis)
-    for query in synopses[:25]:
-        candidates = [s for s in synopses if s is not query]
-        alive, topic, similarity, probability = batch_prune(
-            query, candidates, keywords=config.keywords, gamma=config.gamma,
-            alpha=config.alpha, store=store)
-        mask, counts = _scalar_cascade(query, candidates, config.keywords,
-                                       config.gamma, config.alpha)
-        assert list(alive) == mask
-        assert (topic, similarity, probability) == counts
-
-
-def test_evaluate_candidates_verdicts_and_stats_match_scalar():
-    engine, config = _populated_engine()
-    synopses = engine.grid.synopses()
-    vector_stats = PruningStats()
-    scalar_stats = PruningStats()
-    for query in synopses[:20]:
-        candidates = [s for s in synopses if s is not query]
-        vectorized = evaluate_candidates(
-            query, candidates, keywords=config.keywords, gamma=config.gamma,
-            alpha=config.alpha, use_topic=True, use_similarity=True,
-            use_probability=True, use_instance=True, stats=vector_stats,
-            vectorized=True)
-        scalar = [
-            evaluate_pair_cached(
-                query, candidate, keywords=config.keywords,
-                gamma=config.gamma, alpha=config.alpha, use_topic=True,
-                use_similarity=True, use_probability=True, use_instance=True,
-                stats=scalar_stats)
-            for candidate in candidates
-        ]
-        assert vectorized == scalar
-    assert vector_stats == scalar_stats
-
-
-def test_evaluate_task_batch_verdicts_and_stats_match_scalar():
-    """The whole-batch schedule (one blocked bound pass over the resident
-    rows, then one refinement sweep) against the scalar cascade item by
-    item."""
-    engine, config = _populated_engine()
-    synopses = engine.grid.synopses()
-    store = engine.grid.enable_packed_store()
-    items = [(query, [s for s in synopses if s is not query])
-             for query in synopses[:20]]
-    arguments = dict(keywords=config.keywords, gamma=config.gamma,
-                     alpha=config.alpha, use_topic=True, use_similarity=True,
-                     use_probability=True, use_instance=True)
-    vector_stats = PruningStats()
-    scalar_stats = PruningStats()
-    vectorized = evaluate_task_batch(items, stats=vector_stats, store=store,
-                                     **arguments)
-    scalar = evaluate_task_batch(items, stats=scalar_stats, vectorized=False,
-                                 **arguments)
-    assert vectorized == scalar
-    assert vector_stats == scalar_stats
-    assert store.restacks == 0
-
-
-# ---------------------------------------------------------------------------
-# The pair form: many queries per kernel pass, blocked
-# ---------------------------------------------------------------------------
-def _pair_rows(store, synopses, count):
-    """``count`` (query, candidate) pairs over ``synopses``: every synopsis
-    in turn as the query against all others, as rows of ``store``."""
-    pairs = [(query, candidate) for query in synopses
-             for candidate in synopses if candidate is not query][:count]
-    assert len(pairs) == count
-    return (pairs, store.rows_for([query for query, _ in pairs]),
-            store.rows_for([candidate for _, candidate in pairs]))
-
-
-def _scalar_pairs(pairs, keywords, gamma, alpha, **toggles):
-    mask, counts = [], [0, 0, 0]
-    for query, candidate in pairs:
-        pair_mask, pair_counts = _scalar_cascade(
-            query, [candidate], keywords, gamma, alpha, **toggles)
-        mask += pair_mask
-        counts = [total + one for total, one in zip(counts, pair_counts)]
-    return mask, tuple(counts)
-
-
-@contextlib.contextmanager
-def _pair_block(size):
-    saved = pruning_module.PAIR_BLOCK
-    pruning_module.PAIR_BLOCK = size
-    try:
-        yield
-    finally:
-        pruning_module.PAIR_BLOCK = saved
-
-
-@pytest.mark.parametrize("count", [PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
-def test_pair_kernel_matches_scalar_cascade_around_the_block_size(count):
-    engine, config = _populated_engine()
-    store = PackedStore()
-    synopses = engine.grid.synopses()
-    for synopsis in synopses:
-        store.insert(synopsis)
-    pairs, query_rows, candidate_rows = _pair_rows(store, synopses, count)
-    # Several distinct queries share each block.
-    assert len(set(query_rows[:PAIR_BLOCK].tolist())) > 5
-    alive, topic, similarity, probability = batch_prune(
-        query_rows, candidate_rows, keywords=config.keywords,
-        gamma=config.gamma, alpha=config.alpha, store=store)
-    mask, counts = _scalar_pairs(pairs, config.keywords, config.gamma,
-                                 config.alpha)
-    assert alive.tolist() == mask
-    assert (topic, similarity, probability) == counts
-    assert store.restacks == 0
+    synopses = _synopses(records)
+    _assert_rows_equal_oracle(
+        [(synopses[0], synopses[1:])],
+        _pipeline(KEYWORDS, gamma, alpha, toggles), _store_of(synopses))
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,29 +224,69 @@ def test_pair_kernel_matches_scalar_cascade_around_the_block_size(count):
     records=st.lists(record_strategy, min_size=3, max_size=7),
     gamma=st.floats(min_value=0.1, max_value=1.9),
     alpha=st.floats(min_value=0.05, max_value=0.95),
-    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    toggles=toggles_strategy,
     block=st.integers(min_value=1, max_value=9),
 )
 def test_pair_kernel_identical_to_scalar_cascade(records, gamma, alpha,
                                                  toggles, block):
-    use_topic, use_similarity, use_probability = toggles
-    store = PackedStore()
-    synopses = []
-    for index, (symptom, diagnosis, extra) in enumerate(records):
-        candidates = {"diagnosis": extra} if (extra and not diagnosis) else None
-        synopses.append(_make_synopsis(index, symptom, diagnosis, candidates))
-        store.insert(synopses[-1])
-    count = len(synopses) * (len(synopses) - 1)
-    pairs, query_rows, candidate_rows = _pair_rows(store, synopses, count)
-    switches = dict(use_topic=use_topic, use_similarity=use_similarity,
-                    use_probability=use_probability)
+    """Many queries per kernel pass, in blocks of any size."""
+    synopses = _synopses(records)
     with _pair_block(block):
-        alive, topic, similarity, probability = batch_prune(
-            query_rows, candidate_rows, keywords=KEYWORDS, gamma=gamma,
-            alpha=alpha, store=store, **switches)
-    mask, counts = _scalar_pairs(pairs, KEYWORDS, gamma, alpha, **switches)
-    assert alive.tolist() == mask
-    assert (topic, similarity, probability) == counts
+        _assert_rows_equal_oracle(
+            _items(synopses), _pipeline(KEYWORDS, gamma, alpha, toggles),
+            _store_of(synopses))
+
+
+# ---------------------------------------------------------------------------
+# Engine-populated window: kernel + store vs the oracle, pair for pair
+# ---------------------------------------------------------------------------
+def _populated_engine():
+    workload = build_workload("citations", 0.4, 7)
+    config = build_config(workload, 40)
+    engine = TERiDSEngine(repository=workload.repository, config=config)
+    engine.run(list(workload.interleaved_records())[:120])
+    return engine, _pipeline(config.keywords, config.gamma, config.alpha)
+
+
+def test_kernel_with_resident_store_matches_scalar_on_window():
+    """A store built beside the grid, one kernel call per query."""
+    engine, oracle = _populated_engine()
+    synopses = engine.grid.synopses()
+    assert len(synopses) > 30
+    store = _store_of(synopses)
+    for query in synopses[:25]:
+        _assert_rows_equal_oracle(
+            [(query, [s for s in synopses if s is not query])],
+            replace(oracle, stats=PruningStats()), store)
+
+
+def test_evaluate_task_batch_verdicts_and_stats_match_scalar():
+    """The whole-batch schedule (one blocked bound pass over the grid's own
+    resident rows, then one refinement sweep) against the scalar oracle."""
+    engine, oracle = _populated_engine()
+    synopses = engine.grid.synopses()
+    items = [(query, [s for s in synopses if s is not query])
+             for query in synopses[:20]]
+    _assert_rows_equal_oracle(items, oracle,
+                              engine.grid.enable_packed_store())
+
+
+@pytest.mark.parametrize("count", [PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
+def test_pair_kernel_matches_scalar_cascade_around_the_block_size(count):
+    engine, oracle = _populated_engine()
+    items = _items(engine.grid.synopses(), count)
+    # Several distinct queries share each block.
+    assert len(items) > 5
+    _assert_rows_equal_oracle(items, oracle,
+                              _store_of(engine.grid.synopses()))
+
+
+def test_evaluate_task_batch_takes_items_pruning_and_store():
+    """The ER phase has no switch: nothing to select but the inputs."""
+    assert list(inspect.signature(evaluate_task_batch).parameters) == [
+        "items", "pruning", "store"]
+    assert evaluate_task_batch([], _pipeline(KEYWORDS, 1.0, 0.5),
+                               PackedStore()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +321,8 @@ def test_probability_lanes_equal_scalar_bound(query, candidates, gamma,
                 np.array(rows, dtype=float))
 
     alive, _, _, pruned = pruning_module.batch_prune_stacked(
-        side([query]), side(candidates), count, frozenset(), gamma, alpha,
-        use_topic=False, use_similarity=False)
+        side([query] * count), side(candidates),
+        _pipeline(frozenset(), gamma, alpha, (False, False, True, True)))
     expected = [
         paley_zygmund_bound_from_totals(dimensionality - gamma, *query,
                                         *candidate) <= alpha
@@ -417,6 +355,23 @@ def test_vectorized_in_process_matches_seed_goldens(dataset, scale, seed,
 # ---------------------------------------------------------------------------
 # PackedStore mechanics
 # ---------------------------------------------------------------------------
+#: ``PackedStore`` columns, in the order :func:`pack_synopsis` lays a row out.
+COLUMNS = ("dist_lb", "dist_ub", "tok_min", "tok_max", "may_kw", "limits",
+           "totals")
+
+
+def _row_of(store, synopsis):
+    return int(store.rows_for([synopsis])[0])
+
+
+def _resident(store, synopsis):
+    try:
+        store.rows_for([synopsis])
+    except KeyError:
+        return False
+    return True
+
+
 class TestPackedStore:
     def _synopses(self, count=5):
         return [_make_synopsis(index, "fever cough", "flu", None)
@@ -427,11 +382,10 @@ class TestPackedStore:
         synopses = self._synopses()
         rows = [store.insert(s) for s in synopses]
         assert len(store) == len(synopses)
+        assert store.rows_for(synopses).tolist() == rows
         for synopsis, row in zip(synopses, rows):
-            assert store.row_for(synopsis) == row
-            packed = ensure_packed(synopsis)
-            assert np.array_equal(store.dist_lb[row], packed.dist_lb)
-            assert np.array_equal(store.tok_max[row], packed.tok_max)
+            for column, packed in zip(COLUMNS, pack_synopsis(synopsis)):
+                assert np.array_equal(getattr(store, column)[row], packed)
 
     def test_remove_recycles_rows(self):
         """A removed row is recycled at the next epoch, not before."""
@@ -442,26 +396,48 @@ class TestPackedStore:
         assert store.remove(evicted.rid, evicted.source)
         assert len(store) == len(synopses) - 1
         # Until the epoch turns, the batch in flight can still gather it.
-        assert store.row_for(evicted) == rows[2]
+        assert _row_of(store, evicted) == rows[2]
         assert np.array_equal(store.dist_lb[rows[2]],
-                              ensure_packed(evicted).dist_lb)
+                              pack_synopsis(evicted)[0])
         newcomer = _make_synopsis(98, "sore throat", "cold", None)
         assert store.insert(newcomer) not in rows
         store.begin_epoch()
-        assert store.row_for(evicted) is None
+        assert not _resident(store, evicted)
         replacement = _make_synopsis(99, "red eye", "conjunctivitis", None)
         assert store.insert(replacement) == rows[2]
-        assert store.row_for(replacement) == rows[2]
+        assert _row_of(store, replacement) == rows[2]
 
-    def test_row_for_requires_identity(self):
+    def test_rows_for_requires_identity(self):
         """A re-built synopsis with the same key must not hit a stale row."""
         store = PackedStore()
         original = self._synopses(1)[0]
         store.insert(original)
         rebuilt = _make_synopsis(0, "fever cough", "flu", None)
         assert rebuilt.rid == original.rid
-        assert store.row_for(original) is not None
-        assert store.row_for(rebuilt) is None
+        assert _resident(store, original)
+        assert not _resident(store, rebuilt)
+
+    def test_rows_for_a_non_resident_synopsis_raises_naming_its_key(self):
+        """Rows outlive the batch that reads them, so absence is a bug in
+        the caller — never a slower path."""
+        store = _store_of(self._synopses(3))
+        stranger = _make_synopsis(41, "fever", "flu", None)
+        with pytest.raises(KeyError) as raised:
+            store.rows_for(self._synopses(0) + [stranger])
+        assert repr((stranger.rid, stranger.source)) in str(raised.value)
+
+    def test_insert_of_a_foreign_shape_synopsis_raises(self):
+        """One engine has one pivot table; a synopsis of another does not
+        fit the store's ``(d, P)`` rows."""
+        store = _store_of(self._synopses(2))
+        wider = PivotTable(schema=SCHEMA, pivots={
+            "symptom": ["fever cough", "red eye"],
+            "diagnosis": ["flu", "diabetes"]})
+        foreign = _make_synopsis(7, "fever", "flu", None, pivots=wider)
+        assert pack_synopsis(foreign)[0].shape != store.dist_lb.shape[1:]
+        with pytest.raises(ValueError, match="r7"):
+            store.insert(foreign)
+        assert len(store) == 2 and not _resident(store, foreign)
 
     def test_growth_beyond_initial_capacity(self):
         store = PackedStore()
@@ -470,8 +446,7 @@ class TestPackedStore:
         for synopsis in synopses:
             store.insert(synopsis)
         assert len(store) == 130
-        assert store.row_for(synopses[-1]) is not None
-
+        assert _resident(store, synopses[-1])
 
     def test_same_key_rearrival_keeps_the_superseded_row_until_the_epoch(self):
         store = PackedStore()
@@ -479,12 +454,11 @@ class TestPackedStore:
         row = store.insert(original)
         rebuilt = _make_synopsis(0, "fever cough", "flu", None)
         assert store.insert(rebuilt) != row
-        assert store.row_for(original) == row
+        assert _row_of(store, original) == row
         assert len(store) == 1
-        assert not store.discard(original)  # superseded: nothing to remove
-        assert len(store) == 1
-        assert store.discard(rebuilt)
-        assert len(store) == 0
+        store.begin_epoch()
+        assert not _resident(store, original)
+        assert _resident(store, rebuilt) and len(store) == 1
 
     def test_reinserting_the_removed_object_moves_it_to_a_fresh_row(self):
         store = PackedStore()
@@ -492,12 +466,12 @@ class TestPackedStore:
         old_row = store.insert(synopsis)
         store.remove(synopsis.rid, synopsis.source)
         new_row = store.insert(synopsis)
-        assert new_row != old_row and store.row_for(synopsis) == new_row
+        assert new_row != old_row and _row_of(store, synopsis) == new_row
         store.begin_epoch()  # recycles old_row only
-        assert store.row_for(synopsis) == new_row
+        assert _row_of(store, synopsis) == new_row
         store.remove(synopsis.rid, synopsis.source)
         store.begin_epoch()
-        assert store.row_for(synopsis) is None and len(store) == 0
+        assert not _resident(store, synopsis) and len(store) == 0
 
     def test_evicted_id_cannot_alias_before_the_epoch(self):
         """The store keeps an evicted synopsis alive until ``begin_epoch``,
@@ -512,7 +486,7 @@ class TestPackedStore:
         fresh = [_make_synopsis(100 + index, "fever", "flu", None)
                  for index in range(200)]
         assert stale_id not in {id(synopsis) for synopsis in fresh}
-        assert all(store.row_for(synopsis) is None for synopsis in fresh)
+        assert not any(_resident(store, synopsis) for synopsis in fresh)
         store.begin_epoch()
         assert stale_id not in store._rows_by_id
 
@@ -545,7 +519,6 @@ def test_tiny_window_large_batch_evicts_inside_the_batch():
     got = run_reference(factory, build_workload(dataset, scale, seed), config)
     assert got == serial
     assert got["pruning_stats"]["pairs_considered"] > 0
-    assert engines[0].grid.packed_store.restacks == 0
 
 
 def _stream_engine(executor, window=4):
@@ -576,4 +549,3 @@ def test_grid_store_stays_within_window_plus_one_batch(make_executor):
         engine.process_batch(records[start:start + batch])
         assert len(store) <= window_total
         assert _allocated_rows(store) <= window_total + batch
-    assert store.restacks == 0
