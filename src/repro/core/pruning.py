@@ -24,6 +24,7 @@ that the ER-grid stores as aggregates (Section 5.2).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as _np
@@ -482,6 +483,11 @@ def pack_synopsis(synopsis: RecordSynopsis):
             (total_exp0, total_lb0, total_ub0))
 
 
+#: Smallest vocabulary :meth:`PackedStore.begin_epoch` re-encodes: below it
+#: a rebuild would cost more than the dictionary it frees.
+VOCABULARY_FLOOR = 4096
+
+
 class PackedStore:
     """A resident, columnar store of packed synopses keyed by (rid, source).
 
@@ -489,6 +495,18 @@ class PackedStore:
     ``(capacity, d, P)`` arrays, one column per field of
     :func:`pack_synopsis`, so that a whole batch of pairs gathers into the
     kernel's stacked matrices with one fancy-indexing operation per column.
+
+    Beside the bound columns sit the token columns :func:`batch_refine`
+    reads, written at :meth:`insert` for every row whose tuple has exactly
+    one instance (``single[row]``): ``token_ids[row]`` holds, attribute
+    after attribute in schema order, the ids of that instance's tokens
+    under :attr:`vocabulary` — attribute ``j`` owns the columns
+    ``token_offsets[j]:token_offsets[j + 1]``, as wide as the widest token
+    set seen on it, padded with ``-1`` — ``token_counts[row]`` the
+    per-attribute set sizes and ``instance_p[row]`` the instance's existence
+    probability.  Rows of multi-instance tuples carry no tokens.  Like the
+    rest of the store the columns are rebuilt from the window, never
+    checkpointed.
 
     Row lifetime: a removed row keeps its data and still answers
     :meth:`rows_for` until the owner's next :meth:`begin_epoch` — a
@@ -519,6 +537,15 @@ class PackedStore:
         self.limits = None
         #: ``(capacity, 3)`` main-pivot totals: ``exp0, lb0, ub0`` columns.
         self.totals = None
+        #: token -> id of every token a resident single-instance row holds
+        #: (plus those of rows since evicted, until the next rebuild).
+        self.vocabulary: Dict[str, int] = {}
+        self._vocabulary_base = 0
+        self.token_offsets: List[int] = []
+        self.token_ids = None
+        self.token_counts = None
+        self.single = None
+        self.instance_p = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -534,12 +561,22 @@ class PackedStore:
             self._objects[row] = None
         self._free.extend(self._pending_free)
         del self._pending_free[:]
+        # The vocabulary only ever grows with the stream's domain; the rows
+        # it serves are bounded by the window.  Once it has doubled since
+        # the last rebuild, re-encode the resident rows into a fresh one —
+        # no batch is in flight, so no gathered id outlives the renumbering.
+        if len(self.vocabulary) > max(VOCABULARY_FLOOR,
+                                      2 * self._vocabulary_base):
+            self.vocabulary = {}
+            for row in self._rows.values():
+                self._write_tokens(row, self._objects[row])
+            self._vocabulary_base = len(self.vocabulary)
 
     def _grow(self, capacity: int) -> None:
         dimensionality, pivot_width = self._shape  # type: ignore[misc]
 
-        def expand(array, shape):
-            fresh = _np.zeros(shape)
+        def expand(array, shape, dtype=_np.float64):
+            fresh = _np.zeros(shape, dtype=dtype)
             if array is not None:
                 fresh[: array.shape[0]] = array
             return fresh
@@ -548,13 +585,70 @@ class PackedStore:
         self.tok_min = expand(self.tok_min, (capacity, dimensionality))
         self.tok_max = expand(self.tok_max, (capacity, dimensionality))
         self.totals = expand(self.totals, (capacity, 3))
-        fresh_may = _np.zeros(capacity, dtype=bool)
-        fresh_limits = _np.zeros(capacity, dtype=_np.int64)
-        if self.may_kw is not None:
-            fresh_may[: self.may_kw.shape[0]] = self.may_kw
-            fresh_limits[: self.limits.shape[0]] = self.limits
-        self.may_kw = fresh_may
-        self.limits = fresh_limits
+        self.may_kw = expand(self.may_kw, (capacity,), bool)
+        self.limits = expand(self.limits, (capacity,), _np.int64)
+        if self.token_ids is None:
+            self.token_offsets = [0] * (dimensionality + 1)
+            self.token_ids = _np.empty((0, 0), dtype=_np.int32)
+        self.token_ids = self._token_columns(capacity, self.token_offsets)
+        self.token_counts = expand(self.token_counts,
+                                   (capacity, dimensionality), _np.int32)
+        self.single = expand(self.single, (capacity,), bool)
+        self.instance_p = expand(self.instance_p, (capacity,))
+
+    def _token_columns(self, capacity: int, offsets: List[int]):
+        """The token ids re-laid into ``capacity`` rows under ``offsets``
+        (each attribute at least as wide as it is now), ``-1`` elsewhere."""
+        old, old_offsets = self.token_ids, self.token_offsets
+        fresh = _np.full((capacity, offsets[-1]), -1, dtype=_np.int32)
+        for start, low, high in zip(offsets, old_offsets, old_offsets[1:]):
+            fresh[: old.shape[0], start:start + high - low] = old[:, low:high]
+        return fresh
+
+    def _write_tokens(self, row: int, synopsis: RecordSynopsis) -> None:
+        """Fill the token columns of ``row`` when its tuple has one instance.
+
+        Whether it has is read off the candidate distributions, and so is
+        the instance — each attribute's one possible value, the product of
+        the candidates' probabilities in ``instances()``'s order — without
+        enumerating ``instances()``: most tuples are never refined, and
+        those records would live as long as the window holds the tuple.
+        """
+        record = synopsis.record
+        candidates = record.candidates
+        single = all(len(distribution) == 1
+                     for distribution in candidates.values())
+        self.single[row] = single
+        if not single:
+            return
+        probability = 1.0
+        values = record.base.values
+        if candidates:
+            values = dict(values)
+            for name, distribution in candidates.items():
+                (values[name], weight), = distribution.items()
+                probability *= weight
+        token_sets = [tokenize(values.get(name) or "")
+                      for name in record.schema]
+        counts = [len(tokens) for tokens in token_sets]
+        offsets = self.token_offsets
+        widths = [max(count, high - low) for count, low, high
+                  in zip(counts, offsets, offsets[1:])]
+        if sum(widths) > offsets[-1]:
+            # Some attribute outgrew its columns: widen by exact need.
+            offsets = [0, *accumulate(widths)]
+            self.token_ids = self._token_columns(self.token_ids.shape[0],
+                                                 offsets)
+            self.token_offsets = offsets
+        vocabulary = self.vocabulary
+        # The whole row, so a recycled one keeps nothing of its predecessor.
+        ids = [-1] * offsets[-1]
+        for tokens, low in zip(token_sets, offsets):
+            for column, token in enumerate(tokens, low):
+                ids[column] = vocabulary.setdefault(token, len(vocabulary))
+        self.token_ids[row] = ids
+        self.token_counts[row] = counts
+        self.instance_p[row] = probability
 
     def insert(self, synopsis: RecordSynopsis) -> int:
         """Register (or refresh) one synopsis; returns its row.
@@ -597,6 +691,7 @@ class PackedStore:
         (self.dist_lb[row], self.dist_ub[row], self.tok_min[row],
          self.tok_max[row], self.may_kw[row], self.limits[row],
          self.totals[row]) = packed
+        self._write_tokens(row, synopsis)
         return row
 
     def remove(self, rid: str, source: str) -> bool:
@@ -803,3 +898,77 @@ def _paley_zygmund_yields(margin: float, disjoint, gap, spread):
     theta = _np.divide(margin, gap, out=_np.full(gap.shape, -1.0),
                        where=usable)
     return usable & (0.0 <= theta) & (theta <= 1.0)
+
+
+def batch_refine(query_rows, candidate_rows, pruning: PruningPipeline,
+                 store: PackedStore):
+    """Theorem 4.4 / Eq. (2) for pairs of single-instance ``store`` rows.
+
+    ``query_rows`` / ``candidate_rows`` pair up like those of
+    :func:`batch_prune`, and every row must have ``store.single`` set.
+    Returns the ``(is_match, probability)`` arrays
+    :meth:`PruningPipeline.evaluate_pair` reports for pairs that reach
+    refinement, in blocks of :data:`PAIR_BLOCK`.  With one instance a side
+    the cut-off sweep visits one instance pair and can never stop short of
+    the last, so none of these pairs counts as ``pruned_by_instance``.
+
+    Bit-identical to the scalar sweep: χ is the integer intersection and
+    union counts of the two token-id sets, one division per attribute and a
+    left-to-right sum in schema order against ``γ``; the topic test looks the
+    ids of ``pruning.keywords`` up in the rows themselves, so it is exact
+    under any keyword set, not just the one the synopses were built with.
+    """
+    gamma, alpha = pruning.gamma, pruning.alpha
+    vocabulary = store.vocabulary
+    keyword_ids = _np.array([vocabulary[keyword]
+                             for keyword in pruning.keywords
+                             if keyword in vocabulary], dtype=_np.int32)
+    offsets = store.token_offsets
+    count = len(candidate_rows)
+    is_match = _np.empty(count, dtype=bool)
+    probability = _np.empty(count)
+    for start in range(0, count, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        query, candidate = query_rows[block], candidate_rows[block]
+        left, right = store.token_ids[query], store.token_ids[candidate]
+        left_counts = store.token_counts[query]
+        right_counts = store.token_counts[candidate]
+        lanes = len(query)
+        similarity = _np.zeros(lanes)
+        for attribute, (low, high) in enumerate(zip(offsets, offsets[1:])):
+            left_size = left_counts[:, attribute]
+            right_size = right_counts[:, attribute]
+            equal = left[:, low:high, None] == right[:, None, low:high]
+            # Padding equals padding: take those cells back out.
+            intersection = (
+                _np.count_nonzero(equal.reshape(lanes, -1), axis=1)
+                - (high - low - left_size) * (high - low - right_size))
+            union = left_size + right_size - intersection
+            jaccard = _np.zeros(lanes)
+            # ``where`` skips the empty intersections, the 0 / 0 of two
+            # empty sets among them.
+            _np.divide(intersection, union, out=jaccard,
+                       where=intersection > 0)
+            similarity = similarity + jaccard
+        matches = similarity > gamma
+        if pruning.keywords:
+            # Few lanes clear γ; only they need their topic flags.
+            similar = matches.nonzero()[0]
+            matches[similar] = (
+                _has_token(left[similar], keyword_ids)
+                | _has_token(right[similar], keyword_ids))
+        # The one-iteration cut-off sweep: 0.0 + pair_mass is pair_mass.
+        pair_mass = store.instance_p[query] * store.instance_p[candidate]
+        matched = _np.where(matches, pair_mass, 0.0)
+        accepted = matched > alpha
+        if pruning.use_instance:
+            upper = matched + _np.maximum(0.0, 1.0 - pair_mass)
+            matched = _np.where(~accepted & (upper <= alpha), upper, matched)
+        is_match[block] = accepted
+        probability[block] = matched
+    return is_match, probability
+
+
+def _has_token(token_ids, wanted):
+    """Rows of ``token_ids`` holding at least one of the ``wanted`` ids."""
+    return (token_ids[:, :, _np.newaxis] == wanted).any(axis=(1, 2))

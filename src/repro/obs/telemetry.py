@@ -234,6 +234,15 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         lambda: float(ctx.grid.tuples_examined),
         help="ER-grid tuples examined during candidate lookup")
 
+    # Token vocabulary of the grid's packed store: bounded by the resident
+    # rows, re-encoded once it has doubled (0 while no store is enabled).
+    registry.bind(
+        "terids_packed_store_vocabulary_size",
+        lambda: float(len(ctx.grid.packed_store.vocabulary)
+                      if ctx.grid.packed_store is not None else 0),
+        help="Tokens in the packed store's token -> id vocabulary",
+        kind=GAUGE)
+
     # DR-index work by path: which of the two answered imputation probes.
     registry.bind(
         "terids_dr_index_nodes_visited_total",

@@ -8,13 +8,16 @@ one blocked :func:`~repro.core.pruning.batch_prune` pass over the rows of the
 grid's :class:`~repro.core.pruning.PackedStore`, then Theorem 4.4 / Eq. (2)
 over the survivors.
 
-That refinement dominates the online cost, and a tuple is refined against
-many queries while it stays in its window, so an :class:`InstanceProfile`
-per instance — existence probability, per-attribute token sets in schema
-order, topic flag — is memoised on the
-:class:`~repro.core.pruning.RecordSynopsis`.  Every floating-point
-accumulation replicates the seed's operation order, so verdicts and
-probabilities are bit-identical to
+Most survivors pair two single-instance tuples (a complete tuple has one
+possible world), where Theorem 4.4's early termination decides nothing:
+they go through one blocked :func:`~repro.core.pruning.batch_refine` pass
+over the store's token-id columns.  A pair with a multi-instance side keeps
+the scalar cut-off sweep; a tuple is refined against many queries while it
+stays in its window, so for those an :class:`InstanceProfile` per instance —
+existence probability, per-attribute token sets in schema order, topic
+flag — is memoised on the :class:`~repro.core.pruning.RecordSynopsis`.
+Every floating-point accumulation replicates the seed's operation order, so
+verdicts and probabilities are bit-identical to
 :func:`repro.core.matching.ter_ids_probability_with_cutoff` /
 :func:`repro.core.matching.ter_ids_probability`.
 """
@@ -31,6 +34,7 @@ from repro.core.pruning import (
     PruningStats,
     RecordSynopsis,
     batch_prune,
+    batch_refine,
 )
 from repro.core.similarity import jaccard_similarity
 
@@ -204,12 +208,15 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
     strategies run for every pair of the batch — one blocked
     :func:`~repro.core.pruning.batch_prune` pass over the rows of ``store``,
     where every synopsis of ``items`` must be resident — then the
-    instance-level refinement (Theorem 4.4) sweeps *all* surviving pairs of
-    the batch at once over the cached pre-sorted profiles.  Thresholds,
-    strategy switches and the counters written are those of ``pruning``.
-    Verdicts, probabilities and counters are identical to calling
-    ``pruning.evaluate_pair`` pair by pair — the per-pair work is a pure
-    function of the two synopses, only the schedule changes.
+    instance-level refinement (Theorem 4.4) takes *all* surviving pairs of
+    the batch at once: those between two single-instance tuples in one
+    blocked :func:`~repro.core.pruning.batch_refine` pass over the store's
+    token columns, the rest pair by pair over the cached pre-sorted
+    profiles.  Thresholds, strategy switches and the counters written are
+    those of ``pruning``.  Verdicts, probabilities and counters are
+    identical to calling ``pruning.evaluate_pair`` pair by pair — the
+    per-pair work is a pure function of the two synopses, only the schedule
+    changes.
     """
     if not items:
         return []
@@ -223,14 +230,37 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
     stats.pruned_by_topic += pruned_topic
     stats.pruned_by_similarity += pruned_similarity
     stats.pruned_by_probability += pruned_probability
-    # Flat pair positions back to (item, position within the item).
+
     flat = alive.nonzero()[0]
-    owners = _np.searchsorted(starts, flat, side="right") - 1
+    query_rows, candidate_rows = query_rows[flat], candidate_rows[flat]
+    columnar = store.single[query_rows] & store.single[candidate_rows]
+    is_match, probability = batch_refine(
+        query_rows[columnar], candidate_rows[columnar], pruning, store)
+    matches = int(_np.count_nonzero(is_match))
+    stats.refined_matches += matches
+    stats.refined_non_matches += len(is_match) - matches
+    # Most lanes come back as the pre-filled (False, 0.0): write the others.
+    differs = (is_match | (probability != 0.0)).nonzero()[0]
+    verdicts = zip(is_match[differs].tolist(), probability[differs].tolist())
+    for item_index, position, verdict in zip(
+            *_item_positions(flat[columnar][differs], starts), verdicts):
+        verdicts_per_item[item_index][position] = verdict
+
+    # Multi-instance pairs keep the scalar sweep: its early termination
+    # visits fewer instance pairs than a kernel would have to expand, and
+    # its accumulation order fixes ``repr(probability)``.
     refine_args = (pruning.keywords, pruning.gamma, pruning.alpha,
                    pruning.use_instance, stats)
-    for item_index, position in zip(owners.tolist(),
-                                    (flat - starts[owners]).tolist()):
+    for item_index, position in zip(
+            *_item_positions(flat[~columnar], starts)):
         query, candidates = items[item_index]
         verdicts_per_item[item_index][position] = refine_pair_cached(
             query, candidates[position], *refine_args)
     return verdicts_per_item
+
+
+def _item_positions(flat, starts):
+    """Flat pair positions back to ``(item indexes, positions within the
+    item)``, as two lists."""
+    owners = _np.searchsorted(starts, flat, side="right") - 1
+    return owners.tolist(), (flat - starts[owners]).tolist()

@@ -98,7 +98,8 @@ class QueryResolver:
         the defaults the cluster equals the eager transitive closure; a
         caller may narrow a lookup to a different topic keyword set or a
         stricter similarity threshold, which re-runs the same cascade under
-        those parameters.
+        those parameters (minus Theorem 4.1 under another topic: the
+        synopses' keyword flags only speak for the operator's keywords).
 
         Raises :class:`KeyError` when the record is not in the live window.
         """
@@ -176,8 +177,13 @@ class QueryResolver:
         # the goldens and checkpoints pin for the eager path: the cascade
         # counts into a scratch copy of the operator's pipeline, the grid's
         # examination counters are put back.
-        pruning = replace(ctx.pruning, keywords=keywords, gamma=gamma,
-                          stats=PruningStats())
+        # Theorem 4.1 reads keyword flags the synopses were built with under
+        # the operator's keywords: under any other topic they would dismiss
+        # true answers, so only refinement's exact χ tests the topic then.
+        pruning = replace(
+            ctx.pruning, keywords=keywords, gamma=gamma, stats=PruningStats(),
+            use_topic=(ctx.pruning.use_topic
+                       and keywords == ctx.pruning.keywords))
         saved = (grid.cells_examined, grid.tuples_examined)
         try:
             while ring:

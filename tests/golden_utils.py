@@ -81,6 +81,35 @@ def canonical_matches(matches) -> list:
     return rows
 
 
+def decoded_token_rows(store) -> dict:
+    """``{(rid, source): per-attribute token sets}`` of the single-instance
+    rows a ``PackedStore`` holds, read back through its vocabulary."""
+    token_of = {index: token for token, index in store.vocabulary.items()}
+    assert len(token_of) == len(store.vocabulary)
+    offsets = store.token_offsets
+    decoded = {}
+    for key, row in store._rows.items():
+        if not store.single[row]:
+            continue
+        ids = store.token_ids[row].tolist()
+        sets = tuple(frozenset(token_of[index] for index in ids[low:high]
+                               if index >= 0)
+                     for low, high in zip(offsets, offsets[1:]))
+        assert store.token_counts[row].tolist() == [len(s) for s in sets]
+        decoded[key] = sets
+    return decoded
+
+
+def instance_token_rows(synopses) -> dict:
+    """What :func:`decoded_token_rows` must read back for ``synopses``: the
+    per-attribute token sets of each single-instance tuple's instance."""
+    return {
+        (synopsis.rid, synopsis.source): tuple(
+            synopsis.record.instances()[0].record.tokens(name)
+            for name in synopsis.schema)
+        for synopsis in synopses if len(synopsis.record.instances()) == 1}
+
+
 def run_reference(engine_factory, workload, config) -> dict:
     """Run one engine over a workload and canonicalise the observable output."""
     engine = engine_factory(repository=workload.repository, config=config)

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from golden_utils import build_config, build_workload, canonical_matches
+from golden_utils import (
+    build_config,
+    build_workload,
+    canonical_matches,
+    decoded_token_rows,
+    instance_token_rows,
+)
 from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record
 from repro.persistence import CheckpointError, load_checkpoint, save_checkpoint
@@ -59,6 +65,17 @@ def test_checkpoint_restore_resume_equals_uninterrupted(tmp_path,
     assert (resumed.pruning.stats.pairs_considered
             == reference.pruning.stats.pairs_considered)
     assert resumed.pruning.stats.total_pruned == reference.pruning.stats.total_pruned
+
+    # The packed store is rebuilt from the restored window, never
+    # checkpointed: its token columns must decode to the tokens of the
+    # synopses they were rebuilt from, like the uninterrupted run's.
+    if resumed.grid.packed_store is not None:
+        decoded = decoded_token_rows(resumed.grid.packed_store)
+        assert decoded == instance_token_rows(resumed.grid.synopses())
+        assert len(decoded) > 10
+        assert decoded == decoded_token_rows(
+            reference.grid.enable_packed_store())
+        assert resumed.checkpoint().keys() == first.checkpoint().keys()
 
 
 def test_checkpoint_roundtrip_preserves_state(health_repository, health_config):

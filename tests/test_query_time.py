@@ -16,7 +16,7 @@ The heavyweight guarantees:
 
 import inspect
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +31,7 @@ from golden_utils import (
 )
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
+from repro.core.matching import ter_ids_probability
 from repro.datasets.synthetic import generate_dataset
 from repro.runtime import MicroBatchExecutor, QueryResolver, SerialExecutor
 
@@ -267,6 +268,61 @@ def test_resolve_with_topic_override_changes_the_cluster():
         assert narrowed.members == ((source, rid),)
         # The override is per call: the default lookup is still the closure.
         assert_cluster_equals_closure(engine, rid, source)
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("make_executor", EXECUTORS)
+def test_resolve_under_any_topic_dismisses_no_exact_answer(make_executor):
+    """No false dismissal under a topic override: for each of the window's
+    most frequent tokens as the topic, every seed resolves to exactly its
+    component of the exact Eq. (2) edge set.  (Theorem 4.1's keyword flags
+    are packed under the *operator's* keywords, so it must stay out of a
+    lookup under any other topic.)"""
+    workload = _small_workload()
+    config = _small_config(workload)
+    engine = TERiDSEngine(repository=workload.repository, config=config,
+                          executor=make_executor())
+    try:
+        engine.run(workload.interleaved_records())
+        window = engine.grid.synopsis_items()
+        frequency = Counter(
+            token for _, synopsis in window
+            for instance in synopsis.record.instances()
+            for token in instance.record.all_tokens(workload.schema))
+        topics = [token for token, _ in frequency.most_common()
+                  if token not in config.keywords][:38]
+        disagreeing_with_operator_flags = 0
+        for token in topics:
+            topic = frozenset({token})
+            adjacency = defaultdict(set)
+            edges = set()
+            for index, (left_key, left) in enumerate(window):
+                for right_key, right in window[index + 1:]:
+                    if left_key[1] != right_key[1] and ter_ids_probability(
+                            left.record, right.record, topic,
+                            config.gamma) > config.alpha:
+                        adjacency[left_key].add(right_key)
+                        adjacency[right_key].add(left_key)
+                        edges.add(frozenset((left_key, right_key)))
+                        disagreeing_with_operator_flags += not (
+                            left.may_have_keyword or right.may_have_keyword)
+            clusters = engine.resolve_many([key for key, _ in window],
+                                           topic=topic)
+            for (seed, _), cluster in zip(window, clusters):
+                component, stack = {seed}, [seed]
+                while stack:
+                    for neighbour in adjacency[stack.pop()] - component:
+                        component.add(neighbour)
+                        stack.append(neighbour)
+                assert cluster.members == tuple(sorted(
+                    (source, rid) for rid, source in component)), token
+                assert {frozenset(((pair.left_rid, pair.left_source),
+                                   (pair.right_rid, pair.right_source)))
+                        for pair in cluster.pairs} == {
+                    edge for edge in edges if edge <= component}, token
+        # The workload has answers the operator-keyword flags would dismiss.
+        assert disagreeing_with_operator_flags > 0
     finally:
         engine.close()
 

@@ -561,6 +561,20 @@ class TestEngineFacade:
         assert "terids_ingest_formation_seconds_count 0" in text
         assert f"terids_batch_seq {engine.ctx.batch_seq}" in text
 
+    def test_vocabulary_gauge_reads_zero_until_a_read_enables_the_store(
+            self, engine):
+        """A serial engine packs nothing until its first ``resolve``."""
+        assert engine.grid.packed_store is None
+        assert "terids_packed_store_vocabulary_size 0" in \
+            engine.render_metrics()
+        (rid, source), _ = engine.grid.synopsis_items()[0]
+        engine.resolve(rid, source)
+        size = len(engine.grid.packed_store.vocabulary)
+        assert size > 0
+        text = engine.render_metrics()
+        assert "# TYPE terids_packed_store_vocabulary_size gauge" in text
+        assert f"terids_packed_store_vocabulary_size {size}" in text
+
     def test_log_reporter(self, engine, caplog):
         reporter = LogReporter(engine.ctx, every_batches=2)
         with caplog.at_level(logging.INFO, logger="repro.obs"):

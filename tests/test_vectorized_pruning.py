@@ -22,13 +22,16 @@ from golden_utils import (
     GOLDEN_WORKLOADS,
     build_config,
     build_workload,
+    decoded_token_rows,
     golden_path,
+    instance_token_rows,
     run_reference,
 )
 from repro.core import pruning as pruning_module
 from repro.core.engine import TERiDSEngine
 from repro.core.pruning import (
     PAIR_BLOCK,
+    VOCABULARY_FLOOR,
     PackedStore,
     PruningPipeline,
     PruningStats,
@@ -49,6 +52,7 @@ from repro.runtime import (
     SerialExecutor,
     evaluate_task_batch,
 )
+from repro.runtime import evaluation as evaluation_module
 
 SCHEMA = Schema(attributes=("symptom", "diagnosis"))
 KEYWORDS = frozenset({"diabetes"})
@@ -79,13 +83,14 @@ WORDS = ("fever", "cough", "chills", "weight", "loss", "blurred", "vision",
          "diabetes", "flu", "red", "eye", "pain", "itchy", "thirst", "")
 
 
-def _make_synopsis(index, symptom, diagnosis, candidates, pivots=PIVOTS):
+def _make_synopsis(index, symptom, diagnosis, candidates, pivots=PIVOTS,
+                   keywords=KEYWORDS):
     record = Record(rid=f"r{index}", values={"symptom": symptom or None,
                                              "diagnosis": diagnosis or None},
                     source=f"s{index % 2}")
     imputed = ImputedRecord(base=record, schema=SCHEMA,
                             candidates=candidates or {})
-    return RecordSynopsis.build(imputed, pivots, KEYWORDS)
+    return RecordSynopsis.build(imputed, pivots, keywords)
 
 
 def _store_of(synopses):
@@ -287,6 +292,242 @@ def test_evaluate_task_batch_takes_items_pruning_and_store():
         "items", "pruning", "store"]
     assert evaluate_task_batch([], _pipeline(KEYWORDS, 1.0, 0.5),
                                PackedStore()) == []
+
+
+# ---------------------------------------------------------------------------
+# Theorem 4.4 over the token columns: single-instance pairs vs the oracle
+# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def _refinement_calls():
+    """Lane counts of every ``batch_refine`` call and the synopsis pairs of
+    every ``refine_pair_cached`` call made inside the block."""
+    kernel_lanes, scalar_pairs = [], []
+    kernel = evaluation_module.batch_refine
+    scalar = evaluation_module.refine_pair_cached
+
+    def counted_kernel(query_rows, candidate_rows, pruning, store):
+        kernel_lanes.append(len(candidate_rows))
+        return kernel(query_rows, candidate_rows, pruning, store)
+
+    def counted_scalar(left, right, *args):
+        scalar_pairs.append((left, right))
+        return scalar(left, right, *args)
+
+    evaluation_module.batch_refine = counted_kernel
+    evaluation_module.refine_pair_cached = counted_scalar
+    try:
+        yield kernel_lanes, scalar_pairs
+    finally:
+        evaluation_module.batch_refine = kernel
+        evaluation_module.refine_pair_cached = scalar
+
+
+def _is_single(synopsis):
+    return len(synopsis.record.instances()) == 1
+
+
+#: Refinement only: every pair reaches Theorem 4.4.
+NO_BOUNDS = (False, False, False, True)
+
+#: Values that collide often: empty, identical, disjoint and nested sets.
+single_value_strategy = st.sampled_from(
+    ("", "fever cough", "fever cough", "cough fever chills", "red eye",
+     "diabetes", "weight loss diabetes", "flu", "thirst"))
+single_record_strategy = st.tuples(
+    single_value_strategy,
+    single_value_strategy,
+    # A missing diagnosis is left missing or imputed with one candidate.
+    st.one_of(st.none(), st.tuples(
+        st.sampled_from(("diabetes", "flu", "fever cough")),
+        st.sampled_from((1.0, 0.9, 0.6, 0.5, 0.25)))),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    records=st.lists(single_record_strategy, min_size=2, max_size=7),
+    gamma=st.sampled_from((0.1, 0.3, 0.5, 0.99, 1.0, 1.5)),
+    alpha=st.sampled_from((0.05, 0.2, 0.25, 0.45, 0.5, 0.54, 0.81, 0.9)),
+    keywords=st.sampled_from((KEYWORDS, frozenset({"unseen"}),
+                              frozenset({"flu", "unseen"}), frozenset())),
+    toggles=toggles_strategy,
+    block=st.integers(min_value=1, max_value=9),
+)
+def test_single_instance_pairs_never_leave_the_kernel(records, gamma, alpha,
+                                                      keywords, toggles,
+                                                      block):
+    synopses = [
+        _make_synopsis(index, symptom, diagnosis,
+                       {"diagnosis": {imputed[0]: imputed[1]}}
+                       if (imputed and not diagnosis) else None,
+                       keywords=keywords)
+        for index, (symptom, diagnosis, imputed) in enumerate(records)]
+    assert all(_is_single(synopsis) for synopsis in synopses)
+    with _pair_block(block), _refinement_calls() as (_, scalar_pairs):
+        _assert_rows_equal_oracle(
+            _items(synopses), _pipeline(keywords, gamma, alpha, toggles),
+            _store_of(synopses))
+    assert scalar_pairs == []
+
+
+@pytest.mark.parametrize("count", [PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
+def test_refine_kernel_matches_the_oracle_around_the_block_size(count):
+    engine, oracle = _populated_engine()
+    singles = [s for s in engine.grid.synopses() if _is_single(s)]
+    oracle = replace(oracle, use_topic=False, use_similarity=False,
+                     use_probability=False)
+    with _refinement_calls() as (kernel_lanes, scalar_pairs):
+        _assert_rows_equal_oracle(_items(singles, count), oracle,
+                                  _store_of(engine.grid.synopses()))
+    assert kernel_lanes == [count] and scalar_pairs == []
+
+
+def test_mixed_batch_maps_every_verdict_back_to_its_position():
+    """Multi-instance pairs interleave with single ones: the kernel takes
+    exactly the pairs with one instance a side, the scalar sweep the rest,
+    and each verdict lands where the oracle puts it."""
+    multi = {"diagnosis": {"diabetes": 0.4, "flu": 0.3}}
+    synopses = [
+        _make_synopsis(0, "weight loss thirst", "diabetes", None),
+        _make_synopsis(1, "weight loss thirst", "", multi),
+        _make_synopsis(2, "weight loss", "diabetes", None),
+        _make_synopsis(3, "fever cough", "", multi),
+        _make_synopsis(4, "weight loss thirst", "", {"diagnosis":
+                                                    {"diabetes": 0.7}}),
+        _make_synopsis(5, "fever cough", "flu", None),
+    ]
+    assert [_is_single(s) for s in synopses] == [True, False, True, False,
+                                                 True, True]
+    items = _items(synopses)
+    with _refinement_calls() as (kernel_lanes, scalar_pairs):
+        _assert_rows_equal_oracle(items, _pipeline(KEYWORDS, 0.9, 0.3,
+                                                   NO_BOUNDS),
+                                  _store_of(synopses))
+    pairs = [(query, candidate) for query, candidates in items
+             for candidate in candidates]
+    expected_scalar = [pair for pair in pairs
+                       if not (_is_single(pair[0]) and _is_single(pair[1]))]
+    assert [tuple(map(id, pair)) for pair in scalar_pairs] == [
+        tuple(map(id, pair)) for pair in expected_scalar]
+    assert kernel_lanes == [len(pairs) - len(expected_scalar)]
+    # Both routes produced matches, so the positions carried real verdicts.
+    got = evaluate_task_batch(items, _pipeline(KEYWORDS, 0.9, 0.3, NO_BOUNDS),
+                              _store_of(synopses))
+    flat = [verdict for item in got for verdict in item]
+    for wanted in (True, False):
+        assert any(is_match for (is_match, _), pair in zip(flat, pairs)
+                   if (_is_single(pair[0]) and _is_single(pair[1])) is wanted)
+
+
+class TestTokenColumns:
+    PIPELINE = staticmethod(lambda: _pipeline(KEYWORDS, 0.4, 0.5, NO_BOUNDS))
+
+    def test_columns_decode_to_the_instance_tokens(self):
+        synopses = [
+            _make_synopsis(0, "fever cough", "flu", None),
+            _make_synopsis(1, "", "", None),
+            _make_synopsis(2, "red eye", "", {"diagnosis": {"flu": 0.6}}),
+            _make_synopsis(3, "red eye", "", {"diagnosis": {"flu": 0.6,
+                                                            "cold": 0.2}}),
+        ]
+        # Two imputed attributes: the probabilities multiply in the order
+        # ``instances()`` multiplies them (the candidates', not the schema's).
+        synopses.append(_make_synopsis(
+            4, "", "", {"diagnosis": {"flu": 0.7}, "symptom": {"red": 0.1}}))
+        store = _store_of(synopses)
+        assert decoded_token_rows(store) == instance_token_rows(synopses)
+        rows = store.rows_for(synopses)
+        assert store.single[rows].tolist() == [True, True, True, False, True]
+        assert store.instance_p[rows[[0, 1, 2, 4]]].tolist() == [
+            1.0, 1.0, 0.6, synopses[4].record.instances()[0].probability]
+        assert store.token_ids.dtype == np.int32
+
+    def test_a_wider_row_regrows_its_column_and_keeps_older_answers(self):
+        synopses = [_make_synopsis(0, "fever cough", "flu", None),
+                    _make_synopsis(1, "fever chills", "flu", None),
+                    _make_synopsis(2, "red eye", "diabetes", None)]
+        store = _store_of(synopses)
+        before = evaluate_task_batch(_items(synopses), self.PIPELINE(), store)
+        offsets = list(store.token_offsets)
+        assert offsets == [0, 2, 3]
+        wide = _make_synopsis(3, "fever cough chills weight loss thirst",
+                              "diabetes flu", None)
+        store.insert(wide)
+        assert store.token_offsets == [0, 6, 8]
+        assert decoded_token_rows(store) == instance_token_rows(
+            synopses + [wide])
+        assert evaluate_task_batch(_items(synopses), self.PIPELINE(),
+                                   store) == before
+        _assert_rows_equal_oracle(_items(synopses + [wide]), self.PIPELINE(),
+                                  store)
+
+    def test_a_recycled_row_keeps_nothing_of_a_wider_predecessor(self):
+        wide = _make_synopsis(0, "fever cough chills weight loss", "flu", None)
+        other = _make_synopsis(1, "fever cough chills", "flu", None)
+        store = _store_of([wide, other])
+        row = _row_of(store, wide)
+        store.remove(wide.rid, wide.source)
+        store.begin_epoch()
+        narrow = _make_synopsis(2, "red", "", None)
+        assert store.insert(narrow) == row
+        width = store.token_offsets[-1]
+        assert np.count_nonzero(store.token_ids[row] >= 0) == 1 < width
+        assert decoded_token_rows(store) == instance_token_rows(
+            [other, narrow])
+        _assert_rows_equal_oracle(_items([other, narrow]), self.PIPELINE(),
+                                  store)
+
+    def test_a_same_key_rearrival_answers_from_its_new_tokens(self):
+        original = _make_synopsis(0, "fever cough", "flu", None)
+        other = _make_synopsis(1, "red eye", "diabetes", None)
+        store = _store_of([original, other])
+        rebuilt = _make_synopsis(0, "red eye", "diabetes", None)
+        store.insert(rebuilt)
+        pipeline = self.PIPELINE()
+        # The superseded object still answers from its own row this batch.
+        assert evaluate_task_batch(
+            [(original, [other]), (rebuilt, [other])], pipeline, store) == [
+            [(False, 0.0)], [(True, 1.0)]]
+        _assert_rows_equal_oracle([(original, [other]), (rebuilt, [other])],
+                                  self.PIPELINE(), store)
+        assert decoded_token_rows(store) == instance_token_rows(
+            [rebuilt, other])
+
+
+def test_vocabulary_is_bounded_by_the_window_not_the_stream():
+    """5,000 tuples of all-distinct tokens through a window of 20: the
+    vocabulary is re-encoded from the resident rows each time it outgrows
+    the floor, and the kernel's answers equal the oracle's on both sides of
+    every rebuild."""
+    window, batch, tokens_per_tuple = 20, 10, 4
+    bound = VOCABULARY_FLOOR + batch * tokens_per_tuple
+    store = PackedStore()
+    resident, rebuilds, checked = [], 0, 0
+    for start in range(0, 5000, batch):
+        size_before = len(store.vocabulary)
+        store.begin_epoch()
+        rebuilt = len(store.vocabulary) < size_before
+        rebuilds += rebuilt
+        if rebuilt:
+            assert len(store.vocabulary) <= window * tokens_per_tuple
+        for index in range(start, start + batch):
+            # One shared token, so consecutive tuples are similar enough.
+            synopsis = _make_synopsis(
+                index, f"fever a{index // 2} b{index}", f"d{index}", None)
+            store.insert(synopsis)
+            resident.append(synopsis)
+            if len(resident) > window:
+                evicted = resident.pop(0)
+                store.remove(evicted.rid, evicted.source)
+        assert len(store.vocabulary) <= bound
+        if rebuilt or len(store.vocabulary) + batch * tokens_per_tuple > \
+                VOCABULARY_FLOOR:
+            _assert_rows_equal_oracle(
+                _items(resident[-6:]),
+                _pipeline(frozenset(), 0.3, 0.5, NO_BOUNDS), store)
+            assert decoded_token_rows(store) == instance_token_rows(resident)
+            checked += 1
+    assert rebuilds >= 3 and checked >= 2 * rebuilds
 
 
 # ---------------------------------------------------------------------------
