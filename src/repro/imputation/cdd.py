@@ -25,7 +25,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.similarity import text_distance
+import numpy as np
+
+from repro.core.similarity import (
+    jaccard_distance_column,
+    text_distance,
+    token_postings,
+    tokenize,
+)
 from repro.core.tuples import Record, Schema
 from repro.imputation.repository import DataRepository
 
@@ -359,33 +366,75 @@ def constant_rule_from_group(
     )
 
 
-def _mine_interval_rules(
+def pair_distance_columns(
     repository: DataRepository,
+    pairs: Sequence[Tuple[int, int]],
+) -> Dict[str, np.ndarray]:
+    """Per-attribute distance columns over sampled sample pairs.
+
+    ``columns[A][k]`` is ``text_distance(s_i[A], s_j[A])`` for ``(i, j) =
+    pairs[k]``, bit for bit: each run of pairs sharing a left index is one
+    :func:`~repro.core.similarity.jaccard_distance_column` call over the
+    attribute's value column, gathered at the right indices.  Every
+    distance the miners need is computed once, and nothing ``n × n`` is
+    held — one length-``n`` column per left index, transiently.
+    """
+    left = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
+    right = np.fromiter((j for _, j in pairs), dtype=np.intp, count=len(pairs))
+    starts = np.flatnonzero(np.diff(left, prepend=-1)).tolist()
+    runs = list(zip(starts, starts[1:] + [len(pairs)]))
+    columns: Dict[str, np.ndarray] = {}
+    for attribute in repository.schema:
+        values = repository.values(attribute)
+        postings, sizes = token_postings(values)
+        column = np.empty(len(pairs), dtype=np.float64)
+        for start, stop in runs:
+            distances = jaccard_distance_column(
+                tokenize(values[left[start]]), postings, sizes)
+            column[start:stop] = distances[right[start:stop]]
+        columns[attribute] = column
+    return columns
+
+
+def band_range(determinant: np.ndarray, dependent: np.ndarray,
+               band: Tuple[float, float]) -> Tuple[int, float, float]:
+    """``(support, min, max)`` of the dependent distances inside one band.
+
+    The band test is the miner's inclusive ``low - 1e-9 <= d <= high + 1e-9``
+    on the determinant column; ``min`` / ``max`` are meaningless (and
+    returned as ``(1.0, 0.0)``) when the support is zero.
+    """
+    low, high = band
+    mask = (determinant >= low - 1e-9) & (determinant <= high + 1e-9)
+    support = int(np.count_nonzero(mask))
+    if not support:
+        return 0, 1.0, 0.0
+    selected = dependent[mask]
+    return support, float(selected.min()), float(selected.max())
+
+
+def _mine_interval_rules(
     determinant: str,
     dependent: str,
-    pairs: Sequence[Tuple[int, int]],
+    columns: Dict[str, np.ndarray],
     config: CDDDiscoveryConfig,
 ) -> List[CDDRule]:
-    """Mine interval-constraint rules ``A_x → A_j`` from sampled pairs."""
-    samples = repository.samples
+    """Mine interval-constraint rules ``A_x → A_j`` from sampled pairs.
+
+    ``columns`` are the :func:`pair_distance_columns` of the sampled pairs.
+    Each distance band is one mask over the determinant column; its support
+    and the dependent interval are the mask's count and the ``min`` / ``max``
+    of the dependent column under it (:func:`band_range`).
+    """
     rules: List[CDDRule] = []
     for band in config.distance_bands:
-        low, high = band
-        dependent_distances: List[float] = []
-        for i, j in pairs:
-            left, right = samples[i], samples[j]
-            det_distance = text_distance(left[determinant], right[determinant])
-            if low - 1e-9 <= det_distance <= high + 1e-9:
-                dependent_distances.append(
-                    text_distance(left[dependent], right[dependent]))
-        if not dependent_distances:
+        support, dep_low, dep_high = band_range(
+            columns[determinant], columns[dependent], band)
+        if not support:
             continue
         rule = interval_rule_from_band(
-            determinant, dependent, band,
-            support=len(dependent_distances),
-            dep_low=min(dependent_distances),
-            dep_high=max(dependent_distances),
-            config=config)
+            determinant, dependent, band, support=support,
+            dep_low=dep_low, dep_high=dep_high, config=config)
         if rule is not None:
             rules.append(rule)
     return rules
@@ -475,7 +524,8 @@ def discover_cdd_rules(
     if len(repository) < 2:
         return []
 
-    pairs = _sample_pairs(len(repository), config.max_pairs, config.seed)
+    columns = pair_distance_columns(
+        repository, _sample_pairs(len(repository), config.max_pairs, config.seed))
     targets = list(dependents) if dependents is not None else list(schema)
 
     all_rules: List[CDDRule] = []
@@ -485,7 +535,7 @@ def discover_cdd_rules(
             if determinant == dependent:
                 continue
             per_dependent.extend(
-                _mine_interval_rules(repository, determinant, dependent, pairs, config))
+                _mine_interval_rules(determinant, dependent, columns, config))
             per_dependent.extend(
                 _mine_constant_rules(repository, determinant, dependent, config))
         if config.combine_determinants:

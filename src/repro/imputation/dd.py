@@ -24,6 +24,7 @@ from repro.imputation.cdd import (
     RuleError,
     _mine_interval_rules,
     _sample_pairs,
+    pair_distance_columns,
 )
 from repro.imputation.incremental import IncrementalRuleMaintainer
 from repro.imputation.repository import DataRepository
@@ -143,7 +144,9 @@ def discover_dd_rules(
     if len(repository) < 2:
         return []
 
-    pairs = _sample_pairs(len(repository), cdd_config.max_pairs, cdd_config.seed)
+    columns = pair_distance_columns(
+        repository,
+        _sample_pairs(len(repository), cdd_config.max_pairs, cdd_config.seed))
     targets = list(dependents) if dependents is not None else list(schema)
 
     rules: List[DDRule] = []
@@ -151,8 +154,8 @@ def discover_dd_rules(
         for determinant in schema:
             if determinant == dependent:
                 continue
-            for mined in _mine_interval_rules(repository, determinant, dependent,
-                                              pairs, cdd_config):
+            for mined in _mine_interval_rules(determinant, dependent,
+                                              columns, cdd_config):
                 rules.append(DDRule(rule=mined))
     return rules
 

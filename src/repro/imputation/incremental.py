@@ -9,10 +9,14 @@ miner's *sufficient statistics* instead, so one update costs ``O(batch)``:
 * **band sketches** — for every ``(determinant, dependent, band)`` triple
   the count / min / max of the dependent-attribute distances over the pairs
   whose determinant distance falls inside the band.  This is exactly the
-  statistic :func:`~repro.imputation.cdd._mine_interval_rules` reduces its
-  pair scan to, so regenerating interval rules from the sketches reproduces
+  statistic :func:`~repro.imputation.cdd._mine_interval_rules` reduces each
+  band mask to, so regenerating interval rules from the sketches reproduces
   the full miner bit for bit (as long as the pair budget covered every new
-  pair);
+  pair).  :meth:`~IncrementalRuleMaintainer.initialize` builds them the way
+  the miner does — one :func:`~repro.imputation.cdd.pair_distance_columns`
+  pass, one :func:`~repro.imputation.cdd.band_range` per triple — and
+  :meth:`~IncrementalRuleMaintainer.absorb` folds each new pair in one at a
+  time (``_observe_band_pair``);
 * **constant-group sketches** — for every determinant value the member list
   plus, per dependent attribute, the count / min / max of the pairwise
   dependent distances inside the group: the statistic of
@@ -56,8 +60,10 @@ from repro.imputation.cdd import (
     MAINTENANCE_HYBRID,
     _combine_rules,
     _sample_pairs,
+    band_range,
     constant_rule_from_group,
     interval_rule_from_band,
+    pair_distance_columns,
 )
 from repro.imputation.repository import DataRepository
 
@@ -244,13 +250,21 @@ class IncrementalRuleMaintainer:
         self.support_total = 0
         self.violation_total = 0
 
-        pairs = _sample_pairs(len(samples), config.max_pairs, config.seed)
-        for i, j in pairs:
-            left, right = samples[i], samples[j]
-            distances = {attribute: text_distance(left[attribute],
-                                                  right[attribute])
-                         for attribute in schema}
-            self._observe_band_pair(distances)
+        # The band sketches are the full miner's band statistics: one pass
+        # of distance columns over the sampled pairs, one mask per band.
+        columns = pair_distance_columns(
+            repository, _sample_pairs(len(samples), config.max_pairs,
+                                      config.seed))
+        for determinant in schema:
+            for dependent in schema:
+                if dependent == determinant:
+                    continue
+                for band in config.distance_bands:
+                    count, low, high = band_range(columns[determinant],
+                                                  columns[dependent], band)
+                    if count:
+                        self.band_sketches[(determinant, dependent, band)] = (
+                            RangeStat(count=count, low=low, high=high))
 
         for index, sample in enumerate(samples):
             for determinant in schema:

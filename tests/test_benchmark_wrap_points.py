@@ -3,8 +3,10 @@
 ``benchmarks/e2e/layers.py::WRAP_POINTS`` names, by ``(owner, attribute)``,
 the callables the benchmark's tracer wraps for its per-layer rows.  A change
 that moves a call site off one of them does not fail the benchmark — the row
-silently reads zero (PR 13 did exactly that to ``indexes.dr_index``).  This
-test reads the table (it never edits the benchmark) and fails tier-1 instead.
+silently reads zero (``indexes.dr_index`` has read zero since determinant
+matching moved to the packed repository mirror).  These tests read the table (they never edit the benchmark) and fail tier-1
+instead: the run-phase rows over one driven pass, the ``setup.*`` rows over
+one engine construction.
 """
 
 import sys
@@ -22,6 +24,7 @@ if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
 import layers  # noqa: E402  (the benchmark's own module, read-only)
+from tracer import Tracer  # noqa: E402
 
 #: Run-phase wrap points the default path is known not to call.  Each entry
 #: is a layer row that reads zero until a ``benchmark`` issue re-points it.
@@ -70,3 +73,26 @@ def test_every_run_phase_wrap_point_is_called(monkeypatch):
         f"read zero): {sorted(never_called - NOT_ON_DEFAULT_PATH)}; "
         "allow-listed but called again: "
         f"{sorted(NOT_ON_DEFAULT_PATH - never_called)}")
+
+
+def test_every_setup_wrap_point_is_timed_once():
+    setup_phase = [(owner, attr, layer) for owner, attr, layer, _leaf, _hook
+                   in layers.WRAP_POINTS if layer.startswith("setup.")]
+    assert {layer for _, _, layer in setup_phase} == set(layers.SETUP_LAYERS)
+    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
+    workload = build_workload(dataset, scale, seed)
+    tracer = Tracer()
+    for owner, attr, layer in setup_phase:
+        tracer.wrap(owner, attr, layer)
+    try:
+        engine = TERiDSEngine(repository=workload.repository,
+                              config=build_config(workload, window),
+                              executor=MicroBatchExecutor())
+        engine.close()
+    finally:
+        tracer.restore()
+    totals = tracer.totals()
+    for layer in layers.SETUP_LAYERS:
+        assert layer in totals, f"{layer} never called by the constructor"
+        assert totals[layer].calls == 1, (layer, totals[layer].calls)
+        assert totals[layer].busy_s > 0.0, f"{layer} recorded no time"
