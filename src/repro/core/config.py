@@ -71,17 +71,11 @@ class TERiDSConfig:
         Online repository growth (Section 5.5 follow-up): when enabled, the
         ingestion driver hands every *complete* arriving stream tuple to
         ``MaintenanceStage.absorb_complete_stream_tuples`` so the repository
-        (and, in incremental/hybrid maintenance modes, the CDD rules) grows
-        from the streams themselves.  Off by default — absorbing changes
-        imputation answers, so replay determinism against the pinned goldens
-        requires the flag off.
-    patch_cdd_indexes:
-        When live incremental maintenance installs an updated rule set, patch
-        the per-attribute CDD-indexes in place from the maintainer's rule
-        diff (``CDDIndex.apply_diff``) instead of rebuilding every lattice
-        and aR-tree from scratch.  Patched indexes are bit-identical to
-        rebuilt ones; the knob exists as an escape hatch and for A/B
-        benchmarking.  Checkpoint restore and full re-mines always rebuild.
+        and the DR-index grow from the streams themselves.  The CDD rules
+        are left as they are; they change only through an explicit exact
+        re-mine (``add_repository_samples(..., remine_rules=True)``).  Off
+        by default — absorbing changes imputation answers, so replay
+        determinism against the pinned goldens requires the flag off.
     """
 
     schema: Schema
@@ -98,7 +92,6 @@ class TERiDSConfig:
     use_probability_pruning: bool = True
     use_instance_pruning: bool = True
     absorb_complete_tuples: bool = False
-    patch_cdd_indexes: bool = True
     random_seed: int = 7
 
     def __post_init__(self) -> None:

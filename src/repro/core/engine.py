@@ -37,14 +37,8 @@ from repro.core.matching import EntityResultSet, MatchPair
 from repro.core.pruning import PruningPipeline, PruningStats
 from repro.core.stream import SlidingWindow
 from repro.core.tuples import Record, Schema
-from repro.imputation.cdd import (
-    MAINTENANCE_FULL,
-    CDDDiscoveryConfig,
-    CDDRule,
-    discover_cdd_rules,
-)
+from repro.imputation.cdd import CDDDiscoveryConfig, CDDRule, discover_cdd_rules
 from repro.imputation.imputer import CDDImputer, ImputationStats
-from repro.imputation.incremental import IncrementalRuleMaintainer
 from repro.imputation.repository import DataRepository
 from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
@@ -117,19 +111,8 @@ class TERiDSEngine:
             max_pivots=config.max_pivots,
         )
         pivots = select_pivots(repository, self.pivot_config)
-        maintenance_mode = (discovery_config.maintenance_mode
-                            if discovery_config is not None else MAINTENANCE_FULL)
-        maintainer: Optional[IncrementalRuleMaintainer] = None
-        if rules is not None:
-            # Pre-mined rules bypass the maintainer: its sketches are only
-            # meaningful for rules it derived from the repository itself.
-            mined: List[CDDRule] = list(rules)
-        elif maintenance_mode != MAINTENANCE_FULL:
-            maintainer = IncrementalRuleMaintainer(discovery_config,
-                                                   config.schema)
-            mined = maintainer.initialize(repository)
-        else:
-            mined = list(discover_cdd_rules(repository, discovery_config))
+        mined: List[CDDRule] = (list(rules) if rules is not None else
+                                discover_cdd_rules(repository, discovery_config))
         dr_index = DRIndex(repository, pivots, keywords=config.keywords)
 
         # ---- runtime wiring (context + pipeline + executor) ----
@@ -147,7 +130,6 @@ class TERiDSEngine:
                 sample_retriever=dr_index.make_retriever(),
             ),
             discovery_config=discovery_config,
-            rule_maintainer=maintainer,
         )
         self.pipeline = Pipeline(self.ctx)
         self.executor: Executor = executor if executor is not None else SerialExecutor()
@@ -193,10 +175,6 @@ class TERiDSEngine:
     @imputer.setter
     def imputer(self, imputer: CDDImputer) -> None:
         self.ctx.imputer = imputer
-
-    @property
-    def rule_maintainer(self) -> Optional[IncrementalRuleMaintainer]:
-        return self.ctx.rule_maintainer
 
     @property
     def windows(self) -> Dict[str, SlidingWindow]:
@@ -373,21 +351,19 @@ class TERiDSEngine:
     # dynamic repository maintenance (Section 5.5)
     # ------------------------------------------------------------------
     def add_repository_samples(self, samples: Iterable[Record],
-                               remine_rules: bool = False):
+                               remine_rules: bool = False) -> None:
         """Extend the repository with new complete samples (Section 5.5).
 
         Delegates to the runtime's
         :meth:`~repro.runtime.stages.MaintenanceStage.absorb_repository_samples`:
-        the repository and the DR-index always grow; the CDD rules evolve
-        according to the discovery configuration's maintenance mode (``full``
-        re-mines only when ``remine_rules`` is set; ``incremental`` /
-        ``hybrid`` fold the batch into the rule maintainer's sketches in
-        O(batch)).  Accumulated imputation statistics and the batch-level
-        candidate cache survive every rule swap.  Returns the maintainer's
-        :class:`~repro.imputation.incremental.MaintenanceReport` (``None``
-        in ``full`` mode).
+        the repository and the DR-index always grow.  The CDD rules change
+        only when ``remine_rules`` is set, by an exact re-mine of the
+        extended repository with this engine's discovery configuration, so
+        the rule set stays a pure function of repository and config.
+        Accumulated imputation statistics and the imputer object survive
+        every rule swap.
         """
-        return self.pipeline.maintenance.absorb_repository_samples(
+        self.pipeline.maintenance.absorb_repository_samples(
             list(samples), remine_rules=remine_rules)
 
     # ------------------------------------------------------------------

@@ -87,8 +87,8 @@ def run_ter_ids(workload: Workload, config: TERiDSConfig,
     ``executor`` selects the runtime scheduling strategy (serial by
     default; pass a ``MicroBatchExecutor`` for batched ingestion — the
     match sets are identical, only the throughput changes).
-    ``discovery_config`` parameterises rule mining and, through its
-    ``maintenance_mode``, how rules evolve under repository extensions.
+    ``discovery_config`` parameterises rule mining (and every exact
+    re-mine requested through ``add_repository_samples``).
     """
     engine = TERiDSEngine(repository=workload.repository, config=config,
                           executor=executor,
@@ -171,10 +171,9 @@ def run_evolving_stream(engine: TERiDSEngine, records: Sequence[Record],
 
     The record sequence is cut into ``phases`` contiguous chunks; after
     every chunk except the last, an equal slice of ``additions`` is absorbed
-    via :meth:`TERiDSEngine.add_repository_samples` (rule maintenance then
-    follows the engine's maintenance mode).  Returns the concatenated match
-    pairs in arrival order — directly comparable across executors and
-    maintenance modes.
+    via :meth:`TERiDSEngine.add_repository_samples` with an exact re-mine
+    of the rules over the extended repository.  Returns the concatenated
+    match pairs in arrival order — directly comparable across executors.
     """
     if phases < 1:
         raise ValueError(f"phases must be >= 1, got {phases}")
@@ -196,7 +195,7 @@ def run_evolving_stream(engine: TERiDSEngine, records: Sequence[Record],
         if phase < phases - 1 and add_chunk:
             tranche = additions[phase * add_chunk: (phase + 1) * add_chunk]
             if tranche:
-                engine.add_repository_samples(tranche)
+                engine.add_repository_samples(tranche, remine_rules=True)
     return matches
 
 

@@ -1,10 +1,6 @@
 """Imputation subsystem: data repository, dependency rules and imputers."""
 
 from repro.imputation.cdd import (
-    MAINTENANCE_FULL,
-    MAINTENANCE_HYBRID,
-    MAINTENANCE_INCREMENTAL,
-    MAINTENANCE_MODES,
     AttributeConstraint,
     CDDDiscoveryConfig,
     CDDRule,
@@ -15,9 +11,7 @@ from repro.imputation.cdd import (
 from repro.imputation.constraint import StreamConstraintImputer
 from repro.imputation.dd import (
     DDDiscoveryConfig,
-    DDMaintenanceReport,
     DDRule,
-    IncrementalDDMaintainer,
     dd_rules_as_cdds,
     discover_dd_rules,
 )
@@ -33,39 +27,23 @@ from repro.imputation.imputer import (
     combine_frequencies,
     make_dd_imputer,
 )
-from repro.imputation.incremental import (
-    IncrementalRuleMaintainer,
-    MaintenanceReport,
-    RuleCounters,
-    widen_interval,
-)
 from repro.imputation.repository import DataRepository, RepositoryError
 
 __all__ = [
-    "MAINTENANCE_FULL",
-    "MAINTENANCE_HYBRID",
-    "MAINTENANCE_INCREMENTAL",
-    "MAINTENANCE_MODES",
     "AttributeConstraint",
     "CDDDiscoveryConfig",
     "CDDRule",
     "CDDImputer",
     "DataRepository",
     "DDDiscoveryConfig",
-    "DDMaintenanceReport",
     "DDRule",
     "EditingRule",
     "EditingRuleImputer",
     "ImputationStats",
-    "IncrementalDDMaintainer",
-    "IncrementalRuleMaintainer",
-    "MaintenanceReport",
     "RepositoryError",
-    "RuleCounters",
     "SingleCDDImputer",
     "StreamConstraintImputer",
     "combine_frequencies",
-    "widen_interval",
     "dd_rules_as_cdds",
     "discover_cdd_rules",
     "discover_dd_rules",

@@ -40,21 +40,6 @@ CONSTRAINT_INTERVAL = "interval"
 CONSTRAINT_CONSTANT = "constant"
 CONSTRAINT_MISSING = "missing"
 
-#: Rule-maintenance modes for the evolving repository (Section 5.5).
-#:
-#: * ``full`` — ``add_repository_samples`` never touches the rules unless a
-#:   re-mine is requested explicitly; a re-mine runs the full miner (exact).
-#: * ``incremental`` — every repository extension updates the rules through
-#:   the :class:`~repro.imputation.incremental.IncrementalRuleMaintainer`
-#:   sufficient statistics (O(batch), never O(repository)).
-#: * ``hybrid`` — incremental updates, plus an automatic full re-mine when
-#:   the maintainer's drift estimate exceeds ``drift_threshold``.
-MAINTENANCE_FULL = "full"
-MAINTENANCE_INCREMENTAL = "incremental"
-MAINTENANCE_HYBRID = "hybrid"
-MAINTENANCE_MODES = (MAINTENANCE_FULL, MAINTENANCE_INCREMENTAL,
-                     MAINTENANCE_HYBRID)
-
 #: Distance bands examined when mining interval constraints.  Each band is a
 #: candidate ``[ε_min, ε_max]`` on the determinant attribute.
 DEFAULT_DISTANCE_BANDS: Tuple[Tuple[float, float], ...] = (
@@ -215,34 +200,7 @@ class CDDRule:
 
 @dataclass(frozen=True)
 class CDDDiscoveryConfig:
-    """Knobs of the CDD mining procedure and of rule maintenance.
-
-    The first block parameterises the offline miner
-    (:func:`discover_cdd_rules`); the ``maintenance_*`` block parameterises
-    how rules evolve when the repository absorbs new samples
-    (:class:`~repro.imputation.incremental.IncrementalRuleMaintainer`):
-
-    maintenance_mode:
-        ``full`` (default, re-mine on request only), ``incremental``
-        (sketch-based O(batch) updates) or ``hybrid`` (incremental with an
-        automatic full re-mine once ``drift_threshold`` is exceeded).
-    min_confidence:
-        Rules whose observed pair confidence (support over support plus
-        violations) falls below this are retired by the maintainer.
-    drift_threshold:
-        Upper bound on the maintainer's divergence estimate (skipped-pair
-        coverage gap + violation mass + deferred-promotion pressure) before
-        ``hybrid`` mode schedules a full re-mine.
-    pending_pool_size:
-        Maximum number of candidate rules promoted from the pending pool per
-        update; excess candidates stay pending for later updates.
-    max_update_pairs:
-        Pair budget of one incremental update (new-sample x repository
-        pairs); pairs beyond the budget are skipped and counted as drift.
-    max_group_pairs_per_sample:
-        Cap on the existing group members a new sample is paired with when
-        maintaining one constant-condition group's dependent-distance range.
-    """
+    """Knobs of the CDD mining procedure (:func:`discover_cdd_rules`)."""
 
     max_dependent_width: float = 0.6
     min_support: int = 2
@@ -252,34 +210,6 @@ class CDDDiscoveryConfig:
     combine_determinants: bool = True
     max_combined_rules: int = 200
     seed: int = 13
-    maintenance_mode: str = MAINTENANCE_FULL
-    min_confidence: float = 0.5
-    drift_threshold: float = 0.35
-    pending_pool_size: int = 64
-    max_update_pairs: int = 4000
-    max_group_pairs_per_sample: int = 64
-
-    def __post_init__(self) -> None:
-        if self.maintenance_mode not in MAINTENANCE_MODES:
-            raise RuleError(
-                f"unknown maintenance mode {self.maintenance_mode!r}; "
-                f"expected one of {MAINTENANCE_MODES}")
-        if not 0.0 < self.min_confidence <= 1.0:
-            raise RuleError(
-                f"min_confidence must be in (0, 1], got {self.min_confidence}")
-        if self.drift_threshold <= 0.0:
-            raise RuleError(
-                f"drift_threshold must be positive, got {self.drift_threshold}")
-        if self.pending_pool_size < 1:
-            raise RuleError(
-                f"pending_pool_size must be >= 1, got {self.pending_pool_size}")
-        if self.max_update_pairs < 1:
-            raise RuleError(
-                f"max_update_pairs must be >= 1, got {self.max_update_pairs}")
-        if self.max_group_pairs_per_sample < 1:
-            raise RuleError(
-                "max_group_pairs_per_sample must be >= 1, "
-                f"got {self.max_group_pairs_per_sample}")
 
 
 def _sample_pairs(count: int, max_pairs: int, seed: int) -> List[Tuple[int, int]]:
@@ -307,12 +237,9 @@ def interval_rule_from_band(
     dep_high: float,
     config: CDDDiscoveryConfig,
 ) -> Optional[CDDRule]:
-    """Emission decision of the interval miner from a band's statistics.
-
-    Shared between :func:`discover_cdd_rules` and the incremental maintainer
-    (:mod:`repro.imputation.incremental`), so the two paths can never
-    disagree on when a band qualifies or how the rule is rendered.
-    """
+    """Emission decision of the interval miner from a band's statistics:
+    ``None`` unless the band has enough support and a tight enough
+    dependent interval; otherwise the rendered single-determinant rule."""
     if support < config.min_support:
         return None
     if dep_high - dep_low > config.max_dependent_width:
@@ -343,8 +270,7 @@ def constant_rule_from_group(
 
     ``group_size`` is the number of repository samples taking the constant
     ``value``; ``dep_low``/``dep_high`` bound the dependent-attribute
-    distances over the group's sample pairs.  Shared with the incremental
-    maintainer like :func:`interval_rule_from_band`.
+    distances over the group's sample pairs.
     """
     if group_size < config.min_support:
         return None
@@ -353,10 +279,8 @@ def constant_rule_from_group(
     constraint = AttributeConstraint(attribute=determinant,
                                      kind=CONSTRAINT_CONSTANT,
                                      constant=value)
-    # The full constant value keeps the id unique: rule ids key the
-    # incremental maintainer's counters / retirement / promotion state, so
-    # two distinct constants must never share an id (a truncated prefix
-    # would conflate them and retire both when one dependency breaks).
+    # The full constant value keeps the id unique: two distinct constants
+    # must never share an id (a truncated prefix would conflate them).
     return CDDRule(
         determinants=(constraint,),
         dependent=dependent,

@@ -1,7 +1,7 @@
 """Index and synopsis structures: aR-tree, pivots, CDD-index, DR-index, ER-grid."""
 
 from repro.indexes.artree import Aggregator, ARTree, ARTreeEntry, Rect
-from repro.indexes.cdd_index import CDDIndex, CDDPatchStats, build_cdd_indexes
+from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid, GridCell
 from repro.indexes.pivots import (
@@ -18,7 +18,6 @@ __all__ = [
     "ARTree",
     "ARTreeEntry",
     "CDDIndex",
-    "CDDPatchStats",
     "DRIndex",
     "ERGrid",
     "GridCell",

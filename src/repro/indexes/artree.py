@@ -9,9 +9,6 @@ This module provides a small, dependency-free aR-tree over axis-aligned
 rectangles in ``[0, 1]^d`` with:
 
 * insertion (least-enlargement subtree choice, mid-point splits);
-* deletion (exact leaf location, aggregate/MBR repair along the path, node
-  underflow handled by condense-and-reinsert) and in-place entry update,
-  which is what incremental CDD-index maintenance patches with;
 * a ``bulk_load`` fast path that packs a sorted-tile tree bottom-up for
   cold builds instead of paying per-entry insertion splits;
 * user-defined aggregates through an :class:`Aggregator` (a pair of
@@ -182,26 +179,16 @@ class ARTree:
         Node fan-out before a split.
     aggregator:
         Aggregate semantics; defaults to "no aggregates".
-    min_entries:
-        Fill floor below which a non-root node is dissolved during a
-        deletion (condense-and-reinsert); defaults to ``max_entries // 3``
-        with a floor of 1.  Insertion never enforces it.
     """
 
     def __init__(self, dimensions: int, max_entries: int = 8,
-                 aggregator: Optional[Aggregator] = None,
-                 min_entries: Optional[int] = None) -> None:
+                 aggregator: Optional[Aggregator] = None) -> None:
         if dimensions < 1:
             raise ValueError("dimensions must be >= 1")
         if max_entries < 2:
             raise ValueError("max_entries must be >= 2")
-        if min_entries is None:
-            min_entries = max(1, max_entries // 3)
-        if not 1 <= min_entries <= max_entries // 2:
-            raise ValueError("min_entries must be in [1, max_entries // 2]")
         self.dimensions = dimensions
         self.max_entries = max_entries
-        self.min_entries = min_entries
         self.aggregator = aggregator or _null_aggregator()
         self._root = _Node(is_leaf=True)
         self._size = 0
@@ -301,126 +288,6 @@ class ARTree:
                         if candidate is node)
         parent = path[position - 1]
         parent.children.append(sibling)
-
-    # -- deletion / update -------------------------------------------------------
-    def remove(self, rect: Rect, payload: Any = None, *,
-               match: Optional[Callable[[Any], bool]] = None) -> bool:
-        """Remove one leaf entry with exactly this rectangle.
-
-        ``payload`` (compared by identity, then equality) or ``match`` (a
-        predicate over the stored payload) selects among entries sharing the
-        rectangle; with neither, any entry with the rectangle qualifies.
-        MBRs and aggregates are repaired along the path to the root; a node
-        falling below ``min_entries`` is dissolved and its remaining entries
-        re-inserted (condense-and-reinsert).  Returns ``False`` when no
-        entry matched.
-        """
-        found = self._find_leaf(self._root, rect,
-                                self._payload_matcher(payload, match), [])
-        if found is None:
-            return False
-        leaf, index, path = found
-        del leaf.entries[index]
-        self._size -= 1
-        self._condense(path)
-        return True
-
-    def update(self, rect: Rect, new_payload: Any, *,
-               match: Optional[Callable[[Any], bool]] = None,
-               new_rect: Optional[Rect] = None) -> bool:
-        """Replace a matching entry's payload, re-deriving its aggregate.
-
-        While the rectangle is unchanged (``new_rect`` omitted or equal)
-        the entry is refreshed strictly in place — leaf entry order and the
-        whole tree structure are preserved, only aggregates along the path
-        are recomputed.  A changed rectangle degrades to remove + insert.
-        ``match`` defaults to equality with ``new_payload``.  Returns
-        ``False`` when no entry matched.
-        """
-        matcher = self._payload_matcher(new_payload, match)
-        if new_rect is not None and new_rect != rect:
-            if not self.remove(rect, match=matcher):
-                return False
-            self.insert(new_rect, new_payload)
-            return True
-        found = self._find_leaf(self._root, rect, matcher, [])
-        if found is None:
-            return False
-        leaf, index, path = found
-        entry = leaf.entries[index]
-        entry.payload = new_payload
-        entry.aggregate = self.aggregator.from_payload(entry.rect, new_payload)
-        for node in reversed(path):
-            node.recompute(self.aggregator)
-        return True
-
-    @staticmethod
-    def _payload_matcher(payload: Any,
-                         match: Optional[Callable[[Any], bool]]
-                         ) -> Callable[[Any], bool]:
-        if match is not None:
-            return match
-        if payload is None:
-            return lambda candidate: True
-        return lambda candidate: candidate is payload or candidate == payload
-
-    def _find_leaf(self, node: _Node, rect: Rect,
-                   matcher: Callable[[Any], bool],
-                   path: List[_Node]) -> Optional[Tuple[_Node, int, List[_Node]]]:
-        """Locate (leaf, entry index, root..leaf path) of a matching entry."""
-        if node.rect is not None and not node.rect.intersects(rect):
-            return None
-        path.append(node)
-        if node.is_leaf:
-            for index, entry in enumerate(node.entries):
-                if entry.rect == rect and matcher(entry.payload):
-                    return node, index, path
-        else:
-            for child in node.children:
-                found = self._find_leaf(child, rect, matcher, path)
-                if found is not None:
-                    return found
-        path.pop()
-        return None
-
-    def _condense(self, path: List[_Node]) -> None:
-        """Guttman CondenseTree: repair the deletion path bottom-up.
-
-        Underfull non-root nodes are cut out of their parent and their leaf
-        entries re-inserted at the end (re-insertion keeps all leaves at a
-        uniform depth, so no at-level subtree grafting is needed).
-        """
-        orphaned: List[ARTreeEntry] = []
-        for depth in range(len(path) - 1, -1, -1):
-            node = path[depth]
-            if node is not self._root:
-                members = len(node.entries) if node.is_leaf else len(node.children)
-                if members < self.min_entries:
-                    parent = path[depth - 1]
-                    parent.children[:] = [child for child in parent.children
-                                          if child is not node]
-                    orphaned.extend(self._subtree_entries(node))
-                    continue
-            node.recompute(self.aggregator)
-        root = self._root
-        while not root.is_leaf and len(root.children) == 1:
-            root = root.children[0]
-        if not root.is_leaf and not root.children:
-            root = _Node(is_leaf=True)
-        self._root = root
-        for entry in orphaned:  # already counted in _size
-            self._insert_entry(self._root, entry, path=[])
-
-    def _subtree_entries(self, node: _Node) -> List[ARTreeEntry]:
-        entries: List[ARTreeEntry] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.is_leaf:
-                entries.extend(current.entries)
-            else:
-                stack.extend(current.children)
-        return entries
 
     # -- bulk loading ------------------------------------------------------------
     def bulk_load(self, items: Iterable[Tuple[Rect, Any]]) -> None:

@@ -18,8 +18,7 @@ For every dependent attribute ``A_j`` the index organises the rules
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Collection, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.similarity import text_distance
 from repro.core.tuples import Record, Schema
@@ -84,27 +83,6 @@ class LatticeNode:
         self.combined_interval = (low, high)
 
 
-@dataclass
-class CDDPatchStats:
-    """What :meth:`CDDIndex.apply_diff` did, group by group."""
-
-    groups_untouched: int = 0
-    groups_patched: int = 0
-    groups_replayed: int = 0
-    groups_added: int = 0
-    groups_removed: int = 0
-    entries_updated: int = 0
-    entries_inserted: int = 0
-    entries_removed: int = 0
-
-    def merge(self, other: "CDDPatchStats") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-
 class CDDIndex:
     """Index over the CDD rules of one dependent attribute ``A_j``."""
 
@@ -117,7 +95,6 @@ class CDDIndex:
         self.lattice: Dict[Tuple[str, ...], LatticeNode] = {}
         self._trees: Dict[Tuple[str, ...], ARTree] = {}
         self._max_entries = max_entries
-        self._top_union_key: Optional[Tuple[str, ...]] = None
         self._aggregator = Aggregator(
             from_payload=lambda rect, payload: self._leaf_aggregate(payload),
             merge=_merge_aggregates,
@@ -164,201 +141,35 @@ class CDDIndex:
             groups.setdefault(key, []).append(rule)
         return groups
 
-    def _make_tree(self, key: Tuple[str, ...],
-                   rules_in_order: Sequence[CDDRule]) -> ARTree:
-        """Build one group tree; the single constructor shared by cold builds
-        and patch-path replays, so both produce identical structures."""
-        tree = ARTree(dimensions=len(key), max_entries=self._max_entries,
-                      aggregator=self._aggregator)
-        tree.bulk_load((self._rule_rect(rule, key), rule)
-                       for rule in rules_in_order)
-        return tree
-
-    def _install_lattice(self, groups: Dict[Tuple[str, ...], List[CDDRule]],
-                         reuse_nodes: Optional[Dict[Tuple[str, ...],
-                                                    LatticeNode]] = None) -> None:
-        """(Re)build the lattice dict for the given level-1 groups.
+    def _build(self) -> None:
+        """Lattice plus one bulk-loaded aR-tree per determinant set.
 
         Level-1 nodes appear in group first-appearance order; when the
         groups span more than one determinant set, a synthetic top-level
         union node over all rules is appended — unless some group already
         covers exactly the union attribute set.
         """
-        reuse_nodes = reuse_nodes or {}
-        self.lattice = {}
-        self._top_union_key = None
+        groups = self._group_in_order(self.rules)
         for key, own_rules in groups.items():
-            node = reuse_nodes.get(key)
-            if node is None:
-                node = LatticeNode(attributes=key, level=len(key),
-                                   rules=list(own_rules))
-                node.recompute_interval()
+            node = LatticeNode(attributes=key, level=len(key),
+                               rules=list(own_rules))
+            node.recompute_interval()
             self.lattice[key] = node
+            tree = ARTree(dimensions=len(key), max_entries=self._max_entries,
+                          aggregator=self._aggregator)
+            tree.bulk_load((self._rule_rect(rule, key), rule)
+                           for rule in own_rules)
+            if len(tree):
+                self._trees[key] = tree
         if len(groups) > 1:
             union_attributes = tuple(sorted({
                 attribute for key in groups for attribute in key}))
             if union_attributes not in self.lattice:
                 top = LatticeNode(attributes=union_attributes,
-                                  level=len(union_attributes))
-                top.rules = list(self.rules)
+                                  level=len(union_attributes),
+                                  rules=list(self.rules))
                 top.recompute_interval()
                 self.lattice[union_attributes] = top
-                self._top_union_key = union_attributes
-
-    def _build(self) -> None:
-        groups = self._group_in_order(self.rules)
-        self._install_lattice(groups)
-        self._trees = {}
-        for key, own_rules in groups.items():
-            tree = self._make_tree(key, own_rules)
-            if len(tree):
-                self._trees[key] = tree
-
-    # -- incremental maintenance -------------------------------------------------
-    def apply_diff(self, promoted: Sequence[CDDRule], retired: Collection[str],
-                   widened: Sequence[CDDRule],
-                   rules: Sequence[CDDRule]) -> CDDPatchStats:
-        """Patch the index in place from a rule diff instead of rebuilding.
-
-        ``promoted`` / ``retired`` (rule ids) / ``widened`` describe the
-        maintainer's diff; ``rules`` is the full post-diff rule list in the
-        maintainer's canonical emission order, which fixes the group and
-        in-group ordering the patched index must reproduce.  The patched
-        index is bit-identical to ``CDDIndex(dependent, rules, ...)``:
-        identical tree structures (hence ``nodes_visited``), identical
-        candidate-rule order, identical aggregates and lattice intervals.
-
-        Per group (determinant attribute set):
-
-        * value-identical rule lists keep their tree and lattice node
-          untouched;
-        * same membership and order with only dependent-interval / support
-          changes (the widen case — a rule id's rectangle never changes)
-          are patched strictly in place via :meth:`ARTree.update`;
-        * single-leaf trees whose surviving rules keep their relative order
-          and whose additions sit at the tail absorb the diff through
-          :meth:`ARTree.remove` / :meth:`ARTree.insert`;
-        * anything else (reordering, deep trees gaining/losing members) is
-          replayed group-locally through the shared tree constructor — with
-          pivot coordinates memoised, a replay is pure tree packing.
-
-        Untouched groups are never rebuilt; only touched lattice intervals
-        and the synthetic top-level union are recomputed.
-        """
-        retired_ids = {item if isinstance(item, str) else item.rule_id
-                       for item in retired}
-        del promoted, widened  # diff is re-derived per group from the lists
-        new_rules = [rule for rule in rules if rule.dependent == self.dependent]
-        old_groups = self._group_in_order(self.rules)
-        new_groups = self._group_in_order(new_rules)
-        stats = CDDPatchStats()
-
-        new_trees: Dict[Tuple[str, ...], ARTree] = {}
-        reuse_nodes: Dict[Tuple[str, ...], LatticeNode] = {}
-        for key, new_list in new_groups.items():
-            old_list = old_groups.get(key, [])
-            tree = self._trees.get(key)
-            if old_list == new_list and tree is not None:
-                stats.groups_untouched += 1
-                new_trees[key] = tree
-                node = self.lattice.get(key)
-                if node is not None and key != self._top_union_key:
-                    reuse_nodes[key] = node
-                continue
-            if not old_list:
-                stats.groups_added += 1
-                stats.entries_inserted += len(new_list)
-                new_trees[key] = self._make_tree(key, new_list)
-                continue
-            patched = (tree is not None
-                       and self._patch_group(tree, key, old_list, new_list,
-                                             retired_ids, stats))
-            if not patched:
-                stats.groups_replayed += 1
-                new_trees[key] = self._make_tree(key, new_list)
-            else:
-                new_trees[key] = tree  # type: ignore[assignment]
-        stats.groups_removed += sum(1 for key in old_groups
-                                    if key not in new_groups)
-
-        self.rules = new_rules
-        self._trees = new_trees
-        self._install_lattice(new_groups, reuse_nodes=reuse_nodes)
-        return stats
-
-    def _patch_group(self, tree: ARTree, key: Tuple[str, ...],
-                     old_list: Sequence[CDDRule], new_list: Sequence[CDDRule],
-                     retired_ids: Collection[str],
-                     stats: CDDPatchStats) -> bool:
-        """Absorb one group's diff into its existing tree, in place.
-
-        Returns ``False`` when no in-place transformation can provably match
-        a fresh rebuild (the caller then replays the group).
-        """
-        old_ids = [rule.rule_id for rule in old_list]
-        new_ids = [rule.rule_id for rule in new_list]
-        new_by_id = {rule.rule_id: rule for rule in new_list}
-        old_by_id = {rule.rule_id: rule for rule in old_list}
-
-        if old_ids == new_ids:
-            # Same membership and order: only leaf payloads/aggregates may
-            # differ.  A rule id pins its determinant constraints, so the
-            # rectangle is unchanged — unless it is not, in which case the
-            # in-place update would diverge from a rebuild: bail out.
-            updates: List[Tuple[Rect, CDDRule]] = []
-            for old_rule, new_rule in zip(old_list, new_list):
-                if old_rule == new_rule:
-                    continue
-                old_rect = self._rule_rect(old_rule, key)
-                new_rect = self._rule_rect(new_rule, key)
-                if old_rect != new_rect:
-                    return False
-                updates.append((new_rect, new_rule))
-            for rect, new_rule in updates:
-                if not tree.update(rect, new_rule,
-                                   match=lambda candidate, rid=new_rule.rule_id:
-                                   candidate.rule_id == rid):
-                    return False
-                stats.entries_updated += 1
-            stats.groups_patched += 1
-            return True
-
-        # Membership changed.  A single-leaf tree stores entries in list
-        # order, so removals keep survivor order and insertions append: the
-        # result matches a fresh single-leaf build exactly when the new
-        # order is "survivors in old order, then additions at the tail".
-        added = [rid for rid in new_ids if rid not in old_by_id]
-        dropped = [rid for rid in old_ids if rid not in new_by_id]
-        survivors_old = [rid for rid in old_ids if rid in new_by_id]
-        if (tree.height() != 1 or len(new_list) > self._max_entries
-                or new_ids != survivors_old + added):
-            return False
-        for old_rule, old_id in zip(old_list, old_ids):
-            if old_id in new_by_id and old_rule != new_by_id[old_id]:
-                old_rect = self._rule_rect(old_rule, key)
-                new_rect = self._rule_rect(new_by_id[old_id], key)
-                if old_rect != new_rect:
-                    return False
-        for rid in dropped:
-            if not tree.remove(self._rule_rect(old_by_id[rid], key),
-                               match=lambda candidate, rid=rid:
-                               candidate.rule_id == rid):
-                return False
-            stats.entries_removed += 1
-        for old_rule, old_id in zip(old_list, old_ids):
-            new_rule = new_by_id.get(old_id)
-            if new_rule is not None and old_rule != new_rule:
-                if not tree.update(self._rule_rect(new_rule, key), new_rule,
-                                   match=lambda candidate, rid=old_id:
-                                   candidate.rule_id == rid):
-                    return False
-                stats.entries_updated += 1
-        for rid in added:
-            new_rule = new_by_id[rid]
-            tree.insert(self._rule_rect(new_rule, key), new_rule)
-            stats.entries_inserted += 1
-        stats.groups_patched += 1
-        return True
 
     # -- statistics --------------------------------------------------------------
     @property

@@ -254,9 +254,8 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
         lambda: float(ctx.dr_index.packed_probes),
         help="DR-index probes answered from the packed repository mirror")
 
-    # Rule-install dispatch (skip / patch / rebuild).
+    # Rule-install dispatch (skip / rebuild).
     for attr, outcome in (("installs_skipped", "skipped"),
-                          ("installs_patched", "patched"),
                           ("installs_rebuilt", "rebuilt")):
         registry.bind(
             "terids_rule_installs_total",

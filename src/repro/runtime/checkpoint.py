@@ -19,6 +19,7 @@ from typing import Dict
 from repro.core.pruning import RecordSynopsis
 from repro.imputation.imputer import ImputationStats
 from repro.persistence import (
+    CheckpointError,
     imputed_record_from_dict,
     imputed_record_to_dict,
     match_from_dict,
@@ -55,6 +56,10 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         # process-local scratch and are not persisted.
         "telemetry": {"batch_seq": ctx.batch_seq,
                       "trace_id": ctx.last_trace_id},
+        # The repository grows mid-stream (absorb_complete_tuples,
+        # add_repository_samples) and is not checkpointed: its size lets a
+        # restore refuse an engine built over a different repository.
+        "repository_size": len(ctx.repository),
     }
     if ctx.controller_state is not None:
         # Runtime-controller state (batch-size target, decision counters):
@@ -63,13 +68,6 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         # default.  Plain JSON-safe dict, attached by
         # repro.runtime.controller.
         state["controller"] = dict(ctx.controller_state)
-    if ctx.rule_maintainer is not None:
-        # Incremental rule maintenance (Section 5.5): unlike the other
-        # offline substrates, the maintained rules are NOT a deterministic
-        # function of repository + config alone (pending-pool promotions and
-        # confidence retirements depend on the update history), so the
-        # maintainer's sufficient statistics ride along in the checkpoint.
-        state["rule_maintainer"] = ctx.rule_maintainer.state_to_dict()
     return state
 
 
@@ -79,9 +77,20 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     The context must have been built over the same repository,
     configuration and rule set as the checkpointed engine; windows, grid and
     result set are cleared and repopulated, counters are overwritten.
-    Keys this version no longer writes (``transport_stats`` and the
-    worker / routing fields of older ``controller`` states) are ignored.
+    Raises :class:`~repro.persistence.CheckpointError`, before touching any
+    state, when the checkpoint records a ``repository_size`` other than
+    ``len(ctx.repository)`` (a checkpoint without one skips the check).
+    Keys this version no longer writes (``transport_stats``,
+    ``rule_maintainer`` and the worker / routing fields of older
+    ``controller`` states) are ignored.
     """
+    saved_size = state.get("repository_size")
+    if saved_size is not None and saved_size != len(ctx.repository):
+        raise CheckpointError(
+            f"checkpoint was taken over a repository of {saved_size} "
+            f"samples, but this engine's repository holds "
+            f"{len(ctx.repository)}; build the engine over the repository "
+            f"the checkpointed run had grown to")
     ctx.clear_online_state()
 
     # Window tuples are re-inserted globally ordered by arrival timestamp
@@ -134,25 +143,6 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
 
     ctx.ingest.restore(state.get("ingest_stats", {}))
     ctx.query.restore(state.get("query_stats", {}))
-
-    maintainer_state = state.get("rule_maintainer")
-    if maintainer_state is not None:
-        if ctx.rule_maintainer is None:
-            # Dropping the maintained rules would silently resume with the
-            # construction-time rule set — different imputations, no error.
-            raise ValueError(
-                "checkpoint carries incremental rule-maintainer state but "
-                "this engine was built without incremental maintenance; "
-                "construct it with a CDDDiscoveryConfig whose "
-                "maintenance_mode is 'incremental' or 'hybrid'")
-        # Restore the maintainer's sufficient statistics and reinstall the
-        # regenerated rules (indexes + imputer grouping) so a resumed stream
-        # imputes exactly like the checkpointed one.  The context must hold
-        # the same extended repository the snapshot was taken over.  No
-        # maintenance report is passed: restore deliberately keeps the full
-        # rebuild path (there is no live index to diff against), though a
-        # value-identical rule set still short-circuits to a no-op install.
-        ctx.install_rules(ctx.rule_maintainer.restore_state(maintainer_state))
 
     telemetry_meta = state.get("telemetry", {})
     ctx.batch_seq = telemetry_meta.get("batch_seq", 0)

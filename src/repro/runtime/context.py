@@ -27,9 +27,8 @@ from repro.core.stream import SlidingWindow
 from repro.core.tuples import Schema
 from repro.imputation.cdd import CDDDiscoveryConfig, CDDRule
 from repro.imputation.imputer import CDDImputer
-from repro.imputation.incremental import IncrementalRuleMaintainer
 from repro.imputation.repository import DataRepository
-from repro.indexes.cdd_index import CDDIndex
+from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid
 from repro.indexes.pivots import PivotTable
@@ -200,12 +199,9 @@ class RuntimeContext:
     pruning: Optional[PruningPipeline] = None
     timer: StageTimer = field(default_factory=StageTimer)
     timestamps_processed: int = 0
-    #: Rule-mining knobs used for re-mines of the evolving repository; the
-    #: maintenance stage reads them when absorbing new samples.
+    #: Rule-mining knobs used for exact re-mines of the evolving repository;
+    #: the maintenance stage reads them when asked to re-mine.
     discovery_config: Optional[CDDDiscoveryConfig] = None
-    #: Incremental rule maintainer (Section 5.5).  ``None`` in ``full``
-    #: maintenance mode, where rules only change through an explicit re-mine.
-    rule_maintainer: Optional[IncrementalRuleMaintainer] = None
     #: See :class:`TransportStats`: an all-zero stub the benchmark reads.
     transport: TransportStats = TransportStats()
     #: Arrival/backpressure accounting of the async ingestion front-end
@@ -216,14 +212,10 @@ class RuntimeContext:
     #: unless a ``QueryResolver`` serves lookups over this context.
     query: QueryStats = field(default_factory=QueryStats)
     #: Rule-installation accounting: installs skipped because the incoming
-    #: rule list was value-identical, installs absorbed by patching the
-    #: CDD-indexes in place, and installs that rebuilt them from scratch.
+    #: rule list was value-identical, and installs that rebuilt the
+    #: CDD-indexes.
     installs_skipped: int = 0
-    installs_patched: int = 0
     installs_rebuilt: int = 0
-    #: Aggregated per-group outcome of the most recent patched install
-    #: (``CDDPatchStats.as_dict()``); ``None`` until a patch happens.
-    last_patch_stats: Optional[Dict[str, int]] = None
     #: The telemetry plane (see :mod:`repro.obs`): :data:`NULL_TELEMETRY`
     #: until :meth:`enable_telemetry` swaps in a live recorder.  Not a
     #: typed field on purpose — the null object and the live plane share
@@ -261,77 +253,24 @@ class RuntimeContext:
     def schema(self) -> Schema:
         return self.config.schema
 
-    def install_rules(self, rules, report=None) -> None:
+    def install_rules(self, rules: List[CDDRule]) -> None:
         """Swap a new CDD rule set into the runtime (indexes + imputer).
 
-        The single authority for rule installation — live maintenance
-        (``MaintenanceStage``) and checkpoint restore both route through it,
-        so the two paths cannot drift apart.  The imputer object is kept
-        (statistics, candidate cache and DR-index retriever survive); only
-        the rule grouping and the per-attribute CDD-indexes change.
-
-        A value-identical rule list short-circuits to a no-op.  When live
-        incremental maintenance supplies its :class:`MaintenanceReport`
-        (``report``, not re-mined) and ``config.patch_cdd_indexes`` is on,
-        the existing CDD-indexes are patched in place from the rule diff —
-        bit-identical to a rebuild, but only touching changed lattice
-        groups.  Without a report (checkpoint restore, explicit re-mine,
-        hybrid drift re-sync) the indexes are rebuilt from scratch.
+        The single authority for rule installation: an exact re-mine of the
+        evolving repository (``MaintenanceStage``) routes through it.  The
+        imputer object is kept (statistics, candidate cache and DR-index
+        retriever survive); only the rule grouping and the per-attribute
+        CDD-indexes change.  A value-identical rule list short-circuits to
+        a no-op; anything else rebuilds the indexes.
         """
-        from repro.indexes.cdd_index import build_cdd_indexes
-
         rules = list(rules)
         if rules == self.rules:
             self.installs_skipped += 1
             return
-        patchable = (report is not None
-                     and not getattr(report, "remined", False)
-                     and self.config.patch_cdd_indexes)
-        if patchable:
-            self._patch_cdd_indexes(rules, report)
-            self.installs_patched += 1
-        else:
-            self.cdd_indexes = build_cdd_indexes(rules, self.schema,
-                                                 self.pivots)
-            self.installs_rebuilt += 1
+        self.cdd_indexes = build_cdd_indexes(rules, self.schema, self.pivots)
+        self.installs_rebuilt += 1
         self.rules = rules
         self.imputer.set_rules(self.rules)
-
-    def _patch_cdd_indexes(self, rules: List[CDDRule], report) -> None:
-        """Patch the per-dependent CDD-indexes in place from a rule diff.
-
-        Existing indexes absorb their dependent's diff through
-        :meth:`CDDIndex.apply_diff`; dependents appearing for the first
-        time get a fresh index, dependents that lost all rules lose theirs.
-        The resulting dict matches ``build_cdd_indexes`` bit-for-bit,
-        including its insertion order.
-        """
-        from repro.imputation.cdd import group_rules_by_dependent
-
-        promoted_ids = set(getattr(report, "promoted", ()) or ())
-        retired_ids = set(getattr(report, "retired", ()) or ())
-        widened_ids = set(getattr(report, "widened_ids", ()) or ())
-        patch_stats: Dict[str, int] = {}
-        new_indexes: Dict[str, CDDIndex] = {}
-        for dependent, dependent_rules in group_rules_by_dependent(rules).items():
-            index = self.cdd_indexes.get(dependent)
-            if index is None:
-                index = CDDIndex(dependent=dependent, rules=dependent_rules,
-                                 schema=self.schema, pivots=self.pivots)
-            else:
-                stats = index.apply_diff(
-                    promoted=[rule for rule in dependent_rules
-                              if rule.rule_id in promoted_ids],
-                    retired=retired_ids,
-                    widened=[rule for rule in dependent_rules
-                             if rule.rule_id in widened_ids],
-                    rules=dependent_rules,
-                )
-                for name, value in stats.as_dict().items():
-                    patch_stats[name] = patch_stats.get(name, 0) + value
-            new_indexes[dependent] = index
-        self.cdd_indexes = new_indexes
-        self.last_patch_stats = patch_stats
 
     def window_for(self, source: str) -> SlidingWindow:
         """The sliding window of one stream, created on first use."""
@@ -408,7 +347,6 @@ class RuntimeContext:
             "grid": {"cells_examined": self.grid.cells_examined,
                      "tuples_examined": self.grid.tuples_examined},
             "rule_installs": {"skipped": self.installs_skipped,
-                              "patched": self.installs_patched,
                               "rebuilt": self.installs_rebuilt},
             "stage_seconds": dict(self.timer.totals),
             "stage_counts": dict(self.timer.counts),

@@ -32,7 +32,6 @@ from repro.core.matching import MatchPair
 from repro.core.pruning import RecordSynopsis
 from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.cdd import CDDRule, discover_cdd_rules
-from repro.imputation.incremental import MaintenanceReport
 from repro.runtime.context import RuntimeContext
 
 
@@ -266,62 +265,38 @@ class MaintenanceStage:
 
     # -- evolving repository (Section 5.5) -----------------------------------
     def absorb_repository_samples(self, samples: Sequence[Record],
-                                  remine_rules: bool = False,
-                                  ) -> Optional[MaintenanceReport]:
-        """Extend the repository with complete samples and maintain the rules.
+                                  remine_rules: bool = False) -> None:
+        """Extend the repository and the DR-index with complete samples.
 
-        The repository and DR-index always grow; what happens to the CDD
-        rules depends on the discovery configuration's maintenance mode:
-
-        * ``full`` — rules are left alone unless ``remine_rules`` asks for a
-          full re-mine (the seed behaviour);
-        * ``incremental`` / ``hybrid`` — the
-          :class:`~repro.imputation.incremental.IncrementalRuleMaintainer`
-          folds the batch into its sketches and regenerates the rules in
-          O(batch); ``remine_rules`` forces an exact resynchronisation, and
-          ``hybrid`` triggers one itself when the drift estimate exceeds the
-          configured threshold.
-
-        Returns the maintainer's report (``None`` in ``full`` mode).
+        The CDD rules stay a pure function of repository and discovery
+        configuration: they are left alone unless ``remine_rules`` asks for
+        an exact re-mine (:func:`~repro.imputation.cdd.discover_cdd_rules`
+        over the extended repository), which
+        :meth:`~repro.runtime.context.RuntimeContext.install_rules` then
+        swaps in.
         """
         ctx = self.ctx
-        added: List[Record] = []
         for sample in samples:
             ctx.repository.add_sample(sample)
             ctx.dr_index.index_sample(sample)
-            added.append(sample)
-        if added and ctx.imputer.candidate_cache is not None:
+        if samples and ctx.imputer.candidate_cache is not None:
             # Cache keys embed the domain size, so entries for attributes
             # whose domain grew can never be hit again — drop everything
             # rather than strand them.
             ctx.imputer.candidate_cache.clear()
-
-        maintainer = ctx.rule_maintainer
-        if maintainer is None:
-            if remine_rules:
-                self.install_rules(discover_cdd_rules(ctx.repository,
-                                                      ctx.discovery_config))
-            return None
-        if not added and not remine_rules:
-            return None
-        report = maintainer.absorb(ctx.repository, added,
-                                   force_full=remine_rules)
-        if report.rules_changed:
-            # Threading the report lets the context patch the CDD-indexes
-            # in place from the diff; a re-mined report still rebuilds.
-            self.install_rules(report.rules, report=report)
-        return report
+        if remine_rules:
+            ctx.install_rules(discover_cdd_rules(ctx.repository,
+                                                 ctx.discovery_config))
 
     def absorb_complete_stream_tuples(self, records: Sequence[Record]) -> int:
         """Gated online repository growth from the streams themselves.
 
         When ``config.absorb_complete_tuples`` is set, every *complete*
         tuple of an arriving batch is absorbed into the repository through
-        :meth:`absorb_repository_samples` — so the DR-index grows and, in
-        incremental/hybrid maintenance modes, the CDD rules evolve with the
-        observed traffic.  Incomplete tuples are never absorbed (repository
-        samples must be complete).  Returns the number of absorbed tuples
-        (0 when the flag is off).
+        :meth:`absorb_repository_samples`, so the DR-index grows with the
+        observed traffic; the rules are not re-mined.  Incomplete tuples
+        are never absorbed (repository samples must be complete).  Returns
+        the number of absorbed tuples (0 when the flag is off).
         """
         ctx = self.ctx
         if not ctx.config.absorb_complete_tuples:
@@ -331,13 +306,3 @@ class MaintenanceStage:
         if complete:
             self.absorb_repository_samples(complete)
         return len(complete)
-
-    def install_rules(self, rules: Sequence[CDDRule],
-                      report: Optional[MaintenanceReport] = None) -> None:
-        """Swap a new rule set into the runtime (see ``RuntimeContext``).
-
-        ``report`` — when live incremental maintenance produced the rules —
-        lets the context patch the CDD-indexes in place from the diff;
-        report-less installs (explicit re-mine, restore) rebuild.
-        """
-        self.ctx.install_rules(rules, report=report)

@@ -21,7 +21,6 @@ from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.datasets.synthetic import generate_dataset
 from repro.experiments.harness import run_evolving_stream, split_repository
-from repro.imputation.cdd import MAINTENANCE_INCREMENTAL, CDDDiscoveryConfig
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -33,7 +32,7 @@ GOLDEN_WORKLOADS = (
 
 #: The evolving-repository workload (Section 5.5): one pinned stream whose
 #: repository absorbs the held-out sample tail mid-stream, with the rules
-#: maintained incrementally.  (dataset, scale, seed, window_size).
+#: re-mined exactly after each tranche.  (dataset, scale, seed, window_size).
 EVOLVING_WORKLOAD = ("citations", 0.5, 7, 40)
 EVOLVING_HOLDOUT_FRACTION = 0.3
 EVOLVING_PHASES = 3
@@ -45,11 +44,6 @@ def golden_path(dataset: str) -> Path:
 
 def evolving_golden_path() -> Path:
     return DATA_DIR / "golden_evolving_repo.json"
-
-
-def evolving_discovery_config() -> CDDDiscoveryConfig:
-    """Discovery config pinned by the evolving-repository golden fixture."""
-    return CDDDiscoveryConfig(maintenance_mode=MAINTENANCE_INCREMENTAL)
 
 
 def build_workload(dataset: str, scale: float, seed: int):
@@ -127,15 +121,14 @@ def run_evolving_reference(engine_factory, workload, config) -> dict:
     """Run the evolving-repository scenario and canonicalise the output.
 
     The engine starts from the head of the workload repository; the held-out
-    tail is absorbed in tranches between stream phases (incremental rule
-    maintenance).  The maintained rule-id sequence is pinned alongside the
+    tail is absorbed in tranches between stream phases, each followed by an
+    exact re-mine.  The final rule-id sequence is pinned alongside the
     matches so executor-independence of the maintenance path is asserted
     too.
     """
     base, holdout = split_repository(workload.repository,
                                      EVOLVING_HOLDOUT_FRACTION)
-    engine = engine_factory(repository=base, config=config,
-                            discovery_config=evolving_discovery_config())
+    engine = engine_factory(repository=base, config=config)
     matches = run_evolving_stream(engine, workload.interleaved_records(),
                                   holdout, phases=EVOLVING_PHASES)
     return {

@@ -1,16 +1,16 @@
 """Scalar reference miners: one ``text_distance`` per pair, per band.
 
-The library mines CDD / DD interval rules, the maintainer's band sketches and
-the pivot-candidate entropies from per-attribute distance columns computed
-once (``pair_distance_columns``, ``jaccard_distance_column``).  This module
-keeps the per-pair loops those replaced, verbatim in their arithmetic, as the
-oracle the columnar path must equal bit for bit.
+The library mines CDD / DD interval rules and the pivot-candidate entropies
+from per-attribute distance columns computed once (``pair_distance_columns``,
+``jaccard_distance_column``).  This module keeps the per-pair loops those
+replaced, verbatim in their arithmetic, as the oracle the columnar path must
+equal bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.similarity import text_distance
 from repro.imputation.cdd import (
@@ -22,7 +22,6 @@ from repro.imputation.cdd import (
     interval_rule_from_band,
 )
 from repro.imputation.dd import DDDiscoveryConfig, DDRule
-from repro.imputation.incremental import IncrementalRuleMaintainer
 from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import PivotSelectionConfig
 
@@ -95,29 +94,6 @@ def scalar_discover_dd_rules(
             for determinant in repository.schema if determinant != dependent
             for mined in scalar_interval_rules(repository, determinant,
                                                dependent, pairs, cdd_config)]
-
-
-def scalar_band_sketches(maintainer: IncrementalRuleMaintainer,
-                         repository: DataRepository) -> Dict:
-    """The band sketches ``initialize`` builds, from a per-pair ``dict`` pass.
-
-    Replays every sampled pair through the maintainer's own
-    ``_observe_band_pair`` (the ``absorb`` path) into an empty sketch table
-    and returns it; the maintainer's own table is left as it was.
-    """
-    config = maintainer.config
-    samples = repository.samples
-    saved = maintainer.band_sketches
-    maintainer.band_sketches = {}
-    try:
-        for i, j in _sample_pairs(len(samples), config.max_pairs, config.seed):
-            left, right = samples[i], samples[j]
-            maintainer._observe_band_pair({
-                attribute: text_distance(left[attribute], right[attribute])
-                for attribute in maintainer.schema})
-        return maintainer.band_sketches
-    finally:
-        maintainer.band_sketches = saved
 
 
 def scalar_shannon_entropy(distances: Sequence[float], buckets: int) -> float:

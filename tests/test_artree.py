@@ -220,113 +220,6 @@ def _check_invariants(tree):
     assert len(set(depths)) == 1, f"leaves at mixed depths {depths}"
 
 
-class TestRemove:
-    def _populated(self, count, max_entries=4, seed=11):
-        rng = random.Random(seed)
-        tree = ARTree(dimensions=2, max_entries=max_entries,
-                      aggregator=_counting_aggregator())
-        items = []
-        for index in range(count):
-            rect = Rect.from_point([rng.random(), rng.random()])
-            items.append((rect, index))
-            tree.insert(rect, index)
-        return tree, items
-
-    def test_remove_repairs_aggregates_and_mbrs(self):
-        tree, items = self._populated(60)
-        rng = random.Random(3)
-        rng.shuffle(items)
-        for removed, (rect, payload) in enumerate(items[:40]):
-            assert tree.remove(rect, payload)
-            assert len(tree) == 59 - removed
-            assert tree.root_aggregate == 59 - removed
-            _check_invariants(tree)
-
-    def test_remove_underflow_condenses_and_reinserts(self):
-        tree, items = self._populated(80, max_entries=4)
-        assert tree.height() > 2  # deep enough for cascading underflow
-        survivors = dict((payload, rect) for rect, payload in items)
-        rng = random.Random(5)
-        order = list(survivors)
-        rng.shuffle(order)
-        for payload in order[:76]:
-            assert tree.remove(survivors.pop(payload), payload)
-            _check_invariants(tree)
-        # Every survivor is still findable after all the condensing.
-        assert {entry.payload for entry in tree.all_entries()} == set(survivors)
-
-    def test_remove_last_entry_leaves_empty_reusable_tree(self):
-        tree = ARTree(dimensions=1, aggregator=_counting_aggregator())
-        rect = Rect.from_point([0.5])
-        tree.insert(rect, "only")
-        assert tree.remove(rect, "only")
-        assert len(tree) == 0
-        assert tree.root_rect is None and tree.root_aggregate is None
-        tree.insert(rect, "again")  # tree stays usable
-        assert len(tree) == 1 and tree.root_aggregate == 1
-
-    def test_remove_missing_returns_false(self):
-        tree, items = self._populated(10)
-        assert not tree.remove(Rect.from_point([0.5, 0.5]), "nope")
-        assert not tree.remove(items[0][0], "wrong-payload")
-        assert len(tree) == 10
-
-    def test_remove_with_match_predicate(self):
-        tree = ARTree(dimensions=1)
-        rect = Rect.from_point([0.3])
-        tree.insert(rect, {"id": "a"})
-        tree.insert(rect, {"id": "b"})
-        assert tree.remove(rect, match=lambda payload: payload["id"] == "b")
-        assert [entry.payload["id"] for entry in tree.all_entries()] == ["a"]
-
-    def test_min_entries_validation(self):
-        with pytest.raises(ValueError):
-            ARTree(dimensions=1, max_entries=4, min_entries=3)
-        with pytest.raises(ValueError):
-            ARTree(dimensions=1, max_entries=4, min_entries=0)
-
-
-class TestUpdate:
-    def test_in_place_update_refreshes_aggregate_only(self):
-        aggregator = Aggregator(from_payload=lambda rect, payload: payload,
-                                merge=lambda left, right: left + right)
-        tree = ARTree(dimensions=1, max_entries=4, aggregator=aggregator)
-        rects = [Rect.from_point([index / 10]) for index in range(10)]
-        for index, rect in enumerate(rects):
-            tree.insert(rect, index)
-        before = sum(range(10))
-        assert tree.root_aggregate == before
-        assert tree.update(rects[3], 100, match=lambda payload: payload == 3)
-        assert tree.root_aggregate == before - 3 + 100
-        assert len(tree) == 10
-
-    def test_in_place_update_preserves_leaf_entry_order(self):
-        tree = ARTree(dimensions=1, max_entries=8)
-        rects = [Rect.from_point([index / 10]) for index in range(5)]
-        for index, rect in enumerate(rects):
-            tree.insert(rect, index)
-        assert tree.update(rects[2], "swapped", match=lambda payload: payload == 2)
-        assert [entry.payload for entry in tree._root.entries] == [
-            0, 1, "swapped", 3, 4]
-
-    def test_update_with_moved_rect_relocates_entry(self):
-        tree = ARTree(dimensions=1, max_entries=4,
-                      aggregator=_counting_aggregator())
-        old_rect = Rect.from_point([0.1])
-        new_rect = Rect.from_point([0.9])
-        tree.insert(old_rect, "mover")
-        for index in range(6):
-            tree.insert(Rect.from_point([0.2 + index / 20]), index)
-        assert tree.update(old_rect, "mover", new_rect=new_rect)
-        assert len(tree) == 7
-        assert not tree.remove(old_rect, "mover")
-        assert tree.remove(new_rect, "mover")
-
-    def test_update_missing_returns_false(self):
-        tree = ARTree(dimensions=1)
-        assert not tree.update(Rect.from_point([0.5]), "ghost")
-
-
 class TestBulkLoad:
     def test_bulk_load_equals_inserts_for_small_sets(self):
         items = [(Rect.from_point([index / 10]), index) for index in range(5)]
@@ -363,15 +256,3 @@ class TestBulkLoad:
         tree = ARTree(dimensions=1)
         tree.bulk_load([])
         assert len(tree) == 0 and tree.root_rect is None
-
-    def test_bulk_loaded_tree_supports_remove(self):
-        rng = random.Random(31)
-        items = [(Rect.from_point([rng.random()]), index)
-                 for index in range(100)]
-        tree = ARTree(dimensions=1, max_entries=4,
-                      aggregator=_counting_aggregator())
-        tree.bulk_load(items)
-        for rect, payload in items[:50]:
-            assert tree.remove(rect, payload)
-            _check_invariants(tree)
-        assert len(tree) == 50

@@ -13,6 +13,7 @@ from golden_utils import (
 )
 from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record
+from repro.ingest import BatchPolicy, IngestDriver, ReplaySource
 from repro.persistence import CheckpointError, load_checkpoint, save_checkpoint
 from repro.runtime import MicroBatchExecutor, SerialExecutor
 
@@ -265,7 +266,53 @@ def test_parent_format_checkpoint_restores_and_reserialises_equal(
     JSON they produce must stay byte-identical, key order included."""
     engine = TERiDSEngine(repository=health_repository, config=health_config)
     engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
-    assert json.dumps(engine.checkpoint()) == json.dumps(_PARENT_FORMAT_STATE)
+    # The one key added since: the repository size the restore guard reads.
+    expected = dict(_PARENT_FORMAT_STATE,
+                    repository_size=len(health_repository))
+    assert json.dumps(engine.checkpoint()) == json.dumps(expected)
     snapshot = engine.metrics_snapshot()
     assert snapshot["pruning"] == _PARENT_FORMAT_STATE["pruning_stats"]
     assert snapshot["imputation"] == _PARENT_FORMAT_STATE["imputation_stats"]
+
+
+def test_parent_checkpoint_with_maintainer_state_restores_ignoring_it(
+        health_repository, health_config):
+    """Checkpoints once carried sketch state under ``rule_maintainer``; the
+    key is ignored, and the rules stay the ones mined from the repository."""
+    engine = TERiDSEngine(repository=health_repository, config=health_config)
+    rules = list(engine.rules)
+    state = json.loads(json.dumps(_PARENT_FORMAT_STATE))
+    state["rule_maintainer"] = {"version": 1, "rules": [],
+                                "band_sketches": {}, "drift": 0.4}
+    engine.restore_checkpoint(state)
+    assert engine.rules == rules
+    assert engine.timestamps_processed == 60
+    assert "rule_maintainer" not in engine.checkpoint()
+
+
+def test_restore_refuses_an_engine_over_a_different_repository(tmp_path):
+    """A driver that absorbed complete stream tuples has a grown repository;
+    its checkpoint must not restore into an engine over the original one,
+    which would impute the resumed stream from fewer samples."""
+    workload = build_workload("citations", 0.4, 7)
+    config = build_config(workload, 30).replace(absorb_complete_tuples=True)
+    records = workload.interleaved_records()[:40]
+    engine = TERiDSEngine(repository=build_workload("citations", 0.4,
+                                                    7).repository,
+                          config=config)
+    original = len(engine.repository)
+    driver = IngestDriver(engine, [ReplaySource(records)],
+                          policy=BatchPolicy(max_batch=8))
+    driver.run()
+    grown = len(engine.repository)
+    assert grown > original
+    path = tmp_path / "grown.ckpt.json"
+    save_checkpoint(driver.checkpoint(), path)
+
+    stale = TERiDSEngine(repository=workload.repository, config=config)
+    assert len(stale.repository) == original
+    with pytest.raises(CheckpointError,
+                       match=rf"{grown} samples.*holds {original}"):
+        IngestDriver(stale, [ReplaySource([])]).restore_checkpoint(
+            load_checkpoint(path))
+    assert stale.timestamps_processed == 0  # refused before any mutation

@@ -1,20 +1,15 @@
 """Columnar rule mining and pivot scoring equal their scalar oracles.
 
-``discover_cdd_rules``, ``discover_dd_rules``, the maintainer's band
-sketches and ``select_pivots`` compute their distances once, as columns.
-Every property here compares them with the per-pair loops of
-``scalar_mining`` on ``repr`` — rules, supports, intervals, entropies — so a
-single differently-rounded float fails.
+``discover_cdd_rules``, ``discover_dd_rules`` and ``select_pivots`` compute
+their distances once, as columns.  Every property here compares them with the
+per-pair loops of ``scalar_mining`` on ``repr`` — rules, supports, intervals,
+entropies — so a single differently-rounded float fails.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from pathlib import Path
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.similarity import text_distance
@@ -26,7 +21,6 @@ from repro.imputation.cdd import (
     pair_distance_columns,
 )
 from repro.imputation.dd import DDDiscoveryConfig, discover_dd_rules
-from repro.imputation.incremental import IncrementalRuleMaintainer
 from repro.imputation.repository import DataRepository
 from repro.indexes import pivots as pivots_module
 from repro.indexes.pivots import (
@@ -35,17 +29,10 @@ from repro.indexes.pivots import (
     select_pivots,
 )
 from scalar_mining import (
-    scalar_band_sketches,
     scalar_candidate_entropies,
     scalar_discover_cdd_rules,
     scalar_discover_dd_rules,
 )
-
-BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
-if str(BENCH_DIR) not in sys.path:
-    sys.path.insert(0, str(BENCH_DIR))
-
-import workloads  # noqa: E402  (the benchmark's own module, read-only)
 
 SCHEMA = Schema(attributes=("a", "b", "c"))
 
@@ -137,19 +124,6 @@ class TestRuleMining:
                         for i, j in pairs]
             assert reprs(columns[attribute].tolist()) == reprs(expected)
 
-    @settings(max_examples=60, deadline=None)
-    @given(repository=repositories(), config=cdd_configs())
-    def test_maintainer_sketches_equal_per_pair_pass(self, repository, config):
-        maintainer = IncrementalRuleMaintainer(config, SCHEMA)
-        rules = maintainer.initialize(repository)
-        expected = scalar_band_sketches(maintainer, repository)
-        assert (sorted(maintainer.band_sketches.items())
-                == sorted(expected.items()))
-        for stat in maintainer.band_sketches.values():
-            assert stat.count > 0
-            assert type(stat.low) is float and type(stat.high) is float
-        assert reprs(rules) == reprs(discover_cdd_rules(repository, config))
-
     def test_two_sample_repository_with_disjoint_and_empty_values(self):
         repository = DataRepository(schema=SCHEMA, samples=[
             Record(rid="s0", values={"a": "p q", "b": "", "c": "x"},
@@ -199,27 +173,3 @@ class TestPivotScoring:
             expected = select_pivots(repository, config)
         assert table.pivots == expected.pivots
         assert repr(table.reports) == repr(expected.reports)
-
-
-@pytest.mark.parametrize("name", [spec.name for spec in workloads.WORKLOADS])
-class TestBenchmarkRepositories:
-    """The four end-to-end workloads' repositories (data seed, seed 7)."""
-
-    def test_maintainer_initialize_equals_full_miner(self, name):
-        repository = workloads.build_inputs(workloads.BY_NAME[name], 7,
-                                            10).repository
-        maintainer = IncrementalRuleMaintainer(CDDDiscoveryConfig(),
-                                               repository.schema)
-        assert (reprs(maintainer.initialize(repository))
-                == reprs(discover_cdd_rules(repository)))
-
-    def test_maintainer_checkpoint_equals_per_pair_pass(self, name):
-        repository = workloads.build_inputs(workloads.BY_NAME[name], 7,
-                                            10).repository
-        maintainer = IncrementalRuleMaintainer(CDDDiscoveryConfig(),
-                                               repository.schema)
-        maintainer.initialize(repository)
-        columnar = json.dumps(maintainer.state_to_dict(), sort_keys=True)
-        maintainer.band_sketches = scalar_band_sketches(maintainer, repository)
-        assert columnar == json.dumps(maintainer.state_to_dict(),
-                                      sort_keys=True)

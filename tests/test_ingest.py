@@ -31,7 +31,6 @@ from golden_utils import (
 from repro.core.engine import TERiDSEngine
 from repro.core.stream import StreamSet, build_stream
 from repro.core.tuples import Record
-from repro.imputation.cdd import MAINTENANCE_INCREMENTAL, CDDDiscoveryConfig
 from repro.ingest import (
     AdaptiveBatcher,
     BatchPolicy,
@@ -719,14 +718,12 @@ def test_absorb_complete_tuples_is_gated_by_the_config_flag():
         records) == 0
     assert len(engine.repository) == before
 
-    # Flag on, driven by the ingest driver, with incremental rule
-    # maintenance: the repository grows by exactly the complete tuples.
+    # Flag on, driven by the ingest driver: the repository grows by exactly
+    # the complete tuples.
     grow_config = config.replace(absorb_complete_tuples=True)
     engine2 = TERiDSEngine(
         repository=build_workload("citations", 0.4, 7).repository,
-        config=grow_config,
-        discovery_config=CDDDiscoveryConfig(
-            maintenance_mode=MAINTENANCE_INCREMENTAL))
+        config=grow_config)
     before2 = len(engine2.repository)
     driver = IngestDriver(engine2, [ReplaySource(records)],
                           policy=BatchPolicy(max_batch=8))

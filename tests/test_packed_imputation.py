@@ -19,7 +19,6 @@ from golden_utils import (
     GOLDEN_WORKLOADS,
     build_config,
     build_workload,
-    evolving_discovery_config,
 )
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
@@ -332,7 +331,6 @@ def test_executors_impute_identically_on_evolving_golden():
         repository = split_repository(workload.repository,
                                       EVOLVING_HOLDOUT_FRACTION)[0]
         return TERiDSEngine(repository=repository, config=config,
-                            discovery_config=evolving_discovery_config(),
                             executor=executor)
 
     _run_both(make_engine,

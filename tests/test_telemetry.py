@@ -526,6 +526,11 @@ class TestEngineFacade:
                    by_name["terids_pruning_pairs_total"]["samples"]}
         assert pruning["considered"] == \
             engine.ctx.pruning.stats.pairs_considered
+        # A rule install either no-op-skips or rebuilds the indexes.
+        assert set(snapshot["rule_installs"]) == {"skipped", "rebuilt"}
+        installs = {s["labels"]["outcome"] for s in
+                    by_name["terids_rule_installs_total"]["samples"]}
+        assert installs == {"skipped", "rebuilt"}
         assert snapshot["traces"]
         assert snapshot["profiles"]
 
