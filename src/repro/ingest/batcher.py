@@ -39,7 +39,9 @@ class BatchPolicy:
 
     ``max_batch`` must be positive; ``max_delay`` (seconds) and
     ``watermark_stride`` (event-time units) are optional triggers — ``None``
-    disables them, leaving pure size-triggered batching.
+    disables them, leaving pure size-triggered batching.  When set, both
+    must be finite and positive: a NaN deadline would never fire yet always
+    read as due, spinning the driver's wait loop.
     """
 
     max_batch: int = 64
@@ -49,15 +51,26 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.max_delay is not None and self.max_delay <= 0:
-            raise ValueError(f"max_delay must be positive, got {self.max_delay}")
-        if self.watermark_stride is not None and self.watermark_stride <= 0:
-            raise ValueError(
-                f"watermark_stride must be positive, got {self.watermark_stride}")
+        check_finite_positive("max_delay", self.max_delay)
+        check_finite_positive("watermark_stride", self.watermark_stride)
+
+
+def check_finite_positive(name: str, value: Optional[float]) -> None:
+    """Reject an optional threshold that is set but not finite and
+    positive; ``None`` (the trigger is off) passes."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class AdaptiveBatcher:
-    """Size / deadline / watermark triggered micro-batch formation."""
+    """Size / deadline / watermark triggered micro-batch formation.
+
+    Runs the one static :class:`BatchPolicy` its caller gives it.  The
+    triggers adapt each batch to the arrival pattern; the thresholds
+    themselves never change at runtime.  Match sets do not depend on how
+    the stream is cut into batches, so the policy trades latency against
+    per-batch overhead and nothing else.
+    """
 
     def __init__(self, policy: BatchPolicy, stats: IngestStats,
                  queue_depth: Optional[Callable[[], int]] = None) -> None:
@@ -74,24 +87,6 @@ class AdaptiveBatcher:
     def pending(self) -> int:
         """Number of elements waiting for a trigger."""
         return len(self._pending)
-
-    def retarget(self, policy: BatchPolicy) -> BatchPolicy:
-        """Swap the trigger policy in place; returns the previous one.
-
-        Safe at any point between emits: the policy is only read when
-        triggers are checked (``add`` / ``poll`` / ``time_until_due``), so
-        already-pending elements simply meet the new thresholds — a
-        shrunken ``max_batch`` emits on the next ``add``, a longer
-        ``max_delay`` extends the current deadline.  This is the ingest-side
-        *act* hook of the runtime controller
-        (:mod:`repro.runtime.controller`).
-        """
-        if not isinstance(policy, BatchPolicy):
-            raise TypeError(f"retarget expects a BatchPolicy, "
-                            f"got {type(policy).__name__}")
-        previous = self.policy
-        self.policy = policy
-        return previous
 
     def pending_elements(self) -> List[StreamElement]:
         """Snapshot of the waiting elements (checkpoint serialisation)."""

@@ -52,7 +52,7 @@ class WatermarkClock:
 
     def __init__(self, lateness: float = 0.0,
                  late_policy: str = LATE_ADMIT) -> None:
-        if lateness < 0:
+        if not lateness >= 0:  # also rejects NaN
             raise ValueError(f"lateness must be >= 0, got {lateness}")
         if late_policy not in (LATE_ADMIT, LATE_SHED):
             raise ValueError(

@@ -6,9 +6,10 @@ implementations into one bounded arrival queue, runs every arrival through
 the :class:`~repro.ingest.clock.WatermarkClock` (per-stream watermarks,
 bounded lateness, deterministic reordering) and the
 :class:`~repro.ingest.batcher.AdaptiveBatcher` (size / deadline / watermark
-triggers), and feeds the formed micro-batches to
-``TERiDSEngine.process_batch`` — so the live path exercises exactly the
-executors the offline harness pins against the goldens.
+triggers of the one static ``BatchPolicy`` the caller passes), and feeds
+the formed micro-batches to ``TERiDSEngine.process_batch`` — so the live
+path exercises exactly the executors the offline harness pins against the
+goldens.
 
 Determinism: replaying the same interleaved input through a
 :class:`~repro.ingest.sources.ReplaySource` with ``lateness=0`` releases the
@@ -39,7 +40,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.matching import MatchPair
 from repro.core.time_window import TimeBasedWindow
-from repro.ingest.batcher import AdaptiveBatcher, BatchPolicy
+from repro.ingest.batcher import (
+    AdaptiveBatcher,
+    BatchPolicy,
+    check_finite_positive,
+)
 from repro.ingest.clock import (
     LATE_ADMIT,
     OBSERVED_LATE_ADMITTED,
@@ -95,7 +100,9 @@ class IngestDriver:
         The ingest sources; each holds its own watermark until exhausted.
     policy:
         Batch-formation policy (default: size-64 batches with a 50 ms
-        latency deadline).
+        latency deadline).  It stays fixed for the whole run: choose it for
+        the arrival pattern, since batch size trades latency against
+        per-batch overhead but never changes an answer.
     lateness / late_policy:
         Bounded-lateness knobs of the :class:`WatermarkClock`.
     queue_capacity:
@@ -116,11 +123,12 @@ class IngestDriver:
         (watermark-driven expiry over the existing
         :class:`~repro.core.time_window.TimeBasedWindow` machinery).
     idle_timeout:
-        Optional idle-source punctuation in wall-clock seconds: a source
-        with no arrival for this long is marked idle on the watermark
-        clock and stops holding the global watermark back (a stalled
-        ``CallbackSource`` no longer freezes batching, reordering and
-        event-time expiry for every other stream).  The source rejoins
+        Optional idle-source punctuation in wall-clock seconds (finite and
+        positive when set): a source with no arrival for this long is
+        marked idle on the watermark clock and stops holding the global
+        watermark back (a stalled ``CallbackSource`` no longer freezes
+        batching, reordering and event-time expiry for every other
+        stream).  The source rejoins
         the watermark with its next arrival, which is then subject to the
         normal late policy.  Idle transitions are counted as
         ``idle_timeouts`` on :class:`IngestStats`.
@@ -137,15 +145,6 @@ class IngestDriver:
     on_batch:
         Optional callback ``on_batch(driver, records)`` invoked after each
         processed batch (tests, live metrics, custom checkpoint triggers).
-    controller:
-        Optional :class:`~repro.runtime.controller.RuntimeController` to
-        run between batches.  The driver adopts it: the controller's
-        ``batcher`` is bound to the driver's live batcher (so batch-policy
-        retargets act on the real trigger policy) and its
-        :meth:`~repro.runtime.controller.RuntimeController.after_batch` is
-        invoked after each processed batch — a quiescent point even with
-        ``process_in_executor`` (the batch has fully returned).  Runs after
-        ``on_batch``.
     collect_matches:
         Accumulate every discovered pair on ``driver.matches`` (the replay
         / testing default).  Disable for indefinitely running drivers —
@@ -164,7 +163,6 @@ class IngestDriver:
                  checkpoint_path=None,
                  checkpoint_every_batches: Optional[int] = None,
                  on_batch: Optional[Callable] = None,
-                 controller=None,
                  collect_matches: bool = True) -> None:
         if not sources:
             raise ValueError("IngestDriver needs at least one source")
@@ -180,9 +178,7 @@ class IngestDriver:
         if event_time_window is not None and event_time_window <= 0:
             raise ValueError(
                 f"event_time_window must be positive, got {event_time_window}")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError(
-                f"idle_timeout must be positive, got {idle_timeout}")
+        check_finite_positive("idle_timeout", idle_timeout)
         if checkpoint_every_batches is not None and checkpoint_every_batches <= 0:
             raise ValueError("checkpoint_every_batches must be positive, "
                              f"got {checkpoint_every_batches}")
@@ -209,17 +205,6 @@ class IngestDriver:
         self._clock = WatermarkClock(lateness=lateness, late_policy=late_policy)
         self._batcher = AdaptiveBatcher(self.policy, self.stats,
                                         queue_depth=self._queue_depth)
-        self.controller = controller
-        if controller is not None:
-            if controller.engine is not engine:
-                raise ValueError("controller is attached to a different "
-                                 "engine than this driver feeds")
-            # Bind the controller to the live batcher so retargets act on
-            # the real trigger policy (a controller built standalone has no
-            # batcher yet).
-            controller.batcher = self._batcher
-            if not controller.state.get("target_max_batch"):
-                controller.state["target_max_batch"] = self.policy.max_batch
         self._event_window = (TimeBasedWindow(duration=event_time_window)
                               if event_time_window is not None else None)
         self._max_event = -math.inf
@@ -563,10 +548,6 @@ class IngestDriver:
             self._expire_by_watermark(batch)
         if self.on_batch is not None:
             self.on_batch(self, records)
-        if self.controller is not None:
-            # A quiescent point even off-loop: the batch above has fully
-            # returned.
-            self.controller.after_batch(self, records)
         if (self.checkpoint_every_batches is not None
                 and self.batches_processed % self.checkpoint_every_batches == 0):
             # Deferred to the mux loop's quiescent point — mid-``_pump``,

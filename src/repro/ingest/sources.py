@@ -99,8 +99,7 @@ class ReplaySource:
         record, used verbatim instead of the synthetic
         ``start_event_time + i`` sequence.  This is how a captured load
         regime (bursty event-time clumps, bounded disorder, stragglers)
-        is replayed bit-for-bit — e.g. the scenario traces of
-        ``benchmarks/scenarios.py``.  The trace length must match the
+        is replayed bit-for-bit.  The trace length must match the
         record count (checked during replay); it need not be monotone
         (the watermark clock handles reordering and lateness downstream).
     """

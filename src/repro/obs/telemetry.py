@@ -271,28 +271,3 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
     registry.bind(
         "terids_timestamps_processed", lambda: float(ctx.timestamps_processed),
         help="Stream timestamps processed so far", kind=GAUGE)
-
-    # Runtime controller (sense→decide→act loop).  Bound through
-    # ``ctx.controller_state`` — a plain dict the controller maintains — so
-    # the closures work whether the controller attaches before or after
-    # telemetry is enabled (all-zero samples until it does).
-    def _controller(key):
-        return float((ctx.controller_state or {}).get(key, 0.0))
-
-    registry.bind_multi(
-        "terids_controller_decisions_total", "action",
-        lambda: dict((ctx.controller_state or {}).get("decisions", {})),
-        help="Controller decisions applied, by action kind")
-    registry.bind(
-        "terids_controller_evaluations_total",
-        lambda: _controller("evaluations"),
-        help="Sense→decide→act evaluations run between batches")
-    registry.bind(
-        "terids_controller_target_max_batch",
-        lambda: _controller("target_max_batch"),
-        help="Batch-policy max_batch the controller is steering to",
-        kind=GAUGE)
-    registry.bind(
-        "terids_controller_last_p95_seconds",
-        lambda: _controller("last_p95_seconds"),
-        help="Batch-latency p95 the last decision was based on", kind=GAUGE)

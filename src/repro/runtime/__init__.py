@@ -7,18 +7,13 @@ stages over a shared :class:`~repro.runtime.context.RuntimeContext`, a
 :class:`~repro.runtime.executors.SerialExecutor` and the amortising,
 vectorized :class:`~repro.runtime.executors.MicroBatchExecutor`.
 Checkpoint / restore of the online state lives in
-:mod:`repro.runtime.checkpoint`; the self-tuning sense→decide→act loop over
-the ingest batch policy lives in :mod:`repro.runtime.controller`.
+:mod:`repro.runtime.checkpoint`.  Batch formation is the ingest tier's
+business (:mod:`repro.ingest.batcher`): match sets do not depend on how the
+stream is cut into batches, so the runtime takes batches as it is handed
+them.
 """
 
 from repro.runtime.checkpoint import engine_state_to_dict, restore_engine_state
-from repro.runtime.controller import (
-    MODE_ACTIVE,
-    MODE_OBSERVE,
-    MODE_OFF,
-    ControllerPolicy,
-    RuntimeController,
-)
 from repro.runtime.context import IngestStats, QueryStats, RuntimeContext
 from repro.runtime.query import QueryResolver, ResolvedCluster
 from repro.runtime.evaluation import (
@@ -44,14 +39,10 @@ from repro.runtime.stages import (
 
 __all__ = [
     "CandidateLookupStage",
-    "ControllerPolicy",
     "Executor",
     "ImputationStage",
     "IngestStats",
     "MaintenanceStage",
-    "MODE_ACTIVE",
-    "MODE_OBSERVE",
-    "MODE_OFF",
     "MatchingStage",
     "MicroBatchExecutor",
     "Pipeline",
@@ -60,7 +51,6 @@ __all__ = [
     "ResolvedCluster",
     "RuleSelectionStage",
     "RuntimeContext",
-    "RuntimeController",
     "SerialExecutor",
     "SynopsisStage",
     "TupleTask",

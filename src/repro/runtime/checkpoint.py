@@ -34,7 +34,7 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         source: [imputed_record_to_dict(item.record) for item in window.items()]
         for source, window in sorted(ctx.windows.items())
     }
-    state = {
+    return {
         "timestamps_processed": ctx.timestamps_processed,
         "windows": windows,
         "matches": [match_to_dict(pair) for pair in ctx.result_set.pairs()],
@@ -61,14 +61,6 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         # restore refuse an engine built over a different repository.
         "repository_size": len(ctx.repository),
     }
-    if ctx.controller_state is not None:
-        # Runtime-controller state (batch-size target, decision counters):
-        # persisting it lets a restored run resume with the target it had
-        # converged to instead of re-converging from the construction-time
-        # default.  Plain JSON-safe dict, attached by
-        # repro.runtime.controller.
-        state["controller"] = dict(ctx.controller_state)
-    return state
 
 
 def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
@@ -81,8 +73,7 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     state, when the checkpoint records a ``repository_size`` other than
     ``len(ctx.repository)`` (a checkpoint without one skips the check).
     Keys this version no longer writes (``transport_stats``,
-    ``rule_maintainer`` and the worker / routing fields of older
-    ``controller`` states) are ignored.
+    ``rule_maintainer`` and ``controller``) are ignored.
     """
     saved_size = state.get("repository_size")
     if saved_size is not None and saved_size != len(ctx.repository):
@@ -147,12 +138,5 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     telemetry_meta = state.get("telemetry", {})
     ctx.batch_seq = telemetry_meta.get("batch_seq", 0)
     ctx.last_trace_id = telemetry_meta.get("trace_id")
-
-    # Controller state is adopted by the next RuntimeController attached to
-    # this context (its constructor reads ctx.controller_state); absent from
-    # the checkpoint means no controller ran, so clear any leftover.
-    controller_state = state.get("controller")
-    ctx.controller_state = (dict(controller_state)
-                            if controller_state is not None else None)
 
     ctx.timestamps_processed = state.get("timestamps_processed", 0)

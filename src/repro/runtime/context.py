@@ -229,12 +229,6 @@ class RuntimeContext:
     #: Trace id of the most recently started batch (``None`` while
     #: telemetry has never been enabled).
     last_trace_id: Optional[str] = None
-    #: Live state of the runtime controller steering this context's
-    #: executor (see :mod:`repro.runtime.controller`): a plain JSON-safe
-    #: dict (mode, batch-size target, decision counters) so
-    #: checkpoints and the metrics registry reach it through the context
-    #: without importing the controller.  ``None`` until one attaches.
-    controller_state: Optional[Dict] = None
 
     def __post_init__(self) -> None:
         if self.pruning is None:

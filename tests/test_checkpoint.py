@@ -11,6 +11,7 @@ from golden_utils import (
     decoded_token_rows,
     instance_token_rows,
 )
+from test_er_grid import _observables, _small_config, _small_workload
 from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record
 from repro.ingest import BatchPolicy, IngestDriver, ReplaySource
@@ -288,6 +289,64 @@ def test_parent_checkpoint_with_maintainer_state_restores_ignoring_it(
     assert engine.rules == rules
     assert engine.timestamps_processed == 60
     assert "rule_maintainer" not in engine.checkpoint()
+
+
+#: ``controller`` states older checkpoints carry: the batch-size
+#: controller's own, and the earlier shape with worker / routing fields.
+_PARENT_CONTROLLER_STATES = {
+    "batch-size-controller": {
+        "mode": "active", "slo_p95_seconds": 0.25, "evaluations": 9,
+        "decisions": {"retarget_down": 2}, "target_max_batch": 16,
+        "last_p95_seconds": 0.3,
+        "last_decision": "retarget_down max_batch 32->16 (p95=0.3000s)"},
+    "worker-routing-controller": {
+        "mode": "active", "slo_p95_seconds": 0.25, "evaluations": 9,
+        "decisions": {"scale_up": 1, "broadcast": 1, "retarget_down": 2},
+        "cooldown_remaining": 3, "target_workers": 2, "target_max_batch": 16,
+        "delta_routing": 0, "broadcast_age": 5, "last_p95_seconds": 0.3,
+        "last_decision": "scale_up workers 1->2 (p95=0.3000s)"},
+}
+
+
+@pytest.mark.parametrize("controller", list(_PARENT_CONTROLLER_STATES),
+                         ids=list(_PARENT_CONTROLLER_STATES))
+def test_parent_format_checkpoint_restores_and_resumes_identically(controller):
+    """Older checkpoints carry ``transport_stats`` and a ``controller``
+    state; both keys are ignored, the resumed run equals one restored
+    without them, and a new checkpoint writes neither."""
+    workload = _small_workload()
+    records = list(workload.interleaved_records())
+    half = len(records) // 2
+
+    def engine():
+        return TERiDSEngine(repository=workload.repository,
+                            config=_small_config(workload),
+                            executor=MicroBatchExecutor(batch_size=8))
+
+    first = engine()
+    first.process_batch(records[:half])
+    state = first.checkpoint()
+    assert not {"transport_stats", "controller"} & set(state)
+
+    old_format = json.loads(json.dumps(state))
+    old_format["transport_stats"] = {
+        "batches": 7, "bytes_shipped": 123456, "synopses_shipped": 321,
+        "orders_shipped": 56, "evictions_shipped": 12, "deltas_routed": 40,
+        "backfills": 3, "shm_bytes_mapped": 65536}
+    old_format["controller"] = dict(_PARENT_CONTROLLER_STATES[controller])
+
+    def resume(checkpoint):
+        resumed = engine()
+        resumed.restore_checkpoint(checkpoint)
+        matches = resumed.process_batch(records[half:])
+        return resumed, _observables(resumed, matches)
+
+    _, plain = resume(state)
+    resumed, from_old = resume(old_format)
+    assert from_old == plain
+    rewritten = resumed.checkpoint()
+    assert "transport_stats" not in rewritten
+    assert "controller" not in rewritten
 
 
 def test_restore_refuses_an_engine_over_a_different_repository(tmp_path):

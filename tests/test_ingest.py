@@ -16,6 +16,7 @@ The heavyweight guarantees:
 
 import asyncio
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -524,6 +525,10 @@ class TestWatermarkClock:
         with pytest.raises(ValueError):
             WatermarkClock(late_policy="bounce")
 
+    def test_rejects_nan_lateness(self):
+        with pytest.raises(ValueError, match="lateness"):
+            WatermarkClock(lateness=math.nan)
+
     def test_restore_rejects_a_different_lateness_bound(self):
         clock = WatermarkClock(lateness=5.0)
         clock.observe(_element(10))
@@ -595,6 +600,18 @@ class TestAdaptiveBatcher:
                        {"watermark_stride": -1.0}):
             with pytest.raises(ValueError):
                 BatchPolicy(**kwargs)
+
+    # A NaN deadline never fires, yet ``time_until_due`` would read it as
+    # due (0.0) and spin the driver's wait loop until the next arrival.
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_max_delay(self, value):
+        with pytest.raises(ValueError, match="max_delay"):
+            BatchPolicy(max_delay=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_watermark_stride(self, value):
+        with pytest.raises(ValueError, match="watermark_stride"):
+            BatchPolicy(watermark_stride=value)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1024,16 @@ def test_idle_timeout_validation():
     engine = TERiDSEngine(repository=workload.repository, config=config)
     with pytest.raises(ValueError, match="idle_timeout"):
         IngestDriver(engine, [ReplaySource([])], idle_timeout=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_idle_timeout_must_be_finite(value):
+    """``max(0.0, nan)`` would hand the wait loop a zero timeout."""
+    workload = build_workload(*GOLDEN_WORKLOADS[0][:3])
+    config = build_config(workload, 30)
+    engine = TERiDSEngine(repository=workload.repository, config=config)
+    with pytest.raises(ValueError, match="idle_timeout"):
+        IngestDriver(engine, [ReplaySource([])], idle_timeout=value)
 
 
 # ---------------------------------------------------------------------------

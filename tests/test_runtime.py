@@ -9,9 +9,13 @@ The heavyweight guarantees:
   cached refinement replicates the seed's float operation order, the same
   counters) at any batch size;
 * window expiry keeps the ER-grid and the entity result set free of evicted
-  tuples under both executors.
+  tuples under both executors;
+* however the stream is cut into batches — any schedule of batch sizes —
+  the match set, the result set and every pruning / grid counter equal the
+  serial reference exactly.
 """
 
+import functools
 import inspect
 import json
 import subprocess
@@ -19,6 +23,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_utils import (
     GOLDEN_WORKLOADS,
@@ -28,6 +34,7 @@ from golden_utils import (
     golden_path,
     run_reference,
 )
+from test_er_grid import _observables, _small_config, _small_workload
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record, Schema
@@ -474,6 +481,72 @@ class TestScopedImputation:
             assert (plain.candidate_distribution(record, attribute)
                     == cached.candidate_distribution(record, attribute))
         assert len(cached.candidate_cache) > 0
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity under batch-size schedules
+# ---------------------------------------------------------------------------
+_SCHEDULE_WORKLOAD = _small_workload()
+
+
+def _schedule_engine(executor):
+    return TERiDSEngine(repository=_SCHEDULE_WORKLOAD.repository,
+                        config=_small_config(_SCHEDULE_WORKLOAD),
+                        executor=executor)
+
+
+def _run_with_schedule(executor, schedule):
+    """Feed the workload one ``executor.batch_size`` batch at a time.
+
+    ``schedule`` maps batch index → the batch size assigned *before* that
+    batch is cut (a quiescent point: ``batch_size`` is a plain attribute).
+    """
+    engine = _schedule_engine(executor)
+    records = list(_SCHEDULE_WORKLOAD.interleaved_records())
+    matches = []
+    start = 0
+    batch_index = 0
+    while start < len(records):
+        if batch_index in schedule:
+            executor.batch_size = schedule[batch_index]
+        batch = records[start:start + executor.batch_size]
+        matches.extend(engine.process_batch(batch))
+        start += len(batch)
+        batch_index += 1
+    return _observables(engine, matches)
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_observables():
+    return _run_with_schedule(SerialExecutor(), {})
+
+
+def test_batch_size_schedule_is_bit_identical():
+    executor = MicroBatchExecutor(batch_size=16)
+    schedule = {1: 4, 3: 64, 5: 1}
+    assert _run_with_schedule(executor, schedule) == _serial_observables()
+
+
+@given(schedule=st.dictionaries(st.integers(min_value=0, max_value=8),
+                                st.integers(min_value=1, max_value=64),
+                                max_size=4))
+@settings(max_examples=8, deadline=None)
+def test_random_batch_size_schedules_are_bit_identical(schedule):
+    executor = MicroBatchExecutor(batch_size=8)
+    assert _run_with_schedule(executor, schedule) == _serial_observables()
+
+
+def test_executor_is_reusable_after_close():
+    """close() is not a tombstone: the executor keeps working after it."""
+    executor = MicroBatchExecutor(batch_size=16)
+    engine = _schedule_engine(executor)
+    records = list(_SCHEDULE_WORKLOAD.interleaved_records())
+    half = len(records) // 2
+    matches = list(engine.process_batch(records[:half]))
+    executor.close()
+    executor.close()  # idempotent
+    matches.extend(engine.process_batch(records[half:]))
+    assert _observables(engine, matches) == _serial_observables()
 
 
 # ---------------------------------------------------------------------------

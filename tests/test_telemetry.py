@@ -565,6 +565,9 @@ class TestEngineFacade:
         assert "terids_batch_seconds_bucket" in text
         assert "terids_ingest_formation_seconds_count 0" in text
         assert f"terids_batch_seq {engine.ctx.batch_seq}" in text
+        # The batch policy is static: no runtime-controller family renders.
+        assert not [line for line in text.splitlines()
+                    if "controller" in line]
 
     def test_vocabulary_gauge_reads_zero_until_a_read_enables_the_store(
             self, engine):
@@ -595,3 +598,24 @@ class TestEngineFacade:
     def test_disable_telemetry_restores_null_plane(self, engine):
         engine.disable_telemetry()
         assert engine.ctx.telemetry is NULL_TELEMETRY
+
+
+def test_reenabling_telemetry_does_not_duplicate_bound_metrics():
+    """Re-binding the same registry (telemetry toggle) must replace the
+    bound getters, not stack duplicates."""
+    workload = generate_dataset("citations", missing_rate=0.3, scale=0.2,
+                                seed=7)
+    config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
+                          alpha=0.5, similarity_ratio=0.5, window_size=20)
+    engine = TERiDSEngine(workload.repository, config,
+                          executor=SerialExecutor())
+    registry = MetricsRegistry()
+    engine.enable_telemetry(registry=registry)
+    engine.enable_telemetry(registry=registry)
+    text = engine.render_metrics()
+    sample_lines = [line for line in text.splitlines()
+                    if line.startswith("terids_batch_seq ")]
+    assert len(sample_lines) == 1
+    multi_lines = [line for line in text.splitlines()
+                   if line.startswith("terids_ingest_batches_total")]
+    assert len(multi_lines) == len(set(multi_lines))
