@@ -5,7 +5,7 @@ system: :mod:`repro.ingest.sources` define where tuples come from
 (:class:`ReplaySource`, :class:`SyntheticRateSource`, :class:`CallbackSource`),
 :mod:`repro.ingest.clock` tracks event time with per-stream watermarks and
 bounded lateness, :mod:`repro.ingest.batcher` forms micro-batches
-adaptively (size / latency deadline / watermark advance), and
+adaptively (size / latency deadline), and
 :mod:`repro.ingest.driver` multiplexes N sources into the staged runtime
 with graceful drain + checkpoint — deterministically reproducing the
 offline executors' results when replaying the same interleaved input.
@@ -17,7 +17,6 @@ from repro.ingest.batcher import (
     TRIGGER_DEADLINE,
     TRIGGER_DRAIN,
     TRIGGER_SIZE,
-    TRIGGER_WATERMARK,
 )
 from repro.ingest.clock import (
     LATE_ADMIT,
@@ -56,6 +55,5 @@ __all__ = [
     "TRIGGER_DEADLINE",
     "TRIGGER_DRAIN",
     "TRIGGER_SIZE",
-    "TRIGGER_WATERMARK",
     "WatermarkClock",
 ]

@@ -1,16 +1,13 @@
 """Adaptive micro-batch formation for the ingestion driver.
 
-A batch is emitted when the first of three triggers fires:
+A batch is emitted when the first of two triggers fires:
 
 * **size** — the pending buffer reached ``max_batch`` elements;
 * **deadline** — the oldest pending element has waited ``max_delay``
-  wall-clock seconds (bounds formation latency under a trickle);
-* **watermark** — the global event-time watermark advanced at least
-  ``watermark_stride`` units past the last flush (aligns batch boundaries
-  with event-time progress, e.g. for watermark-driven expiry).
+  wall-clock seconds (bounds formation latency under a trickle).
 
-The batcher is deliberately synchronous and pure (wall-clock instants and
-watermarks are passed in), so its trigger behaviour is directly unit- and
+The batcher is deliberately synchronous and pure (wall-clock instants are
+passed in), so its trigger behaviour is directly unit- and
 property-testable; the asyncio plumbing lives in
 :class:`~repro.ingest.driver.IngestDriver`.  Trigger counts, batch sizes and
 formation latencies are recorded on the shared
@@ -19,17 +16,15 @@ formation latencies are recorded on the shared
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.ingest.sources import StreamElement
+from repro.ingest.sources import StreamElement, check_finite_positive
 from repro.runtime.context import IngestStats
 
 #: Trigger labels recorded in ``IngestStats.triggers``.
 TRIGGER_SIZE = "size"
 TRIGGER_DEADLINE = "deadline"
-TRIGGER_WATERMARK = "watermark"
 TRIGGER_DRAIN = "drain"
 
 
@@ -37,33 +32,23 @@ TRIGGER_DRAIN = "drain"
 class BatchPolicy:
     """Knobs of adaptive batch formation.
 
-    ``max_batch`` must be positive; ``max_delay`` (seconds) and
-    ``watermark_stride`` (event-time units) are optional triggers — ``None``
-    disables them, leaving pure size-triggered batching.  When set, both
-    must be finite and positive: a NaN deadline would never fire yet always
-    read as due, spinning the driver's wait loop.
+    ``max_batch`` must be positive; ``max_delay`` (seconds) is an optional
+    deadline — ``None`` disables it, leaving pure size-triggered batching.
+    When set it must be finite and positive: a NaN deadline would never
+    fire yet always read as due, spinning the driver's wait loop.
     """
 
     max_batch: int = 64
     max_delay: Optional[float] = None
-    watermark_stride: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
         check_finite_positive("max_delay", self.max_delay)
-        check_finite_positive("watermark_stride", self.watermark_stride)
-
-
-def check_finite_positive(name: str, value: Optional[float]) -> None:
-    """Reject an optional threshold that is set but not finite and
-    positive; ``None`` (the trigger is off) passes."""
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 class AdaptiveBatcher:
-    """Size / deadline / watermark triggered micro-batch formation.
+    """Size / deadline triggered micro-batch formation.
 
     Runs the one static :class:`BatchPolicy` its caller gives it.  The
     triggers adapt each batch to the arrival pattern; the thresholds
@@ -81,7 +66,6 @@ class AdaptiveBatcher:
         self.queue_depth = queue_depth or (lambda: 0)
         self._pending: List[StreamElement] = []
         self._first_enqueue: Optional[float] = None
-        self._last_flush_watermark = -math.inf
 
     @property
     def pending(self) -> int:
@@ -102,29 +86,12 @@ class AdaptiveBatcher:
             return self._emit(now, TRIGGER_SIZE)
         return None
 
-    def poll(self, now: float,
-             watermark: float) -> Optional[List[StreamElement]]:
-        """Check the deadline and watermark triggers (after adds/timeouts)."""
-        if not self._pending:
-            # Track watermark progress even while idle so a later trickle is
-            # not flushed immediately by a stride crossed long ago.
-            if self.policy.watermark_stride is not None:
-                self._last_flush_watermark = max(self._last_flush_watermark,
-                                                 watermark)
-            return None
-        if (self.policy.max_delay is not None
+    def poll(self, now: float) -> Optional[List[StreamElement]]:
+        """Check the deadline trigger (after adds/timeouts)."""
+        if (self._pending and self.policy.max_delay is not None
                 and self._first_enqueue is not None
                 and now - self._first_enqueue >= self.policy.max_delay):
             return self._emit(now, TRIGGER_DEADLINE)
-        if self.policy.watermark_stride is not None:
-            # The stride is measured from the last flush, but never from
-            # before the pending batch started: a batch closes once the
-            # watermark has advanced ``watermark_stride`` units past its
-            # first event.
-            baseline = max(self._last_flush_watermark,
-                           self._pending[0].event_time)
-            if watermark - baseline >= self.policy.watermark_stride:
-                return self._emit(now, TRIGGER_WATERMARK, watermark=watermark)
         return None
 
     def time_until_due(self, now: float) -> Optional[float]:
@@ -141,17 +108,11 @@ class AdaptiveBatcher:
             return None
         return self._emit(now, trigger)
 
-    def _emit(self, now: float, trigger: str,
-              watermark: Optional[float] = None) -> List[StreamElement]:
+    def _emit(self, now: float, trigger: str) -> List[StreamElement]:
         batch = self._pending
         self._pending = []
         latency = 0.0 if self._first_enqueue is None else now - self._first_enqueue
         self._first_enqueue = None
-        if watermark is not None:
-            self._last_flush_watermark = watermark
-        elif batch:
-            self._last_flush_watermark = max(self._last_flush_watermark,
-                                             batch[-1].event_time)
         self.stats.record_batch(size=len(batch), latency=latency,
                                 queue_depth=self.queue_depth(),
                                 trigger=trigger)

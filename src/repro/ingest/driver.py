@@ -5,11 +5,13 @@ batcher → staged TER-iDS runtime.
 implementations into one bounded arrival queue, runs every arrival through
 the :class:`~repro.ingest.clock.WatermarkClock` (per-stream watermarks,
 bounded lateness, deterministic reordering) and the
-:class:`~repro.ingest.batcher.AdaptiveBatcher` (size / deadline / watermark
-triggers of the one static ``BatchPolicy`` the caller passes), and feeds
-the formed micro-batches to ``TERiDSEngine.process_batch`` — so the live
-path exercises exactly the executors the offline harness pins against the
-goldens.
+:class:`~repro.ingest.batcher.AdaptiveBatcher` (size / deadline triggers
+of the one static ``BatchPolicy`` the caller passes), and feeds the formed
+micro-batches to ``TERiDSEngine.process_batch`` inline on the event loop —
+so the live path exercises exactly the executors the offline harness pins
+against the goldens.  Tuples expire only through the engine's count-based
+windows.  Every event time must be finite: the driver rejects a NaN or
+infinite one where it enters, naming the source.
 
 Determinism: replaying the same interleaved input through a
 :class:`~repro.ingest.sources.ReplaySource` with ``lateness=0`` releases the
@@ -39,12 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.matching import MatchPair
-from repro.core.time_window import TimeBasedWindow
-from repro.ingest.batcher import (
-    AdaptiveBatcher,
-    BatchPolicy,
-    check_finite_positive,
-)
+from repro.ingest.batcher import AdaptiveBatcher, BatchPolicy
 from repro.ingest.clock import (
     LATE_ADMIT,
     OBSERVED_LATE_ADMITTED,
@@ -52,8 +49,13 @@ from repro.ingest.clock import (
     OBSERVED_REORDERED,
     WatermarkClock,
 )
-from repro.ingest.sources import Source, StreamElement
-from repro.persistence import record_from_dict, record_to_dict, save_checkpoint
+from repro.ingest.sources import Source, StreamElement, check_finite_positive
+from repro.persistence import (
+    CheckpointError,
+    record_from_dict,
+    record_to_dict,
+    save_checkpoint,
+)
 from repro.runtime.checkpoint import engine_state_to_dict
 from repro.runtime.context import IngestStats
 
@@ -116,29 +118,15 @@ class IngestDriver:
         oldest held-back elements are force-released ahead of the
         watermark (best-effort ordering, counted as ``force_released``)
         so memory stays bounded.
-    event_time_window:
-        Optional event-time window horizon: when set, tuples whose event
-        time falls ``event_time_window`` units behind the global watermark
-        are retracted from the ER-grid and the entity result set
-        (watermark-driven expiry over the existing
-        :class:`~repro.core.time_window.TimeBasedWindow` machinery).
     idle_timeout:
         Optional idle-source punctuation in wall-clock seconds (finite and
         positive when set): a source with no arrival for this long is
         marked idle on the watermark clock and stops holding the global
         watermark back (a stalled ``CallbackSource`` no longer freezes
-        batching, reordering and event-time expiry for every other
-        stream).  The source rejoins
-        the watermark with its next arrival, which is then subject to the
-        normal late policy.  Idle transitions are counted as
+        batching and reordering for every other stream).  The source
+        rejoins the watermark with its next arrival, which is then subject
+        to the normal late policy.  Idle transitions are counted as
         ``idle_timeouts`` on :class:`IngestStats`.
-    process_in_executor:
-        Run ``engine.process_batch`` on a single worker thread
-        (``loop.run_in_executor``) instead of inline on the event loop, so
-        paced sources keep producing into the arrival queue while a slow
-        refinement runs.  Batches stay strictly sequential (one in flight);
-        each off-loop invocation is counted as ``executor_waits`` on
-        :class:`IngestStats`.
     checkpoint_path / checkpoint_every_batches:
         Write a JSON checkpoint after every N processed batches (and a
         final one on drain) to ``checkpoint_path``.
@@ -157,9 +145,7 @@ class IngestDriver:
                  lateness: float = 0.0, late_policy: str = LATE_ADMIT,
                  queue_capacity: int = 1024,
                  reorder_capacity: Optional[int] = None,
-                 event_time_window: Optional[float] = None,
                  idle_timeout: Optional[float] = None,
-                 process_in_executor: bool = False,
                  checkpoint_path=None,
                  checkpoint_every_batches: Optional[int] = None,
                  on_batch: Optional[Callable] = None,
@@ -175,9 +161,6 @@ class IngestDriver:
         if reorder_capacity is not None and reorder_capacity <= 0:
             raise ValueError(
                 f"reorder_capacity must be positive, got {reorder_capacity}")
-        if event_time_window is not None and event_time_window <= 0:
-            raise ValueError(
-                f"event_time_window must be positive, got {event_time_window}")
         check_finite_positive("idle_timeout", idle_timeout)
         if checkpoint_every_batches is not None and checkpoint_every_batches <= 0:
             raise ValueError("checkpoint_every_batches must be positive, "
@@ -191,9 +174,7 @@ class IngestDriver:
         self.queue_capacity = queue_capacity
         self.reorder_capacity = (reorder_capacity if reorder_capacity
                                  is not None else 4 * queue_capacity)
-        self.event_time_window = event_time_window
         self.idle_timeout = idle_timeout
-        self.process_in_executor = process_in_executor
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every_batches = checkpoint_every_batches
         self.on_batch = on_batch
@@ -205,19 +186,15 @@ class IngestDriver:
         self._clock = WatermarkClock(lateness=lateness, late_policy=late_policy)
         self._batcher = AdaptiveBatcher(self.policy, self.stats,
                                         queue_depth=self._queue_depth)
-        self._event_window = (TimeBasedWindow(duration=event_time_window)
-                              if event_time_window is not None else None)
-        self._max_event = -math.inf
         self._queue: Optional[asyncio.Queue] = None
         #: Wall-clock instant of the last arrival per still-open source
         #: (idle-timeout tracking; entries leave on close).
         self._last_arrival: Dict[str, float] = {}
-        #: Idleness accrues only while the loop is receptive: an *inline*
+        #: Idleness accrues only while the loop is receptive:
         #: ``process_batch`` blocks the event loop, so no source could have
         #: produced during it — the floor advances past such sections so
         #: they never count towards a source's silence.
         self._idle_floor = 0.0
-        self._process_pool = None
         self._stopping = False
         self._ran = False
         self._checkpoint_due = False
@@ -271,29 +248,9 @@ class IngestDriver:
                 self._clock.mark_idle(source.name)
             self._last_arrival[source.name] = loop.time()
         self._idle_floor = loop.time()
-        if self.process_in_executor and self._process_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # A single worker keeps batches strictly sequential (the
-            # engine is not re-entrant); the point is only that the event
-            # loop — and with it the paced source readers — stays live
-            # while a batch refines.
-            self._process_pool = ThreadPoolExecutor(max_workers=1)
         readers = [asyncio.create_task(self._read(source, queue))
                    for source in self.sources]
         open_sources = len(self.sources)
-        try:
-            return await self._mux(loop, queue, readers, open_sources, start)
-        finally:
-            # The off-loop worker thread must not outlive the run — also
-            # on the exception paths (a raising engine or source).
-            if self._process_pool is not None:
-                self._process_pool.shutdown()
-                self._process_pool = None
-
-    async def _mux(self, loop, queue: asyncio.Queue, readers, open_sources,
-                   start: float) -> IngestReport:
-        """The mux loop + graceful drain of :meth:`run_async`."""
         try:
             if self._restored_pending:
                 # Re-enter the snapshot's batcher-pending elements in their
@@ -316,8 +273,7 @@ class IngestDriver:
                         # not just the trigger poll.
                         await self._pump(now)
                     else:
-                        await self._maybe_process(
-                            self._batcher.poll(now, self._clock.watermark))
+                        await self._maybe_process(self._batcher.poll(now))
                     self._write_due_checkpoint()
                     continue
                 if kind == _STOP:
@@ -384,31 +340,11 @@ class IngestDriver:
         """Resolve one in-window entity's cluster between batches.
 
         The on-demand read path over the live window (see
-        :mod:`repro.runtime.query`): safe from the event-loop thread — an
-        ``on_batch`` callback or a task on the same loop — where lookups
-        interleave with batch processing at batch boundaries.  With
-        ``process_in_executor`` a batch may be refining *off* the loop
-        while this runs; use :meth:`resolve_async` there so the lookup
-        serialises behind the in-flight batch instead of racing it.
+        :mod:`repro.runtime.query`): call it from the event-loop thread —
+        an ``on_batch`` callback or a task on the same loop.  Batches run
+        inline on that loop, so a lookup always sees the engine between
+        two batches, never mid-batch.
         """
-        return self.engine.resolve(rid, source, topic=topic, gamma=gamma)
-
-    async def resolve_async(self, rid: str, source: str, topic=None,
-                            gamma=None):
-        """:meth:`resolve`, serialised with off-loop batch processing.
-
-        When the driver processes batches on its single worker thread
-        (``process_in_executor``), the lookup is submitted to that same
-        thread — batches stay strictly sequential and the lookup observes a
-        quiescent engine.  Without the worker thread this is just
-        :meth:`resolve`.
-        """
-        if self._process_pool is not None:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._process_pool,
-                lambda: self.engine.resolve(rid, source, topic=topic,
-                                            gamma=gamma))
         return self.engine.resolve(rid, source, topic=topic, gamma=gamma)
 
     def resolve_many(self, entities, topic=None, gamma=None):
@@ -418,17 +354,6 @@ class IngestDriver:
         :meth:`~repro.core.engine.TERiDSEngine.resolve_many`); same
         threading rules as :meth:`resolve`.
         """
-        return self.engine.resolve_many(entities, topic=topic, gamma=gamma)
-
-    async def resolve_many_async(self, entities, topic=None, gamma=None):
-        """:meth:`resolve_many`, serialised with off-loop batch processing
-        (same single-worker hand-off as :meth:`resolve_async`)."""
-        if self._process_pool is not None:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._process_pool,
-                lambda: self.engine.resolve_many(entities, topic=topic,
-                                                 gamma=gamma))
         return self.engine.resolve_many(entities, topic=topic, gamma=gamma)
 
     # -- internals -----------------------------------------------------------
@@ -469,6 +394,12 @@ class IngestDriver:
             async for element in source:
                 if self._stopping:
                     break
+                if not math.isfinite(element.event_time):
+                    # A NaN strands the clock's reorder buffer and an inf
+                    # makes every later arrival late: fail the source.
+                    raise ValueError(
+                        f"source {source.name!r} emitted a non-finite "
+                        f"event time {element.event_time!r}")
                 # Idle tracking is stamped HERE, at true arrival time: the
                 # mux may be busy in a slow ``_process`` for longer than
                 # ``idle_timeout``, and a stamp taken at dequeue time would
@@ -513,8 +444,7 @@ class IngestDriver:
             self.stats.force_released += len(overflow)
             for element in overflow:
                 await self._maybe_process(self._batcher.add(element, now))
-        await self._maybe_process(self._batcher.poll(now,
-                                                     self._clock.watermark))
+        await self._maybe_process(self._batcher.poll(now))
 
     async def _maybe_process(self,
                              batch: Optional[List[StreamElement]]) -> None:
@@ -523,20 +453,10 @@ class IngestDriver:
 
     async def _process(self, batch: List[StreamElement]) -> None:
         records = [element.record for element in batch]
-        if self._process_pool is not None:
-            # Off-loop processing: the source readers keep filling the
-            # arrival queue while the engine refines; batches remain
-            # strictly sequential (awaited one at a time).  The readers
-            # stamp arrivals throughout, so idle accounting stays live.
-            self.stats.executor_waits += 1
-            loop = asyncio.get_running_loop()
-            batch_matches = await loop.run_in_executor(
-                self._process_pool, self.engine.process_batch, records)
-        else:
-            batch_matches = self.engine.process_batch(records)
-            # The inline call blocked the loop: nothing could arrive, so
-            # the blocked span must not count towards any source's silence.
-            self._idle_floor = asyncio.get_running_loop().time()
+        batch_matches = self.engine.process_batch(records)
+        # The call blocked the loop: nothing could arrive, so the blocked
+        # span must not count towards any source's silence.
+        self._idle_floor = asyncio.get_running_loop().time()
         if self.collect_matches:
             self.matches.extend(batch_matches)
         self.batches_processed += 1
@@ -544,8 +464,6 @@ class IngestDriver:
         absorbed = self.engine.pipeline.maintenance.absorb_complete_stream_tuples(
             records)
         self.stats.absorbed_samples += absorbed
-        if self._event_window is not None:
-            self._expire_by_watermark(batch)
         if self.on_batch is not None:
             self.on_batch(self, records)
         if (self.checkpoint_every_batches is not None
@@ -565,29 +483,6 @@ class IngestDriver:
                 self.batches_processed, self.tuples_processed,
                 self.checkpoint_path)
         self._checkpoint_due = False
-
-    def _expire_by_watermark(self, batch: List[StreamElement]) -> None:
-        """Watermark-driven event-time expiry (grid + result-set retraction)."""
-        window = self._event_window
-        retract = self.engine.pipeline.maintenance.retract
-        for element in batch:
-            self._max_event = max(self._max_event, element.event_time)
-            # Late-admitted elements may sit behind the window clock; they
-            # enter at the current edge rather than rewinding time.
-            arrival = max(element.event_time, window.current_time)
-            self.stats.expired_by_watermark += retract(
-                window.insert(element.record, arrival))
-        watermark = self._clock.watermark
-        if watermark == math.inf:
-            # All sources closed: event time stands at the newest observed
-            # event, it does not leap to infinity.  (A -inf watermark — a
-            # still-silent source — must NOT fall back: that source may
-            # yet deliver old events, so the window cannot advance on the
-            # other streams' progress.)
-            watermark = self._max_event
-        if math.isfinite(watermark) and watermark > window.current_time:
-            self.stats.expired_by_watermark += retract(
-                window.advance_to(watermark))
 
     # -- checkpoint / restore ------------------------------------------------
     def checkpoint(self) -> Dict:
@@ -610,7 +505,7 @@ class IngestDriver:
             return [[element.event_time, element.origin,
                      record_to_dict(element.record)] for element in elements]
 
-        ingest: Dict = {
+        state["ingest"] = {
             "clock": self._clock.state_to_dict(),
             "tuples_admitted": self._clock.observed_count,
             # Kept separate: the batcher's pending elements preserve their
@@ -623,23 +518,23 @@ class IngestDriver:
                 "buffered": rows(self._clock.buffered_elements()),
             },
         }
-        if self._event_window is not None:
-            ingest["event_window"] = {
-                "duration": self._event_window.duration,
-                "current_time": self._event_window.current_time,
-                "items": [
-                    [arrival, record_to_dict(item)]
-                    for arrival, item in zip(self._event_window.timestamps(),
-                                             self._event_window.items())
-                ],
-            }
-        state["ingest"] = ingest
         return state
 
     def restore_checkpoint(self, state: Dict) -> None:
-        """Rebuild engine + ingest state from a :meth:`checkpoint` snapshot."""
-        self.engine.restore_checkpoint(state)
+        """Rebuild engine + ingest state from a :meth:`checkpoint` snapshot.
+
+        Raises :class:`~repro.persistence.CheckpointError`, before touching
+        any state, on an ``ingest.event_window`` section: older drivers
+        wrote one for event-time expiry, and the tuples it retracted from
+        the grid are still in the engine windows, so restoring it would
+        resurrect them.
+        """
         ingest = state.get("ingest", {})
+        if "event_window" in ingest:
+            raise CheckpointError(
+                "checkpoint carries an ingest 'event_window' section from "
+                "the removed event-time expiry; it cannot be restored")
+        self.engine.restore_checkpoint(state)
         self._clock.restore_state(ingest.get("clock", {}))
 
         def elements(rows):
@@ -656,25 +551,3 @@ class IngestDriver:
         # elements go back to the clock and wait for the watermark.
         self._restored_pending = elements(in_flight.get("pending", []))
         self._clock.restore_buffered(elements(in_flight.get("buffered", [])))
-        window_state = ingest.get("event_window")
-        if window_state is not None:
-            if self._event_window is None:
-                raise ValueError(
-                    "checkpoint carries an event-time window but this driver "
-                    "was built without event_time_window")
-            duration = window_state.get("duration")
-            if duration is not None and duration != self._event_window.duration:
-                # A narrower resumed window would expire restored items on
-                # insert *after* the engine restore already re-registered
-                # them in the grid/result set — silently stranding them.
-                raise ValueError(
-                    f"checkpoint event-time window duration {duration} does "
-                    f"not match this driver's event_time_window "
-                    f"{self._event_window.duration}")
-            for arrival, row in window_state.get("items", []):
-                item = record_from_dict(row)
-                self._event_window.insert(item, arrival)
-                self._max_event = max(self._max_event, arrival)
-            current = window_state.get("current_time", 0)
-            if current > self._event_window.current_time:
-                self._event_window.advance_to(current)

@@ -9,9 +9,10 @@ the spectrum the ingest driver needs:
 * :class:`ReplaySource` — wraps an existing record sequence,
   :class:`~repro.core.stream.IncompleteDataStream` or
   :class:`~repro.core.stream.StreamSet` (round-robin interleaving) and
-  replays it, optionally paced against the wall clock.  Event times are the
-  arrival indexes, so a replay is strictly in order and — with lateness 0 —
-  the driver reproduces the offline executors' results bit-identically.
+  replays it, optionally paced against the wall clock.  Event times count
+  up from ``start_event_time``, so a replay is strictly in order and — with
+  lateness 0 — the driver reproduces the offline executors' results
+  bit-identically.
 * :class:`SyntheticRateSource` — generates records from a factory under a
   configurable arrival-rate/burst model (load benchmarks, soak tests).
 * :class:`CallbackSource` — a push API for external producers: call
@@ -23,6 +24,7 @@ the spectrum the ingest driver needs:
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from dataclasses import dataclass
 from typing import (
@@ -57,6 +59,13 @@ class StreamElement:
     seq: int = -1
 
 
+def check_finite_positive(name: str, value: Optional[float]) -> None:
+    """Reject an optional threshold that is set but not finite and
+    positive; ``None`` (the knob is off) passes."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @runtime_checkable
 class Source(Protocol):
     """An asynchronous producer of stream elements.
@@ -88,33 +97,27 @@ class ReplaySource:
     name:
         Source name (the watermark clock tracks one watermark per name).
     pace:
-        Seconds of wall-clock delay between consecutive arrivals; ``None``
-        (default) replays as fast as the loop allows.
+        Seconds of wall-clock delay between consecutive arrivals (finite
+        and ``>= 0``); ``None`` (default) replays as fast as the loop
+        allows.
     start_event_time:
-        First event time; event times are ``start_event_time + i`` for the
-        ``i``-th replayed record, so they are strictly increasing and a
-        resumed replay can continue the sequence where a checkpoint left it.
-    timestamps:
-        Optional *recorded event-time trace*: one event time per replayed
-        record, used verbatim instead of the synthetic
-        ``start_event_time + i`` sequence.  This is how a captured load
-        regime (bursty event-time clumps, bounded disorder, stragglers)
-        is replayed bit-for-bit.  The trace length must match the
-        record count (checked during replay); it need not be monotone
-        (the watermark clock handles reordering and lateness downstream).
+        First event time (finite); event times are ``start_event_time + i``
+        for the ``i``-th replayed record, so they are strictly increasing
+        and a resumed replay can continue the sequence where a checkpoint
+        left it.
     """
 
     def __init__(self, records: ReplayInput, name: str = "replay",
                  pace: Optional[float] = None,
-                 start_event_time: float = 0.0,
-                 timestamps: Optional[Sequence[float]] = None) -> None:
-        if pace is not None and pace < 0:
-            raise ValueError(f"pace must be >= 0, got {pace}")
+                 start_event_time: float = 0.0) -> None:
+        if pace is not None and not (math.isfinite(pace) and pace >= 0):
+            raise ValueError(f"pace must be finite and >= 0, got {pace}")
+        if not math.isfinite(start_event_time):
+            raise ValueError(
+                f"start_event_time must be finite, got {start_event_time}")
         self.name = name
         self.pace = pace
         self.start_event_time = start_event_time
-        self.timestamps = (list(timestamps) if timestamps is not None
-                           else None)
         self._records = records
 
     def _iter_records(self) -> Iterable[Record]:
@@ -126,24 +129,16 @@ class ReplaySource:
 
     async def __aiter__(self) -> AsyncIterator[StreamElement]:
         event_time = self.start_event_time
-        trace = self.timestamps
-        for index, record in enumerate(self._iter_records()):
+        for record in self._iter_records():
             if self.pace:
                 await asyncio.sleep(self.pace)
             else:
                 # Cooperative yield so an unpaced replay cannot starve the
                 # mux (and the bounded queue can exert backpressure).
                 await asyncio.sleep(0)
-            if trace is not None:
-                if index >= len(trace):
-                    raise ValueError(
-                        f"recorded trace of {self.name!r} has "
-                        f"{len(trace)} timestamps but more records")
-                event_time = trace[index]
             yield StreamElement(record=record, event_time=event_time,
                                 origin=self.name)
-            if trace is None:
-                event_time += 1.0
+            event_time += 1.0
 
 
 class SyntheticRateSource:
@@ -158,8 +153,8 @@ class SyntheticRateSource:
     name:
         Source name.
     rate:
-        Mean arrival rate in tuples/second; ``None`` emits as fast as the
-        loop allows (throughput benchmarks).
+        Mean arrival rate in tuples/second (finite and positive); ``None``
+        emits as fast as the loop allows (throughput benchmarks).
     burst_every / burst_size:
         Every ``burst_every``-th arrival additionally emits ``burst_size``
         back-to-back tuples with no pacing delay — a simple bursty-traffic
@@ -175,8 +170,7 @@ class SyntheticRateSource:
                  jitter: float = 0.0, seed: int = 7) -> None:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if rate is not None and rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        check_finite_positive("rate", rate)
         if burst_every is not None and burst_every <= 0:
             raise ValueError(f"burst_every must be positive, got {burst_every}")
         if not 0.0 <= jitter < 1.0:

@@ -73,7 +73,8 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     state, when the checkpoint records a ``repository_size`` other than
     ``len(ctx.repository)`` (a checkpoint without one skips the check).
     Keys this version no longer writes (``transport_stats``,
-    ``rule_maintainer`` and ``controller``) are ignored.
+    ``rule_maintainer``, ``controller``, and the ``ingest_stats`` counters
+    of the deleted thread offload and event-time expiry) are ignored.
     """
     saved_size = state.get("repository_size")
     if saved_size is not None and saved_size != len(ctx.repository):

@@ -116,16 +116,9 @@ class IngestStats:
     #: Times a silent source was marked idle after ``idle_timeout`` seconds
     #: without an arrival, releasing its hold on the global watermark.
     idle_timeouts: int = 0
-    #: ``process_batch`` invocations awaited off the event loop (the
-    #: ``process_in_executor`` driver flag), during which the source
-    #: readers kept filling the arrival queue.
-    executor_waits: int = 0
     #: Complete stream tuples absorbed into the repository (gated growth).
     absorbed_samples: int = 0
-    #: Tuples retracted from grid/result set by watermark-driven expiry.
-    expired_by_watermark: int = 0
-    #: Batch-formation trigger counts (``size`` / ``deadline`` /
-    #: ``watermark`` / ``drain``).
+    #: Batch-formation trigger counts (``size`` / ``deadline`` / ``drain``).
     triggers: Dict[str, int] = field(default_factory=dict)
     #: Per-batch formation latency (seconds from first enqueue to emit) as
     #: a full histogram — exponential buckets plus a sample ring bounded to
@@ -163,7 +156,7 @@ class IngestStats:
     _SCALARS = ("tuples_ingested", "batches_formed", "reordered",
                 "force_released", "admitted_late", "shed_late",
                 "backpressure_waits", "max_queue_depth", "idle_timeouts",
-                "executor_waits", "absorbed_samples", "expired_by_watermark")
+                "absorbed_samples")
 
     def as_dict(self) -> Dict:
         """Checkpointable summary (scalar counters + trigger counts)."""

@@ -246,14 +246,14 @@ class MaintenanceStage:
         window.insert(synopsis)
         ctx.grid.insert(synopsis)
 
-    # -- event-time expiry (time-based windows / watermarks) -----------------
+    # -- time-based expiry (time-based windows) ------------------------------
     def retract(self, items: Sequence) -> int:
         """Remove time-expired tuples from the ER-grid and the result set.
 
         The count-based windows bound memory on their own; a time-based view
-        (:mod:`repro.core.time_window`) or the ingest driver's event-time
-        watermark additionally expires tuples by age, and every pair
-        involving an expired tuple must leave the reported result set.
+        (:mod:`repro.core.time_window`) additionally expires tuples by age,
+        and every pair involving an expired tuple must leave the reported
+        result set.
         ``items`` only need ``rid`` / ``source`` attributes.  Returns the
         number of retracted items.
         """

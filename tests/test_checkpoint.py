@@ -264,11 +264,16 @@ _PARENT_FORMAT_STATE = {
 def test_parent_format_checkpoint_restores_and_reserialises_equal(
         health_repository, health_config):
     """The counters are named once, on their dataclasses; the checkpoint
-    JSON they produce must stay byte-identical, key order included."""
+    JSON they produce must stay byte-identical, key order included — less
+    the two ingest counters whose features were deleted since."""
     engine = TERiDSEngine(repository=health_repository, config=health_config)
     engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
+    ingest_stats = {
+        name: value
+        for name, value in _PARENT_FORMAT_STATE["ingest_stats"].items()
+        if name not in ("executor_waits", "expired_by_watermark")}
     # The one key added since: the repository size the restore guard reads.
-    expected = dict(_PARENT_FORMAT_STATE,
+    expected = dict(_PARENT_FORMAT_STATE, ingest_stats=ingest_stats,
                     repository_size=len(health_repository))
     assert json.dumps(engine.checkpoint()) == json.dumps(expected)
     snapshot = engine.metrics_snapshot()
@@ -375,3 +380,39 @@ def test_restore_refuses_an_engine_over_a_different_repository(tmp_path):
         IngestDriver(stale, [ReplaySource([])]).restore_checkpoint(
             load_checkpoint(path))
     assert stale.timestamps_processed == 0  # refused before any mutation
+
+
+def test_parent_ingest_stats_restore_ignoring_removed_counters(
+        health_repository, health_config):
+    """``executor_waits`` (thread offload) and ``expired_by_watermark``
+    (event-time expiry) went with their features: an older checkpoint
+    restores every other ingest counter and drops these two."""
+    engine = TERiDSEngine(repository=health_repository, config=health_config)
+    engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
+    restored = engine.checkpoint()["ingest_stats"]
+    assert not {"executor_waits", "expired_by_watermark"} & set(restored)
+    assert engine.ctx.ingest.idle_timeouts == 1
+    assert engine.ctx.ingest.absorbed_samples == 5
+    assert engine.ctx.ingest.triggers == {"size": 7, "drain": 1}
+
+
+def test_driver_checkpoint_with_event_window_is_refused():
+    """Older drivers wrote ``ingest.event_window`` for event-time expiry.
+    The tuples it retracted from the grid were still in the engine windows,
+    so restoring would resurrect them: the restore refuses, naming the key,
+    before it touches any state."""
+    workload = build_workload("citations", 0.4, 7)
+    config = build_config(workload, 30)
+    engine = TERiDSEngine(repository=workload.repository, config=config)
+    driver = IngestDriver(engine, [ReplaySource(
+        workload.interleaved_records()[:20])],
+        policy=BatchPolicy(max_batch=8))
+    driver.run()
+    state = json.loads(json.dumps(driver.checkpoint()))
+    state["ingest"]["event_window"] = {
+        "duration": 5.0, "current_time": 19.0, "items": []}
+
+    fresh = TERiDSEngine(repository=workload.repository, config=config)
+    with pytest.raises(CheckpointError, match="event_window"):
+        IngestDriver(fresh, [ReplaySource([])]).restore_checkpoint(state)
+    assert fresh.timestamps_processed == 0  # refused before any mutation

@@ -15,8 +15,10 @@ The heavyweight guarantees:
 """
 
 import asyncio
+import inspect
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,6 @@ from repro.ingest import (
     TRIGGER_DEADLINE,
     TRIGGER_DRAIN,
     TRIGGER_SIZE,
-    TRIGGER_WATERMARK,
     WatermarkClock,
 )
 from repro.ingest.driver import _CLOSE, _ITEM
@@ -110,13 +111,12 @@ def test_replay_ingestion_matches_offline_goldens(dataset, scale, seed,
 
 
 def test_replay_ingestion_golden_any_trigger_policy():
-    """Deadline and watermark triggers re-chunk but never change answers."""
+    """The deadline trigger and size 1 re-chunk but never change answers."""
     dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
     golden = json.loads(golden_path(dataset).read_text())["reference"]
     workload = build_workload(dataset, scale, seed)
     config = build_config(workload, window)
     for policy in (BatchPolicy(max_batch=256, max_delay=0.002),
-                   BatchPolicy(max_batch=256, watermark_stride=9.0),
                    BatchPolicy(max_batch=1)):
         got = _ingest_reference(build_workload(dataset, scale, seed),
                                 config, policy=policy)
@@ -335,18 +335,8 @@ def test_single_use_driver_and_validation():
     with pytest.raises(ValueError):
         IngestDriver(engine, [ReplaySource([])], queue_capacity=0)
     with pytest.raises(ValueError):
-        IngestDriver(engine, [ReplaySource([])], event_time_window=0)
-    with pytest.raises(ValueError):
         # Periodic checkpoints without a path would silently write nothing.
         IngestDriver(engine, [ReplaySource([])], checkpoint_every_batches=5)
-    # A checkpointed event-time window must match the resumed driver's.
-    windowed = IngestDriver(engine, [ReplaySource([], name="w")],
-                            event_time_window=10.0)
-    snapshot = windowed.checkpoint()
-    narrower = IngestDriver(engine, [ReplaySource([], name="n")],
-                            event_time_window=5.0)
-    with pytest.raises(ValueError):
-        narrower.restore_checkpoint(snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -560,33 +550,10 @@ class TestAdaptiveBatcher:
         assert batcher.time_until_due(now=0.0) is None  # nothing pending
         batcher.add(_element(0), now=1.0)
         assert batcher.time_until_due(now=1.05) == pytest.approx(0.15)
-        assert batcher.poll(now=1.1, watermark=0.0) is None  # not yet due
-        batch = batcher.poll(now=1.25, watermark=0.0)
+        assert batcher.poll(now=1.1) is None  # not yet due
+        batch = batcher.poll(now=1.25)
         assert len(batch) == 1
         assert stats.triggers == {TRIGGER_DEADLINE: 1}
-
-    def test_watermark_trigger(self):
-        batcher, stats = self._batcher(max_batch=100, watermark_stride=10.0)
-        batcher.add(_element(0), now=0.0)
-        assert batcher.poll(now=0.0, watermark=4.0) is None
-        batch = batcher.poll(now=0.0, watermark=11.0)
-        assert len(batch) == 1
-        assert stats.triggers == {TRIGGER_WATERMARK: 1}
-        # The stride is measured from the pending batch's first event when
-        # that lies past the last flush watermark.
-        batcher.add(_element(12), now=0.0)
-        assert batcher.poll(now=0.0, watermark=15.0) is None
-        assert batcher.poll(now=0.0, watermark=21.0) is None  # 21 - 12 < 10
-        assert batcher.poll(now=0.0, watermark=22.0) is not None
-
-    def test_idle_watermark_progress_does_not_flush_a_later_trickle(self):
-        batcher, stats = self._batcher(max_batch=100, watermark_stride=5.0)
-        # Watermark races ahead while nothing is pending…
-        assert batcher.poll(now=0.0, watermark=50.0) is None
-        # …so the next element must wait for a *fresh* stride.
-        batcher.add(_element(50), now=0.0)
-        assert batcher.poll(now=0.0, watermark=52.0) is None
-        assert batcher.poll(now=0.0, watermark=55.0) is not None
 
     def test_drain_flush(self):
         batcher, stats = self._batcher(max_batch=100)
@@ -596,8 +563,7 @@ class TestAdaptiveBatcher:
         assert stats.triggers == {TRIGGER_DRAIN: 1}
 
     def test_rejects_bad_policy(self):
-        for kwargs in ({"max_batch": 0}, {"max_delay": 0.0},
-                       {"watermark_stride": -1.0}):
+        for kwargs in ({"max_batch": 0}, {"max_delay": 0.0}):
             with pytest.raises(ValueError):
                 BatchPolicy(**kwargs)
 
@@ -607,11 +573,6 @@ class TestAdaptiveBatcher:
     def test_rejects_non_finite_max_delay(self, value):
         with pytest.raises(ValueError, match="max_delay"):
             BatchPolicy(max_delay=value)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite_watermark_stride(self, value):
-        with pytest.raises(ValueError, match="watermark_stride"):
-            BatchPolicy(watermark_stride=value)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +629,32 @@ class TestSources:
         with pytest.raises(ValueError):
             SyntheticRateSource(lambda i: None, count=1, rate=0)
 
+    # A NaN pace or rate sleeps a NaN interval: the source never emits.
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_pacing(self, value):
+        with pytest.raises(ValueError, match="pace"):
+            ReplaySource([], pace=value)
+        with pytest.raises(ValueError, match="start_event_time"):
+            ReplaySource([], start_event_time=value)
+        with pytest.raises(ValueError, match="rate"):
+            SyntheticRateSource(lambda i: None, count=1, rate=value)
+
+
+def test_ingest_surface():
+    """One processing path, one expiry, two batch triggers: the settable
+    surface is exactly this."""
+    assert list(inspect.signature(IngestDriver).parameters) == [
+        "engine", "sources", "policy", "lateness", "late_policy",
+        "queue_capacity", "reorder_capacity", "idle_timeout",
+        "checkpoint_path", "checkpoint_every_batches", "on_batch",
+        "collect_matches"]
+    assert [f.name for f in fields(BatchPolicy)] == ["max_batch", "max_delay"]
+    assert list(inspect.signature(ReplaySource).parameters) == [
+        "records", "name", "pace", "start_event_time"]
+
 
 # ---------------------------------------------------------------------------
-# Driver behaviours: backpressure, event-time expiry, gated absorption
+# Driver behaviours: backpressure, gated absorption
 # ---------------------------------------------------------------------------
 def test_backpressure_wait_is_counted_when_the_arrival_queue_is_full():
     workload = build_workload(*GOLDEN_WORKLOADS[0][:3])
@@ -694,31 +678,6 @@ def test_backpressure_wait_is_counted_when_the_arrival_queue_is_full():
         assert queue.get_nowait()[0] == _CLOSE
 
     asyncio.run(scenario())
-
-
-def test_event_time_window_retracts_expired_pairs():
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    records = workload.interleaved_records()
-    horizon = 20.0
-    engine = TERiDSEngine(repository=workload.repository, config=config)
-    driver = IngestDriver(engine, [ReplaySource(records)],
-                          policy=BatchPolicy(max_batch=16),
-                          event_time_window=horizon)
-    driver.run()
-
-    golden = json.loads(golden_path(dataset).read_text())["reference"]
-    # The match stream itself is untouched (expiry only retracts from the
-    # maintained result set, mirroring run_time_based).
-    assert canonical_matches(driver.matches) == golden["matches"]
-    assert driver.stats.expired_by_watermark > 0
-    event_of = {(record.source, record.rid): float(index)
-                for index, record in enumerate(records)}
-    cutoff = (len(records) - 1) - horizon
-    for pair in engine.current_matches():
-        assert event_of[(pair.left_source, pair.left_rid)] > cutoff
-        assert event_of[(pair.right_source, pair.right_rid)] > cutoff
 
 
 def test_absorb_complete_tuples_is_gated_by_the_config_flag():
@@ -894,6 +853,35 @@ def test_failing_source_raises_after_securing_admitted_data(tmp_path):
     assert load_checkpoint(path)["timestamps_processed"] == 5
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_event_time_fails_its_source(tmp_path, bad):
+    """A NaN strands the clock's reorder buffer and an inf sheds every
+    later arrival; either fails the source through the same drain,
+    checkpoint and re-raise path as a raising iterator."""
+    workload = build_workload(*GOLDEN_WORKLOADS[0][:3])
+    config = build_config(workload, 30)
+    pool = workload.interleaved_records()
+
+    class Poisoned:
+        name = "poisoned"
+
+        async def __aiter__(self):
+            for index, event_time in enumerate([0.0, 1.0, 2.0, 3.0, bad, 5.0]):
+                yield StreamElement(record=pool[index], event_time=event_time,
+                                    origin=self.name)
+
+    engine = TERiDSEngine(repository=workload.repository, config=config)
+    path = tmp_path / "poisoned.ckpt.json"
+    driver = IngestDriver(engine, [Poisoned()],
+                          policy=BatchPolicy(max_batch=2),
+                          lateness=2.0, late_policy=LATE_SHED,
+                          checkpoint_path=path)
+    with pytest.raises(ValueError, match=f"'poisoned'.*{bad}"):
+        driver.run()
+    assert engine.timestamps_processed == 4
+    assert load_checkpoint(path)["timestamps_processed"] == 4
+
+
 def test_ingest_stats_roundtrip_and_p95():
     stats = IngestStats()
     stats.record_batch(size=4, latency=0.1, queue_depth=3, trigger="size")
@@ -1034,74 +1022,6 @@ def test_idle_timeout_must_be_finite(value):
     engine = TERiDSEngine(repository=workload.repository, config=config)
     with pytest.raises(ValueError, match="idle_timeout"):
         IngestDriver(engine, [ReplaySource([])], idle_timeout=value)
-
-
-# ---------------------------------------------------------------------------
-# Off-loop batch processing (process_in_executor)
-# ---------------------------------------------------------------------------
-def test_executor_offload_matches_offline_golden():
-    """Running process_batch on the executor thread changes no answers and
-    counts one executor wait per processed batch."""
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    golden = json.loads(golden_path(dataset).read_text())["reference"]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=SerialExecutor())
-    driver = IngestDriver(engine,
-                          [ReplaySource(workload.interleaved_records())],
-                          policy=BatchPolicy(max_batch=13),
-                          process_in_executor=True)
-    driver.run()
-    stats = engine.pruning.stats
-    got = {
-        "timestamps_processed": engine.timestamps_processed,
-        "matches": canonical_matches(driver.matches),
-        "result_set": canonical_matches(engine.current_matches()),
-        "pruning_stats": {
-            "pairs_considered": stats.pairs_considered,
-            "pruned_by_topic": stats.pruned_by_topic,
-            "pruned_by_similarity": stats.pruned_by_similarity,
-            "pruned_by_probability": stats.pruned_by_probability,
-            "pruned_by_instance": stats.pruned_by_instance,
-            "refined_matches": stats.refined_matches,
-            "refined_non_matches": stats.refined_non_matches,
-        },
-        "imputation_stats": engine.imputer.stats.as_dict(),
-    }
-    assert got == golden
-    assert driver.stats.executor_waits == driver.batches_processed > 0
-
-
-def test_executor_offload_keeps_sources_live_under_a_slow_engine():
-    """While a slow batch refines on the executor thread, paced sources
-    keep feeding the arrival queue instead of stalling behind it."""
-    workload = build_workload(*GOLDEN_WORKLOADS[0][:3])
-    config = build_config(workload, 30)
-    records = workload.interleaved_records()[:10]
-    engine = TERiDSEngine(repository=workload.repository, config=config)
-
-    real_process_batch = engine.process_batch
-    import time as _time
-
-    def slow_process_batch(batch):
-        _time.sleep(0.05)
-        return real_process_batch(batch)
-
-    engine.process_batch = slow_process_batch
-    arrived_during_processing = []
-    driver = IngestDriver(engine,
-                          [ReplaySource(records, pace=0.005)],
-                          policy=BatchPolicy(max_batch=2),
-                          process_in_executor=True,
-                          on_batch=lambda d, _b: arrived_during_processing
-                          .append(d._queue_depth()))
-    report = asyncio.run(asyncio.wait_for(driver.run_async(), timeout=60))
-    assert report.tuples_processed == len(records)
-    assert report.stats.executor_waits == report.batches_processed
-    # At least one batch completed with fresh arrivals already queued — the
-    # readers were not frozen behind the engine.
-    assert max(arrived_during_processing, default=0) >= 1
 
 
 def test_slow_inline_batches_do_not_mark_live_sources_idle():
