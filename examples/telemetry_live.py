@@ -48,7 +48,7 @@ def stage_table(telemetry, ctx) -> str:
     for key, hist in sorted(stage._children.items()):
         lines.append(f"  {key[0]:<28} {hist.quantile(0.5) * 1e3:9.3f} "
                      f"{hist.quantile(0.95) * 1e3:9.3f} {hist.count:9d}")
-    depth = (ctx.ingest.queue_depths[-1] if ctx.ingest.queue_depths else 0)
+    depth = ctx.ingest.queue_depth
     lines.append(f"  queue depth now/max          {depth:9d} "
                  f"{ctx.ingest.max_queue_depth:9d}")
     return "\n".join(lines)

@@ -55,24 +55,17 @@ PRUNING_ORDER = (
 class PruningStats:
     """Counters of how many candidate pairs each strategy eliminated.
 
-    The one place the counters are named: checkpoints, snapshots and the
-    telemetry binding iterate :meth:`as_dict`, and each field's ``outcome``
-    metadata is its label on the ``terids_pruning_pairs_total`` metric.
+    Their checkpoint keys, snapshot keys and registry labels are declared
+    once, in the counter table of :mod:`repro.runtime.context`.
     """
 
-    pairs_considered: int = field(default=0,
-                                  metadata={"outcome": "considered"})
-    pruned_by_topic: int = field(default=0, metadata={"outcome": "topic"})
-    pruned_by_similarity: int = field(default=0,
-                                      metadata={"outcome": "similarity"})
-    pruned_by_probability: int = field(default=0,
-                                       metadata={"outcome": "probability"})
-    pruned_by_instance: int = field(default=0,
-                                    metadata={"outcome": "instance"})
-    refined_matches: int = field(default=0,
-                                 metadata={"outcome": "refined_match"})
-    refined_non_matches: int = field(default=0,
-                                     metadata={"outcome": "refined_non_match"})
+    pairs_considered: int = 0
+    pruned_by_topic: int = 0
+    pruned_by_similarity: int = 0
+    pruned_by_probability: int = 0
+    pruned_by_instance: int = 0
+    refined_matches: int = 0
+    refined_non_matches: int = 0
 
     @property
     def total_pruned(self) -> int:
@@ -89,10 +82,6 @@ class PruningStats:
             "instance_pair_level": self.pruned_by_instance / total,
             "total": self.total_pruned / total,
         }
-
-    def merge(self, other: "PruningStats") -> None:
-        for name, value in other.as_dict().items():
-            setattr(self, name, getattr(self, name) + value)
 
     def as_dict(self) -> Dict[str, int]:
         """Every counter by field name, in declaration order."""

@@ -66,14 +66,9 @@ class ImputationStats:
     samples_matched: int = 0
     candidate_values: int = 0
 
-    def merge(self, other: "ImputationStats") -> None:
-        """Accumulate another stats object into this one."""
-        for name, value in other.as_dict().items():
-            setattr(self, name, getattr(self, name) + value)
-
     def as_dict(self) -> Dict[str, int]:
-        """Every counter by field name, in declaration order (checkpoints,
-        snapshots, telemetry and the experiment harness read this)."""
+        """Every counter by field name, in declaration order (the
+        experiment harness and the golden fixtures read this)."""
         return asdict(self)
 
 

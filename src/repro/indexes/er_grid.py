@@ -236,6 +236,12 @@ class ERGrid:
         """The resident columnar synopsis store (``None`` until enabled)."""
         return self._packed_store
 
+    @property
+    def vocabulary_size(self) -> int:
+        """Tokens in the packed store's vocabulary (0 while none is on)."""
+        store = self._packed_store
+        return 0 if store is None else len(store.vocabulary)
+
     def enable_packed_store(self) -> PackedStore:
         """Keep a columnar :class:`PackedStore` in sync with the grid.
 

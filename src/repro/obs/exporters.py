@@ -42,8 +42,10 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _format_bound(bound: float) -> str:
-    return "+Inf" if math.isinf(bound) else repr(float(bound))
+def _format_bound(bound) -> str:
+    """A bucket bound: a float, or the snapshot's ``"+Inf"`` spelling."""
+    bound = float(bound)
+    return "+Inf" if math.isinf(bound) else repr(bound)
 
 
 def render_prometheus(registry: MetricsRegistry) -> str:

@@ -10,12 +10,12 @@ the runtime lands in.  Three metric kinds, all label-aware:
   so exact quantiles (p50/p95/p99 by default) can be served without the
   bucket-interpolation error Prometheus-side quantile estimation carries.
 
-The existing stat dataclasses (``PruningStats``, ``ImputationStats``,
-``IngestStats``, ``TransportStats``, ``QueryStats``) keep their public APIs
-and checkpoint formats untouched: they are *bound* onto the registry with
-collect-time callbacks (:meth:`MetricsRegistry.bind`), so the registry
-reads them only when a snapshot or a Prometheus render is requested —
-zero steady-state cost on the hot path.
+The runtime's counters stay plain attributes of their stat dataclasses,
+incremented on the hot path.  ``RuntimeContext`` declares each one once, in
+its counter table, and ``bind_context_metrics`` *binds* every row onto the
+registry with a collect-time callback (:meth:`MetricsRegistry.bind`), so
+the registry reads them only when a snapshot or a Prometheus render is
+requested — zero steady-state cost on the hot path.
 
 The quantile estimator intentionally replicates the nearest-rank formula
 the ingest path has always used (``ordered[int(q * (len(ordered) - 1))]``)
@@ -26,6 +26,7 @@ sample ring was generalised onto :class:`HistogramValue`.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -156,8 +157,9 @@ class HistogramValue:
 
     def snapshot(self) -> Dict[str, object]:
         return {
-            "buckets": [[bound, cumulative] for bound, cumulative
-                        in self.cumulative_buckets()],
+            # JSON has no infinity: the last bound is Prometheus's "+Inf".
+            "buckets": [["+Inf" if math.isinf(bound) else bound, cumulative]
+                        for bound, cumulative in self.cumulative_buckets()],
             "sum": self.sum,
             "count": self.count,
             "quantiles": {f"p{round(q * 100):d}" if (q * 100) == int(q * 100)
@@ -245,9 +247,10 @@ class MetricFamily:
             samples.append(self._sample(labels, child))
         for labels, getter in self._bound:
             if "__multi__" in labels:
-                # Marker row from bind_multi: the raw dict rides through to
-                # MetricsRegistry.collect(), which expands it per key.
-                samples.append({"labels": labels, "value": getter()})
+                # Marker row from bind_multi: one sample per key of the dict.
+                label = labels["__multi__"]
+                samples += [self._sample({label: str(key)}, value)
+                            for key, value in sorted(getter().items())]
             else:
                 samples.append(self._sample(labels, getter()))
         return {"name": self.name, "help": self.help, "type": self.kind,
@@ -349,27 +352,10 @@ class MetricsRegistry:
         becomes a sample labelled ``{label: key}``.
         """
         family = self._family(name, help, kind, (label,))
-        # Marker row: expanded by collect() below.  Re-binding the same
-        # marker replaces it (same duplicate-suppression as ``bind``).
+        # Marker row: expanded by MetricFamily.collect().  Re-binding the
+        # same marker replaces it (same duplicate-suppression as ``bind``).
         self._rebind(family, {"__multi__": label}, getter)
 
     def collect(self) -> List[Dict[str, object]]:
         """Snapshot every family (bound getters evaluated now)."""
-        out: List[Dict[str, object]] = []
-        for family in self._families.values():
-            snap = family.collect()
-            expanded: List[Dict[str, object]] = []
-            for sample in snap["samples"]:
-                labels = sample.get("labels", {})
-                if "__multi__" in labels:
-                    label = labels["__multi__"]
-                    for key, value in sorted(sample["value"].items()
-                                             if isinstance(sample["value"],
-                                                           dict) else ()):
-                        expanded.append({"labels": {label: str(key)},
-                                         "value": float(value)})
-                else:
-                    expanded.append(sample)
-            snap["samples"] = expanded
-            out.append(snap)
-        return out
+        return [family.collect() for family in self._families.values()]

@@ -15,12 +15,10 @@ never touches any value that participates in the golden comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import fields
 from typing import Dict, Optional
 
 from .profiler import SlowBatchProfiler
-from .registry import (GAUGE, HISTOGRAM, HistogramValue, MetricsRegistry,
-                       exponential_buckets)
+from .registry import MetricsRegistry, exponential_buckets
 from .tracing import BatchTrace, Span, Tracer
 
 
@@ -154,120 +152,18 @@ class Telemetry:
 
 
 def bind_context_metrics(registry: MetricsRegistry, ctx) -> None:
-    """Bind a ``RuntimeContext``'s stat objects onto ``registry``.
+    """Bind every counter of a ``RuntimeContext`` onto ``registry``.
 
-    Everything goes through collect-time closures over ``ctx`` — never
-    over the stat objects themselves, because ``ctx.imputer.stats`` is
-    *replaced* (not mutated) on checkpoint restore.  (``ctx.pruning.stats``
-    is overwritten field by field; the same closures serve both.)
+    One loop over ``ctx.metric_bindings()``, the context's counter table
+    (``repro.obs`` imports nothing from ``repro``).  Each getter resolves
+    its attribute path through ``ctx`` at collect time, never holding a
+    stat object, so it reads through a checkpoint restore.
     """
-    # Pruning cascade — the Figure-4 counters, labelled by the ``outcome``
-    # each ``PruningStats`` field declares.
-    for stat in fields(ctx.pruning.stats):
-        registry.bind(
-            "terids_pruning_pairs_total",
-            (lambda a=stat.name: float(getattr(ctx.pruning.stats, a))),
-            help="Pruning-cascade pair outcomes (Figure 4 counters)",
-            labels={"outcome": stat.metadata["outcome"]})
-
-    # Imputation.
-    for attr in ctx.imputer.stats.as_dict():
-        registry.bind(
-            "terids_imputation_events_total",
-            (lambda a=attr: float(getattr(ctx.imputer.stats, a))),
-            help="Imputation event counts by kind",
-            labels={"kind": attr})
-
-    # Ingest: scalars as counters, depth as gauges, triggers fanned out,
-    # the formation-latency histogram bound live.
-    for attr in ctx.ingest._SCALARS:
-        if attr == "max_queue_depth":  # a high-water mark: the gauge below
-            continue
-        registry.bind(
-            "terids_ingest_events_total",
-            (lambda a=attr: float(getattr(ctx.ingest, a))),
-            help="Ingest driver event counts by kind",
-            labels={"kind": attr})
-    registry.bind(
-        "terids_ingest_max_queue_depth",
-        lambda: float(ctx.ingest.max_queue_depth),
-        help="High-water mark of the bounded arrival queue", kind=GAUGE)
-    registry.bind(
-        "terids_ingest_queue_depth",
-        lambda: float(ctx.ingest.queue_depths[-1]
-                      if ctx.ingest.queue_depths else 0),
-        help="Arrival-queue depth at the most recent batch", kind=GAUGE)
-    registry.bind_multi(
-        "terids_ingest_batches_total", "trigger",
-        lambda: dict(ctx.ingest.triggers),
-        help="Batches formed, by release trigger")
-    registry.bind(
-        "terids_ingest_formation_seconds",
-        lambda: ctx.ingest.formation,
-        help="Batch formation latency", kind=HISTOGRAM)
-
-    # Query-time resolution.
-    for attr in ("resolves", "frontier_expansions"):
-        registry.bind(
-            "terids_query_events_total",
-            (lambda a=attr: float(getattr(ctx.query, a))),
-            help="Query-time resolve() counts by kind",
-            labels={"kind": attr})
-
-    # Stage wall-clock totals (the StageTimer the benches already read).
-    registry.bind_multi(
-        "terids_stage_wall_seconds_total", "stage",
-        lambda: dict(ctx.timer.totals),
-        help="Cumulative wall seconds per pipeline stage")
-    registry.bind_multi(
-        "terids_stage_invocations_total", "stage",
-        lambda: dict(ctx.timer.counts),
-        help="Cumulative invocations per pipeline stage")
-
-    # ER-grid scan counters.
-    registry.bind(
-        "terids_grid_cells_examined_total",
-        lambda: float(ctx.grid.cells_examined),
-        help="ER-grid cells examined during candidate lookup")
-    registry.bind(
-        "terids_grid_tuples_examined_total",
-        lambda: float(ctx.grid.tuples_examined),
-        help="ER-grid tuples examined during candidate lookup")
-
-    # Token vocabulary of the grid's packed store: bounded by the resident
-    # rows, re-encoded once it has doubled (0 while no store is enabled).
-    registry.bind(
-        "terids_packed_store_vocabulary_size",
-        lambda: float(len(ctx.grid.packed_store.vocabulary)
-                      if ctx.grid.packed_store is not None else 0),
-        help="Tokens in the packed store's token -> id vocabulary",
-        kind=GAUGE)
-
-    # DR-index work by path: which of the two answered imputation probes.
-    registry.bind(
-        "terids_dr_index_nodes_visited_total",
-        lambda: float(ctx.dr_index.nodes_visited),
-        help="aR-tree nodes visited by DR-index candidate_samples "
-             "(scalar path)")
-    registry.bind(
-        "terids_dr_index_packed_probes_total",
-        lambda: float(ctx.dr_index.packed_probes),
-        help="DR-index probes answered from the packed repository mirror")
-
-    # Rule-install dispatch (skip / rebuild).
-    for attr, outcome in (("installs_skipped", "skipped"),
-                          ("installs_rebuilt", "rebuilt")):
-        registry.bind(
-            "terids_rule_installs_total",
-            (lambda a=attr: float(getattr(ctx, a))),
-            help="Rule-install dispatch outcomes",
-            labels={"outcome": outcome})
-
-    # Batch sequencing.
-    registry.bind(
-        "terids_batch_seq", lambda: float(ctx.batch_seq),
-        help="Monotonic batch sequence number (survives checkpoints)",
-        kind=GAUGE)
-    registry.bind(
-        "terids_timestamps_processed", lambda: float(ctx.timestamps_processed),
-        help="Stream timestamps processed so far", kind=GAUGE)
+    for family, kind, help, label, value, read in ctx.metric_bindings():
+        if label is None:
+            registry.bind(family, read, help=help, kind=kind)
+        elif value is None:
+            registry.bind_multi(family, label, read, help=help)
+        else:
+            registry.bind(family, read, help=help, kind=kind,
+                          labels={label: value})

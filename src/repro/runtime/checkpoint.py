@@ -1,9 +1,10 @@
 """Checkpoint / restore of the online engine state.
 
 A checkpoint captures everything the online operator has accumulated — the
-per-stream window contents (as imputed records), the entity result set, the
-pruning / imputation / timing counters and the timestamp counter — using the
-JSON serialisers of :mod:`repro.persistence`.  The offline substrates
+timestamp counter, the per-stream window contents (as imputed records) and
+the entity result set, serialised by :mod:`repro.persistence`, plus every
+counter of :data:`~repro.runtime.context.COUNTERS` with a checkpoint key,
+one loop over the table each way.  The offline substrates
 (pivots, rules, indexes) are *not* persisted: they are a deterministic
 function of the repository and the configuration and are rebuilt by the
 ``TERiDSEngine`` constructor; likewise each window tuple's grid synopsis is
@@ -17,7 +18,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.pruning import RecordSynopsis
-from repro.imputation.imputer import ImputationStats
 from repro.persistence import (
     CheckpointError,
     imputed_record_from_dict,
@@ -25,7 +25,8 @@ from repro.persistence import (
     match_from_dict,
     match_to_dict,
 )
-from repro.runtime.context import RuntimeContext
+from repro.runtime.context import (COUNTERS, MAP, RuntimeContext, get_key,
+                                    put_key)
 
 
 def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
@@ -34,33 +35,22 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
         source: [imputed_record_to_dict(item.record) for item in window.items()]
         for source, window in sorted(ctx.windows.items())
     }
-    return {
+    state = {
         "timestamps_processed": ctx.timestamps_processed,
         "windows": windows,
         "matches": [match_to_dict(pair) for pair in ctx.result_set.pairs()],
-        "pruning_stats": ctx.pruning.stats.as_dict(),
-        "imputation_stats": ctx.imputer.stats.as_dict(),
-        "timer": {"totals": dict(ctx.timer.totals),
-                  "counts": dict(ctx.timer.counts)},
-        "grid_counters": {"cells_examined": ctx.grid.cells_examined,
-                          "tuples_examined": ctx.grid.tuples_examined},
-        # Ingestion counters (zero unless an IngestDriver feeds this
-        # context) ride along so a drain/resume cycle keeps its arrival,
-        # lateness and backpressure accounting.
-        "ingest_stats": ctx.ingest.as_dict(),
-        # Query-time resolution counters.
-        "query_stats": ctx.query.as_dict(),
-        # Telemetry correlation metadata: the monotonic batch sequence and
-        # the last trace id let a restored run's traces be lined up with
-        # its pre-checkpoint history.  The metrics/traces themselves are
-        # process-local scratch and are not persisted.
-        "telemetry": {"batch_seq": ctx.batch_seq,
-                      "trace_id": ctx.last_trace_id},
-        # The repository grows mid-stream (absorb_complete_tuples,
-        # add_repository_samples) and is not checkpointed: its size lets a
-        # restore refuse an engine built over a different repository.
-        "repository_size": len(ctx.repository),
     }
+    for row in COUNTERS:
+        if row.checkpoint is not None:
+            put_key(state, row.checkpoint, row.read(ctx))
+    # The last trace id rides beside the batch sequence, so a restored run's
+    # traces line up with its history; the traces themselves are not kept.
+    state["telemetry"]["trace_id"] = ctx.last_trace_id
+    # The repository grows mid-stream (absorb_complete_tuples,
+    # add_repository_samples) and is not checkpointed: its size lets a
+    # restore refuse an engine built over a different repository.
+    state["repository_size"] = len(ctx.repository)
+    return state
 
 
 def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
@@ -68,7 +58,8 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
 
     The context must have been built over the same repository,
     configuration and rule set as the checkpointed engine; windows, grid and
-    result set are cleared and repopulated, counters are overwritten.
+    result set are cleared and repopulated, counters are overwritten (a
+    counter the checkpoint does not carry restores as 0).
     Raises :class:`~repro.persistence.CheckpointError`, before touching any
     state, when the checkpoint records a ``repository_size`` other than
     ``len(ctx.repository)`` (a checkpoint without one skips the check).
@@ -114,30 +105,12 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     for rid, source in evicted_keys:
         ctx.result_set.remove_record(rid, source)
 
-    pruning_stats = ctx.pruning.stats
-    saved_pruning = state.get("pruning_stats", {})
-    for name in pruning_stats.as_dict():
-        setattr(pruning_stats, name, saved_pruning.get(name, 0))
-
-    imputation = state.get("imputation_stats", {})
-    fresh = ImputationStats()
-    for name in fresh.as_dict():
-        setattr(fresh, name, imputation.get(name, 0))
-    ctx.imputer.stats = fresh
-
-    timer_state = state.get("timer", {})
-    ctx.timer.totals = dict(timer_state.get("totals", {}))
-    ctx.timer.counts = dict(timer_state.get("counts", {}))
-
-    grid_counters = state.get("grid_counters", {})
-    ctx.grid.cells_examined = grid_counters.get("cells_examined", 0)
-    ctx.grid.tuples_examined = grid_counters.get("tuples_examined", 0)
-
-    ctx.ingest.restore(state.get("ingest_stats", {}))
-    ctx.query.restore(state.get("query_stats", {}))
-
-    telemetry_meta = state.get("telemetry", {})
-    ctx.batch_seq = telemetry_meta.get("batch_seq", 0)
-    ctx.last_trace_id = telemetry_meta.get("trace_id")
-
+    for row in COUNTERS:
+        if row.checkpoint is not None:
+            empty = {} if row.kind == MAP else 0
+            row.write(ctx, get_key(state, row.checkpoint, empty))
+    # The retained per-batch ingest series are process-local: they restart.
+    ctx.ingest.formation.reset()
+    ctx.ingest.queue_depths.clear()
+    ctx.last_trace_id = get_key(state, "telemetry.trace_id", None)
     ctx.timestamps_processed = state.get("timestamps_processed", 0)

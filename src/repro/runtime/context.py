@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from functools import partial
+from operator import attrgetter
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import TERiDSConfig
 from repro.core.matching import EntityResultSet
@@ -33,7 +35,7 @@ from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid
 from repro.indexes.pivots import PivotTable
 from repro.metrics.timing import StageTimer
-from repro.obs.registry import HistogramValue
+from repro.obs.registry import COUNTER, GAUGE, HISTOGRAM, HistogramValue
 from repro.obs.telemetry import NULL_TELEMETRY
 
 
@@ -66,22 +68,14 @@ class QueryStats:
     #: Frontier records expanded across all resolves — the query-time
     #: analogue of the grid's ``tuples_examined``.
     frontier_expansions: int = 0
-    #: All-zero stubs: there is no result cache any more.  Kept only because
-    #: the frozen end-to-end benchmark reads these three attributes off
-    #: ``ctx.query`` (``benchmarks/e2e/layers.py``, the ``runtime.query.*``
-    #: rows); they go when a ``benchmark`` issue drops those rows.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-
-    _SCALARS = ("resolves", "frontier_expansions")
-
-    def as_dict(self) -> Dict:
-        return {name: getattr(self, name) for name in self._SCALARS}
-
-    def restore(self, state: Dict) -> None:
-        for name in self._SCALARS:
-            setattr(self, name, state.get(name, 0))
+    #: All-zero stubs, not counters: there is no result cache any more.
+    #: Kept only because the frozen end-to-end benchmark reads these three
+    #: attributes off ``ctx.query`` (``benchmarks/e2e/layers.py``, the
+    #: ``runtime.query.*`` rows); they go when a ``benchmark`` issue drops
+    #: those rows.
+    cache_hits = 0
+    cache_misses = 0
+    cache_invalidations = 0
 
 
 #: Retained per-batch sample count of the ingest series (latency / depth).
@@ -133,12 +127,6 @@ class IngestStats:
     queue_depths: Deque[int] = field(
         default_factory=lambda: deque(maxlen=INGEST_SERIES_WINDOW))
 
-    @property
-    def formation_latencies(self) -> Deque[float]:
-        """The retained formation-latency samples (compatibility view of
-        the histogram's sample ring)."""
-        return self.formation.samples
-
     def record_batch(self, size: int, latency: float, queue_depth: int,
                      trigger: str) -> None:
         self.batches_formed += 1
@@ -153,26 +141,186 @@ class IngestStats:
         empty), over the retained window of recent batches."""
         return self.formation.quantile(0.95)
 
-    _SCALARS = ("tuples_ingested", "batches_formed", "reordered",
-                "force_released", "admitted_late", "shed_late",
-                "backpressure_waits", "max_queue_depth", "idle_timeouts",
-                "absorbed_samples")
+    @property
+    def queue_depth(self) -> int:
+        """Arrival-queue depth at the most recent batch (0 before any)."""
+        return self.queue_depths[-1] if self.queue_depths else 0
 
-    def as_dict(self) -> Dict:
-        """Checkpointable summary (scalar counters + trigger counts)."""
-        state = {name: getattr(self, name) for name in self._SCALARS}
-        state["triggers"] = dict(self.triggers)
-        return state
 
-    def restore(self, state: Dict) -> None:
-        for name in self._SCALARS:
-            setattr(self, name, state.get(name, 0))
-        self.triggers = dict(state.get("triggers", {}))
-        self.formation.reset()
-        self.queue_depths.clear()
+#: Kind of a counter row whose value is a ``{key: count}`` dict, exported
+#: as one registry series per key under its family's label.
+MAP = "map"
 
-    def reset(self) -> None:
-        self.restore({})
+
+@dataclass(frozen=True)
+class Counter:
+    """One runtime counter, declared once for all three readers.
+
+    ``path`` is its attribute path from the :class:`RuntimeContext`;
+    ``checkpoint`` and ``snapshot`` its dotted keys in the checkpoint state
+    and in :meth:`RuntimeContext.metrics_snapshot` (``None``: absent), a key
+    ending in ``.`` being completed by the attribute name; ``family`` its
+    registry family and ``label`` its value of the family's label, if the
+    family has one (default: the attribute name).
+    """
+
+    path: str
+    checkpoint: Optional[str]
+    snapshot: Optional[str]
+    family: str
+    label: Optional[str] = None
+    kind: str = COUNTER
+
+    def __post_init__(self) -> None:
+        name = self.path.rpartition(".")[2]
+        for key in ("checkpoint", "snapshot"):
+            value = getattr(self, key)
+            if value is not None and value.endswith("."):
+                object.__setattr__(self, key, value + name)
+        if self.label is None:
+            object.__setattr__(self, "label", name)
+
+    def read(self, ctx: "RuntimeContext"):
+        value = attrgetter(self.path)(ctx)
+        return dict(value) if self.kind == MAP else value
+
+    def write(self, ctx: "RuntimeContext", value) -> None:
+        holder, _, name = self.path.rpartition(".")
+        setattr(attrgetter(holder)(ctx) if holder else ctx, name,
+                dict(value) if self.kind == MAP else value)
+
+
+#: ``(checkpoint section, snapshot group, family)`` of a stat holder's
+#: counters, spliced into each of its rows below.
+_PRUNING = ("pruning_stats.", "pruning.", "terids_pruning_pairs_total")
+_IMPUTATION = ("imputation_stats.", "imputation.",
+               "terids_imputation_events_total")
+_INGEST = ("ingest_stats.", "ingest.", "terids_ingest_events_total")
+_QUERY = ("query_stats.", "query.", "terids_query_events_total")
+
+#: Registry families of the rows below, in exposition order:
+#: ``(label name, help)``.
+FAMILIES: Dict[str, Tuple[Optional[str], str]] = {
+    "terids_pruning_pairs_total": (
+        "outcome", "Pruning-cascade pair outcomes (Figure 4 counters)"),
+    "terids_imputation_events_total": (
+        "kind", "Imputation event counts by kind"),
+    "terids_ingest_events_total": (
+        "kind", "Ingest driver event counts by kind"),
+    "terids_ingest_max_queue_depth": (
+        None, "High-water mark of the bounded arrival queue"),
+    "terids_ingest_queue_depth": (
+        None, "Arrival-queue depth at the most recent batch"),
+    "terids_ingest_batches_total": (
+        "trigger", "Batches formed, by release trigger"),
+    "terids_ingest_formation_seconds": (None, "Batch formation latency"),
+    "terids_query_events_total": (
+        "kind", "Query-time resolve() counts by kind"),
+    "terids_stage_wall_seconds_total": (
+        "stage", "Cumulative wall seconds per pipeline stage"),
+    "terids_stage_invocations_total": (
+        "stage", "Cumulative invocations per pipeline stage"),
+    "terids_grid_cells_examined_total": (
+        None, "ER-grid cells examined during candidate lookup"),
+    "terids_grid_tuples_examined_total": (
+        None, "ER-grid tuples examined during candidate lookup"),
+    "terids_packed_store_vocabulary_size": (
+        None, "Tokens in the packed store's token -> id vocabulary"),
+    "terids_dr_index_nodes_visited_total": (
+        None, "aR-tree nodes visited by DR-index candidate_samples "
+              "(scalar path)"),
+    "terids_dr_index_packed_probes_total": (
+        None, "DR-index probes answered from the packed repository mirror"),
+    "terids_rule_installs_total": ("outcome", "Rule-install dispatch outcomes"),
+    "terids_batch_seq": (
+        None, "Monotonic batch sequence number (survives checkpoints)"),
+    "terids_timestamps_processed": (None, "Stream timestamps processed so far"),
+}
+
+#: Every runtime counter, read by the checkpoint
+#: (:mod:`repro.runtime.checkpoint`), :meth:`RuntimeContext.metrics_snapshot`
+#: and the metrics registry (:func:`repro.obs.telemetry.bind_context_metrics`).
+#: Rows are in checkpoint order: a section sits where its first row does.
+COUNTERS: Tuple[Counter, ...] = (
+    # The pruning cascade: Figure 4's pruning power.
+    Counter("pruning.stats.pairs_considered", *_PRUNING, "considered"),
+    Counter("pruning.stats.pruned_by_topic", *_PRUNING, "topic"),
+    Counter("pruning.stats.pruned_by_similarity", *_PRUNING, "similarity"),
+    Counter("pruning.stats.pruned_by_probability", *_PRUNING, "probability"),
+    Counter("pruning.stats.pruned_by_instance", *_PRUNING, "instance"),
+    Counter("pruning.stats.refined_matches", *_PRUNING, "refined_match"),
+    Counter("pruning.stats.refined_non_matches", *_PRUNING,
+            "refined_non_match"),
+    Counter("imputer.stats.records_imputed", *_IMPUTATION),
+    Counter("imputer.stats.attributes_imputed", *_IMPUTATION),
+    Counter("imputer.stats.attributes_unimputable", *_IMPUTATION),
+    Counter("imputer.stats.rules_considered", *_IMPUTATION),
+    Counter("imputer.stats.rules_applied", *_IMPUTATION),
+    Counter("imputer.stats.samples_scanned", *_IMPUTATION),
+    Counter("imputer.stats.samples_matched", *_IMPUTATION),
+    Counter("imputer.stats.candidate_values", *_IMPUTATION),
+    # The stage timer: Figure 6's break-up cost.
+    Counter("timer.totals", "timer.", "stage_seconds",
+            "terids_stage_wall_seconds_total", kind=MAP),
+    Counter("timer.counts", "timer.", "stage_counts",
+            "terids_stage_invocations_total", kind=MAP),
+    # ER-grid candidate lookup.
+    Counter("grid.cells_examined", "grid_counters.", "grid.",
+            "terids_grid_cells_examined_total"),
+    Counter("grid.tuples_examined", "grid_counters.", "grid.",
+            "terids_grid_tuples_examined_total"),
+    # The ingest driver (zero unless an IngestDriver feeds this context).
+    Counter("ingest.tuples_ingested", *_INGEST),
+    Counter("ingest.batches_formed", *_INGEST),
+    Counter("ingest.reordered", *_INGEST),
+    Counter("ingest.force_released", *_INGEST),
+    Counter("ingest.admitted_late", *_INGEST),
+    Counter("ingest.shed_late", *_INGEST),
+    Counter("ingest.backpressure_waits", *_INGEST),
+    Counter("ingest.max_queue_depth", "ingest_stats.", "ingest.",
+            "terids_ingest_max_queue_depth", kind=GAUGE),
+    Counter("ingest.idle_timeouts", *_INGEST),
+    Counter("ingest.absorbed_samples", *_INGEST),
+    Counter("ingest.triggers", "ingest_stats.", "ingest.",
+            "terids_ingest_batches_total", kind=MAP),
+    # Per-batch series: process-local, a restore starts them empty.
+    Counter("ingest.formation", None, None,
+            "terids_ingest_formation_seconds", kind=HISTOGRAM),
+    Counter("ingest.queue_depth", None, None, "terids_ingest_queue_depth",
+            kind=GAUGE),
+    Counter("query.resolves", *_QUERY),
+    Counter("query.frontier_expansions", *_QUERY),
+    # Sequencing: the batch sequence seeds trace ids; the engine clock is
+    # checkpointed by hand, ahead of the windows it stamps.
+    Counter("batch_seq", "telemetry.", "batch_seq", "terids_batch_seq",
+            kind=GAUGE),
+    Counter("timestamps_processed", None, "timestamps_processed",
+            "terids_timestamps_processed", kind=GAUGE),
+    # Rule installs: value-identical lists skip, anything else rebuilds.
+    Counter("installs_skipped", "rule_installs.", "rule_installs.skipped",
+            "terids_rule_installs_total", "skipped"),
+    Counter("installs_rebuilt", "rule_installs.", "rule_installs.rebuilt",
+            "terids_rule_installs_total", "rebuilt"),
+    # DR-index work by path: which of the two answered imputation probes.
+    Counter("dr_index.nodes_visited", "dr_index.", "dr_index.",
+            "terids_dr_index_nodes_visited_total"),
+    Counter("dr_index.packed_probes", "dr_index.", "dr_index.",
+            "terids_dr_index_packed_probes_total"),
+    Counter("grid.vocabulary_size", None, None,
+            "terids_packed_store_vocabulary_size", kind=GAUGE),
+)
+
+
+def put_key(tree: Dict, key: str, value) -> None:
+    """Set ``tree[key]``, or ``tree[section][name]`` for ``"section.name"``."""
+    section, _, name = key.rpartition(".")
+    (tree.setdefault(section, {}) if section else tree)[name] = value
+
+
+def get_key(tree: Dict, key: str, default):
+    """The value :func:`put_key` set under ``key``, or ``default``."""
+    section, _, name = key.rpartition(".")
+    return (tree.get(section, {}) if section else tree).get(name, default)
 
 
 @dataclass
@@ -311,6 +459,20 @@ class RuntimeContext:
         self.telemetry = telemetry
         return telemetry
 
+    def metric_bindings(self) -> Iterator[Tuple]:
+        """``(family, kind, help, label name, label value, read)`` for every
+        :data:`COUNTERS` row, family by family in :data:`FAMILIES` order,
+        read through this context at collect time.  A labelled row without
+        a label value is a ``{key: count}`` dict, one series per key."""
+        for family, (label, help) in FAMILIES.items():
+            for row in COUNTERS:
+                if row.family == family:
+                    read = partial(attrgetter(row.path), self)
+                    if row.kind == MAP:
+                        yield family, COUNTER, help, label, None, read
+                    else:
+                        yield family, row.kind, help, label, row.label, read
+
     def disable_telemetry(self) -> None:
         """Back to the null plane (recorded traces/metrics are dropped)."""
         self.telemetry = NULL_TELEMETRY
@@ -318,27 +480,16 @@ class RuntimeContext:
     def metrics_snapshot(self) -> Dict:
         """JSON-safe snapshot of every measured signal of this context.
 
-        Always available — stats, timers and sequencing come straight off
-        the context — and enriched with the registry/traces/profiles when
-        the telemetry plane is enabled.
+        Always available — every :data:`COUNTERS` row with a snapshot key
+        comes straight off the context — and enriched with the
+        registry/traces/profiles when the telemetry plane is enabled.
         """
-        snapshot: Dict = {
-            "batch_seq": self.batch_seq,
-            "last_trace_id": self.last_trace_id,
-            "timestamps_processed": self.timestamps_processed,
-            "matches": len(self.result_set),
-            "pruning": self.pruning.stats.as_dict(),
-            "imputation": self.imputer.stats.as_dict(),
-            "ingest": self.ingest.as_dict(),
-            "query": self.query.as_dict(),
-            "grid": {"cells_examined": self.grid.cells_examined,
-                     "tuples_examined": self.grid.tuples_examined},
-            "rule_installs": {"skipped": self.installs_skipped,
-                              "rebuilt": self.installs_rebuilt},
-            "stage_seconds": dict(self.timer.totals),
-            "stage_counts": dict(self.timer.counts),
-            "telemetry_enabled": bool(self.telemetry.enabled),
-        }
+        snapshot: Dict = {"last_trace_id": self.last_trace_id,
+                          "matches": len(self.result_set),
+                          "telemetry_enabled": bool(self.telemetry.enabled)}
+        for row in COUNTERS:
+            if row.snapshot is not None:
+                put_key(snapshot, row.snapshot, row.read(self))
         detail = self.telemetry.snapshot()
         if detail is not None:
             snapshot.update(detail)

@@ -263,22 +263,57 @@ _PARENT_FORMAT_STATE = {
 
 def test_parent_format_checkpoint_restores_and_reserialises_equal(
         health_repository, health_config):
-    """The counters are named once, on their dataclasses; the checkpoint
-    JSON they produce must stay byte-identical, key order included — less
-    the two ingest counters whose features were deleted since."""
+    """The counters are named once, in the context's counter table; the
+    checkpoint JSON they produce must stay byte-identical, key order
+    included — less the two ingest counters whose features were deleted
+    since."""
     engine = TERiDSEngine(repository=health_repository, config=health_config)
     engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
     ingest_stats = {
         name: value
         for name, value in _PARENT_FORMAT_STATE["ingest_stats"].items()
         if name not in ("executor_waits", "expired_by_watermark")}
-    # The one key added since: the repository size the restore guard reads.
+    # The keys added since: the rule-install and DR-index counters, absent
+    # from the parent's checkpoint and so restored as 0, and the repository
+    # size the restore guard reads.
     expected = dict(_PARENT_FORMAT_STATE, ingest_stats=ingest_stats,
+                    rule_installs={"installs_skipped": 0,
+                                   "installs_rebuilt": 0},
+                    dr_index={"nodes_visited": 0, "packed_probes": 0},
                     repository_size=len(health_repository))
     assert json.dumps(engine.checkpoint()) == json.dumps(expected)
     snapshot = engine.metrics_snapshot()
     assert snapshot["pruning"] == _PARENT_FORMAT_STATE["pruning_stats"]
     assert snapshot["imputation"] == _PARENT_FORMAT_STATE["imputation_stats"]
+
+
+def test_rule_install_and_dr_index_counters_survive_a_restore():
+    """A value-identical rule install and the packed DR-index probes of a
+    micro-batch pass are counted, checkpointed and restored like every
+    other counter."""
+    workload = build_workload("citations", 0.5, 7)
+    records = list(workload.interleaved_records())
+
+    def engine():
+        return _fresh(workload, 40, MicroBatchExecutor(batch_size=16))
+
+    first = engine()
+    first.ctx.install_rules(list(first.rules))
+    first.process_batch(records[:64])
+    assert first.ctx.installs_skipped == 1
+    assert first.dr_index.packed_probes > 0
+    state = json.loads(json.dumps(first.checkpoint()))
+
+    resumed = engine()
+    resumed.restore_checkpoint(state)
+    assert resumed.ctx.installs_skipped == 1
+    assert resumed.ctx.installs_rebuilt == first.ctx.installs_rebuilt
+    assert resumed.dr_index.packed_probes == first.dr_index.packed_probes
+    snapshot = resumed.metrics_snapshot()
+    assert snapshot["rule_installs"]["skipped"] == 1
+    assert snapshot["dr_index"] == {
+        "nodes_visited": first.dr_index.nodes_visited,
+        "packed_probes": first.dr_index.packed_probes}
 
 
 def test_parent_checkpoint_with_maintainer_state_restores_ignoring_it(

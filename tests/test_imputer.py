@@ -12,7 +12,6 @@ from repro.imputation.cdd import (
 )
 from repro.imputation.imputer import (
     CDDImputer,
-    ImputationStats,
     SingleCDDImputer,
     candidate_set_for_sample,
     combine_frequencies,
@@ -66,15 +65,6 @@ class TestHelpers:
     def test_combine_frequencies_empty(self):
         assert combine_frequencies([]) == {}
         assert combine_frequencies([{}]) == {}
-
-    def test_stats_merge_and_dict(self):
-        left = ImputationStats(records_imputed=1, samples_scanned=5)
-        right = ImputationStats(records_imputed=2, samples_scanned=7,
-                                candidate_values=3)
-        left.merge(right)
-        assert left.records_imputed == 3
-        assert left.samples_scanned == 12
-        assert left.as_dict()["candidate_values"] == 3
 
 
 class TestCDDImputer:

@@ -543,7 +543,7 @@ class TestAdaptiveBatcher:
         batch = batcher.add(_element(2), now=0.5)
         assert [e.event_time for e in batch] == [0.0, 1.0, 2.0]
         assert stats.triggers == {TRIGGER_SIZE: 1}
-        assert list(stats.formation_latencies) == [0.5]
+        assert list(stats.formation.samples) == [0.5]
 
     def test_deadline_trigger_and_time_until_due(self):
         batcher, stats = self._batcher(max_batch=100, max_delay=0.2)
@@ -882,16 +882,19 @@ def test_non_finite_event_time_fails_its_source(tmp_path, bad):
     assert load_checkpoint(path)["timestamps_processed"] == 4
 
 
-def test_ingest_stats_roundtrip_and_p95():
-    stats = IngestStats()
+def test_ingest_stats_roundtrip_and_p95(health_repository, health_config):
+    engine = TERiDSEngine(repository=health_repository, config=health_config)
+    stats = engine.ctx.ingest
     stats.record_batch(size=4, latency=0.1, queue_depth=3, trigger="size")
     stats.record_batch(size=2, latency=0.5, queue_depth=1, trigger="drain")
     stats.shed_late = 2
     assert stats.max_queue_depth == 3
     assert stats.p95_formation_latency() == 0.1  # index int(.95 * 1)
-    state = stats.as_dict()
-    fresh = IngestStats()
-    fresh.restore(state)
+    state = json.loads(json.dumps(engine.checkpoint()))
+    restored = TERiDSEngine(repository=health_repository,
+                            config=health_config)
+    restored.restore_checkpoint(state)
+    fresh = restored.ctx.ingest
     assert fresh.tuples_ingested == 6
     assert fresh.batches_formed == 2
     assert fresh.shed_late == 2

@@ -10,7 +10,6 @@ import pytest
 from repro.core.matching import ter_ids_probability
 from repro.core.pruning import (
     PruningPipeline,
-    PruningStats,
     RecordSynopsis,
     min_attribute_distance,
     probability_prune,
@@ -362,9 +361,3 @@ class TestPruningPipeline:
         assert power["total"] <= 1.0
         assert pipeline.stats.pairs_considered == 2
 
-    def test_stats_merge(self):
-        left = PruningStats(pairs_considered=5, pruned_by_topic=2)
-        right = PruningStats(pairs_considered=3, pruned_by_similarity=1)
-        left.merge(right)
-        assert left.pairs_considered == 8
-        assert left.total_pruned == 3

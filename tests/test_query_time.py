@@ -461,7 +461,7 @@ def test_checkpoint_restores_query_stats():
         engine.run(workload.interleaved_records())
         for (rid, source), _ in engine.grid.synopsis_items()[:6]:
             engine.resolve(rid, source)
-        expected = engine.ctx.query.as_dict()
+        expected = engine.metrics_snapshot()["query"]
         assert expected["resolves"] == 6
         assert expected["frontier_expansions"] >= 6
         state = json.loads(json.dumps(engine.checkpoint()))  # JSON-safe
@@ -469,7 +469,7 @@ def test_checkpoint_restores_query_stats():
         clone = TERiDSEngine(repository=workload.repository, config=config)
         try:
             clone.restore_checkpoint(state)
-            assert clone.ctx.query.as_dict() == expected
+            assert clone.metrics_snapshot()["query"] == expected
             # Post-restore lookups are still the exact closure.
             (rid, source), _ = clone.grid.synopsis_items()[0]
             assert_cluster_equals_closure(clone, rid, source)
@@ -480,7 +480,7 @@ def test_checkpoint_restores_query_stats():
                 "resolves": 9, "cache_hits": 4, "cache_misses": 5,
                 "cache_invalidations": 3, "frontier_expansions": 17}
             clone.restore_checkpoint(state)
-            assert clone.ctx.query.as_dict() == {
+            assert clone.metrics_snapshot()["query"] == {
                 "resolves": 9, "frontier_expansions": 17}
         finally:
             clone.close()
@@ -520,7 +520,7 @@ def test_resolve_many_shares_one_expansion_across_seeds():
         keys = [(rid, source)
                 for (rid, source), _ in engine.grid.synopsis_items()]
         engine.resolve_many(keys)
-        stats = engine.ctx.query.as_dict()
+        stats = engine.metrics_snapshot()["query"]
         # One frontier expansion per unique entity: the shared ``evaluated``
         # set means no neighbourhood is expanded twice across the batch.
         assert stats["frontier_expansions"] == len(keys)
@@ -555,9 +555,10 @@ def test_resolve_many_unknown_entity_raises_before_any_work():
     try:
         engine.run(workload.interleaved_records())
         (rid, source), _ = engine.grid.synopsis_items()[0]
-        before = engine.ctx.query.as_dict()
+        before = engine.metrics_snapshot()["query"]
         with pytest.raises(KeyError):
             engine.resolve_many([(rid, source), ("ghost", "stream-a")])
-        assert engine.ctx.query.as_dict() == before  # nothing was counted
+        # Nothing was counted.
+        assert engine.metrics_snapshot()["query"] == before
     finally:
         engine.close()

@@ -16,9 +16,11 @@ The heavyweight guarantees:
   and ``batch_seq`` / trace-id metadata survives a checkpoint.
 """
 
+import ast
 import json
 import logging
 import random
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -29,6 +31,7 @@ from golden_utils import (
     build_workload,
     canonical_matches,
 )
+import repro.obs
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.datasets.synthetic import generate_dataset
@@ -50,6 +53,27 @@ from repro.obs import (
 )
 from repro.runtime import MicroBatchExecutor, SerialExecutor
 from repro.runtime.context import INGEST_SERIES_WINDOW, IngestStats
+
+
+def test_obs_imports_nothing_from_the_rest_of_repro():
+    """``repro.obs`` is stdlib-only: ``runtime/context.py`` imports it, so
+    an import of any other ``repro`` module from it would be a cycle."""
+    package = Path(repro.obs.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # ``from .x`` stays in the package; ``from ..x`` leaves it.
+                prefix = {0: "", 1: "repro.obs."}.get(node.level, "repro.")
+                names = [prefix + (node.module or "")]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "repro"
+                          and not name.startswith("repro.obs")]
+    assert not offenders
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +316,6 @@ class TestNullTelemetry:
 # ---------------------------------------------------------------------------
 
 class TestIngestStatsCompatibility:
-    def test_formation_latencies_property_mirrors_ring(self):
-        stats = IngestStats()
-        stats.record_batch(size=3, latency=0.5, queue_depth=2,
-                           trigger="size")
-        assert list(stats.formation_latencies) == [0.5]
-        assert stats.formation.count == 1
-
     def test_p95_matches_legacy_formula(self):
         rng = random.Random(5)
         latencies = [rng.random() for _ in range(100)]
@@ -317,15 +334,19 @@ class TestIngestStatsCompatibility:
         for index in range(INGEST_SERIES_WINDOW + 10):
             stats.record_batch(size=1, latency=float(index), queue_depth=0,
                                trigger="size")
-        assert len(stats.formation_latencies) == INGEST_SERIES_WINDOW
+        assert len(stats.formation.samples) == INGEST_SERIES_WINDOW
 
-    def test_restore_clears_ring(self):
-        stats = IngestStats()
+    def test_restore_clears_ring(self, health_repository, health_config):
+        engine = TERiDSEngine(health_repository, health_config)
+        state = engine.checkpoint()
+        state["ingest_stats"]["tuples_ingested"] = 5
+        stats = engine.ctx.ingest
         stats.record_batch(size=1, latency=0.25, queue_depth=1,
                            trigger="size")
-        stats.restore({"tuples_ingested": 5})
+        engine.restore_checkpoint(state)
         assert stats.p95_formation_latency() == 0.0
-        assert not stats.formation_latencies
+        assert not stats.formation.samples
+        assert not stats.queue_depths
         assert stats.tuples_ingested == 5
 
 
@@ -514,7 +535,7 @@ class TestEngineFacade:
 
     def test_metrics_snapshot_is_json_serialisable(self, engine):
         snapshot = engine.metrics_snapshot()
-        json.dumps(snapshot)  # must round-trip to JSON losslessly
+        json.dumps(snapshot, allow_nan=False)  # valid JSON, no Infinity
         assert snapshot["telemetry_enabled"] is True
         assert snapshot["batch_seq"] == engine.ctx.batch_seq
         assert snapshot["pruning"]["pairs_considered"] == \
@@ -537,7 +558,7 @@ class TestEngineFacade:
     def test_snapshot_reads_through_restore(self, engine):
         """Bound getters must read through ctx, not captured stat objects."""
         state = engine.checkpoint()
-        engine.restore_checkpoint(state)  # replaces ctx.imputer.stats
+        engine.restore_checkpoint(state)  # overwrites every counter
         snapshot = engine.metrics_snapshot()
         by_name = {family["name"]: family for family in snapshot["metrics"]}
         imputed = {s["labels"]["kind"]: s["value"] for s in
