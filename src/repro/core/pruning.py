@@ -507,7 +507,8 @@ class PackedStore:
     """
 
     def __init__(self) -> None:
-        self._rows: Dict[Tuple[str, str], int] = {}
+        #: source -> rid -> row, each in insertion order.
+        self._rows: Dict[str, Dict[str, int]] = {}
         #: Fast row lookup by object identity (the hot gather path).  An
         #: entry lives exactly as long as ``_objects`` holds the synopsis, so
         #: a garbage-collected synopsis' ``id()`` can never alias a new one.
@@ -537,7 +538,7 @@ class PackedStore:
         self.instance_p = None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(map(len, self._rows.values()))
 
     def begin_epoch(self) -> None:
         """Open a batch: recycle the rows removed during the previous one."""
@@ -557,8 +558,9 @@ class PackedStore:
         if len(self.vocabulary) > max(VOCABULARY_FLOOR,
                                       2 * self._vocabulary_base):
             self.vocabulary = {}
-            for row in self._rows.values():
-                self._write_tokens(row, self._objects[row])
+            for rows in self._rows.values():
+                for row in rows.values():
+                    self._write_tokens(row, self._objects[row])
             self._vocabulary_base = len(self.vocabulary)
 
     def _grow(self, capacity: int) -> None:
@@ -655,13 +657,13 @@ class PackedStore:
                 f"synopsis {(synopsis.rid, synopsis.source)!r} packs to "
                 f"shape {shape}, the store holds {self._shape}: synopses of "
                 "different pivot tables cannot share a store")
-        key = (synopsis.rid, synopsis.source)
-        row = self._rows.get(key)
+        rows = self._rows.setdefault(synopsis.source, {})
+        row = rows.get(synopsis.rid)
         if row is not None and self._objects[row] is not synopsis:
             # A same-key re-arrival: the superseded synopsis may still be a
             # candidate of the batch in flight, so it keeps its row until
             # the next epoch like any other removal.
-            self.remove(*key)
+            self.remove(synopsis.rid, synopsis.source)
             row = None
         if row is None:
             if self._free:
@@ -670,11 +672,11 @@ class PackedStore:
                 # Allocated rows are exactly 0 .. len(rows) + len(free) +
                 # len(pending_free) - 1; with an empty free list the next
                 # fresh row is past all of them.
-                row = len(self._rows) + len(self._pending_free)
+                row = len(self) + len(self._pending_free)
                 if row >= self.may_kw.shape[0]:
                     self._grow(max(64, 2 * self.may_kw.shape[0]))
                 self._objects.append(None)
-            self._rows[key] = row
+            rows[synopsis.rid] = row
             self._objects[row] = synopsis
             self._rows_by_id[id(synopsis)] = row
         (self.dist_lb[row], self.dist_ub[row], self.tok_min[row],
@@ -685,11 +687,22 @@ class PackedStore:
 
     def remove(self, rid: str, source: str) -> bool:
         """Unbind one key; its row stays readable until the next epoch."""
-        row = self._rows.pop((rid, source), None)
+        rows = self._rows.get(source)
+        row = None if rows is None else rows.pop(rid, None)
         if row is None:
             return False
         self._pending_free.append(row)
         return True
+
+    def source_rows(self, source: str) -> Dict[str, int]:
+        """``rid -> row`` of one source's resident synopses, in insertion
+        order (the live map: read it before the store changes)."""
+        return self._rows.get(source, {})
+
+    def synopsis_at(self, row: int) -> RecordSynopsis:
+        """The synopsis object of one row — of a removed one too, until the
+        next :meth:`begin_epoch`."""
+        return self._objects[row]
 
     def rows_for(self, synopses: Collection[RecordSynopsis]):
         """``intp`` row array of exactly these synopsis objects.

@@ -15,19 +15,16 @@ pre-computed :class:`~repro.core.pruning.RecordSynopsis`.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
-from repro.core.pruning import (
-    PackedStore,
-    RecordSynopsis,
-    batch_cell_scan,
-    min_attribute_distance,
-)
-from repro.core.tuples import ImputedRecord, Schema
+from repro.core.pruning import PackedStore, RecordSynopsis, batch_cell_scan
+from repro.core.tuples import Schema
 
 
 @dataclass
@@ -39,6 +36,9 @@ class GridCell:
     may_have_keyword: bool = False
     distance_intervals: Optional[List[Tuple[float, float]]] = None
     token_size_intervals: Optional[List[Tuple[int, int]]] = None
+    #: The cell's row of the grid's :class:`CellStore` (``None`` while the
+    #: cell is not live).
+    row: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -127,28 +127,29 @@ class GridCell:
 class CellStore:
     """A resident, columnar mirror of the per-cell aggregates.
 
-    The cell-level pruning of ``candidate_synopses`` reads exactly two
-    aggregates per cell — the keyword flag and the per-attribute distance
-    intervals — so they are packed into dense arrays (``lb`` / ``ub`` of
-    shape ``(capacity, d)``, a boolean ``may_kw``) keyed by cell coordinates.
-    The grid maintains the store incrementally beside its
-    :class:`~repro.core.pruning.PackedStore`: every ``GridCell`` aggregate
-    refresh rewrites one row, evicted cells recycle their rows through a
-    free list, and the whole-grid scan becomes one
-    :func:`~repro.core.pruning.batch_cell_scan` kernel call instead of a
-    per-cell Python walk.
+    The cell-level pruning of the grid lookup reads exactly two aggregates
+    per cell — the keyword flag and the per-attribute distance intervals —
+    so they are packed into dense arrays (``lb`` / ``ub`` of shape
+    ``(capacity, d)``, a boolean ``may_kw``), one row per live cell
+    (:attr:`GridCell.row`; ``live`` marks the rows in use and :attr:`cells`
+    maps each back to its cell).  The grid refreshes a cell's row on every
+    aggregate change, evicted cells recycle their rows through a free list,
+    and both cell tests over the whole grid are one
+    :func:`~repro.core.pruning.batch_cell_scan` kernel call.
     """
 
     def __init__(self, dimensionality: int) -> None:
         self.dimensionality = dimensionality
-        self._rows: Dict[Tuple[int, ...], int] = {}
+        #: row -> the live cell it mirrors (``None`` on a free row).
+        self.cells: List[Optional[GridCell]] = []
         self._free: List[int] = []
         self.lb = None
         self.ub = None
         self.may_kw = None
+        self.live = None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.cells) - len(self._free)
 
     def _grow(self, capacity: int) -> None:
         def expand(array, shape, dtype=float):
@@ -160,32 +161,34 @@ class CellStore:
         self.lb = expand(self.lb, (capacity, self.dimensionality))
         self.ub = expand(self.ub, (capacity, self.dimensionality))
         self.may_kw = expand(self.may_kw, (capacity,), dtype=bool)
+        self.live = expand(self.live, (capacity,), dtype=bool)
 
     def update(self, cell: GridCell) -> None:
         """Write (or refresh) one cell's aggregate row."""
-        row = self._rows.get(cell.coordinates)
+        row = cell.row
         if row is None:
             if self._free:
                 row = self._free.pop()
+                self.cells[row] = cell
             else:
-                row = len(self._rows)
-                if self.may_kw is None or row >= self.may_kw.shape[0]:
+                row = len(self.cells)
+                self.cells.append(cell)
+                if self.live is None or row >= self.live.shape[0]:
                     self._grow(max(64, 2 * row))
-            self._rows[cell.coordinates] = row
+            cell.row = row
+            self.live[row] = True
         for index, (low, high) in enumerate(cell.distance_intervals):
             self.lb[row, index] = low
             self.ub[row, index] = high
         self.may_kw[row] = cell.may_have_keyword
 
-    def remove(self, coordinates: Tuple[int, ...]) -> bool:
-        row = self._rows.pop(coordinates, None)
-        if row is None:
-            return False
+    def remove(self, cell: GridCell) -> None:
+        """Free the row of one evicted cell."""
+        row = cell.row
+        self.cells[row] = None
+        self.live[row] = False
         self._free.append(row)
-        return True
-
-    def row_of(self, coordinates: Tuple[int, ...]) -> Optional[int]:
-        return self._rows.get(coordinates)
+        cell.row = None
 
     def scan(self, rectangle: Sequence[Tuple[float, float]], margin: float,
              require_keyword: bool):
@@ -197,11 +200,11 @@ class CellStore:
         aggregates; callers only consult rows of live cells.
         """
         if self.lb is None:
-            # Enabled-but-empty store: no row was ever written (arrays are
-            # only allocated by the first insert), so nothing can survive.
-            # A lookup may legitimately precede the first insert — e.g. a
-            # query-time resolve against a freshly enabled grid — and must
-            # see an all-dead mask, not a crash on the ``None`` arrays.
+            # No row was ever written (arrays are only allocated by the
+            # first insert), so nothing can survive.  A lookup may precede
+            # the first insert — e.g. a query-time resolve against an empty
+            # window — and must see an all-dead mask, not a crash on the
+            # ``None`` arrays.
             return _np.zeros(0, dtype=bool)
         query_lb = _np.fromiter((low for low, _ in rectangle), dtype=float,
                                 count=len(rectangle))
@@ -213,6 +216,31 @@ class CellStore:
             alive &= self.may_kw
         return alive
 
+    def failed_cells(self, rectangle: Sequence[Tuple[float, float]],
+                     margin: float, require_keyword: bool) -> List[GridCell]:
+        """The live cells that fail a cell-level test of :meth:`scan`."""
+        if self.live is None:
+            return []
+        failed = self.live & ~self.scan(rectangle, margin, require_keyword)
+        cells = self.cells
+        return [cells[row] for row in _np.flatnonzero(failed).tolist()]
+
+
+class _Resident:
+    """One in-window tuple: its synopsis, the coordinates of the cells it
+    is registered in, and its grid arrival stamp."""
+
+    __slots__ = ("synopsis", "cells", "arrival")
+
+    def __init__(self, synopsis: RecordSynopsis,
+                 cells: List[Tuple[int, ...]], arrival: int) -> None:
+        self.synopsis = synopsis
+        self.cells = cells
+        self.arrival = arrival
+
+
+_ARRIVAL = attrgetter("arrival")
+
 
 class ERGrid:
     """The ER-grid synopsis over the in-window imputed tuples of all streams."""
@@ -223,10 +251,12 @@ class ERGrid:
         self.schema = schema
         self.cells_per_dim = cells_per_dim
         self._cells: Dict[Tuple[int, ...], GridCell] = {}
-        self._record_cells: Dict[Tuple[str, str], List[Tuple[int, ...]]] = {}
-        self._synopses: Dict[Tuple[str, str], RecordSynopsis] = {}
+        self._cell_store = CellStore(len(schema))
+        #: source -> rid -> resident tuple, each in grid insertion order
+        #: (arrival stamps increase along every one of them).
+        self._sources: Dict[str, Dict[str, _Resident]] = {}
+        self._arrivals = itertools.count()
         self._packed_store: Optional[PackedStore] = None
-        self._cell_store: Optional[CellStore] = None
         self.cells_examined = 0
         self.tuples_examined = 0
 
@@ -253,7 +283,7 @@ class ERGrid:
         """
         if self._packed_store is None:
             store = PackedStore()
-            for synopsis in self._synopses.values():
+            for synopsis in self.synopses():
                 store.insert(synopsis)
             self._packed_store = store
         return self._packed_store
@@ -267,24 +297,8 @@ class ERGrid:
             self._packed_store.begin_epoch()
 
     @property
-    def cell_store(self) -> Optional["CellStore"]:
-        """The resident columnar cell-aggregate store (``None`` until enabled)."""
-        return self._cell_store
-
-    def enable_cell_store(self) -> "CellStore":
-        """Keep a columnar :class:`CellStore` in sync with the cell aggregates.
-
-        Enabled on demand by the vectorized lookup path (the serial executor
-        pays nothing); on first call the current cells are back-filled,
-        afterwards :meth:`insert` / :meth:`remove` maintain the store
-        incrementally and :meth:`candidate_synopses` scans the whole grid
-        with one :func:`~repro.core.pruning.batch_cell_scan` call.
-        """
-        if self._cell_store is None:
-            store = CellStore(len(self.schema))
-            for cell in self._cells.values():
-                store.update(cell)
-            self._cell_store = store
+    def cell_store(self) -> CellStore:
+        """The columnar mirror of the live cells' aggregates."""
         return self._cell_store
 
     # -- coordinate helpers ------------------------------------------------------
@@ -309,81 +323,129 @@ class ERGrid:
 
     # -- maintenance ----------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._synopses)
+        return sum(map(len, self._sources.values()))
 
     @property
     def cell_count(self) -> int:
         return len(self._cells)
 
+    def _resident(self, rid: str, source: str) -> Optional[_Resident]:
+        residents = self._sources.get(source)
+        return None if residents is None else residents.get(rid)
+
     def contains(self, rid: str, source: str) -> bool:
-        return (rid, source) in self._synopses
+        return self._resident(rid, source) is not None
 
     def get_synopsis(self, rid: str, source: str) -> Optional[RecordSynopsis]:
-        return self._synopses.get((rid, source))
+        resident = self._resident(rid, source)
+        return None if resident is None else resident.synopsis
+
+    def arrival(self, rid: str, source: str) -> int:
+        """Arrival stamp of one in-window tuple: monotone in grid insertion
+        order, renewed when a key re-arrives."""
+        return self._sources[source][rid].arrival
 
     def insert(self, synopsis: RecordSynopsis) -> None:
         """Insert one imputed tuple (Algorithm 2, lines 11–13)."""
-        key = (synopsis.record.rid, synopsis.record.source)
-        if key in self._synopses:
-            self.remove(*key)
-        rectangle = synopsis.coordinate_rectangle()
+        rid, source = synopsis.record.rid, synopsis.record.source
+        self.remove(rid, source)
         cell_keys: List[Tuple[int, ...]] = []
-        for coordinates in self._cells_for_rectangle(rectangle):
+        for coordinates in self._cells_for_rectangle(
+                synopsis.coordinate_rectangle()):
             cell = self._cells.get(coordinates)
             if cell is None:
                 cell = GridCell(coordinates=coordinates)
                 self._cells[coordinates] = cell
             cell.add(synopsis, self.schema)
-            if self._cell_store is not None:
-                self._cell_store.update(cell)
+            self._cell_store.update(cell)
             cell_keys.append(coordinates)
-        self._record_cells[key] = cell_keys
-        self._synopses[key] = synopsis
+        self._sources.setdefault(source, {})[rid] = _Resident(
+            synopsis, cell_keys, next(self._arrivals))
         if self._packed_store is not None:
             self._packed_store.insert(synopsis)
 
     def remove(self, rid: str, source: str) -> bool:
         """Evict one (expired) tuple (Algorithm 2, lines 2–7)."""
-        key = (rid, source)
-        cell_keys = self._record_cells.pop(key, None)
-        if cell_keys is None:
+        residents = self._sources.get(source)
+        resident = None if residents is None else residents.pop(rid, None)
+        if resident is None:
             return False
-        for coordinates in cell_keys:
-            cell = self._cells.get(coordinates)
-            if cell is None:
-                continue
+        if not residents:
+            del self._sources[source]
+        for coordinates in resident.cells:
+            cell = self._cells[coordinates]
             cell.remove(rid, source, self.schema, self._packed_store)
-            if not cell.entries:
-                del self._cells[coordinates]
-                if self._cell_store is not None:
-                    self._cell_store.remove(coordinates)
-            elif self._cell_store is not None:
+            if cell.entries:
                 self._cell_store.update(cell)
-        del self._synopses[key]
+            else:
+                del self._cells[coordinates]
+                self._cell_store.remove(cell)
         if self._packed_store is not None:
             self._packed_store.remove(rid, source)
         return True
 
+    def _in_arrival_order(self, sources: Sequence[str]) -> Iterable[_Resident]:
+        """The residents of ``sources``, merged into grid insertion order."""
+        streams = [self._sources[source].values() for source in sources]
+        if len(streams) == 1:
+            return streams[0]
+        return heapq.merge(*streams, key=_ARRIVAL)
+
     def synopses(self) -> List[RecordSynopsis]:
-        """All in-window synopses (used by exhaustive baselines and tests)."""
-        return list(self._synopses.values())
+        """All in-window synopses in grid insertion order (used by
+        exhaustive baselines and tests)."""
+        return [resident.synopsis
+                for resident in self._in_arrival_order(list(self._sources))]
 
     def synopsis_items(self) -> List[Tuple[Tuple[str, str], RecordSynopsis]]:
         """``((rid, source), synopsis)`` pairs in grid insertion order."""
-        return list(self._synopses.items())
+        return [((synopsis.rid, synopsis.source), synopsis)
+                for synopsis in self.synopses()]
 
     # -- candidate retrieval -------------------------------------------------------
-    def _cell_min_distance(self, cell: GridCell,
-                           rectangle: Sequence[Tuple[float, float]]) -> float:
-        """Lower bound of Σ_k |X_k − Y_k| between the query tuple and the cell."""
-        if cell.distance_intervals is None:
-            return float("inf")
-        total = 0.0
-        for (query_low, query_high), (cell_low, cell_high) in zip(
-                rectangle, cell.distance_intervals):
-            total += min_attribute_distance((query_low, query_high),
-                                            (cell_low, cell_high))
-        return total
+    def _lookup(
+        self, query: RecordSynopsis, gamma: float, keywords: FrozenSet[str],
+        exclude_source: Optional[str],
+    ) -> Tuple[List[str], Set[_Resident]]:
+        """The candidate sources of ``query`` and the residents to drop from
+        them.
+
+        Cells are tested with two aggregate tests:
+
+        * **topic** — when a keyword set is given and the query tuple cannot
+          contain any keyword, cells with no keyword-bearing tuple fail
+          (cell-level Theorem 4.1);
+        * **similarity** — cells whose minimum converted-space L1 distance to
+          the query rectangle is at least ``d − γ`` cannot contain a tuple
+          with similarity above ``γ`` and fail (cell-level Lemma 4.2).
+
+        A tuple is a candidate unless *every* cell it is registered in
+        fails, so only the failed cells' entries are visited; the lookup
+        costs nothing extra when no cell fails.  ``tuples_examined`` counts
+        the tuples that have a surviving cell — the distinct tuples a walk
+        over the surviving cells would touch.
+        """
+        failed = self._cell_store.failed_cells(
+            query.coordinate_rectangle(), len(self.schema) - gamma,
+            require_keyword=bool(keywords) and not query.may_have_keyword)
+        self.cells_examined += len(self._cells)
+        pruned: Set[_Resident] = set()
+        if failed:
+            failed_coordinates = {cell.coordinates for cell in failed}
+            for cell in failed:
+                for rid, source in cell.entries:
+                    resident = self._sources[source][rid]
+                    if failed_coordinates.issuperset(resident.cells):
+                        pruned.add(resident)
+        self.tuples_examined += len(self) - len(pruned)
+        dropped = {resident for resident in pruned
+                   if resident.synopsis.source != exclude_source}
+        if query.source != exclude_source:
+            own = self._resident(query.rid, query.source)
+            if own is not None:
+                dropped.add(own)
+        return ([source for source in self._sources
+                 if source != exclude_source], dropped)
 
     def candidate_synopses(
         self,
@@ -392,63 +454,39 @@ class ERGrid:
         keywords: FrozenSet[str] = frozenset(),
         exclude_source: Optional[str] = None,
     ) -> List[RecordSynopsis]:
-        """Candidate matching tuples of ``query`` from the grid.
-
-        Cells are pruned with two aggregate tests before their tuples are
-        touched:
-
-        * **topic** — when a keyword set is given and the query tuple cannot
-          contain any keyword, cells with no keyword-bearing tuple are
-          skipped (cell-level Theorem 4.1);
-        * **similarity** — cells whose minimum converted-space L1 distance to
-          the query rectangle is at least ``d − γ`` cannot contain a tuple
-          with similarity above ``γ`` (cell-level Lemma 4.2).
-
-        ``exclude_source`` removes same-stream tuples (the problem statement
-        pairs tuples from two *different* streams).
+        """Candidate matching tuples of ``query`` from the grid, in grid
+        insertion order: every in-window tuple but those whose cells all
+        fail the cell-level tests (see :meth:`_lookup`), the query itself
+        and — with ``exclude_source`` — same-stream tuples (the problem
+        statement pairs tuples from two *different* streams).
         """
-        rectangle = query.coordinate_rectangle()
-        margin = len(self.schema) - gamma
-        seen: Set[Tuple[str, str]] = set()
-        results: List[RecordSynopsis] = []
-        if self._cell_store is not None and self._cells:
-            # Vectorized cell scan: both aggregate tests for every cell in
-            # one batch_cell_scan kernel call; surviving cells are then
-            # collected in the same iteration order as the scalar walk, so
-            # the candidate list (and both examination counters) are
-            # bit-identical.
-            store = self._cell_store
-            self.cells_examined += len(self._cells)
-            alive = store.scan(
-                rectangle, margin,
-                require_keyword=bool(keywords) and not query.may_have_keyword)
-            for coordinates, cell in self._cells.items():
-                if not alive[store.row_of(coordinates)]:
-                    continue
-                self._collect_cell(cell, query, seen, results, exclude_source)
-            return results
-        for cell in self._cells.values():
-            self.cells_examined += 1
-            if keywords and not query.may_have_keyword and not cell.may_have_keyword:
-                continue
-            if self._cell_min_distance(cell, rectangle) >= margin:
-                continue
-            self._collect_cell(cell, query, seen, results, exclude_source)
-        return results
+        sources, dropped = self._lookup(query, gamma, keywords,
+                                        exclude_source)
+        return [resident.synopsis
+                for resident in self._in_arrival_order(sources)
+                if resident not in dropped]
 
-    def _collect_cell(self, cell: GridCell, query: RecordSynopsis,
-                      seen: Set[Tuple[str, str]],
-                      results: List[RecordSynopsis],
-                      exclude_source: Optional[str]) -> None:
-        """Gather one surviving cell's tuples (shared by both scan paths)."""
-        for key, synopsis in cell.entries.items():
-            if key in seen:
-                continue
-            seen.add(key)
-            self.tuples_examined += 1
-            if exclude_source is not None and synopsis.record.source == exclude_source:
-                continue
-            if (synopsis.record.rid == query.record.rid
-                    and synopsis.record.source == query.record.source):
-                continue
-            results.append(synopsis)
+    def candidate_rows(
+        self,
+        query: RecordSynopsis,
+        gamma: float,
+        keywords: FrozenSet[str] = frozenset(),
+        exclude_source: Optional[str] = None,
+    ):
+        """The candidates of :meth:`candidate_synopses`, in the same order,
+        as an ``intp`` array of their :attr:`packed_store` rows — read off
+        the store's per-source key→row maps, never per synopsis object.
+        The packed store must be enabled.
+        """
+        store = self._packed_store
+        sources, dropped = self._lookup(query, gamma, keywords,
+                                        exclude_source)
+        if len(sources) == 1 and not dropped:
+            rows = store.source_rows(sources[0])
+            return _np.fromiter(rows.values(), dtype=_np.intp,
+                                count=len(rows))
+        rows_of = {source: store.source_rows(source) for source in sources}
+        return _np.array(
+            [rows_of[resident.synopsis.source][resident.synopsis.rid]
+             for resident in self._in_arrival_order(sources)
+             if resident not in dropped], dtype=_np.intp)

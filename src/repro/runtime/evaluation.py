@@ -191,37 +191,37 @@ def _batch_pair_rows(items, store: PackedStore):
     The two flat row arrays hold one entry per (query, candidate) pair, item
     after item; item ``i`` owns the flat positions ``starts[i]:starts[i+1]``.
     """
-    candidate_rows = [store.rows_for(candidates) for _, candidates in items]
-    counts = [len(rows) for rows in candidate_rows]
+    counts = [len(rows) for _, rows in items]
     return (_np.repeat(store.rows_for([query for query, _ in items]), counts),
-            _np.concatenate(candidate_rows),
+            _np.concatenate([rows for _, rows in items]),
             _np.cumsum([0] + counts))
 
 
-def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
-                                              Sequence[RecordSynopsis]]],
+def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis, _np.ndarray]],
                         pruning: PruningPipeline, store: PackedStore,
                         ) -> List[List[Tuple[bool, float]]]:
-    """Verdicts for a whole micro-batch of ``(query, candidates)`` items.
+    """Verdicts for a whole micro-batch of ``(query, candidate_rows)`` items.
 
-    Two passes instead of per-query interleaving: first the three bound
-    strategies run for every pair of the batch — one blocked
-    :func:`~repro.core.pruning.batch_prune` pass over the rows of ``store``,
-    where every synopsis of ``items`` must be resident — then the
-    instance-level refinement (Theorem 4.4) takes *all* surviving pairs of
-    the batch at once: those between two single-instance tuples in one
-    blocked :func:`~repro.core.pruning.batch_refine` pass over the store's
-    token columns, the rest pair by pair over the cached pre-sorted
-    profiles.  Thresholds, strategy switches and the counters written are
-    those of ``pruning``.  Verdicts, probabilities and counters are
-    identical to calling ``pruning.evaluate_pair`` pair by pair — the
+    ``candidate_rows`` is an ``intp`` array of ``store`` rows (as
+    :meth:`~repro.indexes.er_grid.ERGrid.candidate_rows` hands them out);
+    the query must be resident too.  Two passes instead of per-query
+    interleaving: first the three bound strategies run for every pair of
+    the batch — one blocked :func:`~repro.core.pruning.batch_prune` pass
+    over the rows of ``store`` — then the instance-level refinement
+    (Theorem 4.4) takes *all* surviving pairs of the batch at once: those
+    between two single-instance tuples in one blocked
+    :func:`~repro.core.pruning.batch_refine` pass over the store's token
+    columns, the rest pair by pair over the cached pre-sorted profiles of
+    the row's synopsis.  Thresholds, strategy switches and the counters
+    written are those of ``pruning``.  Verdicts, probabilities and counters
+    are identical to calling ``pruning.evaluate_pair`` pair by pair — the
     per-pair work is a pure function of the two synopses, only the schedule
     changes.
     """
     if not items:
         return []
     verdicts_per_item: List[List[Tuple[bool, float]]] = [
-        [(False, 0.0)] * len(candidates) for _, candidates in items]
+        [(False, 0.0)] * len(rows) for _, rows in items]
     query_rows, candidate_rows, starts = _batch_pair_rows(items, store)
     alive, pruned_topic, pruned_similarity, pruned_probability = batch_prune(
         query_rows, candidate_rows, pruning, store)
@@ -251,11 +251,12 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
     # its accumulation order fixes ``repr(probability)``.
     refine_args = (pruning.keywords, pruning.gamma, pruning.alpha,
                    pruning.use_instance, stats)
-    for item_index, position in zip(
-            *_item_positions(flat[~columnar], starts)):
-        query, candidates = items[item_index]
+    scalar = ~columnar
+    for item_index, position, row in zip(
+            *_item_positions(flat[scalar], starts),
+            candidate_rows[scalar].tolist()):
         verdicts_per_item[item_index][position] = refine_pair_cached(
-            query, candidates[position], *refine_args)
+            items[item_index][0], store.synopsis_at(row), *refine_args)
     return verdicts_per_item
 
 

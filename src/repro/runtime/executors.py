@@ -13,12 +13,13 @@ Two implementations of the :class:`Executor` contract:
      the whole batch up front — rule selection grouped by missing-attribute
      signature, imputation with a cross-record ``cand(s[A_j])`` cache;
   2. the *order-bound* maintenance + grid lookup run per tuple in arrival
-     order (cheap), recording candidate lists and eviction events;
+     order (cheap), recording each tuple's candidates as rows of the grid's
+     resident packed store (each synopsis is packed into its row when
+     maintenance inserts it) and the eviction events;
   3. pair refinement — the dominant cost — is evaluated as a pure function
-     of the recorded (query, candidate) synopses by
+     of the recorded (query, candidate) pairs by
      :func:`~repro.runtime.evaluation.evaluate_task_batch`, the row cascade
-     over the grid's resident packed store (each synopsis is packed into
-     its row when maintenance inserts it);
+     over those rows;
   4. the result-set mutations (evictions, new pairs) are replayed in
      arrival order, reproducing the serial entity-result-set exactly.
 
@@ -122,9 +123,7 @@ class MicroBatchExecutor(Executor):
             ctx.dr_index
             if ctx.imputer.sample_retriever is ctx.dr_index.make_retriever()
             else None)
-        # Scan the cells through the columnar aggregate store and gather
-        # refinement candidates from the resident packed store.
-        ctx.grid.enable_cell_store()
+        # Candidates are rows of the resident packed store.
         ctx.grid.enable_packed_store()
         # Rows evicted during the previous batch stayed gatherable until its
         # pairs were evaluated; recycle them.
@@ -175,13 +174,13 @@ class MicroBatchExecutor(Executor):
         """Whole-batch evaluation: one blocked bound pass over the batch's
         pairs, one instance-level refinement sweep over the survivors."""
         ctx = pipeline.ctx
+        store = ctx.grid.packed_store
         verdict_lists = evaluate_task_batch(
             [(task.synopsis, task.candidates) for task in tasks],
-            ctx.pruning, ctx.grid.packed_store)
+            ctx.pruning, store)
         for task, verdicts in zip(tasks, verdict_lists):
-            for candidate, (is_match, probability) in zip(task.candidates,
-                                                          verdicts):
+            for position, (is_match, probability) in enumerate(verdicts):
                 if is_match:
-                    task.matches.append(
-                        pipeline.matching.make_pair(task, candidate,
-                                                    probability))
+                    task.matches.append(pipeline.matching.make_pair(
+                        task, store.synopsis_at(task.candidates[position]),
+                        probability))

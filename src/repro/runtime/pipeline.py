@@ -76,7 +76,7 @@ class Pipeline:
         # --- online topic-aware ER (Figure 6 stage 3) ---
         with ctx.timer.measure(STAGE_ER), tel.span("entity_resolution"):
             with tel.span("lookup"):
-                task.candidates = self.candidates.lookup(task.synopsis)
+                task.candidates = self.candidates.lookup_synopses(task.synopsis)
             with tel.span("refine"):
                 self.matching.evaluate_serial(task)
             with tel.span("maintenance"):

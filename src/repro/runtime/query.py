@@ -6,7 +6,7 @@ now?" — which is the read path an interactive service tier needs.
 Following the query-time ER formulation of Bhattacharya & Getoor, the
 :class:`QueryResolver` resolves *lazily around the named query*: it seeds a
 frontier from the query record's grid synopsis, retrieves each frontier
-ring's candidates through :meth:`~repro.indexes.er_grid.ERGrid.candidate_synopses`
+ring's candidates through :meth:`~repro.indexes.er_grid.ERGrid.candidate_rows`
 (cell-level Theorems 4.1 / Lemma 4.2), evaluates the ring with the row
 cascade + Theorem 4.4 refinement of :mod:`repro.runtime.evaluation`,
 and expands collectively — matched neighbours join the frontier — until a
@@ -35,6 +35,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+
+import numpy as _np
 
 from repro.core.matching import MatchPair, normalise_keywords
 from repro.core.pruning import PruningStats, RecordSynopsis
@@ -163,11 +165,6 @@ class QueryResolver:
         ctx = self.ctx
         grid = ctx.grid
         store = grid.enable_packed_store()
-        # Grid insertion order is window-arrival order, which recovers the
-        # orientation the eager path evaluated each pair under: the later
-        # arrival was the query side.
-        arrival = {key: index
-                   for index, (key, _) in enumerate(grid.synopsis_items())}
         members: Dict[RecordKey, RecordSynopsis] = {
             seed: grid.get_synopsis(*seed) for seed in seeds}
         edges: Dict[Tuple, MatchPair] = {}
@@ -187,25 +184,30 @@ class QueryResolver:
         saved = (grid.cells_examined, grid.tuples_examined)
         try:
             while ring:
-                items: List[Tuple[RecordSynopsis,
-                                  List[RecordSynopsis]]] = []
-                later_groups: "OrderedDict[RecordKey, Tuple[RecordSynopsis, List[RecordSynopsis]]]" = OrderedDict()
+                # Per query synopsis, the store rows of its candidates.
+                items: List[Tuple[RecordSynopsis, List[int]]] = []
+                later_groups: "OrderedDict[RecordKey, Tuple[RecordSynopsis, List[int]]]" = OrderedDict()
                 for key in ring:
                     ctx.query.frontier_expansions += 1
                     query = members[key]
-                    candidates = grid.candidate_synopses(
-                        query, gamma=gamma, keywords=frozenset(),
-                        exclude_source=query.record.source)
-                    earlier: List[RecordSynopsis] = []
-                    for candidate in candidates:
+                    # Grid arrival order is window-arrival order, which
+                    # recovers the orientation the eager path evaluated each
+                    # pair under: the later arrival was the query side.
+                    arrival = grid.arrival(*key)
+                    query_row = store.source_rows(key[1])[key[0]]
+                    earlier: List[int] = []
+                    for row in grid.candidate_rows(
+                            query, gamma=gamma, keywords=frozenset(),
+                            exclude_source=query.record.source).tolist():
+                        candidate = store.synopsis_at(row)
                         ckey = (candidate.record.rid, candidate.record.source)
                         pair_key = ((key, ckey) if key <= ckey
                                     else (ckey, key))
                         if pair_key in evaluated:
                             continue
                         evaluated.add(pair_key)
-                        if arrival[ckey] < arrival[key]:
-                            earlier.append(candidate)
+                        if grid.arrival(*ckey) < arrival:
+                            earlier.append(row)
                         else:
                             # The candidate arrived after this frontier
                             # record, so the eager path evaluated the pair
@@ -214,20 +216,22 @@ class QueryResolver:
                             if group is None:
                                 group = (candidate, [])
                                 later_groups[ckey] = group
-                            group[1].append(query)
+                            group[1].append(query_row)
                     if earlier:
                         items.append((query, earlier))
                 items.extend(later_groups.values())
                 if not items:
                     break
-                verdicts = evaluate_task_batch(items, pruning, store)
+                verdicts = evaluate_task_batch(
+                    [(query, _np.array(rows, dtype=_np.intp))
+                     for query, rows in items], pruning, store)
                 ring = []
-                for (query, candidates), item_verdicts in zip(items,
-                                                              verdicts):
-                    for candidate, (is_match, probability) in zip(
-                            candidates, item_verdicts):
+                for (query, rows), item_verdicts in zip(items, verdicts):
+                    for row, (is_match, probability) in zip(rows,
+                                                            item_verdicts):
                         if not is_match:
                             continue
+                        candidate = store.synopsis_at(row)
                         pair = MatchPair(
                             left_rid=query.record.rid,
                             left_source=query.record.source,

@@ -43,7 +43,9 @@ class TupleTask:
     selected_rules: Optional[Dict[str, List[CDDRule]]] = None
     imputed: Optional[ImputedRecord] = None
     synopsis: Optional[RecordSynopsis] = None
-    candidates: Optional[List[RecordSynopsis]] = None
+    #: Grid candidates: synopses under the serial executor, packed-store
+    #: rows (an ``intp`` array) under the micro-batch executor.
+    candidates: Optional[Sequence] = None
     matches: List[MatchPair] = field(default_factory=list)
 
 
@@ -158,6 +160,12 @@ class CandidateLookupStage:
     Order-bound: the grid must reflect every earlier tuple's eviction and
     insertion, so executors call :meth:`lookup` per tuple in arrival order,
     interleaved with :class:`MaintenanceStage`.
+
+    Keywords are deliberately NOT pushed down to the grid: the topic-keyword
+    pruning is applied (and counted) by the pruning pipeline so that the
+    Figure 4 pruning-power report attributes eliminated pairs to the right
+    strategy.  The grid still prunes cells with the converted-space distance
+    bound.
     """
 
     name = "candidate_lookup"
@@ -165,18 +173,20 @@ class CandidateLookupStage:
     def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
 
-    def lookup(self, synopsis: RecordSynopsis) -> List[RecordSynopsis]:
-        # Keywords are deliberately NOT pushed down to the grid here: the
-        # topic-keyword pruning is applied (and counted) by the pruning
-        # pipeline so that the Figure 4 pruning-power report attributes
-        # eliminated pairs to the right strategy.  The grid still prunes
-        # cells with the converted-space distance bound.
-        return self.ctx.grid.candidate_synopses(
-            synopsis,
-            gamma=self.ctx.config.gamma,
-            keywords=frozenset(),
-            exclude_source=synopsis.record.source,
-        )
+    def lookup(self, synopsis: RecordSynopsis):
+        """The candidates' rows of the grid's packed store (an ``intp``
+        array in grid insertion order), for the row cascade."""
+        ctx = self.ctx
+        return ctx.grid.candidate_rows(
+            synopsis, gamma=ctx.config.gamma, keywords=frozenset(),
+            exclude_source=synopsis.record.source)
+
+    def lookup_synopses(self, synopsis: RecordSynopsis) -> List[RecordSynopsis]:
+        """The same candidates as synopsis objects, for the scalar oracle."""
+        ctx = self.ctx
+        return ctx.grid.candidate_synopses(
+            synopsis, gamma=ctx.config.gamma, keywords=frozenset(),
+            exclude_source=synopsis.record.source)
 
 
 class MatchingStage:

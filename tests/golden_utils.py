@@ -82,15 +82,16 @@ def decoded_token_rows(store) -> dict:
     assert len(token_of) == len(store.vocabulary)
     offsets = store.token_offsets
     decoded = {}
-    for key, row in store._rows.items():
-        if not store.single[row]:
-            continue
-        ids = store.token_ids[row].tolist()
-        sets = tuple(frozenset(token_of[index] for index in ids[low:high]
-                               if index >= 0)
-                     for low, high in zip(offsets, offsets[1:]))
-        assert store.token_counts[row].tolist() == [len(s) for s in sets]
-        decoded[key] = sets
+    for source, rows in store._rows.items():
+        for rid, row in rows.items():
+            if not store.single[row]:
+                continue
+            ids = store.token_ids[row].tolist()
+            sets = tuple(frozenset(token_of[index] for index in ids[low:high]
+                                   if index >= 0)
+                         for low, high in zip(offsets, offsets[1:]))
+            assert store.token_counts[row].tolist() == [len(s) for s in sets]
+            decoded[(rid, source)] = sets
     return decoded
 
 

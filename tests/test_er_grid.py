@@ -1,5 +1,6 @@
 """Unit tests for the ER-grid synopsis over sliding windows (Section 5.2)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,12 +8,13 @@ from golden_utils import canonical_matches
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.matching import ter_ids_probability
-from repro.core.pruning import RecordSynopsis
+from repro.core.pruning import RecordSynopsis, min_attribute_distance
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.datasets.synthetic import generate_dataset
 from repro.imputation.repository import DataRepository
 from repro.indexes.er_grid import ERGrid, GridCell
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
+from repro.runtime import MicroBatchExecutor
 
 SCHEMA = Schema(attributes=("symptom", "diagnosis"))
 KEYWORDS = frozenset({"diabetes"})
@@ -260,21 +262,21 @@ class TestCandidateRetrieval:
         query = _synopsis("q", "weight loss blurred vision", "diabetes",
                           source="sa")
         candidates = grid.candidate_synopses(query, gamma=1.8)
-        candidate_rids = {candidate.rid for candidate in candidates}
-        assert "near" in candidate_rids
-        # With a tight gamma the distant population should be (at least
-        # partially) pruned at the cell level.
-        assert grid.tuples_examined <= 21
+        # With a tight gamma every cell of the distant population fails
+        # cell-level Lemma 4.2: only "near" has a surviving cell.
+        assert {candidate.rid for candidate in candidates} == {"near"}
+        assert grid.tuples_examined == 1
+        assert grid.cells_examined == 2
 
 
 class TestCellStoreEdgeCases:
     def test_enabled_empty_store_scan_returns_all_dead(self):
         """Regression: ``CellStore.scan`` dereferenced its ``None`` arrays
-        when a lookup preceded the first insert on a freshly enabled store
-        (the arrays are only allocated by the first write) — e.g. a
-        query-time resolve against a just-enabled grid."""
+        when a lookup preceded the first insert (the arrays are only
+        allocated by the first write) — e.g. a query-time resolve against
+        an empty window."""
         grid = ERGrid(SCHEMA, cells_per_dim=4)
-        store = grid.enable_cell_store()
+        store = grid.cell_store
         query = _synopsis("q", "weight loss", "diabetes", source="sq")
         mask = store.scan(query.coordinate_rectangle(), margin=2.0,
                           require_keyword=False)
@@ -283,15 +285,181 @@ class TestCellStoreEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized cell scan == scalar walk, bit for bit
+# The lookup against the cell walk it replaced
 # ---------------------------------------------------------------------------
+def _cell_min_distance(cell, rectangle):
+    """Lower bound of Σ_k |X_k − Y_k| between the query tuple and the cell."""
+    if cell.distance_intervals is None:
+        return float("inf")
+    total = 0.0
+    for query_bounds, cell_bounds in zip(rectangle, cell.distance_intervals):
+        total += min_attribute_distance(query_bounds, cell_bounds)
+    return total
+
+
+def _collect_cell(cell, query, seen, results, exclude_source):
+    """Gather one surviving cell's tuples; returns the tuples examined."""
+    examined = 0
+    for key, synopsis in cell.entries.items():
+        if key in seen:
+            continue
+        seen.add(key)
+        examined += 1
+        if exclude_source is not None and synopsis.source == exclude_source:
+            continue
+        if synopsis.rid == query.rid and synopsis.source == query.source:
+            continue
+        results.append(synopsis)
+    return examined
+
+
+def _cell_walk(grid, query, gamma, keywords=frozenset(), exclude_source=None):
+    """The oracle: the per-cell scalar walk over every cell, skipping the
+    cells that fail cell-level Theorem 4.1 or Lemma 4.2, with a ``seen``
+    set.  Returns ``(candidates, cells examined, tuples examined)``."""
+    rectangle = query.coordinate_rectangle()
+    margin = len(grid.schema) - gamma
+    seen, results = set(), []
+    cells = tuples = 0
+    for cell in grid._cells.values():
+        cells += 1
+        if keywords and not query.may_have_keyword and not cell.may_have_keyword:
+            continue
+        if _cell_min_distance(cell, rectangle) >= margin:
+            continue
+        tuples += _collect_cell(cell, query, seen, results, exclude_source)
+    return results, cells, tuples
+
+
+def _keys(synopses):
+    return [(synopsis.rid, synopsis.source) for synopsis in synopses]
+
+
+def _assert_lookup_equals_cell_walk(grid, query, gamma, keywords,
+                                    exclude_source):
+    """Both forms of the lookup against the oracle: the candidate key set
+    and both counter deltas; the order is grid insertion order and the rows
+    are the candidates' own."""
+    oracle, cells, tuples = _cell_walk(grid, query, gamma, keywords,
+                                       exclude_source)
+    before = (grid.cells_examined, grid.tuples_examined)
+    candidates = grid.candidate_synopses(query, gamma, keywords,
+                                         exclude_source)
+    assert (grid.cells_examined - before[0],
+            grid.tuples_examined - before[1]) == (cells, tuples)
+    wanted = set(_keys(oracle))
+    assert set(_keys(candidates)) == wanted
+    assert _keys(candidates) == [key for key in _keys(grid.synopses())
+                                 if key in wanted]
+    store = grid.packed_store
+    if store is not None:
+        rows = grid.candidate_rows(query, gamma, keywords, exclude_source)
+        assert rows.dtype == np.intp
+        assert [store.synopsis_at(row) for row in rows.tolist()] == candidates
+        assert (grid.cells_examined - before[0],
+                grid.tuples_examined - before[1]) == (2 * cells, 2 * tuples)
+    return candidates
+
+
+class TestLookupEqualsCellWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(tuples=st.lists(st.tuples(_text, _text, st.none() | _imputed,
+                                     st.sampled_from(["sa", "sb", "sc"])),
+                           min_size=1, max_size=24),
+           # The main pivots' own values put a query at the far corner.
+           query=st.tuples(_text | st.just("fever cough chills"),
+                           _text | st.just("conjunctivitis"),
+                           st.none() | _imputed),
+           resident_query=st.booleans(),
+           cells_per_dim=st.sampled_from([1, 2, 4, 8]),
+           # Cells fail only for γ near d = 2: weight that end.
+           gamma=(st.floats(min_value=0.0, max_value=2.0)
+                  | st.floats(min_value=1.3, max_value=2.0)),
+           keywords=st.sampled_from([frozenset(), KEYWORDS]),
+           exclude_source=st.sampled_from([None, "sa", "sb", "sq"]),
+           packed=st.booleans())
+    def test_candidates_and_counters_equal_the_oracle(
+            self, tuples, query, resident_query, cells_per_dim, gamma,
+            keywords, exclude_source, packed):
+        grid = ERGrid(SCHEMA, cells_per_dim=cells_per_dim)
+        if packed:
+            grid.enable_packed_store()
+        arrivals = {}
+        for index, (symptom, diagnosis, imputed, source) in enumerate(tuples):
+            candidates = ({"diagnosis": imputed}
+                          if imputed and not diagnosis else None)
+            # Rids repeat every seven tuples, so some keys re-arrive.
+            synopsis = _synopsis(f"r{index % 7}", symptom or None,
+                                 diagnosis or None, candidates, source=source)
+            grid.insert(synopsis)
+            arrivals.pop((synopsis.rid, source), None)
+            arrivals[(synopsis.rid, source)] = None
+        # A re-arrived key moves to the end of grid insertion order.
+        assert _keys(grid.synopses()) == list(arrivals)
+        if resident_query:
+            probe = grid.synopses()[len(tuples) // 2 % len(grid)]
+        else:
+            symptom, diagnosis, imputed = query
+            probe = _synopsis("q", symptom or None, diagnosis or None,
+                              ({"diagnosis": imputed}
+                               if imputed and not diagnosis else None),
+                              source="sq")
+        _assert_lookup_equals_cell_walk(grid, probe, gamma, keywords,
+                                        exclude_source)
+
+    def _mixed_grid(self):
+        """A grid where tuple ``w`` spans four cells and only one of them —
+        shared with the wide tuple ``n`` — survives Lemma 4.2 for a query at
+        the main pivots, while ``far`` lives in one failing cell."""
+        grid = ERGrid(SCHEMA, cells_per_dim=4)
+        grid.enable_packed_store()
+        grid.insert(_synopsis("w", "red eye itchy", None,
+                              {"diagnosis": {"flu": 0.5,
+                                             "conjunctivitis": 0.5}},
+                              source="sb"))
+        grid.insert(_synopsis("n", None, "conjunctivitis",
+                              {"symptom": {"flu": 0.5, "fever cough": 0.5}},
+                              source="sb"))
+        grid.insert(_synopsis("far", "red eye itchy", "flu", source="sb"))
+        query = _synopsis("q", "fever cough chills", "conjunctivitis",
+                          source="sa")
+        return grid, query
+
+    def test_a_tuple_with_one_surviving_cell_stays_a_candidate(self):
+        grid, query = self._mixed_grid()
+        cells = grid._sources["sb"]["w"].cells
+        failed = {cell.coordinates for cell in grid.cell_store.failed_cells(
+            query.coordinate_rectangle(), len(SCHEMA) - 1.5, False)}
+        assert len(cells) == 4
+        assert 0 < len(failed.intersection(cells)) < len(cells)
+        candidates = _assert_lookup_equals_cell_walk(grid, query, 1.5,
+                                                     frozenset(), "sa")
+        assert "w" in {candidate.rid for candidate in candidates}
+
+    def test_a_tuple_whose_cells_all_fail_is_excluded(self):
+        grid, query = self._mixed_grid()
+        assert _cell_walk(grid, query, 1.5)[2] == 2
+        candidates = _assert_lookup_equals_cell_walk(grid, query, 1.5,
+                                                     frozenset(), "sa")
+        assert [candidate.rid for candidate in candidates] == ["w", "n"]
+
+    def test_a_resident_query_never_returns_itself(self):
+        grid, _ = self._mixed_grid()
+        for rid in ("w", "n", "far"):
+            query = grid.get_synopsis(rid, "sb")
+            for gamma in (0.0, 1.5):
+                candidates = _assert_lookup_equals_cell_walk(
+                    grid, query, gamma, frozenset(), None)
+                assert rid not in {candidate.rid for candidate in candidates}
+
+
 def _small_workload():
     return generate_dataset("citations", missing_rate=0.3, scale=0.3, seed=11)
 
 
-def _small_config(workload, window=20):
+def _small_config(workload, window=20, ratio=0.5):
     return TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
-                        alpha=0.5, similarity_ratio=0.5, window_size=window)
+                        alpha=0.5, similarity_ratio=ratio, window_size=window)
 
 
 def _observables(engine, matches):
@@ -313,43 +481,27 @@ def _observables(engine, matches):
     }
 
 
-def test_cell_store_scan_identical_to_scalar_walk():
+@pytest.mark.parametrize("ratio", [0.5, 0.9])
+def test_serial_and_micro_batch_lookups_agree(ratio):
+    """The serial oracle (candidate synopses) and the micro-batch executor
+    (candidate rows) see the same candidates and count the same: at
+    ρ = 0.9 cells do fail."""
     workload = _small_workload()
-    config = _small_config(workload)
+    config = _small_config(workload, ratio=ratio)
     records = list(workload.interleaved_records())
-
-    scalar = TERiDSEngine(repository=workload.repository, config=config)
-    vectorized = TERiDSEngine(repository=workload.repository, config=config)
-    assert vectorized.grid.enable_cell_store() is not None
-    scalar_report = scalar.run(records)
-    vectorized_report = vectorized.run(records)
-
-    assert (_observables(scalar, scalar_report.matches)
-            == _observables(vectorized, vectorized_report.matches))
-    # The store tracked every live cell and no more.
-    assert len(vectorized.grid.cell_store) == vectorized.grid.cell_count
-
-
-def test_cell_store_enabled_mid_stream_backfills():
-    """Enabling the store on a populated grid back-fills every cell."""
-    workload = _small_workload()
-    config = _small_config(workload)
-    records = list(workload.interleaved_records())
-    engine = TERiDSEngine(repository=workload.repository, config=config)
-    engine.run(records[: len(records) // 2])
-    store = engine.grid.enable_cell_store()
-    assert len(store) == engine.grid.cell_count
-    # Same object on re-enable, still in sync after more maintenance.
-    assert engine.grid.enable_cell_store() is store
-    engine.run(records[len(records) // 2:])
-    assert len(store) == engine.grid.cell_count
+    serial = TERiDSEngine(repository=workload.repository, config=config)
+    batched = TERiDSEngine(repository=workload.repository, config=config,
+                           executor=MicroBatchExecutor(batch_size=16))
+    assert (_observables(serial, serial.run(records).matches)
+            == _observables(batched, batched.run(records).matches))
+    assert len(batched.grid.cell_store) == batched.grid.cell_count
 
 
 def test_cell_store_recycles_rows_on_cell_eviction(health_pivots,
                                                    health_schema):
     grid = ERGrid(health_schema, cells_per_dim=3)
-    store = grid.enable_cell_store()
-    assert store is not None and len(store) == 0
+    store = grid.cell_store
+    assert len(store) == 0
 
     from repro.core.pruning import RecordSynopsis
     from repro.core.tuples import ImputedRecord, Record

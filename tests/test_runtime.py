@@ -167,8 +167,10 @@ class TestCachedEvaluation:
         items = [(left, [right for right in synopses if right is not left])
                  for left in synopses]
         cached = replace(reference, stats=PruningStats())
-        got = evaluate_task_batch(items, cached,
-                                  engine.grid.enable_packed_store())
+        store = engine.grid.enable_packed_store()
+        got = evaluate_task_batch(
+            [(left, store.rows_for(rights)) for left, rights in items],
+            cached, store)
         assert got == [[reference.evaluate_pair(left, right)
                         for right in rights] for left, rights in items]
         assert cached.stats == reference.stats

@@ -114,12 +114,20 @@ def _items(synopses, count=None):
     return items
 
 
+def _evaluate(items, pruning, store):
+    """:func:`evaluate_task_batch` over ``(query, candidate synopses)``
+    items: the candidates go in as their ``store`` rows."""
+    return evaluate_task_batch(
+        [(query, store.rows_for(candidates)) for query, candidates in items],
+        pruning, store)
+
+
 def _assert_rows_equal_oracle(items, oracle, store):
     """Both entry points of the row cascade against ``oracle.evaluate_pair``
     pair by pair: verdicts, ``repr(probability)``, all seven counters, and
     the kernel's survivor mask and per-strategy counts."""
     rows = replace(oracle, stats=PruningStats())
-    got = evaluate_task_batch(items, rows, store)
+    got = _evaluate(items, rows, store)
 
     pairs = [(query, candidate) for query, candidates in items
              for candidate in candidates]
@@ -411,8 +419,8 @@ def test_mixed_batch_maps_every_verdict_back_to_its_position():
         tuple(map(id, pair)) for pair in expected_scalar]
     assert kernel_lanes == [len(pairs) - len(expected_scalar)]
     # Both routes produced matches, so the positions carried real verdicts.
-    got = evaluate_task_batch(items, _pipeline(KEYWORDS, 0.9, 0.3, NO_BOUNDS),
-                              _store_of(synopses))
+    got = _evaluate(items, _pipeline(KEYWORDS, 0.9, 0.3, NO_BOUNDS),
+                    _store_of(synopses))
     flat = [verdict for item in got for verdict in item]
     for wanted in (True, False):
         assert any(is_match for (is_match, _), pair in zip(flat, pairs)
@@ -447,7 +455,7 @@ class TestTokenColumns:
                     _make_synopsis(1, "fever chills", "flu", None),
                     _make_synopsis(2, "red eye", "diabetes", None)]
         store = _store_of(synopses)
-        before = evaluate_task_batch(_items(synopses), self.PIPELINE(), store)
+        before = _evaluate(_items(synopses), self.PIPELINE(), store)
         offsets = list(store.token_offsets)
         assert offsets == [0, 2, 3]
         wide = _make_synopsis(3, "fever cough chills weight loss thirst",
@@ -456,8 +464,7 @@ class TestTokenColumns:
         assert store.token_offsets == [0, 6, 8]
         assert decoded_token_rows(store) == instance_token_rows(
             synopses + [wide])
-        assert evaluate_task_batch(_items(synopses), self.PIPELINE(),
-                                   store) == before
+        assert _evaluate(_items(synopses), self.PIPELINE(), store) == before
         _assert_rows_equal_oracle(_items(synopses + [wide]), self.PIPELINE(),
                                   store)
 
@@ -485,7 +492,7 @@ class TestTokenColumns:
         store.insert(rebuilt)
         pipeline = self.PIPELINE()
         # The superseded object still answers from its own row this batch.
-        assert evaluate_task_batch(
+        assert _evaluate(
             [(original, [other]), (rebuilt, [other])], pipeline, store) == [
             [(False, 0.0)], [(True, 1.0)]]
         _assert_rows_equal_oracle([(original, [other]), (rebuilt, [other])],
