@@ -8,9 +8,9 @@ Demonstrates the async streaming ingestion subsystem (``repro.ingest``):
 2. a *burst* source joining mid-traffic (a synthetic push of clustered
    arrivals), showing how the bounded arrival queue and the batcher absorb
    it — watch the trigger mix and the queue-depth/backpressure counters;
-3. gated online repository growth: complete stream tuples are absorbed
-   into the repository as they flow past
-   (``TERiDSConfig.absorb_complete_tuples``).
+3. online repository growth: an ``on_batch`` hook hands the complete
+   tuples of every processed batch to ``engine.add_repository_samples``,
+   so the repository and the DR-index grow from the streams.
 
 Run with::
 
@@ -44,7 +44,6 @@ def main() -> None:
         schema=workload.schema,
         keywords=workload.keywords,
         window_size=40,
-        absorb_complete_tuples=True,  # repository grows from the streams
     )
     engine = TERiDSEngine(repository=workload.repository, config=config,
                           executor=MicroBatchExecutor(batch_size=32))
@@ -70,11 +69,23 @@ def main() -> None:
         burst_record, count=40, name="burst",
         rate=800.0, burst_every=8, burst_size=7, jitter=0.25, seed=11)
 
+    # The repository grows from the streams: after every batch, its
+    # complete tuples become repository samples (the rules are not re-mined).
+    absorbed = 0
+
+    def grow_repository(driver, records):
+        nonlocal absorbed
+        complete = [record for record in records
+                    if record.is_complete(config.schema)]
+        driver.engine.add_repository_samples(complete)
+        absorbed += len(complete)
+
     driver = IngestDriver(
         engine,
         sources=[source_a, source_b, burst],
         policy=BatchPolicy(max_batch=24, max_delay=0.02),
         queue_capacity=64,
+        on_batch=grow_repository,
     )
     report = driver.run()
     engine.close()
@@ -94,7 +105,7 @@ def main() -> None:
           f"(late admitted {stats.admitted_late}, shed {stats.shed_late})")
     print(f"repository growth  : {repository_before} -> "
           f"{len(engine.repository)} samples "
-          f"({stats.absorbed_samples} complete stream tuples absorbed)")
+          f"({absorbed} complete stream tuples absorbed)")
 
 
 if __name__ == "__main__":

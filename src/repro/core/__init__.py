@@ -2,12 +2,6 @@
 
 from repro.core.config import TERiDSConfig
 from repro.core.engine import EngineReport, TERiDSEngine
-from repro.core.heterogeneous import (
-    HeterogeneousMatcher,
-    heterogeneous_probability,
-    heterogeneous_similarity,
-)
-from repro.core.time_window import TimeBasedWindow, TimeBatchedStream, run_time_based
 from repro.core.matching import (
     EntityResultSet,
     MatchPair,
@@ -46,12 +40,6 @@ from repro.core.tuples import ImputedRecord, Instance, Record, Schema, make_reco
 __all__ = [
     "EngineReport",
     "EntityResultSet",
-    "HeterogeneousMatcher",
-    "TimeBasedWindow",
-    "TimeBatchedStream",
-    "heterogeneous_probability",
-    "heterogeneous_similarity",
-    "run_time_based",
     "ImputedRecord",
     "IncompleteDataStream",
     "Instance",

@@ -67,15 +67,6 @@ class TERiDSConfig:
     use_instance_pruning:
         Individual switches for the four pruning strategies of Section 4;
         all enabled by default, disabled selectively by the ablation benches.
-    absorb_complete_tuples:
-        Online repository growth (Section 5.5 follow-up): when enabled, the
-        ingestion driver hands every *complete* arriving stream tuple to
-        ``MaintenanceStage.absorb_complete_stream_tuples`` so the repository
-        and the DR-index grow from the streams themselves.  The CDD rules
-        are left as they are; they change only through an explicit exact
-        re-mine (``add_repository_samples(..., remine_rules=True)``).  Off
-        by default — absorbing changes imputation answers, so replay
-        determinism against the pinned goldens requires the flag off.
     """
 
     schema: Schema
@@ -91,7 +82,6 @@ class TERiDSConfig:
     use_similarity_pruning: bool = True
     use_probability_pruning: bool = True
     use_instance_pruning: bool = True
-    absorb_complete_tuples: bool = False
     random_seed: int = 7
 
     def __post_init__(self) -> None:

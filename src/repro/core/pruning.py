@@ -130,10 +130,6 @@ class RecordSynopsis:
         """Identity passthrough so windows/grids can key on the synopsis."""
         return self.record.source
 
-    def main_point(self) -> List[float]:
-        """Expected main-pivot coordinates (one per attribute)."""
-        return [self.distance_expectations[name][0] for name in self.schema]
-
     def main_interval(self, attribute: str) -> Tuple[float, float]:
         """Main-pivot distance bounds of one attribute."""
         return self.distance_bounds[attribute][0]

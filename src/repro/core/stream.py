@@ -3,9 +3,9 @@
 Definitions 1 and 2 of the paper: an incomplete data stream ``iDS`` is an
 ordered sequence of records arriving one per timestamp; the sliding window
 ``W_t`` holds the ``w`` most recent records.  When a new record arrives the
-oldest one expires.  The paper uses the count-based model; a time-based
-window (several arrivals per timestamp) can be emulated by calling
-:meth:`SlidingWindow.insert` several times per logical tick.
+oldest one expires.  The paper fixes the count-based model and only
+sketches a time-based variant; this package implements the count-based
+model.
 """
 
 from __future__ import annotations

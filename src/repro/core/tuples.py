@@ -144,11 +144,6 @@ class Record:
         return Record(rid=self.rid, values=new_values, source=self.source,
                       timestamp=self.timestamp)
 
-    def with_timestamp(self, timestamp: int) -> "Record":
-        """Return a copy of this record stamped with an arrival time."""
-        return Record(rid=self.rid, values=dict(self.values),
-                      source=self.source, timestamp=timestamp)
-
     def as_display_row(self, schema: Schema) -> List[str]:
         """Row of display strings, using ``-`` for missing values."""
         return [self.values.get(name) or MISSING_DISPLAY for name in schema]

@@ -3,8 +3,10 @@
 Every public function regenerates the data series of one table or figure of
 the paper as a list of flat row dictionaries (dataset × method × parameter →
 measurement).  The benchmark scripts under ``benchmarks/`` call these
-functions at reduced scale and print the rows; ``EXPERIMENTS.md`` records how
-the measured trends compare with the paper.
+functions at reduced scale and print the rows; each script's module
+docstring states the paper's shape claim for its figure (for example
+``benchmarks/bench_figure5a_fscore.py``: TER-iDS highest F-score, con+ER
+worst).
 
 All runners accept ``datasets`` / ``methods`` / ``scale`` arguments so that
 the same code can run a quick smoke sweep (benchmarks, CI) or a fuller

@@ -461,9 +461,6 @@ class IngestDriver:
             self.matches.extend(batch_matches)
         self.batches_processed += 1
         self.tuples_processed += len(records)
-        absorbed = self.engine.pipeline.maintenance.absorb_complete_stream_tuples(
-            records)
-        self.stats.absorbed_samples += absorbed
         if self.on_batch is not None:
             self.on_batch(self, records)
         if (self.checkpoint_every_batches is not None

@@ -46,9 +46,9 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
     # The last trace id rides beside the batch sequence, so a restored run's
     # traces line up with its history; the traces themselves are not kept.
     state["telemetry"]["trace_id"] = ctx.last_trace_id
-    # The repository grows mid-stream (absorb_complete_tuples,
-    # add_repository_samples) and is not checkpointed: its size lets a
-    # restore refuse an engine built over a different repository.
+    # The repository grows mid-stream (add_repository_samples) and is not
+    # checkpointed: its size lets a restore refuse an engine built over a
+    # different repository.
     state["repository_size"] = len(ctx.repository)
     return state
 

@@ -110,8 +110,6 @@ class IngestStats:
     #: Times a silent source was marked idle after ``idle_timeout`` seconds
     #: without an arrival, releasing its hold on the global watermark.
     idle_timeouts: int = 0
-    #: Complete stream tuples absorbed into the repository (gated growth).
-    absorbed_samples: int = 0
     #: Batch-formation trigger counts (``size`` / ``deadline`` / ``drain``).
     triggers: Dict[str, int] = field(default_factory=dict)
     #: Per-batch formation latency (seconds from first enqueue to emit) as
@@ -280,7 +278,6 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("ingest.max_queue_depth", "ingest_stats.", "ingest.",
             "terids_ingest_max_queue_depth", kind=GAUGE),
     Counter("ingest.idle_timeouts", *_INGEST),
-    Counter("ingest.absorbed_samples", *_INGEST),
     Counter("ingest.triggers", "ingest_stats.", "ingest.",
             "terids_ingest_batches_total", kind=MAP),
     # Per-batch series: process-local, a restore starts them empty.

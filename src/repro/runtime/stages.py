@@ -256,23 +256,6 @@ class MaintenanceStage:
         window.insert(synopsis)
         ctx.grid.insert(synopsis)
 
-    # -- time-based expiry (time-based windows) ------------------------------
-    def retract(self, items: Sequence) -> int:
-        """Remove time-expired tuples from the ER-grid and the result set.
-
-        The count-based windows bound memory on their own; a time-based view
-        (:mod:`repro.core.time_window`) additionally expires tuples by age,
-        and every pair involving an expired tuple must leave the reported
-        result set.
-        ``items`` only need ``rid`` / ``source`` attributes.  Returns the
-        number of retracted items.
-        """
-        ctx = self.ctx
-        for item in items:
-            ctx.grid.remove(item.rid, item.source)
-            ctx.result_set.remove_record(item.rid, item.source)
-        return len(items)
-
     # -- evolving repository (Section 5.5) -----------------------------------
     def absorb_repository_samples(self, samples: Sequence[Record],
                                   remine_rules: bool = False) -> None:
@@ -297,22 +280,3 @@ class MaintenanceStage:
         if remine_rules:
             ctx.install_rules(discover_cdd_rules(ctx.repository,
                                                  ctx.discovery_config))
-
-    def absorb_complete_stream_tuples(self, records: Sequence[Record]) -> int:
-        """Gated online repository growth from the streams themselves.
-
-        When ``config.absorb_complete_tuples`` is set, every *complete*
-        tuple of an arriving batch is absorbed into the repository through
-        :meth:`absorb_repository_samples`, so the DR-index grows with the
-        observed traffic; the rules are not re-mined.  Incomplete tuples
-        are never absorbed (repository samples must be complete).  Returns
-        the number of absorbed tuples (0 when the flag is off).
-        """
-        ctx = self.ctx
-        if not ctx.config.absorb_complete_tuples:
-            return 0
-        schema = ctx.schema
-        complete = [record for record in records if record.is_complete(schema)]
-        if complete:
-            self.absorb_repository_samples(complete)
-        return len(complete)

@@ -260,19 +260,24 @@ _PARENT_FORMAT_STATE = {
     "telemetry": {"batch_seq": 8, "trace_id": "batch-00000008"},
 }
 
+#: Ingest counters of ``_PARENT_FORMAT_STATE`` whose features were deleted
+#: since: the thread offload, event-time expiry and stream-tuple absorption.
+_REMOVED_INGEST_COUNTERS = frozenset(
+    {"executor_waits", "expired_by_watermark", "absorbed_samples"})
+
 
 def test_parent_format_checkpoint_restores_and_reserialises_equal(
         health_repository, health_config):
     """The counters are named once, in the context's counter table; the
     checkpoint JSON they produce must stay byte-identical, key order
-    included — less the two ingest counters whose features were deleted
+    included — less the ingest counters whose features were deleted
     since."""
     engine = TERiDSEngine(repository=health_repository, config=health_config)
     engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
     ingest_stats = {
         name: value
         for name, value in _PARENT_FORMAT_STATE["ingest_stats"].items()
-        if name not in ("executor_waits", "expired_by_watermark")}
+        if name not in _REMOVED_INGEST_COUNTERS}
     # The keys added since: the rule-install and DR-index counters, absent
     # from the parent's checkpoint and so restored as 0, and the repository
     # size the restore guard reads.
@@ -390,18 +395,24 @@ def test_parent_format_checkpoint_restores_and_resumes_identically(controller):
 
 
 def test_restore_refuses_an_engine_over_a_different_repository(tmp_path):
-    """A driver that absorbed complete stream tuples has a grown repository;
-    its checkpoint must not restore into an engine over the original one,
-    which would impute the resumed stream from fewer samples."""
+    """A driver whose ``on_batch`` hook grew the repository from the
+    complete stream tuples: its checkpoint must not restore into an engine
+    over the original repository, which would impute the resumed stream
+    from fewer samples."""
     workload = build_workload("citations", 0.4, 7)
-    config = build_config(workload, 30).replace(absorb_complete_tuples=True)
+    config = build_config(workload, 30)
     records = workload.interleaved_records()[:40]
     engine = TERiDSEngine(repository=build_workload("citations", 0.4,
                                                     7).repository,
                           config=config)
     original = len(engine.repository)
+
+    def grow(driver, batch):
+        driver.engine.add_repository_samples(
+            record for record in batch if record.is_complete(config.schema))
+
     driver = IngestDriver(engine, [ReplaySource(records)],
-                          policy=BatchPolicy(max_batch=8))
+                          policy=BatchPolicy(max_batch=8), on_batch=grow)
     driver.run()
     grown = len(engine.repository)
     assert grown > original
@@ -419,16 +430,18 @@ def test_restore_refuses_an_engine_over_a_different_repository(tmp_path):
 
 def test_parent_ingest_stats_restore_ignoring_removed_counters(
         health_repository, health_config):
-    """``executor_waits`` (thread offload) and ``expired_by_watermark``
-    (event-time expiry) went with their features: an older checkpoint
-    restores every other ingest counter and drops these two."""
+    """The removed counters went with their features: an older checkpoint
+    restores every other ingest counter and drops these three."""
     engine = TERiDSEngine(repository=health_repository, config=health_config)
     engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
     restored = engine.checkpoint()["ingest_stats"]
-    assert not {"executor_waits", "expired_by_watermark"} & set(restored)
-    assert engine.ctx.ingest.idle_timeouts == 1
-    assert engine.ctx.ingest.absorbed_samples == 5
-    assert engine.ctx.ingest.triggers == {"size": 7, "drain": 1}
+    assert not _REMOVED_INGEST_COUNTERS & set(restored)
+    assert not any(hasattr(engine.ctx.ingest, name)
+                   for name in _REMOVED_INGEST_COUNTERS)
+    assert restored == {
+        name: value
+        for name, value in _PARENT_FORMAT_STATE["ingest_stats"].items()
+        if name not in _REMOVED_INGEST_COUNTERS}
 
 
 def test_driver_checkpoint_with_event_window_is_refused():

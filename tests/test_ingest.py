@@ -680,34 +680,6 @@ def test_backpressure_wait_is_counted_when_the_arrival_queue_is_full():
     asyncio.run(scenario())
 
 
-def test_absorb_complete_tuples_is_gated_by_the_config_flag():
-    workload = build_workload("citations", 0.4, 7)
-    config = build_config(workload, 30)
-    records = workload.interleaved_records()[:40]
-    complete = [r for r in records if r.is_complete(workload.schema)]
-    assert complete  # the workload must exercise the absorption path
-
-    # Flag off (default): nothing is absorbed.
-    engine = TERiDSEngine(repository=workload.repository, config=config)
-    before = len(engine.repository)
-    assert engine.pipeline.maintenance.absorb_complete_stream_tuples(
-        records) == 0
-    assert len(engine.repository) == before
-
-    # Flag on, driven by the ingest driver: the repository grows by exactly
-    # the complete tuples.
-    grow_config = config.replace(absorb_complete_tuples=True)
-    engine2 = TERiDSEngine(
-        repository=build_workload("citations", 0.4, 7).repository,
-        config=grow_config)
-    before2 = len(engine2.repository)
-    driver = IngestDriver(engine2, [ReplaySource(records)],
-                          policy=BatchPolicy(max_batch=8))
-    report = driver.run()
-    assert report.stats.absorbed_samples == len(complete)
-    assert len(engine2.repository) == before2 + len(complete)
-
-
 def test_graceful_stop_drains_admitted_arrivals(tmp_path):
     workload = build_workload(*GOLDEN_WORKLOADS[0][:3])
     config = build_config(workload, 30)

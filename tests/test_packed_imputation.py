@@ -339,13 +339,13 @@ def test_executors_impute_identically_on_evolving_golden():
 
 
 def test_executors_impute_identically_while_absorbing_stream_tuples():
-    """``absorb_complete_tuples``: the repository grows after every batch."""
+    """The repository grows from the complete stream tuples after every
+    batch, through ``add_repository_samples``."""
     def make_engine(executor):
         workload = build_workload("citations", 0.3, 11)
         config = TERiDSConfig(schema=workload.schema,
                               keywords=workload.keywords, alpha=0.5,
-                              similarity_ratio=0.5, window_size=30,
-                              absorb_complete_tuples=True)
+                              similarity_ratio=0.5, window_size=30)
         engine = TERiDSEngine(repository=workload.repository, config=config,
                               executor=executor)
         engine.stream = list(workload.interleaved_records())
@@ -353,12 +353,14 @@ def test_executors_impute_identically_while_absorbing_stream_tuples():
         return engine
 
     def drive(engine):
-        # What IngestDriver does after every batch; same chunks under both
-        # executors, so both absorb at the same points.
+        # What an IngestDriver ``on_batch`` hook would do after every batch;
+        # same chunks under both executors, so both grow at the same points.
         for start in range(0, len(engine.stream), 16):
             chunk = engine.stream[start:start + 16]
             engine.process_batch(chunk)
-            engine.pipeline.maintenance.absorb_complete_stream_tuples(chunk)
+            engine.add_repository_samples(
+                record for record in chunk
+                if record.is_complete(engine.schema))
         assert len(engine.repository) > engine.repository_size_before
 
     _run_both(make_engine, drive)

@@ -8,8 +8,8 @@ The heavyweight guarantees:
   timestamps all bit-identical), for *every* in-window entity, under both
   executors and at any point mid-stream;
 * **Freshness** — the resolver is stateless, so every answer reflects the
-  window as window maintenance (insert, count-based expiry, event-time
-  retraction, checkpoint restore) left it;
+  window as window maintenance (insert, count-based expiry, checkpoint
+  restore) left it;
 * **Counter hygiene** — interactive lookups leave the eager path's
   golden-pinned pruning and grid counters untouched.
 """
@@ -401,28 +401,6 @@ def test_resolve_after_member_expiry_equals_closure():
                 assert not expired & set(after.members)
                 shrunk += 1
         assert shrunk > 0  # some survivor did lose a cluster-mate
-    finally:
-        engine.close()
-
-
-def test_resolve_after_event_time_retraction_equals_closure():
-    workload = _small_workload()
-    engine = TERiDSEngine(repository=workload.repository,
-                          config=_small_config(workload))
-    try:
-        engine.run(workload.interleaved_records())
-        rid, source = _first_multi_member_entity(engine)
-        mate_source, mate_rid = next(
-            member for member in engine.resolve(rid, source).members
-            if member != (source, rid))
-        # ``retract`` only reads ``rid`` / ``source`` off its items.
-        engine.pipeline.maintenance.retract(
-            [engine.grid.get_synopsis(mate_rid, mate_source)])
-        assert not engine.grid.contains(mate_rid, mate_source)
-        with pytest.raises(KeyError):
-            engine.resolve(mate_rid, mate_source)
-        after = assert_cluster_equals_closure(engine, rid, source)
-        assert not after.contains(mate_rid, mate_source)
     finally:
         engine.close()
 

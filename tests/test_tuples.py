@@ -86,12 +86,6 @@ class TestRecord:
         assert record["y"] is None
         assert updated.rid == record.rid
 
-    def test_with_timestamp(self):
-        record = Record(rid="r1", values={"x": "a", "y": "b"})
-        stamped = record.with_timestamp(5)
-        assert stamped.timestamp == 5
-        assert record.timestamp == -1
-
     def test_display_row_uses_dash(self):
         record = Record(rid="r1", values={"x": "a", "y": None})
         assert record.as_display_row(self.schema) == ["a", "-"]
