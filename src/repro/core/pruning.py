@@ -24,7 +24,7 @@ that the ER-grid stores as aggregates (Section 5.2).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as _np
@@ -473,6 +473,14 @@ def pack_synopsis(synopsis: RecordSynopsis):
 VOCABULARY_FLOOR = 4096
 
 
+def _expand(array, shape, dtype=_np.float64):
+    """``array`` copied into the first rows of a zeroed ``shape`` array."""
+    fresh = _np.zeros(shape, dtype=dtype)
+    if array is not None:
+        fresh[: array.shape[0]] = array
+    return fresh
+
+
 class PackedStore:
     """A resident, columnar store of packed synopses keyed by (rid, source).
 
@@ -481,17 +489,24 @@ class PackedStore:
     :func:`pack_synopsis`, so that a whole batch of pairs gathers into the
     kernel's stacked matrices with one fancy-indexing operation per column.
 
-    Beside the bound columns sit the token columns :func:`batch_refine`
-    reads, written at :meth:`insert` for every row whose tuple has exactly
-    one instance (``single[row]``): ``token_ids[row]`` holds, attribute
-    after attribute in schema order, the ids of that instance's tokens
-    under :attr:`vocabulary` — attribute ``j`` owns the columns
-    ``token_offsets[j]:token_offsets[j + 1]``, as wide as the widest token
-    set seen on it, padded with ``-1`` — ``token_counts[row]`` the
-    per-attribute set sizes and ``instance_p[row]`` the instance's existence
-    probability.  Rows of multi-instance tuples carry no tokens.  Like the
-    rest of the store the columns are rebuilt from the window, never
-    checkpointed.
+    Beside the bound columns sits the **instance table** :func:`batch_refine`
+    reads: one entry per possible world of every row's tuple, written at
+    :meth:`insert`.  Row ``row`` owns the contiguous run
+    ``inst_start[row]:inst_start[row] + inst_count[row]``, in
+    ``ImputedRecord.instances()`` order — descending probability, the order
+    Theorem 4.4's cut-off visits them in; a complete tuple is a run of one.
+    Entry ``e`` is column ``e`` of ``inst_tokens``, ``inst_sizes`` and
+    ``inst_prob``, so a gather of entries puts the kernel's lanes on the
+    fast axis.  ``inst_tokens[:, e]`` holds, attribute after attribute in
+    schema order, the ids of the instance's tokens under
+    :attr:`vocabulary` — attribute ``j`` owns the rows
+    ``token_offsets[j]:token_offsets[j + 1]``, as many as the widest token
+    set seen on it, padded with ``-1`` — ``inst_sizes[:, e]`` the
+    per-attribute set sizes and ``inst_prob[e]`` the instance's existence
+    probability.  Runs are appended; a recycled row's run is garbage, and
+    :meth:`begin_epoch` compacts the table once garbage outweighs the live
+    runs.  Like the rest of the store the table is rebuilt from the window,
+    never checkpointed.
 
     Row lifetime: a removed row keeps its data and still answers
     :meth:`rows_for` until the owner's next :meth:`begin_epoch` — a
@@ -523,15 +538,20 @@ class PackedStore:
         self.limits = None
         #: ``(capacity, 3)`` main-pivot totals: ``exp0, lb0, ub0`` columns.
         self.totals = None
-        #: token -> id of every token a resident single-instance row holds
-        #: (plus those of rows since evicted, until the next rebuild).
+        #: Per row: the first table entry of its run, and the run's length.
+        self.inst_start = None
+        self.inst_count = None
+        #: token -> id of every token the instance table holds (garbage
+        #: runs included, until the next rebuild); ids in insertion order.
         self.vocabulary: Dict[str, int] = {}
         self._vocabulary_base = 0
         self.token_offsets: List[int] = []
-        self.token_ids = None
-        self.token_counts = None
-        self.single = None
-        self.instance_p = None
+        self.inst_tokens = None
+        self.inst_sizes = None
+        self.inst_prob = None
+        #: Table entries in use (live runs and garbage) / of them garbage.
+        self.instance_rows = 0
+        self._garbage = 0
 
     def __len__(self) -> int:
         return sum(map(len, self._rows.values()))
@@ -545,97 +565,148 @@ class PackedStore:
             if rows_by_id[id(self._objects[row])] == row:
                 del rows_by_id[id(self._objects[row])]
             self._objects[row] = None
+            self._garbage += int(self.inst_count[row])
         self._free.extend(self._pending_free)
         del self._pending_free[:]
-        # The vocabulary only ever grows with the stream's domain; the rows
-        # it serves are bounded by the window.  Once it has doubled since
-        # the last rebuild, re-encode the resident rows into a fresh one —
-        # no batch is in flight, so no gathered id outlives the renumbering.
+        # No batch is in flight, so no gathered index or id outlives the
+        # moves.  The vocabulary only ever grows with the stream's domain;
+        # the runs it serves are bounded by the window.  Once it has doubled
+        # since the last rebuild, renumber it down to the live runs' tokens.
         if len(self.vocabulary) > max(VOCABULARY_FLOOR,
                                       2 * self._vocabulary_base):
-            self.vocabulary = {}
-            for rows in self._rows.values():
-                for row in rows.values():
-                    self._write_tokens(row, self._objects[row])
-            self._vocabulary_base = len(self.vocabulary)
+            self._compact()
+            self._reencode()
+        elif self._garbage > self.instance_rows - self._garbage:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Move the live rows' runs to the front of the table, in place."""
+        live = _np.fromiter((row for rows in self._rows.values()
+                             for row in rows.values()), dtype=_np.intp)
+        counts = self.inst_count[live]
+        starts = _np.cumsum(counts) - counts
+        used = int(counts.sum())
+        index = (_np.repeat(self.inst_start[live] - starts, counts)
+                 + _np.arange(used))
+        for table in (self.inst_tokens, self.inst_sizes, self.inst_prob):
+            table[..., :used] = table[..., index]
+        self.inst_start[live] = starts
+        self.instance_rows, self._garbage = used, 0
+
+    def _reencode(self) -> None:
+        """Renumber the vocabulary to the tokens of a compact table, keeping
+        the ids' order."""
+        tokens = self.inst_tokens[:, : self.instance_rows]
+        held = tokens >= 0
+        present = _np.zeros(len(self.vocabulary), dtype=bool)
+        present[tokens[held]] = True
+        tokens[held] = (_np.cumsum(present, dtype=_np.int32) - 1)[tokens[held]]
+        kept = list(compress(self.vocabulary, present.tolist()))
+        self.vocabulary = dict(zip(kept, range(len(kept))))
+        self._vocabulary_base = len(self.vocabulary)
 
     def _grow(self, capacity: int) -> None:
         dimensionality, pivot_width = self._shape  # type: ignore[misc]
+        self.dist_lb = _expand(self.dist_lb,
+                               (capacity, dimensionality, pivot_width))
+        self.dist_ub = _expand(self.dist_ub,
+                               (capacity, dimensionality, pivot_width))
+        self.tok_min = _expand(self.tok_min, (capacity, dimensionality))
+        self.tok_max = _expand(self.tok_max, (capacity, dimensionality))
+        self.totals = _expand(self.totals, (capacity, 3))
+        self.may_kw = _expand(self.may_kw, (capacity,), bool)
+        self.limits = _expand(self.limits, (capacity,), _np.int64)
+        self.inst_start = _expand(self.inst_start, (capacity,), _np.intp)
+        self.inst_count = _expand(self.inst_count, (capacity,), _np.intp)
 
-        def expand(array, shape, dtype=_np.float64):
-            fresh = _np.zeros(shape, dtype=dtype)
-            if array is not None:
-                fresh[: array.shape[0]] = array
-            return fresh
-        self.dist_lb = expand(self.dist_lb, (capacity, dimensionality, pivot_width))
-        self.dist_ub = expand(self.dist_ub, (capacity, dimensionality, pivot_width))
-        self.tok_min = expand(self.tok_min, (capacity, dimensionality))
-        self.tok_max = expand(self.tok_max, (capacity, dimensionality))
-        self.totals = expand(self.totals, (capacity, 3))
-        self.may_kw = expand(self.may_kw, (capacity,), bool)
-        self.limits = expand(self.limits, (capacity,), _np.int64)
-        if self.token_ids is None:
-            self.token_offsets = [0] * (dimensionality + 1)
-            self.token_ids = _np.empty((0, 0), dtype=_np.int32)
-        self.token_ids = self._token_columns(capacity, self.token_offsets)
-        self.token_counts = expand(self.token_counts,
-                                   (capacity, dimensionality), _np.int32)
-        self.single = expand(self.single, (capacity,), bool)
-        self.instance_p = expand(self.instance_p, (capacity,))
+    def _grow_table(self, capacity: int) -> None:
+        if self.inst_tokens is None:
+            self.token_offsets = [0] * (self._shape[0] + 1)  # type: ignore
+            self.inst_tokens = _np.empty((0, 0), dtype=_np.int32)
+        self.inst_tokens = self._token_columns(capacity, self.token_offsets)
+        sizes = _np.zeros((self._shape[0], capacity), dtype=_np.int32)
+        if self.inst_sizes is not None:
+            sizes[:, : self.inst_sizes.shape[1]] = self.inst_sizes
+        self.inst_sizes = sizes
+        self.inst_prob = _expand(self.inst_prob, (capacity,))
 
     def _token_columns(self, capacity: int, offsets: List[int]):
-        """The token ids re-laid into ``capacity`` rows under ``offsets``
+        """The token ids re-laid into ``capacity`` entries under ``offsets``
         (each attribute at least as wide as it is now), ``-1`` elsewhere."""
-        old, old_offsets = self.token_ids, self.token_offsets
-        fresh = _np.full((capacity, offsets[-1]), -1, dtype=_np.int32)
+        old, old_offsets = self.inst_tokens, self.token_offsets
+        fresh = _np.full((offsets[-1], capacity), -1, dtype=_np.int32)
         for start, low, high in zip(offsets, old_offsets, old_offsets[1:]):
-            fresh[: old.shape[0], start:start + high - low] = old[:, low:high]
+            fresh[start:start + high - low, : old.shape[1]] = old[low:high]
         return fresh
 
-    def _write_tokens(self, row: int, synopsis: RecordSynopsis) -> None:
-        """Fill the token columns of ``row`` when its tuple has one instance.
+    def _write_run(self, row: int, synopsis: RecordSynopsis) -> None:
+        """Append the run of ``row``: one table entry per instance.
 
-        Whether it has is read off the candidate distributions, and so is
-        the instance — each attribute's one possible value, the product of
-        the candidates' probabilities in ``instances()``'s order — without
-        enumerating ``instances()``: most tuples are never refined, and
-        those records would live as long as the window holds the tuple.
+        A tuple whose candidate distributions all hold one value has one
+        instance, read straight off them — each attribute's one possible
+        value, the product of the candidates' probabilities in
+        ``instances()``'s order — without enumerating ``instances()``.
         """
         record = synopsis.record
         candidates = record.candidates
-        single = all(len(distribution) == 1
-                     for distribution in candidates.values())
-        self.single[row] = single
-        if not single:
-            return
-        probability = 1.0
-        values = record.base.values
-        if candidates:
-            values = dict(values)
-            for name, distribution in candidates.items():
-                (values[name], weight), = distribution.items()
-                probability *= weight
-        token_sets = [tokenize(values.get(name) or "")
-                      for name in record.schema]
-        counts = [len(tokens) for tokens in token_sets]
+        if all(len(distribution) == 1
+               for distribution in candidates.values()):
+            probability = 1.0
+            values = record.base.values
+            if candidates:
+                values = dict(values)
+                for name, distribution in candidates.items():
+                    (values[name], weight), = distribution.items()
+                    probability *= weight
+            worlds = [(values, probability)]
+        else:
+            worlds = [(instance.record.values, instance.probability)
+                      for instance in record.instances()]
+        attributes = record.schema.attributes
+        token_sets = [tokenize(worlds[0][0].get(name) or "")
+                      for name in attributes]
+        # Instances differ from the first one on the imputed attributes only.
+        imputed = [] if len(worlds) == 1 else [
+            (attributes.index(name), [tokenize(values[name])
+                                      for values, _ in worlds])
+            for name in candidates]
         offsets = self.token_offsets
-        widths = [max(count, high - low) for count, low, high
-                  in zip(counts, offsets, offsets[1:])]
+        widths = [max(high - low, len(tokens))
+                  for low, high, tokens in zip(offsets, offsets[1:],
+                                               token_sets)]
+        for index, column in imputed:
+            widths[index] = max(widths[index], *map(len, column))
         if sum(widths) > offsets[-1]:
-            # Some attribute outgrew its columns: widen by exact need.
+            # Some attribute outgrew its rows: widen by exact need.
             offsets = [0, *accumulate(widths)]
-            self.token_ids = self._token_columns(self.token_ids.shape[0],
-                                                 offsets)
+            self.inst_tokens = self._token_columns(self.inst_tokens.shape[1],
+                                                   offsets)
             self.token_offsets = offsets
         vocabulary = self.vocabulary
-        # The whole row, so a recycled one keeps nothing of its predecessor.
-        ids = [-1] * offsets[-1]
+        entry = [-1] * offsets[-1]
         for tokens, low in zip(token_sets, offsets):
             for column, token in enumerate(tokens, low):
-                ids[column] = vocabulary.setdefault(token, len(vocabulary))
-        self.token_ids[row] = ids
-        self.token_counts[row] = counts
-        self.instance_p[row] = probability
+                entry[column] = vocabulary.setdefault(token, len(vocabulary))
+        start = self.instance_rows
+        end = start + len(worlds)
+        if end > self.inst_prob.shape[0]:
+            self._grow_table(max(end, 2 * self.inst_prob.shape[0]))
+        # Whole entries, so reused ones keep nothing of garbage.
+        self.inst_tokens.T[start:end] = entry
+        self.inst_sizes.T[start:end] = list(map(len, token_sets))
+        for index, column in imputed:
+            low, high = offsets[index], offsets[index + 1]
+            encoded = {tokens: [*(vocabulary.setdefault(token, len(vocabulary))
+                                  for token in tokens),
+                                *[-1] * (high - low - len(tokens))]
+                       for tokens in dict.fromkeys(column)}
+            self.inst_tokens[low:high, start:end] = _np.array(
+                [encoded[tokens] for tokens in column], dtype=_np.int32).T
+            self.inst_sizes[index, start:end] = list(map(len, column))
+        self.inst_prob[start:end] = [probability for _, probability in worlds]
+        self.inst_start[row] = start
+        self.inst_count[row] = len(worlds)
+        self.instance_rows = end
 
     def insert(self, synopsis: RecordSynopsis) -> int:
         """Register (or refresh) one synopsis; returns its row.
@@ -648,6 +719,7 @@ class PackedStore:
         if self._shape is None:
             self._shape = shape
             self._grow(64)
+            self._grow_table(64)
         elif shape != self._shape:
             raise ValueError(
                 f"synopsis {(synopsis.rid, synopsis.source)!r} packs to "
@@ -675,10 +747,13 @@ class PackedStore:
             rows[synopsis.rid] = row
             self._objects[row] = synopsis
             self._rows_by_id[id(synopsis)] = row
+        else:
+            # A refresh: the row's previous run becomes garbage.
+            self._garbage += int(self.inst_count[row])
         (self.dist_lb[row], self.dist_ub[row], self.tok_min[row],
          self.tok_max[row], self.may_kw[row], self.limits[row],
          self.totals[row]) = packed
-        self._write_tokens(row, synopsis)
+        self._write_run(row, synopsis)
         return row
 
     def remove(self, rid: str, source: str) -> bool:
@@ -898,75 +973,151 @@ def _paley_zygmund_yields(margin: float, disjoint, gap, spread):
     return usable & (0.0 <= theta) & (theta <= 1.0)
 
 
+#: Width of the second round of :func:`batch_refine`: the first round is
+#: one position wide, every later one twice its predecessor.  Most
+#: multi-instance pairs stop within their first ten positions; the few that
+#: run to hundreds take a number of rounds logarithmic in their length and
+#: evaluate fewer than twice the positions the scalar sweep visits.
+ROUND = 8
+
+
 def batch_refine(query_rows, candidate_rows, pruning: PruningPipeline,
                  store: PackedStore):
-    """Theorem 4.4 / Eq. (2) for pairs of single-instance ``store`` rows.
+    """Theorem 4.4 / Eq. (2) for pairs of ``store`` rows, any instance counts.
 
     ``query_rows`` / ``candidate_rows`` pair up like those of
-    :func:`batch_prune`, and every row must have ``store.single`` set.
-    Returns the ``(is_match, probability)`` arrays
-    :meth:`PruningPipeline.evaluate_pair` reports for pairs that reach
-    refinement, in blocks of :data:`PAIR_BLOCK`.  With one instance a side
-    the cut-off sweep visits one instance pair and can never stop short of
-    the last, so none of these pairs counts as ``pruned_by_instance``.
+    :func:`batch_prune`.  Returns the ``(is_match, probability, cut)``
+    arrays: :meth:`PruningPipeline.evaluate_pair`'s verdict and probability
+    for pairs that reach refinement, and whether the cut-off stopped a pair
+    short of its last instance pair (``pruned_by_instance``).
+
+    A pair's visit sequence runs over its ``m × n`` instance pairs, left
+    instance major, both runs in descending probability: position ``k`` is
+    ``(left run + k // n, right run + k % n)``.  The sequence is evaluated
+    in rounds over the pairs still open — the first one position wide,
+    which decides every ``1 × 1`` pair, the second :data:`ROUND` wide, each
+    later one twice the last.  Matched and explored mass are running sums
+    along the round, carried in from the previous one (``add.accumulate``
+    is sequential, so every float is the scalar ``+=``'s).  A pair stops at
+    its first position where the matched mass exceeds ``α`` or matched +
+    max(0, 1 − explored) is at most ``α`` — with ``use_instance`` off, at
+    its last position only.
 
     Bit-identical to the scalar sweep: χ is the integer intersection and
     union counts of the two token-id sets, one division per attribute and a
     left-to-right sum in schema order against ``γ``; the topic test looks the
-    ids of ``pruning.keywords`` up in the rows themselves, so it is exact
-    under any keyword set, not just the one the synopses were built with.
+    ids of ``pruning.keywords`` up in the instances themselves, so it is
+    exact under any keyword set, not just the one the synopses were built
+    with.
     """
-    gamma, alpha = pruning.gamma, pruning.alpha
-    vocabulary = store.vocabulary
-    keyword_ids = _np.array([vocabulary[keyword]
-                             for keyword in pruning.keywords
-                             if keyword in vocabulary], dtype=_np.int32)
-    offsets = store.token_offsets
+    alpha, stop_early = pruning.alpha, pruning.use_instance
+    keyword_ids = None
+    if pruning.keywords:
+        vocabulary = store.vocabulary
+        keyword_ids = _np.array([vocabulary[keyword]
+                                 for keyword in pruning.keywords
+                                 if keyword in vocabulary], dtype=_np.int32)
+    left_run = store.inst_start[query_rows]
+    right_run = store.inst_start[candidate_rows]
+    right_count = store.inst_count[candidate_rows]
     count = len(candidate_rows)
-    is_match = _np.empty(count, dtype=bool)
-    probability = _np.empty(count)
+    is_match = _np.zeros(count, dtype=bool)
+    probability = _np.zeros(count)
+    cut = _np.zeros(count, dtype=bool)
+    # The open pairs, and per open pair the round's column of its last
+    # position (``>= width``: it stays open) and its matched / explored sums.
+    pairs = _np.arange(count)
+    ends = store.inst_count[query_rows] * right_count - 1
+    carried = _np.zeros((2, count))
+    position, width = 0, 1
+    while len(pairs):
+        # One row per column of the round, one column per open pair.
+        columns = _np.arange(width)[:, _np.newaxis]
+        column, owner = (columns <= ends).nonzero()
+        pair = pairs[owner]
+        left, right = _np.divmod(column + position, right_count[pair])
+        left += left_run[pair]
+        right += right_run[pair]
+        mass = store.inst_prob[left] * store.inst_prob[right]
+        # Row 0 carries the sums in; lanes past a pair's end add 0.0.
+        running = _np.zeros((2, width + 1, len(pairs)))
+        running[:, 0] = carried
+        running[0, column + 1, owner] = _np.where(
+            _instance_pairs_match(left, right, store, keyword_ids,
+                                  pruning.gamma), mass, 0.0)
+        running[1, column + 1, owner] = mass
+        running = running.cumsum(axis=1)
+        matched, explored = running[:, 1:]
+
+        stop = columns == ends
+        if stop_early:
+            # ``upper >= matched``: a rejection is never an acceptance.
+            upper = matched + _np.maximum(0.0, 1.0 - explored)
+            reject = upper <= alpha
+            stop |= (matched > alpha) | reject
+        closed = stop.any(axis=0)
+        rows = closed.nonzero()[0]
+        first = stop.argmax(axis=0)[rows]
+        done = pairs[rows]
+        final = matched[first, rows]
+        is_match[done] = final > alpha
+        if stop_early:
+            rejected = reject[first, rows]
+            probability[done] = _np.where(rejected, upper[first, rows], final)
+            cut[done] = rejected & (first < ends[rows])
+        else:
+            probability[done] = final
+
+        rows = (~closed).nonzero()[0]
+        pairs, ends = pairs[rows], ends[rows] - width
+        carried = running[:, -1, rows]
+        position += width
+        width = ROUND if position == 1 else 2 * width
+    return is_match, probability, cut
+
+
+def _instance_pairs_match(left, right, store: PackedStore, keyword_ids,
+                          gamma: float):
+    """χ of the instance pairs ``(left[k], right[k])`` of the instance table,
+    in blocks of :data:`PAIR_BLOCK` lanes (no topic test when
+    ``keyword_ids`` is ``None``)."""
+    tokens, sizes = store.inst_tokens, store.inst_sizes
+    offsets = store.token_offsets
+    widths = _np.diff(offsets)[:, _np.newaxis]
+    count = len(left)
+    matches = _np.empty(count, dtype=bool)
     for start in range(0, count, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        query, candidate = query_rows[block], candidate_rows[block]
-        left, right = store.token_ids[query], store.token_ids[candidate]
-        left_counts = store.token_counts[query]
-        right_counts = store.token_counts[candidate]
-        lanes = len(query)
-        similarity = _np.zeros(lanes)
+        # Lanes are the last axis of every temporary: the compares run
+        # along it.
+        left_ids = tokens.take(left[block], axis=1)
+        right_ids = tokens.take(right[block], axis=1)
+        left_sizes = sizes.take(left[block], axis=1)
+        right_sizes = sizes.take(right[block], axis=1)
+        lanes = left_ids.shape[1]
+        intersection = _np.empty(left_sizes.shape, dtype=_np.int32)
         for attribute, (low, high) in enumerate(zip(offsets, offsets[1:])):
-            left_size = left_counts[:, attribute]
-            right_size = right_counts[:, attribute]
-            equal = left[:, low:high, None] == right[:, None, low:high]
-            # Padding equals padding: take those cells back out.
-            intersection = (
-                _np.count_nonzero(equal.reshape(lanes, -1), axis=1)
-                - (high - low - left_size) * (high - low - right_size))
-            union = left_size + right_size - intersection
-            jaccard = _np.zeros(lanes)
-            # ``where`` skips the empty intersections, the 0 / 0 of two
-            # empty sets among them.
-            _np.divide(intersection, union, out=jaccard,
-                       where=intersection > 0)
-            similarity = similarity + jaccard
-        matches = similarity > gamma
-        if pruning.keywords:
+            equal = left_ids[low:high, None] == right_ids[None, low:high]
+            _np.add.reduce(equal.reshape(-1, lanes).view(_np.uint8), axis=0,
+                           out=intersection[attribute])
+        # Padding equals padding: take those cells back out.
+        intersection -= (widths - left_sizes) * (widths - right_sizes)
+        union = left_sizes + right_sizes - intersection
+        jaccard = _np.zeros(union.shape)
+        # ``where`` skips the empty intersections, the 0 / 0 of two empty
+        # sets among them.
+        _np.divide(intersection, union, out=jaccard, where=intersection > 0)
+        # ``add.accumulate`` sums the attributes in schema order.
+        similar = jaccard.cumsum(axis=0)[-1] > gamma
+        if keyword_ids is not None:
             # Few lanes clear γ; only they need their topic flags.
-            similar = matches.nonzero()[0]
-            matches[similar] = (
-                _has_token(left[similar], keyword_ids)
-                | _has_token(right[similar], keyword_ids))
-        # The one-iteration cut-off sweep: 0.0 + pair_mass is pair_mass.
-        pair_mass = store.instance_p[query] * store.instance_p[candidate]
-        matched = _np.where(matches, pair_mass, 0.0)
-        accepted = matched > alpha
-        if pruning.use_instance:
-            upper = matched + _np.maximum(0.0, 1.0 - pair_mass)
-            matched = _np.where(~accepted & (upper <= alpha), upper, matched)
-        is_match[block] = accepted
-        probability[block] = matched
-    return is_match, probability
+            lanes = similar.nonzero()[0]
+            similar[lanes] = (_has_token(left_ids[:, lanes], keyword_ids)
+                              | _has_token(right_ids[:, lanes], keyword_ids))
+        matches[block] = similar
+    return matches
 
 
 def _has_token(token_ids, wanted):
-    """Rows of ``token_ids`` holding at least one of the ``wanted`` ids."""
-    return (token_ids[:, :, _np.newaxis] == wanted).any(axis=(1, 2))
+    """Columns of ``token_ids`` holding at least one of the ``wanted`` ids."""
+    return (token_ids[:, :, _np.newaxis] == wanted).any(axis=(0, 2))

@@ -272,6 +272,13 @@ class ERGrid:
         store = self._packed_store
         return 0 if store is None else len(store.vocabulary)
 
+    @property
+    def instance_rows(self) -> int:
+        """Entries in use in the packed store's instance table, garbage runs
+        included (0 while none is on)."""
+        store = self._packed_store
+        return 0 if store is None else store.instance_rows
+
     def enable_packed_store(self) -> PackedStore:
         """Keep a columnar :class:`PackedStore` in sync with the grid.
 

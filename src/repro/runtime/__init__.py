@@ -16,11 +16,7 @@ them.
 from repro.runtime.checkpoint import engine_state_to_dict, restore_engine_state
 from repro.runtime.context import IngestStats, QueryStats, RuntimeContext
 from repro.runtime.query import QueryResolver, ResolvedCluster
-from repro.runtime.evaluation import (
-    evaluate_task_batch,
-    instance_profiles,
-    refine_pair_cached,
-)
+from repro.runtime.evaluation import evaluate_task_batch
 from repro.runtime.executors import (
     Executor,
     MicroBatchExecutor,
@@ -56,7 +52,5 @@ __all__ = [
     "TupleTask",
     "engine_state_to_dict",
     "evaluate_task_batch",
-    "instance_profiles",
-    "refine_pair_cached",
     "restore_engine_state",
 ]

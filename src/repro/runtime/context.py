@@ -224,6 +224,8 @@ FAMILIES: Dict[str, Tuple[Optional[str], str]] = {
         None, "ER-grid tuples examined during candidate lookup"),
     "terids_packed_store_vocabulary_size": (
         None, "Tokens in the packed store's token -> id vocabulary"),
+    "terids_packed_store_instance_rows": (
+        None, "Entries in use in the packed store's instance table"),
     "terids_dr_index_nodes_visited_total": (
         None, "aR-tree nodes visited by DR-index candidate_samples "
               "(scalar path)"),
@@ -305,6 +307,8 @@ COUNTERS: Tuple[Counter, ...] = (
             "terids_dr_index_packed_probes_total"),
     Counter("grid.vocabulary_size", None, None,
             "terids_packed_store_vocabulary_size", kind=GAUGE),
+    Counter("grid.instance_rows", None, None,
+            "terids_packed_store_instance_rows", kind=GAUGE),
 )
 
 

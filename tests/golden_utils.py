@@ -76,33 +76,40 @@ def canonical_matches(matches) -> list:
 
 
 def decoded_token_rows(store) -> dict:
-    """``{(rid, source): per-attribute token sets}`` of the single-instance
-    rows a ``PackedStore`` holds, read back through its vocabulary."""
+    """``{(rid, source): ((probability, per-attribute token sets), ...)}``
+    of every row a ``PackedStore`` holds: its run of the instance table,
+    read back through the vocabulary."""
     token_of = {index: token for token, index in store.vocabulary.items()}
     assert len(token_of) == len(store.vocabulary)
     offsets = store.token_offsets
     decoded = {}
     for source, rows in store._rows.items():
         for rid, row in rows.items():
-            if not store.single[row]:
-                continue
-            ids = store.token_ids[row].tolist()
-            sets = tuple(frozenset(token_of[index] for index in ids[low:high]
-                                   if index >= 0)
-                         for low, high in zip(offsets, offsets[1:]))
-            assert store.token_counts[row].tolist() == [len(s) for s in sets]
-            decoded[(rid, source)] = sets
+            start = int(store.inst_start[row])
+            run = []
+            for entry in range(start, start + int(store.inst_count[row])):
+                ids = store.inst_tokens[:, entry].tolist()
+                sets = tuple(frozenset(token_of[index]
+                                       for index in ids[low:high]
+                                       if index >= 0)
+                             for low, high in zip(offsets, offsets[1:]))
+                assert store.inst_sizes[:, entry].tolist() == [
+                    len(s) for s in sets]
+                run.append((float(store.inst_prob[entry]), sets))
+            decoded[(rid, source)] = tuple(run)
     return decoded
 
 
 def instance_token_rows(synopses) -> dict:
     """What :func:`decoded_token_rows` must read back for ``synopses``: the
-    per-attribute token sets of each single-instance tuple's instance."""
+    probability and per-attribute token sets of each tuple's instances, in
+    ``instances()`` order."""
     return {
         (synopsis.rid, synopsis.source): tuple(
-            synopsis.record.instances()[0].record.tokens(name)
-            for name in synopsis.schema)
-        for synopsis in synopses if len(synopsis.record.instances()) == 1}
+            (instance.probability,
+             tuple(instance.record.tokens(name) for name in synopsis.schema))
+            for instance in synopsis.record.instances())
+        for synopsis in synopses}
 
 
 def run_reference(engine_factory, workload, config) -> dict:

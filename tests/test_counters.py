@@ -114,6 +114,7 @@ _SURFACE = {
     ('terids_ingest_formation_seconds', 'histogram', ()),
     ('terids_ingest_max_queue_depth', 'gauge', ()),
     ('terids_ingest_queue_depth', 'gauge', ()),
+    ('terids_packed_store_instance_rows', 'gauge', ()),
     ('terids_packed_store_vocabulary_size', 'gauge', ()),
     ('terids_pruning_pairs_total', 'counter', ('outcome',)),
     ('terids_query_events_total', 'counter', ('kind',)),

@@ -44,7 +44,7 @@ from repro.runtime import (
     SerialExecutor,
     TupleTask,
 )
-from repro.runtime.evaluation import evaluate_task_batch, instance_profiles
+from repro.runtime.evaluation import evaluate_task_batch
 
 
 def _post(rid, gender, symptom, diagnosis, treatment, source="stream-a"):
@@ -174,26 +174,6 @@ class TestCachedEvaluation:
         assert got == [[reference.evaluate_pair(left, right)
                         for right in rights] for left, rights in items]
         assert cached.stats == reference.stats
-
-    def test_instance_profiles_cached_on_synopsis(self, health_repository,
-                                                  health_config):
-        engine = TERiDSEngine(repository=health_repository, config=health_config)
-        engine.process(_post("a1", "male", "thirst", None, "insulin"))
-        synopsis = engine.grid.synopses()[0]
-        first = instance_profiles(synopsis, health_config.keywords)
-        second = instance_profiles(synopsis, health_config.keywords)
-        assert first is second
-        assert len(first) == len(synopsis.record.instances())
-
-    def test_instance_profiles_rebuilt_for_different_keywords(
-            self, health_repository, health_config):
-        engine = TERiDSEngine(repository=health_repository, config=health_config)
-        engine.process(_post("a1", "male", "thirst", "diabetes", "insulin"))
-        synopsis = engine.grid.synopses()[0]
-        with_topic = instance_profiles(synopsis, frozenset({"diabetes"}))
-        assert with_topic[0][2] is True
-        without_topic = instance_profiles(synopsis, frozenset({"zzz"}))
-        assert without_topic[0][2] is False
 
 
 # ---------------------------------------------------------------------------

@@ -594,15 +594,19 @@ class TestEngineFacade:
             self, engine):
         """A serial engine packs nothing until its first ``resolve``."""
         assert engine.grid.packed_store is None
-        assert "terids_packed_store_vocabulary_size 0" in \
-            engine.render_metrics()
+        text = engine.render_metrics()
+        assert "terids_packed_store_vocabulary_size 0" in text
+        assert "terids_packed_store_instance_rows 0" in text
         (rid, source), _ = engine.grid.synopsis_items()[0]
         engine.resolve(rid, source)
         size = len(engine.grid.packed_store.vocabulary)
-        assert size > 0
+        entries = engine.grid.packed_store.instance_rows
+        assert size > 0 and entries >= len(engine.grid.synopses())
         text = engine.render_metrics()
         assert "# TYPE terids_packed_store_vocabulary_size gauge" in text
         assert f"terids_packed_store_vocabulary_size {size}" in text
+        assert "# TYPE terids_packed_store_instance_rows gauge" in text
+        assert f"terids_packed_store_instance_rows {entries}" in text
 
     def test_log_reporter(self, engine, caplog):
         reporter = LogReporter(engine.ctx, every_batches=2)

@@ -29,8 +29,10 @@ from golden_utils import (
 )
 from repro.core import pruning as pruning_module
 from repro.core.engine import TERiDSEngine
+from repro.core.matching import ter_ids_probability_with_cutoff
 from repro.core.pruning import (
     PAIR_BLOCK,
+    ROUND,
     VOCABULARY_FLOOR,
     PackedStore,
     PruningPipeline,
@@ -125,7 +127,8 @@ def _evaluate(items, pruning, store):
 def _assert_rows_equal_oracle(items, oracle, store):
     """Both entry points of the row cascade against ``oracle.evaluate_pair``
     pair by pair: verdicts, ``repr(probability)``, all seven counters, and
-    the kernel's survivor mask and per-strategy counts."""
+    the kernel's survivor mask and per-strategy counts.  Returns the number
+    of survivors (pairs that reach Theorem 4.4)."""
     rows = replace(oracle, stats=PruningStats())
     got = _evaluate(items, rows, store)
 
@@ -153,6 +156,7 @@ def _assert_rows_equal_oracle(items, oracle, store):
     assert (topic, similarity, probability) == (
         stats.pruned_by_topic, stats.pruned_by_similarity,
         stats.pruned_by_probability)
+    return sum(alive)
 
 
 @contextlib.contextmanager
@@ -303,31 +307,34 @@ def test_evaluate_task_batch_takes_items_pruning_and_store():
 
 
 # ---------------------------------------------------------------------------
-# Theorem 4.4 over the token columns: single-instance pairs vs the oracle
+# Theorem 4.4 over the instance table: every survivor vs the oracle
 # ---------------------------------------------------------------------------
 @contextlib.contextmanager
 def _refinement_calls():
-    """Lane counts of every ``batch_refine`` call and the synopsis pairs of
-    every ``refine_pair_cached`` call made inside the block."""
-    kernel_lanes, scalar_pairs = [], []
+    """Pair counts of every ``batch_refine`` call made inside the block."""
+    lanes = []
     kernel = evaluation_module.batch_refine
-    scalar = evaluation_module.refine_pair_cached
 
     def counted_kernel(query_rows, candidate_rows, pruning, store):
-        kernel_lanes.append(len(candidate_rows))
+        lanes.append(len(candidate_rows))
         return kernel(query_rows, candidate_rows, pruning, store)
 
-    def counted_scalar(left, right, *args):
-        scalar_pairs.append((left, right))
-        return scalar(left, right, *args)
-
     evaluation_module.batch_refine = counted_kernel
-    evaluation_module.refine_pair_cached = counted_scalar
     try:
-        yield kernel_lanes, scalar_pairs
+        yield lanes
     finally:
         evaluation_module.batch_refine = kernel
-        evaluation_module.refine_pair_cached = scalar
+
+
+@contextlib.contextmanager
+def _max_instances(cap):
+    """``ImputedRecord.MAX_INSTANCES`` set to ``cap`` (kept when ``None``)."""
+    saved = ImputedRecord.MAX_INSTANCES
+    ImputedRecord.MAX_INSTANCES = cap or saved
+    try:
+        yield
+    finally:
+        ImputedRecord.MAX_INSTANCES = saved
 
 
 def _is_single(synopsis):
@@ -350,14 +357,19 @@ single_record_strategy = st.tuples(
         st.sampled_from((1.0, 0.9, 0.6, 0.5, 0.25)))),
 )
 
+#: Keyword sets a query may be made with: the synopses' own, ones absent
+#: from every vocabulary, a mix, none.
+query_keywords_strategy = st.sampled_from(
+    (KEYWORDS, frozenset({"unseen"}), frozenset({"flu", "unseen"}),
+     frozenset()))
+
 
 @settings(max_examples=120, deadline=None)
 @given(
     records=st.lists(single_record_strategy, min_size=2, max_size=7),
     gamma=st.sampled_from((0.1, 0.3, 0.5, 0.99, 1.0, 1.5)),
     alpha=st.sampled_from((0.05, 0.2, 0.25, 0.45, 0.5, 0.54, 0.81, 0.9)),
-    keywords=st.sampled_from((KEYWORDS, frozenset({"unseen"}),
-                              frozenset({"flu", "unseen"}), frozenset())),
+    keywords=query_keywords_strategy,
     toggles=toggles_strategy,
     block=st.integers(min_value=1, max_value=9),
 )
@@ -371,29 +383,122 @@ def test_single_instance_pairs_never_leave_the_kernel(records, gamma, alpha,
                        keywords=keywords)
         for index, (symptom, diagnosis, imputed) in enumerate(records)]
     assert all(_is_single(synopsis) for synopsis in synopses)
-    with _pair_block(block), _refinement_calls() as (_, scalar_pairs):
-        _assert_rows_equal_oracle(
+    with _pair_block(block), _refinement_calls() as lanes:
+        survivors = _assert_rows_equal_oracle(
             _items(synopses), _pipeline(keywords, gamma, alpha, toggles),
             _store_of(synopses))
-    assert scalar_pairs == []
+    assert lanes == [survivors]
+
+
+#: Candidate distributions of an imputed attribute: two to four values from
+#: a pool of nested, overlapping and disjoint sets (and the empty value), on
+#: a coarse probability grid so equally likely instances are common.
+distribution_strategy = st.dictionaries(
+    st.sampled_from(("fever cough", "cough", "fever cough chills",
+                     "diabetes", "weight loss diabetes", "flu", "red eye",
+                     "")),
+    st.sampled_from((0.05, 0.1, 0.125, 0.2, 0.25)),
+    min_size=2, max_size=4)
+#: Each attribute observed or imputed: both imputed makes up to 16
+#: instances, so pairs run to 256 positions.
+multi_record_strategy = st.tuples(
+    st.one_of(single_value_strategy, distribution_strategy),
+    st.one_of(single_value_strategy, distribution_strategy))
+
+
+def _multi_synopsis(index, symptom, diagnosis):
+    candidates = {name: value for name, value
+                  in (("symptom", symptom), ("diagnosis", diagnosis))
+                  if isinstance(value, dict)}
+    return _make_synopsis(
+        index, "" if isinstance(symptom, dict) else symptom,
+        "" if isinstance(diagnosis, dict) else diagnosis, candidates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=st.lists(multi_record_strategy, min_size=2, max_size=5),
+    gamma=st.sampled_from((0.1, 0.3, 0.5, 0.99, 1.0, 1.5)),
+    alpha=st.sampled_from((0.0, 0.05, 0.2, 0.25, 0.45, 0.5, 0.54, 0.81,
+                           0.9)),
+    keywords=query_keywords_strategy,
+    use_bounds=st.booleans(),
+    use_instance=st.booleans(),
+    cap=st.sampled_from((None, None, 3, 9, 10)),
+    block=st.integers(min_value=1, max_value=9),
+)
+def test_multi_instance_pairs_equal_the_oracle(records, gamma, alpha,
+                                               keywords, use_bounds,
+                                               use_instance, cap, block):
+    """m × n pairs — a small ``MAX_INSTANCES`` leaves retained mass below
+    one — through the one kernel, verdict for verdict."""
+    toggles = (use_bounds, use_bounds, use_bounds, use_instance)
+    with _max_instances(cap), _pair_block(block), \
+            _refinement_calls() as lanes:
+        synopses = [_multi_synopsis(index, *record)
+                    for index, record in enumerate(records)]
+        survivors = _assert_rows_equal_oracle(
+            _items(synopses), _pipeline(keywords, gamma, alpha, toggles),
+            _store_of(synopses))
+    assert lanes == [survivors]
+
+
+def _round_edges(positions):
+    """First and last visit position of every ``batch_refine`` round of a
+    pair with ``positions`` instance pairs."""
+    edges, start, width = set(), 0, 1
+    while start < positions:
+        edges |= {start, min(start + width, positions) - 1}
+        start, width = start + width, ROUND if start == 0 else 2 * width
+    return sorted(edges)
+
+
+def _uniform_multi(index, prefix):
+    """Imputed on both attributes, four equally likely values each: 16
+    instances of probability 1/16, so each instance pair weighs 1/256."""
+    return _make_synopsis(index, "", "", {
+        "symptom": {f"fever {prefix}{k}": 0.25 for k in range(4)},
+        "diagnosis": {f"flu {prefix}{k}": 0.25 for k in range(4)}})
+
+
+@pytest.mark.parametrize("accept", [True, False])
+@pytest.mark.parametrize("stop", _round_edges(256))
+def test_cut_off_on_every_round_edge(stop, accept):
+    """The sums are exact in binary, so ``α`` puts the cut-off on any
+    position: here on the first and the last of every round, the pair's
+    very last one included (a rejection there is no instance pruning)."""
+    left, right = _uniform_multi(0, "a"), _uniform_multi(1, "b")
+    if accept:  # every instance pair matches
+        keywords, alpha = frozenset(), (stop + 0.5) / 256
+    else:  # none does: the unexplored mass alone decides
+        keywords, alpha = frozenset({"unseen"}), 1 - (stop + 1) / 256
+    _, is_match, checked = ter_ids_probability_with_cutoff(
+        left.record, right.record, keywords, 0.1, alpha)
+    assert (checked, is_match) == (stop + 1, accept)
+    with _refinement_calls() as lanes:
+        survivors = _assert_rows_equal_oracle(
+            [(left, [right]), (right, [left])],
+            _pipeline(keywords, 0.1, alpha, NO_BOUNDS),
+            _store_of([left, right]))
+    assert lanes == [survivors] == [2]
 
 
 @pytest.mark.parametrize("count", [PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1])
 def test_refine_kernel_matches_the_oracle_around_the_block_size(count):
     engine, oracle = _populated_engine()
-    singles = [s for s in engine.grid.synopses() if _is_single(s)]
+    synopses = engine.grid.synopses()
+    assert not all(_is_single(synopsis) for synopsis in synopses)
     oracle = replace(oracle, use_topic=False, use_similarity=False,
                      use_probability=False)
-    with _refinement_calls() as (kernel_lanes, scalar_pairs):
-        _assert_rows_equal_oracle(_items(singles, count), oracle,
-                                  _store_of(engine.grid.synopses()))
-    assert kernel_lanes == [count] and scalar_pairs == []
+    with _refinement_calls() as lanes:
+        _assert_rows_equal_oracle(_items(synopses, count), oracle,
+                                  _store_of(synopses))
+    assert lanes == [count]
 
 
 def test_mixed_batch_maps_every_verdict_back_to_its_position():
-    """Multi-instance pairs interleave with single ones: the kernel takes
-    exactly the pairs with one instance a side, the scalar sweep the rest,
-    and each verdict lands where the oracle puts it."""
+    """Multi-instance pairs interleave with single ones: one kernel call
+    takes every pair, and each verdict lands where the oracle puts it."""
     multi = {"diagnosis": {"diabetes": 0.4, "flu": 0.3}}
     synopses = [
         _make_synopsis(0, "weight loss thirst", "diabetes", None),
@@ -407,24 +512,25 @@ def test_mixed_batch_maps_every_verdict_back_to_its_position():
     assert [_is_single(s) for s in synopses] == [True, False, True, False,
                                                  True, True]
     items = _items(synopses)
-    with _refinement_calls() as (kernel_lanes, scalar_pairs):
+    with _refinement_calls() as lanes:
         _assert_rows_equal_oracle(items, _pipeline(KEYWORDS, 0.9, 0.3,
                                                    NO_BOUNDS),
                                   _store_of(synopses))
     pairs = [(query, candidate) for query, candidates in items
              for candidate in candidates]
-    expected_scalar = [pair for pair in pairs
-                       if not (_is_single(pair[0]) and _is_single(pair[1]))]
-    assert [tuple(map(id, pair)) for pair in scalar_pairs] == [
-        tuple(map(id, pair)) for pair in expected_scalar]
-    assert kernel_lanes == [len(pairs) - len(expected_scalar)]
-    # Both routes produced matches, so the positions carried real verdicts.
+    assert lanes == [len(pairs)]
+    # Both kinds of pair produced matches, so the positions carried real
+    # verdicts.
     got = _evaluate(items, _pipeline(KEYWORDS, 0.9, 0.3, NO_BOUNDS),
                     _store_of(synopses))
     flat = [verdict for item in got for verdict in item]
     for wanted in (True, False):
         assert any(is_match for (is_match, _), pair in zip(flat, pairs)
                    if (_is_single(pair[0]) and _is_single(pair[1])) is wanted)
+
+
+def _entry_of(store, synopsis, instance=0):
+    return int(store.inst_start[_row_of(store, synopsis)]) + instance
 
 
 class TestTokenColumns:
@@ -442,13 +548,19 @@ class TestTokenColumns:
         # ``instances()`` multiplies them (the candidates', not the schema's).
         synopses.append(_make_synopsis(
             4, "", "", {"diagnosis": {"flu": 0.7}, "symptom": {"red": 0.1}}))
+        synopses.append(_make_synopsis(
+            5, "", "", {"diagnosis": {"flu": 0.3, "cold": 0.3},
+                        "symptom": {"red eye": 0.5, "fever": 0.25}}))
         store = _store_of(synopses)
+        # Every row's run, multi-instance ones too, decodes to the tokens and
+        # probabilities of its instances, in ``instances()`` order.
         assert decoded_token_rows(store) == instance_token_rows(synopses)
         rows = store.rows_for(synopses)
-        assert store.single[rows].tolist() == [True, True, True, False, True]
-        assert store.instance_p[rows[[0, 1, 2, 4]]].tolist() == [
-            1.0, 1.0, 0.6, synopses[4].record.instances()[0].probability]
-        assert store.token_ids.dtype == np.int32
+        assert store.inst_count[rows].tolist() == [1, 1, 1, 2, 1, 4]
+        assert store.inst_prob[store.inst_start[rows[[0, 1, 2, 4]]]].tolist(
+        ) == [1.0, 1.0, 0.6, synopses[4].record.instances()[0].probability]
+        assert store.inst_tokens.dtype == np.int32
+        assert store.instance_rows == 10
 
     def test_a_wider_row_regrows_its_column_and_keeps_older_answers(self):
         synopses = [_make_synopsis(0, "fever cough", "flu", None),
@@ -472,13 +584,20 @@ class TestTokenColumns:
         wide = _make_synopsis(0, "fever cough chills weight loss", "flu", None)
         other = _make_synopsis(1, "fever cough chills", "flu", None)
         store = _store_of([wide, other])
-        row = _row_of(store, wide)
-        store.remove(wide.rid, wide.source)
+        assert _entry_of(store, wide) == 0
+        for synopsis in (wide, other):
+            store.remove(synopsis.rid, synopsis.source)
+        # Only garbage left: the epoch compacts the table to nothing, and
+        # the next run is written over the wide one's entry.
         store.begin_epoch()
+        assert store.instance_rows == 0
         narrow = _make_synopsis(2, "red", "", None)
-        assert store.insert(narrow) == row
+        store.insert(narrow)
+        store.insert(other)
+        assert _entry_of(store, narrow) == 0
         width = store.token_offsets[-1]
-        assert np.count_nonzero(store.token_ids[row] >= 0) == 1 < width
+        assert np.count_nonzero(
+            store.inst_tokens[:, _entry_of(store, narrow)] >= 0) == 1 < width
         assert decoded_token_rows(store) == instance_token_rows(
             [other, narrow])
         _assert_rows_equal_oracle(_items([other, narrow]), self.PIPELINE(),
@@ -535,6 +654,39 @@ def test_vocabulary_is_bounded_by_the_window_not_the_stream():
             assert decoded_token_rows(store) == instance_token_rows(resident)
             checked += 1
     assert rebuilds >= 3 and checked >= 2 * rebuilds
+
+
+def test_instance_table_is_bounded_by_the_window_not_the_stream():
+    """25 windows of multi-instance tuples: runs of evicted rows are
+    garbage until the table compacts, so it never holds more than twice the
+    live runs plus one batch's, and the answers stay the oracle's."""
+    window, batch = 20, 10
+    store = PackedStore()
+    resident, compactions = [], 0
+    for start in range(0, 25 * window, batch):
+        before = store.instance_rows
+        store.begin_epoch()
+        compactions += store.instance_rows < before
+        inserted = 0
+        for index in range(start, start + batch):
+            synopsis = _make_synopsis(index, f"fever a{index}", "", {
+                "diagnosis": {f"flu b{index}": 0.5, "cough": 0.25,
+                              f"d{index % 3}": 0.125}})
+            store.insert(synopsis)
+            inserted += len(synopsis.record.instances())
+            resident.append(synopsis)
+            if len(resident) > window:
+                evicted = resident.pop(0)
+                store.remove(evicted.rid, evicted.source)
+        live = sum(len(synopsis.record.instances()) for synopsis in resident)
+        assert store.instance_rows <= 2 * (live + inserted)
+        if start % (2 * window) == 0:
+            _assert_rows_equal_oracle(
+                _items(resident[-5:]),
+                _pipeline(frozenset(), 0.3, 0.4, NO_BOUNDS), store)
+            assert decoded_token_rows(store) == instance_token_rows(resident)
+    assert compactions >= 10
+    assert store.inst_prob.shape[0] <= 4 * (window + batch) * 3
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +859,17 @@ class TestPackedStore:
         store.begin_epoch()
         assert not _resident(store, original)
         assert _resident(store, rebuilt) and len(store) == 1
+
+    def test_refreshing_a_row_turns_its_old_run_into_garbage(self):
+        store = PackedStore()
+        synopsis = _make_synopsis(0, "fever", "", {
+            "diagnosis": {"flu": 0.5, "cold": 0.25}})
+        row = store.insert(synopsis)
+        assert [store.insert(synopsis) for _ in range(2)] == [row, row]
+        assert store.instance_rows == 6
+        store.begin_epoch()
+        assert store.instance_rows == 2
+        assert decoded_token_rows(store) == instance_token_rows([synopsis])
 
     def test_reinserting_the_removed_object_moves_it_to_a_fresh_row(self):
         store = PackedStore()
