@@ -263,12 +263,12 @@ class TERiDSEngine:
                 gamma=None) -> ResolvedCluster:
         """Resolved cluster of one in-window record, on demand.
 
-        Expands collectively around the named record through the ER-grid +
-        pruning cascade (see :mod:`repro.runtime.query`); with the default
-        ``topic`` / ``gamma`` the cluster is bit-identical to the transitive
-        closure of the eagerly maintained result set restricted to the
-        record's component.  Raises :class:`KeyError` for records outside
-        the live window.
+        With the default ``topic`` / ``gamma`` the cluster is the record's
+        connected component of the eagerly maintained result set, read off
+        it directly; an override expands collectively around the named
+        record through the ER-grid + pruning cascade (see
+        :mod:`repro.runtime.query`).  Raises :class:`KeyError` for records
+        outside the live window.
         """
         return self.resolver.resolve(rid, source, topic=topic, gamma=gamma)
 
@@ -277,10 +277,11 @@ class TERiDSEngine:
 
         ``entities`` is a sequence of ``(rid, source)`` pairs; returns the
         positionally aligned list of :class:`ResolvedCluster`.  The
-        entities share one frontier expansion and one batched cascade per
-        ring (see :meth:`~repro.runtime.query.QueryResolver.resolve_many`),
-        so a dashboard refresh over N entities costs far less than N
-        :meth:`resolve` calls while returning bit-identical clusters.
+        entities share one walk of the result set, or under an override one
+        frontier expansion and one batched cascade per ring (see
+        :meth:`~repro.runtime.query.QueryResolver.resolve_many`), so a
+        dashboard refresh over N entities costs less than N :meth:`resolve`
+        calls while returning bit-identical clusters.
         """
         return self.resolver.resolve_many(entities, topic=topic, gamma=gamma)
 

@@ -148,10 +148,14 @@ class EntityResultSet:
     """The maintained entity set ``ES`` of current TER-iDS answers.
 
     The engine adds pairs when new tuples arrive and removes every pair that
-    involves an expired tuple (Algorithm 2, lines 4–5).
+    involves an expired tuple (Algorithm 2, lines 4–5).  A per-record
+    incidence index (``(rid, source)`` → the keys of the pairs touching that
+    record) makes an expiry O(degree) and lets a reader walk the connected
+    component of one record without scanning every pair.
     """
 
     _pairs: dict = field(default_factory=dict)
+    _incident: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -166,7 +170,11 @@ class EntityResultSet:
 
     def add(self, pair: MatchPair) -> None:
         """Insert or refresh a match pair."""
-        self._pairs[pair.key()] = pair
+        key = pair.key()
+        if key not in self._pairs:
+            for source, rid in key:
+                self._incident.setdefault((rid, source), {})[key] = None
+        self._pairs[key] = pair
 
     def extend(self, pairs: Iterable[MatchPair]) -> None:
         for pair in pairs:
@@ -177,11 +185,21 @@ class EntityResultSet:
 
         Returns the number of removed pairs.
         """
-        to_remove = [key for key, pair in self._pairs.items()
-                     if pair.involves(rid, source)]
-        for key in to_remove:
+        keys = self._incident.pop((rid, source), {})
+        for key in keys:
             del self._pairs[key]
-        return len(to_remove)
+            for other_source, other_rid in key:
+                other = self._incident.get((other_rid, other_source))
+                if other is not None:
+                    del other[key]
+                    if not other:
+                        del self._incident[(other_rid, other_source)]
+        return len(keys)
+
+    def pairs_involving(self, rid: str, source: str) -> List[MatchPair]:
+        """The pairs touching one record, in the order they were added."""
+        pairs = self._pairs
+        return [pairs[key] for key in self._incident.get((rid, source), ())]
 
     def pairs(self) -> List[MatchPair]:
         """Snapshot of the current answer set."""
@@ -193,3 +211,4 @@ class EntityResultSet:
 
     def clear(self) -> None:
         self._pairs.clear()
+        self._incident.clear()

@@ -350,7 +350,8 @@ class IngestDriver:
     def resolve_many(self, entities, topic=None, gamma=None):
         """Resolve a batch of in-window entities between batches.
 
-        One shared frontier expansion serves all of them (see
+        One shared walk of the result set (or, under an override, one
+        shared frontier expansion) serves all of them (see
         :meth:`~repro.core.engine.TERiDSEngine.resolve_many`); same
         threading rules as :meth:`resolve`.
         """

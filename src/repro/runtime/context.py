@@ -65,8 +65,10 @@ class QueryStats:
 
     #: Entities resolved (one per distinct seed of a call).
     resolves: int = 0
-    #: Frontier records expanded across all resolves — the query-time
-    #: analogue of the grid's ``tuples_examined``.
+    #: Cluster members visited across all resolves, each once per call —
+    #: the records an operator-default read walks in the result set, or the
+    #: frontier records an override read expands through the grid (the
+    #: query-time analogue of the grid's ``tuples_examined``).
     frontier_expansions: int = 0
     #: All-zero stubs, not counters: there is no result cache any more.
     #: Kept only because the frozen end-to-end benchmark reads these three

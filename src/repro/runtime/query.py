@@ -1,32 +1,38 @@
 """Query-time (on-demand) entity resolution over the live window.
 
-Eager TER-iDS resolves every *arriving* tuple against the window; nothing
-answers the inverse question — "what is entity X's resolved cluster right
-now?" — which is the read path an interactive service tier needs.
-Following the query-time ER formulation of Bhattacharya & Getoor, the
-:class:`QueryResolver` resolves *lazily around the named query*: it seeds a
-frontier from the query record's grid synopsis, retrieves each frontier
-ring's candidates through :meth:`~repro.indexes.er_grid.ERGrid.candidate_rows`
-(cell-level Theorems 4.1 / Lemma 4.2), evaluates the ring with the row
-cascade + Theorem 4.4 refinement of :mod:`repro.runtime.evaluation`,
-and expands collectively — matched neighbours join the frontier — until a
-fixpoint.
+Eager TER-iDS resolves every *arriving* tuple against the window; the
+:class:`QueryResolver` answers the inverse question — "what is entity X's
+resolved cluster right now?" — which is the read path an interactive
+service tier needs.
 
-**Equivalence to eager resolution.**  A pair of in-window records from two
-different streams is in the maintained result set ``ES`` iff the pure
+**Operator-default reads walk ``ES``.**  A pair of in-window records from
+two different streams is in the maintained result set ``ES`` iff the pure
 pairwise cascade calls it a match: the pair was evaluated when the later of
 the two arrived (the earlier one was already in-window, and both still
-are), and pairs only leave ``ES`` when an endpoint leaves the window.  The
-resolver evaluates exactly that cascade over exactly those pairs — each
-oriented as the eager path saw it, ``(later arrival, earlier arrival)``, so
-probabilities accumulate in the same order — which makes the returned
-cluster the connected component of the query record under the eager match
-edges: bit-identical to the transitive closure of ``ES`` restricted to the
-query's component (pinned by ``tests/test_query_time.py`` under both
-executors).
+are), and pairs only leave ``ES`` when an endpoint leaves the window
+(Algorithm 2, lines 4–5 and 11–13).  So under the operator's topic and
+``γ`` the resolved cluster *is* the query record's connected component of
+``ES``, and a read walks it through the result set's per-record incidence
+index: no grid lookup, no cascade, no packed store.
 
-The resolver keeps no state between calls: every lookup expands against the
-live grid, so there is nothing for window maintenance to invalidate.
+**Override reads expand.**  A ``topic=`` or ``gamma=`` other than the
+operator's asks a question ``ES`` does not answer.  Following the
+query-time ER formulation of Bhattacharya & Getoor, the resolver then
+resolves *lazily around the named query*: it seeds a frontier from the
+query record's grid synopsis, retrieves each frontier ring's candidates
+through :meth:`~repro.indexes.er_grid.ERGrid.candidate_rows` (cell-level
+Theorems 4.1 / Lemma 4.2), evaluates the ring with the row cascade +
+Theorem 4.4 refinement of :mod:`repro.runtime.evaluation`, and expands
+collectively — matched neighbours join the frontier — until a fixpoint.
+Each pair is oriented as the eager path would have seen it, ``(later
+arrival, earlier arrival)``, so probabilities accumulate in the same order.
+Run under the operator defaults, that expansion returns exactly the ``ES``
+walk's members and edges (``tests/test_query_time.py`` keeps it pinned as
+the oracle of the walk, under both executors).
+
+The resolver keeps no state between calls: every read walks the live
+result set or expands against the live grid, so there is nothing for
+window maintenance to invalidate.
 """
 
 from __future__ import annotations
@@ -75,11 +81,12 @@ class ResolvedCluster:
 class QueryResolver:
     """Stateless on-demand collective resolution over the live window.
 
-    Runs against the live grid whichever executor drives the eager path.
-    Every ring is evaluated by the row cascade, so the first lookup on a
-    ``SerialExecutor`` engine enables the grid's packed store (back-filled
-    from the window, maintained from then on); the eager path keeps running
-    the scalar oracle and its answers do not change.
+    An operator-default read walks the maintained result set.  An override
+    read expands against the live grid whichever executor drives the eager
+    path; every ring is evaluated by the row cascade, so the first override
+    read on a ``SerialExecutor`` engine enables the grid's packed store
+    (back-filled from the window, maintained from then on); the eager path
+    keeps running the scalar oracle and its answers do not change.
 
     Parameters
     ----------
@@ -94,14 +101,15 @@ class QueryResolver:
     def resolve(self, rid: str, source: str,
                 topic: Optional[FrozenSet[str]] = None,
                 gamma: Optional[float] = None) -> ResolvedCluster:
-        """Resolved cluster of one in-window record, expanding collectively.
+        """Resolved cluster of one in-window record.
 
         ``topic`` / ``gamma`` default to the operator configuration — with
-        the defaults the cluster equals the eager transitive closure; a
-        caller may narrow a lookup to a different topic keyword set or a
-        stricter similarity threshold, which re-runs the same cascade under
-        those parameters (minus Theorem 4.1 under another topic: the
-        synopses' keyword flags only speak for the operator's keywords).
+        the defaults the cluster is the record's connected component of the
+        eager result set, read off it directly; a caller may narrow a
+        lookup to a different topic keyword set or a stricter similarity
+        threshold, which re-runs the cascade under those parameters (minus
+        Theorem 4.1 under another topic: the synopses' keyword flags only
+        speak for the operator's keywords).
 
         Raises :class:`KeyError` when the record is not in the live window.
         """
@@ -110,17 +118,18 @@ class QueryResolver:
     def resolve_many(self, entities,
                      topic: Optional[FrozenSet[str]] = None,
                      gamma: Optional[float] = None) -> List[ResolvedCluster]:
-        """Resolve several in-window records in one collective expansion.
+        """Resolve several in-window records in one shared walk or expansion.
 
         ``entities`` is a sequence of ``(rid, source)`` pairs; the result
         list is positionally aligned with it.  All of them join ONE shared
-        frontier — the fixpoint loop seeds every entity at once, so
-        overlapping neighbourhoods are expanded once, each candidate ring
-        is evaluated in one batched cascade across all queries, and a pair
-        of records is never evaluated twice however many queries reach it.
-        Per-seed clusters are then read off the connected components of the
-        shared match edges — so every returned cluster is bit-identical to
-        what :meth:`resolve` would have returned for that entity alone.
+        walk of the result set (operator defaults) or ONE shared frontier
+        (an override: overlapping neighbourhoods are expanded once, each
+        candidate ring is evaluated in one batched cascade across all
+        queries, and a pair of records is never evaluated twice however many
+        queries reach it).  Per-seed clusters are then read off the
+        connected components of the shared match edges — so every returned
+        cluster is bit-identical to what :meth:`resolve` would have
+        returned for that entity alone.
 
         Raises :class:`KeyError` when any named record is not in the live
         window (before any expansion work is done).
@@ -142,25 +151,52 @@ class QueryResolver:
         seeds = list(dict.fromkeys(keys))
         ctx.query.resolves += len(seeds)
         with tel.span("resolve"):
-            members, edges = self._collect(seeds, keywords, gamma_value)
+            if keywords == pruning.keywords and gamma_value == pruning.gamma:
+                members, edges = self._walk(seeds)
+            else:
+                members, edges = self._collect(seeds, keywords, gamma_value)
         components = self._components(members, edges)
         resolved = {
-            seed: self._component_cluster(seed, components[seed], edges,
-                                          keywords, gamma_value)
+            seed: ResolvedCluster(rid=seed[0], source=seed[1], topic=keywords,
+                                  gamma=gamma_value,
+                                  members=components[seed][0],
+                                  pairs=components[seed][1])
             for seed in seeds}
         tel.observe_resolve(perf_counter() - start)
         return [resolved[key] for key in keys]
 
-    # -- collective expansion ------------------------------------------------
+    # -- operator defaults: walk the result set -----------------------------
+    def _walk(self, seeds: List[RecordKey]) -> Tuple[Set[RecordKey],
+                                                     Dict[Tuple, MatchPair]]:
+        """Shared walk of the result set ``ES`` from all ``seeds``.
+
+        Returns the members (the union of every seed's connected component
+        of ``ES``) and their match edges, each the pair ``ES`` holds.
+        """
+        result_set = self.ctx.result_set
+        members: Set[RecordKey] = set(seeds)
+        edges: Dict[Tuple, MatchPair] = {}
+        stack = list(seeds)
+        while stack:
+            for pair in result_set.pairs_involving(*stack.pop()):
+                edges[pair.key()] = pair
+                for endpoint in ((pair.left_rid, pair.left_source),
+                                 (pair.right_rid, pair.right_source)):
+                    if endpoint not in members:
+                        members.add(endpoint)
+                        stack.append(endpoint)
+        self.ctx.query.frontier_expansions += len(members)
+        return members, edges
+
+    # -- overrides: collective expansion -------------------------------------
     def _collect(self, seeds: List[RecordKey], keywords: FrozenSet[str],
-                 gamma: float) -> Tuple[Dict[RecordKey, RecordSynopsis],
+                 gamma: float) -> Tuple[Set[RecordKey],
                                         Dict[Tuple, MatchPair]]:
         """Shared frontier fixpoint around all ``seeds``.
 
-        Returns the member-synopsis map (the union of every seed's
-        transitive closure) and the match edges found; each candidate pair
-        is evaluated exactly once across all seeds, in the orientation the
-        eager path saw it.
+        Returns the members (the union of every seed's transitive closure)
+        and the match edges found; each candidate pair is evaluated exactly
+        once across all seeds, in the orientation the eager path saw it.
         """
         ctx = self.ctx
         grid = ctx.grid
@@ -248,13 +284,18 @@ class QueryResolver:
                                 ring.append(endpoint)
         finally:
             grid.cells_examined, grid.tuples_examined = saved
-        return members, edges
+        return set(members), edges
 
     @staticmethod
-    def _components(members: Dict[RecordKey, RecordSynopsis],
-                    edges: Dict[Tuple, MatchPair]) -> Dict[RecordKey,
-                                                           Set[RecordKey]]:
-        """Connected components of the match edges over ``members``."""
+    def _components(members: Set[RecordKey], edges: Dict[Tuple, MatchPair]
+                    ) -> Dict[RecordKey, Tuple[Tuple[Tuple[str, str], ...],
+                                               Tuple[MatchPair, ...]]]:
+        """Each member's connected component under the match edges, as the
+        cluster's sorted ``(source, rid)`` members and sorted edges.
+
+        Members and edges are grouped by component root in one pass each,
+        so a call costs O(members + edges) however many seeds share it.
+        """
         parent: Dict[RecordKey, RecordKey] = {key: key for key in members}
 
         def find(key: RecordKey) -> RecordKey:
@@ -269,21 +310,14 @@ class QueryResolver:
             left = (pair.left_rid, pair.left_source)
             right = (pair.right_rid, pair.right_source)
             parent[find(left)] = find(right)
-        groups: Dict[RecordKey, Set[RecordKey]] = {}
-        for key in members:
-            groups.setdefault(find(key), set()).add(key)
-        return {key: groups[find(key)] for key in members}
-
-    @staticmethod
-    def _component_cluster(seed: RecordKey, component: Set[RecordKey],
-                           edges: Dict[Tuple, MatchPair],
-                           keywords: FrozenSet[str],
-                           gamma: float) -> ResolvedCluster:
-        """Build one seed's cluster from its component's members + edges."""
-        pairs = [pair for pair in edges.values()
-                 if (pair.left_rid, pair.left_source) in component]
-        return ResolvedCluster(
-            rid=seed[0], source=seed[1], topic=keywords, gamma=gamma,
-            members=tuple(sorted((source, rid)
-                                 for rid, source in component)),
-            pairs=tuple(sorted(pairs, key=lambda pair: pair.key())))
+        groups: Dict[RecordKey, Tuple[List, List[MatchPair]]] = {}
+        for rid, source in members:
+            groups.setdefault(find((rid, source)), ([], []))[0].append(
+                (source, rid))
+        for pair in edges.values():
+            groups[find((pair.left_rid, pair.left_source))][1].append(pair)
+        clusters = {
+            root: (tuple(sorted(component)),
+                   tuple(sorted(pairs, key=lambda pair: pair.key())))
+            for root, (component, pairs) in groups.items()}
+        return {key: clusters[find(key)] for key in members}

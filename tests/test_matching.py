@@ -1,6 +1,11 @@
 """Unit tests for the TER-iDS probability (Eq. (2)) and the result set."""
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matching import (
     EntityResultSet,
@@ -11,7 +16,11 @@ from repro.core.matching import (
     ter_ids_probability_with_cutoff,
     topic_predicate,
 )
+from repro.core.config import TERiDSConfig
+from repro.core.engine import TERiDSEngine
 from repro.core.tuples import ImputedRecord, Instance, Record, Schema
+from repro.datasets.synthetic import generate_dataset
+from repro.ingest import BatchPolicy, IngestDriver, ReplaySource
 
 SCHEMA = Schema(attributes=("x", "y"))
 
@@ -204,3 +213,96 @@ class TestEntityResultSet:
         assert len(result_set.pair_keys()) == 2
         result_set.clear()
         assert len(result_set) == 0
+
+
+class ListResultSet:
+    """Reference model of ``EntityResultSet``: a list scanned per call."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def add(self, pair):
+        for index, held in enumerate(self.pairs):
+            if held.key() == pair.key():
+                self.pairs[index] = pair
+                return
+        self.pairs.append(pair)
+
+    def remove_record(self, rid, source):
+        kept = [pair for pair in self.pairs if not pair.involves(rid, source)]
+        removed = len(self.pairs) - len(kept)
+        self.pairs = kept
+        return removed
+
+
+_ENDPOINTS = st.tuples(st.sampled_from(["r0", "r1", "r2", "r3", "r4"]),
+                       st.sampled_from(["a", "b", "c"]))
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _ENDPOINTS, _ENDPOINTS,
+              st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("remove"), _ENDPOINTS),
+    st.tuples(st.just("clear"))), max_size=60)
+
+
+@given(operations=_OPERATIONS)
+@settings(max_examples=200, deadline=None)
+def test_result_set_equals_a_list_backed_model(operations):
+    """Random add / refresh / remove_record / clear sequences: the indexed
+    result set answers exactly as a list scanned on every call, in the
+    same order (a refresh keeps the pair's place)."""
+    result_set, model = EntityResultSet(), ListResultSet()
+    for operation in operations:
+        if operation[0] == "add":
+            _, (left_rid, left_source), (right_rid, right_source), p = \
+                operation
+            pair = MatchPair(left_rid, left_source, right_rid, right_source, p)
+            result_set.add(pair)
+            model.add(pair)
+        elif operation[0] == "remove":
+            assert result_set.remove_record(*operation[1]) == \
+                model.remove_record(*operation[1])
+        else:
+            result_set.clear()
+            model.pairs = []
+        assert result_set.pairs() == model.pairs
+        assert list(result_set) == model.pairs
+        assert len(result_set) == len(model.pairs)
+        assert result_set.pair_keys() == {pair.key() for pair in model.pairs}
+        for pair in model.pairs:
+            assert pair in result_set
+        for rid in ("r0", "r1", "r2", "r3", "r4"):
+            for source in ("a", "b", "c"):
+                assert result_set.pairs_involving(rid, source) == [
+                    pair for pair in model.pairs
+                    if pair.involves(rid, source)]
+                absent = MatchPair(rid, source, "r9", "z", 0.5)
+                assert absent not in result_set
+
+
+def test_driver_checkpoints_keep_their_keys_and_match_order():
+    """The checkpoint after every batch of a fixed driver run holds the
+    same keys and the same ``matches`` list, pair for pair and in order,
+    as before the result set was indexed by record (digest pinned from the
+    list-scanning implementation)."""
+    workload = generate_dataset("citations", missing_rate=0.3, scale=2.0,
+                                seed=7)
+    config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
+                          alpha=0.3, similarity_ratio=0.3, window_size=40)
+    engine = TERiDSEngine(repository=workload.repository, config=config)
+    snapshots = []
+    driver = IngestDriver(
+        engine, [ReplaySource(workload.interleaved_records())],
+        policy=BatchPolicy(max_batch=8),
+        on_batch=lambda driver, _: snapshots.append(
+            driver.checkpoint()["matches"]))
+    driver.run()
+    assert sorted(driver.checkpoint()) == [
+        "dr_index", "grid_counters", "imputation_stats", "ingest",
+        "ingest_stats", "matches", "pruning_stats", "query_stats",
+        "repository_size", "rule_installs", "telemetry", "timer",
+        "timestamps_processed", "windows"]
+    assert len(snapshots) == 43
+    assert max(len(matches) for matches in snapshots) > 10
+    digest = hashlib.sha256(json.dumps(snapshots).encode()).hexdigest()
+    assert digest == ("40a630d5fc31e051b0199f748844a850"
+                      "0c7cb5b9539730db0449eaa82b4d6fb5")

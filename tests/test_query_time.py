@@ -7,6 +7,10 @@ The heavyweight guarantees:
   connected component (members, pair orientation, probabilities and
   timestamps all bit-identical), for *every* in-window entity, under both
   executors and at any point mid-stream;
+* **Expansion oracle** — an operator-default read walks the result set, so
+  the grid + cascade expansion it replaced (``QueryResolver._collect``,
+  still what an override read runs) is pinned to find exactly the walk's
+  members and edges;
 * **Freshness** — the resolver is stateless, so every answer reflects the
   window as window maintenance (insert, count-based expiry, checkpoint
   restore) left it;
@@ -157,9 +161,10 @@ def test_resolve_mid_stream_tracks_the_moving_window():
 @pytest.mark.parametrize("dataset,scale,seed,window", GOLDEN_WORKLOADS)
 def test_serial_run_continued_after_a_read_equals_the_golden(dataset, scale,
                                                             seed, window):
-    """The first ``resolve`` on a serial engine enables the grid's packed
-    store (the row cascade is the only one the resolver has); the store a
-    read enabled must not change a later eager answer or counter."""
+    """Operator-default reads walk the result set and leave a serial
+    engine's packed store off; the first override read enables it (the row
+    cascade is the only one the resolver expands with).  The store a read
+    enabled must not change a later eager answer or counter."""
     workload = build_workload(dataset, scale, seed)
     engine = TERiDSEngine(repository=workload.repository,
                           config=build_config(workload, window),
@@ -169,9 +174,13 @@ def test_serial_run_continued_after_a_read_equals_the_golden(dataset, scale,
         records = list(workload.interleaved_records())
         middle = len(records) // 2
         matches = engine.process_batch(records[:middle])
-        assert engine.grid.packed_store is None
         for (rid, source), _ in engine.grid.synopsis_items():
             assert_cluster_equals_closure(engine, rid, source)
+        assert engine.grid.packed_store is None
+        stricter = engine.pruning.gamma + 0.25
+        for (rid, source), _ in engine.grid.synopsis_items():
+            assert engine.resolve(rid, source, gamma=stricter).gamma == \
+                stricter
         assert engine.grid.packed_store is not None
         for record in records[middle:]:
             matches += engine.process_batch([record])
@@ -180,6 +189,44 @@ def test_serial_run_continued_after_a_read_equals_the_golden(dataset, scale,
             golden["result_set"]
         assert engine.pruning.stats.as_dict() == golden["pruning_stats"]
         assert engine.imputer.stats.as_dict() == golden["imputation_stats"]
+    finally:
+        engine.close()
+
+
+def _expansion_equals_walk(engine, keys):
+    """``_collect`` under the operator defaults — the grid + cascade
+    expansion — must find exactly the members and edges the ``ES`` walk
+    reads, pair for pair (orientation, probability, timestamp)."""
+    resolver, pruning = engine.resolver, engine.pruning
+    for key in keys:
+        walked_members, walked_edges = resolver._walk([key])
+        members, edges = resolver._collect([key], pruning.keywords,
+                                           pruning.gamma)
+        assert members == walked_members, key
+        assert sorted(map(_pair_tuple, edges.values())) == \
+            sorted(map(_pair_tuple, walked_edges.values())), key
+    members, edges = resolver._collect(keys, pruning.keywords, pruning.gamma)
+    assert (members, edges) == resolver._walk(keys)
+
+
+@pytest.mark.parametrize("make_executor", EXECUTORS)
+@pytest.mark.parametrize("dataset,scale,seed,window", GOLDEN_WORKLOADS)
+def test_expansion_oracle_equals_the_result_set_walk(make_executor, dataset,
+                                                     scale, seed, window):
+    """Default reads answer from ``ES``; the expansion they replaced stays
+    the oracle, for every in-window entity, mid-stream and at the end."""
+    workload = build_workload(dataset, scale, seed)
+    engine = TERiDSEngine(repository=workload.repository,
+                          config=build_config(workload, window),
+                          executor=make_executor())
+    try:
+        records = list(workload.interleaved_records())
+        middle = len(records) // 2
+        for batch in (records[:middle], records[middle:]):
+            engine.process_batch(batch)
+            keys = [key for key, _ in engine.grid.synopsis_items()]
+            assert len(engine.current_matches()) > 0
+            _expansion_equals_walk(engine, keys)
     finally:
         engine.close()
 

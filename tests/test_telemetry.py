@@ -592,13 +592,16 @@ class TestEngineFacade:
 
     def test_vocabulary_gauge_reads_zero_until_a_read_enables_the_store(
             self, engine):
-        """A serial engine packs nothing until its first ``resolve``."""
+        """A serial engine packs nothing until its first override read;
+        an operator-default read walks the result set and packs nothing."""
         assert engine.grid.packed_store is None
         text = engine.render_metrics()
         assert "terids_packed_store_vocabulary_size 0" in text
         assert "terids_packed_store_instance_rows 0" in text
         (rid, source), _ = engine.grid.synopsis_items()[0]
         engine.resolve(rid, source)
+        assert engine.grid.packed_store is None
+        engine.resolve(rid, source, gamma=engine.pruning.gamma + 0.25)
         size = len(engine.grid.packed_store.vocabulary)
         entries = engine.grid.packed_store.instance_rows
         assert size > 0 and entries >= len(engine.grid.synopses())
