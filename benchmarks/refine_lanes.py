@@ -1,8 +1,14 @@
-"""Where Theorem 4.4's work goes: survivors, instance pairs and kernel lanes.
+"""Where the ER phase's kernel work goes: bound-kernel lanes, survivors,
+instance pairs and refinement lanes.
 
 Drives one pass of each end-to-end benchmark workload (the inputs and the
 driver of ``benchmarks/e2e``, which this script only reads) and counts, for
-the pairs that survive the three bound strategies and reach
+the pairs ``batch_prune`` takes:
+
+* ``gathered`` — the pairs Theorem 4.1 keeps, the only ones whose rows are
+  gathered for the Theorem 4.2 / 4.3 blocks, of all the pairs that enter;
+
+and for the pairs that survive the three bound strategies and reach
 ``batch_refine``:
 
 * ``survivors`` — every pair the kernel decides;
@@ -38,10 +44,15 @@ from repro.runtime import evaluation as evaluation_module  # noqa: E402
 
 
 def count_pass(spec, seed: int, seconds: float) -> dict:
-    counts = dict(survivors=0, single=0, multi=0, visited=0, possible=0,
-                  lanes=0)
+    counts = dict(gathered=0, survivors=0, single=0, multi=0,
+                  visited=0, possible=0, lanes=0)
+    gather = pruning_module.gather_rows
     kernel = evaluation_module.batch_refine
     chi = pruning_module._instance_pairs_match
+
+    def counted_gather(store, index):
+        counts["gathered"] += len(index)
+        return gather(store, index)
 
     def counted_kernel(query_rows, candidate_rows, pruning, store):
         sizes = (store.inst_count[query_rows]
@@ -64,13 +75,18 @@ def count_pass(spec, seed: int, seconds: float) -> dict:
         counts["lanes"] += len(left)
         return chi(left, *args)
 
+    pruning_module.gather_rows = counted_gather
     evaluation_module.batch_refine = counted_kernel
     pruning_module._instance_pairs_match = counted_chi
     try:
-        harness.run_pass(build_inputs(spec, seed, seconds), False)
+        result = harness.run_pass(build_inputs(spec, seed, seconds), False)
     finally:
+        pruning_module.gather_rows = gather
         evaluation_module.batch_refine = kernel
         pruning_module._instance_pairs_match = chi
+    # Every block gathers both sides, query then candidate, equally long.
+    counts["gathered"] //= 2
+    counts["pairs"] = result.outputs.pruning[0]  # pairs_considered
     return counts
 
 
@@ -79,13 +95,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=10)
     args = parser.parse_args(argv)
-    print("| workload | survivors | 1 × 1 | multi-instance (instance pairs "
-          "visited of possible) | lanes evaluated |")
-    print("|---|---|---|---|---|")
+    print("| workload | bound-kernel lanes gathered (of pairs in) | survivors "
+          "| 1 × 1 | multi-instance (instance pairs visited of possible) "
+          "| lanes evaluated |")
+    print("|---|---|---|---|---|---|")
     for spec in WORKLOADS:
         c = count_pass(spec, args.seed, args.seconds)
         share = c["single"] / max(1, c["survivors"])
-        print(f"| `{spec.name}` | {c['survivors']:,} | {c['single']:,} "
+        print(f"| `{spec.name}` | {c['gathered']:,} of {c['pairs']:,} "
+              f"| {c['survivors']:,} | {c['single']:,} "
               f"({share:.1%}) | {c['multi']:,} ({c['visited']:,} of "
               f"{c['possible']:,}) | {c['lanes']:,} |")
     return 0

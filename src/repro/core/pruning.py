@@ -796,12 +796,12 @@ class PackedStore:
 
 
 def gather_rows(store: PackedStore, index):
-    """The 7-tuple of stacked kernel inputs for one row set: one
-    fancy-indexing copy per packed column."""
+    """The 6-tuple of stacked bound-kernel inputs for one row set: one
+    fancy-indexing copy per packed column (the keyword column is read on
+    its own, before any gather)."""
     return (store.dist_lb[index], store.dist_ub[index],
             store.tok_min[index], store.tok_max[index],
-            store.may_kw[index], store.limits[index],
-            store.totals[index])
+            store.limits[index], store.totals[index])
 
 
 def _sequential_sum(stacked, axis_length: int):
@@ -852,10 +852,12 @@ def batch_prune(query_rows, candidate_rows, pruning: PruningPipeline,
 
     ``query_rows`` and ``candidate_rows`` are equal-length integer arrays of
     resident ``store`` rows, pair ``k`` being ``(query_rows[k],
-    candidate_rows[k])``; any number of distinct queries may be mixed.  The
-    pairs run through the kernel body (:func:`batch_prune_stacked`) in
-    blocks of :data:`PAIR_BLOCK`, under the thresholds and strategy
-    switches of ``pruning``.
+    candidate_rows[k])``; any number of distinct queries may be mixed.
+    Theorem 4.1 is decided first, for every pair at once, from the store's
+    keyword column alone; only the pairs it keeps are gathered
+    (:func:`gather_rows`) and run through the Theorem 4.2 / 4.3 kernel body
+    (:func:`batch_prune_stacked`) in blocks of :data:`PAIR_BLOCK`, under the
+    thresholds and strategy switches of ``pruning``.
 
     Returns ``(alive, pruned_topic, pruned_similarity, pruned_probability)``
     where ``alive`` is the boolean survivor mask over the pairs (in order)
@@ -867,45 +869,48 @@ def batch_prune(query_rows, candidate_rows, pruning: PruningPipeline,
     same IEEE operations on the same operands, only batched.
     """
     count = len(candidate_rows)
-    alive = _np.empty(count, dtype=bool)
-    pruned = _np.zeros(3, dtype=_np.int64)  # topic, similarity, probability
-    for start in range(0, count, PAIR_BLOCK):
+    alive = _np.zeros(count, dtype=bool)
+    kept = slice(None)
+    if pruning.use_topic and pruning.keywords:
+        kept = (store.may_kw[query_rows]
+                | store.may_kw[candidate_rows]).nonzero()[0]
+        query_rows, candidate_rows = query_rows[kept], candidate_rows[kept]
+    lanes = len(candidate_rows)
+    survivors = _np.empty(lanes, dtype=bool)
+    pruned = _np.zeros(2, dtype=_np.int64)  # similarity, probability
+    for start in range(0, lanes, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        alive[block], *block_pruned = batch_prune_stacked(
+        survivors[block], *block_pruned = batch_prune_stacked(
             gather_rows(store, query_rows[block]),
             gather_rows(store, candidate_rows[block]), pruning)
         pruned += block_pruned
-    return (alive, *pruned.tolist())
+    alive[kept] = survivors
+    return (alive, count - lanes, *pruned.tolist())
 
 
 def batch_prune_stacked(query_stacked, stacked, pruning: PruningPipeline):
-    """The :func:`batch_prune` cascade over pre-stacked kernel inputs.
+    """Theorems 4.2 and 4.3 over pre-stacked kernel inputs: the part of the
+    :func:`batch_prune` cascade that runs on the pairs Theorem 4.1 kept.
 
     ``query_stacked`` and ``stacked`` are the two sides of the pairs in the
-    7-tuple layout of :func:`gather_rows`: lane ``k`` is the pair
-    ``(query_stacked[k], stacked[k])``.
+    6-tuple layout of :func:`gather_rows`: lane ``k`` is the pair
+    ``(query_stacked[k], stacked[k])``.  Returns ``(alive,
+    pruned_similarity, pruned_probability)``.
     """
-    keywords, gamma, alpha = pruning.keywords, pruning.gamma, pruning.alpha
+    gamma, alpha = pruning.gamma, pruning.alpha
     (query_lb, query_ub, query_tok_min, query_tok_max,
-     query_may_kw, query_limits, query_totals) = query_stacked
+     query_limits, query_totals) = query_stacked
     (cand_lb, cand_ub, cand_tok_min, cand_tok_max,
-     cand_may_kw, cand_limits, cand_totals) = stacked
+     cand_limits, cand_totals) = stacked
 
-    alive = _np.ones(len(cand_may_kw), dtype=bool)
-    pruned_topic = 0
+    alive = _np.ones(len(cand_limits), dtype=bool)
     pruned_similarity = 0
     pruned_probability = 0
-
-    # --- Theorem 4.1: topic keyword pruning --------------------------------
-    if pruning.use_topic and keywords:
-        topic_mask = ~(query_may_kw | cand_may_kw)
-        pruned_topic = int(_np.count_nonzero(topic_mask))
-        alive &= ~topic_mask
 
     dimensionality = cand_lb.shape[1]
 
     # --- Theorem 4.2: similarity upper bound (Lemmas 4.1 + 4.2) ------------
-    if pruning.use_similarity and alive.any():
+    if pruning.use_similarity:
         per_attribute = attribute_similarity_upper_bound_batch(
             query_tok_min, query_tok_max, cand_tok_min, cand_tok_max)
         size_bound = _sequential_sum(per_attribute, dimensionality)
@@ -960,7 +965,7 @@ def batch_prune_stacked(query_stacked, stacked, pruning: PruningPipeline):
         pruned_probability = int(_np.count_nonzero(probability_mask))
         alive &= ~probability_mask
 
-    return alive, pruned_topic, pruned_similarity, pruned_probability
+    return alive, pruned_similarity, pruned_probability
 
 
 def _paley_zygmund_yields(margin: float, disjoint, gap, spread):

@@ -3,21 +3,22 @@
 The grid partitions the pivot-converted space ``[0, 1]^d`` into equal-size
 cells.  Every in-window imputed tuple is registered in all cells its
 coordinate rectangle (the per-attribute main-pivot distance intervals of its
-possible values) intersects.  Cells maintain aggregates — a keyword flag,
-per-attribute distance intervals and token-size intervals — which allow the
-engine to discard whole cells with the topic and similarity bounds before
-looking at individual tuples.
+possible values) intersects.  Cells maintain two aggregates — a keyword flag
+and per-attribute distance intervals — which allow the engine to discard
+whole cells with the topic and similarity bounds before looking at
+individual tuples.
 
-The grid is maintained incrementally: expired tuples are evicted and their
-cells' aggregates recomputed; new tuples are inserted together with their
-pre-computed :class:`~repro.core.pruning.RecordSynopsis`.
+The grid is maintained one tuple at a time (Algorithm 2): an insert widens
+the aggregates of the tuple's cells, an eviction swap-deletes the tuple from
+each cell's member columns and re-derives the cell's aggregates from the
+remaining members with one ``min`` / ``max`` / ``any`` each.  New tuples
+arrive with their pre-computed :class:`~repro.core.pruning.RecordSynopsis`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -26,102 +27,87 @@ import numpy as _np
 from repro.core.pruning import PackedStore, RecordSynopsis, batch_cell_scan
 from repro.core.tuples import Schema
 
+#: Member slots a new cell allocates; a full cell doubles its columns.
+_CELL_CAPACITY = 4
 
-@dataclass
+
 class GridCell:
-    """One cell of the ER-grid with its aggregates."""
+    """One cell of the ER-grid: its members and their aggregates.
 
-    coordinates: Tuple[int, ...]
-    entries: Dict[Tuple[str, str], RecordSynopsis] = field(default_factory=dict)
-    may_have_keyword: bool = False
-    distance_intervals: Optional[List[Tuple[float, float]]] = None
-    token_size_intervals: Optional[List[Tuple[int, int]]] = None
-    #: The cell's row of the grid's :class:`CellStore` (``None`` while the
-    #: cell is not live).
-    row: Optional[int] = None
+    Every member owns a slot of three dense columns — its main-pivot
+    rectangle (``lb`` / ``ub``, one row of ``d`` floats each) and its
+    keyword flag (``kw``).  :attr:`slots` maps a member's ``(rid, source)``
+    key to its slot and :attr:`keys` maps the slots ``0 .. len - 1`` back.
+    The aggregates are ``low`` / ``high`` (the ``(d,)`` per-attribute
+    extremes of the members' rectangles) and :attr:`may_have_keyword`.
+
+    An insert appends a slot and widens the aggregates; an eviction moves
+    the last slot into the freed one and re-derives the aggregates from the
+    live slots — one ``min`` / ``max`` / ``any`` each, exact, so they equal
+    a scalar walk over the members value for value.  The grid drops a cell
+    its last member leaves.
+    """
+
+    __slots__ = ("coordinates", "slots", "keys", "lb", "ub", "kw", "low",
+                 "high", "may_have_keyword", "row")
+
+    def __init__(self, coordinates: Tuple[int, ...],
+                 dimensionality: int) -> None:
+        self.coordinates = coordinates
+        self.slots: Dict[Tuple[str, str], int] = {}
+        self.keys: List[Tuple[str, str]] = []
+        self.lb = _np.empty((_CELL_CAPACITY, dimensionality))
+        self.ub = _np.empty((_CELL_CAPACITY, dimensionality))
+        self.kw = _np.empty(_CELL_CAPACITY, dtype=bool)
+        self.low = None
+        self.high = None
+        self.may_have_keyword = False
+        #: The cell's row of the grid's :class:`CellStore` (``None`` while
+        #: the cell is not live).
+        self.row: Optional[int] = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
-    def recompute(self, schema: Schema) -> None:
-        """Refresh the cell aggregates from its current entries."""
-        if not self.entries:
-            self.may_have_keyword = False
-            self.distance_intervals = None
-            self.token_size_intervals = None
-            return
-        self.may_have_keyword = any(entry.may_have_keyword
-                                    for entry in self.entries.values())
-        distance: List[Tuple[float, float]] = []
-        sizes: List[Tuple[int, int]] = []
-        for attribute in schema:
-            lows = []
-            highs = []
-            size_lows = []
-            size_highs = []
-            for entry in self.entries.values():
-                low, high = entry.main_interval(attribute)
-                lows.append(low)
-                highs.append(high)
-                size_low, size_high = entry.token_size_bounds[attribute]
-                size_lows.append(size_low)
-                size_highs.append(size_high)
-            distance.append((min(lows), max(highs)))
-            sizes.append((min(size_lows), max(size_highs)))
-        self.distance_intervals = distance
-        self.token_size_intervals = sizes
-
-    def add(self, synopsis: RecordSynopsis, schema: Schema) -> None:
-        """Register one tuple synopsis and update the aggregates incrementally."""
-        key = (synopsis.record.rid, synopsis.record.source)
-        self.entries[key] = synopsis
-        self.may_have_keyword = self.may_have_keyword or synopsis.may_have_keyword
-        new_distance: List[Tuple[float, float]] = []
-        new_sizes: List[Tuple[int, int]] = []
-        for index, attribute in enumerate(schema):
-            low, high = synopsis.main_interval(attribute)
-            size_low, size_high = synopsis.token_size_bounds[attribute]
-            if self.distance_intervals is None:
-                new_distance.append((low, high))
-                new_sizes.append((size_low, size_high))
-            else:
-                old_low, old_high = self.distance_intervals[index]
-                new_distance.append((min(old_low, low), max(old_high, high)))
-                old_size_low, old_size_high = self.token_size_intervals[index]  # type: ignore[index]
-                new_sizes.append((min(old_size_low, size_low),
-                                  max(old_size_high, size_high)))
-        self.distance_intervals = new_distance
-        self.token_size_intervals = new_sizes
-
-    def refresh_from_rows(self, store: PackedStore) -> None:
-        """Columnar :meth:`recompute` over the (non-empty) entries' ``store``
-        rows.
-
-        min / max / any are exact, so the aggregates equal the scalar walk's
-        value for value (and type for type).
-        """
-        rows = store.rows_for(self.entries.values())
-        self.may_have_keyword = bool(store.may_kw[rows].any())
-        self.distance_intervals = list(zip(
-            store.dist_lb[rows, :, 0].min(axis=0).tolist(),
-            store.dist_ub[rows, :, 0].max(axis=0).tolist()))
-        self.token_size_intervals = list(zip(
-            store.tok_min[rows].min(axis=0).astype(int).tolist(),
-            store.tok_max[rows].max(axis=0).astype(int).tolist()))
-
-    def remove(self, rid: str, source: str, schema: Schema,
-               store: Optional[PackedStore] = None) -> bool:
-        """Evict one tuple and re-derive the aggregates from the remaining
-        entries — from their rows of ``store`` when the grid keeps one, by
-        the scalar walk otherwise."""
-        removed = self.entries.pop((rid, source), None)
-        if removed is None:
-            return False
-        if store is None or not self.entries:
-            self.recompute(schema)
+    def add(self, key: Tuple[str, str], low, high,
+            may_have_keyword: bool) -> None:
+        """Register one tuple — its main-pivot rectangle ``low`` / ``high``
+        and keyword flag — and widen the aggregates."""
+        slot = len(self.keys)
+        if slot == self.kw.shape[0]:
+            self.lb = _np.concatenate([self.lb, _np.empty_like(self.lb)])
+            self.ub = _np.concatenate([self.ub, _np.empty_like(self.ub)])
+            self.kw = _np.concatenate([self.kw, _np.empty_like(self.kw)])
+        self.slots[key] = slot
+        self.keys.append(key)
+        self.lb[slot] = low
+        self.ub[slot] = high
+        self.kw[slot] = may_have_keyword
+        if slot:
+            self.low = _np.minimum(self.low, low)
+            self.high = _np.maximum(self.high, high)
+            self.may_have_keyword = self.may_have_keyword or may_have_keyword
         else:
-            self.refresh_from_rows(store)
-        return True
+            self.low = self.lb[0].copy()
+            self.high = self.ub[0].copy()
+            self.may_have_keyword = may_have_keyword
+
+    def remove(self, key: Tuple[str, str]) -> None:
+        """Evict one member: its slot takes the last one, and the aggregates
+        are re-derived from the remaining slots."""
+        slot = self.slots.pop(key)
+        last = len(self.keys) - 1
+        moved = self.keys.pop()
+        if slot != last:
+            self.keys[slot] = moved
+            self.slots[moved] = slot
+            self.lb[slot] = self.lb[last]
+            self.ub[slot] = self.ub[last]
+            self.kw[slot] = self.kw[last]
+        if last:
+            self.low = self.lb[:last].min(axis=0)
+            self.high = self.ub[:last].max(axis=0)
+            self.may_have_keyword = bool(self.kw[:last].any())
 
 
 class CellStore:
@@ -177,9 +163,8 @@ class CellStore:
                     self._grow(max(64, 2 * row))
             cell.row = row
             self.live[row] = True
-        for index, (low, high) in enumerate(cell.distance_intervals):
-            self.lb[row, index] = low
-            self.ub[row, index] = high
+        self.lb[row] = cell.low
+        self.ub[row] = cell.high
         self.may_kw[row] = cell.may_have_keyword
 
     def remove(self, cell: GridCell) -> None:
@@ -283,8 +268,10 @@ class ERGrid:
         """Keep a columnar :class:`PackedStore` in sync with the grid.
 
         Enabled on demand by the two callers of the row cascade — every
-        ``MicroBatchExecutor`` batch and every query-time ``resolve`` — so a
-        serial run that is never read pays nothing.  Idempotent: the first
+        ``MicroBatchExecutor`` batch and every query-time ``resolve`` with a
+        ``topic=`` / ``gamma=`` override (an operator-default read walks the
+        result set and runs no cascade) — so a serial run that is never
+        read with an override pays nothing.  Idempotent: the first
         call back-fills the current window contents, afterwards
         :meth:`insert` / :meth:`remove` maintain the store incrementally.
         """
@@ -356,14 +343,16 @@ class ERGrid:
         """Insert one imputed tuple (Algorithm 2, lines 11–13)."""
         rid, source = synopsis.record.rid, synopsis.record.source
         self.remove(rid, source)
+        key = (rid, source)
+        rectangle = synopsis.coordinate_rectangle()
+        low, high = _np.array(rectangle).T
         cell_keys: List[Tuple[int, ...]] = []
-        for coordinates in self._cells_for_rectangle(
-                synopsis.coordinate_rectangle()):
+        for coordinates in self._cells_for_rectangle(rectangle):
             cell = self._cells.get(coordinates)
             if cell is None:
-                cell = GridCell(coordinates=coordinates)
+                cell = GridCell(coordinates, len(self.schema))
                 self._cells[coordinates] = cell
-            cell.add(synopsis, self.schema)
+            cell.add(key, low, high, synopsis.may_have_keyword)
             self._cell_store.update(cell)
             cell_keys.append(coordinates)
         self._sources.setdefault(source, {})[rid] = _Resident(
@@ -379,10 +368,11 @@ class ERGrid:
             return False
         if not residents:
             del self._sources[source]
+        key = (rid, source)
         for coordinates in resident.cells:
             cell = self._cells[coordinates]
-            cell.remove(rid, source, self.schema, self._packed_store)
-            if cell.entries:
+            cell.remove(key)
+            if cell.keys:
                 self._cell_store.update(cell)
             else:
                 del self._cells[coordinates]
@@ -440,7 +430,7 @@ class ERGrid:
         if failed:
             failed_coordinates = {cell.coordinates for cell in failed}
             for cell in failed:
-                for rid, source in cell.entries:
+                for rid, source in cell.keys:
                     resident = self._sources[source][rid]
                     if failed_coordinates.issuperset(resident.cells):
                         pruned.add(resident)

@@ -8,11 +8,12 @@ from golden_utils import canonical_matches
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.matching import ter_ids_probability
-from repro.core.pruning import RecordSynopsis, min_attribute_distance
+from repro.core.pruning import (PackedStore, RecordSynopsis,
+                                min_attribute_distance)
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.datasets.synthetic import generate_dataset
 from repro.imputation.repository import DataRepository
-from repro.indexes.er_grid import ERGrid, GridCell
+from repro.indexes.er_grid import ERGrid
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
 from repro.runtime import MicroBatchExecutor
 
@@ -90,6 +91,11 @@ class TestGridMaintenance:
         assert grid.remove("r1", "s1")
 
 
+def _intervals(cell):
+    """A cell's aggregate ``(low, high)`` distance interval per attribute."""
+    return list(zip(cell.low.tolist(), cell.high.tolist()))
+
+
 class TestCellAggregates:
     def test_cell_keyword_flag(self):
         grid = ERGrid(SCHEMA, cells_per_dim=1)  # everything in one cell
@@ -108,13 +114,10 @@ class TestCellAggregates:
             grid.insert(synopsis)
         cell = next(iter(grid._cells.values()))
         for index, attribute in enumerate(SCHEMA):
-            low, high = cell.distance_intervals[index]
-            size_low, size_high = cell.token_size_intervals[index]
+            low, high = _intervals(cell)[index]
             for synopsis in synopses:
                 entry_low, entry_high = synopsis.main_interval(attribute)
                 assert low - 1e-9 <= entry_low and entry_high <= high + 1e-9
-                entry_size_low, entry_size_high = synopsis.token_size_bounds[attribute]
-                assert size_low <= entry_size_low and entry_size_high <= size_high
 
     def test_cell_recompute_after_removal(self):
         grid = ERGrid(SCHEMA, cells_per_dim=1)
@@ -144,9 +147,64 @@ _imputed = st.dictionaries(st.sampled_from(_WORDS),
 _step = st.one_of(st.none(), st.tuples(_text, _text, st.none() | _imputed))
 
 
+def _scalar_aggregates(synopses):
+    """The oracle: a cell's ``(may_have_keyword, intervals)`` by a
+    scalar walk over its members' synopses."""
+    if not synopses:
+        return False, None
+    return (any(synopsis.may_have_keyword for synopsis in synopses),
+            [(min(synopsis.main_interval(attribute)[0]
+                  for synopsis in synopses),
+              max(synopsis.main_interval(attribute)[1]
+                  for synopsis in synopses))
+             for attribute in SCHEMA])
+
+
+def _assert_cells_equal_the_oracle(grid):
+    """Every live cell against the scalar walk over its members: the member
+    set, each slot's columns, the aggregates and the cell's ``CellStore``
+    row."""
+    members = {}
+    for residents in grid._sources.values():
+        for resident in residents.values():
+            key = (resident.synopsis.rid, resident.synopsis.source)
+            for coordinates in resident.cells:
+                members.setdefault(coordinates, set()).add(key)
+    assert set(grid._cells) == set(members)
+    store = grid.cell_store
+    assert len(store) == grid.cell_count
+    for coordinates, cell in grid._cells.items():
+        assert set(cell.keys) == members[coordinates]
+        assert cell.slots == {key: slot for slot, key in enumerate(cell.keys)}
+        synopses = [grid.get_synopsis(*key) for key in cell.keys]
+        for slot, synopsis in enumerate(synopses):
+            rectangle = synopsis.coordinate_rectangle()
+            assert cell.lb[slot].tolist() == [low for low, _ in rectangle]
+            assert cell.ub[slot].tolist() == [high for _, high in rectangle]
+            assert cell.kw[slot] == synopsis.may_have_keyword
+        may_have_keyword, intervals = _scalar_aggregates(synopses)
+        assert cell.may_have_keyword is may_have_keyword
+        assert _intervals(cell) == intervals
+        for low, high in _intervals(cell):
+            assert type(low) is float and type(high) is float
+        assert store.cells[cell.row] is cell and store.live[cell.row]
+        assert store.lb[cell.row].tolist() == [low for low, _ in intervals]
+        assert store.ub[cell.row].tolist() == [high for _, high in intervals]
+        assert store.may_kw[cell.row] == may_have_keyword
+
+
+def _grid(packed, cells_per_dim=1):
+    grid = ERGrid(SCHEMA, cells_per_dim=cells_per_dim)
+    if packed:
+        grid.enable_packed_store()
+    return grid
+
+
 class TestColumnarCellRefresh:
-    """With a packed store the grid refreshes an evicted tuple's cells from
-    the entries' rows; the scalar ``GridCell.recompute`` is the oracle."""
+    """An eviction swap-deletes the tuple from each of its cells' columns
+    and re-derives the aggregates from the remaining slots; the scalar walk
+    over the members' synopses is the oracle.  One eviction path, with and
+    without a packed store."""
 
     @settings(max_examples=60, deadline=None)
     @given(steps=st.lists(_step, min_size=4, max_size=40),
@@ -154,49 +212,100 @@ class TestColumnarCellRefresh:
            epoch_every=st.integers(min_value=1, max_value=8))
     def test_refresh_equals_scalar_recompute(self, steps, cells_per_dim,
                                              epoch_every):
-        grid = ERGrid(SCHEMA, cells_per_dim=cells_per_dim)
-        grid.enable_packed_store()
+        grids = [_grid(packed, cells_per_dim) for packed in (False, True)]
         live = []
         for index, step in enumerate(steps):
             if index % epoch_every == 0:
-                grid.begin_epoch()
+                for grid in grids:
+                    grid.begin_epoch()
             if step is None:
                 if not live:
                     continue
-                grid.remove(*live.pop(0))
+                key = live.pop(0)
+                for grid in grids:
+                    grid.remove(*key)
             else:
                 symptom, diagnosis, imputed = step
                 candidates = ({"diagnosis": imputed}
                               if imputed and not diagnosis else None)
                 synopsis = _synopsis(f"r{index}", symptom or None,
                                      diagnosis or None, candidates)
-                grid.insert(synopsis)
+                for grid in grids:
+                    grid.insert(synopsis)
                 live.append((synopsis.rid, synopsis.source))
-            for cell in grid._cells.values():
-                oracle = GridCell(coordinates=cell.coordinates,
-                                  entries=dict(cell.entries))
-                oracle.recompute(SCHEMA)
-                assert cell.may_have_keyword is oracle.may_have_keyword
-                assert cell.distance_intervals == oracle.distance_intervals
-                assert cell.token_size_intervals == oracle.token_size_intervals
-                for low, high in cell.distance_intervals:
-                    assert type(low) is float and type(high) is float
-                for low, high in cell.token_size_intervals:
-                    assert type(low) is int and type(high) is int
+            for grid in grids:
+                _assert_cells_equal_the_oracle(grid)
 
-    def test_refresh_reads_rows_not_entries(self, monkeypatch):
-        """The store path must not fall back to the scalar walk."""
-        grid = ERGrid(SCHEMA, cells_per_dim=1)
-        grid.enable_packed_store()
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_evicting_a_shared_extremum_keeps_it(self, packed):
+        grid = _grid(packed)
+        grid.insert(_synopsis("r0", "red eye itchy", "conjunctivitis"))
+        grid.insert(_synopsis("r1", "red eye itchy", "conjunctivitis"))
+        grid.insert(_synopsis("r2", "fever cough", "flu"))
+        cell = next(iter(grid._cells.values()))
+        before = _intervals(cell)
+        grid.remove("r0", "s1")
+        assert _intervals(cell) == before
+        _assert_cells_equal_the_oracle(grid)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_evicting_a_unique_extremum_shrinks_the_aggregate(self, packed):
+        grid = _grid(packed)
+        synopses = [_synopsis("r0", "fever cough chills", "flu"),
+                    _synopsis("r1", "weight loss", "diabetes"),
+                    _synopsis("r2", "red eye itchy", "conjunctivitis")]
+        for synopsis in synopses:
+            grid.insert(synopsis)
+        cell = next(iter(grid._cells.values()))
+        before = _intervals(cell)
+        # r0 holds the main pivot's own values: the unique minimum.
+        lows = [synopsis.main_interval("symptom")[0] for synopsis in synopses]
+        assert lows[0] < min(lows[1:]) and before[0][0] == lows[0]
+        grid.remove("r0", "s1")
+        assert _intervals(cell)[0][0] == min(lows[1:])
+        _assert_cells_equal_the_oracle(grid)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_evicting_the_last_entry_frees_the_cell_row(self, packed):
+        grid = _grid(packed)
+        grid.insert(_synopsis("r0", "fever", "flu"))
+        cell = next(iter(grid._cells.values()))
+        row = cell.row
+        store = grid.cell_store
+        assert len(store) == 1 and store.cells[row] is cell
+        grid.remove("r0", "s1")
+        assert grid.cell_count == 0 and len(store) == 0
+        assert cell.row is None
+        assert store.cells[row] is None and not store.live[row]
+        grid.insert(_synopsis("r1", "thirst", "diabetes"))
+        assert next(iter(grid._cells.values())).row == row
+        _assert_cells_equal_the_oracle(grid)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_a_same_key_rearrival_replaces_its_slot(self, packed):
+        grid = _grid(packed)
+        grid.insert(_synopsis("r0", "thirst", "diabetes"))
+        grid.insert(_synopsis("r1", "fever", "flu"))
+        grid.insert(_synopsis("r0", "red eye", "flu"))
+        cell = next(iter(grid._cells.values()))
+        assert cell.keys == [("r1", "s1"), ("r0", "s1")]
+        assert not cell.may_have_keyword
+        _assert_cells_equal_the_oracle(grid)
+
+    def test_eviction_never_looks_up_packed_rows(self, monkeypatch):
+        """The cells keep their own columns: an eviction reads nothing of
+        the packed store."""
+        grid = _grid(packed=True)
         for index, (symptom, diagnosis) in enumerate(
                 [("thirst", "diabetes"), ("fever", "flu"), ("red eye", "flu")]):
             grid.insert(_synopsis(f"r{index}", symptom, diagnosis))
-        monkeypatch.setattr(GridCell, "recompute", lambda *args: pytest.fail(
-            "scalar recompute ran although every entry is resident"))
+        monkeypatch.setattr(PackedStore, "rows_for", lambda *args: pytest.fail(
+            "an eviction looked up packed-store rows"))
         grid.remove("r0", "s1")
         cell = next(iter(grid._cells.values()))
         assert not cell.may_have_keyword
-        assert len(cell.entries) == 2
+        assert len(cell) == 2
+        _assert_cells_equal_the_oracle(grid)
 
 
 class TestCandidateRetrieval:
@@ -289,21 +398,20 @@ class TestCellStoreEdgeCases:
 # ---------------------------------------------------------------------------
 def _cell_min_distance(cell, rectangle):
     """Lower bound of Σ_k |X_k − Y_k| between the query tuple and the cell."""
-    if cell.distance_intervals is None:
-        return float("inf")
     total = 0.0
-    for query_bounds, cell_bounds in zip(rectangle, cell.distance_intervals):
+    for query_bounds, cell_bounds in zip(rectangle, _intervals(cell)):
         total += min_attribute_distance(query_bounds, cell_bounds)
     return total
 
 
-def _collect_cell(cell, query, seen, results, exclude_source):
+def _collect_cell(grid, cell, query, seen, results, exclude_source):
     """Gather one surviving cell's tuples; returns the tuples examined."""
     examined = 0
-    for key, synopsis in cell.entries.items():
+    for key in cell.keys:
         if key in seen:
             continue
         seen.add(key)
+        synopsis = grid.get_synopsis(*key)
         examined += 1
         if exclude_source is not None and synopsis.source == exclude_source:
             continue
@@ -327,7 +435,8 @@ def _cell_walk(grid, query, gamma, keywords=frozenset(), exclude_source=None):
             continue
         if _cell_min_distance(cell, rectangle) >= margin:
             continue
-        tuples += _collect_cell(cell, query, seen, results, exclude_source)
+        tuples += _collect_cell(grid, cell, query, seen, results,
+                                exclude_source)
     return results, cells, tuples
 
 

@@ -12,6 +12,7 @@ import contextlib
 import gc
 import inspect
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,104 @@ def test_pair_kernel_identical_to_scalar_cascade(records, gamma, alpha,
         _assert_rows_equal_oracle(
             _items(synopses), _pipeline(KEYWORDS, gamma, alpha, toggles),
             _store_of(synopses))
+
+
+# ---------------------------------------------------------------------------
+# Theorem 4.1 first: only the lanes it keeps are gathered
+# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def _gathered_lanes():
+    """Lane counts of every ``gather_rows`` call made inside the block —
+    two per kernel block, query side then candidate side."""
+    lanes = []
+    gather = pruning_module.gather_rows
+
+    def counted_gather(store, index):
+        lanes.append(len(index))
+        return gather(store, index)
+
+    pruning_module.gather_rows = counted_gather
+    try:
+        yield lanes
+    finally:
+        pruning_module.gather_rows = gather
+
+
+def _assert_prune_equals_oracle(synopses, oracle, block=PAIR_BLOCK):
+    """:func:`batch_prune` over every ordered pair of ``synopses`` against
+    ``oracle.evaluate_pair``: survivor mask and the three bound counters.
+    Runs with numpy warnings as errors; returns ``(pairs, lanes
+    gathered)``."""
+    pairs = [(query, candidate) for query in synopses
+             for candidate in synopses if candidate is not query]
+    store = _store_of(synopses)
+    query_rows = store.rows_for([query for query, _ in pairs])
+    candidate_rows = store.rows_for([candidate for _, candidate in pairs])
+    stats = oracle.stats
+    alive = []
+    for query, candidate in pairs:
+        bound_pruned = stats.total_pruned - stats.pruned_by_instance
+        oracle.evaluate_pair(query, candidate)
+        alive.append(stats.total_pruned - stats.pruned_by_instance
+                     == bound_pruned)
+    kernel = replace(oracle, stats=PruningStats())
+    with _pair_block(block), _gathered_lanes() as lanes, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask, topic, similarity, probability = batch_prune(
+            query_rows, candidate_rows, kernel, store)
+    assert mask.tolist() == alive
+    assert (topic, similarity, probability) == (
+        stats.pruned_by_topic, stats.pruned_by_similarity,
+        stats.pruned_by_probability)
+    assert lanes[::2] == lanes[1::2]
+    assert all(0 < count <= block for count in lanes)
+    gathered = sum(lanes[1::2])
+    if oracle.use_topic and oracle.keywords:
+        assert gathered == np.count_nonzero(
+            store.may_kw[query_rows] | store.may_kw[candidate_rows])
+    else:
+        assert gathered == len(pairs)
+    assert topic == len(pairs) - gathered
+    return len(pairs), gathered
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(record_strategy, min_size=2, max_size=7),
+    gamma=st.floats(min_value=0.1, max_value=1.9),
+    alpha=st.floats(min_value=0.05, max_value=0.95),
+    use_topic=st.booleans(),
+    use_keywords=st.booleans(),
+    block=st.integers(min_value=1, max_value=9),
+)
+def test_topic_first_cascade_equals_the_oracle(records, gamma, alpha,
+                                               use_topic, use_keywords,
+                                               block):
+    """Verdicts, counters and gathered lanes, in blocks of any size."""
+    _assert_prune_equals_oracle(
+        _synopses(records),
+        _pipeline(KEYWORDS if use_keywords else frozenset(), gamma, alpha,
+                  (use_topic, True, True, True)), block)
+
+
+@pytest.mark.parametrize("block", [3, PAIR_BLOCK])
+def test_a_fully_topic_pruned_batch_gathers_nothing(block):
+    synopses = [_make_synopsis(index, "fever cough", "flu", None)
+                for index in range(6)]
+    pairs, gathered = _assert_prune_equals_oracle(
+        synopses, _pipeline(KEYWORDS, 1.0, 0.5), block)
+    assert (pairs, gathered) == (30, 0)
+
+
+@pytest.mark.parametrize("block", [3, PAIR_BLOCK])
+def test_a_batch_theorem_4_1_keeps_whole_gathers_every_lane(block):
+    # Every tuple carries the keyword, so no pair is topic-pruned.
+    synopses = [_make_synopsis(index, "thirst" if index % 2 else "fever",
+                               "diabetes", None) for index in range(6)]
+    pairs, gathered = _assert_prune_equals_oracle(
+        synopses, _pipeline(KEYWORDS, 1.0, 0.5), block)
+    assert (pairs, gathered) == (30, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +816,9 @@ def test_probability_lanes_equal_scalar_bound(query, candidates, gamma,
         blank = np.zeros((lanes, dimensionality, 1))
         return (blank, blank, np.ones((lanes, dimensionality)),
                 np.ones((lanes, dimensionality)),
-                np.ones(lanes, dtype=bool), np.ones(lanes, dtype=np.int64),
-                np.array(rows, dtype=float))
+                np.ones(lanes, dtype=np.int64), np.array(rows, dtype=float))
 
-    alive, _, _, pruned = pruning_module.batch_prune_stacked(
+    alive, _, pruned = pruning_module.batch_prune_stacked(
         side([query] * count), side(candidates),
         _pipeline(frozenset(), gamma, alpha, (False, False, True, True)))
     expected = [
