@@ -1,7 +1,7 @@
 """Ablation — contribution of the individual pruning strategies.
 
-Runs the TER-iDS engine with all four strategies enabled and with each
-family disabled, verifying that (a) the answer set never changes and (b) the
+Runs the TER-iDS engine with all its strategies (Theorems 4.1, 4.2 and 4.4)
+enabled and with each family disabled, verifying that (a) the answer set never changes and (b) the
 fully-enabled configuration refines the fewest candidate pairs exactly.
 """
 
@@ -34,10 +34,9 @@ def test_ablation_pruning_strategies(benchmark):
         "all-pruning": base_config,
         "no-topic": base_config.replace(use_topic_pruning=False),
         "no-similarity": base_config.replace(use_similarity_pruning=False),
-        "no-probability": base_config.replace(use_probability_pruning=False),
         "no-pruning": base_config.replace(
             use_topic_pruning=False, use_similarity_pruning=False,
-            use_probability_pruning=False, use_instance_pruning=False),
+            use_instance_pruning=False),
     }
 
     def run_all():

@@ -6,9 +6,9 @@ driver of ``benchmarks/e2e``, which this script only reads) and counts, for
 the pairs ``batch_prune`` takes:
 
 * ``gathered`` — the pairs Theorem 4.1 keeps, the only ones whose rows are
-  gathered for the Theorem 4.2 / 4.3 blocks, of all the pairs that enter;
+  gathered for the Theorem 4.2 blocks, of all the pairs that enter;
 
-and for the pairs that survive the three bound strategies and reach
+and for the pairs that survive the two bound strategies and reach
 ``batch_refine``:
 
 * ``survivors`` — every pair the kernel decides;

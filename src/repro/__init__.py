@@ -7,8 +7,9 @@ The package implements the full TER-iDS system from scratch:
   imputed-tuple model;
 * CDD / DD / editing-rule / constraint-based imputation with rule discovery
   from a complete data repository;
-* the pruning strategies (topic keyword, similarity upper bound, Paley–
-  Zygmund probability upper bound, instance-pair-level);
+* the pruning strategies (topic keyword, similarity upper bound,
+  instance-pair-level; the paper's Paley–Zygmund probability bound is not
+  implemented, see README);
 * the index substrates (aR-tree, CDD-index, DR-index, ER-grid, cost-model
   pivot selection) and the index-join streaming engine;
 * the baselines, synthetic dataset generators, metrics and the experiment

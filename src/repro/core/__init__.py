@@ -14,7 +14,6 @@ from repro.core.pruning import (
     PruningPipeline,
     PruningStats,
     RecordSynopsis,
-    probability_upper_bound,
     similarity_upper_bound,
     similarity_upper_bound_by_pivot,
     similarity_upper_bound_by_size,
@@ -58,7 +57,6 @@ __all__ = [
     "jaccard_similarity",
     "make_records",
     "normalise_keywords",
-    "probability_upper_bound",
     "record_distance",
     "record_similarity",
     "similarity_upper_bound",

@@ -63,10 +63,11 @@ class TERiDSConfig:
         buckets ``P`` and minimum Shannon entropy ``eMin``.
     grid_cells_per_dim:
         ER-grid resolution (cells per converted dimension).
-    use_topic_pruning / use_similarity_pruning / use_probability_pruning /
-    use_instance_pruning:
-        Individual switches for the four pruning strategies of Section 4;
-        all enabled by default, disabled selectively by the ablation benches.
+    use_topic_pruning / use_similarity_pruning / use_instance_pruning:
+        Individual switches for the pruning strategies of Section 4
+        (Theorems 4.1, 4.2 and 4.4); all enabled by default, disabled
+        selectively by the ablation benches.  Theorem 4.3 has no switch: it
+        is not implemented (README, "Theorem 4.3 is not implemented").
     """
 
     schema: Schema
@@ -80,7 +81,6 @@ class TERiDSConfig:
     grid_cells_per_dim: int = DEFAULT_GRID_CELLS_PER_DIM
     use_topic_pruning: bool = True
     use_similarity_pruning: bool = True
-    use_probability_pruning: bool = True
     use_instance_pruning: bool = True
     random_seed: int = 7
 

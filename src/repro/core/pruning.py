@@ -1,4 +1,4 @@
-"""The four TER-iDS pruning strategies (Section 4, Theorems 4.1–4.4).
+"""The TER-iDS pruning strategies (Section 4, Theorems 4.1, 4.2 and 4.4).
 
 The strategies are applied in the paper's order:
 
@@ -8,17 +8,20 @@ The strategies are applied in the paper's order:
    upper bound of the tuple similarity is at most ``γ``.  Two bounds are
    available — via token-set sizes (Lemma 4.1) and via a pivot tuple and the
    triangle inequality (Lemma 4.2) — and the tighter (smaller) one is used.
-3. **Probability upper-bound pruning** (Theorem 4.3 / Lemma 4.3): a
-   Paley–Zygmund-based upper bound of the TER-iDS probability is compared
-   against ``α``.
-4. **Instance-pair-level pruning** (Theorem 4.4): while computing the exact
+3. **Instance-pair-level pruning** (Theorem 4.4): while computing the exact
    probability, the unexplored instance-pair mass is overestimated as
    matching; once even that optimistic total cannot exceed ``α`` the pair is
    abandoned.
 
+The paper's third strategy, the Paley–Zygmund probability upper bound
+(Theorem 4.3 / Lemma 4.3), is not implemented: it can only prune when
+``α ≥ 1 − ρ²``, and it never pruned a pair at any setting the engine was
+run at (README, "Theorem 4.3 is not implemented").  Its counter,
+:attr:`PruningStats.pruned_by_probability`, stays in the report and reads 0.
+
 All bounds are evaluated on a per-record :class:`RecordSynopsis` — the
-pivot-distance intervals, expectations, token-size bounds and keyword flags
-that the ER-grid stores as aggregates (Section 5.2).
+pivot-distance intervals, token-size bounds and keyword flag that the
+ER-grid stores as aggregates (Section 5.2).
 """
 
 from __future__ import annotations
@@ -40,16 +43,6 @@ from repro.core.tuples import ImputedRecord, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - only needed for type checkers
     from repro.indexes.pivots import PivotTable
-
-#: Names of the pruning strategies, in application order (used for the
-#: Figure 4 pruning-power report).
-PRUNING_ORDER = (
-    "topic_keyword",
-    "similarity_upper_bound",
-    "probability_upper_bound",
-    "instance_pair_level",
-)
-
 
 @dataclass
 class PruningStats:
@@ -73,7 +66,11 @@ class PruningStats:
                 + self.pruned_by_probability + self.pruned_by_instance)
 
     def pruning_power(self) -> Dict[str, float]:
-        """Per-strategy pruned fraction of all considered pairs (Figure 4)."""
+        """Per-strategy pruned fraction of all considered pairs (Figure 4).
+
+        The Theorem 4.3 entry is kept for the report's shape and reads 0:
+        the strategy is not implemented (see the module docstring).
+        """
         total = max(1, self.pairs_considered)
         return {
             "topic_keyword": self.pruned_by_topic / total,
@@ -99,21 +96,16 @@ class RecordSynopsis:
     distance_bounds:
         ``distance_bounds[attribute][pivot_index] = (lb, ub)`` — bounds of the
         Jaccard distance from the tuple's possible values to each pivot.
-    distance_expectations:
-        ``distance_expectations[attribute][pivot_index]`` — expected distance
-        under the candidate-value distribution (used by Lemma 4.3).
     token_size_bounds:
         ``token_size_bounds[attribute] = (|T^-|, |T^+|)``.
-    may_have_keyword / must_have_keyword:
-        Keyword flags for the topic predicate over *any* / *all* instances.
+    may_have_keyword:
+        Whether *any* instance can satisfy the topic predicate (Theorem 4.1).
     """
 
     record: ImputedRecord
     distance_bounds: Dict[str, List[Tuple[float, float]]]
-    distance_expectations: Dict[str, List[float]]
     token_size_bounds: Dict[str, Tuple[int, int]]
     may_have_keyword: bool
-    must_have_keyword: bool
 
     # -- derived quantities -------------------------------------------------
     @property
@@ -138,33 +130,11 @@ class RecordSynopsis:
         """Per-attribute main-pivot distance intervals (the grid footprint)."""
         return [self.distance_bounds[name][0] for name in self.schema]
 
-    def total_distance_bounds(self, pivot_index: int = 0) -> Tuple[float, float]:
-        """``(lb_X, ub_X)`` of the tuple-to-pivot distance summed over attributes."""
-        low = 0.0
-        high = 0.0
-        for name in self.schema:
-            bounds = self.distance_bounds[name]
-            index = min(pivot_index, len(bounds) - 1)
-            lb, ub = bounds[index]
-            low += lb
-            high += ub
-        return low, high
-
-    def expected_total_distance(self, pivot_index: int = 0) -> float:
-        """``E(X)`` of Lemma 4.3: expected summed distance to the pivot."""
-        total = 0.0
-        for name in self.schema:
-            expectations = self.distance_expectations[name]
-            index = min(pivot_index, len(expectations) - 1)
-            total += expectations[index]
-        return total
-
     @classmethod
     def build(cls, record: ImputedRecord, pivots: "PivotTable",
               keywords: FrozenSet[str]) -> "RecordSynopsis":
         """Compute the synopsis of one imputed tuple against the pivot table."""
         distance_bounds: Dict[str, List[Tuple[float, float]]] = {}
-        distance_expectations: Dict[str, List[float]] = {}
         token_size_bounds: Dict[str, Tuple[int, int]] = {}
 
         for attribute in record.schema:
@@ -176,39 +146,24 @@ class RecordSynopsis:
                 # every pivot, exactly like ``possible_values`` reports for
                 # an unimputable attribute.
                 possible = {"": 1.0}
-            pivot_values = pivots.all_pivots(attribute)
             bounds: List[Tuple[float, float]] = []
-            expectations: List[float] = []
-            for pivot_value in pivot_values:
+            for pivot_value in pivots.all_pivots(attribute):
                 low = 1.0
                 high = 0.0
-                expected = 0.0
-                mass = 0.0
-                for value, probability in possible.items():
+                for value in possible:
                     distance = text_distance(value, pivot_value) if value else 1.0
                     low = min(low, distance)
                     high = max(high, distance)
-                    expected += probability * distance
-                    mass += probability
-                if mass > 0 and mass < 1.0:
-                    # Unretained probability mass is treated pessimistically
-                    # (distance 1.0), keeping the expectation an upper-style
-                    # estimate without breaking the bounds.
-                    expected += (1.0 - mass) * 1.0
                 bounds.append((low, high))
-                expectations.append(expected)
             distance_bounds[attribute] = bounds
-            distance_expectations[attribute] = expectations
             sizes = [len(tokenize(value)) for value in possible]
             token_size_bounds[attribute] = (min(sizes), max(sizes))
 
         return cls(
             record=record,
             distance_bounds=distance_bounds,
-            distance_expectations=distance_expectations,
             token_size_bounds=token_size_bounds,
             may_have_keyword=record.may_contain_keyword(keywords),
-            must_have_keyword=record.must_contain_keyword(keywords) if keywords else False,
         )
 
 
@@ -288,65 +243,6 @@ def similarity_prune(left: RecordSynopsis, right: RecordSynopsis,
 
 
 # ---------------------------------------------------------------------------
-# Lemma 4.3 / Theorem 4.3 — Paley–Zygmund probability upper bound
-# ---------------------------------------------------------------------------
-def paley_zygmund_bound_from_totals(margin: float,
-                                    expectation_left: float,
-                                    lb_left: float, ub_left: float,
-                                    expectation_right: float,
-                                    lb_right: float, ub_right: float) -> float:
-    """Lemma 4.3 bound from pre-computed per-tuple distance totals.
-
-    Shared by the scalar :func:`probability_upper_bound` and the vectorized
-    kernel (which pre-computes the totals columnarly and calls this for the
-    few candidate lanes whose intervals are disjoint), so both paths perform
-    the identical float operations.
-    """
-
-    def bound(expect_far: float, expect_near: float,
-              ub_far: float, lb_near: float) -> Optional[float]:
-        gap = expect_far - expect_near
-        spread = ub_far - lb_near
-        if gap <= 0 or spread <= 0:
-            return None
-        theta = margin / gap
-        if not 0.0 <= theta <= 1.0:
-            return None
-        return 1.0 - (1.0 - theta) ** 2 * (gap / spread)
-
-    if lb_left >= ub_right:
-        value = bound(expectation_left, expectation_right, ub_left, lb_right)
-        if value is not None:
-            return max(0.0, min(1.0, value))
-    if lb_right >= ub_left:
-        value = bound(expectation_right, expectation_left, ub_right, lb_left)
-        if value is not None:
-            return max(0.0, min(1.0, value))
-    return 1.0
-
-
-def probability_upper_bound(left: RecordSynopsis, right: RecordSynopsis,
-                            gamma: float, pivot_index: int = 0) -> float:
-    """Paley–Zygmund-based upper bound of the TER-iDS probability (Lemma 4.3)."""
-    dimensionality = len(left.schema)
-    margin = dimensionality - gamma
-
-    expectation_left = left.expected_total_distance(pivot_index)
-    expectation_right = right.expected_total_distance(pivot_index)
-    lb_left, ub_left = left.total_distance_bounds(pivot_index)
-    lb_right, ub_right = right.total_distance_bounds(pivot_index)
-    return paley_zygmund_bound_from_totals(
-        margin, expectation_left, lb_left, ub_left,
-        expectation_right, lb_right, ub_right)
-
-
-def probability_prune(left: RecordSynopsis, right: RecordSynopsis,
-                      gamma: float, alpha: float) -> bool:
-    """Theorem 4.3: prune when the probability upper bound is at most ``α``."""
-    return probability_upper_bound(left, right, gamma) <= alpha
-
-
-# ---------------------------------------------------------------------------
 # Theorem 4.4 — instance-pair-level pruning (delegated to matching module)
 # ---------------------------------------------------------------------------
 def instance_level_verdict(left: RecordSynopsis, right: RecordSynopsis,
@@ -359,14 +255,13 @@ def instance_level_verdict(left: RecordSynopsis, right: RecordSynopsis,
 
 @dataclass
 class PruningPipeline:
-    """Applies the four strategies in order and records their pruning power."""
+    """Applies the strategies in order and records their pruning power."""
 
     keywords: FrozenSet[str]
     gamma: float
     alpha: float
     use_topic: bool = True
     use_similarity: bool = True
-    use_probability: bool = True
     use_instance: bool = True
     stats: PruningStats = field(default_factory=PruningStats)
 
@@ -385,11 +280,6 @@ class PruningPipeline:
 
         if self.use_similarity and similarity_prune(left, right, self.gamma):
             self.stats.pruned_by_similarity += 1
-            return False, 0.0
-
-        if self.use_probability and probability_prune(left, right, self.gamma,
-                                                      self.alpha):
-            self.stats.pruned_by_probability += 1
             return False, 0.0
 
         if self.use_instance:
@@ -422,7 +312,7 @@ def pack_synopsis(synopsis: RecordSynopsis):
 
     The per-attribute dicts are flattened into dense ``float64`` arrays in
     schema order, returned as the tuple ``(dist_lb, dist_ub, tok_min,
-    tok_max, may_have_keyword, pivot_limit, totals)``:
+    tok_max, may_have_keyword, pivot_limit)``:
 
     * ``dist_lb`` / ``dist_ub`` — shape ``(d, P)`` where ``P`` is the
       maximum pivot count over the attributes; attributes with fewer pivots
@@ -432,10 +322,7 @@ def pack_synopsis(synopsis: RecordSynopsis):
     * ``may_have_keyword`` — the Theorem 4.1 flag;
     * ``pivot_limit`` — the number of *real* (un-padded) pivots shared by
       every attribute, i.e. the exact pivot range the scalar
-      :func:`similarity_upper_bound` iterates;
-    * ``totals`` — ``(exp0, lb0, ub0)``, the main-pivot distance totals of
-      Lemma 4.3, pre-accumulated in the scalar methods' exact float order
-      (they depend only on the record, not the pair).
+      :func:`similarity_upper_bound` iterates.
     """
     schema = synopsis.schema
     dimensionality = len(schema)
@@ -451,21 +338,10 @@ def pack_synopsis(synopsis: RecordSynopsis):
             index = column if column < count else count - 1
             dist_lb[row, column], dist_ub[row, column] = per_attribute[index]
     tok = [synopsis.token_size_bounds[name] for name in schema]
-    # Main-pivot totals in the exact accumulation order of
-    # ``expected_total_distance`` / ``total_distance_bounds``.
-    total_exp0 = 0.0
-    total_lb0 = 0.0
-    total_ub0 = 0.0
-    for name, per_attribute in zip(schema, bounds):
-        low, high = per_attribute[0]
-        total_exp0 += synopsis.distance_expectations[name][0]
-        total_lb0 += low
-        total_ub0 += high
     return (dist_lb, dist_ub,
             _np.array([pair[0] for pair in tok], dtype=_np.float64),
             _np.array([pair[1] for pair in tok], dtype=_np.float64),
-            synopsis.may_have_keyword, min(counts),
-            (total_exp0, total_lb0, total_ub0))
+            synopsis.may_have_keyword, min(counts))
 
 
 #: Smallest vocabulary :meth:`PackedStore.begin_epoch` re-encodes: below it
@@ -536,8 +412,6 @@ class PackedStore:
         self.tok_max = None
         self.may_kw = None
         self.limits = None
-        #: ``(capacity, 3)`` main-pivot totals: ``exp0, lb0, ub0`` columns.
-        self.totals = None
         #: Per row: the first table entry of its run, and the run's length.
         self.inst_start = None
         self.inst_count = None
@@ -613,7 +487,6 @@ class PackedStore:
                                (capacity, dimensionality, pivot_width))
         self.tok_min = _expand(self.tok_min, (capacity, dimensionality))
         self.tok_max = _expand(self.tok_max, (capacity, dimensionality))
-        self.totals = _expand(self.totals, (capacity, 3))
         self.may_kw = _expand(self.may_kw, (capacity,), bool)
         self.limits = _expand(self.limits, (capacity,), _np.int64)
         self.inst_start = _expand(self.inst_start, (capacity,), _np.intp)
@@ -751,8 +624,7 @@ class PackedStore:
             # A refresh: the row's previous run becomes garbage.
             self._garbage += int(self.inst_count[row])
         (self.dist_lb[row], self.dist_ub[row], self.tok_min[row],
-         self.tok_max[row], self.may_kw[row], self.limits[row],
-         self.totals[row]) = packed
+         self.tok_max[row], self.may_kw[row], self.limits[row]) = packed
         self._write_run(row, synopsis)
         return row
 
@@ -796,12 +668,11 @@ class PackedStore:
 
 
 def gather_rows(store: PackedStore, index):
-    """The 6-tuple of stacked bound-kernel inputs for one row set: one
+    """The 5-tuple of stacked bound-kernel inputs for one row set: one
     fancy-indexing copy per packed column (the keyword column is read on
     its own, before any gather)."""
     return (store.dist_lb[index], store.dist_ub[index],
-            store.tok_min[index], store.tok_max[index],
-            store.limits[index], store.totals[index])
+            store.tok_min[index], store.tok_max[index], store.limits[index])
 
 
 def _sequential_sum(stacked, axis_length: int):
@@ -848,25 +719,24 @@ PAIR_BLOCK = 1024
 
 def batch_prune(query_rows, candidate_rows, pruning: PruningPipeline,
                 store: PackedStore):
-    """Theorems 4.1–4.3 for a whole micro-batch of (query, candidate) pairs.
+    """Theorems 4.1 and 4.2 for a whole micro-batch of (query, candidate) pairs.
 
     ``query_rows`` and ``candidate_rows`` are equal-length integer arrays of
     resident ``store`` rows, pair ``k`` being ``(query_rows[k],
     candidate_rows[k])``; any number of distinct queries may be mixed.
     Theorem 4.1 is decided first, for every pair at once, from the store's
     keyword column alone; only the pairs it keeps are gathered
-    (:func:`gather_rows`) and run through the Theorem 4.2 / 4.3 kernel body
+    (:func:`gather_rows`) and run through the Theorem 4.2 kernel body
     (:func:`batch_prune_stacked`) in blocks of :data:`PAIR_BLOCK`, under the
     thresholds and strategy switches of ``pruning``.
 
-    Returns ``(alive, pruned_topic, pruned_similarity, pruned_probability)``
-    where ``alive`` is the boolean survivor mask over the pairs (in order)
-    and the counters attribute each pruned pair to the first strategy that
-    eliminated it, exactly like :meth:`PruningPipeline.evaluate_pair`.
-    Survivor-for-survivor and count-for-count identical to evaluating
-    :func:`topic_keyword_prune` / :func:`similarity_prune` /
-    :func:`probability_prune` per pair: the bound arithmetic performs the
-    same IEEE operations on the same operands, only batched.
+    Returns ``(alive, pruned_topic, pruned_similarity)`` where ``alive`` is
+    the boolean survivor mask over the pairs (in order) and the counters
+    attribute each pruned pair to the first strategy that eliminated it,
+    exactly like :meth:`PruningPipeline.evaluate_pair`.  Survivor-for-survivor
+    and count-for-count identical to evaluating :func:`topic_keyword_prune` /
+    :func:`similarity_prune` per pair: the bound arithmetic performs the same
+    IEEE operations on the same operands, only batched.
     """
     count = len(candidate_rows)
     alive = _np.zeros(count, dtype=bool)
@@ -877,105 +747,57 @@ def batch_prune(query_rows, candidate_rows, pruning: PruningPipeline,
         query_rows, candidate_rows = query_rows[kept], candidate_rows[kept]
     lanes = len(candidate_rows)
     survivors = _np.empty(lanes, dtype=bool)
-    pruned = _np.zeros(2, dtype=_np.int64)  # similarity, probability
     for start in range(0, lanes, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
-        survivors[block], *block_pruned = batch_prune_stacked(
+        survivors[block] = batch_prune_stacked(
             gather_rows(store, query_rows[block]),
             gather_rows(store, candidate_rows[block]), pruning)
-        pruned += block_pruned
     alive[kept] = survivors
-    return (alive, count - lanes, *pruned.tolist())
+    return (alive, count - lanes,
+            lanes - int(_np.count_nonzero(survivors)))
 
 
 def batch_prune_stacked(query_stacked, stacked, pruning: PruningPipeline):
-    """Theorems 4.2 and 4.3 over pre-stacked kernel inputs: the part of the
+    """Theorem 4.2 over pre-stacked kernel inputs: the part of the
     :func:`batch_prune` cascade that runs on the pairs Theorem 4.1 kept.
 
     ``query_stacked`` and ``stacked`` are the two sides of the pairs in the
-    6-tuple layout of :func:`gather_rows`: lane ``k`` is the pair
-    ``(query_stacked[k], stacked[k])``.  Returns ``(alive,
-    pruned_similarity, pruned_probability)``.
+    5-tuple layout of :func:`gather_rows`: lane ``k`` is the pair
+    ``(query_stacked[k], stacked[k])``.  Returns the boolean survivor mask
+    over the lanes.
     """
-    gamma, alpha = pruning.gamma, pruning.alpha
     (query_lb, query_ub, query_tok_min, query_tok_max,
-     query_limits, query_totals) = query_stacked
-    (cand_lb, cand_ub, cand_tok_min, cand_tok_max,
-     cand_limits, cand_totals) = stacked
+     query_limits) = query_stacked
+    cand_lb, cand_ub, cand_tok_min, cand_tok_max, cand_limits = stacked
 
-    alive = _np.ones(len(cand_limits), dtype=bool)
-    pruned_similarity = 0
-    pruned_probability = 0
-
-    dimensionality = cand_lb.shape[1]
+    if not pruning.use_similarity:
+        return _np.ones(len(cand_limits), dtype=bool)
 
     # --- Theorem 4.2: similarity upper bound (Lemmas 4.1 + 4.2) ------------
-    if pruning.use_similarity:
-        per_attribute = attribute_similarity_upper_bound_batch(
-            query_tok_min, query_tok_max, cand_tok_min, cand_tok_max)
-        size_bound = _sequential_sum(per_attribute, dimensionality)
+    dimensionality = cand_lb.shape[1]
+    per_attribute = attribute_similarity_upper_bound_batch(
+        query_tok_min, query_tok_max, cand_tok_min, cand_tok_max)
+    size_bound = _sequential_sum(per_attribute, dimensionality)
 
-        # min_attribute_distance: only one of the two differences can be
-        # positive (disjoint intervals), so the max-of-three formulation is
-        # bit-identical to the scalar branches.
-        min_distance = _np.maximum(0.0, _np.maximum(query_lb - cand_ub,
-                                                    cand_lb - query_ub))
-        pivot_bounds = float(dimensionality) - _sequential_sum(
-            min_distance, dimensionality)
-        # The scalar loop consults exactly min(left, right) pivots per pair;
-        # mask the padded / extra columns out of the running minimum.  With
-        # one shared pivot table every limit covers the full width and the
-        # masking is skipped.
-        limits = _np.minimum(cand_limits, query_limits)
-        width = cand_lb.shape[2]
-        if int(limits.min(initial=width)) < width:
-            invalid = (_np.arange(width)[_np.newaxis, :]
-                       >= limits[:, _np.newaxis])
-            pivot_bounds = _np.where(invalid, _np.inf, pivot_bounds)
-        best = _np.minimum(size_bound, pivot_bounds.min(axis=1))
-        similarity_mask = alive & (best <= gamma)
-        pruned_similarity = int(_np.count_nonzero(similarity_mask))
-        alive &= ~similarity_mask
-
-    # --- Theorem 4.3: Paley–Zygmund probability upper bound ----------------
-    if pruning.use_probability and alive.any():
-        margin = dimensionality - gamma
-        query_exp0, query_lb0, query_ub0 = query_totals.T
-        cand_exp0, cand_lb0, cand_ub0 = cand_totals.T
-        # Lemma 4.3 yields 1.0 unless one of its two orientations produces a
-        # value: the conditions under which the scalar ``bound()`` gives up
-        # are one subtraction, one division and comparisons — bit-exact in
-        # numpy — so they are decided for every lane at once, and only the
-        # lanes that can yield a value below 1.0 go through the shared
-        # scalar helper (keeping even the libm-pow squaring bit-for-bit).
-        yields = (
-            _paley_zygmund_yields(margin, query_lb0 >= cand_ub0,
-                                  query_exp0 - cand_exp0,
-                                  query_ub0 - cand_lb0)
-            | _paley_zygmund_yields(margin, cand_lb0 >= query_ub0,
-                                    cand_exp0 - query_exp0,
-                                    cand_ub0 - query_lb0))
-        probability_mask = alive & (1.0 <= alpha)
-        for lane in _np.nonzero(alive & yields)[0]:
-            value = paley_zygmund_bound_from_totals(
-                margin, float(query_exp0[lane]), float(query_lb0[lane]),
-                float(query_ub0[lane]), float(cand_exp0[lane]),
-                float(cand_lb0[lane]), float(cand_ub0[lane]))
-            probability_mask[lane] = value <= alpha
-        pruned_probability = int(_np.count_nonzero(probability_mask))
-        alive &= ~probability_mask
-
-    return alive, pruned_similarity, pruned_probability
-
-
-def _paley_zygmund_yields(margin: float, disjoint, gap, spread):
-    """Lanes where one orientation of Lemma 4.3's ``bound()`` returns a
-    value: ``disjoint`` intervals, ``gap > 0``, ``spread > 0`` and
-    ``theta = margin / gap`` inside ``[0, 1]``."""
-    usable = disjoint & ~(gap <= 0) & ~(spread <= 0)
-    theta = _np.divide(margin, gap, out=_np.full(gap.shape, -1.0),
-                       where=usable)
-    return usable & (0.0 <= theta) & (theta <= 1.0)
+    # min_attribute_distance: only one of the two differences can be
+    # positive (disjoint intervals), so the max-of-three formulation is
+    # bit-identical to the scalar branches.
+    min_distance = _np.maximum(0.0, _np.maximum(query_lb - cand_ub,
+                                                cand_lb - query_ub))
+    pivot_bounds = float(dimensionality) - _sequential_sum(
+        min_distance, dimensionality)
+    # The scalar loop consults exactly min(left, right) pivots per pair;
+    # mask the padded / extra columns out of the running minimum.  With
+    # one shared pivot table every limit covers the full width and the
+    # masking is skipped.
+    limits = _np.minimum(cand_limits, query_limits)
+    width = cand_lb.shape[2]
+    if int(limits.min(initial=width)) < width:
+        invalid = (_np.arange(width)[_np.newaxis, :]
+                   >= limits[:, _np.newaxis])
+        pivot_bounds = _np.where(invalid, _np.inf, pivot_bounds)
+    best = _np.minimum(size_bound, pivot_bounds.min(axis=1))
+    return ~(best <= pruning.gamma)
 
 
 #: Width of the second round of :func:`batch_refine`: the first round is

@@ -4,8 +4,8 @@ All attribute values in the paper are textual.  The similarity between two
 complete tuples is the *sum* over all ``d`` attributes of the Jaccard
 similarity between the attributes' token sets, so the score lies in
 ``[0, d]``.  The Jaccard *distance* ``1 - sim`` on token sets is a metric and
-obeys the triangle inequality, which the pivot-based pruning (Lemma 4.2) and
-the Paley–Zygmund probability bound (Lemma 4.3) rely on.
+obeys the triangle inequality, which the pivot-based pruning (Lemma 4.2)
+relies on.
 """
 
 from __future__ import annotations

@@ -269,16 +269,6 @@ class ImputedRecord:
                     return True
         return False
 
-    def must_contain_keyword(self, keywords: Iterable[str]) -> bool:
-        """Do *all* instances contain at least one topic keyword?"""
-        lowered = [keyword.lower() for keyword in keywords]
-        if not lowered:
-            return False
-        return all(
-            instance.record.contains_keyword(lowered, self.schema)
-            for instance in self.instances()
-        )
-
     # -- instances -----------------------------------------------------------
     def instances(self) -> List[Instance]:
         """Enumerate the mutually exclusive instances ``r_{i,m}``.

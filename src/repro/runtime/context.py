@@ -383,7 +383,6 @@ class RuntimeContext:
                 alpha=config.alpha,
                 use_topic=config.use_topic_pruning,
                 use_similarity=config.use_similarity_pruning,
-                use_probability=config.use_probability_pruning,
                 use_instance=config.use_instance_pruning,
             )
 

@@ -3,8 +3,8 @@
 The ER phase has two cascades and no switch between them.
 ``PruningPipeline.evaluate_pair`` is the scalar oracle ``SerialExecutor``
 runs and every golden is pinned to; :func:`evaluate_task_batch` here is what
-``MicroBatchExecutor`` and the query-time resolver run — Theorems 4.1–4.3 in
-one blocked :func:`~repro.core.pruning.batch_prune` pass over the rows of the
+``MicroBatchExecutor`` and the query-time resolver run — Theorems 4.1 and 4.2
+in one blocked :func:`~repro.core.pruning.batch_prune` pass over the rows of the
 grid's :class:`~repro.core.pruning.PackedStore`, then Theorem 4.4 / Eq. (2)
 for every survivor in one :func:`~repro.core.pruning.batch_refine` call over
 the store's instance table.  Every floating-point accumulation replicates
@@ -64,13 +64,12 @@ def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis, _np.ndarray]],
     verdicts_per_item: List[List[Tuple[bool, float]]] = [
         [(False, 0.0)] * len(rows) for _, rows in items]
     query_rows, candidate_rows, starts = _batch_pair_rows(items, store)
-    alive, pruned_topic, pruned_similarity, pruned_probability = batch_prune(
+    alive, pruned_topic, pruned_similarity = batch_prune(
         query_rows, candidate_rows, pruning, store)
     stats = pruning.stats
     stats.pairs_considered += len(candidate_rows)
     stats.pruned_by_topic += pruned_topic
     stats.pruned_by_similarity += pruned_similarity
-    stats.pruned_by_probability += pruned_probability
 
     flat = alive.nonzero()[0]
     is_match, probability, cut = batch_refine(

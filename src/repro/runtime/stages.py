@@ -6,7 +6,7 @@ The paper's online step is a staged dataflow; each phase is one class here:
 * :class:`ImputationStage` — Eq. (4) imputation with the selected rules;
 * :class:`SynopsisStage` — per-tuple ER-grid synopsis construction;
 * :class:`CandidateLookupStage` — ER-grid candidate retrieval;
-* :class:`MatchingStage` — the four pruning strategies plus refinement;
+* :class:`MatchingStage` — the pruning strategies plus refinement;
 * :class:`MaintenanceStage` — window expiry and window/grid insertion.
 
 A :class:`TupleTask` carries one arriving tuple through the stages and

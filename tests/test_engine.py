@@ -228,7 +228,6 @@ class TestPruningAblation:
             repository=health_repository,
             config=health_config.replace(use_topic_pruning=False,
                                          use_similarity_pruning=False,
-                                         use_probability_pruning=False,
                                          use_instance_pruning=False))
         report_with = with_pruning.run(list(records))
         report_without = without_pruning.run(list(records))

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the core invariants.
 
 These cover the metric properties of the Jaccard distance, the soundness of
-the similarity/probability bounds against brute force, the aR-tree range
+the similarity bounds against brute force, the aR-tree range
 query completeness and the imputed-record probability-mass invariant — the
 invariants every pruning theorem of the paper silently relies on.
 """
@@ -13,12 +13,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.matching import ter_ids_probability
-from repro.core.pruning import (
-    RecordSynopsis,
-    probability_upper_bound,
-    similarity_upper_bound,
-)
+from repro.core.pruning import RecordSynopsis, similarity_upper_bound
 from repro.core.similarity import (
     jaccard_distance,
     jaccard_similarity,
@@ -188,18 +183,6 @@ class TestBoundSoundnessProperties:
                 actual = record_similarity(left_instance.record,
                                            right_instance.record, SCHEMA)
                 assert actual <= bound + 1e-9
-
-    @given(x1=nonempty_texts, y1=y_specs, x2=nonempty_texts, y2=y_specs,
-           gamma_ratio=st.floats(0.25, 0.9))
-    @settings(max_examples=120, deadline=None)
-    def test_probability_upper_bound_dominates_exact(self, x1, y1, x2, y2,
-                                                     gamma_ratio):
-        left = _build_synopsis("l", x1, y1, "s1")
-        right = _build_synopsis("r", x2, y2, "s2")
-        gamma = gamma_ratio * len(SCHEMA)
-        bound = probability_upper_bound(left, right, gamma)
-        exact = ter_ids_probability(left.record, right.record, frozenset(), gamma)
-        assert exact <= bound + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the four pruning strategies (Theorems 4.1-4.4, Lemmas 4.1-4.3).
+"""Unit tests for the pruning strategies (Theorems 4.1, 4.2, 4.4, Lemmas 4.1-4.2).
 
 The crucial property throughout is *safety*: a pruned pair must never be a
 true TER-iDS answer.  Every bound is therefore checked against the exact
@@ -12,8 +12,6 @@ from repro.core.pruning import (
     PruningPipeline,
     RecordSynopsis,
     min_attribute_distance,
-    probability_prune,
-    probability_upper_bound,
     similarity_prune,
     similarity_upper_bound,
     similarity_upper_bound_by_pivot,
@@ -99,8 +97,6 @@ class TestRecordSynopsis:
         assert synopsis.token_size_bounds["diagnosis"] == (0, 0)
         assert (synopsis.distance_bounds["diagnosis"]
                 == reference.distance_bounds["diagnosis"])
-        assert (synopsis.distance_expectations["diagnosis"]
-                == reference.distance_expectations["diagnosis"])
 
     def test_bounds_enclose_every_instance(self):
         synopsis = _synopsis("r1", "fever cough", None,
@@ -119,21 +115,9 @@ class TestRecordSynopsis:
         non_topical = _synopsis("r2", "fever", "flu")
         maybe = _synopsis("r3", "fever", None,
                           candidates={"diagnosis": {"diabetes": 0.1, "flu": 0.9}})
-        assert topical.may_have_keyword and topical.must_have_keyword
+        assert topical.may_have_keyword
         assert not non_topical.may_have_keyword
-        assert maybe.may_have_keyword and not maybe.must_have_keyword
-
-    def test_total_distance_bounds_sum_attributes(self):
-        synopsis = _synopsis("r1", "fever cough", "flu")
-        low, high = synopsis.total_distance_bounds()
-        assert 0.0 <= low <= high <= len(SCHEMA)
-
-    def test_expected_total_distance_within_bounds(self):
-        synopsis = _synopsis("r1", "fever cough", None,
-                             candidates={"diagnosis": {"flu": 0.6, "diabetes": 0.4}})
-        low, high = synopsis.total_distance_bounds()
-        expected = synopsis.expected_total_distance()
-        assert low - 1e-9 <= expected <= high + 1e-9
+        assert maybe.may_have_keyword
 
     def test_coordinate_rectangle_dimensions(self):
         synopsis = _synopsis("r1", "fever", "flu")
@@ -225,70 +209,6 @@ class TestSimilarityUpperBounds:
         assert not similarity_prune(left, right, gamma=1.0)
 
 
-class TestProbabilityUpperBound:
-    def test_bound_in_unit_interval(self):
-        left = _synopsis("r1", "weight loss", "diabetes")
-        right = _synopsis("r2", "fever", "flu", source="s2")
-        bound = probability_upper_bound(left, right, gamma=1.0)
-        assert 0.0 <= bound <= 1.0
-
-    def test_bound_dominates_exact_probability(self):
-        gamma = 1.5
-        pairs = [
-            (_synopsis("r1", "weight loss blurred vision", "diabetes"),
-             _synopsis("r2", "fever cough", "flu", source="s2")),
-            (_synopsis("r3", "weight loss", None,
-                       candidates={"diagnosis": {"diabetes": 0.6, "flu": 0.4}}),
-             _synopsis("r4", "weight loss thirst", "diabetes", source="s2")),
-            (_synopsis("r5", "red eye itchy", "conjunctivitis"),
-             _synopsis("r6", "chest pain", "cardio issue", source="s2")),
-        ]
-        for left, right in pairs:
-            bound = probability_upper_bound(left, right, gamma)
-            exact = ter_ids_probability(left.record, right.record, frozenset(),
-                                        gamma)
-            assert exact <= bound + 1e-9
-
-    def test_probability_prune_safety(self):
-        gamma, alpha = 1.5, 0.5
-        left = _synopsis("r1", "red eye itchy", "conjunctivitis")
-        right = _synopsis("r2", "chest pain palpitation", "cardio issue",
-                          source="s2")
-        if probability_prune(left, right, gamma, alpha):
-            exact = ter_ids_probability(left.record, right.record, frozenset(),
-                                        gamma)
-            assert exact <= alpha
-
-    def test_example7_paper_numbers(self):
-        """Example 7: hand-computed Paley-Zygmund bound equals 0.82."""
-        from repro.core.pruning import RecordSynopsis as RS
-
-        schema3 = Schema(attributes=("A", "B", "C"))
-        # Build synopses directly with the example's distance bounds.
-        left_record = ImputedRecord(
-            base=Record(rid="l", values={"A": "x", "B": "y", "C": None}),
-            schema=schema3,
-            candidates={"C": {"c1": 1 / 3, "c2": 1 / 3, "c3": 1 / 3}})
-        right_record = ImputedRecord(
-            base=Record(rid="r", values={"A": "x", "B": "y", "C": None}),
-            schema=schema3,
-            candidates={"C": {"c1": 0.5, "c2": 0.5}})
-        left = RS(record=left_record,
-                  distance_bounds={"A": [(0.1, 0.1)], "B": [(0.1, 0.1)],
-                                   "C": [(0.1, 0.9)]},
-                  distance_expectations={"A": [0.1], "B": [0.1], "C": [0.5]},
-                  token_size_bounds={"A": (1, 1), "B": (1, 1), "C": (1, 1)},
-                  may_have_keyword=True, must_have_keyword=False)
-        right = RS(record=right_record,
-                   distance_bounds={"A": [(0.2, 0.2)], "B": [(0.2, 0.2)],
-                                    "C": [(0.7, 0.9)]},
-                   distance_expectations={"A": [0.2], "B": [0.2], "C": [0.8]},
-                   token_size_bounds={"A": (1, 1), "B": (1, 1), "C": (1, 1)},
-                   may_have_keyword=True, must_have_keyword=False)
-        bound = probability_upper_bound(left, right, gamma=2.8)
-        assert bound == pytest.approx(0.82, abs=1e-6)
-
-
 class TestPruningPipeline:
     def _pipeline(self, **kwargs):
         defaults = dict(keywords=KEYWORDS, gamma=1.0, alpha=0.3)
@@ -340,7 +260,7 @@ class TestPruningPipeline:
 
     def test_disabled_strategies_still_correct(self):
         pipeline = self._pipeline(use_topic=False, use_similarity=False,
-                                  use_probability=False, use_instance=False)
+                                  use_instance=False)
         left = _synopsis("r1", "weight loss thirst", "diabetes")
         right = _synopsis("r2", "weight loss thirst", "diabetes", source="s2")
         is_match, _ = pipeline.evaluate_pair(left, right)

@@ -16,6 +16,7 @@ The heavyweight guarantees:
 """
 
 import functools
+import hashlib
 import inspect
 import json
 import subprocess
@@ -79,6 +80,43 @@ def test_micro_batch_executor_matches_seed_goldens(dataset, scale, seed,
             executor=MicroBatchExecutor(batch_size=batch_size), **kwargs),
         workload, config)
     assert got == golden
+
+
+#: ``GOLDEN_WORKLOADS[0]`` at ``α = 0.9``: the only corner of the paper's
+#: parameter grid with ``α ≥ 1 − ρ²``, the one place the Paley–Zygmund
+#: bound (Theorem 4.3, not implemented) could have pruned a pair.  Per
+#: ``ρ``: sha256 of the canonical matches and the pruning counters, both
+#: taken from the engine that still ran the bound.
+HIGH_ALPHA_PINS = {
+    0.5: ("a1672b7ba56a18673458413e50b1b9551e5e4b090342fadd5892c13913c9efd5",
+          {"pairs_considered": 1766, "pruned_by_topic": 814,
+           "pruned_by_similarity": 10, "pruned_by_probability": 0,
+           "pruned_by_instance": 431, "refined_matches": 6,
+           "refined_non_matches": 505}),
+    0.7: ("5f5189b266c942c965894d247ba27868fc28e00baa89934e5235b4da3d5e08c8",
+          {"pairs_considered": 1687, "pruned_by_topic": 787,
+           "pruned_by_similarity": 285, "pruned_by_probability": 0,
+           "pruned_by_instance": 325, "refined_matches": 5,
+           "refined_non_matches": 285}),
+}
+
+
+@pytest.mark.parametrize("rho", sorted(HIGH_ALPHA_PINS))
+@pytest.mark.parametrize("executor_factory", [
+    SerialExecutor,
+    lambda: MicroBatchExecutor(batch_size=16),
+], ids=["serial", "micro-batch"])
+def test_high_alpha_corner_matches_pins(rho, executor_factory):
+    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
+    workload = build_workload(dataset, scale, seed)
+    config = build_config(workload, window).replace(alpha=0.9,
+                                                    similarity_ratio=rho)
+    got = run_reference(
+        lambda **kwargs: TERiDSEngine(executor=executor_factory(), **kwargs),
+        workload, config)
+    digest = hashlib.sha256(
+        json.dumps(got["matches"]).encode()).hexdigest()
+    assert (digest, got["pruning_stats"]) == HIGH_ALPHA_PINS[rho]
 
 
 # ---------------------------------------------------------------------------

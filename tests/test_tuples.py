@@ -204,16 +204,6 @@ class TestImputedRecord:
         assert not imputed.may_contain_keyword(["allergy"])
         assert not imputed.may_contain_keyword([])
 
-    def test_must_contain_keyword(self):
-        record = Record(rid="r1", values={"x": "diabetes care", "y": None})
-        imputed = ImputedRecord(base=record, schema=self.schema,
-                                candidates={"y": {"flu": 1.0}})
-        assert imputed.must_contain_keyword(["diabetes"])
-        record2 = Record(rid="r2", values={"x": "a", "y": None})
-        imputed2 = ImputedRecord(base=record2, schema=self.schema,
-                                 candidates={"y": {"diabetes": 0.5, "flu": 0.5}})
-        assert not imputed2.must_contain_keyword(["diabetes"])
-
     def test_expected_instance_is_most_probable(self):
         record = Record(rid="r1", values={"x": "a", "y": None})
         imputed = ImputedRecord(base=record, schema=self.schema,

@@ -41,7 +41,6 @@ from repro.core.pruning import (
     RecordSynopsis,
     batch_prune,
     pack_synopsis,
-    paley_zygmund_bound_from_totals,
 )
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.repository import DataRepository
@@ -150,13 +149,12 @@ def _assert_rows_equal_oracle(items, oracle, store):
         (is_match, repr(probability)) for is_match, probability in verdicts]
     assert rows.stats == stats
 
-    mask, topic, similarity, probability = batch_prune(
+    mask, topic, similarity = batch_prune(
         store.rows_for([query for query, _ in pairs]),
         store.rows_for([candidate for _, candidate in pairs]), oracle, store)
     assert mask.tolist() == alive
-    assert (topic, similarity, probability) == (
-        stats.pruned_by_topic, stats.pruned_by_similarity,
-        stats.pruned_by_probability)
+    assert (topic, similarity) == (stats.pruned_by_topic,
+                                   stats.pruned_by_similarity)
     return sum(alive)
 
 
@@ -184,8 +182,7 @@ record_strategy = st.tuples(
     value_strategy,
     st.one_of(st.none(), candidates_strategy),
 )
-toggles_strategy = st.tuples(st.booleans(), st.booleans(), st.booleans(),
-                             st.booleans())
+toggles_strategy = st.tuples(st.booleans(), st.booleans(), st.booleans())
 
 
 def _synopses(records):
@@ -197,11 +194,10 @@ def _synopses(records):
     ]
 
 
-def _pipeline(keywords, gamma, alpha, toggles=(True, True, True, True)):
-    use_topic, use_similarity, use_probability, use_instance = toggles
+def _pipeline(keywords, gamma, alpha, toggles=(True, True, True)):
+    use_topic, use_similarity, use_instance = toggles
     return PruningPipeline(keywords=keywords, gamma=gamma, alpha=alpha,
                            use_topic=use_topic, use_similarity=use_similarity,
-                           use_probability=use_probability,
                            use_instance=use_instance)
 
 
@@ -278,7 +274,7 @@ def _gathered_lanes():
 
 def _assert_prune_equals_oracle(synopses, oracle, block=PAIR_BLOCK):
     """:func:`batch_prune` over every ordered pair of ``synopses`` against
-    ``oracle.evaluate_pair``: survivor mask and the three bound counters.
+    ``oracle.evaluate_pair``: survivor mask and the two bound counters.
     Runs with numpy warnings as errors; returns ``(pairs, lanes
     gathered)``."""
     pairs = [(query, candidate) for query in synopses
@@ -297,12 +293,11 @@ def _assert_prune_equals_oracle(synopses, oracle, block=PAIR_BLOCK):
     with _pair_block(block), _gathered_lanes() as lanes, \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        mask, topic, similarity, probability = batch_prune(
+        mask, topic, similarity = batch_prune(
             query_rows, candidate_rows, kernel, store)
     assert mask.tolist() == alive
-    assert (topic, similarity, probability) == (
-        stats.pruned_by_topic, stats.pruned_by_similarity,
-        stats.pruned_by_probability)
+    assert (topic, similarity) == (stats.pruned_by_topic,
+                                   stats.pruned_by_similarity)
     assert lanes[::2] == lanes[1::2]
     assert all(0 < count <= block for count in lanes)
     gathered = sum(lanes[1::2])
@@ -331,7 +326,7 @@ def test_topic_first_cascade_equals_the_oracle(records, gamma, alpha,
     _assert_prune_equals_oracle(
         _synopses(records),
         _pipeline(KEYWORDS if use_keywords else frozenset(), gamma, alpha,
-                  (use_topic, True, True, True)), block)
+                  (use_topic, True, True)), block)
 
 
 @pytest.mark.parametrize("block", [3, PAIR_BLOCK])
@@ -441,7 +436,7 @@ def _is_single(synopsis):
 
 
 #: Refinement only: every pair reaches Theorem 4.4.
-NO_BOUNDS = (False, False, False, True)
+NO_BOUNDS = (False, False, True)
 
 #: Values that collide often: empty, identical, disjoint and nested sets.
 single_value_strategy = st.sampled_from(
@@ -531,7 +526,7 @@ def test_multi_instance_pairs_equal_the_oracle(records, gamma, alpha,
                                                use_instance, cap, block):
     """m × n pairs — a small ``MAX_INSTANCES`` leaves retained mass below
     one — through the one kernel, verdict for verdict."""
-    toggles = (use_bounds, use_bounds, use_bounds, use_instance)
+    toggles = (use_bounds, use_bounds, use_instance)
     with _max_instances(cap), _pair_block(block), \
             _refinement_calls() as lanes:
         synopses = [_multi_synopsis(index, *record)
@@ -587,8 +582,7 @@ def test_refine_kernel_matches_the_oracle_around_the_block_size(count):
     engine, oracle = _populated_engine()
     synopses = engine.grid.synopses()
     assert not all(_is_single(synopsis) for synopsis in synopses)
-    oracle = replace(oracle, use_topic=False, use_similarity=False,
-                     use_probability=False)
+    oracle = replace(oracle, use_topic=False, use_similarity=False)
     with _refinement_calls() as lanes:
         _assert_rows_equal_oracle(_items(synopses, count), oracle,
                                   _store_of(synopses))
@@ -789,48 +783,6 @@ def test_instance_table_is_bounded_by_the_window_not_the_stream():
 
 
 # ---------------------------------------------------------------------------
-# Theorem 4.3 lanes: the columnar pre-filter vs the scalar helper
-# ---------------------------------------------------------------------------
-#: Totals drawn from a coarse grid, so touching intervals (``lb == ub``
-#: across the pair, zero gaps, zero spreads) are common, not measure-zero.
-_grid_total = st.integers(min_value=0, max_value=8).map(lambda k: k / 4.0)
-_totals = st.tuples(_grid_total, _grid_total, _grid_total).map(sorted).map(
-    lambda t: (t[1], t[0], t[2]))  # (exp, lb, ub) with lb <= exp <= ub
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    query=_totals,
-    candidates=st.lists(_totals, min_size=1, max_size=12),
-    gamma=st.floats(min_value=0.1, max_value=1.9),
-    alpha=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_probability_lanes_equal_scalar_bound(query, candidates, gamma,
-                                              alpha):
-    dimensionality = len(SCHEMA)
-    count = len(candidates)
-
-    def side(rows):
-        """Kernel inputs that only Theorem 4.3 reads (the totals)."""
-        lanes = len(rows)
-        blank = np.zeros((lanes, dimensionality, 1))
-        return (blank, blank, np.ones((lanes, dimensionality)),
-                np.ones((lanes, dimensionality)),
-                np.ones(lanes, dtype=np.int64), np.array(rows, dtype=float))
-
-    alive, _, pruned = pruning_module.batch_prune_stacked(
-        side([query] * count), side(candidates),
-        _pipeline(frozenset(), gamma, alpha, (False, False, True, True)))
-    expected = [
-        paley_zygmund_bound_from_totals(dimensionality - gamma, *query,
-                                        *candidate) <= alpha
-        for candidate in candidates
-    ]
-    assert (~alive).tolist() == expected
-    assert pruned == sum(expected)
-
-
-# ---------------------------------------------------------------------------
 # Golden regression: the vectorized micro-batch path
 # ---------------------------------------------------------------------------
 def _golden(dataset):
@@ -854,8 +806,7 @@ def test_vectorized_in_process_matches_seed_goldens(dataset, scale, seed,
 # PackedStore mechanics
 # ---------------------------------------------------------------------------
 #: ``PackedStore`` columns, in the order :func:`pack_synopsis` lays a row out.
-COLUMNS = ("dist_lb", "dist_ub", "tok_min", "tok_max", "may_kw", "limits",
-           "totals")
+COLUMNS = ("dist_lb", "dist_ub", "tok_min", "tok_max", "may_kw", "limits")
 
 
 def _row_of(store, synopsis):
