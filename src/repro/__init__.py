@@ -10,7 +10,7 @@ The package implements the full TER-iDS system from scratch:
 * the pruning strategies (topic keyword, similarity upper bound,
   instance-pair-level; the paper's Paley–Zygmund probability bound is not
   implemented, see README);
-* the index substrates (aR-tree, CDD-index, DR-index, ER-grid, cost-model
+* the index substrates (R-tree, CDD-index, DR-index, ER-grid, cost-model
   pivot selection) and the index-join streaming engine;
 * the baselines, synthetic dataset generators, metrics and the experiment
   harness regenerating every table and figure of the evaluation.

@@ -66,7 +66,7 @@ class IndexedSequentialPipeline:
         ))
         self.rules = discover_cdd_rules(repository, discovery_config)
         self.cdd_indexes = build_cdd_indexes(self.rules, config.schema, self.pivots)
-        self.dr_index = DRIndex(repository, self.pivots, keywords=config.keywords)
+        self.dr_index = DRIndex(repository, self.pivots)
         self.imputer = CDDImputer(repository=repository, rules=self.rules,
                                   sample_retriever=self.dr_index.make_retriever())
         self.grid = ERGrid(config.schema, cells_per_dim=config.grid_cells_per_dim)

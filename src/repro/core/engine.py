@@ -113,7 +113,7 @@ class TERiDSEngine:
         pivots = select_pivots(repository, self.pivot_config)
         mined: List[CDDRule] = (list(rules) if rules is not None else
                                 discover_cdd_rules(repository, discovery_config))
-        dr_index = DRIndex(repository, pivots, keywords=config.keywords)
+        dr_index = DRIndex(repository, pivots)
 
         # ---- runtime wiring (context + pipeline + executor) ----
         self.ctx = RuntimeContext(

@@ -1,6 +1,6 @@
-"""Index and synopsis structures: aR-tree, pivots, CDD-index, DR-index, ER-grid."""
+"""Index and synopsis structures: R-tree, pivots, CDD-index, DR-index, ER-grid."""
 
-from repro.indexes.artree import Aggregator, ARTree, ARTreeEntry, Rect
+from repro.indexes.artree import ARTree, ARTreeEntry, Rect
 from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid, GridCell
@@ -14,7 +14,6 @@ from repro.indexes.pivots import (
 )
 
 __all__ = [
-    "Aggregator",
     "ARTree",
     "ARTreeEntry",
     "CDDIndex",

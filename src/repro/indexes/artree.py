@@ -1,20 +1,16 @@
-"""Aggregate R-tree (aR-tree) substrate [Lazaridis & Mehrotra, SIGMOD 2001].
+"""R-tree substrate of the two imputation indexes.
 
-Both imputation indexes of the paper (the per-attribute CDD-index and the
-DR-index over the repository) are built on aR-trees: ordinary R-trees whose
-nodes additionally carry *aggregates* summarising the entries below them
-(keyword bit-vectors, distance intervals, token-size intervals, ...).
-
-This module provides a small, dependency-free aR-tree over axis-aligned
-rectangles in ``[0, 1]^d`` with:
+The paper builds the per-attribute CDD-index and the DR-index over the
+repository on aggregate R-trees [Lazaridis & Mehrotra, SIGMOD 2001], whose
+nodes also summarise the entries below them.  No probe here reads such a
+summary — both indexes filter on rectangles alone — so this module is a
+plain R-tree over axis-aligned rectangles in ``[0, 1]^d`` with:
 
 * insertion (least-enlargement subtree choice, mid-point splits);
 * a ``bulk_load`` fast path that packs a sorted-tile tree bottom-up for
   cold builds instead of paying per-entry insertion splits;
-* user-defined aggregates through an :class:`Aggregator` (a pair of
-  ``from_payload`` / ``merge`` callables);
-* range search and a generic guided traversal with per-node pruning, which
-  is what the index join of Section 5.3 needs.
+* range search and a guided traversal that prunes whole subtrees on their
+  bounding rectangle.
 """
 
 from __future__ import annotations
@@ -69,10 +65,6 @@ class Rect:
         return all(low - 1e-12 <= value <= high + 1e-12
                    for low, high, value in zip(self.mins, self.maxs, point))
 
-    def margin(self) -> float:
-        """Sum of side lengths (used as a tie-breaker during splits)."""
-        return sum(high - low for low, high in zip(self.mins, self.maxs))
-
     def area(self) -> float:
         """Product of side lengths (enlargement metric)."""
         area = 1.0
@@ -84,59 +76,16 @@ class Rect:
         """Area increase needed to absorb ``other``."""
         return self.union(other).area() - self.area()
 
-    def min_distance_to(self, other: "Rect") -> float:
-        """Sum over dimensions of the minimum per-dimension gap.
-
-        This is the L1 lower bound used when pruning grid cells / tree nodes
-        with the pivot-based similarity bound (Lemma 4.2 aggregated over
-        attributes).
-        """
-        total = 0.0
-        for low, high, other_low, other_high in zip(self.mins, self.maxs,
-                                                    other.mins, other.maxs):
-            if low > other_high:
-                total += low - other_high
-            elif other_low > high:
-                total += other_low - high
-        return total
-
     def center(self) -> Tuple[float, ...]:
         return tuple((low + high) / 2.0 for low, high in zip(self.mins, self.maxs))
 
 
 @dataclass
-class Aggregator:
-    """User-defined aggregate semantics for an aR-tree.
-
-    ``from_payload(rect, payload)`` builds the aggregate of a single leaf
-    entry; ``merge(left, right)`` combines two aggregates.  ``None``
-    aggregates are tolerated (they merge to the other side).
-    """
-
-    from_payload: Callable[[Rect, Any], Any]
-    merge: Callable[[Any, Any], Any]
-
-    def combine(self, aggregates: Iterable[Any]) -> Any:
-        result = None
-        for aggregate in aggregates:
-            if aggregate is None:
-                continue
-            result = aggregate if result is None else self.merge(result, aggregate)
-        return result
-
-
-def _null_aggregator() -> Aggregator:
-    return Aggregator(from_payload=lambda rect, payload: None,
-                      merge=lambda left, right: None)
-
-
-@dataclass
 class ARTreeEntry:
-    """A leaf entry: rectangle, payload object and its aggregate."""
+    """A leaf entry: rectangle and payload object."""
 
     rect: Rect
     payload: Any
-    aggregate: Any = None
 
 
 @dataclass
@@ -145,31 +94,27 @@ class _Node:
 
     is_leaf: bool
     rect: Optional[Rect] = None
-    aggregate: Any = None
     entries: List[ARTreeEntry] = field(default_factory=list)
     children: List["_Node"] = field(default_factory=list)
 
-    def recompute(self, aggregator: Aggregator) -> None:
-        """Refresh the node MBR and aggregate from its members."""
-        members: List[Tuple[Rect, Any]]
+    def recompute(self) -> None:
+        """Refresh the node MBR from its members."""
         if self.is_leaf:
-            members = [(entry.rect, entry.aggregate) for entry in self.entries]
+            rects = [entry.rect for entry in self.entries]
         else:
-            members = [(child.rect, child.aggregate) for child in self.children
-                       if child.rect is not None]
-        if not members:
+            rects = [child.rect for child in self.children
+                     if child.rect is not None]
+        if not rects:
             self.rect = None
-            self.aggregate = None
             return
-        rect = members[0][0]
-        for other, _ in members[1:]:
+        rect = rects[0]
+        for other in rects[1:]:
             rect = rect.union(other)
         self.rect = rect
-        self.aggregate = aggregator.combine(aggregate for _, aggregate in members)
 
 
 class ARTree:
-    """A minimal aggregate R-tree.
+    """A minimal R-tree.
 
     Parameters
     ----------
@@ -177,19 +122,15 @@ class ARTree:
         Dimensionality of the indexed rectangles.
     max_entries:
         Node fan-out before a split.
-    aggregator:
-        Aggregate semantics; defaults to "no aggregates".
     """
 
-    def __init__(self, dimensions: int, max_entries: int = 8,
-                 aggregator: Optional[Aggregator] = None) -> None:
+    def __init__(self, dimensions: int, max_entries: int = 8) -> None:
         if dimensions < 1:
             raise ValueError("dimensions must be >= 1")
         if max_entries < 2:
             raise ValueError("max_entries must be >= 2")
         self.dimensions = dimensions
         self.max_entries = max_entries
-        self.aggregator = aggregator or _null_aggregator()
         self._root = _Node(is_leaf=True)
         self._size = 0
 
@@ -200,19 +141,14 @@ class ARTree:
     def root_rect(self) -> Optional[Rect]:
         return self._root.rect
 
-    @property
-    def root_aggregate(self) -> Any:
-        return self._root.aggregate
-
     # -- insertion -----------------------------------------------------------
     def insert(self, rect: Rect, payload: Any) -> None:
         """Insert one rectangle with its payload."""
         if rect.dimensions != self.dimensions:
             raise ValueError(
                 f"rect has {rect.dimensions} dims, tree expects {self.dimensions}")
-        aggregate = self.aggregator.from_payload(rect, payload)
-        entry = ARTreeEntry(rect=rect, payload=payload, aggregate=aggregate)
-        self._insert_entry(self._root, entry, path=[])
+        self._insert_entry(self._root, ARTreeEntry(rect=rect, payload=payload),
+                           path=[])
         self._size += 1
 
     def insert_point(self, point: Sequence[float], payload: Any) -> None:
@@ -243,7 +179,7 @@ class ARTree:
             self._split_leaf(node, path)
         elif not node.is_leaf and len(node.children) > self.max_entries:
             self._split_branch(node, path)
-        node.recompute(self.aggregator)
+        node.recompute()
 
     def _widest_dimension(self, rects: Sequence[Rect]) -> int:
         spans = []
@@ -259,8 +195,8 @@ class ARTree:
         half = len(node.entries) // 2
         sibling = _Node(is_leaf=True, entries=node.entries[half:])
         node.entries = node.entries[:half]
-        sibling.recompute(self.aggregator)
-        node.recompute(self.aggregator)
+        sibling.recompute()
+        node.recompute()
         self._attach_sibling(node, sibling, path)
 
     def _split_branch(self, node: _Node, path: List[_Node]) -> None:
@@ -271,15 +207,15 @@ class ARTree:
         half = len(node.children) // 2
         sibling = _Node(is_leaf=False, children=node.children[half:])
         node.children = node.children[:half]
-        sibling.recompute(self.aggregator)
-        node.recompute(self.aggregator)
+        sibling.recompute()
+        node.recompute()
         self._attach_sibling(node, sibling, path)
 
     def _attach_sibling(self, node: _Node, sibling: _Node,
                         path: List[_Node]) -> None:
         if node is self._root:
             new_root = _Node(is_leaf=False, children=[node, sibling])
-            new_root.recompute(self.aggregator)
+            new_root.recompute()
             self._root = new_root
             return
         # Identity scan: _Node is a dataclass, so list.index would compare
@@ -307,22 +243,20 @@ class ARTree:
             if rect.dimensions != self.dimensions:
                 raise ValueError(
                     f"rect has {rect.dimensions} dims, tree expects {self.dimensions}")
-            entries.append(ARTreeEntry(
-                rect=rect, payload=payload,
-                aggregate=self.aggregator.from_payload(rect, payload)))
+            entries.append(ARTreeEntry(rect=rect, payload=payload))
         if not entries:
             return
         self._size = len(entries)
         if len(entries) <= self.max_entries:
             self._root = _Node(is_leaf=True, entries=entries)
-            self._root.recompute(self.aggregator)
+            self._root.recompute()
             return
         nodes = self._pack_level(
             [(entry.rect, entry) for entry in entries], is_leaf=True)
         while len(nodes) > 1:
             if len(nodes) <= self.max_entries:
                 root = _Node(is_leaf=False, children=nodes)
-                root.recompute(self.aggregator)
+                root.recompute()
                 nodes = [root]
             else:
                 nodes = self._pack_level(
@@ -341,7 +275,7 @@ class ARTree:
                 node = _Node(is_leaf=True, entries=chunk)
             else:
                 node = _Node(is_leaf=False, children=chunk)
-            node.recompute(self.aggregator)
+            node.recompute()
             nodes.append(node)
         return nodes
 
@@ -363,15 +297,16 @@ class ARTree:
 
     def traverse(
         self,
-        node_filter: Callable[[Rect, Any], bool],
+        node_filter: Callable[[Rect], bool],
         entry_filter: Optional[Callable[[ARTreeEntry], bool]] = None,
     ) -> Tuple[List[ARTreeEntry], int]:
-        """Guided traversal with aggregate-based pruning.
+        """Guided traversal with per-node pruning.
 
-        ``node_filter(rect, aggregate)`` decides whether a node may contain
-        qualifying entries; nodes that fail the filter are pruned together
-        with their whole subtree.  Returns the qualifying entries and the
-        number of visited nodes (used by the complexity experiments).
+        ``node_filter(rect)`` decides whether a node's bounding rectangle
+        may contain qualifying entries; nodes that fail the filter are
+        pruned together with their whole subtree.  Returns the qualifying
+        entries and the number of visited nodes (used by the complexity
+        experiments).
         """
         results: List[ARTreeEntry] = []
         visited = 0
@@ -379,7 +314,7 @@ class ARTree:
         while stack:
             node = stack.pop()
             visited += 1
-            if node.rect is not None and not node_filter(node.rect, node.aggregate):
+            if node.rect is not None and not node_filter(node.rect):
                 continue
             if node.is_leaf:
                 for entry in node.entries:

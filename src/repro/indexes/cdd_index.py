@@ -1,23 +1,22 @@
 """The CDD-index ``I_j`` over CDD rules (Section 5.1, Figure 2).
 
-For every dependent attribute ``A_j`` the index organises the rules
-``X_f → A_j`` into
+For every dependent attribute ``A_j`` the index groups the rules
+``X_f → A_j`` by determinant attribute set, in first-appearance order, and
+keeps one R-tree per group indexing each rule's determinant constraints in
+the pivot-converted space: constant constraints become the Jaccard distance
+of the constant to the attribute's main pivot, interval constraints keep
+their interval, and missing attributes are encoded as ``[-1, -1]``
+(excluded from pruning).
 
-* a **lattice** whose Level-1 nodes group the rules by determinant attribute
-  set and whose higher levels hold combined rules (unions of determinant
-  sets) with merged dependent intervals — these coarse combined rules seed
-  the index join with wide query ranges that are tightened while descending;
-* per-group **aR-trees** indexing each rule's determinant constraints in the
-  pivot-converted space: constant constraints become the Jaccard distance of
-  the constant to the attribute's main pivot, interval constraints keep their
-  interval, and missing attributes are encoded as ``[-1, -1]`` (excluded from
-  pruning).  Leaf aggregates carry the rule's dependent interval and the
-  distances of constants to the auxiliary pivots.
+The paper's Figure 2 adds a lattice of combined rules over the groups and
+node aggregates (dependent intervals, constants' auxiliary-pivot
+distances) for pruning inside its index join.  Rule selection here filters
+on the trees' rectangles alone and then checks every returned rule
+exactly, so neither is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.similarity import text_distance
@@ -28,59 +27,12 @@ from repro.imputation.cdd import (
     CDDRule,
     group_rules_by_dependent,
 )
-from repro.indexes.artree import Aggregator, ARTree, Rect
+from repro.indexes.artree import ARTree, Rect
 from repro.indexes.pivots import PivotTable
 
 #: Coordinate used for the "missing attribute" constraint in the converted
 #: space; it is outside [0, 1] so it never interferes with real constraints.
 MISSING_COORDINATE = -1.0
-
-
-@dataclass(frozen=True)
-class CDDLeafAggregate:
-    """Leaf aggregate of the CDD-index aR-tree.
-
-    * ``dependent_interval`` — the rule's ``A_j.I``;
-    * ``auxiliary_distances`` — per determinant attribute, the distance of a
-      constant constraint to the auxiliary pivots (empty for interval
-      constraints).
-    """
-
-    dependent_interval: Tuple[float, float]
-    auxiliary_distances: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
-
-
-@dataclass(frozen=True)
-class CDDNodeAggregate:
-    """Non-leaf aggregate: the minimal interval bounding all dependent intervals."""
-
-    dependent_interval: Tuple[float, float]
-
-
-def _merge_aggregates(left, right):
-    """Merge two (leaf or node) aggregates into a bounding node aggregate."""
-    low = min(left.dependent_interval[0], right.dependent_interval[0])
-    high = max(left.dependent_interval[1], right.dependent_interval[1])
-    return CDDNodeAggregate(dependent_interval=(low, high))
-
-
-@dataclass
-class LatticeNode:
-    """One node of the CDD-index lattice: a determinant attribute set."""
-
-    attributes: Tuple[str, ...]
-    level: int
-    rules: List[CDDRule] = field(default_factory=list)
-    combined_interval: Tuple[float, float] = (0.0, 1.0)
-
-    def recompute_interval(self) -> None:
-        """Minimal interval bounding the dependent intervals of the node's rules."""
-        if not self.rules:
-            self.combined_interval = (0.0, 1.0)
-            return
-        low = min(rule.dependent_interval[0] for rule in self.rules)
-        high = max(rule.dependent_interval[1] for rule in self.rules)
-        self.combined_interval = (low, high)
 
 
 class CDDIndex:
@@ -92,13 +44,9 @@ class CDDIndex:
         self.schema = schema
         self.pivots = pivots
         self.rules = [rule for rule in rules if rule.dependent == dependent]
-        self.lattice: Dict[Tuple[str, ...], LatticeNode] = {}
         self._trees: Dict[Tuple[str, ...], ARTree] = {}
         self._max_entries = max_entries
-        self._aggregator = Aggregator(
-            from_payload=lambda rect, payload: self._leaf_aggregate(payload),
-            merge=_merge_aggregates,
-        )
+        #: Tree nodes visited by :meth:`candidate_rules`, over all calls.
         self.nodes_visited = 0
         self._build()
 
@@ -121,16 +69,6 @@ class CDDIndex:
                 intervals.append((MISSING_COORDINATE, MISSING_COORDINATE))
         return Rect.from_intervals(intervals)
 
-    def _leaf_aggregate(self, rule: CDDRule) -> CDDLeafAggregate:
-        auxiliary: List[Tuple[str, Tuple[float, ...]]] = []
-        for constraint in rule.determinants:
-            if constraint.kind == CONSTRAINT_CONSTANT and constraint.constant:
-                distances = self.pivots.pivot_distances(
-                    constraint.attribute, constraint.constant)[1:]
-                auxiliary.append((constraint.attribute, distances))
-        return CDDLeafAggregate(dependent_interval=rule.dependent_interval,
-                                auxiliary_distances=tuple(auxiliary))
-
     @staticmethod
     def _group_in_order(rules: Sequence[CDDRule]
                         ) -> Dict[Tuple[str, ...], List[CDDRule]]:
@@ -142,34 +80,13 @@ class CDDIndex:
         return groups
 
     def _build(self) -> None:
-        """Lattice plus one bulk-loaded aR-tree per determinant set.
-
-        Level-1 nodes appear in group first-appearance order; when the
-        groups span more than one determinant set, a synthetic top-level
-        union node over all rules is appended — unless some group already
-        covers exactly the union attribute set.
-        """
-        groups = self._group_in_order(self.rules)
-        for key, own_rules in groups.items():
-            node = LatticeNode(attributes=key, level=len(key),
-                               rules=list(own_rules))
-            node.recompute_interval()
-            self.lattice[key] = node
-            tree = ARTree(dimensions=len(key), max_entries=self._max_entries,
-                          aggregator=self._aggregator)
+        """One bulk-loaded R-tree per determinant set, in group
+        first-appearance order (the order :meth:`candidate_rules` walks)."""
+        for key, own_rules in self._group_in_order(self.rules).items():
+            tree = ARTree(dimensions=len(key), max_entries=self._max_entries)
             tree.bulk_load((self._rule_rect(rule, key), rule)
                            for rule in own_rules)
-            if len(tree):
-                self._trees[key] = tree
-        if len(groups) > 1:
-            union_attributes = tuple(sorted({
-                attribute for key in groups for attribute in key}))
-            if union_attributes not in self.lattice:
-                top = LatticeNode(attributes=union_attributes,
-                                  level=len(union_attributes),
-                                  rules=list(self.rules))
-                top.recompute_interval()
-                self.lattice[union_attributes] = top
+            self._trees[key] = tree
 
     # -- statistics --------------------------------------------------------------
     @property
@@ -179,21 +96,6 @@ class CDDIndex:
     @property
     def group_count(self) -> int:
         return len(self._trees)
-
-    def lattice_levels(self) -> Dict[int, List[LatticeNode]]:
-        """Lattice nodes grouped by level (Figure 2 layout)."""
-        levels: Dict[int, List[LatticeNode]] = {}
-        for node in self.lattice.values():
-            levels.setdefault(node.level, []).append(node)
-        return levels
-
-    def combined_dependent_interval(self) -> Tuple[float, float]:
-        """Coarsest dependent interval over all rules (root of the lattice)."""
-        if not self.rules:
-            return (0.0, 1.0)
-        low = min(rule.dependent_interval[0] for rule in self.rules)
-        high = max(rule.dependent_interval[1] for rule in self.rules)
-        return low, high
 
     # -- queries ------------------------------------------------------------------
     def _record_coordinates(self, record: Record,
@@ -213,7 +115,7 @@ class CDDIndex:
                         tolerance: float = 1e-6) -> List[CDDRule]:
         """Rules whose indexed constraints may apply to ``record``.
 
-        The aR-trees are traversed top-down; a node is pruned when, on some
+        The R-trees are traversed top-down; a node is pruned when, on some
         dimension, its MBR holds only constant constraints (degenerate
         coordinates) that cannot equal the record's converted coordinate.
         Interval constraints always pass the index test and are verified
@@ -221,7 +123,6 @@ class CDDIndex:
         exact :meth:`CDDRule.applicable_to` check, so no false positives
         escape; the index only avoids scanning obviously irrelevant rules.
         """
-        self.nodes_visited = 0
         candidates: List[CDDRule] = []
         for key, tree in self._trees.items():
             coordinates = self._record_coordinates(record, key)
@@ -230,7 +131,7 @@ class CDDIndex:
                 # group's rules cannot be evaluated, skip the whole tree.
                 continue
 
-            def node_filter(rect: Rect, aggregate, coords=coordinates) -> bool:
+            def node_filter(rect: Rect, coords=coordinates) -> bool:
                 for dim, coordinate in enumerate(coords):
                     low = rect.mins[dim]
                     high = rect.maxs[dim]

@@ -2,12 +2,11 @@
 
 Every repository sample ``s`` is converted into a ``d``-dimensional point
 whose ``x``-th coordinate is the Jaccard distance of ``s[A_x]`` to the main
-pivot of attribute ``A_x``.  The points are indexed in an aR-tree whose
-aggregates hold, per node,
-
-* a keyword/topic bit-vector (union of the keywords present below the node);
-* per-attribute intervals bounding the distances to the auxiliary pivots;
-* per-attribute intervals bounding the token-set sizes.
+pivot of attribute ``A_x``, and the points are indexed in an R-tree.  The
+paper's nodes also carry a keyword vector and auxiliary-pivot and
+token-size intervals for pruning inside its index join; every probe here
+filters on the query rectangle alone, so the nodes keep only their
+bounding rectangles.
 
 At imputation time, given an incomplete tuple and a CDD rule, the index
 returns the samples that can possibly satisfy the rule's determinant
@@ -27,7 +26,7 @@ masks over all samples at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,48 +43,8 @@ from repro.imputation.cdd import (
     CDDRule,
 )
 from repro.imputation.repository import DataRepository
-from repro.indexes.artree import Aggregator, ARTree, Rect
+from repro.indexes.artree import ARTree, Rect
 from repro.indexes.pivots import PivotTable
-
-
-@dataclass(frozen=True)
-class DRAggregate:
-    """aR-tree aggregate of the DR-index.
-
-    ``keywords`` is the set of query-relevant keywords appearing below the
-    node (the paper's boolean vector ``V_e``); ``auxiliary_intervals`` maps
-    ``(attribute, pivot_index)`` to a distance interval; ``token_size_intervals``
-    maps attribute to a token-size interval.
-    """
-
-    keywords: FrozenSet[str]
-    auxiliary_intervals: Tuple[Tuple[Tuple[str, int], Tuple[float, float]], ...]
-    token_size_intervals: Tuple[Tuple[str, Tuple[int, int]], ...]
-
-
-def _merge_interval_maps(
-    left: Tuple[Tuple, ...], right: Tuple[Tuple, ...]
-) -> Tuple[Tuple, ...]:
-    merged: Dict = {}
-    for key, (low, high) in left:
-        merged[key] = (low, high)
-    for key, (low, high) in right:
-        if key in merged:
-            old_low, old_high = merged[key]
-            merged[key] = (min(old_low, low), max(old_high, high))
-        else:
-            merged[key] = (low, high)
-    return tuple(sorted(merged.items()))
-
-
-def _merge_dr_aggregates(left: DRAggregate, right: DRAggregate) -> DRAggregate:
-    return DRAggregate(
-        keywords=left.keywords | right.keywords,
-        auxiliary_intervals=_merge_interval_maps(left.auxiliary_intervals,
-                                                 right.auxiliary_intervals),
-        token_size_intervals=_merge_interval_maps(left.token_size_intervals,
-                                                  right.token_size_intervals),
-    )
 
 
 @dataclass
@@ -116,14 +75,13 @@ class _RecordProbe:
 
 
 class DRIndex:
-    """aR-tree index over the converted repository samples."""
+    """R-tree index over the converted repository samples."""
 
     def __init__(self, repository: DataRepository, pivots: PivotTable,
-                 keywords: Iterable[str] = (), max_entries: int = 16) -> None:
+                 max_entries: int = 16) -> None:
         self.repository = repository
         self.pivots = pivots
         self.schema: Schema = repository.schema
-        self.keywords = frozenset(keyword.lower() for keyword in keywords)
         #: Tree nodes visited by :meth:`candidate_samples` (the scalar path).
         self.nodes_visited = 0
         #: Probes answered by :meth:`matching_samples` (the packed path).
@@ -131,12 +89,8 @@ class DRIndex:
         self._packed: Optional[_PackedRepository] = None
         self._probe = _RecordProbe()
         self._retriever = None
-        self._tree = ARTree(
-            dimensions=self.schema.dimensionality,
-            max_entries=max_entries,
-            aggregator=Aggregator(from_payload=self._sample_aggregate,
-                                  merge=_merge_dr_aggregates),
-        )
+        self._tree = ARTree(dimensions=self.schema.dimensionality,
+                            max_entries=max_entries)
         self._attribute_order = list(self.schema)
         self._attribute_index = {attribute: index for index, attribute
                                  in enumerate(self._attribute_order)}
@@ -151,23 +105,6 @@ class DRIndex:
             for attribute in self._attribute_order
         ]
 
-    def _sample_aggregate(self, rect: Rect, sample: Record) -> DRAggregate:
-        present_keywords = self.keywords & sample.all_tokens(self.schema)
-        auxiliary: List[Tuple[Tuple[str, int], Tuple[float, float]]] = []
-        sizes: List[Tuple[str, Tuple[int, int]]] = []
-        for attribute in self._attribute_order:
-            value = sample[attribute]
-            assert value is not None
-            for index, pivot_value in enumerate(
-                    self.pivots.auxiliary_pivots(attribute), start=1):
-                distance = text_distance(value, pivot_value)
-                auxiliary.append(((attribute, index), (distance, distance)))
-            size = len(tokenize(value))
-            sizes.append((attribute, (size, size)))
-        return DRAggregate(keywords=present_keywords,
-                           auxiliary_intervals=tuple(auxiliary),
-                           token_size_intervals=tuple(sizes))
-
     # -- basic info -------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._tree)
@@ -175,11 +112,6 @@ class DRIndex:
     @property
     def height(self) -> int:
         return self._tree.height()
-
-    def root_keywords(self) -> FrozenSet[str]:
-        """Keywords present anywhere in the repository (root aggregate)."""
-        aggregate = self._tree.root_aggregate
-        return aggregate.keywords if aggregate else frozenset()
 
     # -- dynamic maintenance (Section 5.5) ----------------------------------------
     def index_sample(self, sample: Record) -> None:
@@ -240,7 +172,7 @@ class DRIndex:
         if query is None:
             return []
         results, visited = self._tree.traverse(
-            node_filter=lambda rect, aggregate: rect.intersects(query),
+            node_filter=lambda rect: rect.intersects(query),
             entry_filter=lambda entry: entry.rect.intersects(query),
         )
         self.nodes_visited += visited
@@ -256,7 +188,7 @@ class DRIndex:
         # Laying the rows out in that order makes a row mask reproduce
         # ``candidate_samples``' order, which downstream dict insertion and
         # float summation orders depend on.
-        entries, _ = self._tree.traverse(lambda rect, aggregate: True)
+        entries, _ = self._tree.traverse(lambda rect: True)
         samples = [entry.payload for entry in entries]
         dimensions = len(self._attribute_order)
         points = np.array([entry.rect.mins for entry in entries],
@@ -348,6 +280,7 @@ class DRIndex:
         return self._retriever
 
     def range_query(self, intervals: Sequence[Tuple[float, float]]) -> List[Record]:
-        """Raw converted-space range query (used by tests and the index join)."""
+        """Raw converted-space range query: every sample whose point lies in
+        the box ``intervals`` (one ``(low, high)`` per schema attribute)."""
         entries = self._tree.range_search(Rect.from_intervals(intervals))
         return [entry.payload for entry in entries]

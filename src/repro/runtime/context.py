@@ -229,7 +229,7 @@ FAMILIES: Dict[str, Tuple[Optional[str], str]] = {
     "terids_packed_store_instance_rows": (
         None, "Entries in use in the packed store's instance table"),
     "terids_dr_index_nodes_visited_total": (
-        None, "aR-tree nodes visited by DR-index candidate_samples "
+        None, "R-tree nodes visited by DR-index candidate_samples "
               "(scalar path)"),
     "terids_dr_index_packed_probes_total": (
         None, "DR-index probes answered from the packed repository mirror"),

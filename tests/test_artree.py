@@ -1,10 +1,10 @@
-"""Unit tests for the aggregate R-tree substrate."""
+"""Unit tests for the R-tree substrate."""
 
 import random
 
 import pytest
 
-from repro.indexes.artree import Aggregator, ARTree, Rect
+from repro.indexes.artree import ARTree, Rect
 
 
 class TestRect:
@@ -48,22 +48,14 @@ class TestRect:
         assert rect.contains_point([0.25, 0.5])
         assert not rect.contains_point([0.6, 0.1])
 
-    def test_area_and_margin(self):
+    def test_area(self):
         rect = Rect.from_intervals([(0.0, 0.5), (0.0, 0.2)])
         assert rect.area() == pytest.approx(0.1)
-        assert rect.margin() == pytest.approx(0.7)
 
     def test_enlargement(self):
         rect = Rect.from_intervals([(0.0, 0.5), (0.0, 0.5)])
         assert rect.enlargement(Rect.from_point([0.25, 0.25])) == pytest.approx(0.0)
         assert rect.enlargement(Rect.from_point([1.0, 0.5])) > 0.0
-
-    def test_min_distance_l1(self):
-        left = Rect.from_intervals([(0.0, 0.2), (0.0, 0.2)])
-        right = Rect.from_intervals([(0.5, 0.6), (0.1, 0.3)])
-        # dim0 gap = 0.3, dim1 overlap = 0.
-        assert left.min_distance_to(right) == pytest.approx(0.3)
-        assert right.min_distance_to(left) == pytest.approx(0.3)
 
     def test_center(self):
         rect = Rect.from_intervals([(0.0, 0.4), (0.2, 0.6)])
@@ -133,38 +125,6 @@ class TestARTreeBasics:
         assert all(root.contains_point(point) for point in points)
 
 
-class TestAggregates:
-    def _counting_tree(self):
-        aggregator = Aggregator(
-            from_payload=lambda rect, payload: 1,
-            merge=lambda left, right: left + right,
-        )
-        return ARTree(dimensions=1, max_entries=3, aggregator=aggregator)
-
-    def test_root_aggregate_counts_entries(self):
-        tree = self._counting_tree()
-        for index in range(17):
-            tree.insert_point([index / 17], payload=index)
-        assert tree.root_aggregate == 17
-
-    def test_keyword_set_aggregate(self):
-        aggregator = Aggregator(
-            from_payload=lambda rect, payload: frozenset(payload),
-            merge=lambda left, right: left | right,
-        )
-        tree = ARTree(dimensions=1, max_entries=2, aggregator=aggregator)
-        tree.insert_point([0.1], payload={"a"})
-        tree.insert_point([0.5], payload={"b"})
-        tree.insert_point([0.9], payload={"c"})
-        assert tree.root_aggregate == {"a", "b", "c"}
-
-    def test_combine_skips_none(self):
-        aggregator = Aggregator(from_payload=lambda rect, payload: payload,
-                                merge=lambda left, right: left + right)
-        assert aggregator.combine([None, 2, None, 3]) == 5
-        assert aggregator.combine([None, None]) is None
-
-
 class TestTraverse:
     def test_traverse_prunes_subtrees(self):
         tree = ARTree(dimensions=1, max_entries=4)
@@ -172,49 +132,41 @@ class TestTraverse:
             tree.insert_point([index / 100], payload=index)
         query = Rect.from_intervals([(0.0, 0.05)])
         results, visited = tree.traverse(
-            node_filter=lambda rect, aggregate: rect.intersects(query),
+            node_filter=lambda rect: rect.intersects(query),
             entry_filter=lambda entry: entry.rect.intersects(query),
         )
         assert {entry.payload for entry in results} == set(range(6))
-        # Pruning should avoid visiting the whole tree.
-        total_nodes = sum(1 for _ in tree.all_entries())
+        # An unfiltered traversal visits every node; pruning must skip some.
+        _, total_nodes = tree.traverse(node_filter=lambda rect: True)
         assert visited < total_nodes
 
     def test_traverse_without_entry_filter_returns_leaf_entries(self):
         tree = ARTree(dimensions=1, max_entries=4)
         for index in range(10):
             tree.insert_point([index / 10], payload=index)
-        results, _ = tree.traverse(node_filter=lambda rect, aggregate: True)
+        results, _ = tree.traverse(node_filter=lambda rect: True)
         assert len(results) == 10
 
 
-def _counting_aggregator():
-    return Aggregator(from_payload=lambda rect, payload: 1,
-                      merge=lambda left, right: left + right)
-
-
 def _check_invariants(tree):
-    """Every node's MBR/aggregate must match its members; uniform leaf depth."""
+    """Every node's MBR must match its members; uniform leaf depth."""
     depths = []
 
     def walk(node, depth):
         if node.is_leaf:
             depths.append(depth)
-            members = [(entry.rect, entry.aggregate) for entry in node.entries]
+            rects = [entry.rect for entry in node.entries]
         else:
             assert node.children, "empty branch node"
-            members = [walk(child, depth + 1) for child in node.children]
-        if not members:
-            assert node.rect is None and node.aggregate is None
-            return None, None
-        rect = members[0][0]
-        total = 0
-        for member_rect, member_aggregate in members:
-            rect = rect.union(member_rect) if member_rect is not rect else rect
-            total += member_aggregate
+            rects = [walk(child, depth + 1) for child in node.children]
+        if not rects:
+            assert node.rect is None
+            return None
+        rect = rects[0]
+        for member_rect in rects[1:]:
+            rect = rect.union(member_rect)
         assert node.rect == rect
-        assert node.aggregate == total
-        return rect, total
+        return rect
 
     walk(tree._root, 1)
     assert len(set(depths)) == 1, f"leaves at mixed depths {depths}"
@@ -234,11 +186,9 @@ class TestBulkLoad:
         rng = random.Random(23)
         items = [(Rect.from_point([rng.random(), rng.random()]), index)
                  for index in range(300)]
-        tree = ARTree(dimensions=2, max_entries=6,
-                      aggregator=_counting_aggregator())
+        tree = ARTree(dimensions=2, max_entries=6)
         tree.bulk_load(items)
         assert len(tree) == 300
-        assert tree.root_aggregate == 300
         _check_invariants(tree)
         query = Rect.from_intervals([(0.0, 0.25), (0.0, 0.25)])
         expected = {payload for rect, payload in items

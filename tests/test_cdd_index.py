@@ -1,4 +1,4 @@
-"""Unit tests for the CDD-index I_j (lattice + aR-trees, Section 5.1)."""
+"""Unit tests for the CDD-index I_j (per-determinant-set R-trees, Section 5.1)."""
 
 import pytest
 
@@ -23,26 +23,6 @@ class TestConstruction:
         expected = [rule for rule in health_rules if rule.dependent == "diagnosis"]
         assert diagnosis_index.rule_count == len(expected)
 
-    def test_lattice_levels(self, diagnosis_index):
-        levels = diagnosis_index.lattice_levels()
-        assert 1 in levels
-        assert all(node.level >= 1 for nodes in levels.values() for node in nodes)
-
-    def test_lattice_intervals_bound_rules(self, diagnosis_index):
-        for node in diagnosis_index.lattice.values():
-            if not node.rules:
-                continue
-            low, high = node.combined_interval
-            for rule in node.rules:
-                assert low - 1e-9 <= rule.dependent_interval[0]
-                assert rule.dependent_interval[1] <= high + 1e-9
-
-    def test_combined_dependent_interval_covers_all_rules(self, diagnosis_index):
-        low, high = diagnosis_index.combined_dependent_interval()
-        for rule in diagnosis_index.rules:
-            assert low - 1e-9 <= rule.dependent_interval[0]
-            assert rule.dependent_interval[1] <= high + 1e-9
-
     def test_group_trees_exist(self, diagnosis_index):
         assert diagnosis_index.group_count >= 1
 
@@ -50,7 +30,7 @@ class TestConstruction:
         index = CDDIndex(dependent="diagnosis", rules=[],
                          schema=health_repository.schema, pivots=health_pivots)
         assert index.rule_count == 0
-        assert index.combined_dependent_interval() == (0.0, 1.0)
+        assert index.group_count == 0
 
 
 class TestCandidateRules:
@@ -79,8 +59,12 @@ class TestCandidateRules:
         assert widths == sorted(widths)
 
     def test_nodes_visited_counter(self, diagnosis_index, incomplete_health_record):
+        """A running total over probes, like ``DRIndex.nodes_visited``."""
         diagnosis_index.candidate_rules(incomplete_health_record)
-        assert diagnosis_index.nodes_visited > 0
+        once = diagnosis_index.nodes_visited
+        assert once > 0
+        diagnosis_index.candidate_rules(incomplete_health_record)
+        assert diagnosis_index.nodes_visited == 2 * once
 
     def test_record_with_all_determinants_missing(self, diagnosis_index,
                                                   health_repository):

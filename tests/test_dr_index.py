@@ -9,7 +9,7 @@ from repro.indexes.dr_index import DRIndex
 
 @pytest.fixture
 def dr_index(health_repository, health_pivots):
-    return DRIndex(health_repository, health_pivots, keywords=["diabetes", "flu"])
+    return DRIndex(health_repository, health_pivots)
 
 
 @pytest.fixture
@@ -23,15 +23,6 @@ class TestConstruction:
 
     def test_height_positive(self, dr_index):
         assert dr_index.height >= 1
-
-    def test_root_keywords_aggregate(self, dr_index):
-        keywords = dr_index.root_keywords()
-        assert "diabetes" in keywords
-        assert "flu" in keywords
-
-    def test_no_keywords_configured(self, health_repository, health_pivots):
-        index = DRIndex(health_repository, health_pivots)
-        assert index.root_keywords() == frozenset()
 
 
 class TestCandidateSamples:

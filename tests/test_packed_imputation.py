@@ -188,7 +188,7 @@ def test_probe_equals_oracle_on_health(health_repository, health_pivots):
 
 @pytest.fixture(scope="module")
 def citations_workload():
-    """102 repository samples: an aR-tree several splits deep, so traversal
+    """102 repository samples: an R-tree several splits deep, so traversal
     order differs from repository order."""
     return generate_dataset("citations", missing_rate=0.3, scale=2.0, seed=11)
 

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the core invariants.
 
 These cover the metric properties of the Jaccard distance, the soundness of
-the similarity bounds against brute force, the aR-tree range
+the similarity bounds against brute force, the R-tree range
 query completeness and the imputed-record probability-mass invariant — the
 invariants every pruning theorem of the paper silently relies on.
 """
@@ -186,7 +186,7 @@ class TestBoundSoundnessProperties:
 
 
 # ---------------------------------------------------------------------------
-# aR-tree completeness
+# R-tree completeness
 # ---------------------------------------------------------------------------
 class TestARTreeProperties:
     @given(points=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
