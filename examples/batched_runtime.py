@@ -3,8 +3,9 @@
 Demonstrates the staged streaming runtime behind ``TERiDSEngine``:
 
 1. run the same workload through the serial executor (the paper's
-   tuple-at-a-time semantics) and the micro-batch executor, and verify the
-   match sets are identical while the batched run is faster;
+   tuple-at-a-time semantics, kept as the scalar oracle) and the
+   micro-batch executor (the engine's default), and verify the match sets
+   are identical while the batched run is faster;
 2. pause a stream mid-run with ``save_checkpoint``, restore the state into a
    brand-new engine, resume, and verify the final answers equal those of the
    uninterrupted run.

@@ -106,10 +106,11 @@ class IndexedSequentialPipeline:
     def process(self, record: Record) -> List[MatchPair]:
         self.timestamps_processed += 1
         window = self._window_for(record.source)
-        if window.is_full:
-            oldest = window.items()[0]
-            self.grid.remove(oldest.record.rid, oldest.record.source)
-            self.result_set.remove_record(oldest.record.rid, oldest.record.source)
+        leaving = window.leaving(record.rid, record.source)
+        if leaving is not None:
+            self.grid.remove(leaving.record.rid, leaving.record.source)
+            self.result_set.remove_record(leaving.record.rid,
+                                          leaving.record.source)
 
         start = time.perf_counter()
         imputed = self._impute_with_index(record)

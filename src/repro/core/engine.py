@@ -13,10 +13,10 @@
   imputation → synopsis → grid lookup → pruning/refinement → maintenance,
   Algorithm 2) under a pluggable
   :class:`~repro.runtime.executors.Executor`: the default
-  :class:`~repro.runtime.executors.SerialExecutor` reproduces the original
-  single-tuple semantics bit-identically, while
   :class:`~repro.runtime.executors.MicroBatchExecutor` ingests micro-batches
-  and amortises per-tuple work without changing the answers;
+  and runs the columnar kernels, while
+  :class:`~repro.runtime.executors.SerialExecutor` keeps the original
+  single-tuple semantics as the scalar oracle it is compared against;
 * **state management** — :meth:`checkpoint` / :meth:`restore_checkpoint`
   round-trip the online state (windows, grid, result set, counters) through
   the :mod:`repro.persistence` serialisers so a stream can be paused and
@@ -48,7 +48,7 @@ from repro.metrics.timing import BreakupCost, StageTimer, now
 from repro.persistence import load_checkpoint, save_checkpoint
 from repro.runtime.checkpoint import engine_state_to_dict, restore_engine_state
 from repro.runtime.context import RuntimeContext
-from repro.runtime.executors import Executor, SerialExecutor
+from repro.runtime.executors import Executor, MicroBatchExecutor
 from repro.runtime.pipeline import Pipeline
 from repro.runtime.query import QueryResolver, ResolvedCluster
 
@@ -84,10 +84,9 @@ class TERiDSEngine:
         Knobs for the offline rule mining and pivot selection.
     executor:
         Scheduling strategy for the online phase.  Defaults to
-        :class:`~repro.runtime.executors.SerialExecutor` (the paper's
-        tuple-at-a-time semantics); pass a
-        :class:`~repro.runtime.executors.MicroBatchExecutor` for batched
-        ingestion with identical match sets and higher throughput.
+        :class:`~repro.runtime.executors.MicroBatchExecutor` (batches of
+        32); pass a :class:`~repro.runtime.executors.SerialExecutor` for the
+        scalar tuple-at-a-time oracle, which yields the same match sets.
     """
 
     def __init__(
@@ -132,7 +131,8 @@ class TERiDSEngine:
             discovery_config=discovery_config,
         )
         self.pipeline = Pipeline(self.ctx)
-        self.executor: Executor = executor if executor is not None else SerialExecutor()
+        self.executor: Executor = (executor if executor is not None
+                                   else MicroBatchExecutor())
         #: The query-time resolver over this engine's live window
         #: (stateless: it holds the context and nothing else).
         self.resolver = QueryResolver(self.ctx)
@@ -229,18 +229,14 @@ class TERiDSEngine:
         start = now()
         all_matches: List[MatchPair] = []
         batch_size = max(1, self.executor.batch_size)
-        if batch_size == 1:
-            for record in records:
-                all_matches.extend(self.process(record))
-        else:
-            batch: List[Record] = []
-            for record in records:
-                batch.append(record)
-                if len(batch) >= batch_size:
-                    all_matches.extend(self.process_batch(batch))
-                    batch = []
-            if batch:
+        batch: List[Record] = []
+        for record in records:
+            batch.append(record)
+            if len(batch) >= batch_size:
                 all_matches.extend(self.process_batch(batch))
+                batch = []
+        if batch:
+            all_matches.extend(self.process_batch(batch))
         total = now() - start
         return EngineReport(
             timestamps_processed=self.ctx.timestamps_processed,

@@ -128,19 +128,33 @@ class SlidingWindow:
         """True when inserting one more item would evict the oldest."""
         return len(self._items) >= self.capacity
 
+    def leaving(self, rid: str, source: str):
+        """The item an insert of ``(rid, source)`` drops (None if none).
+
+        A re-arriving key replaces its earlier entry, so that entry leaves;
+        otherwise a full window expires its oldest item.
+        """
+        earlier = self._by_key.get((rid, source))
+        if earlier is not None:
+            return earlier
+        return self._items[0] if self.is_full else None
+
     def insert(self, item) -> Optional[object]:
-        """Insert a new item and return the expired one, if any.
+        """Insert a new item and return the one that left, if any
+        (see :meth:`leaving`).
 
         ``item`` can be a :class:`Record` or an imputed record; the window
         only requires ``rid`` / ``source`` attributes for identity.
         """
-        expired = None
-        if self.is_full:
-            expired = self._items.popleft()
-            self._by_key.pop((expired.rid, expired.source), None)
+        left = self.leaving(item.rid, item.source)
+        if left is not None:
+            del self._by_key[(left.rid, left.source)]
+            position = next(index for index, resident
+                            in enumerate(self._items) if resident is left)
+            del self._items[position]
         self._items.append(item)
         self._by_key[(item.rid, item.source)] = item
-        return expired
+        return left
 
     def get(self, rid: str, source: str):
         """Look up a window item by its record identity (None if absent)."""

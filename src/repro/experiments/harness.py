@@ -9,7 +9,7 @@ and accuracy against the workload's topic-aware ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.baselines.naive import BaselineReport
 from repro.baselines.pipelines import (
@@ -22,10 +22,8 @@ from repro.core.engine import TERiDSEngine
 from repro.core.matching import MatchPair
 from repro.core.tuples import Record
 from repro.datasets.synthetic import Workload, generate_dataset
-from repro.imputation.cdd import CDDDiscoveryConfig
 from repro.imputation.repository import DataRepository
 from repro.metrics.accuracy import AccuracyReport, evaluate_matches
-from repro.runtime.executors import Executor
 
 
 @dataclass
@@ -78,21 +76,9 @@ def default_config(workload: Workload, window_size: int = 50,
     )
 
 
-def run_ter_ids(workload: Workload, config: TERiDSConfig,
-                executor: Optional[Executor] = None,
-                discovery_config: Optional[CDDDiscoveryConfig] = None,
-                ) -> MethodResult:
-    """Run the full TER-iDS engine over one workload.
-
-    ``executor`` selects the runtime scheduling strategy (serial by
-    default; pass a ``MicroBatchExecutor`` for batched ingestion — the
-    match sets are identical, only the throughput changes).
-    ``discovery_config`` parameterises rule mining (and every exact
-    re-mine requested through ``add_repository_samples``).
-    """
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=executor,
-                          discovery_config=discovery_config)
+def run_ter_ids(workload: Workload, config: TERiDSConfig) -> MethodResult:
+    """Run the full TER-iDS engine (default executor) over one workload."""
+    engine = TERiDSEngine(repository=workload.repository, config=config)
     try:
         report = engine.run(workload.interleaved_records())
     finally:
@@ -130,14 +116,11 @@ def run_baseline_method(method: str, workload: Workload,
     )
 
 
-def run_method(method: str, workload: Workload, config: TERiDSConfig,
-               executor: Optional[Executor] = None,
-               discovery_config: Optional[CDDDiscoveryConfig] = None,
-               ) -> MethodResult:
+def run_method(method: str, workload: Workload,
+               config: TERiDSConfig) -> MethodResult:
     """Run either TER-iDS or one of the baselines by name."""
     if method == METHOD_TER_IDS:
-        return run_ter_ids(workload, config, executor=executor,
-                           discovery_config=discovery_config)
+        return run_ter_ids(workload, config)
     return run_baseline_method(method, workload, config)
 
 

@@ -97,7 +97,9 @@ class IngestDriver:
     ----------
     engine:
         The :class:`~repro.core.engine.TERiDSEngine` to feed; its executor
-        (serial or micro-batch) is used as-is.
+        (the default micro-batch one, or the serial oracle) is used as-is.
+        The batch policy, not the executor's ``batch_size``, cuts the
+        batches.
     sources:
         The ingest sources; each holds its own watermark until exhausted.
     policy:

@@ -3,9 +3,10 @@
 Decomposes the online operator (Algorithm 2) into independently schedulable
 stages over a shared :class:`~repro.runtime.context.RuntimeContext`, a
 :class:`~repro.runtime.pipeline.Pipeline` composing them, and pluggable
-:class:`~repro.runtime.executors.Executor` strategies — the seed-faithful
-:class:`~repro.runtime.executors.SerialExecutor` and the amortising,
-vectorized :class:`~repro.runtime.executors.MicroBatchExecutor`.
+:class:`~repro.runtime.executors.Executor` strategies — the amortising,
+vectorized :class:`~repro.runtime.executors.MicroBatchExecutor` (the
+engine's default) and the seed-faithful scalar oracle
+:class:`~repro.runtime.executors.SerialExecutor`.
 Checkpoint / restore of the online state lives in
 :mod:`repro.runtime.checkpoint`.  Batch formation is the ingest tier's
 business (:mod:`repro.ingest.batcher`): match sets do not depend on how the

@@ -2,16 +2,13 @@
 
 Two implementations of the :class:`Executor` contract:
 
-* :class:`SerialExecutor` — one tuple at a time through
-  :meth:`Pipeline.process_one`; bit-identical to the seed engine, and the
-  scalar oracle every other path is compared against.
-* :class:`MicroBatchExecutor` — ingests tuples in configurable batches and
-  reorganises the work for throughput while provably preserving the serial
-  match sets:
+* :class:`MicroBatchExecutor` — the engine's default.  It ingests tuples in
+  configurable batches and reorganises the work for throughput while
+  provably preserving the serial match sets:
 
   1. the *order-free* stages (rule selection, imputation, synopsis) run for
-     the whole batch up front — rule selection grouped by missing-attribute
-     signature, imputation with a cross-record ``cand(s[A_j])`` cache;
+     the whole batch up front — imputation with a cross-record
+     ``cand(s[A_j])`` cache and the DR-index's packed probe;
   2. the *order-bound* maintenance + grid lookup run per tuple in arrival
      order (cheap), recording each tuple's candidates as rows of the grid's
      resident packed store (each synopsis is packed into its row when
@@ -22,6 +19,10 @@ Two implementations of the :class:`Executor` contract:
      over those rows;
   4. the result-set mutations (evictions, new pairs) are replayed in
      arrival order, reproducing the serial entity-result-set exactly.
+
+* :class:`SerialExecutor` — one tuple at a time through
+  :meth:`Pipeline.process_one`; bit-identical to the seed engine, and kept
+  only as the scalar oracle the micro-batch path is compared against.
 
 Why this is safe: candidate lookup for tuple ``t`` observes exactly the
 evictions/insertions of tuples before ``t`` (step 2 preserves arrival
@@ -71,7 +72,7 @@ class Executor(abc.ABC):
 
 
 class SerialExecutor(Executor):
-    """The seed semantics: one tuple at a time, bit-identical results."""
+    """The scalar oracle: the seed semantics, one tuple at a time."""
 
     batch_size = 1
 
@@ -91,13 +92,13 @@ _EMIT = 1
 
 
 class MicroBatchExecutor(Executor):
-    """Micro-batch scheduling with grouped/amortised stage execution.
+    """Micro-batch scheduling with amortised stage execution (the default).
 
     ``batch_size`` is the ingestion granularity ``TERiDSEngine.run`` chunks
     its input by — a plain attribute, safe to reassign between batches.
-    Larger batches amortise more (rule-group resolution, imputation
-    candidate sets, instance profiles, kernel passes) at the cost of
-    latency; 32–128 is a good range for the bundled workloads.
+    Larger batches amortise more (imputation candidate sets, packed-store
+    epochs, kernel passes) at the cost of latency; 32–128 is a good range
+    for the bundled workloads.
     """
 
     def __init__(self, batch_size: int = 32) -> None:
@@ -145,7 +146,7 @@ class MicroBatchExecutor(Executor):
                 for task in tasks:
                     ctx.timestamps_processed += 1
                     evicted = pipeline.maintenance.expire(
-                        task.record.source, defer_result_set=True)
+                        task.record, defer_result_set=True)
                     if evicted is not None:
                         events.append((_EVICT, (evicted.record.rid,
                                                 evicted.record.source)))

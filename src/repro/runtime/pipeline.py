@@ -1,11 +1,11 @@
 """Composition of the TER-iDS pipeline stages.
 
 A :class:`Pipeline` wires the six stages of Algorithm 2 over one shared
-:class:`~repro.runtime.context.RuntimeContext` and provides the seed-exact
-per-tuple path (:meth:`process_one`) that the
-:class:`~repro.runtime.executors.SerialExecutor` drives.  Batch scheduling
-lives in :class:`~repro.runtime.executors.MicroBatchExecutor`, which calls
-the same stage objects with different interleaving.
+:class:`~repro.runtime.context.RuntimeContext`.  The engine's default
+scheduling lives in :class:`~repro.runtime.executors.MicroBatchExecutor`,
+which calls the stage objects batch by batch; :meth:`process_one` is the
+seed-exact per-tuple path that the scalar oracle,
+:class:`~repro.runtime.executors.SerialExecutor`, drives.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Pipeline:
         ctx.timestamps_processed += 1
         task = TupleTask(record=record)
         with tel.span("maintenance"):
-            self.maintenance.expire(record.source)
+            self.maintenance.expire(record)
 
         # --- online CDD selection (index access, Figure 6 stage 1) ---
         with ctx.timer.measure(STAGE_CDD_SELECTION), tel.span("rule_selection"):

@@ -12,12 +12,12 @@ The paper's online step is a staged dataflow; each phase is one class here:
 A :class:`TupleTask` carries one arriving tuple through the stages and
 accumulates the per-stage artefacts.  Stages are stateless apart from the
 shared :class:`~repro.runtime.context.RuntimeContext`; executors own the
-scheduling (per-tuple for the serial executor, per-batch with grouping for
-the micro-batch executor) and the stage timers.
+scheduling (per-batch for the default micro-batch executor, per-tuple for
+the serial oracle) and the stage timers.
 
 The first three stages are *order-free*: they read only the offline
 substrates, never the online window/grid state, so a batch executor may run
-them for many tuples at once (grouped and cached).  The last three are
+them for many tuples at once (with cross-record caches).  The last three are
 *order-bound*: candidate lookup for tuple ``t`` must observe exactly the
 evictions and insertions of all tuples that arrived before ``t``, which is
 why executors interleave them per tuple in arrival order.
@@ -70,33 +70,8 @@ class RuleSelectionStage:
         return selected
 
     def run(self, tasks: Sequence[TupleTask]) -> None:
-        """Batched selection, grouped by missing-attribute signature.
-
-        Complete tuples are skipped wholesale; incomplete tuples sharing a
-        signature resolve their per-attribute index objects once per group
-        instead of once per tuple.
-        """
-        schema = self.ctx.schema
-        indexes = self.ctx.cdd_indexes
-        groups: Dict[tuple, List[TupleTask]] = {}
         for task in tasks:
-            signature = tuple(task.record.missing_attributes(schema))
-            groups.setdefault(signature, []).append(task)
-        for signature, grouped in groups.items():
-            if not signature:
-                for task in grouped:
-                    task.selected_rules = {}
-                continue
-            group_indexes = [(attribute, indexes.get(attribute))
-                             for attribute in signature]
-            for task in grouped:
-                selected: Dict[str, List[CDDRule]] = {}
-                for attribute, index in group_indexes:
-                    if index is None:
-                        selected[attribute] = []
-                    else:
-                        selected[attribute] = index.candidate_rules(task.record)
-                task.selected_rules = selected
+            task.selected_rules = self.select(task.record)
 
 
 class ImputationStage:
@@ -229,25 +204,28 @@ class MaintenanceStage:
     def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
 
-    def expire(self, source: str,
+    def expire(self, record: Record,
                defer_result_set: bool = False) -> Optional[RecordSynopsis]:
-        """Evict the oldest tuple of a full window before a new insertion.
+        """Evict the tuple that ``record``'s insertion will push out.
 
-        ``SlidingWindow.insert`` would evict automatically; the oldest tuple
-        is peeked explicitly so the grid and the result set stay consistent.
+        That is the earlier entry of a re-arriving ``(rid, source)``, else
+        the oldest tuple of a full window (:meth:`SlidingWindow.leaving`).
+        It is peeked before the insertion so the grid and the result set
+        drop it first; ``SlidingWindow.insert`` then drops the same entry.
         With ``defer_result_set`` the entity-result-set removal is left to
         the caller (the micro-batch executor replays it in arrival order
         after the deferred pair evaluations).
         """
         ctx = self.ctx
-        window = ctx.window_for(source)
-        if not window.is_full:
+        leaving = ctx.window_for(record.source).leaving(record.rid,
+                                                        record.source)
+        if leaving is None:
             return None
-        oldest = window.items()[0]
-        ctx.grid.remove(oldest.record.rid, oldest.record.source)
+        ctx.grid.remove(leaving.record.rid, leaving.record.source)
         if not defer_result_set:
-            ctx.result_set.remove_record(oldest.record.rid, oldest.record.source)
-        return oldest
+            ctx.result_set.remove_record(leaving.record.rid,
+                                         leaving.record.source)
+        return leaving
 
     def insert(self, synopsis: RecordSynopsis) -> None:
         """Register a new tuple in its window and in the ER-grid."""

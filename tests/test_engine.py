@@ -6,6 +6,7 @@ from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.matching import ter_ids_probability
 from repro.core.tuples import Record, Schema
+from repro.runtime import MicroBatchExecutor, SerialExecutor
 
 
 @pytest.fixture
@@ -149,6 +150,64 @@ class TestWindowExpiry:
                              source="stream-a"))
         assert all(not pair.involves("a1", "stream-a")
                    for pair in engine.result_set.pairs())
+
+
+class TestReArrival:
+    """A re-arriving ``(source, rid)`` replaces its earlier entry."""
+
+    @staticmethod
+    def _stream():
+        diabetic = ("male", "thirst weight loss", "diabetes", "insulin")
+        return [
+            _post("a4", *diabetic),
+            _post("b1", *diabetic, source="stream-b"),
+            _post("a5", "female", "fever cough", "flu", "rest"),
+            # a4 again, now unlike b1: the (a4, b1) answer must go.
+            _post("a4", "female", "red eye itchy", "diabetes", "eye drop"),
+            _post("a1", "female", "sneeze pollen rash", "allergy",
+                  "antihistamine"),
+        ]
+
+    @staticmethod
+    def _state(engine):
+        return (sorted((s.source, s.rid, s.record.base.values["symptom"])
+                       for s in engine.grid.synopses()),
+                {pair.key() for pair in engine.current_matches()})
+
+    @pytest.mark.parametrize("make_executor", [
+        SerialExecutor, lambda: MicroBatchExecutor(1),
+        lambda: MicroBatchExecutor(7)], ids=["serial", "micro-1", "micro-7"])
+    def test_window_grid_and_results_keep_the_live_copy(
+            self, health_repository, health_config, make_executor):
+        config = health_config.replace(window_size=3)
+        engine = TERiDSEngine(repository=health_repository, config=config,
+                              executor=make_executor())
+        report = engine.run(self._stream())
+        assert {pair.key() for pair in report.matches} == {
+            (("stream-a", "a4"), ("stream-b", "b1"))}
+
+        window = engine.windows["stream-a"]
+        assert [item.rid for item in window] == ["a5", "a4", "a1"]
+        live = window.get("a4", "stream-a")
+        assert live is not None
+        assert live.record.base.values["symptom"] == "red eye itchy"
+        assert engine.grid.get_synopsis("a4", "stream-a") is live
+        assert {s.rid for s in engine.grid.synopses()
+                if s.source == "stream-a"} == {"a5", "a4", "a1"}
+        assert engine.current_matches() == []
+
+        # The checkpoint restores exactly the live state, and both engines
+        # answer the same afterwards.
+        restored = TERiDSEngine(repository=health_repository, config=config,
+                                executor=make_executor())
+        restored.restore_checkpoint(engine.checkpoint())
+        assert self._state(restored) == self._state(engine)
+        follow_up = _post("b2", "female", "red eye itchy", "diabetes",
+                          "eye drop", source="stream-b")
+        assert ({pair.key() for pair in engine.process(follow_up)}
+                == {pair.key() for pair in restored.process(follow_up)}
+                == {(("stream-a", "a4"), ("stream-b", "b2"))})
+        assert self._state(restored) == self._state(engine)
 
 
 class TestRunAndReporting:

@@ -163,8 +163,10 @@ class TestStages:
         matches = engine.process(_post("b1", "male", "thirst weight loss",
                                        "diabetes", "insulin", source="stream-b"))
         assert matches
-        evicted = engine.pipeline.maintenance.expire("stream-a",
-                                                     defer_result_set=True)
+        evicted = engine.pipeline.maintenance.expire(
+            _post("a2", "male", "thirst", "diabetes", "insulin",
+                  source="stream-a"),
+            defer_result_set=True)
         assert evicted is not None
         assert evicted.record.rid == "a1"
         # The grid no longer holds a1 but the deferred pair is still reported.

@@ -111,6 +111,25 @@ class TestSlidingWindow:
         assert window.get("r0", "s") is None
         assert window.get("r1", "s") is not None
 
+    def test_rearrival_replaces_the_earlier_entry(self):
+        window = SlidingWindow(capacity=3)
+        first, other = _records(2)
+        again = Record(rid="r0", values={"x": "new", "y": None}, source="s")
+        newest = Record(rid="r9", values={"x": "x9", "y": "y9"}, source="s")
+        window.insert(first)
+        window.insert(other)
+        assert window.leaving("r0", "s") is first
+        assert window.insert(again) is first
+        assert [item.rid for item in window] == ["r1", "r0"]
+        assert window.get("r0", "s") is again
+        # The replacement freed a slot: nothing expires on the next insert.
+        assert window.leaving("r9", "s") is None
+        assert window.insert(newest) is None
+        assert window.leaving("r5", "s") is other
+        assert window.insert(_records(6)[5]) is other
+        assert [item.rid for item in window] == ["r0", "r9", "r5"]
+        assert window.get("r0", "s") is again
+
     def test_clear(self):
         window = SlidingWindow(capacity=2)
         window.insert(_records(1)[0])

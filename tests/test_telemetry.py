@@ -307,7 +307,9 @@ class TestNullTelemetry:
         engine = TERiDSEngine(workload.repository, config)
         engine.run(workload.interleaved_records())
         assert engine.ctx.telemetry is NULL_TELEMETRY
-        assert engine.ctx.batch_seq == engine.timestamps_processed
+        batches = -(-engine.timestamps_processed // engine.executor.batch_size)
+        assert batches > 1
+        assert engine.ctx.batch_seq == batches
         assert engine.ctx.last_trace_id is None
 
 
@@ -520,18 +522,22 @@ class TestBatchSeqCheckpoint:
 # Snapshot API, Prometheus facade, log reporter
 # ---------------------------------------------------------------------------
 
+def _telemetry_engine(executor=None):
+    workload = generate_dataset("citations", missing_rate=0.3, scale=0.2,
+                                seed=7)
+    config = TERiDSConfig(schema=workload.schema,
+                          keywords=workload.keywords, alpha=0.5,
+                          similarity_ratio=0.5, window_size=20)
+    engine = TERiDSEngine(workload.repository, config, executor=executor)
+    engine.enable_telemetry(profile_slowest=1)
+    engine.run(workload.interleaved_records())
+    return engine
+
+
 class TestEngineFacade:
     @pytest.fixture()
     def engine(self):
-        workload = generate_dataset("citations", missing_rate=0.3, scale=0.2,
-                                    seed=7)
-        config = TERiDSConfig(schema=workload.schema,
-                              keywords=workload.keywords, alpha=0.5,
-                              similarity_ratio=0.5, window_size=20)
-        engine = TERiDSEngine(workload.repository, config)
-        engine.enable_telemetry(profile_slowest=1)
-        engine.run(workload.interleaved_records())
-        return engine
+        return _telemetry_engine()
 
     def test_metrics_snapshot_is_json_serialisable(self, engine):
         snapshot = engine.metrics_snapshot()
@@ -591,9 +597,10 @@ class TestEngineFacade:
                     if "controller" in line]
 
     def test_vocabulary_gauge_reads_zero_until_a_read_enables_the_store(
-            self, engine):
+            self):
         """A serial engine packs nothing until its first override read;
         an operator-default read walks the result set and packs nothing."""
+        engine = _telemetry_engine(SerialExecutor())
         assert engine.grid.packed_store is None
         text = engine.render_metrics()
         assert "terids_packed_store_vocabulary_size 0" in text
