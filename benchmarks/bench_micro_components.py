@@ -2,7 +2,7 @@
 
 Not a paper figure: these isolate the cost of the hot inner operations
 (tokenised Jaccard similarity, CDD imputation of one tuple, ER-grid insert +
-candidate retrieval, aR-tree range search, pivot-bound computation) so that
+candidate retrieval, pivot-bound computation) so that
 regressions in any single substrate are visible independently of the
 end-to-end sweeps.
 """
@@ -14,8 +14,6 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-import random  # noqa: E402
-
 from bench_utils import BENCH_SCALE, BENCH_SEED  # noqa: E402
 
 from repro.core.pruning import RecordSynopsis, similarity_upper_bound  # noqa: E402
@@ -24,7 +22,6 @@ from repro.core.tuples import ImputedRecord  # noqa: E402
 from repro.experiments.harness import make_workload  # noqa: E402
 from repro.imputation.cdd import discover_cdd_rules  # noqa: E402
 from repro.imputation.imputer import CDDImputer  # noqa: E402
-from repro.indexes.artree import ARTree, Rect  # noqa: E402
 from repro.indexes.er_grid import ERGrid  # noqa: E402
 from repro.indexes.pivots import select_pivots  # noqa: E402
 
@@ -84,13 +81,3 @@ def test_micro_er_grid_insert_and_query(benchmark):
     count = benchmark(build_and_query)
     assert count >= 0
 
-
-def test_micro_artree_range_search(benchmark):
-    rng = random.Random(BENCH_SEED)
-    tree = ARTree(dimensions=3, max_entries=8)
-    for index in range(500):
-        tree.insert_point([rng.random() for _ in range(3)], payload=index)
-    query = Rect.from_intervals([(0.2, 0.4), (0.1, 0.6), (0.3, 0.9)])
-
-    results = benchmark(lambda: tree.range_search(query))
-    assert isinstance(results, list)

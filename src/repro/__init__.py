@@ -10,7 +10,7 @@ The package implements the full TER-iDS system from scratch:
 * the pruning strategies (topic keyword, similarity upper bound,
   instance-pair-level; the paper's Paley–Zygmund probability bound is not
   implemented, see README);
-* the index substrates (R-tree, CDD-index, DR-index, ER-grid, cost-model
+* the index substrates (CDD-index, DR-index, ER-grid, cost-model
   pivot selection) and the index-join streaming engine;
 * the baselines, synthetic dataset generators, metrics and the experiment
   harness regenerating every table and figure of the evaluation.
@@ -70,7 +70,7 @@ from repro.imputation import (
     discover_dd_rules,
     discover_editing_rules,
 )
-from repro.indexes import ARTree, CDDIndex, DRIndex, ERGrid, PivotTable, select_pivots
+from repro.indexes import CDDIndex, DRIndex, ERGrid, PivotTable, select_pivots
 from repro.metrics import AccuracyReport, evaluate_matches
 from repro.persistence import (
     CheckpointError,
@@ -105,7 +105,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_BASELINES",
-    "ARTree",
     "AccuracyReport",
     "BatchPolicy",
     "CDDImputer",

@@ -65,7 +65,7 @@ class IndexedSequentialPipeline:
             max_pivots=config.max_pivots,
         ))
         self.rules = discover_cdd_rules(repository, discovery_config)
-        self.cdd_indexes = build_cdd_indexes(self.rules, config.schema, self.pivots)
+        self.cdd_indexes = build_cdd_indexes(self.rules)
         self.dr_index = DRIndex(repository, self.pivots)
         self.imputer = CDDImputer(repository=repository, rules=self.rules,
                                   sample_retriever=self.dr_index.make_retriever())

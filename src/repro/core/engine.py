@@ -120,7 +120,7 @@ class TERiDSEngine:
             repository=repository,
             pivots=pivots,
             rules=mined,
-            cdd_indexes=build_cdd_indexes(mined, self.schema, pivots),
+            cdd_indexes=build_cdd_indexes(mined),
             dr_index=dr_index,
             grid=ERGrid(self.schema, cells_per_dim=config.grid_cells_per_dim),
             imputer=CDDImputer(

@@ -131,7 +131,7 @@ class CDDRule:
     @functools.cached_property
     def determinant_attributes(self) -> Tuple[str, ...]:
         """Names of the determinant attributes ``X`` (cached: the rule is
-        frozen, and index grouping reads this on every rule per install)."""
+        frozen)."""
         return tuple(constraint.attribute for constraint in self.determinants)
 
     @property

@@ -1,6 +1,5 @@
-"""Index and synopsis structures: R-tree, pivots, CDD-index, DR-index, ER-grid."""
+"""Index and synopsis structures: pivots, CDD-index, DR-index, ER-grid."""
 
-from repro.indexes.artree import ARTree, ARTreeEntry, Rect
 from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid, GridCell
@@ -14,8 +13,6 @@ from repro.indexes.pivots import (
 )
 
 __all__ = [
-    "ARTree",
-    "ARTreeEntry",
     "CDDIndex",
     "DRIndex",
     "ERGrid",
@@ -23,7 +20,6 @@ __all__ = [
     "PivotSelectionConfig",
     "PivotSelectionReport",
     "PivotTable",
-    "Rect",
     "build_cdd_indexes",
     "pivot_selection_cost",
     "select_pivots",

@@ -15,6 +15,7 @@ uninterrupted one.
 
 from __future__ import annotations
 
+import collections
 from typing import Dict
 
 from repro.core.pruning import RecordSynopsis
@@ -50,6 +51,11 @@ def engine_state_to_dict(ctx: RuntimeContext) -> Dict:
     # checkpointed: its size lets a restore refuse an engine built over a
     # different repository.
     state["repository_size"] = len(ctx.repository)
+    # How the windows interleaved, oldest first: one source per window row
+    # (each window is itself oldest first).  Raw ``process`` records all
+    # carry timestamp -1, so their timestamps cannot say it.
+    state["arrival_sources"] = [synopsis.source
+                                for synopsis in ctx.grid.synopses()]
     return state
 
 
@@ -60,12 +66,18 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
     configuration and rule set as the checkpointed engine; windows, grid and
     result set are cleared and repopulated, counters are overwritten (a
     counter the checkpoint does not carry restores as 0).
+    Window tuples are re-inserted in the checkpointed arrival order, so the
+    rebuilt grid matches the checkpointed one cell for cell; a checkpoint
+    without ``arrival_sources`` is re-inserted ordered by timestamp, ties
+    broken by source and in-window position.
     Raises :class:`~repro.persistence.CheckpointError`, before touching any
     state, when the checkpoint records a ``repository_size`` other than
-    ``len(ctx.repository)`` (a checkpoint without one skips the check).
+    ``len(ctx.repository)`` (a checkpoint without one skips the check), or
+    an ``arrival_sources`` that does not name each window row once.
     Keys this version no longer writes (``transport_stats``,
-    ``rule_maintainer``, ``controller``, and the ``ingest_stats`` counters
-    of the deleted thread offload and event-time expiry) are ignored.
+    ``rule_maintainer``, ``controller``, the ``ingest_stats`` counters
+    of the deleted thread offload and event-time expiry, and
+    ``dr_index.nodes_visited`` of the deleted R-tree walk) are ignored.
     """
     saved_size = state.get("repository_size")
     if saved_size is not None and saved_size != len(ctx.repository):
@@ -74,21 +86,29 @@ def restore_engine_state(ctx: RuntimeContext, state: Dict) -> None:
             f"samples, but this engine's repository holds "
             f"{len(ctx.repository)}; build the engine over the repository "
             f"the checkpointed run had grown to")
+    windows = {source: [imputed_record_from_dict(row, ctx.schema)
+                        for row in rows]
+               for source, rows in state.get("windows", {}).items()}
+    arrivals = state.get("arrival_sources")
+    if arrivals is None:
+        entries = sorted(
+            (imputed.timestamp, source, position, imputed)
+            for source, rows in windows.items()
+            for position, imputed in enumerate(rows))
+        ordered = [(source, imputed) for _, source, _, imputed in entries]
+    else:
+        if collections.Counter(arrivals) != collections.Counter(
+                {source: len(rows) for source, rows in windows.items()}):
+            raise CheckpointError(
+                "checkpoint arrival_sources does not name each window row "
+                "once")
+        remaining = {source: iter(rows) for source, rows in windows.items()}
+        ordered = [(source, next(remaining[source])) for source in arrivals]
     ctx.clear_online_state()
 
-    # Window tuples are re-inserted globally ordered by arrival timestamp
-    # (ties broken by source and in-window position), approximating the
-    # original cross-stream interleaving so the rebuilt grid matches the
-    # checkpointed one cell for cell.
-    entries = []
-    for source, rows in state.get("windows", {}).items():
-        for position, row in enumerate(rows):
-            imputed = imputed_record_from_dict(row, ctx.schema)
-            entries.append((imputed.timestamp, source, position, imputed))
-    entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
     keywords = ctx.config.keywords
     evicted_keys = []
-    for _, source, _, imputed in entries:
+    for source, imputed in ordered:
         synopsis = RecordSynopsis.build(imputed, ctx.pivots, keywords)
         evicted = ctx.window_for(source).insert(synopsis)
         if evicted is not None:

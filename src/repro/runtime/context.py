@@ -228,9 +228,6 @@ FAMILIES: Dict[str, Tuple[Optional[str], str]] = {
         None, "Tokens in the packed store's token -> id vocabulary"),
     "terids_packed_store_instance_rows": (
         None, "Entries in use in the packed store's instance table"),
-    "terids_dr_index_nodes_visited_total": (
-        None, "R-tree nodes visited by DR-index candidate_samples "
-              "(scalar path)"),
     "terids_dr_index_packed_probes_total": (
         None, "DR-index probes answered from the packed repository mirror"),
     "terids_rule_installs_total": ("outcome", "Rule-install dispatch outcomes"),
@@ -302,9 +299,7 @@ COUNTERS: Tuple[Counter, ...] = (
             "terids_rule_installs_total", "skipped"),
     Counter("installs_rebuilt", "rule_installs.", "rule_installs.rebuilt",
             "terids_rule_installs_total", "rebuilt"),
-    # DR-index work by path: which of the two answered imputation probes.
-    Counter("dr_index.nodes_visited", "dr_index.", "dr_index.",
-            "terids_dr_index_nodes_visited_total"),
+    # DR-index probes answered from the packed table (the micro-batch path).
     Counter("dr_index.packed_probes", "dr_index.", "dr_index.",
             "terids_dr_index_packed_probes_total"),
     Counter("grid.vocabulary_size", None, None,
@@ -404,7 +399,7 @@ class RuntimeContext:
         if rules == self.rules:
             self.installs_skipped += 1
             return
-        self.cdd_indexes = build_cdd_indexes(rules, self.schema, self.pivots)
+        self.cdd_indexes = build_cdd_indexes(rules)
         self.installs_rebuilt += 1
         self.rules = rules
         self.imputer.set_rules(self.rules)

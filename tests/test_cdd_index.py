@@ -1,9 +1,12 @@
-"""Unit tests for the CDD-index I_j (per-determinant-set R-trees, Section 5.1)."""
+"""Unit tests for the CDD-index I_j (a rule list in mining order, Section 5.1)."""
 
 import pytest
 
+from golden_utils import GOLDEN_WORKLOADS, build_config, build_workload
+from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record
 from repro.imputation.cdd import discover_cdd_rules, group_rules_by_dependent
+from repro.imputation.imputer import CDDImputer
 from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 
 
@@ -13,9 +16,8 @@ def health_rules(health_repository):
 
 
 @pytest.fixture
-def diagnosis_index(health_repository, health_rules, health_pivots):
-    return CDDIndex(dependent="diagnosis", rules=health_rules,
-                    schema=health_repository.schema, pivots=health_pivots)
+def diagnosis_index(health_rules):
+    return CDDIndex(dependent="diagnosis", rules=health_rules)
 
 
 class TestConstruction:
@@ -23,14 +25,10 @@ class TestConstruction:
         expected = [rule for rule in health_rules if rule.dependent == "diagnosis"]
         assert diagnosis_index.rule_count == len(expected)
 
-    def test_group_trees_exist(self, diagnosis_index):
-        assert diagnosis_index.group_count >= 1
-
-    def test_empty_rule_set(self, health_repository, health_pivots):
-        index = CDDIndex(dependent="diagnosis", rules=[],
-                         schema=health_repository.schema, pivots=health_pivots)
+    def test_empty_rule_set(self, incomplete_health_record):
+        index = CDDIndex(dependent="diagnosis", rules=[])
         assert index.rule_count == 0
-        assert index.group_count == 0
+        assert index.candidate_rules(incomplete_health_record) == []
 
 
 class TestCandidateRules:
@@ -58,13 +56,23 @@ class TestCandidateRules:
         widths = [rule.dependent_width for rule in candidates]
         assert widths == sorted(widths)
 
-    def test_nodes_visited_counter(self, diagnosis_index, incomplete_health_record):
-        """A running total over probes, like ``DRIndex.nodes_visited``."""
-        diagnosis_index.candidate_rules(incomplete_health_record)
-        once = diagnosis_index.nodes_visited
-        assert once > 0
-        diagnosis_index.candidate_rules(incomplete_health_record)
-        assert diagnosis_index.nodes_visited == 2 * once
+    def test_probe_equals_the_unindexed_scan_on_a_golden(self):
+        """Every probe returns, list for list, what the imputer's own rule
+        selection returns without an index, uncapped: the ``CDD+ER`` scan."""
+        # ``test_index_order.py`` checks the first golden the same way.
+        dataset, scale, seed, window = GOLDEN_WORKLOADS[1]
+        workload = build_workload(dataset, scale, seed)
+        engine = TERiDSEngine(workload.repository, build_config(workload, window))
+        scan = CDDImputer(repository=workload.repository, rules=engine.rules,
+                          max_rules_per_attribute=len(engine.rules))
+        probes = 0
+        for record in workload.interleaved_records():
+            for dependent, index in engine.cdd_indexes.items():
+                rules = index.candidate_rules(record)
+                assert list(map(id, rules)) == list(map(
+                    id, scan.rules_for(record, dependent)))
+                probes += bool(rules)
+        assert probes > 0
 
     def test_record_with_all_determinants_missing(self, diagnosis_index,
                                                   health_repository):
@@ -74,10 +82,8 @@ class TestCandidateRules:
 
 
 class TestBuildAllIndexes:
-    def test_one_index_per_dependent(self, health_repository, health_rules,
-                                     health_pivots):
-        indexes = build_cdd_indexes(health_rules, health_repository.schema,
-                                    health_pivots)
+    def test_one_index_per_dependent(self, health_rules):
+        indexes = build_cdd_indexes(health_rules)
         assert set(indexes) == set(group_rules_by_dependent(health_rules))
         for dependent, index in indexes.items():
             assert index.dependent == dependent

@@ -1,6 +1,7 @@
 """Checkpoint / restore tests: pause a stream, resume, identical answers."""
 
 import json
+import random
 
 import pytest
 
@@ -78,6 +79,67 @@ def test_checkpoint_restore_resume_equals_uninterrupted(tmp_path,
         assert decoded == decoded_token_rows(
             reference.grid.enable_packed_store())
         assert resumed.checkpoint().keys() == first.checkpoint().keys()
+
+
+def _three_source_records(repository):
+    """60 raw records cycling through sources a, b, c: every one carries
+    timestamp -1, so only the checkpoint can say how they interleaved."""
+    rng = random.Random(3)
+    records = []
+    for index in range(60):
+        values = dict(repository.samples[index % len(repository)].values)
+        for attribute in ("diagnosis", "treatment"):
+            if rng.random() < 0.3:
+                values[attribute] = None
+        records.append(Record(rid=f"r{index}", values=values,
+                              source="abc"[index % 3]))
+    return records
+
+
+@pytest.mark.parametrize("executor_factory", [
+    lambda: SerialExecutor(),
+    lambda: MicroBatchExecutor(batch_size=8),
+], ids=["serial", "micro-batch"])
+def test_restore_keeps_the_arrival_order_of_three_sources(
+        health_repository, health_config, executor_factory):
+    """A restore re-inserts the window rows in arrival order, so the
+    resumed run returns each tuple's matches in the uninterrupted run's
+    list order, not only as the same set."""
+    records = _three_source_records(health_repository)
+
+    def engine():
+        return TERiDSEngine(repository=health_repository,
+                            config=health_config, executor=executor_factory())
+
+    def keys(matches):
+        return [pair.key() for pair in matches]
+
+    reference = engine()
+    expected = [keys(reference.process(record)) for record in records]
+    assert sum(map(len, expected)) > 0
+    for cut in range(5, 55, 5):
+        first = engine()
+        for record in records[:cut]:
+            first.process(record)
+        resumed = engine()
+        resumed.restore_checkpoint(json.loads(json.dumps(first.checkpoint())))
+        resumed_keys = [keys(resumed.process(record))
+                        for record in records[cut:]]
+        assert resumed_keys == expected[cut:], cut
+
+
+def test_restore_refuses_arrivals_that_do_not_name_the_window_rows(
+        health_repository, health_config):
+    records = _three_source_records(health_repository)[:9]
+    engine = TERiDSEngine(repository=health_repository, config=health_config)
+    for record in records:
+        engine.process(record)
+    state = json.loads(json.dumps(engine.checkpoint()))
+    assert state["arrival_sources"] == ["a", "b", "c"] * 3
+    state["arrival_sources"].append("a")
+    fresh = TERiDSEngine(repository=health_repository, config=health_config)
+    with pytest.raises(CheckpointError, match="arrival_sources"):
+        fresh.restore_checkpoint(state)
 
 
 def test_checkpoint_roundtrip_preserves_state(health_repository, health_config):
@@ -265,27 +327,39 @@ _PARENT_FORMAT_STATE = {
 _REMOVED_INGEST_COUNTERS = frozenset(
     {"executor_waits", "expired_by_watermark", "absorbed_samples"})
 
+#: DR-index counters of later checkpoints whose subject was deleted since:
+#: the R-tree walk of the scalar path.
+_REMOVED_DR_INDEX_COUNTERS = frozenset({"nodes_visited"})
+
 
 def test_parent_format_checkpoint_restores_and_reserialises_equal(
         health_repository, health_config):
     """The counters are named once, in the context's counter table; the
     checkpoint JSON they produce must stay byte-identical, key order
-    included — less the ingest counters whose features were deleted
-    since."""
+    included — less the ingest and DR-index counters whose features were
+    deleted since."""
     engine = TERiDSEngine(repository=health_repository, config=health_config)
-    engine.restore_checkpoint(json.loads(json.dumps(_PARENT_FORMAT_STATE)))
+    state = json.loads(json.dumps(_PARENT_FORMAT_STATE))
+    # A later checkpoint's DR-index section, with the R-tree walk's counter.
+    state["dr_index"] = {"nodes_visited": 4410, "packed_probes": 23}
+    engine.restore_checkpoint(state)
     ingest_stats = {
         name: value
         for name, value in _PARENT_FORMAT_STATE["ingest_stats"].items()
         if name not in _REMOVED_INGEST_COUNTERS}
-    # The keys added since: the rule-install and DR-index counters, absent
-    # from the parent's checkpoint and so restored as 0, and the repository
-    # size the restore guard reads.
+    dr_index = {name: value for name, value in state["dr_index"].items()
+                if name not in _REMOVED_DR_INDEX_COUNTERS}
+    assert not any(hasattr(engine.dr_index, name)
+                   for name in _REMOVED_DR_INDEX_COUNTERS)
+    # The keys added since: the rule-install counters, absent from the
+    # parent's checkpoint and so restored as 0, the repository size the
+    # restore guard reads and the windows' arrival order (no row here).
     expected = dict(_PARENT_FORMAT_STATE, ingest_stats=ingest_stats,
                     rule_installs={"installs_skipped": 0,
                                    "installs_rebuilt": 0},
-                    dr_index={"nodes_visited": 0, "packed_probes": 0},
-                    repository_size=len(health_repository))
+                    dr_index=dr_index,
+                    repository_size=len(health_repository),
+                    arrival_sources=[])
     assert json.dumps(engine.checkpoint()) == json.dumps(expected)
     snapshot = engine.metrics_snapshot()
     assert snapshot["pruning"] == _PARENT_FORMAT_STATE["pruning_stats"]
@@ -317,7 +391,6 @@ def test_rule_install_and_dr_index_counters_survive_a_restore():
     snapshot = resumed.metrics_snapshot()
     assert snapshot["rule_installs"]["skipped"] == 1
     assert snapshot["dr_index"] == {
-        "nodes_visited": first.dr_index.nodes_visited,
         "packed_probes": first.dr_index.packed_probes}
 
 

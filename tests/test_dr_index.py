@@ -21,9 +21,6 @@ class TestConstruction:
     def test_every_sample_indexed(self, dr_index, health_repository):
         assert len(dr_index) == len(health_repository)
 
-    def test_height_positive(self, dr_index):
-        assert dr_index.height >= 1
-
 
 class TestCandidateSamples:
     def test_no_false_dismissals(self, dr_index, health_repository, health_rules,
@@ -48,15 +45,6 @@ class TestCandidateSamples:
         for rule in health_rules[:10]:
             assert dr_index.candidate_samples(record, rule) == []
 
-    def test_nodes_visited_increases(self, dr_index, health_rules,
-                                     incomplete_health_record):
-        before = dr_index.nodes_visited
-        applicable = [rule for rule in health_rules
-                      if rule.applicable_to(incomplete_health_record, "diagnosis")]
-        if applicable:
-            dr_index.candidate_samples(incomplete_health_record, applicable[0])
-            assert dr_index.nodes_visited > before
-
     def test_retriever_hook(self, dr_index, health_rules, incomplete_health_record):
         retriever = dr_index.make_retriever()
         applicable = [rule for rule in health_rules
@@ -67,18 +55,9 @@ class TestCandidateSamples:
 
 
 class TestRangeQueryAndMaintenance:
-    def test_full_range_query_returns_everything(self, dr_index, health_repository):
-        intervals = [(0.0, 1.0)] * len(health_repository.schema)
-        assert len(dr_index.range_query(intervals)) == len(health_repository)
-
-    def test_narrow_range_query_subset(self, dr_index, health_repository):
-        intervals = [(0.0, 0.2)] * len(health_repository.schema)
-        results = dr_index.range_query(intervals)
-        assert len(results) <= len(health_repository)
-
     def test_insert_sample_updates_repository_and_index(self, dr_index,
                                                         health_repository,
-                                                        health_schema):
+                                                        health_rules):
         before = len(dr_index)
         new_sample = Record(rid="new", values={
             "gender": "female", "symptom": "thirst fatigue",
@@ -86,6 +65,13 @@ class TestRangeQueryAndMaintenance:
         dr_index.insert_sample(new_sample)
         assert len(dr_index) == before + 1
         assert health_repository.sample_by_rid("new") is not None
-        # The new sample must be reachable through a full range query.
-        intervals = [(0.0, 1.0)] * len(health_schema)
-        assert any(sample.rid == "new" for sample in dr_index.range_query(intervals))
+        # A probe with the new sample's own values must reach it, as the
+        # table's last row.
+        probe = Record(rid="probe", values=dict(new_sample.values,
+                                                diagnosis=None))
+        rules = [rule for rule in health_rules
+                 if rule.applicable_to(probe, "diagnosis")]
+        assert rules
+        for rule in rules:
+            candidates = dr_index.candidate_samples(probe, rule)
+            assert candidates[-1] is new_sample, rule.describe()

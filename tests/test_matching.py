@@ -297,7 +297,7 @@ def test_driver_checkpoints_keep_their_keys_and_match_order():
             driver.checkpoint()["matches"]))
     driver.run()
     assert sorted(driver.checkpoint()) == [
-        "dr_index", "grid_counters", "imputation_stats", "ingest",
+        "arrival_sources", "dr_index", "grid_counters", "imputation_stats", "ingest",
         "ingest_stats", "matches", "pruning_stats", "query_stats",
         "repository_size", "rule_installs", "telemetry", "timer",
         "timestamps_processed", "windows"]

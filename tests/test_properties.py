@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) for the core invariants.
 
 These cover the metric properties of the Jaccard distance, the soundness of
-the similarity bounds against brute force, the R-tree range
-query completeness and the imputed-record probability-mass invariant — the
-invariants every pruning theorem of the paper silently relies on.
+the similarity bounds against brute force and the imputed-record
+probability-mass invariant — the invariants every pruning theorem of the
+paper silently relies on.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.imputation.cdd import (
 from repro.imputation.imputer import combine_frequencies
 from repro.imputation.repository import DataRepository
 from repro.persistence import rule_from_dict, rule_to_dict
-from repro.indexes.artree import ARTree, Rect
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots, shannon_entropy
 
 # ---------------------------------------------------------------------------
@@ -183,28 +182,6 @@ class TestBoundSoundnessProperties:
                 actual = record_similarity(left_instance.record,
                                            right_instance.record, SCHEMA)
                 assert actual <= bound + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# R-tree completeness
-# ---------------------------------------------------------------------------
-class TestARTreeProperties:
-    @given(points=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
-                           min_size=1, max_size=60),
-           query=st.tuples(st.floats(0, 1), st.floats(0, 1),
-                           st.floats(0, 1), st.floats(0, 1)))
-    @settings(max_examples=80, deadline=None)
-    def test_range_search_completeness(self, points, query):
-        x1, x2, y1, y2 = query
-        rect = Rect.from_intervals([(min(x1, x2), max(x1, x2)),
-                                    (min(y1, y2), max(y1, y2))])
-        tree = ARTree(dimensions=2, max_entries=4)
-        for index, point in enumerate(points):
-            tree.insert_point(point, payload=(index, point))
-        found = {entry.payload for entry in tree.range_search(rect)}
-        expected = {(index, point) for index, point in enumerate(points)
-                    if rect.contains_point(point)}
-        assert found == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The heavyweight guarantees:
 
 * **Golden bit-identity** — enabling the full telemetry plane (metrics,
   tracing, profiling) perturbs *nothing* observable: match sets, the
-  Figure-4 ``PruningStats`` counters and the index ``nodes_visited``
-  totals are bit-identical on vs off under both executors;
+  Figure-4 ``PruningStats`` counters and the DR-index ``packed_probes``
+  total are bit-identical on vs off under both executors;
 * **Span trees** — one batch trace holds every pipeline stage of the
   batch in a single exported tree;
 * **Exposition** — the Prometheus renderer emits parseable 0.0.4 text
@@ -357,17 +357,13 @@ class TestIngestStatsCompatibility:
 # ---------------------------------------------------------------------------
 
 def _observables(engine, report):
-    """Everything the goldens pin, plus the index-walk counters."""
+    """Everything the goldens pin, plus the index and grid counters."""
     return {
         "matches": canonical_matches(report.matches),
         "result_set": canonical_matches(engine.current_matches()),
         "pruning": report.pruning_stats.as_dict(),
         "imputation": report.imputation_stats.as_dict(),
-        "nodes_visited": {
-            "dr_index": engine.ctx.dr_index.nodes_visited,
-            "cdd_indexes": {name: index.nodes_visited for name, index
-                            in sorted(engine.ctx.cdd_indexes.items())},
-        },
+        "dr_index_packed_probes": engine.ctx.dr_index.packed_probes,
         "grid": {"cells": engine.ctx.grid.cells_examined,
                  "tuples": engine.ctx.grid.tuples_examined},
     }
