@@ -9,15 +9,15 @@
 
 from bench_utils import BENCH_SCALE, BENCH_SEED, QUICK_DATASETS, run_figure
 
-from repro.experiments.figures import figure11_pivot_selection_cost
+from repro.experiments.figures import figure11_pivot_cost
 
 RATIOS = (0.1, 0.2, 0.3, 0.4, 0.5)
 CNT_MAX_VALUES = (1, 2, 3, 4, 5)
 
 
-def test_figure11_pivot_selection_cost(benchmark):
+def test_figure11_pivot_cost(benchmark):
     rows = run_figure(
-        benchmark, figure11_pivot_selection_cost,
+        benchmark, figure11_pivot_cost,
         "Figure 11: pivot-selection cost vs eta (a) and cntMax (b)",
         datasets=QUICK_DATASETS, ratios=RATIOS, cnt_max_values=CNT_MAX_VALUES,
         scale=BENCH_SCALE, seed=BENCH_SEED)

@@ -81,8 +81,7 @@ def run(selected, settings) -> None:
                figures.figure10_window(scale=scale))
     if "11" in selected:
         _print("Figure 11: pivot selection cost",
-               figures.figure11_pivot_selection_cost(datasets=datasets,
-                                                     scale=scale))
+               figures.figure11_pivot_cost(datasets=datasets, scale=scale))
     if "12" in selected:
         _print("Figure 12: CDD detection cost",
                figures.figure12_cdd_detection_cost(datasets=datasets,

@@ -53,7 +53,6 @@ from repro.core import (
     StreamSet,
     TERiDSConfig,
     TERiDSEngine,
-    jaccard_distance,
     jaccard_similarity,
     record_similarity,
     ter_ids_probability,
@@ -75,17 +74,10 @@ from repro.metrics import AccuracyReport, evaluate_matches
 from repro.persistence import (
     CheckpointError,
     load_checkpoint,
-    load_matches,
-    load_repository,
-    load_rules,
     save_checkpoint,
-    save_matches,
-    save_repository,
-    save_rules,
 )
 from repro.ingest import (
     BatchPolicy,
-    CallbackSource,
     IngestDriver,
     IngestReport,
     ReplaySource,
@@ -108,7 +100,6 @@ __all__ = [
     "AccuracyReport",
     "BatchPolicy",
     "CDDImputer",
-    "CallbackSource",
     "CDDIndex",
     "CDDRule",
     "CheckpointError",
@@ -157,17 +148,10 @@ __all__ = [
     "discover_editing_rules",
     "evaluate_matches",
     "generate_dataset",
-    "jaccard_distance",
     "jaccard_similarity",
     "load_checkpoint",
-    "load_matches",
-    "load_repository",
-    "load_rules",
     "make_workload",
     "save_checkpoint",
-    "save_matches",
-    "save_repository",
-    "save_rules",
     "record_similarity",
     "run_method",
     "run_methods",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol
 
 from repro.core.config import TERiDSConfig
 from repro.core.matching import (
@@ -28,7 +28,7 @@ from repro.core.matching import (
     ter_ids_probability,
 )
 from repro.core.stream import SlidingWindow
-from repro.core.tuples import ImputedRecord, Record, Schema
+from repro.core.tuples import ImputedRecord, Record
 
 
 class Imputer(Protocol):

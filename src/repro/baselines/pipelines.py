@@ -17,8 +17,7 @@ skeleton except ``Ij+GER``, which uses the grid-backed matcher below.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from repro.baselines.naive import BaselineReport, StraightforwardTERiDS
 from repro.core.config import TERiDSConfig
@@ -26,9 +25,9 @@ from repro.core.matching import EntityResultSet, MatchPair, ter_ids_probability
 from repro.core.pruning import RecordSynopsis
 from repro.core.stream import SlidingWindow
 from repro.core.tuples import ImputedRecord, Record
-from repro.imputation.cdd import CDDDiscoveryConfig, discover_cdd_rules
+from repro.imputation.cdd import discover_cdd_rules
 from repro.imputation.constraint import StreamConstraintImputer
-from repro.imputation.dd import DDDiscoveryConfig, discover_dd_rules
+from repro.imputation.dd import discover_dd_rules
 from repro.imputation.editing import EditingRuleImputer, discover_editing_rules
 from repro.imputation.imputer import CDDImputer, make_dd_imputer
 from repro.imputation.repository import DataRepository
@@ -55,8 +54,7 @@ class IndexedSequentialPipeline:
     sequentially and candidates are verified with the exact probability only
     (no similarity / probability upper-bound pruning)."""
 
-    def __init__(self, repository: DataRepository, config: TERiDSConfig,
-                 discovery_config: Optional[CDDDiscoveryConfig] = None) -> None:
+    def __init__(self, repository: DataRepository, config: TERiDSConfig) -> None:
         self.config = config
         self.repository = repository
         self.pivots = select_pivots(repository, PivotSelectionConfig(
@@ -64,7 +62,7 @@ class IndexedSequentialPipeline:
             min_entropy=config.min_entropy,
             max_pivots=config.max_pivots,
         ))
-        self.rules = discover_cdd_rules(repository, discovery_config)
+        self.rules = discover_cdd_rules(repository)
         self.cdd_indexes = build_cdd_indexes(self.rules)
         self.dr_index = DRIndex(repository, self.pivots)
         self.imputer = CDDImputer(repository=repository, rules=self.rules,
@@ -157,21 +155,19 @@ class IndexedSequentialPipeline:
         )
 
 
-def build_cdd_er_pipeline(repository: DataRepository, config: TERiDSConfig,
-                          discovery_config: Optional[CDDDiscoveryConfig] = None
+def build_cdd_er_pipeline(repository: DataRepository, config: TERiDSConfig
                           ) -> StraightforwardTERiDS:
     """``CDD+ER``: CDD imputation via repository scans, nested-loop ER."""
-    rules = discover_cdd_rules(repository, discovery_config)
+    rules = discover_cdd_rules(repository)
     imputer = CDDImputer(repository=repository, rules=rules)
     return StraightforwardTERiDS(config=config, imputer=imputer,
                                  method_name=METHOD_CDD_ER)
 
 
-def build_dd_er_pipeline(repository: DataRepository, config: TERiDSConfig,
-                         discovery_config: Optional[DDDiscoveryConfig] = None
+def build_dd_er_pipeline(repository: DataRepository, config: TERiDSConfig
                          ) -> StraightforwardTERiDS:
     """``DD+ER``: differential-dependency imputation, nested-loop ER."""
-    rules = discover_dd_rules(repository, discovery_config)
+    rules = discover_dd_rules(repository)
     imputer = make_dd_imputer(repository, rules)
     return StraightforwardTERiDS(config=config, imputer=imputer,
                                  method_name=METHOD_DD_ER)

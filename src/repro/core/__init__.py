@@ -20,9 +20,7 @@ from repro.core.pruning import (
     topic_keyword_prune,
 )
 from repro.core.similarity import (
-    jaccard_distance,
     jaccard_similarity,
-    record_distance,
     record_similarity,
     text_distance,
     text_similarity,
@@ -34,7 +32,7 @@ from repro.core.stream import (
     StreamSet,
     build_stream,
 )
-from repro.core.tuples import ImputedRecord, Instance, Record, Schema, make_records
+from repro.core.tuples import ImputedRecord, Instance, Record, Schema
 
 __all__ = [
     "EngineReport",
@@ -53,11 +51,8 @@ __all__ = [
     "TERiDSConfig",
     "TERiDSEngine",
     "build_stream",
-    "jaccard_distance",
     "jaccard_similarity",
-    "make_records",
     "normalise_keywords",
-    "record_distance",
     "record_similarity",
     "similarity_upper_bound",
     "similarity_upper_bound_by_pivot",

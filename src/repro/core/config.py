@@ -10,8 +10,8 @@ the benchmarks, but the *ratios* keep the paper's defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import FrozenSet
 
 from repro.core.matching import normalise_keywords
 from repro.core.tuples import Schema
@@ -82,7 +82,6 @@ class TERiDSConfig:
     use_topic_pruning: bool = True
     use_similarity_pruning: bool = True
     use_instance_pruning: bool = True
-    random_seed: int = 7
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha < 1.0:
@@ -111,15 +110,6 @@ class TERiDSConfig:
     def gamma(self) -> float:
         """Similarity threshold ``γ = ρ · d`` of Equation (2)."""
         return self.similarity_ratio * self.dimensionality
-
-    @property
-    def topic_free(self) -> bool:
-        """True when no keyword constraint applies (K = all keywords)."""
-        return not self.keywords
-
-    def with_keywords(self, keywords: Iterable[str]) -> "TERiDSConfig":
-        """Copy of the configuration with a different keyword set."""
-        return replace(self, keywords=normalise_keywords(keywords))
 
     def replace(self, **changes) -> "TERiDSConfig":
         """Dataclass ``replace`` passthrough for fluent config tweaking."""

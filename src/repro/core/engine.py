@@ -37,7 +37,7 @@ from repro.core.matching import EntityResultSet, MatchPair
 from repro.core.pruning import PruningPipeline, PruningStats
 from repro.core.stream import SlidingWindow
 from repro.core.tuples import Record, Schema
-from repro.imputation.cdd import CDDDiscoveryConfig, CDDRule, discover_cdd_rules
+from repro.imputation.cdd import CDDRule, discover_cdd_rules
 from repro.imputation.imputer import CDDImputer, ImputationStats
 from repro.imputation.repository import DataRepository
 from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
@@ -80,8 +80,6 @@ class TERiDSEngine:
         The operator configuration (schema, keywords, thresholds, window).
     rules:
         Pre-mined CDD rules; mined from ``repository`` when omitted.
-    discovery_config / pivot_config:
-        Knobs for the offline rule mining and pivot selection.
     executor:
         Scheduling strategy for the online phase.  Defaults to
         :class:`~repro.runtime.executors.MicroBatchExecutor` (batches of
@@ -94,24 +92,20 @@ class TERiDSEngine:
         repository: DataRepository,
         config: TERiDSConfig,
         rules: Optional[Sequence[CDDRule]] = None,
-        discovery_config: Optional[CDDDiscoveryConfig] = None,
-        pivot_config: Optional[PivotSelectionConfig] = None,
         executor: Optional[Executor] = None,
     ) -> None:
         self.repository = repository
         self.config = config
         self.schema: Schema = config.schema
-        self.discovery_config = discovery_config
 
         # ---- pre-computation phase (Algorithm 1, lines 1-6) ----
-        self.pivot_config = pivot_config or PivotSelectionConfig(
+        pivots = select_pivots(repository, PivotSelectionConfig(
             buckets=config.entropy_buckets,
             min_entropy=config.min_entropy,
             max_pivots=config.max_pivots,
-        )
-        pivots = select_pivots(repository, self.pivot_config)
+        ))
         mined: List[CDDRule] = (list(rules) if rules is not None else
-                                discover_cdd_rules(repository, discovery_config))
+                                discover_cdd_rules(repository))
         dr_index = DRIndex(repository, pivots)
 
         # ---- runtime wiring (context + pipeline + executor) ----
@@ -128,7 +122,6 @@ class TERiDSEngine:
                 rules=mined,
                 sample_retriever=dr_index.make_retriever(),
             ),
-            discovery_config=discovery_config,
         )
         self.pipeline = Pipeline(self.ctx)
         self.executor: Executor = (executor if executor is not None
@@ -284,7 +277,7 @@ class TERiDSEngine:
     # ------------------------------------------------------------------
     # telemetry (see repro.obs)
     # ------------------------------------------------------------------
-    def enable_telemetry(self, registry=None, trace_ring: int = 16,
+    def enable_telemetry(self, trace_ring: int = 16,
                          profile_slowest: int = 0):
         """Turn the telemetry plane on: metrics registry, per-batch span
         traces and (``profile_slowest > 0``) cProfile capture of the N
@@ -292,13 +285,8 @@ class TERiDSEngine:
         instance.  Telemetry only measures wall clock — match sets, pruning
         counters and candidate order are bit-identical either way.
         """
-        return self.ctx.enable_telemetry(registry=registry,
-                                         trace_ring=trace_ring,
+        return self.ctx.enable_telemetry(trace_ring=trace_ring,
                                          profile_slowest=profile_slowest)
-
-    def disable_telemetry(self) -> None:
-        """Swap the no-op telemetry plane back in."""
-        self.ctx.disable_telemetry()
 
     def metrics_snapshot(self) -> Dict:
         """JSON-safe snapshot of every measured signal (see
@@ -355,8 +343,8 @@ class TERiDSEngine:
         :meth:`~repro.runtime.stages.MaintenanceStage.absorb_repository_samples`:
         the repository and the DR-index always grow.  The CDD rules change
         only when ``remine_rules`` is set, by an exact re-mine of the
-        extended repository with this engine's discovery configuration, so
-        the rule set stays a pure function of repository and config.
+        extended repository, so the rule set stays a pure function of the
+        repository.
         Accumulated imputation statistics and the imputer object survive
         every rule swap.
         """

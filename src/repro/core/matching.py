@@ -17,7 +17,7 @@ for early acceptance once the accumulated mass already exceeds ``α``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from repro.core.similarity import record_similarity
 from repro.core.tuples import ImputedRecord, Instance, Record, Schema
@@ -130,18 +130,6 @@ class MatchPair:
         right = (self.right_source, self.right_rid)
         return (left, right) if left <= right else (right, left)
 
-    def involves(self, rid: str, source: str) -> bool:
-        """True when one endpoint of the pair is the given record."""
-        return ((self.left_rid == rid and self.left_source == source)
-                or (self.right_rid == rid and self.right_source == source))
-
-    @classmethod
-    def from_records(cls, left: Record, right: Record, probability: float,
-                     timestamp: int = -1) -> "MatchPair":
-        return cls(left_rid=left.rid, left_source=left.source,
-                   right_rid=right.rid, right_source=right.source,
-                   probability=probability, timestamp=timestamp)
-
 
 @dataclass
 class EntityResultSet:
@@ -204,10 +192,6 @@ class EntityResultSet:
     def pairs(self) -> List[MatchPair]:
         """Snapshot of the current answer set."""
         return list(self._pairs.values())
-
-    def pair_keys(self) -> set:
-        """Set of order-independent pair identities (for metric computation)."""
-        return set(self._pairs.keys())
 
     def clear(self) -> None:
         self._pairs.clear()

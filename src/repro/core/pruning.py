@@ -122,10 +122,6 @@ class RecordSynopsis:
         """Identity passthrough so windows/grids can key on the synopsis."""
         return self.record.source
 
-    def main_interval(self, attribute: str) -> Tuple[float, float]:
-        """Main-pivot distance bounds of one attribute."""
-        return self.distance_bounds[attribute][0]
-
     def coordinate_rectangle(self) -> List[Tuple[float, float]]:
         """Per-attribute main-pivot distance intervals (the grid footprint)."""
         return [self.distance_bounds[name][0] for name in self.schema]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as _np
 
@@ -52,11 +52,6 @@ def jaccard_similarity(left: frozenset, right: frozenset) -> float:
     return intersection / union
 
 
-def jaccard_distance(left: frozenset, right: frozenset) -> float:
-    """Jaccard distance ``1 - similarity``; a metric on token sets."""
-    return 1.0 - jaccard_similarity(left, right)
-
-
 def text_similarity(left: str, right: str) -> float:
     """Jaccard similarity between the token sets of two strings."""
     return jaccard_similarity(tokenize(left), tokenize(right))
@@ -82,23 +77,6 @@ def record_similarity(left: "Record", right: "Record", schema: "Schema") -> floa
         jaccard_similarity(left.tokens(name), right.tokens(name))
         for name in schema
     )
-
-
-def record_distance(left: "Record", right: "Record", schema: "Schema") -> float:
-    """Tuple distance ``d - sim(r, r')`` used by the pivot-based bounds."""
-    return len(schema) - record_similarity(left, right, schema)
-
-
-def similarity_threshold(ratio: float, dimensionality: int) -> float:
-    """Translate the paper's ratio ``ρ = γ / d`` into a threshold ``γ``."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"similarity ratio must be in (0, 1), got {ratio}")
-    return ratio * dimensionality
-
-
-def token_overlap(left: Iterable[str], right: Iterable[str]) -> int:
-    """Number of shared tokens between two token iterables."""
-    return len(frozenset(left) & frozenset(right))
 
 
 def size_bounded_similarity_upper(min_size_small: int, max_size_large: int) -> float:

@@ -50,17 +50,6 @@ class IncompleteDataStream:
         """True when every record has been emitted."""
         return self._cursor >= len(self.records)
 
-    @property
-    def remaining(self) -> int:
-        """Number of records not yet emitted."""
-        return len(self.records) - self._cursor
-
-    def peek(self) -> Optional[Record]:
-        """Return the next record without consuming it (None when done)."""
-        if self.exhausted:
-            return None
-        return self.records[self._cursor]
-
     def next_record(self) -> Record:
         """Emit the next record, stamped with the next arrival timestamp."""
         if self.exhausted:
@@ -73,19 +62,6 @@ class IncompleteDataStream:
         if not stamped.is_complete(self.schema):
             self.incomplete_emitted += 1
         return stamped
-
-    def next_batch(self, count: int) -> List[Record]:
-        """Emit up to ``count`` records (fewer when the stream runs dry).
-
-        The micro-batch runtime ingests tuples in batches; this is the
-        single-stream primitive behind :meth:`StreamSet.interleaved_batches`.
-        """
-        if count <= 0:
-            raise ValueError(f"batch size must be positive, got {count}")
-        batch: List[Record] = []
-        while len(batch) < count and not self.exhausted:
-            batch.append(self.next_record())
-        return batch
 
     def reset(self) -> None:
         """Rewind the stream to its first record."""
@@ -192,10 +168,6 @@ class StreamSet:
     def schema(self) -> Schema:
         return self.streams[0].schema
 
-    @property
-    def names(self) -> List[str]:
-        return [stream.name for stream in self.streams]
-
     def __len__(self) -> int:
         return len(self.streams)
 
@@ -232,10 +204,6 @@ class StreamSet:
     def exhausted(self) -> bool:
         """True when every member stream has emitted all of its records."""
         return all(stream.exhausted for stream in self.streams)
-
-    def total_records(self) -> int:
-        """Total number of records across all streams."""
-        return sum(len(stream) for stream in self.streams)
 
     def reset(self) -> None:
         """Rewind every stream."""

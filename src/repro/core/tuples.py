@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.similarity import tokenize
-
-#: Sentinel used in textual dumps for a missing attribute value (the paper
-#: renders missing values as a dash).
-MISSING_DISPLAY = "-"
 
 
 class SchemaError(ValueError):
@@ -131,11 +127,6 @@ class Record:
             out |= self.tokens(name)
         return frozenset(out)
 
-    def contains_keyword(self, keywords: Iterable[str], schema: Schema) -> bool:
-        """Topic predicate ϖ(r, K): does any keyword appear in the tokens?"""
-        token_union = self.all_tokens(schema)
-        return any(keyword.lower() in token_union for keyword in keywords)
-
     # -- convenience -------------------------------------------------------
     def with_value(self, attribute: str, value: Optional[str]) -> "Record":
         """Return a copy of this record with one attribute replaced."""
@@ -143,10 +134,6 @@ class Record:
         new_values[attribute] = value
         return Record(rid=self.rid, values=new_values, source=self.source,
                       timestamp=self.timestamp)
-
-    def as_display_row(self, schema: Schema) -> List[str]:
-        """Row of display strings, using ``-`` for missing values."""
-        return [self.values.get(name) or MISSING_DISPLAY for name in schema]
 
     def __hash__(self) -> int:  # records are identified by rid + source
         return hash((self.rid, self.source))
@@ -221,15 +208,6 @@ class ImputedRecord:
     @property
     def timestamp(self) -> int:
         return self.base.timestamp
-
-    @property
-    def imputed_attributes(self) -> List[str]:
-        """Attributes whose values were filled in by the imputer."""
-        return list(self.candidates)
-
-    def is_trivial(self) -> bool:
-        """True when the record required no imputation."""
-        return not self.candidates
 
     # -- possible values -----------------------------------------------------
     def possible_values(self, attribute: str) -> Dict[str, float]:
@@ -314,25 +292,7 @@ class ImputedRecord:
         self._instances = instances
         return instances
 
-    def expected_instance(self) -> Record:
-        """The single most probable instance (used for point predictions)."""
-        return max(self.instances(), key=lambda inst: inst.probability).record
-
-    def total_probability(self) -> float:
-        """Total retained probability mass of the enumerated instances."""
-        return sum(instance.probability for instance in self.instances())
-
     @classmethod
     def from_complete(cls, record: Record, schema: Schema) -> "ImputedRecord":
         """Wrap an already complete record as a trivial imputed record."""
         return cls(base=record, schema=schema, candidates={})
-
-
-def make_records(rows: Sequence[Mapping[str, Optional[str]]], schema: Schema,
-                 source: str = "stream-0", prefix: str = "r") -> List[Record]:
-    """Build a list of records from dict rows, assigning sequential ids."""
-    records = []
-    for index, row in enumerate(rows):
-        values = {name: row.get(name) for name in schema}
-        records.append(Record(rid=f"{prefix}{index}", values=values, source=source))
-    return records

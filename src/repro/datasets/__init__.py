@@ -14,8 +14,6 @@ from repro.datasets.vocab import (
     BASE_VOCABULARY,
     DOMAIN_SCHEMAS,
     TOPIC_CLUSTERS,
-    cluster_tokens,
-    topic_keywords,
 )
 
 __all__ = [
@@ -26,10 +24,8 @@ __all__ = [
     "TOPIC_CLUSTERS",
     "Workload",
     "build_repository",
-    "cluster_tokens",
     "dataset_statistics",
     "generate_clean_sources",
     "generate_dataset",
     "inject_missing_values",
-    "topic_keywords",
 ]

@@ -132,9 +132,6 @@ class Workload:
                 merged.append(self.stream_b[index])
         return merged
 
-    def total_stream_size(self) -> int:
-        return len(self.stream_a) + len(self.stream_b)
-
 
 class _EntityFactory:
     """Generates entities and their (perturbed) record views."""
@@ -313,20 +310,18 @@ def build_repository(
     size: int,
     rng: random.Random,
     entity_pool: Optional[Sequence[Dict[str, List[str]]]] = None,
-    overlap: float = 0.5,
 ) -> DataRepository:
     """A repository of complete historical records.
 
     Section 2.2 of the paper assumes the repository is collected/inferred
-    from historical stream data, so (when an ``entity_pool`` is supplied) a
-    fraction ``overlap`` of the samples are perturbed historical views of
-    stream entities; the remainder are fresh entities from the same topic
-    distribution.  This is what lets CDD imputation recover values close to
+    from historical stream data, so (when an ``entity_pool`` is supplied)
+    half of the samples are perturbed historical views of stream entities;
+    the remainder are fresh entities from the same topic distribution.  This is what lets CDD imputation recover values close to
     the true missing ones.
     """
     samples: List[Record] = []
     for index in range(size):
-        if entity_pool and rng.random() < overlap:
+        if entity_pool and rng.random() < 0.5:
             values = rng.choice(list(entity_pool))
             samples.append(factory.record_from(f"rep{index}", values,
                                                "repository", perturbed=True))

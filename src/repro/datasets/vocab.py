@@ -14,7 +14,7 @@ per-domain topic clusters whose *topic tokens* double as query keywords.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 #: Generic filler tokens shared by every domain (they create realistic token
 #: overlap between non-matching records).
@@ -128,13 +128,3 @@ DOMAIN_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "songs": ("title", "artist", "album", "tags"),
     "health": ("gender", "symptom", "diagnosis", "treatment"),
 }
-
-
-def topic_keywords(domain: str) -> List[str]:
-    """The topic keywords (cluster names) available for one domain."""
-    return list(TOPIC_CLUSTERS[domain])
-
-
-def cluster_tokens(domain: str, topic: str) -> Tuple[str, ...]:
-    """Tokens characteristic of one topic cluster."""
-    return TOPIC_CLUSTERS[domain][topic]

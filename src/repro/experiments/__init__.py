@@ -13,7 +13,6 @@ from repro.experiments.harness import (
 from repro.experiments.params import (
     BENCH_GRID,
     EVALUATION_DATASETS,
-    PAPER_DEFAULTS,
     PAPER_GRID,
     ParameterGrid,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "BENCH_GRID",
     "EVALUATION_DATASETS",
     "MethodResult",
-    "PAPER_DEFAULTS",
     "PAPER_GRID",
     "ParameterGrid",
     "default_config",

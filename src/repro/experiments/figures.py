@@ -16,7 +16,7 @@ reproduction (examples, manual runs).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.baselines.pipelines import (
     ACCURACY_BASELINES,
@@ -33,7 +33,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.params import BENCH_GRID, EVALUATION_DATASETS, ParameterGrid
 from repro.imputation.cdd import discover_cdd_rules
-from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
 from repro.metrics.timing import time_callable
 
@@ -298,7 +297,7 @@ def figure17_time_m(dataset: str = "citations",
 # ---------------------------------------------------------------------------
 # Figures 11 and 12 — offline pre-computation costs
 # ---------------------------------------------------------------------------
-def figure11_pivot_selection_cost(
+def figure11_pivot_cost(
     datasets: Sequence[str] = QUICK_DATASETS,
     ratios: Sequence[float] = BENCH_GRID.repository_ratios,
     cnt_max_values: Sequence[int] = (1, 2, 3, 4, 5),

@@ -20,9 +20,7 @@ from repro.baselines.pipelines import (
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.matching import MatchPair
-from repro.core.tuples import Record
 from repro.datasets.synthetic import Workload, generate_dataset
-from repro.imputation.repository import DataRepository
 from repro.metrics.accuracy import AccuracyReport, evaluate_matches
 
 
@@ -47,19 +45,6 @@ class MethodResult:
     @property
     def f_score(self) -> float:
         return self.accuracy.f_score
-
-    def as_row(self) -> Dict[str, object]:
-        """Flat row for tabular benchmark output."""
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "f_score": round(self.f_score, 4),
-            "precision": round(self.accuracy.precision, 4),
-            "recall": round(self.accuracy.recall, 4),
-            "wall_clock_sec_per_tuple": self.mean_seconds_per_timestamp,
-            "total_seconds": self.total_seconds,
-            "matches": len(self.matches),
-        }
 
 
 def default_config(workload: Workload, window_size: int = 50,
@@ -122,64 +107,6 @@ def run_method(method: str, workload: Workload,
     if method == METHOD_TER_IDS:
         return run_ter_ids(workload, config)
     return run_baseline_method(method, workload, config)
-
-
-# ---------------------------------------------------------------------------
-# Evolving-repository scenario (Section 5.5)
-# ---------------------------------------------------------------------------
-def split_repository(repository: DataRepository, holdout_fraction: float,
-                     ) -> tuple:
-    """Head/tail split of a repository for the evolving scenario.
-
-    The head becomes the engine's initial repository; the tail is the pool
-    of "future" complete samples absorbed mid-stream.  The split is a plain
-    prefix cut, so it is deterministic and the extended repository equals
-    the original one sample for sample.
-    """
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError(
-            f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    keep = max(2, len(repository) - int(round(len(repository)
-                                              * holdout_fraction)))
-    base = DataRepository(schema=repository.schema,
-                          samples=list(repository.samples[:keep]))
-    holdout = list(repository.samples[keep:])
-    return base, holdout
-
-
-def run_evolving_stream(engine: TERiDSEngine, records: Sequence[Record],
-                        additions: Sequence[Record],
-                        phases: int = 3) -> List[MatchPair]:
-    """Drive an engine over a stream that evolves its repository mid-flight.
-
-    The record sequence is cut into ``phases`` contiguous chunks; after
-    every chunk except the last, an equal slice of ``additions`` is absorbed
-    via :meth:`TERiDSEngine.add_repository_samples` with an exact re-mine
-    of the rules over the extended repository.  Returns the concatenated
-    match pairs in arrival order — directly comparable across executors.
-    """
-    if phases < 1:
-        raise ValueError(f"phases must be >= 1, got {phases}")
-    records = list(records)
-    additions = list(additions)
-    if additions and phases < 2:
-        # Absorption happens *between* phases; with a single phase the
-        # additions would be silently discarded.
-        raise ValueError(
-            "phases must be >= 2 to absorb repository additions mid-stream")
-    matches: List[MatchPair] = []
-    chunk = -(-len(records) // phases) if records else 0
-    pauses = max(1, phases - 1)
-    add_chunk = -(-len(additions) // pauses) if additions else 0
-    for phase in range(phases):
-        batch = records[phase * chunk: (phase + 1) * chunk]
-        if batch:
-            matches.extend(engine.process_batch(batch))
-        if phase < phases - 1 and add_chunk:
-            tranche = additions[phase * add_chunk: (phase + 1) * add_chunk]
-            if tranche:
-                engine.add_repository_samples(tranche, remine_rules=True)
-    return matches
 
 
 def run_methods(methods: Sequence[str], workload: Workload,

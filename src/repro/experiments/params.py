@@ -11,7 +11,7 @@ benchmark harness; the *relative* sweep shape (e.g. window sizes spanning a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 # ---------------------------------------------------------------------------
@@ -23,15 +23,6 @@ PAPER_MISSING_RATES: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.8)
 PAPER_WINDOW_SIZES: Tuple[int, ...] = (500, 800, 1000, 2000, 3000)
 PAPER_REPOSITORY_RATIOS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
 PAPER_MISSING_ATTRIBUTES: Tuple[int, ...] = (1, 2, 3)
-
-PAPER_DEFAULTS: Dict[str, object] = {
-    "alpha": 0.5,
-    "rho": 0.5,
-    "missing_rate": 0.3,
-    "window_size": 1000,
-    "repository_ratio": 0.3,
-    "missing_attributes": 1,
-}
 
 # ---------------------------------------------------------------------------
 # Scaled values used by the benchmark harness (window sizes divided by ~20 so

@@ -6,7 +6,6 @@ from repro.imputation.cdd import (
     CDDRule,
     discover_cdd_rules,
     group_rules_by_dependent,
-    rules_for_attribute,
 )
 from repro.imputation.constraint import StreamConstraintImputer
 from repro.imputation.dd import (
@@ -50,5 +49,4 @@ __all__ = [
     "discover_editing_rules",
     "group_rules_by_dependent",
     "make_dd_imputer",
-    "rules_for_attribute",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from repro.core.similarity import (
     token_postings,
     tokenize,
 )
-from repro.core.tuples import Record, Schema
+from repro.core.tuples import Record
 from repro.imputation.repository import DataRepository
 
 CONSTRAINT_INTERVAL = "interval"
@@ -139,13 +139,6 @@ class CDDRule:
         """Width of the dependent distance interval (smaller = tighter rule)."""
         low, high = self.dependent_interval
         return high - low
-
-    def constraint_for(self, attribute: str) -> Optional[AttributeConstraint]:
-        """The determinant constraint on ``attribute`` (None when absent)."""
-        for constraint in self.determinants:
-            if constraint.attribute == attribute:
-                return constraint
-        return None
 
     def applicable_to(self, record: Record, missing_attribute: str) -> bool:
         """Can this rule impute ``missing_attribute`` of ``record``?
@@ -468,11 +461,6 @@ def discover_cdd_rules(
             per_dependent.extend(_combine_rules(singles, dependent, config))
         all_rules.extend(per_dependent)
     return all_rules
-
-
-def rules_for_attribute(rules: Iterable[CDDRule], dependent: str) -> List[CDDRule]:
-    """Filter a rule collection down to one dependent attribute."""
-    return [rule for rule in rules if rule.dependent == dependent]
 
 
 def group_rules_by_dependent(rules: Iterable[CDDRule]) -> Dict[str, List[CDDRule]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.core.similarity import attribute_similarity
 from repro.core.tuples import ImputedRecord, Record, Schema
@@ -89,7 +89,3 @@ class StreamConstraintImputer:
             if distribution:
                 candidates[attribute] = distribution
         return ImputedRecord(base=record, schema=self.schema, candidates=candidates)
-
-    def history_snapshot(self) -> List[Record]:
-        """Current donor history (oldest first) — mainly for tests."""
-        return list(self._history)

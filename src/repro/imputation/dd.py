@@ -13,7 +13,7 @@ restricted to interval constraints, so the same imputation machinery applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.imputation.cdd import (
     CONSTRAINT_INTERVAL,
@@ -137,11 +137,3 @@ def discover_dd_rules(
 def dd_rules_as_cdds(rules: Iterable[DDRule]) -> List[CDDRule]:
     """Unwrap DD rules so the shared CDD imputer can consume them."""
     return [rule.rule for rule in rules]
-
-
-def group_dd_rules_by_dependent(rules: Iterable[DDRule]) -> Dict[str, List[DDRule]]:
-    """Bucket DD rules by dependent attribute."""
-    grouped: Dict[str, List[DDRule]] = {}
-    for rule in rules:
-        grouped.setdefault(rule.dependent, []).append(rule)
-    return grouped

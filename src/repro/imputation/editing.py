@@ -15,9 +15,9 @@ lower imputation accuracy for ``er+ER`` (Section 6.3, Figure 5(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.tuples import ImputedRecord, Record, Schema
+from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.repository import DataRepository
 
 
@@ -49,8 +49,7 @@ class EditingRule:
         return f"ER {lhs} = match -> {self.dependent}"
 
 
-def discover_editing_rules(repository: DataRepository,
-                           max_determinants: int = 2) -> List[EditingRule]:
+def discover_editing_rules(repository: DataRepository) -> List[EditingRule]:
     """Enumerate editing rules over single attributes and attribute pairs.
 
     Editing rules are schema-level statements (the master data provides the
@@ -72,12 +71,11 @@ def discover_editing_rules(repository: DataRepository,
             if distinct >= max(2, total // 4):
                 rules.append(EditingRule(determinants=(determinant,),
                                          dependent=dependent))
-        if max_determinants >= 2:
-            others = [name for name in schema if name != dependent]
-            for i in range(len(others)):
-                for j in range(i + 1, len(others)):
-                    rules.append(EditingRule(determinants=(others[i], others[j]),
-                                             dependent=dependent))
+        others = [name for name in schema if name != dependent]
+        for i in range(len(others)):
+            for j in range(i + 1, len(others)):
+                rules.append(EditingRule(determinants=(others[i], others[j]),
+                                         dependent=dependent))
     return rules
 
 

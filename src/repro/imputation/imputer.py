@@ -39,7 +39,7 @@ from repro.core.similarity import (
     token_postings,
     tokenize,
 )
-from repro.core.tuples import ImputedRecord, Record, Schema
+from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.cdd import CDDRule, group_rules_by_dependent
 from repro.imputation.dd import DDRule, dd_rules_as_cdds
 from repro.imputation.repository import DataRepository

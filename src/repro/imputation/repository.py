@@ -10,9 +10,8 @@ with new complete samples (Section 5.5, dynamic repository).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
-from repro.core.similarity import text_distance, tokenize
 from repro.core.tuples import Record, Schema
 
 
@@ -89,51 +88,7 @@ class DataRepository:
         """Number of distinct values of one attribute."""
         return len(self._domains.get(attribute, []))
 
-    def token_vocabulary(self, attribute: Optional[str] = None) -> Set[str]:
-        """All tokens appearing in one attribute (or in the whole repository)."""
-        attributes = [attribute] if attribute else list(self.schema)
-        vocabulary: Set[str] = set()
-        for name in attributes:
-            for value in self._domains.get(name, []):
-                vocabulary |= tokenize(value)
-        return vocabulary
-
     # -- retrieval -------------------------------------------------------------
     def values(self, attribute: str) -> List[str]:
         """Per-sample values of one attribute (with repetitions)."""
         return [sample[attribute] for sample in self.samples]  # type: ignore[misc]
-
-    def nearest_values(self, attribute: str, value: str, limit: int = 5) -> List[str]:
-        """Domain values ranked by Jaccard distance to ``value`` (closest first)."""
-        ranked = sorted(self.domain(attribute),
-                        key=lambda candidate: text_distance(candidate, value))
-        return ranked[:limit]
-
-    def sample_by_rid(self, rid: str) -> Optional[Record]:
-        """Find a sample by its identifier (None when absent)."""
-        for sample in self.samples:
-            if sample.rid == rid:
-                return sample
-        return None
-
-    def subset(self, fraction: float, seed: int = 0) -> "DataRepository":
-        """Deterministic subsample of the repository (used for the η sweeps)."""
-        if not 0.0 < fraction <= 1.0:
-            raise RepositoryError(f"fraction must be in (0, 1], got {fraction}")
-        count = max(1, int(round(len(self.samples) * fraction)))
-        stride = max(1, len(self.samples) // count)
-        chosen = self.samples[seed % max(stride, 1)::stride][:count]
-        if not chosen:
-            chosen = self.samples[:count]
-        return DataRepository(schema=self.schema, samples=list(chosen))
-
-    @classmethod
-    def from_records(cls, records: Iterable[Record], schema: Schema,
-                     drop_incomplete: bool = True) -> "DataRepository":
-        """Build a repository, optionally skipping incomplete records."""
-        repository = cls(schema=schema, samples=[])
-        for record in records:
-            if drop_incomplete and not record.is_complete(schema):
-                continue
-            repository.add_sample(record)
-        return repository

@@ -7,7 +7,6 @@ from repro.indexes.pivots import (
     PivotSelectionConfig,
     PivotSelectionReport,
     PivotTable,
-    pivot_selection_cost,
     select_pivots,
     shannon_entropy,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "PivotSelectionReport",
     "PivotTable",
     "build_cdd_indexes",
-    "pivot_selection_cost",
     "select_pivots",
     "shannon_entropy",
 ]

@@ -25,10 +25,6 @@ class CDDIndex:
         self.dependent = dependent
         self.rules = [rule for rule in rules if rule.dependent == dependent]
 
-    @property
-    def rule_count(self) -> int:
-        return len(self.rules)
-
     def candidate_rules(self, record: Record) -> List[CDDRule]:
         """The rules applicable to ``record``, tightest first.
 

@@ -101,18 +101,13 @@ class DRIndex:
     def index_sample(self, sample: Record) -> None:
         """Index one sample that is *already* part of the repository.
 
-        Use when the caller owns the repository mutation (e.g. the engine's
+        The caller owns the repository mutation (e.g. the engine's
         ``add_repository_samples``, which adds the sample to ``R`` explicitly
-        and then indexes it); :meth:`insert_sample` does both in one call.
+        and then indexes it).
         """
         # The table mirrors ``repository.samples``, which holds ``sample``:
         # the next probe rebuilds it from there.
         self._packed = None
-
-    def insert_sample(self, sample: Record) -> None:
-        """Add one new complete sample to both the repository and the index."""
-        self.repository.add_sample(sample)
-        self.index_sample(sample)
 
     # -- the table ------------------------------------------------------------------
     def _packed_repository(self) -> _PackedRepository:

@@ -290,11 +290,6 @@ class ERGrid:
         if self._packed_store is not None:
             self._packed_store.begin_epoch()
 
-    @property
-    def cell_store(self) -> CellStore:
-        """The columnar mirror of the live cells' aggregates."""
-        return self._cell_store
-
     # -- coordinate helpers ------------------------------------------------------
     def _bucket(self, value: float) -> int:
         """Cell index of one coordinate value."""
@@ -310,18 +305,9 @@ class ERGrid:
         ranges = [self._bucket_range(low, high) for low, high in rectangle]
         return itertools.product(*ranges)
 
-    def cell_bounds(self, coordinates: Tuple[int, ...]) -> List[Tuple[float, float]]:
-        """Coordinate-space bounds of one cell."""
-        width = 1.0 / self.cells_per_dim
-        return [(index * width, (index + 1) * width) for index in coordinates]
-
     # -- maintenance ----------------------------------------------------------------
     def __len__(self) -> int:
         return sum(map(len, self._sources.values()))
-
-    @property
-    def cell_count(self) -> int:
-        return len(self._cells)
 
     def _resident(self, rid: str, source: str) -> Optional[_Resident]:
         residents = self._sources.get(source)
@@ -393,11 +379,6 @@ class ERGrid:
         exhaustive baselines and tests)."""
         return [resident.synopsis
                 for resident in self._in_arrival_order(list(self._sources))]
-
-    def synopsis_items(self) -> List[Tuple[Tuple[str, str], RecordSynopsis]]:
-        """``((rid, source), synopsis)`` pairs in grid insertion order."""
-        return [((synopsis.rid, synopsis.source), synopsis)
-                for synopsis in self.synopses()]
 
     # -- candidate retrieval -------------------------------------------------------
     def _lookup(

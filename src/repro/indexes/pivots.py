@@ -22,11 +22,10 @@ import numpy as np
 
 from repro.core.similarity import (
     jaccard_distance_column,
-    text_distance,
     token_postings,
     tokenize,
 )
-from repro.core.tuples import Record, Schema
+from repro.core.tuples import Schema
 from repro.imputation.repository import DataRepository
 
 
@@ -60,10 +59,6 @@ class PivotSelectionReport:
     entropies: Tuple[float, ...]
     candidates_evaluated: int
 
-    @property
-    def main_entropy(self) -> float:
-        return self.entropies[0] if self.entropies else 0.0
-
 
 @dataclass
 class PivotTable:
@@ -76,62 +71,14 @@ class PivotTable:
     schema: Schema
     pivots: Dict[str, List[str]]
     reports: Dict[str, PivotSelectionReport] = field(default_factory=dict)
-    #: Memo of ``pivot_distances``: the pivot values are immutable for the
-    #: lifetime of the table, so the distance of a constant to an attribute's
-    #: pivots can be computed once and reused by every CDD-index build and
-    #: patch (the same rule constants recur across installs).
-    _distance_cache: Dict[Tuple[str, str], Tuple[float, ...]] = field(
-        default_factory=dict, repr=False, compare=False)
 
     def main_pivot(self, attribute: str) -> str:
         """The main pivot value ``piv_1[A_x]``."""
         return self.pivots[attribute][0]
 
-    def pivot_distances(self, attribute: str, value: str) -> Tuple[float, ...]:
-        """Distances of ``value`` to all of ``attribute``'s pivots, memoised.
-
-        Element 0 is the main-pivot coordinate; the remainder are the
-        auxiliary-pivot distances.  The memo is keyed by ``(attribute,
-        value)`` and is sound because the pivot lists never change after
-        selection.
-        """
-        key = (attribute, value)
-        distances = self._distance_cache.get(key)
-        if distances is None:
-            distances = tuple(text_distance(value, pivot_value)
-                              for pivot_value in self.pivots[attribute])
-            self._distance_cache[key] = distances
-        return distances
-
-    def auxiliary_pivots(self, attribute: str) -> List[str]:
-        """Auxiliary pivot values ``piv_a[A_x]`` for ``a >= 2``."""
-        return self.pivots[attribute][1:]
-
-    def pivot_count(self, attribute: str) -> int:
-        """Number of pivots ``n_x`` selected for one attribute."""
-        return len(self.pivots[attribute])
-
     def all_pivots(self, attribute: str) -> List[str]:
         """Main pivot followed by auxiliary pivots."""
         return list(self.pivots[attribute])
-
-    def convert_value(self, attribute: str, value: Optional[str],
-                      pivot_index: int = 0) -> float:
-        """Jaccard distance from ``value`` to the selected pivot.
-
-        A missing value converts to ``1.0`` (maximally far from any pivot) so
-        that unimputable attributes never shrink a distance lower bound.
-        """
-        if value is None:
-            return 1.0
-        pivot_values = self.pivots[attribute]
-        index = min(pivot_index, len(pivot_values) - 1)
-        return text_distance(value, pivot_values[index])
-
-    def convert_record(self, record: Record, pivot_index: int = 0) -> List[float]:
-        """Convert a complete record into its d-dimensional coordinates."""
-        return [self.convert_value(name, record[name], pivot_index)
-                for name in self.schema]
 
 
 @dataclass(frozen=True)
@@ -209,22 +156,3 @@ def select_pivots(repository: DataRepository,
             candidates_evaluated=len(scored),
         )
     return PivotTable(schema=repository.schema, pivots=pivots, reports=reports)
-
-
-def pivot_selection_cost(repository: DataRepository,
-                         config: Optional[PivotSelectionConfig] = None) -> int:
-    """Number of distance evaluations the selection performs (cost model size).
-
-    Every candidate is scored against every sample value — ``min(|dom|,
-    max_candidates) × |R|`` distances per attribute.  They are evaluated
-    columnwise (one :func:`~repro.core.similarity.jaccard_distance_column`
-    per candidate), but the count is unchanged.  Used by the Figure 11
-    benches to report how the offline pivot-selection cost scales with the
-    repository size and with ``cntMax``.
-    """
-    config = config or PivotSelectionConfig()
-    evaluations = 0
-    for attribute in repository.schema:
-        domain = min(repository.domain_size(attribute), config.max_candidates)
-        evaluations += domain * len(repository)
-    return evaluations

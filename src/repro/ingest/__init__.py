@@ -2,8 +2,8 @@
 
 The subsystem that turns the offline reproduction into a servable streaming
 system: :mod:`repro.ingest.sources` define where tuples come from
-(:class:`ReplaySource`, :class:`SyntheticRateSource`, :class:`CallbackSource`),
-:mod:`repro.ingest.clock` tracks event time with per-stream watermarks and
+(:class:`ReplaySource`, :class:`SyntheticRateSource`, or any
+:class:`Source`), :mod:`repro.ingest.clock` tracks event time with per-stream watermarks and
 bounded lateness, :mod:`repro.ingest.batcher` forms micro-batches
 adaptively (size / latency deadline), and
 :mod:`repro.ingest.driver` multiplexes N sources into the staged runtime
@@ -29,7 +29,6 @@ from repro.ingest.clock import (
 )
 from repro.ingest.driver import IngestDriver, IngestReport
 from repro.ingest.sources import (
-    CallbackSource,
     ReplaySource,
     Source,
     StreamElement,
@@ -39,7 +38,6 @@ from repro.ingest.sources import (
 __all__ = [
     "AdaptiveBatcher",
     "BatchPolicy",
-    "CallbackSource",
     "IngestDriver",
     "IngestReport",
     "LATE_ADMIT",

@@ -67,11 +67,6 @@ class AdaptiveBatcher:
         self._pending: List[StreamElement] = []
         self._first_enqueue: Optional[float] = None
 
-    @property
-    def pending(self) -> int:
-        """Number of elements waiting for a trigger."""
-        return len(self._pending)
-
     def pending_elements(self) -> List[StreamElement]:
         """Snapshot of the waiting elements (checkpoint serialisation)."""
         return list(self._pending)

@@ -91,8 +91,8 @@ class WatermarkClock:
     def mark_idle(self, origin: str) -> bool:
         """Temporarily exclude a silent source from the global watermark.
 
-        A registered source that has stopped emitting (a stalled
-        ``CallbackSource``, a producer outage) would otherwise hold the
+        A registered source that has stopped emitting (a stalled push
+        producer, a producer outage) would otherwise hold the
         global watermark — and with it the reorder buffer and any
         watermark-triggered batching/expiry — forever.  Marking it idle is
         a revocable punctuation: the source rejoins the watermark
@@ -123,11 +123,6 @@ class WatermarkClock:
         if not self._high:
             return -math.inf
         return min(self.stream_watermark(origin) for origin in self._high)
-
-    @property
-    def buffered(self) -> int:
-        """Elements held in the reorder buffer (not yet released)."""
-        return len(self._buffer)
 
     @property
     def observed_count(self) -> int:
@@ -166,7 +161,7 @@ class WatermarkClock:
         # A woken idle source rejoins the watermark *before* the late
         # check — against an idle (infinite) stream watermark every
         # arrival would count as late.  A *closed* source that emits again
-        # (e.g. a CallbackSource pushed after a drain, without the driver
+        # (e.g. a push producer emitting after a drain, without the driver
         # re-opening it) wakes the same way: its closed-stream watermark is
         # also infinite, so without the wake every element of the revived
         # stream would be classified late.
@@ -201,7 +196,7 @@ class WatermarkClock:
         """Force-release the oldest buffered elements beyond ``capacity``.
 
         Bounds the reorder buffer when one source stalls the global
-        watermark (e.g. a registered ``CallbackSource`` that has not pushed
+        watermark (e.g. a registered push source that has not emitted
         yet) while others keep arriving: beyond the cap, ordering degrades
         to best-effort — the oldest elements are released ahead of the
         watermark (still in ``(event_time, seq)`` order) rather than

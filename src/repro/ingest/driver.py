@@ -124,7 +124,7 @@ class IngestDriver:
         Optional idle-source punctuation in wall-clock seconds (finite and
         positive when set): a source with no arrival for this long is
         marked idle on the watermark clock and stops holding the global
-        watermark back (a stalled ``CallbackSource`` no longer freezes
+        watermark back (a stalled push source no longer freezes
         batching and reordering for every other stream).  The source
         rejoins the watermark with its next arrival, which is then subject
         to the normal late policy.  Idle transitions are counted as

@@ -3,8 +3,7 @@
 A :class:`Source` is an async iterator of :class:`StreamElement`\\ s — a
 record plus its *event time* (the logical instant the tuple belongs to,
 distinct from both the wall clock and the record's engine-assigned arrival
-``timestamp``, which the sources never touch).  Three implementations cover
-the spectrum the ingest driver needs:
+``timestamp``, which the sources never touch).  Two implementations ship:
 
 * :class:`ReplaySource` — wraps an existing record sequence,
   :class:`~repro.core.stream.IncompleteDataStream` or
@@ -15,10 +14,9 @@ the spectrum the ingest driver needs:
   bit-identically.
 * :class:`SyntheticRateSource` — generates records from a factory under a
   configurable arrival-rate/burst model (load benchmarks, soak tests).
-* :class:`CallbackSource` — a push API for external producers: call
-  :meth:`~CallbackSource.push` from the event loop (or via
-  ``loop.call_soon_threadsafe`` from another thread), then
-  :meth:`~CallbackSource.close`.
+
+Any other producer is a :class:`Source`: an object with a ``name`` and an
+``__aiter__`` yielding :class:`StreamElement`\\ s.
 """
 
 from __future__ import annotations
@@ -209,64 +207,3 @@ class SyntheticRateSource:
                                     event_time=float(emitted),
                                     origin=self.name)
                 emitted += 1
-
-
-#: Queue sentinel marking the end of a callback source.
-_CLOSED = object()
-
-
-class CallbackSource:
-    """Push API for external producers.
-
-    ``push`` enqueues one record (with an optional explicit event time;
-    defaults to a per-source arrival counter), ``close`` ends the source.
-    Both must be called from the event-loop thread — external threads go
-    through ``loop.call_soon_threadsafe(source.push, record)``.  A bounded
-    ``capacity`` makes ``push`` return ``False`` (and count the drop) when
-    the producer outruns the pipeline, surfacing backpressure to the caller
-    instead of buffering without bound.
-    """
-
-    def __init__(self, name: str = "callback",
-                 capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self.dropped = 0
-        # One slot above capacity is reserved for the close sentinel, so
-        # closing a full source can never fail; ``push`` enforces the
-        # user-visible capacity itself.
-        self._queue: "asyncio.Queue" = asyncio.Queue(
-            maxsize=(capacity + 1) if capacity else 0)
-        self._next_event_time = 0.0
-        self._closed = False
-
-    def push(self, record: Record,
-             event_time: Optional[float] = None) -> bool:
-        """Enqueue one record; ``False`` when the source is closed or full."""
-        if self._closed:
-            return False
-        if event_time is None:
-            event_time = self._next_event_time
-        self._next_event_time = max(self._next_event_time, event_time) + 1.0
-        if self.capacity is not None and self._queue.qsize() >= self.capacity:
-            self.dropped += 1
-            return False
-        self._queue.put_nowait(StreamElement(record=record,
-                                             event_time=event_time,
-                                             origin=self.name))
-        return True
-
-    def close(self) -> None:
-        """End the source; the driver releases its watermark hold."""
-        if not self._closed:
-            self._closed = True
-            self._queue.put_nowait(_CLOSED)
-
-    async def __aiter__(self) -> AsyncIterator[StreamElement]:
-        while True:
-            item = await self._queue.get()
-            if item is _CLOSED:
-                return
-            yield item

@@ -3,24 +3,20 @@
 from repro.metrics.accuracy import (
     AccuracyReport,
     PairKey,
-    evaluate_key_sets,
     evaluate_matches,
     match_pairs_to_keys,
     pair_key,
 )
 from repro.metrics.timing import (
-    ALL_STAGES,
     STAGE_CDD_SELECTION,
     STAGE_ER,
     STAGE_IMPUTATION,
     BreakupCost,
     StageTimer,
-    Stopwatch,
     time_callable,
 )
 
 __all__ = [
-    "ALL_STAGES",
     "AccuracyReport",
     "BreakupCost",
     "PairKey",
@@ -28,8 +24,6 @@ __all__ = [
     "STAGE_ER",
     "STAGE_IMPUTATION",
     "StageTimer",
-    "Stopwatch",
-    "evaluate_key_sets",
     "evaluate_matches",
     "match_pairs_to_keys",
     "pair_key",

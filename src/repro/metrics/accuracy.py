@@ -9,7 +9,7 @@ non-topic pairs are not supposed to be returned at all).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 from repro.core.matching import MatchPair
 
@@ -75,14 +75,3 @@ def evaluate_matches(reported: Iterable[MatchPair],
     return AccuracyReport(true_positives=true_positives,
                           false_positives=false_positives,
                           false_negatives=false_negatives)
-
-
-def evaluate_key_sets(reported: Set[PairKey],
-                      ground_truth: Set[PairKey]) -> AccuracyReport:
-    """Same as :func:`evaluate_matches` but on pre-computed key sets."""
-    true_positives = len(reported & ground_truth)
-    return AccuracyReport(
-        true_positives=true_positives,
-        false_positives=len(reported) - true_positives,
-        false_negatives=len(ground_truth) - true_positives,
-    )

@@ -4,7 +4,8 @@ The paper reports, for each new timestamp, the average wall-clock time of
 the whole TER-iDS step and its break-up into online CDD selection, online
 imputation and online ER.  :class:`StageTimer` accumulates per-stage wall
 clock time; :class:`BreakupCost` is the per-dataset summary the Figure 6
-bench prints.
+bench prints; :func:`time_callable` times one call of the offline
+pre-computation (Figures 11 and 12).
 """
 
 from __future__ import annotations
@@ -12,18 +13,17 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 #: The single wall-clock source shared by :class:`StageTimer`,
-#: :class:`Stopwatch` and the engine's end-to-end ``run`` timing, so every
-#: reported duration is comparable.
+#: :func:`time_callable` and the engine's end-to-end ``run`` timing, so
+#: every reported duration is comparable.
 now = time.perf_counter
 
 #: Stage names used by the TER-iDS engine's break-up cost (Figure 6).
 STAGE_CDD_SELECTION = "cdd_selection"
 STAGE_IMPUTATION = "imputation"
 STAGE_ER = "entity_resolution"
-ALL_STAGES = (STAGE_CDD_SELECTION, STAGE_IMPUTATION, STAGE_ER)
 
 
 @dataclass
@@ -44,30 +44,11 @@ class StageTimer:
             self.totals[stage] = self.totals.get(stage, 0.0) + elapsed
             self.counts[stage] = self.counts.get(stage, 0) + 1
 
-    def add(self, stage: str, seconds: float) -> None:
-        """Manually add elapsed seconds to one stage."""
-        self.totals[stage] = self.totals.get(stage, 0.0) + seconds
-        self.counts[stage] = self.counts.get(stage, 0) + 1
-
     def total(self, stage: Optional[str] = None) -> float:
         """Total seconds of one stage (or of all stages)."""
         if stage is None:
             return sum(self.totals.values())
         return self.totals.get(stage, 0.0)
-
-    def mean(self, stage: str) -> float:
-        """Mean seconds per measured invocation of one stage."""
-        count = self.counts.get(stage, 0)
-        if count == 0:
-            return 0.0
-        return self.totals[stage] / count
-
-    def reset(self) -> None:
-        self.totals.clear()
-        self.counts.clear()
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.totals)
 
 
 @dataclass(frozen=True)
@@ -98,37 +79,6 @@ class BreakupCost:
             imputation=timer.total(STAGE_IMPUTATION) / denominator,
             entity_resolution=timer.total(STAGE_ER) / denominator,
         )
-
-
-@dataclass
-class Stopwatch:
-    """A tiny start/stop wall-clock timer used by the experiment harness."""
-
-    _start: Optional[float] = None
-    elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        self._start = now()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("stopwatch was not started")
-        self.elapsed += now() - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
-
-    @contextmanager
-    def measure(self) -> Iterator["Stopwatch"]:
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
 
 
 def time_callable(fn, *args, **kwargs):

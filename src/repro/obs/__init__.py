@@ -5,7 +5,7 @@ Stdlib-only by design — ``repro.obs`` sits *below* the runtime modules
 anywhere else in ``repro``.
 """
 
-from .exporters import LogReporter, render_prometheus
+from .exporters import render_prometheus
 from .profiler import SlowBatchProfiler
 from .registry import (COUNTER, DEFAULT_BUCKETS, DEFAULT_QUANTILES,
                        DEFAULT_SAMPLE_WINDOW, GAUGE, HISTOGRAM, CounterValue,
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_SAMPLE_WINDOW",
     "GaugeValue",
     "HistogramValue",
-    "LogReporter",
     "MetricFamily",
     "MetricsRegistry",
     "NULL_SCOPE",

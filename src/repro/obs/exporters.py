@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text exposition and a periodic log reporter.
+"""Exporter: Prometheus text exposition.
 
 ``render_prometheus`` turns a :class:`~repro.obs.registry.MetricsRegistry`
 snapshot into the Prometheus text exposition format (version 0.0.4):
@@ -6,17 +6,12 @@ snapshot into the Prometheus text exposition format (version 0.0.4):
 ``_bucket{le=...}`` rows ending at ``+Inf``, plus ``_sum`` and ``_count``
 for histograms, and the ``_total`` suffix convention for counters.  The
 service tier's future ``/metrics`` endpoint returns this string verbatim.
-
-``LogReporter`` is the zero-dependency exporter: hook it onto
-``IngestDriver(on_batch=...)`` (or call ``report()`` on your own cadence)
-and it logs a one-line digest every N batches.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .registry import COUNTER, HISTOGRAM, MetricsRegistry
 
@@ -75,44 +70,3 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(f"{exposed}{_format_labels(labels)}"
                              f" {_format_value(sample['value'])}")
     return "\n".join(lines) + "\n"
-
-
-class LogReporter:
-    """Logs a one-line telemetry digest every ``every_batches`` batches.
-
-    Shaped to plug straight into ``IngestDriver(on_batch=reporter.on_batch)``;
-    also callable directly (``reporter.report()``) from any loop.
-    """
-
-    def __init__(self, ctx, every_batches: int = 50,
-                 logger: Optional[logging.Logger] = None) -> None:
-        if every_batches < 1:
-            raise ValueError(
-                f"every_batches must be >= 1, got {every_batches}")
-        self.ctx = ctx
-        self.every_batches = every_batches
-        self.logger = logger or logging.getLogger("repro.obs")
-        self._batches_seen = 0
-
-    def on_batch(self, driver, records) -> None:
-        self._batches_seen += 1
-        if self._batches_seen % self.every_batches == 0:
-            self.report()
-
-    def report(self) -> None:
-        ctx = self.ctx
-        tel = ctx.telemetry
-        parts = [
-            f"batch_seq={ctx.batch_seq}",
-            f"timestamps={ctx.timestamps_processed}",
-            f"matches={len(ctx.result_set)}",
-            f"pairs_considered={ctx.pruning.stats.pairs_considered}",
-            f"pruned={ctx.pruning.stats.total_pruned}",
-        ]
-        if getattr(tel, "enabled", False):
-            parts.append(
-                f"batch_p95={tel.batch_seconds.quantile(0.95):.6f}s")
-        if ctx.ingest.batches_formed:
-            parts.append(
-                f"formation_p95={ctx.ingest.p95_formation_latency():.6f}s")
-        self.logger.info("telemetry %s", " ".join(parts))

@@ -13,7 +13,7 @@ import cProfile
 import io
 import pstats
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class _ProfileScope:
@@ -39,11 +39,10 @@ class _ProfileScope:
 class SlowBatchProfiler:
     """Keeps rendered cProfile stats for the ``top_n`` slowest batches."""
 
-    def __init__(self, top_n: int = 3, restrict: int = 25) -> None:
+    def __init__(self, top_n: int = 3) -> None:
         if top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {top_n}")
         self.top_n = top_n
-        self.restrict = restrict
         #: ``[{batch_seq, seconds, stats}]`` sorted slowest-first.
         self.slowest: List[Dict[str, object]] = []
 
@@ -57,7 +56,7 @@ class SlowBatchProfiler:
             return
         buffer = io.StringIO()
         stats = pstats.Stats(profile, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(self.restrict)
+        stats.sort_stats("cumulative").print_stats(25)  # top 25 functions
         self.slowest.append({
             "batch_seq": batch_seq,
             "seconds": elapsed,

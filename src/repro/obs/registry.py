@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` is the single place every measured signal of
 the runtime lands in.  Three metric kinds, all label-aware:
 
 * **counters** — monotonically increasing totals (``.inc``);
-* **gauges** — point-in-time values (``.set``);
+* **gauges** — point-in-time values, bound at collect time (``bind``);
 * **histograms** — exponential-bucket distributions
   (:class:`HistogramValue`) that additionally keep a *bounded sample ring*
   so exact quantiles (p50/p95/p99 by default) can be served without the
@@ -84,14 +84,8 @@ class GaugeValue:
     def __init__(self) -> None:
         self.value = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = value
-
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class HistogramValue:
@@ -182,7 +176,7 @@ class MetricFamily:
     """One named metric: a fixed label schema + its per-combination series.
 
     Children are created on first :meth:`labels` access; a label-less
-    family proxies ``inc`` / ``set`` / ``observe`` to its single child so
+    family proxies ``inc`` / ``observe`` to its single child so
     ``registry.counter("x").inc()`` reads naturally.
     """
 
@@ -221,12 +215,6 @@ class MetricFamily:
 
     def inc(self, amount: float = 1.0) -> None:
         self._default().inc(amount)
-
-    def set(self, value: float) -> None:
-        self._default().set(value)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
 
     def observe(self, value: float) -> None:
         self._default().observe(value)
@@ -268,8 +256,8 @@ class MetricFamily:
 class MetricsRegistry:
     """The process-wide registry every exporter renders from.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create (idempotent
-    for an identical kind; a kind conflict raises).  :meth:`bind` attaches
+    ``counter`` / ``histogram`` are get-or-create (idempotent for an
+    identical kind; a kind conflict raises).  :meth:`bind` attaches
     collect-time callbacks so existing stat objects surface on the registry
     without being rewritten onto it.
     """
@@ -296,10 +284,6 @@ class MetricsRegistry:
                 labelnames: Sequence[str] = ()) -> MetricFamily:
         return self._family(name, help, COUNTER, labelnames)
 
-    def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, help, GAUGE, labelnames)
-
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
                   buckets: Optional[Sequence[float]] = None,
@@ -321,9 +305,7 @@ class MetricsRegistry:
         registry is collected, so binding costs nothing on the hot path.
 
         Re-binding the same ``(name, labels)`` *replaces* the previous
-        getter instead of accumulating a duplicate sample row: re-enabling
-        telemetry against a shared registry must not double every bound
-        series.
+        getter instead of accumulating a duplicate sample row.
         """
         labels = dict(labels or {})
         family = self._family(name, help, kind, tuple(labels))

@@ -93,9 +93,8 @@ class _BatchScope:
 class Telemetry:
     """The enabled plane: registry + tracer + optional profiler."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 trace_ring: int = 16, profile_slowest: int = 0) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, trace_ring: int = 16, profile_slowest: int = 0) -> None:
+        self.registry = MetricsRegistry()
         self.tracer = Tracer(ring=trace_ring, on_span=self._on_span)
         self.profiler = (SlowBatchProfiler(top_n=profile_slowest)
                          if profile_slowest > 0 else None)

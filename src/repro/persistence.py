@@ -1,14 +1,16 @@
-"""JSON persistence for rules, records, match results and workloads.
+"""JSON serialisation of engine checkpoints.
 
-A downstream deployment of TER-iDS mines CDD rules and selects pivots
-*offline* (Algorithm 1's pre-computation phase) and then runs the online
-operator possibly on a different machine or at a later time.  This module
-provides the serialisation layer for that hand-off: mined rules, pivot
-tables, repositories and reported match pairs can be written to and read
-back from plain JSON files.
+A checkpoint (``TERiDSEngine.save_checkpoint``) stores the windows' imputed
+records, the entity result set and the runtime counters; the ingest driver
+adds its pending elements.  This module holds the record and match
+serialisers those checkpoints use, the repository serialisers a grown
+repository is carried across a restart with, and the versioned checkpoint
+envelope.  Rules and pivots are not persisted: the engine recomputes both
+from its repository (Algorithm 1's pre-computation), so they follow from
+the repository a restart is given.
 
 Only standard-library ``json`` is used; every ``*_to_dict`` function has a
-matching ``*_from_dict`` inverse and round-tripping is covered by tests.
+matching ``*_from_dict`` inverse.
 """
 
 from __future__ import annotations
@@ -16,19 +18,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Union
 
 from repro.core.matching import MatchPair
 from repro.core.tuples import ImputedRecord, Record, Schema
-from repro.imputation.cdd import (
-    CONSTRAINT_CONSTANT,
-    CONSTRAINT_INTERVAL,
-    CONSTRAINT_MISSING,
-    AttributeConstraint,
-    CDDRule,
-)
 from repro.imputation.repository import DataRepository
-from repro.indexes.pivots import PivotTable
 
 PathLike = Union[str, Path]
 
@@ -93,94 +87,6 @@ def repository_from_dict(data: Dict) -> DataRepository:
 
 
 # ---------------------------------------------------------------------------
-# CDD rules
-# ---------------------------------------------------------------------------
-def _constraint_to_dict(constraint: AttributeConstraint) -> Dict:
-    return {
-        "attribute": constraint.attribute,
-        "kind": constraint.kind,
-        "interval": list(constraint.interval),
-        "constant": constraint.constant,
-    }
-
-
-def _constraint_from_dict(data: Dict) -> AttributeConstraint:
-    kind = data["kind"]
-    if kind not in (CONSTRAINT_CONSTANT, CONSTRAINT_INTERVAL, CONSTRAINT_MISSING):
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return AttributeConstraint(
-        attribute=data["attribute"],
-        kind=kind,
-        interval=tuple(data.get("interval", (0.0, 1.0))),
-        constant=data.get("constant"),
-    )
-
-
-def rule_to_dict(rule: CDDRule) -> Dict:
-    """Serialise one CDD rule."""
-    return {
-        "determinants": [_constraint_to_dict(c) for c in rule.determinants],
-        "dependent": rule.dependent,
-        "dependent_interval": list(rule.dependent_interval),
-        "support": rule.support,
-        "rule_id": rule.rule_id,
-    }
-
-
-def rule_from_dict(data: Dict) -> CDDRule:
-    """Inverse of :func:`rule_to_dict`."""
-    return CDDRule(
-        determinants=tuple(_constraint_from_dict(c) for c in data["determinants"]),
-        dependent=data["dependent"],
-        dependent_interval=tuple(data["dependent_interval"]),
-        support=data.get("support", 0),
-        rule_id=data.get("rule_id", ""),
-    )
-
-
-def save_rules(rules: Sequence[CDDRule], path: PathLike) -> None:
-    """Write mined CDD rules to a JSON file."""
-    payload = {"rules": [rule_to_dict(rule) for rule in rules]}
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def load_rules(path: PathLike) -> List[CDDRule]:
-    """Read CDD rules written by :func:`save_rules`."""
-    payload = json.loads(Path(path).read_text())
-    return [rule_from_dict(row) for row in payload.get("rules", [])]
-
-
-# ---------------------------------------------------------------------------
-# Pivot tables
-# ---------------------------------------------------------------------------
-def pivots_to_dict(pivots: PivotTable) -> Dict:
-    """Serialise a pivot table (selection reports are not persisted)."""
-    return {
-        "schema": list(pivots.schema),
-        "pivots": {attribute: list(values)
-                   for attribute, values in pivots.pivots.items()},
-    }
-
-
-def pivots_from_dict(data: Dict) -> PivotTable:
-    """Inverse of :func:`pivots_to_dict`."""
-    schema = Schema(attributes=tuple(data["schema"]))
-    return PivotTable(schema=schema,
-                      pivots={attribute: list(values)
-                              for attribute, values in data["pivots"].items()})
-
-
-def save_pivots(pivots: PivotTable, path: PathLike) -> None:
-    """Write a pivot table to a JSON file."""
-    Path(path).write_text(json.dumps(pivots_to_dict(pivots), indent=2))
-
-
-def load_pivots(path: PathLike) -> PivotTable:
-    """Read a pivot table written by :func:`save_pivots`."""
-    return pivots_from_dict(json.loads(Path(path).read_text()))
-
-
-# ---------------------------------------------------------------------------
 # Match results
 # ---------------------------------------------------------------------------
 def match_to_dict(pair: MatchPair) -> Dict:
@@ -202,18 +108,6 @@ def match_from_dict(data: Dict) -> MatchPair:
         right_rid=data["right_rid"], right_source=data["right_source"],
         probability=data["probability"], timestamp=data.get("timestamp", -1),
     )
-
-
-def save_matches(pairs: Iterable[MatchPair], path: PathLike) -> None:
-    """Write reported match pairs to a JSON file."""
-    payload = {"matches": [match_to_dict(pair) for pair in pairs]}
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def load_matches(path: PathLike) -> List[MatchPair]:
-    """Read match pairs written by :func:`save_matches`."""
-    payload = json.loads(Path(path).read_text())
-    return [match_from_dict(row) for row in payload.get("matches", [])]
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +163,3 @@ def load_checkpoint(path: PathLike) -> Dict:
     if not isinstance(payload.get("state"), dict):
         raise CheckpointError(f"{path}: checkpoint envelope has no 'state'")
     return payload["state"]
-
-
-def save_repository(repository: DataRepository, path: PathLike) -> None:
-    """Write a data repository to a JSON file."""
-    Path(path).write_text(json.dumps(repository_to_dict(repository), indent=2))
-
-
-def load_repository(path: PathLike) -> DataRepository:
-    """Read a data repository written by :func:`save_repository`."""
-    return repository_from_dict(json.loads(Path(path).read_text()))

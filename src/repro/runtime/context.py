@@ -27,7 +27,7 @@ from repro.core.matching import EntityResultSet
 from repro.core.pruning import PruningPipeline
 from repro.core.stream import SlidingWindow
 from repro.core.tuples import Schema
-from repro.imputation.cdd import CDDDiscoveryConfig, CDDRule
+from repro.imputation.cdd import CDDRule
 from repro.imputation.imputer import CDDImputer
 from repro.imputation.repository import DataRepository
 from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
@@ -338,9 +338,6 @@ class RuntimeContext:
     pruning: Optional[PruningPipeline] = None
     timer: StageTimer = field(default_factory=StageTimer)
     timestamps_processed: int = 0
-    #: Rule-mining knobs used for exact re-mines of the evolving repository;
-    #: the maintenance stage reads them when asked to re-mine.
-    discovery_config: Optional[CDDDiscoveryConfig] = None
     #: See :class:`TransportStats`: an all-zero stub the benchmark reads.
     transport: TransportStats = TransportStats()
     #: Arrival/backpressure accounting of the async ingestion front-end
@@ -440,7 +437,7 @@ class RuntimeContext:
         from repro.obs.telemetry import NULL_SCOPE
         return NULL_SCOPE
 
-    def enable_telemetry(self, registry=None, trace_ring: int = 16,
+    def enable_telemetry(self, trace_ring: int = 16,
                          profile_slowest: int = 0):
         """Swap the live telemetry plane in (idempotent-ish: re-enabling
         builds a fresh plane) and bind every stat object onto its registry.
@@ -450,7 +447,7 @@ class RuntimeContext:
         """
         from repro.obs.telemetry import Telemetry, bind_context_metrics
 
-        telemetry = Telemetry(registry=registry, trace_ring=trace_ring,
+        telemetry = Telemetry(trace_ring=trace_ring,
                               profile_slowest=profile_slowest)
         bind_context_metrics(telemetry.registry, self)
         self.telemetry = telemetry
@@ -469,10 +466,6 @@ class RuntimeContext:
                         yield family, COUNTER, help, label, None, read
                     else:
                         yield family, row.kind, help, label, row.label, read
-
-    def disable_telemetry(self) -> None:
-        """Back to the null plane (recorded traces/metrics are dropped)."""
-        self.telemetry = NULL_TELEMETRY
 
     def metrics_snapshot(self) -> Dict:
         """JSON-safe snapshot of every measured signal of this context.

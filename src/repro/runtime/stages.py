@@ -239,10 +239,10 @@ class MaintenanceStage:
                                   remine_rules: bool = False) -> None:
         """Extend the repository and the DR-index with complete samples.
 
-        The CDD rules stay a pure function of repository and discovery
-        configuration: they are left alone unless ``remine_rules`` asks for
-        an exact re-mine (:func:`~repro.imputation.cdd.discover_cdd_rules`
-        over the extended repository), which
+        The CDD rules stay a pure function of the repository: they are left
+        alone unless ``remine_rules`` asks for an exact re-mine
+        (:func:`~repro.imputation.cdd.discover_cdd_rules` over the extended
+        repository), which
         :meth:`~repro.runtime.context.RuntimeContext.install_rules` then
         swaps in.
         """
@@ -256,5 +256,4 @@ class MaintenanceStage:
             # rather than strand them.
             ctx.imputer.candidate_cache.clear()
         if remine_rules:
-            ctx.install_rules(discover_cdd_rules(ctx.repository,
-                                                 ctx.discovery_config))
+            ctx.install_rules(discover_cdd_rules(ctx.repository))

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import List, Sequence
 
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
+from repro.core.matching import MatchPair
+from repro.core.tuples import Record
 from repro.datasets.synthetic import generate_dataset
-from repro.experiments.harness import run_evolving_stream, split_repository
+from repro.imputation.repository import DataRepository
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -110,6 +113,61 @@ def instance_token_rows(synopses) -> dict:
              tuple(instance.record.tokens(name) for name in synopsis.schema))
             for instance in synopsis.record.instances())
         for synopsis in synopses}
+
+
+def split_repository(repository: DataRepository, holdout_fraction: float,
+                     ) -> tuple:
+    """Head/tail split of a repository for the evolving scenario.
+
+    The head becomes the engine's initial repository; the tail is the pool
+    of "future" complete samples absorbed mid-stream.  The split is a plain
+    prefix cut, so it is deterministic and the extended repository equals
+    the original one sample for sample.
+    """
+    if not 0.0 < holdout_fraction < 1.0:
+        raise ValueError(
+            f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
+    keep = max(2, len(repository) - int(round(len(repository)
+                                              * holdout_fraction)))
+    base = DataRepository(schema=repository.schema,
+                          samples=list(repository.samples[:keep]))
+    holdout = list(repository.samples[keep:])
+    return base, holdout
+
+
+def run_evolving_stream(engine: TERiDSEngine, records: Sequence[Record],
+                        additions: Sequence[Record],
+                        phases: int = 3) -> List[MatchPair]:
+    """Drive an engine over a stream that evolves its repository mid-flight.
+
+    The record sequence is cut into ``phases`` contiguous chunks; after
+    every chunk except the last, an equal slice of ``additions`` is absorbed
+    via :meth:`TERiDSEngine.add_repository_samples` with an exact re-mine
+    of the rules over the extended repository.  Returns the concatenated
+    match pairs in arrival order — directly comparable across executors.
+    """
+    if phases < 1:
+        raise ValueError(f"phases must be >= 1, got {phases}")
+    records = list(records)
+    additions = list(additions)
+    if additions and phases < 2:
+        # Absorption happens *between* phases; with a single phase the
+        # additions would be silently discarded.
+        raise ValueError(
+            "phases must be >= 2 to absorb repository additions mid-stream")
+    matches: List[MatchPair] = []
+    chunk = -(-len(records) // phases) if records else 0
+    pauses = max(1, phases - 1)
+    add_chunk = -(-len(additions) // pauses) if additions else 0
+    for phase in range(phases):
+        batch = records[phase * chunk: (phase + 1) * chunk]
+        if batch:
+            matches.extend(engine.process_batch(batch))
+        if phase < phases - 1 and add_chunk:
+            tranche = additions[phase * add_chunk: (phase + 1) * add_chunk]
+            if tranche:
+                engine.add_repository_samples(tranche, remine_rules=True)
+    return matches
 
 
 def run_reference(engine_factory, workload, config) -> dict:

@@ -23,11 +23,11 @@ def diagnosis_index(health_rules):
 class TestConstruction:
     def test_index_keeps_only_its_dependent(self, diagnosis_index, health_rules):
         expected = [rule for rule in health_rules if rule.dependent == "diagnosis"]
-        assert diagnosis_index.rule_count == len(expected)
+        assert len(diagnosis_index.rules) == len(expected)
 
     def test_empty_rule_set(self, incomplete_health_record):
         index = CDDIndex(dependent="diagnosis", rules=[])
-        assert index.rule_count == 0
+        assert len(index.rules) == 0
         assert index.candidate_rules(incomplete_health_record) == []
 
 
@@ -87,4 +87,4 @@ class TestBuildAllIndexes:
         assert set(indexes) == set(group_rules_by_dependent(health_rules))
         for dependent, index in indexes.items():
             assert index.dependent == dependent
-            assert index.rule_count > 0
+            assert len(index.rules) > 0

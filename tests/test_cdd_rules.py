@@ -13,7 +13,6 @@ from repro.imputation.cdd import (
     RuleError,
     discover_cdd_rules,
     group_rules_by_dependent,
-    rules_for_attribute,
 )
 from repro.imputation.repository import DataRepository
 
@@ -117,9 +116,9 @@ class TestCDDRule:
 
     def test_matches_sample(self, simple_cdd_rule, incomplete_health_record,
                             health_repository):
-        matching = health_repository.sample_by_rid("s0")  # male, similar symptom
+        matching = health_repository.samples[0]  # s0: male, similar symptom
         assert simple_cdd_rule.matches_sample(incomplete_health_record, matching)
-        non_matching = health_repository.sample_by_rid("s2")  # female
+        non_matching = health_repository.samples[2]  # s2: female
         assert not simple_cdd_rule.matches_sample(incomplete_health_record,
                                                   non_matching)
 
@@ -191,7 +190,7 @@ class TestCDDDiscovery:
         rules = discover_cdd_rules(health_repository)
         grouped = group_rules_by_dependent(rules)
         assert set(grouped) == {rule.dependent for rule in rules}
-        diagnosis_rules = rules_for_attribute(rules, "diagnosis")
+        diagnosis_rules = [rule for rule in rules if rule.dependent == "diagnosis"]
         assert all(rule.dependent == "diagnosis" for rule in diagnosis_rules)
         assert len(diagnosis_rules) == len(grouped["diagnosis"])
 

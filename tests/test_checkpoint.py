@@ -165,7 +165,8 @@ def test_checkpoint_roundtrip_preserves_state(health_repository, health_config):
     clone.restore_checkpoint(state)
 
     assert clone.timestamps_processed == engine.timestamps_processed
-    assert clone.result_set.pair_keys() == engine.result_set.pair_keys()
+    assert ({pair.key() for pair in clone.result_set.pairs()}
+            == {pair.key() for pair in engine.result_set.pairs()})
     assert len(clone.grid) == len(engine.grid)
     for synopsis in engine.grid.synopses():
         restored = clone.grid.get_synopsis(synopsis.record.rid,

@@ -52,16 +52,6 @@ class TestConfigKeywords:
         config = TERiDSConfig(schema=SCHEMA, keywords={"Diabetes", "FLU"})
         assert config.keywords == frozenset({"diabetes", "flu"})
 
-    def test_topic_free_flag(self):
-        assert TERiDSConfig(schema=SCHEMA).topic_free
-        assert not TERiDSConfig(schema=SCHEMA, keywords={"x"}).topic_free
-
-    def test_with_keywords_returns_new_config(self):
-        config = TERiDSConfig(schema=SCHEMA)
-        updated = config.with_keywords(["Topic"])
-        assert updated.keywords == frozenset({"topic"})
-        assert config.keywords == frozenset()
-
     def test_replace(self):
         config = TERiDSConfig(schema=SCHEMA)
         updated = config.replace(alpha=0.8, window_size=10)

@@ -137,7 +137,8 @@ def _fixed_run():
     engine.enable_telemetry()
     IngestDriver(engine, [ReplaySource(workload.interleaved_records())],
                  policy=BatchPolicy(max_batch=16)).run()
-    (rid, source), _ = engine.grid.synopsis_items()[0]
+    first = engine.grid.synopses()[0]
+    rid, source = first.rid, first.source
     engine.resolve(rid, source)
     return engine
 

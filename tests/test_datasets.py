@@ -13,7 +13,7 @@ from repro.datasets.synthetic import (
     generate_dataset,
     inject_missing_values,
 )
-from repro.datasets.vocab import DOMAIN_SCHEMAS, TOPIC_CLUSTERS, topic_keywords
+from repro.datasets.vocab import DOMAIN_SCHEMAS, TOPIC_CLUSTERS
 
 
 class TestProfiles:
@@ -50,7 +50,7 @@ class TestProfiles:
         for profile in DATASET_PROFILES.values():
             assert profile.domain in DOMAIN_SCHEMAS
             assert profile.domain in TOPIC_CLUSTERS
-            assert len(topic_keywords(profile.domain)) >= 4
+            assert len(TOPIC_CLUSTERS[profile.domain]) >= 4
 
 
 class TestGeneration:
@@ -89,7 +89,7 @@ class TestGeneration:
         schema = workload.schema
         incomplete = sum(1 for record in workload.stream_a + workload.stream_b
                          if not record.is_complete(schema))
-        total = workload.total_stream_size()
+        total = len(workload.stream_a) + len(workload.stream_b)
         assert 0.3 <= incomplete / total <= 0.7
 
     def test_zero_missing_rate(self):
@@ -110,7 +110,8 @@ class TestGeneration:
                                     seed=4)
         schema = workload.schema
         assert all(sample.is_complete(schema) for sample in workload.repository)
-        expected = int(round(workload.total_stream_size() * 0.5))
+        expected = int(round((len(workload.stream_a)
+                              + len(workload.stream_b)) * 0.5))
         assert abs(len(workload.repository) - expected) <= 2
 
     def test_ground_truth_is_topical(self):

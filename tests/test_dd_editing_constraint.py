@@ -16,7 +16,6 @@ from repro.imputation.dd import (
     DDRule,
     dd_rules_as_cdds,
     discover_dd_rules,
-    group_dd_rules_by_dependent,
 )
 from repro.imputation.editing import (
     EditingRule,
@@ -57,7 +56,7 @@ class TestDDRule:
     def test_delegation(self, incomplete_health_record, health_repository):
         rule = DDRule(rule=self._interval_rule())
         assert rule.applicable_to(incomplete_health_record, "diagnosis")
-        sample = health_repository.sample_by_rid("s0")
+        sample = health_repository.samples[0]  # s0
         assert rule.matches_sample(incomplete_health_record, sample)
 
 
@@ -83,11 +82,6 @@ class TestDDDiscovery:
         unwrapped = dd_rules_as_cdds(rules)
         assert len(unwrapped) == len(rules)
         assert all(isinstance(rule, CDDRule) for rule in unwrapped)
-
-    def test_grouping(self, health_repository):
-        rules = discover_dd_rules(health_repository)
-        grouped = group_dd_rules_by_dependent(rules)
-        assert sum(len(v) for v in grouped.values()) == len(rules)
 
     def test_empty_repository(self, health_schema):
         assert discover_dd_rules(DataRepository(schema=health_schema, samples=[])) == []
@@ -115,8 +109,8 @@ class TestEditingRules:
         rule = EditingRule(determinants=("gender",), dependent="diagnosis")
         record = Record(rid="r", values={"gender": "male", "symptom": "x",
                                          "diagnosis": None, "treatment": "y"})
-        male_sample = health_repository.sample_by_rid("s0")
-        female_sample = health_repository.sample_by_rid("s2")
+        male_sample = health_repository.samples[0]  # s0
+        female_sample = health_repository.samples[2]  # s2
         assert rule.matches_sample(record, male_sample)
         assert not rule.matches_sample(record, female_sample)
 
@@ -166,14 +160,14 @@ class TestStreamConstraintImputer:
         imputer = self._imputer()
         imputer.observe(Record(rid="d1", values={"x": "a", "y": None}))
         imputer.observe(Record(rid="d2", values={"x": "a", "y": "b"}))
-        assert len(imputer.history_snapshot()) == 1
+        assert len(imputer._history) == 1
 
     def test_history_bounded(self):
         imputer = self._imputer(history_size=3)
         for index in range(10):
             imputer.observe(Record(rid=f"d{index}",
                                    values={"x": f"x{index}", "y": "y"}))
-        assert len(imputer.history_snapshot()) == 3
+        assert len(imputer._history) == 3
 
     def test_impute_from_similar_donor(self):
         imputer = self._imputer(min_similarity=0.3)

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.core.tuples import Record
-from repro.imputation.cdd import discover_cdd_rules
+from repro.core.similarity import text_distance
+from repro.core.tuples import Record, Schema
+from repro.imputation.cdd import (
+    CONSTRAINT_INTERVAL,
+    AttributeConstraint,
+    CDDRule,
+    discover_cdd_rules,
+)
+from repro.imputation.repository import DataRepository
 from repro.indexes.dr_index import DRIndex
+from repro.indexes.pivots import PivotTable
 
 
 @pytest.fixture
@@ -62,9 +70,10 @@ class TestRangeQueryAndMaintenance:
         new_sample = Record(rid="new", values={
             "gender": "female", "symptom": "thirst fatigue",
             "diagnosis": "diabetes", "treatment": "insulin"}, source="repository")
-        dr_index.insert_sample(new_sample)
+        health_repository.add_sample(new_sample)
+        dr_index.index_sample(new_sample)
         assert len(dr_index) == before + 1
-        assert health_repository.sample_by_rid("new") is not None
+        assert health_repository.samples[-1] is new_sample
         # A probe with the new sample's own values must reach it, as the
         # table's last row.
         probe = Record(rid="probe", values=dict(new_sample.values,
@@ -75,3 +84,48 @@ class TestRangeQueryAndMaintenance:
         for rule in rules:
             candidates = dr_index.candidate_samples(probe, rule)
             assert candidates[-1] is new_sample, rule.describe()
+
+
+class TestRectangleSlack:
+    """Both probes widen the query rectangle by ``1e-12``: a sample whose
+    coordinate overshoots the rectangle by float noise is still scanned.
+
+    The pivot ``t0 … t9`` puts the record ``t0 … t8`` at
+    ``0.09999999999999998`` and the sample ``t0 … t6`` at
+    ``0.30000000000000004``.  A rule reaching ``5e-13`` short of the
+    sample keeps it only through the slack; ``5e-12`` short drops it.
+    """
+
+    PIVOT = " ".join(f"t{i}" for i in range(10))
+    RECORD = " ".join(f"t{i}" for i in range(9))
+    SAMPLE = " ".join(f"t{i}" for i in range(7))
+
+    def _probe(self, shortfall):
+        schema = Schema(attributes=("a", "b"))
+        sample = Record(rid="s", values={"a": self.SAMPLE, "b": "x"},
+                        source="repository")
+        repository = DataRepository(schema=schema, samples=[sample])
+        pivots = PivotTable(schema=schema,
+                            pivots={"a": [self.PIVOT], "b": ["x"]})
+        index = DRIndex(repository, pivots)
+        record = Record(rid="q", values={"a": self.RECORD, "b": None})
+        gap = (text_distance(self.SAMPLE, self.PIVOT)
+               - text_distance(self.RECORD, self.PIVOT))
+        rule = CDDRule(
+            determinants=(AttributeConstraint(
+                "a", CONSTRAINT_INTERVAL, (0.0, gap - shortfall)),),
+            dependent="b", dependent_interval=(0.0, 1.0))
+        return (sample, index.candidate_samples(record, rule),
+                index.matching_samples(record, rule)[0])
+
+    def test_a_sample_within_the_slack_is_scanned_by_both_probes(self):
+        assert text_distance(self.RECORD, self.PIVOT) == 0.09999999999999998
+        assert text_distance(self.SAMPLE, self.PIVOT) == 0.30000000000000004
+        sample, candidates, scanned = self._probe(5e-13)
+        assert candidates == [sample]
+        assert scanned == 1
+
+    def test_a_sample_beyond_the_slack_is_dropped_by_both_probes(self):
+        _, candidates, scanned = self._probe(5e-12)
+        assert candidates == []
+        assert scanned == 0

@@ -52,7 +52,7 @@ class TestGridMaintenance:
         grid.insert(_synopsis("r1", "fever", "flu"))
         grid.insert(_synopsis("r2", "thirst", "diabetes"))
         assert len(grid) == 2
-        assert grid.cell_count >= 1
+        assert len(grid._cells) >= 1
 
     def test_contains_and_get(self):
         grid = ERGrid(SCHEMA, cells_per_dim=4)
@@ -67,7 +67,7 @@ class TestGridMaintenance:
         grid.insert(_synopsis("r1", "fever", "flu"))
         assert grid.remove("r1", "s1")
         assert len(grid) == 0
-        assert grid.cell_count == 0
+        assert len(grid._cells) == 0
         assert not grid.remove("r1", "s1")
 
     def test_reinsert_replaces(self):
@@ -87,7 +87,7 @@ class TestGridMaintenance:
         grid.insert(wide)
         # The record's diagnosis interval is wide, so it should register in
         # at least one cell (possibly several).
-        assert grid.cell_count >= 1
+        assert len(grid._cells) >= 1
         assert grid.remove("r1", "s1")
 
 
@@ -116,7 +116,7 @@ class TestCellAggregates:
         for index, attribute in enumerate(SCHEMA):
             low, high = _intervals(cell)[index]
             for synopsis in synopses:
-                entry_low, entry_high = synopsis.main_interval(attribute)
+                entry_low, entry_high = synopsis.distance_bounds[attribute][0]
                 assert low - 1e-9 <= entry_low and entry_high <= high + 1e-9
 
     def test_cell_recompute_after_removal(self):
@@ -126,12 +126,6 @@ class TestCellAggregates:
         grid.remove("r1", "s1")
         cell = next(iter(grid._cells.values()))
         assert not cell.may_have_keyword
-
-    def test_cell_bounds(self):
-        grid = ERGrid(SCHEMA, cells_per_dim=4)
-        bounds = grid.cell_bounds((0, 3))
-        assert bounds[0] == (0.0, 0.25)
-        assert bounds[1] == (0.75, 1.0)
 
 
 #: Token pool for the random maintenance sequences (overlaps the pivots and
@@ -153,9 +147,9 @@ def _scalar_aggregates(synopses):
     if not synopses:
         return False, None
     return (any(synopsis.may_have_keyword for synopsis in synopses),
-            [(min(synopsis.main_interval(attribute)[0]
+            [(min(synopsis.distance_bounds[attribute][0][0]
                   for synopsis in synopses),
-              max(synopsis.main_interval(attribute)[1]
+              max(synopsis.distance_bounds[attribute][0][1]
                   for synopsis in synopses))
              for attribute in SCHEMA])
 
@@ -171,8 +165,8 @@ def _assert_cells_equal_the_oracle(grid):
             for coordinates in resident.cells:
                 members.setdefault(coordinates, set()).add(key)
     assert set(grid._cells) == set(members)
-    store = grid.cell_store
-    assert len(store) == grid.cell_count
+    store = grid._cell_store
+    assert len(store) == len(grid._cells)
     for coordinates, cell in grid._cells.items():
         assert set(cell.keys) == members[coordinates]
         assert cell.slots == {key: slot for slot, key in enumerate(cell.keys)}
@@ -259,7 +253,8 @@ class TestColumnarCellRefresh:
         cell = next(iter(grid._cells.values()))
         before = _intervals(cell)
         # r0 holds the main pivot's own values: the unique minimum.
-        lows = [synopsis.main_interval("symptom")[0] for synopsis in synopses]
+        lows = [synopsis.distance_bounds["symptom"][0][0]
+                for synopsis in synopses]
         assert lows[0] < min(lows[1:]) and before[0][0] == lows[0]
         grid.remove("r0", "s1")
         assert _intervals(cell)[0][0] == min(lows[1:])
@@ -271,10 +266,10 @@ class TestColumnarCellRefresh:
         grid.insert(_synopsis("r0", "fever", "flu"))
         cell = next(iter(grid._cells.values()))
         row = cell.row
-        store = grid.cell_store
+        store = grid._cell_store
         assert len(store) == 1 and store.cells[row] is cell
         grid.remove("r0", "s1")
-        assert grid.cell_count == 0 and len(store) == 0
+        assert len(grid._cells) == 0 and len(store) == 0
         assert cell.row is None
         assert store.cells[row] is None and not store.live[row]
         grid.insert(_synopsis("r1", "thirst", "diabetes"))
@@ -385,7 +380,7 @@ class TestCellStoreEdgeCases:
         allocated by the first write) — e.g. a query-time resolve against
         an empty window."""
         grid = ERGrid(SCHEMA, cells_per_dim=4)
-        store = grid.cell_store
+        store = grid._cell_store
         query = _synopsis("q", "weight loss", "diabetes", source="sq")
         mask = store.scan(query.coordinate_rectangle(), margin=2.0,
                           require_keyword=False)
@@ -537,7 +532,7 @@ class TestLookupEqualsCellWalk:
     def test_a_tuple_with_one_surviving_cell_stays_a_candidate(self):
         grid, query = self._mixed_grid()
         cells = grid._sources["sb"]["w"].cells
-        failed = {cell.coordinates for cell in grid.cell_store.failed_cells(
+        failed = {cell.coordinates for cell in grid._cell_store.failed_cells(
             query.coordinate_rectangle(), len(SCHEMA) - 1.5, False)}
         assert len(cells) == 4
         assert 0 < len(failed.intersection(cells)) < len(cells)
@@ -603,13 +598,13 @@ def test_serial_and_micro_batch_lookups_agree(ratio):
                            executor=MicroBatchExecutor(batch_size=16))
     assert (_observables(serial, serial.run(records).matches)
             == _observables(batched, batched.run(records).matches))
-    assert len(batched.grid.cell_store) == batched.grid.cell_count
+    assert len(batched.grid._cell_store) == len(batched.grid._cells)
 
 
 def test_cell_store_recycles_rows_on_cell_eviction(health_pivots,
                                                    health_schema):
     grid = ERGrid(health_schema, cells_per_dim=3)
-    store = grid.cell_store
+    store = grid._cell_store
     assert len(store) == 0
 
     from repro.core.pruning import RecordSynopsis
@@ -627,9 +622,9 @@ def test_cell_store_recycles_rows_on_cell_eviction(health_pivots,
     first = synopsis("r1", "weight loss blurred vision")
     grid.insert(first)
     rows_with_one = len(store)
-    assert rows_with_one == grid.cell_count
+    assert rows_with_one == len(grid._cells)
     grid.remove("r1", "stream-a")
-    assert len(store) == 0 == grid.cell_count
+    assert len(store) == 0 == len(grid._cells)
     # Rows are recycled, not leaked: re-inserting reuses the free list.
     grid.insert(first)
     assert len(store) == rows_with_one

@@ -20,10 +20,11 @@ from golden_utils import (
     canonical_matches,
     evolving_golden_path,
     run_evolving_reference,
+    run_evolving_stream,
+    split_repository,
 )
 from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record
-from repro.experiments.harness import run_evolving_stream, split_repository
 from repro.imputation.cdd import discover_cdd_rules
 from repro.imputation.repository import DataRepository
 from repro.persistence import repository_from_dict, repository_to_dict

@@ -84,9 +84,9 @@ class TestCDDImputer:
     def test_impute_complete_record_is_trivial(self, health_repository):
         rules = discover_cdd_rules(health_repository)
         imputer = CDDImputer(repository=health_repository, rules=rules)
-        complete = health_repository.sample_by_rid("s0")
+        complete = health_repository.samples[0]  # s0
         imputed = imputer.impute(complete)
-        assert imputed.is_trivial()
+        assert not imputed.candidates
 
     def test_unimputable_attribute_left_missing(self, health_repository,
                                                 health_schema):

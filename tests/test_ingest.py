@@ -31,13 +31,13 @@ from golden_utils import (
     canonical_matches,
     golden_path,
 )
+from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.stream import StreamSet, build_stream
 from repro.core.tuples import Record
 from repro.ingest import (
     AdaptiveBatcher,
     BatchPolicy,
-    CallbackSource,
     IngestDriver,
     LATE_SHED,
     OBSERVED_LATE_ADMITTED,
@@ -62,6 +62,37 @@ def _element(event_time, origin="s", rid=None):
                     source="stream")
     return StreamElement(record=record, event_time=float(event_time),
                          origin=origin)
+
+
+class _TimedSource:
+    """A source emitting ``(record, event_time)`` pairs in the given order,
+    so a test can put arrivals out of event-time order."""
+
+    def __init__(self, name, timed):
+        self.name = name
+        self._timed = list(timed)
+
+    async def __aiter__(self):
+        for record, event_time in self._timed:
+            await asyncio.sleep(0)
+            yield StreamElement(record=record, event_time=float(event_time),
+                                origin=self.name)
+
+
+class _StalledSource:
+    """A source that emits nothing and ends when ``close`` is called."""
+
+    def __init__(self, name):
+        self.name = name
+        self._closed = asyncio.Event()
+
+    def close(self):
+        self._closed.set()
+
+    async def __aiter__(self):
+        await self._closed.wait()
+        return
+        yield  # unreachable: makes this an async generator
 
 
 def _ingest_reference(workload, config, executor=None, policy=None,
@@ -159,7 +190,7 @@ def test_replay_of_stream_set_equals_offline_stream_set_run():
     driver = IngestDriver(engine, [ReplaySource(streams, name="set")],
                           policy=BatchPolicy(max_batch=17))
     report = driver.run()
-    assert report.tuples_processed == streams.total_records()
+    assert report.tuples_processed == sum(map(len, streams.streams))
     assert streams.exhausted
     assert (canonical_matches(driver.matches)
             == canonical_matches(offline_report.matches))
@@ -246,8 +277,8 @@ def test_checkpoint_serialises_in_flight_elements(tmp_path):
     for event_time in (0, 1, 5, 4):
         driver._observe(_element(event_time, rid=f"in-flight-{event_time}"))
     asyncio.run(driver._pump(now=0.0))
-    assert driver._batcher.pending == 2
-    assert driver._clock.buffered == 2
+    assert len(driver._batcher._pending) == 2
+    assert len(driver._clock._buffer) == 2
 
     state = driver.checkpoint()
     assert state["ingest"]["tuples_admitted"] == 4
@@ -280,10 +311,8 @@ def test_out_of_order_resume_with_lateness_matches_uninterrupted_run(
     times = [t for pair in range(12) for t in (2 * pair + 1, 2 * pair)]
 
     def run_span(engine, span, **driver_kwargs):
-        source = CallbackSource(name="push")
-        for index in span:
-            source.push(records[index], event_time=float(times[index]))
-        source.close()
+        source = _TimedSource("push", [(records[index], times[index])
+                                       for index in span])
         driver = IngestDriver(engine, [source],
                               policy=BatchPolicy(max_batch=5), lateness=1.0,
                               **driver_kwargs)
@@ -304,10 +333,8 @@ def test_out_of_order_resume_with_lateness_matches_uninterrupted_run(
     resumed = TERiDSEngine(
         repository=build_workload(*GOLDEN_WORKLOADS[0][:3]).repository,
         config=config)
-    source = CallbackSource(name="push")
-    for index in range(16, 24):
-        source.push(records[index], event_time=float(times[index]))
-    source.close()
+    source = _TimedSource("push", [(records[index], times[index])
+                                   for index in range(16, 24)])
     driver = IngestDriver(resumed, [source],
                           policy=BatchPolicy(max_batch=7), lateness=1.0)
     driver.restore_checkpoint(state)
@@ -486,7 +513,7 @@ class TestWatermarkClock:
 
     def test_closed_source_wakes_on_new_emission(self):
         """Regression: ``observe`` woke idle sources but not closed ones,
-        so a CallbackSource pushed after a drain kept its infinite stream
+        so a push source emitting after a drain kept its infinite stream
         watermark and every element of the revived stream counted late."""
         clock = WatermarkClock(lateness=0.0)
         clock.observe(_element(10, origin="a"))
@@ -579,34 +606,6 @@ class TestAdaptiveBatcher:
 # Sources
 # ---------------------------------------------------------------------------
 class TestSources:
-    def test_callback_source_capacity_and_close(self):
-        source = CallbackSource(name="push", capacity=2)
-        r = Record(rid="r1", values={"a": "x"}, source="s")
-        assert source.push(r)
-        assert source.push(r)
-        assert not source.push(r)  # full → dropped, surfaced to producer
-        assert source.dropped == 1
-        source.close()
-        assert not source.push(r)  # closed
-
-        async def collect():
-            return [element async for element in source]
-
-        elements = asyncio.run(collect())
-        assert [e.event_time for e in elements] == [0.0, 1.0]
-
-    def test_callback_source_explicit_event_times(self):
-        source = CallbackSource(name="push")
-        r = Record(rid="r1", values={"a": "x"}, source="s")
-        source.push(r, event_time=10.0)
-        source.push(r)  # auto time continues past the explicit one
-        source.close()
-
-        async def collect():
-            return [element.event_time async for element in source]
-
-        assert asyncio.run(collect()) == [10.0, 11.0]
-
     def test_synthetic_rate_source_burst_model(self):
         pool = [Record(rid=f"r{i}", values={"a": "x"}, source="s")
                 for i in range(5)]
@@ -651,6 +650,18 @@ def test_ingest_surface():
     assert [f.name for f in fields(BatchPolicy)] == ["max_batch", "max_delay"]
     assert list(inspect.signature(ReplaySource).parameters) == [
         "records", "name", "pace", "start_event_time"]
+
+
+def test_engine_surface():
+    """Pivots and rules are recomputed from the repository: the engine
+    takes no selection or mining knobs beyond the config's own."""
+    assert list(inspect.signature(TERiDSEngine).parameters) == [
+        "repository", "config", "rules", "executor"]
+    assert [f.name for f in fields(TERiDSConfig)] == [
+        "schema", "keywords", "alpha", "similarity_ratio", "window_size",
+        "max_pivots", "entropy_buckets", "min_entropy", "grid_cells_per_dim",
+        "use_topic_pruning", "use_similarity_pruning",
+        "use_instance_pruning"]
 
 
 # ---------------------------------------------------------------------------
@@ -706,13 +717,10 @@ def test_driver_counts_reordered_and_shed_arrivals():
     workload = build_workload(*GOLDEN_WORKLOADS[0][:3])
     config = build_config(workload, 30)
     engine = TERiDSEngine(repository=workload.repository, config=config)
-    source = CallbackSource(name="push")
     records = workload.interleaved_records()[:6]
     # Event times: 0, 1, 5 in order, 4 out of order (within lateness 2),
     # 2 behind the watermark (5 - 2 = 3 → shed), 6 in order.
-    for record, event_time in zip(records, [0, 1, 5, 4, 2, 6]):
-        source.push(record, event_time=float(event_time))
-    source.close()
+    source = _TimedSource("push", zip(records, [0, 1, 5, 4, 2, 6]))
     driver = IngestDriver(engine, [source], policy=BatchPolicy(max_batch=4),
                           lateness=2.0, late_policy=LATE_SHED)
     report = driver.run()
@@ -781,7 +789,7 @@ def test_reorder_buffer_is_bounded_under_a_stalled_source():
     engine = TERiDSEngine(repository=workload.repository, config=config)
     driver = IngestDriver(engine,
                           [ReplaySource([], name="a"),
-                           CallbackSource(name="b")],  # silent: wm stays -inf
+                           ReplaySource([], name="b")],  # silent: wm stays -inf
                           policy=BatchPolicy(max_batch=4),
                           reorder_capacity=8)
     driver._clock.open("a")
@@ -790,7 +798,7 @@ def test_reorder_buffer_is_bounded_under_a_stalled_source():
         driver._observe(_element(index, origin="a",
                                  rid=f"stalled-{index}"))
         asyncio.run(driver._pump(now=0.0))
-        assert driver._clock.buffered <= 8
+        assert len(driver._clock._buffer) <= 8
     assert driver.stats.force_released == 12
     # Oldest first, still in event-time order within the overflow.
     assert engine.timestamps_processed == 12
@@ -904,14 +912,14 @@ def test_clock_mark_idle_ignores_closed_sources():
 
 
 def test_idle_timeout_unblocks_a_stalled_callback_source():
-    """A silent CallbackSource holds the global watermark at -inf; with
+    """A silent push source holds the global watermark at -inf; with
     idle_timeout the driver marks it idle and the live stream's tuples
     flow.  The source rejoins on close without disturbing the run."""
     workload = build_workload(*GOLDEN_WORKLOADS[0][:3])
     config = build_config(workload, 30)
     records = workload.interleaved_records()[:12]
     engine = TERiDSEngine(repository=workload.repository, config=config)
-    stalled = CallbackSource(name="stalled")
+    stalled = _StalledSource("stalled")
 
     def close_when_done(driver, _batch):
         if driver.tuples_processed >= len(records):
@@ -955,14 +963,14 @@ def test_restored_idle_source_does_not_stall_the_resumed_run():
 
     setup_engine = TERiDSEngine(repository=workload.repository, config=config)
     setup = IngestDriver(setup_engine,
-                         [ReplaySource([]), CallbackSource(name="stalled")])
+                         [ReplaySource([]), ReplaySource([], name="stalled")])
     setup._clock.open("stalled")
     setup._clock.mark_idle("stalled")
     state = setup.checkpoint()
     assert state["ingest"]["clock"]["idle"] == ["stalled"]
 
     engine = TERiDSEngine(repository=workload.repository, config=config)
-    stalled = CallbackSource(name="stalled")
+    stalled = _StalledSource("stalled")
 
     def close_when_done(driver, _batch):
         if driver.tuples_processed >= len(records):

@@ -160,21 +160,6 @@ class TestMatchPair:
         pair2 = MatchPair("r2", "b", "r1", "a", 0.8)
         assert pair1.key() == pair2.key()
 
-    def test_involves(self):
-        pair = MatchPair("r1", "a", "r2", "b", 0.9)
-        assert pair.involves("r1", "a")
-        assert pair.involves("r2", "b")
-        assert not pair.involves("r1", "b")
-
-    def test_from_records(self):
-        left = Record(rid="r1", values={"x": "a"}, source="a")
-        right = Record(rid="r2", values={"x": "a"}, source="b")
-        pair = MatchPair.from_records(left, right, 0.7, timestamp=3)
-        assert pair.left_rid == "r1"
-        assert pair.right_source == "b"
-        assert pair.probability == 0.7
-        assert pair.timestamp == 3
-
 
 class TestEntityResultSet:
     def test_add_and_len(self):
@@ -210,7 +195,6 @@ class TestEntityResultSet:
         result_set.extend([MatchPair("r1", "a", "r2", "b", 0.9),
                            MatchPair("r3", "a", "r4", "b", 0.9)])
         assert len(result_set.pairs()) == 2
-        assert len(result_set.pair_keys()) == 2
         result_set.clear()
         assert len(result_set) == 0
 
@@ -229,7 +213,8 @@ class ListResultSet:
         self.pairs.append(pair)
 
     def remove_record(self, rid, source):
-        kept = [pair for pair in self.pairs if not pair.involves(rid, source)]
+        kept = [pair for pair in self.pairs
+                if (source, rid) not in pair.key()]
         removed = len(self.pairs) - len(kept)
         self.pairs = kept
         return removed
@@ -267,14 +252,13 @@ def test_result_set_equals_a_list_backed_model(operations):
         assert result_set.pairs() == model.pairs
         assert list(result_set) == model.pairs
         assert len(result_set) == len(model.pairs)
-        assert result_set.pair_keys() == {pair.key() for pair in model.pairs}
         for pair in model.pairs:
             assert pair in result_set
         for rid in ("r0", "r1", "r2", "r3", "r4"):
             for source in ("a", "b", "c"):
                 assert result_set.pairs_involving(rid, source) == [
                     pair for pair in model.pairs
-                    if pair.involves(rid, source)]
+                    if (source, rid) in pair.key()]
                 absent = MatchPair(rid, source, "r9", "z", 0.5)
                 assert absent not in result_set
 

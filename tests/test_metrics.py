@@ -7,7 +7,6 @@ import pytest
 from repro.core.matching import MatchPair
 from repro.metrics.accuracy import (
     AccuracyReport,
-    evaluate_key_sets,
     evaluate_matches,
     match_pairs_to_keys,
     pair_key,
@@ -18,7 +17,6 @@ from repro.metrics.timing import (
     STAGE_IMPUTATION,
     BreakupCost,
     StageTimer,
-    Stopwatch,
     time_callable,
 )
 
@@ -76,12 +74,6 @@ class TestEvaluateMatches:
         assert report.false_positives == 1
         assert report.false_negatives == 1
 
-    def test_evaluate_key_sets(self):
-        truth = {pair_key("a", "1", "b", "2")}
-        reported = {pair_key("b", "2", "a", "1")}
-        report = evaluate_key_sets(reported, truth)
-        assert report.f_score == 1.0
-
     def test_empty_reported(self):
         truth = {pair_key("a", "1", "b", "2")}
         report = evaluate_matches([], truth)
@@ -98,32 +90,18 @@ class TestStageTimer:
             time.sleep(0.001)
         assert timer.total("stage") >= 0.002
         assert timer.counts["stage"] == 2
-        assert timer.mean("stage") > 0
 
     def test_manual_add_and_total(self):
-        timer = StageTimer()
-        timer.add("a", 1.0)
-        timer.add("b", 2.0)
+        timer = StageTimer(totals={"a": 1.0, "b": 2.0})
         assert timer.total() == pytest.approx(3.0)
         assert timer.total("a") == pytest.approx(1.0)
-        assert timer.as_dict() == {"a": 1.0, "b": 2.0}
-
-    def test_mean_of_unknown_stage(self):
-        assert StageTimer().mean("nothing") == 0.0
-
-    def test_reset(self):
-        timer = StageTimer()
-        timer.add("a", 1.0)
-        timer.reset()
-        assert timer.total() == 0.0
+        assert timer.total("nothing") == 0.0
 
 
 class TestBreakupCost:
     def test_from_timer_averages(self):
-        timer = StageTimer()
-        timer.add(STAGE_CDD_SELECTION, 1.0)
-        timer.add(STAGE_IMPUTATION, 2.0)
-        timer.add(STAGE_ER, 3.0)
+        timer = StageTimer(totals={STAGE_CDD_SELECTION: 1.0,
+                                   STAGE_IMPUTATION: 2.0, STAGE_ER: 3.0})
         cost = BreakupCost.from_timer(timer, timestamps=2)
         assert cost.cdd_selection == pytest.approx(0.5)
         assert cost.imputation == pytest.approx(1.0)
@@ -138,22 +116,6 @@ class TestBreakupCost:
 
 
 class TestStopwatchAndTimeCallable:
-    def test_stopwatch_measures(self):
-        stopwatch = Stopwatch()
-        with stopwatch.measure():
-            time.sleep(0.001)
-        assert stopwatch.elapsed > 0
-
-    def test_stopwatch_requires_start(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_stopwatch_reset(self):
-        stopwatch = Stopwatch().start()
-        stopwatch.stop()
-        stopwatch.reset()
-        assert stopwatch.elapsed == 0.0
-
     def test_time_callable(self):
         result, elapsed = time_callable(sum, [1, 2, 3])
         assert result == 6

@@ -19,6 +19,8 @@ from golden_utils import (
     GOLDEN_WORKLOADS,
     build_config,
     build_workload,
+    run_evolving_stream,
+    split_repository,
 )
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
@@ -30,7 +32,6 @@ from repro.core.similarity import (
 )
 from repro.core.tuples import Record
 from repro.datasets.synthetic import generate_dataset
-from repro.experiments.harness import run_evolving_stream, split_repository
 from repro.imputation.cdd import (
     CONSTRAINT_CONSTANT,
     CONSTRAINT_INTERVAL,
@@ -228,7 +229,8 @@ def test_probe_follows_index_growth(citations_workload):
     incomplete = _incomplete_records(citations_workload, 4)
     _assert_probe_equals_oracle(dr_index, incomplete, rules)
     for sample in holdout:
-        dr_index.insert_sample(sample)
+        base.add_sample(sample)
+        dr_index.index_sample(sample)
         # Probing between insertions keeps a table alive to go stale.
         _assert_probe_equals_oracle(dr_index, incomplete[:1], rules[:5])
     assert len(dr_index) == len(repository)
@@ -254,10 +256,12 @@ def test_domain_columns_follow_domain_growth(health_repository, health_pivots):
         assert packed.stats.as_dict() == scalar.stats.as_dict()
 
     compare()
-    dr_index.insert_sample(Record("new", {
+    new = Record("new", {
         "gender": "male", "symptom": "thirst weight loss fatigue",
         "diagnosis": "diabetes type two", "treatment": "insulin pump"},
-        source="repository"))
+        source="repository")
+    dr_index.repository.add_sample(new)
+    dr_index.index_sample(new)
     compare()
 
 

@@ -1,30 +1,14 @@
 """Round-trip tests for the JSON persistence layer."""
 
-import pytest
-
 from repro.core.matching import MatchPair
 from repro.core.tuples import Record
-from repro.imputation.cdd import discover_cdd_rules
-from repro.indexes.pivots import select_pivots
 from repro.persistence import (
-    load_matches,
-    load_pivots,
-    load_repository,
-    load_rules,
     match_from_dict,
     match_to_dict,
-    pivots_from_dict,
-    pivots_to_dict,
     record_from_dict,
     record_to_dict,
     repository_from_dict,
     repository_to_dict,
-    rule_from_dict,
-    rule_to_dict,
-    save_matches,
-    save_pivots,
-    save_repository,
-    save_rules,
 )
 
 
@@ -44,59 +28,12 @@ class TestRecordRoundTrip:
 
 
 class TestRepositoryRoundTrip:
-    def test_repository(self, health_repository, tmp_path):
+    def test_repository(self, health_repository):
         data = repository_to_dict(health_repository)
         restored = repository_from_dict(data)
         assert len(restored) == len(health_repository)
         assert list(restored.schema) == list(health_repository.schema)
         assert restored.domain("diagnosis") == health_repository.domain("diagnosis")
-
-        path = tmp_path / "repository.json"
-        save_repository(health_repository, path)
-        loaded = load_repository(path)
-        assert len(loaded) == len(health_repository)
-
-
-class TestRuleRoundTrip:
-    def test_single_rule(self, simple_cdd_rule):
-        restored = rule_from_dict(rule_to_dict(simple_cdd_rule))
-        assert restored == simple_cdd_rule
-
-    def test_mined_rules_file(self, health_repository, tmp_path):
-        rules = discover_cdd_rules(health_repository)
-        path = tmp_path / "rules.json"
-        save_rules(rules, path)
-        loaded = load_rules(path)
-        assert loaded == list(rules)
-
-    def test_invalid_constraint_kind_rejected(self):
-        with pytest.raises(ValueError):
-            rule_from_dict({
-                "determinants": [{"attribute": "a", "kind": "bogus"}],
-                "dependent": "b",
-                "dependent_interval": [0.0, 0.1],
-            })
-
-
-class TestPivotRoundTrip:
-    def test_pivot_table(self, health_repository, tmp_path):
-        pivots = select_pivots(health_repository)
-        restored = pivots_from_dict(pivots_to_dict(pivots))
-        assert restored.pivots == pivots.pivots
-        for attribute in health_repository.schema:
-            assert (restored.main_pivot(attribute)
-                    == pivots.main_pivot(attribute))
-
-        path = tmp_path / "pivots.json"
-        save_pivots(pivots, path)
-        loaded = load_pivots(path)
-        assert loaded.pivots == pivots.pivots
-
-    def test_converted_values_identical_after_roundtrip(self, health_repository):
-        pivots = select_pivots(health_repository)
-        restored = pivots_from_dict(pivots_to_dict(pivots))
-        sample = health_repository.samples[0]
-        assert restored.convert_record(sample) == pivots.convert_record(sample)
 
 
 class TestMatchRoundTrip:
@@ -105,16 +42,8 @@ class TestMatchRoundTrip:
         restored = match_from_dict(match_to_dict(pair))
         assert restored == pair
 
-    def test_match_file(self, tmp_path):
-        pairs = [MatchPair("r1", "a", "r2", "b", 0.75),
-                 MatchPair("r3", "a", "r4", "b", 0.9, timestamp=2)]
-        path = tmp_path / "matches.json"
-        save_matches(pairs, path)
-        loaded = load_matches(path)
-        assert loaded == pairs
-
     def test_engine_results_can_be_persisted(self, health_repository,
-                                             health_config, tmp_path):
+                                             health_config):
         from repro.core.engine import TERiDSEngine
 
         engine = TERiDSEngine(repository=health_repository, config=health_config)
@@ -129,6 +58,7 @@ class TestMatchRoundTrip:
                                      "treatment": "insulin"}, source="stream-b"),
         ]
         report = engine.run(records)
-        path = tmp_path / "matches.json"
-        save_matches(report.matches, path)
-        assert load_matches(path) == report.matches
+        assert report.matches
+        restored = [match_from_dict(match_to_dict(pair))
+                    for pair in report.matches]
+        assert restored == report.matches

@@ -9,7 +9,6 @@ from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import (
     PivotSelectionConfig,
     PivotTable,
-    pivot_selection_cost,
     select_pivots,
     shannon_entropy,
 )
@@ -42,26 +41,26 @@ class TestSelectPivots:
     def test_selects_pivot_per_attribute(self, health_repository):
         pivots = select_pivots(health_repository)
         for attribute in health_repository.schema:
-            assert pivots.pivot_count(attribute) >= 1
+            assert len(pivots.pivots[attribute]) >= 1
             assert pivots.main_pivot(attribute) in health_repository.domain(attribute)
 
     def test_max_pivots_respected(self, health_repository):
         config = PivotSelectionConfig(max_pivots=2, min_entropy=100.0)
         pivots = select_pivots(health_repository, config)
         for attribute in health_repository.schema:
-            assert pivots.pivot_count(attribute) == 2
+            assert len(pivots.pivots[attribute]) == 2
 
     def test_single_pivot_when_entropy_reached(self, health_repository):
         config = PivotSelectionConfig(max_pivots=5, min_entropy=0.0)
         pivots = select_pivots(health_repository, config)
         for attribute in health_repository.schema:
-            assert pivots.pivot_count(attribute) == 1
+            assert len(pivots.pivots[attribute]) == 1
 
     def test_main_pivot_has_max_entropy(self, health_repository):
         pivots = select_pivots(health_repository)
         for attribute in health_repository.schema:
             report = pivots.reports[attribute]
-            assert report.main_entropy == max(report.entropies)
+            assert report.entropies[0] == max(report.entropies)
 
     def test_empty_repository_rejected(self, health_schema):
         with pytest.raises(ValueError):
@@ -82,38 +81,8 @@ class TestSelectPivots:
 
 
 class TestPivotTable:
-    def test_convert_value_distance_semantics(self, health_pivots):
-        main = health_pivots.main_pivot("diagnosis")
-        assert health_pivots.convert_value("diagnosis", main) == 0.0
-        assert 0.0 <= health_pivots.convert_value("diagnosis", "flu") <= 1.0
-
-    def test_convert_missing_value_is_far(self, health_pivots):
-        assert health_pivots.convert_value("diagnosis", None) == 1.0
-
-    def test_convert_with_auxiliary_pivot_index(self, health_pivots):
-        aux = health_pivots.auxiliary_pivots("symptom")
-        value = health_pivots.convert_value("symptom", "fever cough",
-                                            pivot_index=len(aux))
-        assert 0.0 <= value <= 1.0
-
-    def test_convert_record(self, health_pivots, health_repository):
-        sample = health_repository.sample_by_rid("s0")
-        point = health_pivots.convert_record(sample)
-        assert len(point) == len(health_repository.schema)
-        assert all(0.0 <= coordinate <= 1.0 for coordinate in point)
-
     def test_all_pivots_order(self, health_pivots):
         for attribute in health_pivots.schema:
             pivots = health_pivots.all_pivots(attribute)
             assert pivots[0] == health_pivots.main_pivot(attribute)
-            assert pivots[1:] == health_pivots.auxiliary_pivots(attribute)
-
-
-class TestPivotSelectionCost:
-    def test_cost_grows_with_repository(self, health_repository, health_schema):
-        small = DataRepository(schema=health_schema,
-                               samples=health_repository.samples[:3])
-        assert pivot_selection_cost(small) < pivot_selection_cost(health_repository)
-
-    def test_cost_positive(self, health_repository):
-        assert pivot_selection_cost(health_repository) > 0
+            assert pivots[1:] == health_pivots.pivots[attribute][1:]

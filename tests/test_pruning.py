@@ -18,7 +18,7 @@ from repro.core.pruning import (
     similarity_upper_bound_by_size,
     topic_keyword_prune,
 )
-from repro.core.similarity import record_similarity
+from repro.core.similarity import record_similarity, text_distance
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
@@ -65,14 +65,14 @@ class TestRecordSynopsis:
     def test_complete_record_has_degenerate_bounds(self):
         synopsis = _synopsis("r1", "fever cough", "flu")
         for attribute in SCHEMA:
-            low, high = synopsis.main_interval(attribute)
+            low, high = synopsis.distance_bounds[attribute][0]
             assert low == pytest.approx(high)
 
     def test_imputed_record_has_interval_bounds(self):
         synopsis = _synopsis("r1", "fever cough", None,
                              candidates={"diagnosis": {"flu": 0.5,
                                                        "diabetes": 0.5}})
-        low, high = synopsis.main_interval("diagnosis")
+        low, high = synopsis.distance_bounds["diagnosis"][0]
         assert low <= high
 
     def test_build_survives_empty_possible_values(self):
@@ -106,8 +106,9 @@ class TestRecordSynopsis:
         for instance in synopsis.record.instances():
             for index, attribute in enumerate(SCHEMA):
                 value = instance.record[attribute]
-                distance = PIVOTS.convert_value(attribute, value)
-                low, high = synopsis.main_interval(attribute)
+                distance = (1.0 if value is None else
+                            text_distance(value, PIVOTS.main_pivot(attribute)))
+                low, high = synopsis.distance_bounds[attribute][0]
                 assert low - 1e-9 <= distance <= high + 1e-9
 
     def test_keyword_flags(self):

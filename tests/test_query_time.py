@@ -119,7 +119,8 @@ def test_resolve_equals_eager_closure_for_every_entity(make_executor):
     try:
         engine.run(workload.interleaved_records())
         multi = 0
-        for (rid, source), _ in engine.grid.synopsis_items():
+        for resident in engine.grid.synopses():
+            rid, source = resident.rid, resident.source
             cluster = assert_cluster_equals_closure(engine, rid, source)
             if len(cluster) > 1:
                 multi += 1
@@ -136,7 +137,8 @@ def test_resolve_equals_eager_closure_on_goldens(dataset, scale, seed,
                           config=build_config(workload, window))
     try:
         engine.run(workload.interleaved_records())
-        for (rid, source), _ in engine.grid.synopsis_items():
+        for resident in engine.grid.synopses():
+            rid, source = resident.rid, resident.source
             assert_cluster_equals_closure(engine, rid, source)
     finally:
         engine.close()
@@ -152,7 +154,8 @@ def test_resolve_mid_stream_tracks_the_moving_window():
         step = max(1, len(records) // 7)
         for start in range(0, len(records), step):
             engine.process_batch(records[start:start + step])
-            for (rid, source), _ in engine.grid.synopsis_items()[:5]:
+            for resident in engine.grid.synopses()[:5]:
+                rid, source = resident.rid, resident.source
                 assert_cluster_equals_closure(engine, rid, source)
     finally:
         engine.close()
@@ -174,11 +177,13 @@ def test_serial_run_continued_after_a_read_equals_the_golden(dataset, scale,
         records = list(workload.interleaved_records())
         middle = len(records) // 2
         matches = engine.process_batch(records[:middle])
-        for (rid, source), _ in engine.grid.synopsis_items():
+        for resident in engine.grid.synopses():
+            rid, source = resident.rid, resident.source
             assert_cluster_equals_closure(engine, rid, source)
         assert engine.grid.packed_store is None
         stricter = engine.pruning.gamma + 0.25
-        for (rid, source), _ in engine.grid.synopsis_items():
+        for resident in engine.grid.synopses():
+            rid, source = resident.rid, resident.source
             assert engine.resolve(rid, source, gamma=stricter).gamma == \
                 stricter
         assert engine.grid.packed_store is not None
@@ -224,7 +229,8 @@ def test_expansion_oracle_equals_the_result_set_walk(make_executor, dataset,
         middle = len(records) // 2
         for batch in (records[:middle], records[middle:]):
             engine.process_batch(batch)
-            keys = [key for key, _ in engine.grid.synopsis_items()]
+            keys = [(resident.rid, resident.source)
+                    for resident in engine.grid.synopses()]
             assert len(engine.current_matches()) > 0
             _expansion_equals_walk(engine, keys)
     finally:
@@ -248,8 +254,9 @@ def test_property_any_entity_any_config_matches_closure(config_index, probe):
                           executor=factory())
     try:
         engine.run(_PROPERTY_RECORDS)
-        items = engine.grid.synopsis_items()
-        (rid, source), _ = items[probe % len(items)]
+        window = engine.grid.synopses()
+        resident = window[probe % len(window)]
+        rid, source = resident.rid, resident.source
         assert_cluster_equals_closure(engine, rid, source)
     finally:
         engine.close()
@@ -277,7 +284,8 @@ def test_resolve_with_stricter_gamma_shrinks_to_singleton():
     try:
         engine.run(workload.interleaved_records())
         rid = source = None
-        for (candidate_rid, candidate_source), _ in engine.grid.synopsis_items():
+        for resident in engine.grid.synopses():
+            candidate_rid, candidate_source = resident.rid, resident.source
             if len(engine.resolve(candidate_rid, candidate_source)) > 1:
                 rid, source = candidate_rid, candidate_source
                 break
@@ -295,7 +303,8 @@ def test_resolve_with_stricter_gamma_shrinks_to_singleton():
 
 
 def _first_multi_member_entity(engine):
-    for (rid, source), _ in engine.grid.synopsis_items():
+    for resident in engine.grid.synopses():
+        rid, source = resident.rid, resident.source
         if len(engine.resolve(rid, source)) > 1:
             return rid, source
     raise AssertionError("workload has no multi-member cluster")
@@ -332,7 +341,8 @@ def test_resolve_under_any_topic_dismisses_no_exact_answer(make_executor):
                           executor=make_executor())
     try:
         engine.run(workload.interleaved_records())
-        window = engine.grid.synopsis_items()
+        window = [((synopsis.rid, synopsis.source), synopsis)
+                  for synopsis in engine.grid.synopses()]
         frequency = Counter(
             token for _, synopsis in window
             for instance in synopsis.record.instances()
@@ -408,10 +418,12 @@ def test_resolve_is_unchanged_by_unrelated_inserts_and_tracks_related_ones():
         engine.process_batch(records[:30])
         unchanged = changed = 0
         for record in records[30:]:
-            before = {key: engine.resolve(*key)
-                      for key, _ in engine.grid.synopsis_items()}
+            before = {(resident.rid, resident.source):
+                      engine.resolve(resident.rid, resident.source)
+                      for resident in engine.grid.synopses()}
             engine.process_batch([record])
-            for key, _ in engine.grid.synopsis_items():
+            for resident in engine.grid.synopses():
+                key = (resident.rid, resident.source)
                 after = assert_cluster_equals_closure(engine, *key)
                 if key not in before:
                     continue
@@ -432,8 +444,9 @@ def test_resolve_after_member_expiry_equals_closure():
     try:
         shrunk = 0
         for record in workload.interleaved_records():
-            before = {key: engine.resolve(*key)
-                      for key, _ in engine.grid.synopsis_items()}
+            before = {(resident.rid, resident.source):
+                      engine.resolve(resident.rid, resident.source)
+                      for resident in engine.grid.synopses()}
             engine.process_batch([record])
             for (rid, source), cluster in before.items():
                 expired = {member for member in cluster.members
@@ -465,7 +478,8 @@ def test_counters_and_pruning_stats_untouched_by_lookups():
         stats = engine.pruning.stats
         pruning_before = (stats.pairs_considered, stats.refined_matches,
                           stats.refined_non_matches)
-        for (rid, source), _ in engine.grid.synopsis_items():
+        for resident in engine.grid.synopses():
+            rid, source = resident.rid, resident.source
             engine.resolve(rid, source)
         assert (engine.grid.cells_examined,
                 engine.grid.tuples_examined) == grid_before
@@ -484,7 +498,8 @@ def test_checkpoint_restores_query_stats():
     engine = TERiDSEngine(repository=workload.repository, config=config)
     try:
         engine.run(workload.interleaved_records())
-        for (rid, source), _ in engine.grid.synopsis_items()[:6]:
+        for resident in engine.grid.synopses()[:6]:
+            rid, source = resident.rid, resident.source
             engine.resolve(rid, source)
         expected = engine.metrics_snapshot()["query"]
         assert expected["resolves"] == 6
@@ -496,7 +511,8 @@ def test_checkpoint_restores_query_stats():
             clone.restore_checkpoint(state)
             assert clone.metrics_snapshot()["query"] == expected
             # Post-restore lookups are still the exact closure.
-            (rid, source), _ = clone.grid.synopsis_items()[0]
+            resident = clone.grid.synopses()[0]
+            rid, source = resident.rid, resident.source
             assert_cluster_equals_closure(clone, rid, source)
 
             # A checkpoint written before the result cache was removed
@@ -524,8 +540,8 @@ def test_resolve_many_is_bit_identical_to_per_seed_resolve(make_executor):
                           executor=make_executor())
     try:
         engine.run(workload.interleaved_records())
-        keys = [(rid, source)
-                for (rid, source), _ in engine.grid.synopsis_items()]
+        keys = [(resident.rid, resident.source)
+                for resident in engine.grid.synopses()]
         clusters = engine.resolve_many(keys)
         assert len(clusters) == len(keys)
         for (rid, source), cluster in zip(keys, clusters):
@@ -542,8 +558,8 @@ def test_resolve_many_shares_one_expansion_across_seeds():
                           config=_small_config(workload))
     try:
         engine.run(workload.interleaved_records())
-        keys = [(rid, source)
-                for (rid, source), _ in engine.grid.synopsis_items()]
+        keys = [(resident.rid, resident.source)
+                for resident in engine.grid.synopses()]
         engine.resolve_many(keys)
         stats = engine.metrics_snapshot()["query"]
         # One frontier expansion per unique entity: the shared ``evaluated``
@@ -560,8 +576,8 @@ def test_resolve_many_resolves_a_duplicate_input_once():
                           config=_small_config(workload))
     try:
         engine.run(workload.interleaved_records())
-        keys = [(rid, source)
-                for (rid, source), _ in engine.grid.synopsis_items()]
+        keys = [(resident.rid, resident.source)
+                for resident in engine.grid.synopses()]
         batch = [keys[0], keys[1], keys[0], keys[2]]
         clusters = engine.resolve_many(batch)
         assert clusters[2] is clusters[0]   # duplicate input, one lookup
@@ -579,7 +595,8 @@ def test_resolve_many_unknown_entity_raises_before_any_work():
                           config=_small_config(workload))
     try:
         engine.run(workload.interleaved_records())
-        (rid, source), _ = engine.grid.synopsis_items()[0]
+        resident = engine.grid.synopses()[0]
+        rid, source = resident.rid, resident.source
         before = engine.metrics_snapshot()["query"]
         with pytest.raises(KeyError):
             engine.resolve_many([(rid, source), ("ghost", "stream-a")])

@@ -25,17 +25,6 @@ class TestRepositoryConstruction:
             DataRepository(schema=SCHEMA,
                            samples=[Record(rid="s0", values={"x": "a", "y": None})])
 
-    def test_from_records_drops_incomplete(self):
-        records = [_sample("s0", "a", "b"),
-                   Record(rid="s1", values={"x": "a", "y": None})]
-        repository = DataRepository.from_records(records, SCHEMA)
-        assert len(repository) == 1
-
-    def test_from_records_strict_mode(self):
-        records = [Record(rid="s1", values={"x": "a", "y": None})]
-        with pytest.raises(RepositoryError):
-            DataRepository.from_records(records, SCHEMA, drop_incomplete=False)
-
 
 class TestDomains:
     def test_domain_values_deduplicated(self):
@@ -57,29 +46,8 @@ class TestDomains:
                                              _sample("s1", "a", "c")])
         assert repository.values("x") == ["a", "a"]
 
-    def test_token_vocabulary(self):
-        repository = DataRepository(schema=SCHEMA,
-                                    samples=[_sample("s0", "alpha beta", "gamma")])
-        assert repository.token_vocabulary("x") == {"alpha", "beta"}
-        assert repository.token_vocabulary() == {"alpha", "beta", "gamma"}
-
 
 class TestRepositoryQueries:
-    def test_nearest_values_ranked_by_distance(self):
-        repository = DataRepository(
-            schema=SCHEMA,
-            samples=[_sample("s0", "query index", "a"),
-                     _sample("s1", "query join", "b"),
-                     _sample("s2", "totally unrelated", "c")])
-        nearest = repository.nearest_values("x", "query index tuning", limit=2)
-        assert nearest[0] == "query index"
-        assert "totally unrelated" not in nearest
-
-    def test_sample_by_rid(self):
-        repository = DataRepository(schema=SCHEMA, samples=[_sample("s0", "a", "b")])
-        assert repository.sample_by_rid("s0").rid == "s0"
-        assert repository.sample_by_rid("missing") is None
-
     def test_add_sample_updates_domains(self):
         repository = DataRepository(schema=SCHEMA, samples=[_sample("s0", "a", "b")])
         repository.add_sample(_sample("s1", "z", "b"))
@@ -118,7 +86,8 @@ class TestDomainCacheInvalidation:
 
     def test_domain_size_correct_after_extend_on_subset(self):
         repository, _ = self._base()
-        subset = repository.subset(0.5)
+        subset = DataRepository(schema=SCHEMA,
+                                samples=repository.samples[::2])
         distinct_before = {sample["x"] for sample in subset.samples}
         assert subset.domain_size("x") == len(distinct_before)
         subset.extend([_sample("n0", "brand new", "value"),
@@ -135,24 +104,3 @@ class TestDomainCacheInvalidation:
         assert len(repository) == 4
         assert repository.domain_size("x") == 3
         assert repository.domain_size("y") == 3
-
-
-class TestSubset:
-    def test_subset_fraction(self):
-        samples = [_sample(f"s{i}", f"x{i}", f"y{i}") for i in range(10)]
-        repository = DataRepository(schema=SCHEMA, samples=samples)
-        half = repository.subset(0.5)
-        assert 1 <= len(half) <= 10
-        assert all(sample in samples for sample in half.samples)
-
-    def test_subset_full(self):
-        samples = [_sample(f"s{i}", f"x{i}", f"y{i}") for i in range(4)]
-        repository = DataRepository(schema=SCHEMA, samples=samples)
-        assert len(repository.subset(1.0)) == 4
-
-    def test_subset_invalid_fraction(self):
-        repository = DataRepository(schema=SCHEMA, samples=[_sample("s0", "a", "b")])
-        with pytest.raises(RepositoryError):
-            repository.subset(0.0)
-        with pytest.raises(RepositoryError):
-            repository.subset(1.5)

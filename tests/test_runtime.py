@@ -152,7 +152,7 @@ class TestStages:
         task = TupleTask(record=complete)
         engine.pipeline.rule_selection.run([task])
         engine.pipeline.imputation.run([task])
-        assert task.imputed.is_trivial()
+        assert not task.imputed.candidates
 
     def test_maintenance_expire_defers_result_set(self, health_repository,
                                                   health_config):
@@ -171,7 +171,7 @@ class TestStages:
         assert evicted.record.rid == "a1"
         # The grid no longer holds a1 but the deferred pair is still reported.
         assert not engine.grid.contains("a1", "stream-a")
-        assert any(pair.involves("a1", "stream-a")
+        assert any(("stream-a", "a1") in pair.key()
                    for pair in engine.result_set.pairs())
 
 
@@ -253,8 +253,8 @@ def test_expiry_leaves_no_grid_or_result_references(health_repository,
     # No reported pair references an evicted tuple.
     for pair in engine.result_set.pairs():
         for index in range(4):
-            assert not pair.involves(f"a{index}", "stream-a")
-            assert not pair.involves(f"b{index}", "stream-b")
+            assert ("stream-a", f"a{index}") not in pair.key()
+            assert ("stream-b", f"b{index}") not in pair.key()
     # The surviving cross-stream pairs are still reported.
     assert len(engine.result_set) > 0
 
@@ -349,18 +349,6 @@ class TestBatchedEmission:
         with pytest.raises(ValueError):
             list(self._streams(health_schema).interleaved_batches(0))
 
-    def test_next_batch_drains_stream(self, health_schema):
-        streams = self._streams(health_schema)
-        stream = streams.streams[1]
-        first = stream.next_batch(2)
-        assert [record.rid for record in first] == ["b0", "b1"]
-        assert [record.timestamp for record in first] == [0, 1]
-        rest = stream.next_batch(10)
-        assert [record.rid for record in rest] == ["b2"]
-        assert stream.next_batch(4) == []
-        with pytest.raises(ValueError):
-            stream.next_batch(0)
-
     def test_batched_emission_drives_micro_batch_engine(self, health_repository,
                                                         health_config):
         streams = self._streams(health_config.schema)
@@ -384,7 +372,7 @@ class TestRepositoryMaintenance:
         engine.add_repository_samples([new_sample])
         assert len(engine.repository) == before + 1
         assert len(engine.dr_index) == before + 1
-        assert engine.repository.sample_by_rid("new") is not None
+        assert engine.repository.samples[-1] is new_sample
 
     def test_remining_sees_added_samples(self, health_schema, health_config):
         """Re-mined rules must reflect the extended repository, not a stale one."""
@@ -419,7 +407,7 @@ class TestRepositoryMaintenance:
         # The rules were re-mined over a repository containing the additions:
         # mining the same repository directly yields the identical rule set.
         from repro.imputation.cdd import discover_cdd_rules
-        expected = discover_cdd_rules(engine.repository, engine.discovery_config)
+        expected = discover_cdd_rules(engine.repository)
         assert [rule.rule_id for rule in engine.rules] == [
             rule.rule_id for rule in expected]
 

@@ -7,15 +7,11 @@ import pytest
 from repro.core.similarity import (
     attribute_similarity,
     attribute_similarity_upper_bound,
-    jaccard_distance,
     jaccard_similarity,
-    record_distance,
     record_similarity,
-    similarity_threshold,
     size_bounded_similarity_upper,
     text_distance,
     text_similarity,
-    token_overlap,
     tokenize,
 )
 from repro.core.tuples import Record, Schema
@@ -66,23 +62,17 @@ class TestJaccard:
     def test_both_empty_give_zero(self):
         assert jaccard_similarity(frozenset(), frozenset()) == 0.0
 
-    def test_distance_is_one_minus_similarity(self):
-        left = tokenize("a b c")
-        right = tokenize("b c d")
-        assert jaccard_distance(left, right) == pytest.approx(
-            1.0 - jaccard_similarity(left, right))
-
     def test_similarity_symmetry(self):
         left = tokenize("query index join")
         right = tokenize("index join storage")
         assert jaccard_similarity(left, right) == jaccard_similarity(right, left)
 
     def test_triangle_inequality_on_samples(self):
-        a = tokenize("query optimizer join index")
-        b = tokenize("join index storage")
-        c = tokenize("storage warehouse engine")
-        assert jaccard_distance(a, c) <= (
-            jaccard_distance(a, b) + jaccard_distance(b, c) + 1e-12)
+        a = "query optimizer join index"
+        b = "join index storage"
+        c = "storage warehouse engine"
+        assert text_distance(a, c) <= (
+            text_distance(a, b) + text_distance(b, c) + 1e-12)
 
 
 class TestTextSimilarity:
@@ -92,9 +82,6 @@ class TestTextSimilarity:
     def test_text_distance_complementary(self):
         assert text_distance("a b", "a c") == pytest.approx(
             1 - text_similarity("a b", "a c"))
-
-    def test_token_overlap(self):
-        assert token_overlap(["a", "b", "c"], ["b", "c", "d"]) == 2
 
 
 class TestRecordSimilarity:
@@ -123,12 +110,6 @@ class TestRecordSimilarity:
         score = record_similarity(left, right, self.schema)
         assert 0.0 <= score <= len(self.schema)
 
-    def test_record_distance_complement(self):
-        left = self._record("r1", "a b", "c")
-        right = self._record("r2", "a", "c d")
-        assert record_distance(left, right, self.schema) == pytest.approx(
-            2 - record_similarity(left, right, self.schema))
-
     def test_attribute_similarity(self):
         left = self._record("r1", "a b", "c")
         right = self._record("r2", "a b", "d")
@@ -137,15 +118,6 @@ class TestRecordSimilarity:
 
 
 class TestThresholdsAndBounds:
-    def test_similarity_threshold_scaling(self):
-        assert similarity_threshold(0.5, 4) == 2.0
-
-    def test_similarity_threshold_rejects_bad_ratio(self):
-        with pytest.raises(ValueError):
-            similarity_threshold(1.5, 4)
-        with pytest.raises(ValueError):
-            similarity_threshold(0.0, 4)
-
     def test_size_bounded_upper(self):
         assert size_bounded_similarity_upper(10, 8) == pytest.approx(0.8)
 

@@ -39,17 +39,6 @@ class TestIncompleteDataStream:
         with pytest.raises(StreamError):
             stream.next_record()
 
-    def test_peek_does_not_consume(self):
-        stream = build_stream("s1", _records(2), SCHEMA)
-        assert stream.peek().rid == "r0"
-        assert stream.peek().rid == "r0"
-        assert stream.remaining == 2
-
-    def test_peek_on_exhausted_stream(self):
-        stream = build_stream("s1", _records(1), SCHEMA)
-        stream.next_record()
-        assert stream.peek() is None
-
     def test_iteration(self):
         stream = build_stream("s1", _records(4), SCHEMA)
         assert len(list(stream)) == 4
@@ -162,8 +151,8 @@ class TestStreamSet:
         stream_a = build_stream("a", _records(2), SCHEMA)
         stream_b = build_stream("b", _records(3), SCHEMA)
         streams = StreamSet(streams=[stream_a, stream_b])
-        assert streams.total_records() == 5
-        assert streams.names == ["a", "b"]
+        assert sum(map(len, streams.streams)) == 5
+        assert [stream.name for stream in streams.streams] == ["a", "b"]
         assert len(streams) == 2
         assert streams.schema == SCHEMA
 

@@ -18,7 +18,6 @@ The heavyweight guarantees:
 
 import ast
 import json
-import logging
 import random
 from pathlib import Path
 from time import perf_counter
@@ -41,7 +40,6 @@ from repro.obs import (
     HISTOGRAM,
     BatchTrace,
     HistogramValue,
-    LogReporter,
     MetricsRegistry,
     NULL_SCOPE,
     NULL_TELEMETRY,
@@ -85,10 +83,11 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("hits", "Hits").inc()
         registry.counter("hits").inc(2.0)
-        registry.gauge("depth", "Depth").set(7.0)
-        registry.gauge("depth").dec(3.0)
+        registry.bind("depth", lambda: 4.0, help="Depth", kind=GAUGE)
         assert registry.counter("hits").value == 3.0
-        assert registry.gauge("depth").value == 4.0
+        family = {row["name"]: row for row in registry.collect()}["depth"]
+        assert family["type"] == GAUGE
+        assert family["samples"] == [{"labels": {}, "value": 4.0}]
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -98,7 +97,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x")
+            registry.bind("x", lambda: 0.0, kind=GAUGE)
 
     def test_labelled_series_are_distinct(self):
         registry = MetricsRegistry()
@@ -181,7 +180,7 @@ class TestPrometheusRender:
         registry = MetricsRegistry()
         registry.counter("requests", "Requests served",
                          labelnames=("stage",)).labels(stage="er").inc(3)
-        registry.gauge("queue_depth", "Depth").set(2.5)
+        registry.bind("queue_depth", lambda: 2.5, help="Depth", kind=GAUGE)
         hist = registry.histogram("latency_seconds", "Latency",
                                   buckets=(0.1, 1.0))
         hist.observe(0.05)
@@ -458,7 +457,8 @@ class TestResolveTelemetry:
 
     def test_resolve_is_observed_and_leaves_pruning_counters(self):
         engine, family = self._engine_with_telemetry()
-        (rid, source), _ = engine.grid.synopsis_items()[0]
+        resident = engine.grid.synopses()[0]
+        rid, source = resident.rid, resident.source
         engine.resolve(rid, source)
         engine.resolve(rid, source)
         assert family.labels().count == 2
@@ -472,7 +472,8 @@ class TestResolveTelemetry:
         """Regression: the whole call's elapsed time was observed once per
         seed, so the histogram sum was N x the wall time of an N-seed call."""
         engine, family = self._engine_with_telemetry()
-        keys = [key for key, _ in engine.grid.synopsis_items()[:5]]
+        keys = [(resident.rid, resident.source)
+                for resident in engine.grid.synopses()[:5]]
         start = perf_counter()
         engine.resolve_many(keys)
         wall = perf_counter() - start
@@ -601,7 +602,8 @@ class TestEngineFacade:
         text = engine.render_metrics()
         assert "terids_packed_store_vocabulary_size 0" in text
         assert "terids_packed_store_instance_rows 0" in text
-        (rid, source), _ = engine.grid.synopsis_items()[0]
+        resident = engine.grid.synopses()[0]
+        rid, source = resident.rid, resident.source
         engine.resolve(rid, source)
         assert engine.grid.packed_store is None
         engine.resolve(rid, source, gamma=engine.pruning.gamma + 0.25)
@@ -613,40 +615,3 @@ class TestEngineFacade:
         assert f"terids_packed_store_vocabulary_size {size}" in text
         assert "# TYPE terids_packed_store_instance_rows gauge" in text
         assert f"terids_packed_store_instance_rows {entries}" in text
-
-    def test_log_reporter(self, engine, caplog):
-        reporter = LogReporter(engine.ctx, every_batches=2)
-        with caplog.at_level(logging.INFO, logger="repro.obs"):
-            reporter.on_batch(None, [])
-            assert not caplog.records
-            reporter.on_batch(None, [])
-        assert len(caplog.records) == 1
-        message = caplog.records[0].getMessage()
-        assert f"batch_seq={engine.ctx.batch_seq}" in message
-        assert "pairs_considered=" in message
-        assert "batch_p95=" in message
-
-    def test_disable_telemetry_restores_null_plane(self, engine):
-        engine.disable_telemetry()
-        assert engine.ctx.telemetry is NULL_TELEMETRY
-
-
-def test_reenabling_telemetry_does_not_duplicate_bound_metrics():
-    """Re-binding the same registry (telemetry toggle) must replace the
-    bound getters, not stack duplicates."""
-    workload = generate_dataset("citations", missing_rate=0.3, scale=0.2,
-                                seed=7)
-    config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
-                          alpha=0.5, similarity_ratio=0.5, window_size=20)
-    engine = TERiDSEngine(workload.repository, config,
-                          executor=SerialExecutor())
-    registry = MetricsRegistry()
-    engine.enable_telemetry(registry=registry)
-    engine.enable_telemetry(registry=registry)
-    text = engine.render_metrics()
-    sample_lines = [line for line in text.splitlines()
-                    if line.startswith("terids_batch_seq ")]
-    assert len(sample_lines) == 1
-    multi_lines = [line for line in text.splitlines()
-                   if line.startswith("terids_ingest_batches_total")]
-    assert len(multi_lines) == len(set(multi_lines))

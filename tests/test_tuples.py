@@ -8,7 +8,6 @@ from repro.core.tuples import (
     Record,
     Schema,
     SchemaError,
-    make_records,
 )
 
 
@@ -73,22 +72,12 @@ class TestRecord:
         record = Record(rid="r1", values={"x": "a b", "y": "b c"})
         assert record.all_tokens(self.schema) == {"a", "b", "c"}
 
-    def test_contains_keyword(self):
-        record = Record(rid="r1", values={"x": "diabetes care", "y": "rest"})
-        assert record.contains_keyword(["diabetes"], self.schema)
-        assert record.contains_keyword(["Diabetes"], self.schema)
-        assert not record.contains_keyword(["flu"], self.schema)
-
     def test_with_value_returns_new_record(self):
         record = Record(rid="r1", values={"x": "a", "y": None})
         updated = record.with_value("y", "filled")
         assert updated["y"] == "filled"
         assert record["y"] is None
         assert updated.rid == record.rid
-
-    def test_display_row_uses_dash(self):
-        record = Record(rid="r1", values={"x": "a", "y": None})
-        assert record.as_display_row(self.schema) == ["a", "-"]
 
     def test_identity_is_rid_and_source(self):
         left = Record(rid="r1", values={"x": "a"}, source="s1")
@@ -97,13 +86,6 @@ class TestRecord:
         assert left == right
         assert left != other
         assert hash(left) == hash(right)
-
-    def test_make_records_assigns_ids(self):
-        records = make_records([{"x": "a", "y": "b"}, {"x": "c"}], self.schema,
-                               source="src", prefix="t")
-        assert [record.rid for record in records] == ["t0", "t1"]
-        assert records[1]["y"] is None
-        assert all(record.source == "src" for record in records)
 
 
 class TestInstance:
@@ -126,11 +108,11 @@ class TestImputedRecord:
     def test_trivial_complete_record(self):
         record = Record(rid="r1", values={"x": "a", "y": "b"})
         imputed = ImputedRecord.from_complete(record, self.schema)
-        assert imputed.is_trivial()
+        assert not imputed.candidates
         instances = imputed.instances()
         assert len(instances) == 1
         assert instances[0].probability == 1.0
-        assert imputed.total_probability() == pytest.approx(1.0)
+        assert sum(i.probability for i in instances) == pytest.approx(1.0)
 
     def test_single_missing_attribute_instances(self):
         record = Record(rid="r1", values={"x": "a", "y": None})
@@ -140,7 +122,7 @@ class TestImputedRecord:
         assert len(instances) == 2
         values = {instance.record["y"] for instance in instances}
         assert values == {"b", "c"}
-        assert imputed.total_probability() == pytest.approx(1.0)
+        assert sum(i.probability for i in instances) == pytest.approx(1.0)
 
     def test_multiple_missing_attributes_cross_product(self):
         record = Record(rid="r1", values={"x": None, "y": None})
@@ -149,7 +131,7 @@ class TestImputedRecord:
             candidates={"x": {"a": 0.5, "b": 0.5}, "y": {"c": 0.4, "d": 0.6}})
         instances = imputed.instances()
         assert len(instances) == 4
-        assert imputed.total_probability() == pytest.approx(1.0)
+        assert sum(i.probability for i in instances) == pytest.approx(1.0)
         probabilities = sorted(instance.probability for instance in instances)
         assert probabilities == pytest.approx([0.2, 0.2, 0.3, 0.3])
 
@@ -157,7 +139,8 @@ class TestImputedRecord:
         record = Record(rid="r1", values={"x": "a", "y": None})
         imputed = ImputedRecord(base=record, schema=self.schema,
                                 candidates={"y": {"b": 0.4, "c": 0.3}})
-        assert imputed.total_probability() == pytest.approx(0.7)
+        assert sum(instance.probability
+                   for instance in imputed.instances()) == pytest.approx(0.7)
 
     def test_probabilities_above_one_rejected(self):
         record = Record(rid="r1", values={"x": "a", "y": None})
@@ -208,7 +191,7 @@ class TestImputedRecord:
         record = Record(rid="r1", values={"x": "a", "y": None})
         imputed = ImputedRecord(base=record, schema=self.schema,
                                 candidates={"y": {"b": 0.7, "c": 0.3}})
-        assert imputed.expected_instance()["y"] == "b"
+        assert imputed.instances()[0].record["y"] == "b"
 
     def test_instance_cap_keeps_most_probable(self):
         record = Record(rid="r1", values={"x": None, "y": None})
@@ -217,11 +200,4 @@ class TestImputedRecord:
                                 candidates={"x": dict(many), "y": dict(many)})
         instances = imputed.instances()
         assert len(instances) == ImputedRecord.MAX_INSTANCES
-        assert imputed.total_probability() <= 1.0 + 1e-9
-
-    def test_imputed_attributes_listing(self):
-        record = Record(rid="r1", values={"x": "a", "y": None})
-        imputed = ImputedRecord(base=record, schema=self.schema,
-                                candidates={"y": {"b": 1.0}})
-        assert imputed.imputed_attributes == ["y"]
-        assert not imputed.is_trivial()
+        assert sum(i.probability for i in instances) <= 1.0 + 1e-9

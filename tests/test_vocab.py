@@ -7,8 +7,6 @@ from repro.datasets.vocab import (
     BASE_VOCABULARY,
     DOMAIN_SCHEMAS,
     TOPIC_CLUSTERS,
-    cluster_tokens,
-    topic_keywords,
 )
 
 
@@ -41,13 +39,8 @@ class TestTopicClusters:
     def test_cluster_tokens_are_tokens(self):
         for domain, clusters in TOPIC_CLUSTERS.items():
             for name in clusters:
-                for token in cluster_tokens(domain, name):
+                for token in TOPIC_CLUSTERS[domain][name]:
                     assert tokenize(token) == {token}
-
-    def test_topic_keyword_listing(self):
-        for domain in TOPIC_CLUSTERS:
-            keywords = topic_keywords(domain)
-            assert set(keywords) == set(TOPIC_CLUSTERS[domain])
 
     def test_topic_names_do_not_collide_with_base_vocabulary(self):
         """Keywords must select topical records only, so they cannot also be
