@@ -18,7 +18,7 @@ Run with::
 
 from __future__ import annotations
 
-from bench_utils import BENCH_SEED, bench_argument_parser, write_bench_json
+from bench_utils import bench_argument_parser, write_bench_json
 
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
@@ -26,6 +26,7 @@ from repro.datasets.synthetic import generate_dataset
 from repro.ingest import BatchPolicy, IngestDriver, SyntheticRateSource
 from repro.runtime import MicroBatchExecutor
 
+BENCH_SEED = 7
 QUEUE_CAPACITY = 256
 BATCH_POLICY = BatchPolicy(max_batch=64, max_delay=0.05)
 

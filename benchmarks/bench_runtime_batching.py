@@ -8,13 +8,9 @@ acceptance bar for the micro-batch runtime is >= 1.5x at batch size >= 32.
 A second section measures the wall-clock overhead of the enabled telemetry
 plane (gated in CI).
 
-Run directly::
+Run with::
 
     PYTHONPATH=src python benchmarks/bench_runtime_batching.py [--json]
-
-or under pytest-benchmark::
-
-    python -m pytest benchmarks/bench_runtime_batching.py --benchmark-only
 """
 
 from __future__ import annotations
@@ -166,14 +162,6 @@ def run_telemetry_overhead(scale: float = BENCH_SCALE,
         "target_overhead_pct": TARGET_OVERHEAD_PCT,
         "matches_identical": match_keys[False] == match_keys[True],
     }
-
-
-def test_runtime_batching(benchmark):
-    """pytest-benchmark entry point (one full sweep, correctness asserted)."""
-    rows = benchmark.pedantic(run_bench, rounds=1, iterations=1)
-    print("\n=== runtime batching: serial vs micro-batch ===")
-    print(format_rows(rows))
-    assert all(row["matches_identical"] for row in rows)
 
 
 def main(argv=None) -> int:

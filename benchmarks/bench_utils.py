@@ -1,13 +1,5 @@
-"""Shared helpers for the per-figure benchmark scripts.
-
-Every benchmark regenerates one table or figure of the paper at reduced
-scale: it calls the corresponding runner from
-:mod:`repro.experiments.figures`, prints the resulting rows (the same
-dataset × method × parameter series the paper plots) and registers one
-representative measurement with ``pytest-benchmark`` so that
-``pytest benchmarks/ --benchmark-only`` also produces machine-readable
-timings.
-"""
+"""Machine-readable output (``--json``) shared by the standalone runtime
+benches ``bench_runtime_batching.py`` and ``bench_ingest_throughput.py``."""
 
 from __future__ import annotations
 
@@ -16,41 +8,14 @@ import json
 import platform
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 # Allow running the benches without an installed package (offline setups).
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments.harness import format_rows  # noqa: E402
 
-#: Scale / window used by every bench.  Chosen so the suite finishes in a few
-#: minutes while remaining large enough for the paper's relative method
-#: orderings (TER-iDS fastest among repository-based methods, DD+ER slowest)
-#: to emerge from the noise.
-BENCH_SCALE = 0.5
-BENCH_WINDOW = 40
-BENCH_SEED = 7
-
-#: Dataset subsets: the quick set keeps sweeps cheap, the full set is used by
-#: the per-dataset figures (4, 5, 6, 12) that the paper reports on all five.
-QUICK_DATASETS = ("citations", "anime")
-FULL_DATASETS = ("citations", "anime", "bikes", "ebooks", "songs")
-
-
-def run_figure(benchmark, runner: Callable[..., List[Dict[str, object]]],
-               title: str, **kwargs) -> List[Dict[str, object]]:
-    """Execute a figure runner once under pytest-benchmark and print its rows."""
-    rows = benchmark.pedantic(lambda: runner(**kwargs), rounds=1, iterations=1)
-    print(f"\n=== {title} ===")
-    print(format_rows(rows))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Machine-readable benchmark output (--json)
-# ---------------------------------------------------------------------------
 def bench_argument_parser(description: str) -> argparse.ArgumentParser:
     """The shared CLI of the standalone runtime benches.
 

@@ -93,9 +93,8 @@ class IndexedSequentialPipeline:
             rules = index.candidate_rules(record) if index else []
             if not rules:
                 continue
-            scoped = CDDImputer(repository=self.repository, rules=rules,
-                                sample_retriever=self.dr_index.make_retriever())
-            distribution = scoped.candidate_distribution(record, attribute)
+            distribution = self.imputer.candidate_distribution(
+                record, attribute, rules=rules)
             if distribution:
                 candidates[attribute] = distribution
         return ImputedRecord(base=record, schema=self.config.schema,

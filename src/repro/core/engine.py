@@ -131,7 +131,8 @@ class TERiDSEngine:
         self.resolver = QueryResolver(self.ctx)
 
     # ------------------------------------------------------------------
-    # state passthroughs (historical attribute names of the monolith)
+    # read-only state passthroughs (the rules, the CDD-indexes and the
+    # imputer change together, through RuntimeContext.install_rules)
     # ------------------------------------------------------------------
     @property
     def pivots(self) -> PivotTable:
@@ -141,17 +142,9 @@ class TERiDSEngine:
     def rules(self) -> List[CDDRule]:
         return self.ctx.rules
 
-    @rules.setter
-    def rules(self, rules: List[CDDRule]) -> None:
-        self.ctx.rules = rules
-
     @property
     def cdd_indexes(self) -> Dict[str, CDDIndex]:
         return self.ctx.cdd_indexes
-
-    @cdd_indexes.setter
-    def cdd_indexes(self, indexes: Dict[str, CDDIndex]) -> None:
-        self.ctx.cdd_indexes = indexes
 
     @property
     def dr_index(self) -> DRIndex:
@@ -164,10 +157,6 @@ class TERiDSEngine:
     @property
     def imputer(self) -> CDDImputer:
         return self.ctx.imputer
-
-    @imputer.setter
-    def imputer(self, imputer: CDDImputer) -> None:
-        self.ctx.imputer = imputer
 
     @property
     def windows(self) -> Dict[str, SlidingWindow]:
@@ -188,10 +177,6 @@ class TERiDSEngine:
     @property
     def timestamps_processed(self) -> int:
         return self.ctx.timestamps_processed
-
-    @timestamps_processed.setter
-    def timestamps_processed(self, value: int) -> None:
-        self.ctx.timestamps_processed = value
 
     # ------------------------------------------------------------------
     # online processing

@@ -2,15 +2,13 @@
 
 Every public function regenerates the data series of one table or figure of
 the paper as a list of flat row dictionaries (dataset × method × parameter →
-measurement).  The benchmark scripts under ``benchmarks/`` call these
-functions at reduced scale and print the rows; each script's module
-docstring states the paper's shape claim for its figure (for example
-``benchmarks/bench_figure5a_fscore.py``: TER-iDS highest F-score, con+ER
-worst).
+measurement).  ``examples/reproduce_evaluation.py`` calls each of them once
+at reduced scale, prints the rows and checks the figure's shape claims over
+them (for Figure 5(a): TER-iDS's macro F-score at least con+ER's minus 2
+points; README "Reproduction at reduced scale").
 
-All runners accept ``datasets`` / ``methods`` / ``scale`` arguments so that
-the same code can run a quick smoke sweep (benchmarks, CI) or a fuller
-reproduction (examples, manual runs).
+All runners accept ``datasets`` / ``methods`` / ``scale`` arguments; the
+tests call them on smaller settings than the reproduction run.
 """
 
 from __future__ import annotations

@@ -215,32 +215,13 @@ class CDDImputer:
         self._regroup_rules()
 
     # -- rule selection -------------------------------------------------------
-    def _filter_ranked(self, record: Record, attribute: str,
-                       ranked: Sequence[CDDRule]) -> List[CDDRule]:
-        """Shared tail of rule selection: count, check applicability, cap."""
+    def rules_for(self, record: Record, attribute: str) -> List[CDDRule]:
+        """Applicable rules for one missing attribute, tightest first."""
+        ranked = self._rules_by_dependent.get(attribute, [])
         self.stats.rules_considered += len(ranked)
         applicable = [rule for rule in ranked
                       if rule.applicable_to(record, attribute)]
         return applicable[: self.max_rules_per_attribute]
-
-    def rules_for(self, record: Record, attribute: str) -> List[CDDRule]:
-        """Applicable rules for one missing attribute, tightest first."""
-        return self._filter_ranked(record, attribute,
-                                   self._rules_by_dependent.get(attribute, []))
-
-    def scoped_rules_for(self, record: Record, attribute: str,
-                         rules: Sequence[CDDRule]) -> List[CDDRule]:
-        """Rank and filter an externally selected rule set for one attribute.
-
-        Mirrors :meth:`rules_for` exactly (same ordering key, same counters,
-        same applicability filter and cap), but over a caller-supplied rule
-        set — e.g. the output of a CDD-index probe — instead of the imputer's
-        own rules.  This is what lets the engine impute with index-selected
-        rules without instantiating a throwaway scoped imputer per attribute.
-        """
-        ranked = sorted((rule for rule in rules if rule.dependent == attribute),
-                        key=lambda rule: (rule.dependent_width, -rule.support))
-        return self._filter_ranked(record, attribute, ranked)
 
     # -- sample retrieval -------------------------------------------------------
     def _samples_for_rule(self, record: Record, rule: CDDRule) -> Sequence[Record]:
@@ -292,10 +273,11 @@ class CDDImputer:
         return cached
 
     def _select_rules(self, record: Record, attribute: str,
-                      rules: Optional[Sequence[CDDRule]]) -> List[CDDRule]:
+                      rules: Optional[Sequence[CDDRule]]) -> Sequence[CDDRule]:
         if rules is None:
             return self.rules_for(record, attribute)
-        return self.scoped_rules_for(record, attribute, rules)
+        self.stats.rules_considered += len(rules)
+        return rules[: self.max_rules_per_attribute]
 
     def _rule_frequencies(self, record: Record, attribute: str, rule: CDDRule,
                           domain: Sequence[str]) -> Dict[str, int]:
@@ -319,11 +301,12 @@ class CDDImputer:
                                ) -> Dict[str, float]:
         """Equation (4) candidate distribution for one missing attribute.
 
-        When ``rules`` is given (e.g. the output of an online CDD-index
-        probe) it overrides the imputer's own rule selection; the override is
-        ranked / filtered identically to the internal path, so the resulting
-        distribution is bit-identical to running a scoped imputer built from
-        those rules.
+        When ``rules`` is given it replaces the imputer's own rule
+        selection.  It must already be selected: the rules of ``attribute``
+        applicable to ``record``, tightest first — what
+        :meth:`~repro.indexes.cdd_index.CDDIndex.candidate_rules` returns.
+        The imputer only counts and caps it, so the distribution equals that
+        of an imputer built from those rules alone.
         """
         domain = self.repository.domain(attribute)
         per_rule: List[Dict[str, int]] = []

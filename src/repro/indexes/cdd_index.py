@@ -30,7 +30,8 @@ class CDDIndex:
 
         :meth:`CDDRule.applicable_to` over the rules in mining order, then a
         stable sort on ``(dependent_width, -support)``: the list
-        :meth:`~repro.imputation.imputer.CDDImputer.rules_for` caps.
+        :meth:`~repro.imputation.imputer.CDDImputer.rules_for` caps, and the
+        one ``CDDImputer.candidate_distribution(rules=)`` takes as it is.
         """
         candidates = [rule for rule in self.rules
                       if rule.applicable_to(record, self.dependent)]

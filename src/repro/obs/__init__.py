@@ -9,8 +9,8 @@ from .exporters import render_prometheus
 from .profiler import SlowBatchProfiler
 from .registry import (COUNTER, DEFAULT_BUCKETS, DEFAULT_QUANTILES,
                        DEFAULT_SAMPLE_WINDOW, GAUGE, HISTOGRAM, CounterValue,
-                       GaugeValue, HistogramValue, MetricFamily,
-                       MetricsRegistry, exponential_buckets)
+                       HistogramValue, MetricFamily, MetricsRegistry,
+                       exponential_buckets)
 from .telemetry import (NULL_SCOPE, NULL_TELEMETRY, NullTelemetry, Telemetry,
                         bind_context_metrics)
 from .tracing import BatchTrace, Span, Tracer
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
     "DEFAULT_SAMPLE_WINDOW",
-    "GaugeValue",
     "HistogramValue",
     "MetricFamily",
     "MetricsRegistry",

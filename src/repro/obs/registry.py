@@ -76,18 +76,6 @@ class CounterValue:
         self.value += amount
 
 
-class GaugeValue:
-    """One gauge series (a single label combination)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
 class HistogramValue:
     """One histogram series: exponential buckets + bounded sample ring.
 
@@ -169,13 +157,11 @@ class HistogramValue:
         self.samples.clear()
 
 
-_VALUE_TYPES = {COUNTER: CounterValue, GAUGE: GaugeValue}
-
-
 class MetricFamily:
     """One named metric: a fixed label schema + its per-combination series.
 
-    Children are created on first :meth:`labels` access; a label-less
+    Children (counters or histograms; gauges are only bound) are created
+    on first :meth:`labels` access; a label-less
     family proxies ``inc`` / ``observe`` to its single child so
     ``registry.counter("x").inc()`` reads naturally.
     """
@@ -196,7 +182,7 @@ class MetricFamily:
     def _make_child(self):
         if self.kind == HISTOGRAM:
             return HistogramValue(**self._histogram_kwargs)
-        return _VALUE_TYPES[self.kind]()
+        return CounterValue()
 
     def labels(self, **labels):
         if set(labels) != set(self.labelnames):
@@ -303,9 +289,6 @@ class MetricsRegistry:
         ``getter`` returns the current number (or, for ``kind="histogram"``,
         the live :class:`HistogramValue`); it is called only when the
         registry is collected, so binding costs nothing on the hot path.
-
-        Re-binding the same ``(name, labels)`` *replaces* the previous
-        getter instead of accumulating a duplicate sample row.
         """
         labels = dict(labels or {})
         family = self._family(name, help, kind, tuple(labels))
@@ -313,15 +296,6 @@ class MetricsRegistry:
             raise ValueError(
                 f"metric {name!r} takes labels {family.labelnames}, "
                 f"got {tuple(sorted(labels))}")
-        self._rebind(family, labels, getter)
-
-    @staticmethod
-    def _rebind(family: MetricFamily, labels: Dict[str, str],
-                getter: Callable) -> None:
-        for index, (existing, _) in enumerate(family._bound):
-            if existing == labels:
-                family._bound[index] = (labels, getter)
-                return
         family._bound.append((labels, getter))
 
     def bind_multi(self, name: str, label: str,
@@ -334,9 +308,8 @@ class MetricsRegistry:
         becomes a sample labelled ``{label: key}``.
         """
         family = self._family(name, help, kind, (label,))
-        # Marker row: expanded by MetricFamily.collect().  Re-binding the
-        # same marker replaces it (same duplicate-suppression as ``bind``).
-        self._rebind(family, {"__multi__": label}, getter)
+        # Marker row: expanded by MetricFamily.collect().
+        family._bound.append(({"__multi__": label}, getter))
 
     def collect(self) -> List[Dict[str, object]]:
         """Snapshot every family (bound getters evaluated now)."""

@@ -73,6 +73,7 @@ class TestCDDImputer:
         rules = discover_cdd_rules(health_repository)
         imputer = CDDImputer(repository=health_repository, rules=rules)
         imputed = imputer.impute(incomplete_health_record)
+        assert imputed.rid == incomplete_health_record.rid
         assert "diagnosis" in imputed.candidates
         distribution = imputed.candidates["diagnosis"]
         assert sum(distribution.values()) == pytest.approx(1.0)

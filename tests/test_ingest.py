@@ -654,7 +654,8 @@ def test_ingest_surface():
 
 def test_engine_surface():
     """Pivots and rules are recomputed from the repository: the engine
-    takes no selection or mining knobs beyond the config's own."""
+    takes no selection or mining knobs beyond the config's own, and its
+    state passthroughs cannot be assigned."""
     assert list(inspect.signature(TERiDSEngine).parameters) == [
         "repository", "config", "rules", "executor"]
     assert [f.name for f in fields(TERiDSConfig)] == [
@@ -662,6 +663,11 @@ def test_engine_surface():
         "max_pivots", "entropy_buckets", "min_entropy", "grid_cells_per_dim",
         "use_topic_pruning", "use_similarity_pruning",
         "use_instance_pruning"]
+    # The state passthroughs are read-only: a swapped rule list or index
+    # map would bypass RuntimeContext.install_rules and leave the imputer
+    # and the CDD-indexes on different rules.
+    for name in ("rules", "cdd_indexes", "imputer", "timestamps_processed"):
+        assert getattr(TERiDSEngine, name).fset is None, name
 
 
 # ---------------------------------------------------------------------------

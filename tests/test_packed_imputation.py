@@ -373,8 +373,8 @@ def test_swapped_in_imputer_stays_on_the_scalar_path(health_repository,
     imputer that retrieves some other way keeps its own sample order."""
     engine = TERiDSEngine(repository=health_repository, config=health_config,
                           executor=MicroBatchExecutor(batch_size=4))
-    engine.imputer = CDDImputer(repository=health_repository,
-                                rules=engine.rules)  # scans the repository
+    engine.ctx.imputer = CDDImputer(repository=health_repository,
+                                    rules=engine.rules)  # scans the repository
     engine.process_batch([Record("a1", {
         "gender": "male", "symptom": "thirst weight loss", "diagnosis": None,
         "treatment": "insulin"}, source="stream-a")])
