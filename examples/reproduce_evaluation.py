@@ -36,7 +36,7 @@ from repro.core.engine import TERiDSEngine
 from repro.experiments import figures
 from repro.experiments.harness import default_config, format_rows, make_workload
 from repro.experiments.params import EVALUATION_DATASETS
-from repro.imputation.cdd import discover_cdd_rules
+from repro.imputation.cdd import build_cdd_indexes, discover_cdd_rules
 from repro.imputation.imputer import CDDImputer, SingleCDDImputer
 
 SCALE = 0.5
@@ -163,13 +163,13 @@ def ablation_multi_cdd():
     workload = make_workload("citations", missing_rate=0.5, scale=SCALE,
                              seed=SEED)
     schema = workload.schema
-    rules = discover_cdd_rules(workload.repository)
+    indexes = build_cdd_indexes(discover_cdd_rules(workload.repository))
     incomplete = [record for record in workload.interleaved_records()
                   if not record.is_complete(schema)]
     rows = []
     for name, strategy in (("multi-cdd", CDDImputer),
                            ("single-cdd", SingleCDDImputer)):
-        imputer = strategy(repository=workload.repository, rules=rules)
+        imputer = strategy(repository=workload.repository, indexes=indexes)
         imputed = missing = 0
         start = time.perf_counter()
         for record in incomplete:

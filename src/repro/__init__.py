@@ -69,7 +69,7 @@ from repro.imputation import (
     discover_dd_rules,
     discover_editing_rules,
 )
-from repro.indexes import CDDIndex, DRIndex, ERGrid, PivotTable, select_pivots
+from repro.indexes import DRIndex, ERGrid, PivotTable, select_pivots
 from repro.metrics import AccuracyReport, evaluate_matches
 from repro.persistence import (
     CheckpointError,
@@ -100,7 +100,6 @@ __all__ = [
     "AccuracyReport",
     "BatchPolicy",
     "CDDImputer",
-    "CDDIndex",
     "CDDRule",
     "CheckpointError",
     "DATASET_PROFILES",

@@ -6,7 +6,6 @@ from repro.baselines.naive import (
     StraightforwardTERiDS,
 )
 from repro.baselines.pipelines import (
-    ACCURACY_BASELINES,
     ALL_BASELINES,
     BASELINE_FACTORIES,
     METHOD_CDD_ER,
@@ -24,7 +23,6 @@ from repro.baselines.pipelines import (
 )
 
 __all__ = [
-    "ACCURACY_BASELINES",
     "ALL_BASELINES",
     "BASELINE_FACTORIES",
     "BaselineReport",

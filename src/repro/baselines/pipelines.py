@@ -24,14 +24,13 @@ from repro.core.config import TERiDSConfig
 from repro.core.matching import EntityResultSet, MatchPair, ter_ids_probability
 from repro.core.pruning import RecordSynopsis
 from repro.core.stream import SlidingWindow
-from repro.core.tuples import ImputedRecord, Record
-from repro.imputation.cdd import discover_cdd_rules
+from repro.core.tuples import Record
+from repro.imputation.cdd import build_cdd_indexes, discover_cdd_rules
 from repro.imputation.constraint import StreamConstraintImputer
 from repro.imputation.dd import discover_dd_rules
 from repro.imputation.editing import EditingRuleImputer, discover_editing_rules
 from repro.imputation.imputer import CDDImputer, make_dd_imputer
 from repro.imputation.repository import DataRepository
-from repro.indexes.cdd_index import build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
@@ -46,7 +45,6 @@ METHOD_CON_ER = "con+ER"
 
 ALL_BASELINES = (METHOD_IJ_GER, METHOD_CDD_ER, METHOD_DD_ER, METHOD_ER_ER,
                  METHOD_CON_ER)
-ACCURACY_BASELINES = (METHOD_DD_ER, METHOD_ER_ER, METHOD_CON_ER)
 
 
 class IndexedSequentialPipeline:
@@ -63,10 +61,10 @@ class IndexedSequentialPipeline:
             max_pivots=config.max_pivots,
         ))
         self.rules = discover_cdd_rules(repository)
-        self.cdd_indexes = build_cdd_indexes(self.rules)
         self.dr_index = DRIndex(repository, self.pivots)
-        self.imputer = CDDImputer(repository=repository, rules=self.rules,
-                                  sample_retriever=self.dr_index.make_retriever())
+        self.imputer = CDDImputer(repository=repository,
+                                  indexes=build_cdd_indexes(self.rules),
+                                  dr_index=self.dr_index)
         self.grid = ERGrid(config.schema, cells_per_dim=config.grid_cells_per_dim)
         self.windows: Dict[str, SlidingWindow] = {}
         self.result_set = EntityResultSet()
@@ -82,24 +80,6 @@ class IndexedSequentialPipeline:
             self.windows[source] = window
         return window
 
-    def _impute_with_index(self, record: Record) -> ImputedRecord:
-        """CDD-index-guided rule selection followed by Eq. (4) imputation."""
-        missing = record.missing_attributes(self.config.schema)
-        if not missing:
-            return ImputedRecord.from_complete(record, self.config.schema)
-        candidates: Dict[str, Dict[str, float]] = {}
-        for attribute in missing:
-            index = self.cdd_indexes.get(attribute)
-            rules = index.candidate_rules(record) if index else []
-            if not rules:
-                continue
-            distribution = self.imputer.candidate_distribution(
-                record, attribute, rules=rules)
-            if distribution:
-                candidates[attribute] = distribution
-        return ImputedRecord(base=record, schema=self.config.schema,
-                             candidates=candidates)
-
     def process(self, record: Record) -> List[MatchPair]:
         self.timestamps_processed += 1
         window = self._window_for(record.source)
@@ -110,7 +90,7 @@ class IndexedSequentialPipeline:
                                           leaving.record.source)
 
         start = time.perf_counter()
-        imputed = self._impute_with_index(record)
+        imputed = self.imputer.impute(record)
         synopsis = RecordSynopsis.build(imputed, self.pivots, self.config.keywords)
         self.imputation_seconds += time.perf_counter() - start
 
@@ -157,8 +137,8 @@ class IndexedSequentialPipeline:
 def build_cdd_er_pipeline(repository: DataRepository, config: TERiDSConfig
                           ) -> StraightforwardTERiDS:
     """``CDD+ER``: CDD imputation via repository scans, nested-loop ER."""
-    rules = discover_cdd_rules(repository)
-    imputer = CDDImputer(repository=repository, rules=rules)
+    imputer = CDDImputer(repository=repository,
+                         indexes=build_cdd_indexes(discover_cdd_rules(repository)))
     return StraightforwardTERiDS(config=config, imputer=imputer,
                                  method_name=METHOD_CDD_ER)
 

@@ -37,10 +37,9 @@ from repro.core.matching import EntityResultSet, MatchPair
 from repro.core.pruning import PruningPipeline, PruningStats
 from repro.core.stream import SlidingWindow
 from repro.core.tuples import Record, Schema
-from repro.imputation.cdd import CDDRule, discover_cdd_rules
+from repro.imputation.cdd import CDDRule, build_cdd_indexes, discover_cdd_rules
 from repro.imputation.imputer import CDDImputer, ImputationStats
 from repro.imputation.repository import DataRepository
-from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid
 from repro.indexes.pivots import PivotSelectionConfig, PivotTable, select_pivots
@@ -114,13 +113,12 @@ class TERiDSEngine:
             repository=repository,
             pivots=pivots,
             rules=mined,
-            cdd_indexes=build_cdd_indexes(mined),
             dr_index=dr_index,
             grid=ERGrid(self.schema, cells_per_dim=config.grid_cells_per_dim),
             imputer=CDDImputer(
                 repository=repository,
-                rules=mined,
-                sample_retriever=dr_index.make_retriever(),
+                indexes=build_cdd_indexes(mined),
+                dr_index=dr_index,
             ),
         )
         self.pipeline = Pipeline(self.ctx)
@@ -131,8 +129,8 @@ class TERiDSEngine:
         self.resolver = QueryResolver(self.ctx)
 
     # ------------------------------------------------------------------
-    # read-only state passthroughs (the rules, the CDD-indexes and the
-    # imputer change together, through RuntimeContext.install_rules)
+    # read-only state passthroughs (the rules and the imputer's
+    # CDD-indexes change together, through RuntimeContext.install_rules)
     # ------------------------------------------------------------------
     @property
     def pivots(self) -> PivotTable:
@@ -141,10 +139,6 @@ class TERiDSEngine:
     @property
     def rules(self) -> List[CDDRule]:
         return self.ctx.rules
-
-    @property
-    def cdd_indexes(self) -> Dict[str, CDDIndex]:
-        return self.ctx.cdd_indexes
 
     @property
     def dr_index(self) -> DRIndex:

@@ -7,20 +7,18 @@ at reduced scale, prints the rows and checks the figure's shape claims over
 them (for Figure 5(a): TER-iDS's macro F-score at least con+ER's minus 2
 points; README "Reproduction at reduced scale").
 
-All runners accept ``datasets`` / ``methods`` / ``scale`` arguments; the
-tests call them on smaller settings than the reproduction run.
+The data sets and methods a runner compares are required arguments (the
+sweeps take one ``dataset``, ``"citations"`` by default); ``scale`` and the
+window default to the reproduction's settings, and the tests call the
+runners on smaller ones.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.baselines.pipelines import (
-    ACCURACY_BASELINES,
-    ALL_BASELINES,
-    METHOD_TER_IDS,
-)
+from repro.baselines.pipelines import METHOD_TER_IDS
 from repro.datasets.synthetic import dataset_statistics
 from repro.experiments.harness import (
     MethodResult,
@@ -33,16 +31,6 @@ from repro.experiments.params import BENCH_GRID, EVALUATION_DATASETS, ParameterG
 from repro.imputation.cdd import discover_cdd_rules
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
 from repro.metrics.timing import time_callable
-
-#: Methods compared in the efficiency figures (Figures 5(b), 7-10, 16-17).
-EFFICIENCY_METHODS: Tuple[str, ...] = (METHOD_TER_IDS,) + ALL_BASELINES
-#: Methods compared in the accuracy figures (Figures 5(a), 13-15).
-ACCURACY_METHODS: Tuple[str, ...] = (METHOD_TER_IDS,) + ACCURACY_BASELINES
-
-#: Small default dataset subsets keeping the quick benches fast.
-QUICK_DATASETS: Tuple[str, ...] = ("citations", "anime")
-QUICK_EFFICIENCY_METHODS: Tuple[str, ...] = (METHOD_TER_IDS, "Ij+GER", "con+ER")
-QUICK_ACCURACY_METHODS: Tuple[str, ...] = (METHOD_TER_IDS, "DD+ER", "con+ER")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +55,7 @@ def table5_parameter_settings(grid: ParameterGrid = BENCH_GRID) -> List[Dict[str
 # ---------------------------------------------------------------------------
 # Figure 4 — pruning power
 # ---------------------------------------------------------------------------
-def figure4_pruning_power(datasets: Sequence[str] = QUICK_DATASETS,
+def figure4_pruning_power(datasets: Sequence[str],
                           scale: float = 0.5, window_size: int = 50,
                           seed: int = 7) -> List[Dict[str, object]]:
     """Per-strategy pruning power of the TER-iDS engine on each dataset."""
@@ -92,8 +80,8 @@ def figure4_pruning_power(datasets: Sequence[str] = QUICK_DATASETS,
 # ---------------------------------------------------------------------------
 # Figure 5 — accuracy and efficiency per dataset
 # ---------------------------------------------------------------------------
-def figure5a_fscore(datasets: Sequence[str] = QUICK_DATASETS,
-                    methods: Sequence[str] = QUICK_ACCURACY_METHODS,
+def figure5a_fscore(datasets: Sequence[str],
+                    methods: Sequence[str],
                     scale: float = 0.5, window_size: int = 50,
                     seed: int = 7) -> List[Dict[str, object]]:
     """F-score of TER-iDS vs the accuracy baselines per dataset."""
@@ -112,8 +100,8 @@ def figure5a_fscore(datasets: Sequence[str] = QUICK_DATASETS,
     return rows
 
 
-def figure5b_wall_clock(datasets: Sequence[str] = QUICK_DATASETS,
-                        methods: Sequence[str] = QUICK_EFFICIENCY_METHODS,
+def figure5b_wall_clock(datasets: Sequence[str],
+                        methods: Sequence[str],
                         scale: float = 0.5, window_size: int = 50,
                         seed: int = 7) -> List[Dict[str, object]]:
     """Per-tuple wall-clock time of each method per dataset."""
@@ -134,7 +122,7 @@ def figure5b_wall_clock(datasets: Sequence[str] = QUICK_DATASETS,
 # ---------------------------------------------------------------------------
 # Figure 6 — break-up cost of TER-iDS
 # ---------------------------------------------------------------------------
-def figure6_breakup_cost(datasets: Sequence[str] = QUICK_DATASETS,
+def figure6_breakup_cost(datasets: Sequence[str],
                          scale: float = 0.5, window_size: int = 50,
                          seed: int = 7) -> List[Dict[str, object]]:
     """CDD-selection / imputation / ER break-up of the TER-iDS per-tuple cost."""
@@ -203,9 +191,9 @@ def _sweep(
     return rows
 
 
-def figure7_alpha(dataset: str = "citations",
+def figure7_alpha(methods: Sequence[str],
+                  dataset: str = "citations",
                   alphas: Sequence[float] = BENCH_GRID.alpha_values,
-                  methods: Sequence[str] = QUICK_EFFICIENCY_METHODS,
                   scale: float = 0.5, window_size: int = 50,
                   seed: int = 7) -> List[Dict[str, object]]:
     """Efficiency vs the probabilistic threshold α."""
@@ -213,9 +201,9 @@ def figure7_alpha(dataset: str = "citations",
                   scale, window_size, seed)
 
 
-def figure8_rho(dataset: str = "citations",
+def figure8_rho(methods: Sequence[str],
+                dataset: str = "citations",
                 rhos: Sequence[float] = BENCH_GRID.rho_values,
-                methods: Sequence[str] = QUICK_EFFICIENCY_METHODS,
                 scale: float = 0.5, window_size: int = 50,
                 seed: int = 7) -> List[Dict[str, object]]:
     """Efficiency vs the similarity-threshold ratio ρ = γ/d."""
@@ -223,9 +211,9 @@ def figure8_rho(dataset: str = "citations",
                   scale, window_size, seed)
 
 
-def figure9_missing_rate(dataset: str = "citations",
+def figure9_missing_rate(methods: Sequence[str],
+                         dataset: str = "citations",
                          rates: Sequence[float] = BENCH_GRID.missing_rates,
-                         methods: Sequence[str] = QUICK_EFFICIENCY_METHODS,
                          scale: float = 0.5, window_size: int = 50,
                          seed: int = 7) -> List[Dict[str, object]]:
     """Efficiency vs the missing rate ξ."""
@@ -233,18 +221,18 @@ def figure9_missing_rate(dataset: str = "citations",
                   scale, window_size, seed)
 
 
-def figure10_window(dataset: str = "citations",
+def figure10_window(methods: Sequence[str],
+                    dataset: str = "citations",
                     windows: Sequence[int] = BENCH_GRID.window_sizes,
-                    methods: Sequence[str] = QUICK_EFFICIENCY_METHODS,
                     scale: float = 0.5, seed: int = 7) -> List[Dict[str, object]]:
     """Efficiency vs the sliding-window size w."""
     return _sweep("window_size", list(windows), [dataset], methods, "time",
                   scale, BENCH_GRID.default_window_size, seed)
 
 
-def figure13_fscore_missing(dataset: str = "citations",
+def figure13_fscore_missing(methods: Sequence[str],
+                            dataset: str = "citations",
                             rates: Sequence[float] = BENCH_GRID.missing_rates,
-                            methods: Sequence[str] = QUICK_ACCURACY_METHODS,
                             scale: float = 0.5, window_size: int = 50,
                             seed: int = 7) -> List[Dict[str, object]]:
     """Accuracy vs the missing rate ξ (Appendix C.3)."""
@@ -252,9 +240,9 @@ def figure13_fscore_missing(dataset: str = "citations",
                   scale, window_size, seed)
 
 
-def figure14_fscore_eta(dataset: str = "citations",
+def figure14_fscore_eta(methods: Sequence[str],
+                        dataset: str = "citations",
                         ratios: Sequence[float] = BENCH_GRID.repository_ratios,
-                        methods: Sequence[str] = QUICK_ACCURACY_METHODS,
                         scale: float = 0.5, window_size: int = 50,
                         seed: int = 7) -> List[Dict[str, object]]:
     """Accuracy vs the repository size ratio η (Appendix C.3)."""
@@ -262,9 +250,9 @@ def figure14_fscore_eta(dataset: str = "citations",
                   scale, window_size, seed)
 
 
-def figure15_fscore_m(dataset: str = "citations",
+def figure15_fscore_m(methods: Sequence[str],
+                      dataset: str = "citations",
                       missing_attribute_counts: Sequence[int] = BENCH_GRID.missing_attribute_counts,
-                      methods: Sequence[str] = QUICK_ACCURACY_METHODS,
                       scale: float = 0.5, window_size: int = 50,
                       seed: int = 7) -> List[Dict[str, object]]:
     """Accuracy vs the number m of missing attributes (Appendix C.3)."""
@@ -272,9 +260,9 @@ def figure15_fscore_m(dataset: str = "citations",
                   methods, "fscore", scale, window_size, seed)
 
 
-def figure16_time_eta(dataset: str = "citations",
+def figure16_time_eta(methods: Sequence[str],
+                      dataset: str = "citations",
                       ratios: Sequence[float] = BENCH_GRID.repository_ratios,
-                      methods: Sequence[str] = QUICK_EFFICIENCY_METHODS,
                       scale: float = 0.5, window_size: int = 50,
                       seed: int = 7) -> List[Dict[str, object]]:
     """Efficiency vs the repository size ratio η (Appendix C.4)."""
@@ -282,9 +270,9 @@ def figure16_time_eta(dataset: str = "citations",
                   scale, window_size, seed)
 
 
-def figure17_time_m(dataset: str = "citations",
+def figure17_time_m(methods: Sequence[str],
+                    dataset: str = "citations",
                     missing_attribute_counts: Sequence[int] = BENCH_GRID.missing_attribute_counts,
-                    methods: Sequence[str] = QUICK_EFFICIENCY_METHODS,
                     scale: float = 0.5, window_size: int = 50,
                     seed: int = 7) -> List[Dict[str, object]]:
     """Efficiency vs the number m of missing attributes (Appendix C.4)."""
@@ -296,7 +284,7 @@ def figure17_time_m(dataset: str = "citations",
 # Figures 11 and 12 — offline pre-computation costs
 # ---------------------------------------------------------------------------
 def figure11_pivot_cost(
-    datasets: Sequence[str] = QUICK_DATASETS,
+    datasets: Sequence[str],
     ratios: Sequence[float] = BENCH_GRID.repository_ratios,
     cnt_max_values: Sequence[int] = (1, 2, 3, 4, 5),
     scale: float = 0.5,
@@ -326,7 +314,7 @@ def figure11_pivot_cost(
     return rows
 
 
-def figure12_cdd_detection_cost(datasets: Sequence[str] = QUICK_DATASETS,
+def figure12_cdd_detection_cost(datasets: Sequence[str],
                                 scale: float = 0.5,
                                 seed: int = 7) -> List[Dict[str, object]]:
     """Offline CDD detection cost per dataset."""

@@ -4,8 +4,8 @@ from repro.imputation.cdd import (
     AttributeConstraint,
     CDDDiscoveryConfig,
     CDDRule,
+    build_cdd_indexes,
     discover_cdd_rules,
-    group_rules_by_dependent,
 )
 from repro.imputation.constraint import StreamConstraintImputer
 from repro.imputation.dd import (
@@ -42,11 +42,11 @@ __all__ = [
     "RepositoryError",
     "SingleCDDImputer",
     "StreamConstraintImputer",
+    "build_cdd_indexes",
     "combine_frequencies",
     "dd_rules_as_cdds",
     "discover_cdd_rules",
     "discover_dd_rules",
     "discover_editing_rules",
-    "group_rules_by_dependent",
     "make_dd_imputer",
 ]

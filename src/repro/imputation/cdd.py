@@ -463,9 +463,21 @@ def discover_cdd_rules(
     return all_rules
 
 
-def group_rules_by_dependent(rules: Iterable[CDDRule]) -> Dict[str, List[CDDRule]]:
-    """Bucket rules by dependent attribute (the CDD-index is built per A_j)."""
-    grouped: Dict[str, List[CDDRule]] = {}
+def build_cdd_indexes(rules: Iterable[CDDRule]) -> Dict[str, List[CDDRule]]:
+    """The CDD-indexes ``I_j``: each dependent's rules, tightest first.
+
+    One list per dependent attribute ``A_j``, sorted on
+    ``(dependent_width, -support)`` with ties in mining order.  The paper
+    keeps these rules in aR-trees over their pivot-converted determinant
+    constraints; rule selection here checks every rule exactly with
+    :meth:`CDDRule.applicable_to`, so the index is the sorted list and a
+    probe is that check over it (README "The imputation indexes are flat
+    tables").
+    """
+    indexes: Dict[str, List[CDDRule]] = {}
     for rule in rules:
-        grouped.setdefault(rule.dependent, []).append(rule)
-    return grouped
+        indexes.setdefault(rule.dependent, []).append(rule)
+    for dependent_rules in indexes.values():
+        dependent_rules.sort(key=lambda rule: (rule.dependent_width,
+                                               -rule.support))
+    return indexes

@@ -1,16 +1,22 @@
 """Rule-based imputers implementing Equations (3) and (4) of the paper.
 
-Given an incomplete tuple ``r`` with missing attribute ``A_j`` and a set of
-CDD rules ``X_i → A_j``:
+Given an incomplete tuple ``r`` with missing attribute ``A_j``, the imputer
+is the one place that runs the paper's online imputation step (Section 5.1):
 
-1. for every applicable rule, retrieve the repository samples ``s`` that
-   satisfy the rule's determinant constraints w.r.t. ``r``;
-2. for every such sample, collect the candidate set ``cand(s[A_j])`` of
+1. select the rules of ``A_j`` applicable to ``r`` from the CDD-index
+   ``I_j`` (:meth:`CDDImputer.select_rules`; the indexes are
+   :func:`~repro.imputation.cdd.build_cdd_indexes`);
+2. for each selected rule, retrieve the repository samples ``s`` that
+   satisfy the rule's determinant constraints — through the DR-index
+   ``I_R`` when the imputer has one, else by scanning ``R``;
+3. for every such sample, collect the candidate set ``cand(s[A_j])`` of
    domain values whose Jaccard distance to ``s[A_j]`` lies inside the
    dependent interval ``A_j.I``;
-3. aggregate candidate frequencies per rule (Eq. 3) and across all rules
+4. aggregate candidate frequencies per rule (Eq. 3) and across all rules
    (Eq. 4), normalising into existence probabilities.
 
+The engine's two executors, the ``Ij+GER``, ``CDD+ER`` and ``DD+ER``
+baselines and the multi-CDD ablation all call :meth:`CDDImputer.impute`.
 The imputer exposes counters (rules considered, samples scanned, candidate
 values generated) used by the break-up cost experiment (Figure 6) and by the
 baseline comparisons.
@@ -19,11 +25,12 @@ baseline comparisons.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     MutableMapping,
     Optional,
@@ -40,26 +47,23 @@ from repro.core.similarity import (
     tokenize,
 )
 from repro.core.tuples import ImputedRecord, Record
-from repro.imputation.cdd import CDDRule, group_rules_by_dependent
+from repro.imputation.cdd import CDDRule, build_cdd_indexes
 from repro.imputation.dd import DDRule, dd_rules_as_cdds
 from repro.imputation.repository import DataRepository
 
 if TYPE_CHECKING:  # pragma: no cover - the index package imports this one
     from repro.indexes.dr_index import DRIndex
 
-#: Optional hook that, given (record, rule), returns candidate repository
-#: samples to test against the rule.  The index-join engine plugs the
-#: DR-index here; the default scans the whole repository.
-SampleRetriever = Callable[[Record, CDDRule], Sequence[Record]]
-
 
 @dataclass
 class ImputationStats:
     """Counters describing the work done by an imputer."""
 
+    #: Incomplete records imputed (complete records pass through uncounted).
     records_imputed: int = 0
     attributes_imputed: int = 0
     attributes_unimputable: int = 0
+    #: Applicable rules offered to Eq. (4), before ``max_rules_per_attribute``.
     rules_considered: int = 0
     rules_applied: int = 0
     samples_scanned: int = 0
@@ -128,7 +132,7 @@ def truncate_distribution(distribution: Dict[str, float],
     return {value: probability / total for value, probability in kept.items()}
 
 
-def combine_frequencies(per_rule_frequencies: Sequence[Dict[str, int]]) -> Dict[str, float]:
+def combine_frequencies(per_rule_frequencies: Iterable[Dict[str, int]]) -> Dict[str, float]:
     """Equation (4): merge per-rule frequency distributions into probabilities."""
     total = 0
     merged: Dict[str, int] = {}
@@ -149,17 +153,18 @@ class CDDImputer:
     ----------
     repository:
         The static complete data repository ``R``.
-    rules:
-        The mined CDD rules (all dependent attributes mixed; they are grouped
-        internally).
+    indexes:
+        The CDD-indexes: dependent attribute -> its rules, tightest first
+        (:func:`~repro.imputation.cdd.build_cdd_indexes`).
     max_candidates_per_sample:
         Cap on ``|cand(s[A_j])|`` to keep the candidate pool bounded.
     max_rules_per_attribute:
         Upper bound on the number of rules consulted per missing attribute
         (the tightest rules — smallest dependent interval — are preferred).
-    sample_retriever:
-        Optional pluggable sample-retrieval hook (the index join supplies a
-        DR-index-backed retriever; the default scans ``R``).
+    dr_index:
+        The DR-index ``I_R`` samples are retrieved through
+        (:meth:`~repro.indexes.dr_index.DRIndex.candidate_samples`);
+        ``None`` scans ``R``.
     candidate_cache:
         Optional mutable mapping memoising ``cand(s[A_j])`` computations
         across records.  ``candidate_set_for_sample`` depends only on the
@@ -170,83 +175,55 @@ class CDDImputer:
         impossible.  ``None`` (the default) disables memoisation and keeps
         the single-tuple engine's exact seed behaviour.
 
-    ``packed_index`` (not a constructor argument; ``None`` by default) is the
-    DR-index behind ``sample_retriever``.  Once the batched runtime sets it,
+    ``packed_index`` (not a constructor argument; ``False`` by default) is
+    set by the batched runtime when the imputer has a DR-index.  Then
     ``matching_samples`` is answered by the index's packed probe and
     ``cand(s[A_j])`` by the columnar domain scan — bit-identical to the
     scalar retrieve-then-verify path, which stays the reference.
     """
 
     repository: DataRepository
-    rules: Sequence[CDDRule]
+    indexes: Dict[str, List[CDDRule]]
     max_candidates_per_sample: int = 12
     max_rules_per_attribute: int = 12
     max_candidate_values: int = 16
-    sample_retriever: Optional[SampleRetriever] = None
+    dr_index: Optional["DRIndex"] = None
     stats: ImputationStats = field(default_factory=ImputationStats)
     candidate_cache: Optional[MutableMapping] = field(default=None, repr=False)
-    packed_index: Optional["DRIndex"] = field(default=None, init=False,
-                                              repr=False)
-    _rules_by_dependent: Dict[str, List[CDDRule]] = field(default_factory=dict, repr=False)
+    packed_index: bool = field(default=False, init=False, repr=False)
     #: attribute -> ``token_postings`` of its domain (columnar scan only).
     _domain_columns: Dict[str, tuple] = field(default_factory=dict, init=False,
                                               repr=False)
-
-    def __post_init__(self) -> None:
-        self._regroup_rules()
-
-    def _regroup_rules(self) -> None:
-        grouped = group_rules_by_dependent(self.rules)
-        self._rules_by_dependent = {
-            attribute: sorted(rules, key=lambda rule: (rule.dependent_width,
-                                                       -rule.support))
-            for attribute, rules in grouped.items()
-        }
-
-    def set_rules(self, rules: Sequence[CDDRule]) -> None:
-        """Swap the rule set in place (Section 5.5 rule maintenance).
-
-        Keeps the imputer object — and with it the accumulated statistics,
-        the candidate cache and the sample retriever — so callers that hold
-        a reference (the runtime context, the engine facade) observe the new
-        rules without any rewiring.
-        """
-        self.rules = list(rules)
-        self._regroup_rules()
+    #: How many rules that yield candidates Eq. (4) combines (``None``:
+    #: every one); the single-rule strategy stops at the first.
+    _rules_combined = None
 
     # -- rule selection -------------------------------------------------------
-    def rules_for(self, record: Record, attribute: str) -> List[CDDRule]:
-        """Applicable rules for one missing attribute, tightest first."""
-        ranked = self._rules_by_dependent.get(attribute, [])
-        self.stats.rules_considered += len(ranked)
-        applicable = [rule for rule in ranked
-                      if rule.applicable_to(record, attribute)]
-        return applicable[: self.max_rules_per_attribute]
+    def select_rules(self, record: Record, attribute: str) -> List[CDDRule]:
+        """The rules of ``attribute`` applicable to ``record``, tightest
+        first and uncapped: one probe of the CDD-index ``I_j``."""
+        return [rule for rule in self.indexes.get(attribute, ())
+                if rule.applicable_to(record, attribute)]
 
     # -- sample retrieval -------------------------------------------------------
-    def _samples_for_rule(self, record: Record, rule: CDDRule) -> Sequence[Record]:
-        if self.sample_retriever is not None:
-            return self.sample_retriever(record, rule)
-        return self.repository.samples
-
     def matching_samples(self, record: Record, rule: CDDRule) -> List[Record]:
         """Repository samples satisfying the rule's determinant constraints."""
-        if self.packed_index is not None:
-            scanned, matched = self.packed_index.matching_samples(record, rule)
-            self.stats.samples_scanned += scanned
+        if self.packed_index:
+            scanned, matched = self.dr_index.matching_samples(record, rule)
         else:
-            matched = []
-            for sample in self._samples_for_rule(record, rule):
-                self.stats.samples_scanned += 1
-                if rule.matches_sample(record, sample):
-                    matched.append(sample)
+            samples = (self.repository.samples if self.dr_index is None
+                       else self.dr_index.candidate_samples(record, rule))
+            scanned = len(samples)
+            matched = [sample for sample in samples
+                       if rule.matches_sample(record, sample)]
+        self.stats.samples_scanned += scanned
         self.stats.samples_matched += len(matched)
         return matched
 
     def _scan_domain(self, sample_value: str, attribute: str,
                      domain: Sequence[str], rule: CDDRule) -> List[str]:
         """One uncached ``cand(s[A_j])`` computation."""
-        if self.packed_index is None:
+        if not self.packed_index:
             return candidate_set_for_sample(sample_value, domain,
                                             rule.dependent_interval,
                                             self.max_candidates_per_sample)
@@ -272,64 +249,65 @@ class CDDImputer:
             self.candidate_cache[key] = cached
         return cached
 
-    def _select_rules(self, record: Record, attribute: str,
-                      rules: Optional[Sequence[CDDRule]]) -> Sequence[CDDRule]:
-        if rules is None:
-            return self.rules_for(record, attribute)
-        self.stats.rules_considered += len(rules)
-        return rules[: self.max_rules_per_attribute]
-
-    def _rule_frequencies(self, record: Record, attribute: str, rule: CDDRule,
-                          domain: Sequence[str]) -> Dict[str, int]:
-        """Equation (3) for one rule: candidate-value frequencies over the
-        samples matching the rule (empty when the rule yields nothing)."""
-        frequencies: Dict[str, int] = {}
-        for sample in self.matching_samples(record, rule):
-            sample_value = sample[attribute]
-            if sample_value is None:
-                continue
-            for value in self._candidate_set(sample_value, attribute,
-                                             domain, rule):
-                frequencies[value] = frequencies.get(value, 0) + 1
-        if frequencies:
-            self.stats.rules_applied += 1
-        return frequencies
+    def _rule_frequencies(self, record: Record, attribute: str,
+                          rules: Sequence[CDDRule]) -> Iterator[Dict[str, int]]:
+        """Equation (3) for each rule that yields candidates, lazily: a rule
+        is only applied once the previous one's frequencies were taken."""
+        domain = self.repository.domain(attribute)
+        for rule in rules:
+            frequencies: Dict[str, int] = {}
+            for sample in self.matching_samples(record, rule):
+                sample_value = sample[attribute]
+                if sample_value is None:
+                    continue
+                for value in self._candidate_set(sample_value, attribute,
+                                                 domain, rule):
+                    frequencies[value] = frequencies.get(value, 0) + 1
+            if frequencies:
+                self.stats.rules_applied += 1
+                yield frequencies
 
     # -- imputation --------------------------------------------------------------
     def candidate_distribution(self, record: Record, attribute: str,
-                               rules: Optional[Sequence[CDDRule]] = None,
-                               ) -> Dict[str, float]:
+                               rules: Sequence[CDDRule]) -> Dict[str, float]:
         """Equation (4) candidate distribution for one missing attribute.
 
-        When ``rules`` is given it replaces the imputer's own rule
-        selection.  It must already be selected: the rules of ``attribute``
-        applicable to ``record``, tightest first — what
-        :meth:`~repro.indexes.cdd_index.CDDIndex.candidate_rules` returns.
-        The imputer only counts and caps it, so the distribution equals that
-        of an imputer built from those rules alone.
+        ``rules`` are the rules of ``attribute`` applicable to ``record``,
+        tightest first — what :meth:`select_rules` returns.  They are
+        counted, capped at ``max_rules_per_attribute`` and applied.
         """
-        domain = self.repository.domain(attribute)
-        per_rule: List[Dict[str, int]] = []
-        for rule in self._select_rules(record, attribute, rules):
-            frequencies = self._rule_frequencies(record, attribute, rule, domain)
-            if frequencies:
-                per_rule.append(frequencies)
-        distribution = truncate_distribution(combine_frequencies(per_rule),
-                                             self.max_candidate_values)
+        if not rules:
+            return {}
+        self.stats.rules_considered += len(rules)
+        per_rule = self._rule_frequencies(
+            record, attribute, rules[: self.max_rules_per_attribute])
+        distribution = truncate_distribution(
+            combine_frequencies(islice(per_rule, self._rules_combined)),
+            self.max_candidate_values)
         self.stats.candidate_values += len(distribution)
         return distribution
 
-    def impute(self, record: Record) -> ImputedRecord:
+    def impute(self, record: Record,
+               selected: Optional[Dict[str, List[CDDRule]]] = None,
+               ) -> ImputedRecord:
         """Impute every missing attribute of ``record``.
 
-        Attributes for which no rule/sample produces candidates are left
-        missing (their token set stays empty and they contribute zero
-        similarity), exactly like the straightforward method of the paper.
+        ``selected`` maps each missing attribute to its rules when they were
+        already chosen (the engine times rule selection on its own, Figure
+        6); without it the imputer selects them.  Attributes for which no
+        rule/sample produces candidates are left missing (their token set
+        stays empty and they contribute zero similarity), exactly like the
+        straightforward method of the paper.
         """
         schema = self.repository.schema
+        missing = record.missing_attributes(schema)
+        if not missing:
+            return ImputedRecord.from_complete(record, schema)
         candidates: Dict[str, Dict[str, float]] = {}
-        for attribute in record.missing_attributes(schema):
-            distribution = self.candidate_distribution(record, attribute)
+        for attribute in missing:
+            rules = (self.select_rules(record, attribute) if selected is None
+                     else selected[attribute])
+            distribution = self.candidate_distribution(record, attribute, rules)
             if distribution:
                 candidates[attribute] = distribution
                 self.stats.attributes_imputed += 1
@@ -341,27 +319,19 @@ class CDDImputer:
 
 @dataclass
 class SingleCDDImputer(CDDImputer):
-    """Single-rule strategy (Eq. (3)): only the tightest applicable rule is used.
+    """Single-rule strategy (Eq. (3)): only the tightest applicable rule
+    that yields candidates is used.
 
     The paper mentions this alternative strategy and leaves it as future
     work; it is implemented here for the multi-vs-single CDD ablation bench.
     """
 
-    def candidate_distribution(self, record: Record, attribute: str,
-                               rules: Optional[Sequence[CDDRule]] = None,
-                               ) -> Dict[str, float]:
-        domain = self.repository.domain(attribute)
-        for rule in self._select_rules(record, attribute, rules):
-            frequencies = self._rule_frequencies(record, attribute, rule, domain)
-            if frequencies:
-                distribution = truncate_distribution(
-                    combine_frequencies([frequencies]), self.max_candidate_values)
-                self.stats.candidate_values += len(distribution)
-                return distribution
-        return {}
+    _rules_combined = 1
 
 
 def make_dd_imputer(repository: DataRepository, rules: Sequence[DDRule],
                     **kwargs) -> CDDImputer:
     """Build an imputer driven by DD rules (the ``DD+ER`` baseline)."""
-    return CDDImputer(repository=repository, rules=dd_rules_as_cdds(rules), **kwargs)
+    return CDDImputer(repository=repository,
+                      indexes=build_cdd_indexes(dd_rules_as_cdds(rules)),
+                      **kwargs)

@@ -1,6 +1,9 @@
-"""Index and synopsis structures: pivots, CDD-index, DR-index, ER-grid."""
+"""Index and synopsis structures: pivots, DR-index, ER-grid.
 
-from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
+The CDD-indexes are plain rule lists owned by the imputer
+(:func:`repro.imputation.cdd.build_cdd_indexes`).
+"""
+
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid, GridCell
 from repro.indexes.pivots import (
@@ -12,14 +15,12 @@ from repro.indexes.pivots import (
 )
 
 __all__ = [
-    "CDDIndex",
     "DRIndex",
     "ERGrid",
     "GridCell",
     "PivotSelectionConfig",
     "PivotSelectionReport",
     "PivotTable",
-    "build_cdd_indexes",
     "select_pivots",
     "shannon_entropy",
 ]

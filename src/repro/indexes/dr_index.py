@@ -16,15 +16,17 @@ coordinate exactly.
 
 The per-sample loop plus the exact re-check
 (:meth:`DRIndex.candidate_samples` + :meth:`CDDRule.matches_sample`) is the
-scalar reference.  :meth:`DRIndex.matching_samples` answers the same
-question — which samples satisfy the rule, and how many the query rectangle
-let through — as boolean masks over the table's columns.
+scalar reference, which a :class:`~repro.imputation.imputer.CDDImputer`
+built with ``dr_index=`` runs.  :meth:`DRIndex.matching_samples` answers the
+same question — which samples satisfy the rule, and how many the query
+rectangle let through — as boolean masks over the table's columns; the
+imputer runs it once the batched runtime sets its ``packed_index`` flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,7 +90,6 @@ class DRIndex:
         self.packed_probes = 0
         self._packed: Optional[_PackedRepository] = None
         self._probe = _RecordProbe()
-        self._retriever = None
         self._attribute_order = list(self.schema)
         self._attribute_index = {attribute: index for index, attribute
                                  in enumerate(self._attribute_order)}
@@ -232,15 +233,3 @@ class DRIndex:
         return (int(np.count_nonzero(in_rect)),
                 [samples[row]
                  for row in np.flatnonzero(in_rect & satisfied).tolist()])
-
-    def make_retriever(self):
-        """A ``SampleRetriever`` hook for :class:`~repro.imputation.imputer.CDDImputer`.
-
-        Every call returns the same function object, so "this imputer
-        retrieves through this index" can be checked by identity.
-        """
-        if self._retriever is None:
-            def retriever(record: Record, rule: CDDRule) -> Sequence[Record]:
-                return self.candidate_samples(record, rule)
-            self._retriever = retriever
-        return self._retriever

@@ -2,7 +2,7 @@
 
 The :class:`RuntimeContext` owns everything the online operator reads or
 writes — the offline substrates built in the pre-computation phase (pivot
-table, CDD rules and indexes, DR-index, imputer) and the online state
+table, CDD rules, DR-index, imputer and its CDD-indexes) and the online state
 (per-stream sliding windows, ER-grid, entity result set, pruning pipeline,
 stage timer, timestamp counter).  Stages receive the context at construction
 time and mutate it; executors schedule stages; the
@@ -27,10 +27,9 @@ from repro.core.matching import EntityResultSet
 from repro.core.pruning import PruningPipeline
 from repro.core.stream import SlidingWindow
 from repro.core.tuples import Schema
-from repro.imputation.cdd import CDDRule
+from repro.imputation.cdd import CDDRule, build_cdd_indexes
 from repro.imputation.imputer import CDDImputer
 from repro.imputation.repository import DataRepository
-from repro.indexes.cdd_index import CDDIndex, build_cdd_indexes
 from repro.indexes.dr_index import DRIndex
 from repro.indexes.er_grid import ERGrid
 from repro.indexes.pivots import PivotTable
@@ -329,7 +328,6 @@ class RuntimeContext:
     repository: DataRepository
     pivots: PivotTable
     rules: List[CDDRule]
-    cdd_indexes: Dict[str, CDDIndex]
     dr_index: DRIndex
     grid: ERGrid
     imputer: CDDImputer
@@ -383,23 +381,22 @@ class RuntimeContext:
         return self.config.schema
 
     def install_rules(self, rules: List[CDDRule]) -> None:
-        """Swap a new CDD rule set into the runtime (indexes + imputer).
+        """Swap a new CDD rule set into the runtime (the imputer's indexes).
 
         The single authority for rule installation: an exact re-mine of the
         evolving repository (``MaintenanceStage``) routes through it.  The
         imputer object is kept (statistics, candidate cache and DR-index
-        retriever survive); only the rule grouping and the per-attribute
-        CDD-indexes change.  A value-identical rule list short-circuits to
-        a no-op; anything else rebuilds the indexes.
+        survive); only its per-attribute CDD-indexes change.  A
+        value-identical rule list short-circuits to a no-op; anything else
+        rebuilds the indexes.
         """
         rules = list(rules)
         if rules == self.rules:
             self.installs_skipped += 1
             return
-        self.cdd_indexes = build_cdd_indexes(rules)
+        self.imputer.indexes = build_cdd_indexes(rules)
         self.installs_rebuilt += 1
         self.rules = rules
-        self.imputer.set_rules(self.rules)
 
     def window_for(self, source: str) -> SlidingWindow:
         """The sliding window of one stream, created on first use."""

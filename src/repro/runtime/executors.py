@@ -120,10 +120,7 @@ class MicroBatchExecutor(Executor):
             ctx.imputer.candidate_cache = {}
         # The DR-index's packed probe is the exact columnar equivalent of
         # retrieving through that index — and of nothing else.
-        ctx.imputer.packed_index = (
-            ctx.dr_index
-            if ctx.imputer.sample_retriever is ctx.dr_index.make_retriever()
-            else None)
+        ctx.imputer.packed_index = ctx.imputer.dr_index is not None
         # Candidates are rows of the resident packed store.
         ctx.grid.enable_packed_store()
         # Rows evicted during the previous batch stayed gatherable until its

@@ -70,7 +70,7 @@ class Pipeline:
 
         # --- online imputation (Figure 6 stage 2) ---
         with ctx.timer.measure(STAGE_IMPUTATION), tel.span("imputation"):
-            task.imputed = self.imputation.impute(record, task.selected_rules)
+            task.imputed = ctx.imputer.impute(record, task.selected_rules)
             task.synopsis = self.synopsis.build(task.imputed)
 
         # --- online topic-aware ER (Figure 6 stage 3) ---

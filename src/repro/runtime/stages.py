@@ -9,6 +9,11 @@ The paper's online step is a staged dataflow; each phase is one class here:
 * :class:`MatchingStage` — the pruning strategies plus refinement;
 * :class:`MaintenanceStage` — window expiry and window/grid insertion.
 
+The first two are calls to the imputer, which owns the CDD-indexes and the
+DR-index (:class:`~repro.imputation.imputer.CDDImputer`): they split its
+one impute loop in two only so that Figure 6 can time rule selection on
+its own.
+
 A :class:`TupleTask` carries one arriving tuple through the stages and
 accumulates the per-stage artefacts.  Stages are stateless apart from the
 shared :class:`~repro.runtime.context.RuntimeContext`; executors own the
@@ -59,15 +64,9 @@ class RuleSelectionStage:
 
     def select(self, record: Record) -> Dict[str, List[CDDRule]]:
         """Candidate rules per missing attribute of one record."""
-        indexes = self.ctx.cdd_indexes
-        selected: Dict[str, List[CDDRule]] = {}
-        for attribute in record.missing_attributes(self.ctx.schema):
-            index = indexes.get(attribute)
-            if index is None:
-                selected[attribute] = []
-            else:
-                selected[attribute] = index.candidate_rules(record)
-        return selected
+        imputer = self.ctx.imputer
+        return {attribute: imputer.select_rules(record, attribute)
+                for attribute in record.missing_attributes(self.ctx.schema)}
 
     def run(self, tasks: Sequence[TupleTask]) -> None:
         for task in tasks:
@@ -82,34 +81,10 @@ class ImputationStage:
     def __init__(self, ctx: RuntimeContext) -> None:
         self.ctx = ctx
 
-    def impute(self, record: Record,
-               selected_rules: Dict[str, List[CDDRule]]) -> ImputedRecord:
-        """Impute one record's missing attributes with the selected rules."""
-        ctx = self.ctx
-        schema = ctx.schema
-        imputer = ctx.imputer
-        missing = record.missing_attributes(schema)
-        if not missing:
-            return ImputedRecord.from_complete(record, schema)
-        candidates: Dict[str, Dict[str, float]] = {}
-        for attribute in missing:
-            rules = selected_rules.get(attribute, [])
-            if not rules:
-                imputer.stats.attributes_unimputable += 1
-                continue
-            distribution = imputer.candidate_distribution(record, attribute,
-                                                          rules=rules)
-            if distribution:
-                candidates[attribute] = distribution
-                imputer.stats.attributes_imputed += 1
-            else:
-                imputer.stats.attributes_unimputable += 1
-        imputer.stats.records_imputed += 1
-        return ImputedRecord(base=record, schema=schema, candidates=candidates)
-
     def run(self, tasks: Sequence[TupleTask]) -> None:
+        impute = self.ctx.imputer.impute
         for task in tasks:
-            task.imputed = self.impute(task.record, task.selected_rules or {})
+            task.imputed = impute(task.record, task.selected_rules)
 
 
 class SynopsisStage:

@@ -125,7 +125,8 @@ class TestBaselineBehaviour:
 
     def test_ij_ger_uses_grid_and_indexes(self, health_repository, health_config):
         pipeline = IndexedSequentialPipeline(health_repository, health_config)
-        assert pipeline.cdd_indexes
+        assert pipeline.imputer.indexes
+        assert pipeline.imputer.dr_index is pipeline.dr_index
         assert len(pipeline.dr_index) == len(health_repository)
         report = pipeline.run(list(MATCHING_SEQUENCE))
         assert report.method == METHOD_IJ_GER
@@ -168,3 +169,37 @@ class TestBaselineVsEngineConsistency:
         baseline_report = baseline.run(list(MATCHING_SEQUENCE))
         assert ({pair.key() for pair in engine_report.matches}
                 == {pair.key() for pair in baseline_report.matches})
+
+    @pytest.mark.parametrize("dataset", ["citations", "anime", "songs"])
+    def test_ij_ger_imputes_exactly_as_the_engine(self, dataset):
+        """One impute loop: ``Ij+GER`` selects rules from the same CDD-indexes
+        and retrieves through the same DR-index as the engine under either
+        executor, so every imputation counter agrees.  ``CDD+ER`` scans all
+        of ``R``, which moves ``samples_scanned`` only."""
+        from golden_utils import build_config, build_workload
+        from repro.core.engine import TERiDSEngine
+        from repro.runtime import MicroBatchExecutor, SerialExecutor
+
+        workload = build_workload(dataset, 0.5, 7)
+        config = build_config(workload, 40)
+        records = list(workload.interleaved_records())
+        engine_stats = []
+        for executor in (SerialExecutor(), MicroBatchExecutor()):
+            engine = TERiDSEngine(workload.repository, config,
+                                  executor=executor)
+            engine.run(records)
+            engine_stats.append(engine.imputer.stats.as_dict())
+        serial, batched = engine_stats
+        assert batched == serial
+        assert serial["records_imputed"] > 0
+
+        ij_ger = IndexedSequentialPipeline(workload.repository, config)
+        ij_ger.run(records)
+        assert ij_ger.imputer.stats.as_dict() == serial
+
+        cdd_er = build_cdd_er_pipeline(workload.repository, config)
+        cdd_er.run(records)
+        scan = cdd_er.imputer.stats.as_dict()
+        assert scan.pop("samples_scanned") > serial["samples_scanned"]
+        assert scan == {name: count for name, count in serial.items()
+                        if name != "samples_scanned"}

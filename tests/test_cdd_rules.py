@@ -11,8 +11,8 @@ from repro.imputation.cdd import (
     CDDDiscoveryConfig,
     CDDRule,
     RuleError,
+    build_cdd_indexes,
     discover_cdd_rules,
-    group_rules_by_dependent,
 )
 from repro.imputation.repository import DataRepository
 
@@ -188,11 +188,16 @@ class TestCDDDiscovery:
 
     def test_grouping_helpers(self, health_repository):
         rules = discover_cdd_rules(health_repository)
-        grouped = group_rules_by_dependent(rules)
+        grouped = build_cdd_indexes(rules)
         assert set(grouped) == {rule.dependent for rule in rules}
         diagnosis_rules = [rule for rule in rules if rule.dependent == "diagnosis"]
-        assert all(rule.dependent == "diagnosis" for rule in diagnosis_rules)
-        assert len(diagnosis_rules) == len(grouped["diagnosis"])
+        # Tightest first, ties in mining order (a stable sort).
+        mining_order = {id(rule): position
+                        for position, rule in enumerate(diagnosis_rules)}
+        assert [(rule.dependent_width, -rule.support, mining_order[id(rule)])
+                for rule in grouped["diagnosis"]] == sorted(
+            (rule.dependent_width, -rule.support, mining_order[id(rule)])
+            for rule in diagnosis_rules)
 
     def test_discovery_is_deterministic(self, health_repository):
         first = discover_cdd_rules(health_repository)

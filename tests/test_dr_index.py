@@ -53,14 +53,6 @@ class TestCandidateSamples:
         for rule in health_rules[:10]:
             assert dr_index.candidate_samples(record, rule) == []
 
-    def test_retriever_hook(self, dr_index, health_rules, incomplete_health_record):
-        retriever = dr_index.make_retriever()
-        applicable = [rule for rule in health_rules
-                      if rule.applicable_to(incomplete_health_record, "diagnosis")]
-        if applicable:
-            samples = retriever(incomplete_health_record, applicable[0])
-            assert isinstance(samples, list)
-
 
 class TestRangeQueryAndMaintenance:
     def test_insert_sample_updates_repository_and_index(self, dr_index,

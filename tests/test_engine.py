@@ -23,7 +23,7 @@ def _post(rid, gender, symptom, diagnosis, treatment, source="stream-a"):
 class TestPrecomputation:
     def test_offline_structures_built(self, health_engine, health_repository):
         assert len(health_engine.rules) > 0
-        assert set(health_engine.cdd_indexes) <= set(health_repository.schema)
+        assert set(health_engine.imputer.indexes) <= set(health_repository.schema)
         assert len(health_engine.dr_index) == len(health_repository)
         for attribute in health_repository.schema:
             assert len(health_engine.pivots.pivots[attribute]) >= 1

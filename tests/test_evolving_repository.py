@@ -25,7 +25,7 @@ from golden_utils import (
 )
 from repro.core.engine import TERiDSEngine
 from repro.core.tuples import Record
-from repro.imputation.cdd import discover_cdd_rules
+from repro.imputation.cdd import build_cdd_indexes, discover_cdd_rules
 from repro.imputation.repository import DataRepository
 from repro.persistence import repository_from_dict, repository_to_dict
 from repro.runtime import MicroBatchExecutor, SerialExecutor
@@ -85,9 +85,10 @@ class TestEngineIntegration:
         report = engine.add_repository_samples(
             [_health_sample("new0")], remine_rules=True)
         assert report is None
-        # install_rules swaps rules in place: same imputer object, new rules.
+        # install_rules swaps rules in place: same imputer object, new
+        # CDD-indexes.
         assert engine.imputer is imputer
-        assert engine.imputer.rules == engine.rules
+        assert engine.imputer.indexes == build_cdd_indexes(engine.rules)
 
     def test_explicit_rules_are_installed_as_given(self, health_repository,
                                                    health_config,
@@ -96,7 +97,8 @@ class TestEngineIntegration:
                               config=health_config,
                               rules=[simple_cdd_rule])
         assert engine.rules == [simple_cdd_rule]
-        assert engine.imputer.rules == [simple_cdd_rule]
+        assert engine.imputer.indexes == {
+            simple_cdd_rule.dependent: [simple_cdd_rule]}
 
 
 class TestInstallPaths:
@@ -105,12 +107,12 @@ class TestInstallPaths:
         engine = TERiDSEngine(repository=health_repository,
                               config=health_config)
         ctx = engine.ctx
-        indexes_before = ctx.cdd_indexes
+        indexes_before = ctx.imputer.indexes
         ctx.install_rules(list(ctx.rules))
         assert ctx.installs_skipped == 1
         assert ctx.installs_rebuilt == 0
         # The indexes were not touched, let alone rebuilt.
-        assert ctx.cdd_indexes is indexes_before
+        assert ctx.imputer.indexes is indexes_before
 
     def test_remine_rebuilds_the_indexes(self, health_repository,
                                          health_config):
@@ -127,9 +129,9 @@ class TestInstallPaths:
                 == _rule_signature(discover_cdd_rules(engine.repository)))
         rebuilt = TERiDSEngine(repository=engine.repository,
                                config=health_config)
-        assert list(ctx.cdd_indexes) == list(rebuilt.cdd_indexes)
-        for attribute, index in ctx.cdd_indexes.items():
-            assert index.rules == rebuilt.cdd_indexes[attribute].rules
+        assert list(ctx.imputer.indexes) == list(rebuilt.imputer.indexes)
+        for attribute, rules in ctx.imputer.indexes.items():
+            assert rules == rebuilt.imputer.indexes[attribute]
 
 
 # ---------------------------------------------------------------------------

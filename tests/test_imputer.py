@@ -8,6 +8,7 @@ from repro.imputation.cdd import (
     CONSTRAINT_INTERVAL,
     AttributeConstraint,
     CDDRule,
+    build_cdd_indexes,
     discover_cdd_rules,
 )
 from repro.imputation.imputer import (
@@ -19,6 +20,7 @@ from repro.imputation.imputer import (
 )
 from repro.imputation.dd import discover_dd_rules
 from repro.imputation.repository import DataRepository
+from repro.indexes.dr_index import DRIndex
 
 # ---------------------------------------------------------------------------
 # The paper's Example 3/4 repository (Table 2) rendered as textual values:
@@ -71,7 +73,8 @@ class TestCDDImputer:
     def test_impute_missing_diagnosis(self, health_repository, health_schema,
                                       incomplete_health_record):
         rules = discover_cdd_rules(health_repository)
-        imputer = CDDImputer(repository=health_repository, rules=rules)
+        imputer = CDDImputer(repository=health_repository,
+                             indexes=build_cdd_indexes(rules))
         imputed = imputer.impute(incomplete_health_record)
         assert imputed.rid == incomplete_health_record.rid
         assert "diagnosis" in imputed.candidates
@@ -84,7 +87,8 @@ class TestCDDImputer:
 
     def test_impute_complete_record_is_trivial(self, health_repository):
         rules = discover_cdd_rules(health_repository)
-        imputer = CDDImputer(repository=health_repository, rules=rules)
+        imputer = CDDImputer(repository=health_repository,
+                             indexes=build_cdd_indexes(rules))
         complete = health_repository.samples[0]  # s0
         imputed = imputer.impute(complete)
         assert not imputed.candidates
@@ -92,7 +96,8 @@ class TestCDDImputer:
     def test_unimputable_attribute_left_missing(self, health_repository,
                                                 health_schema):
         rules = discover_cdd_rules(health_repository)
-        imputer = CDDImputer(repository=health_repository, rules=rules)
+        imputer = CDDImputer(repository=health_repository,
+                             indexes=build_cdd_indexes(rules))
         record = Record(rid="r", values={"gender": None, "symptom": None,
                                          "diagnosis": None, "treatment": None})
         imputed = imputer.impute(record)
@@ -103,35 +108,46 @@ class TestCDDImputer:
     def test_stats_are_accumulated(self, health_repository,
                                    incomplete_health_record):
         rules = discover_cdd_rules(health_repository)
-        imputer = CDDImputer(repository=health_repository, rules=rules)
+        imputer = CDDImputer(repository=health_repository,
+                             indexes=build_cdd_indexes(rules))
         imputer.impute(incomplete_health_record)
         assert imputer.stats.records_imputed == 1
         assert imputer.stats.rules_considered > 0
         assert imputer.stats.samples_scanned > 0
 
-    def test_rules_for_prefers_tight_rules(self, health_repository,
-                                           incomplete_health_record):
+    def test_select_rules_prefers_tight_rules(self, health_repository,
+                                              incomplete_health_record):
         rules = discover_cdd_rules(health_repository)
-        imputer = CDDImputer(repository=health_repository, rules=rules,
-                             max_rules_per_attribute=5)
-        chosen = imputer.rules_for(incomplete_health_record, "diagnosis")
-        assert len(chosen) <= 5
+        imputer = CDDImputer(repository=health_repository,
+                             indexes=build_cdd_indexes(rules))
+        chosen = imputer.select_rules(incomplete_health_record, "diagnosis")
+        assert chosen
         widths = [rule.dependent_width for rule in chosen]
         assert widths == sorted(widths)
 
-    def test_sample_retriever_hook_is_used(self, health_repository,
-                                           incomplete_health_record):
-        rules = discover_cdd_rules(health_repository)
-        calls = []
+    def test_dr_index_retrieval_is_used(self, health_repository, health_pivots,
+                                        incomplete_health_record):
+        """With ``dr_index=`` samples come from ``candidate_samples`` and only
+        those are scanned; the distributions equal the full scan's."""
+        indexes = build_cdd_indexes(discover_cdd_rules(health_repository))
+        dr_index = DRIndex(health_repository, health_pivots)
+        returned = []
+        candidate_samples = dr_index.candidate_samples
 
-        def retriever(record, rule):
-            calls.append(rule)
-            return health_repository.samples
+        def counting(record, rule):
+            samples = candidate_samples(record, rule)
+            returned.append(len(samples))
+            return samples
 
-        imputer = CDDImputer(repository=health_repository, rules=rules,
-                             sample_retriever=retriever)
-        imputer.impute(incomplete_health_record)
-        assert calls, "the pluggable sample retriever should have been invoked"
+        dr_index.candidate_samples = counting
+        indexed = CDDImputer(repository=health_repository, indexes=indexes,
+                             dr_index=dr_index)
+        scan = CDDImputer(repository=health_repository, indexes=indexes)
+        assert (indexed.impute(incomplete_health_record).candidates
+                == scan.impute(incomplete_health_record).candidates)
+        assert returned, "the DR-index should have been probed"
+        assert indexed.stats.samples_scanned == sum(returned)
+        assert indexed.stats.samples_matched == scan.stats.samples_matched
 
     def test_example3_single_rule_imputation(self):
         """Example 3 of the paper: rule AB -> C on the Table 2 repository."""
@@ -148,8 +164,10 @@ class TestCDDImputer:
         )
         record = Record(rid="r", values={"a": "a1 group", "b": "b level three",
                                          "c": None})
-        imputer = CDDImputer(repository=repository, rules=[rule])
-        distribution = imputer.candidate_distribution(record, "c")
+        imputer = CDDImputer(repository=repository,
+                             indexes=build_cdd_indexes([rule]))
+        distribution = imputer.candidate_distribution(
+            record, "c", imputer.select_rules(record, "c"))
         assert distribution, "samples s1/s2 should suggest candidate values"
         assert sum(distribution.values()) == pytest.approx(1.0)
         # The far-away a2 sample's value must not be suggested.
@@ -170,30 +188,42 @@ class TestCDDImputer:
             dependent="c", dependent_interval=(0.0, 0.3))
         record = Record(rid="r", values={"a": "a1 group", "b": "b level three",
                                          "c": None})
-        multi = CDDImputer(repository=repository, rules=[rule1, rule2])
-        multi_dist = multi.candidate_distribution(record, "c")
-        single = CDDImputer(repository=repository, rules=[rule1])
-        single_dist = single.candidate_distribution(record, "c")
+        multi_dist = CDDImputer(repository=repository, indexes={}
+                                ).candidate_distribution(record, "c",
+                                                         [rule1, rule2])
+        single_dist = CDDImputer(repository=repository, indexes={}
+                                 ).candidate_distribution(record, "c", [rule1])
         assert multi_dist
         assert single_dist
         assert sum(multi_dist.values()) == pytest.approx(1.0)
+        # Every offered rule is counted; only the first
+        # ``max_rules_per_attribute`` are applied.
+        capped = CDDImputer(repository=repository, indexes={},
+                            max_rules_per_attribute=1)
+        assert capped.candidate_distribution(record, "c",
+                                             [rule1, rule2]) == single_dist
+        assert capped.stats.rules_considered == 2
+        assert capped.stats.rules_applied == 1
 
 
 class TestSingleCDDImputer:
     def test_single_rule_strategy_uses_first_applicable_rule(self, health_repository,
                                                              incomplete_health_record):
         rules = discover_cdd_rules(health_repository)
-        imputer = SingleCDDImputer(repository=health_repository, rules=rules)
-        distribution = imputer.candidate_distribution(incomplete_health_record,
-                                                      "diagnosis")
+        imputer = SingleCDDImputer(repository=health_repository,
+                                   indexes=build_cdd_indexes(rules))
+        distribution = imputer.candidate_distribution(
+            incomplete_health_record, "diagnosis",
+            imputer.select_rules(incomplete_health_record, "diagnosis"))
         assert distribution
         assert imputer.stats.rules_applied == 1
 
     def test_single_rule_returns_empty_when_nothing_applies(self, health_repository):
-        imputer = SingleCDDImputer(repository=health_repository, rules=[])
+        imputer = SingleCDDImputer(repository=health_repository, indexes={})
         record = Record(rid="r", values={"gender": "male", "symptom": "x",
                                          "diagnosis": None, "treatment": "y"})
-        assert imputer.candidate_distribution(record, "diagnosis") == {}
+        assert imputer.candidate_distribution(
+            record, "diagnosis", imputer.select_rules(record, "diagnosis")) == {}
 
 
 class TestDDImputerFactory:
@@ -209,7 +239,8 @@ class TestDDImputerFactory:
                                                            incomplete_health_record):
         """DD's looser constraints match at least as many samples as CDD's."""
         cdd_imputer = CDDImputer(repository=health_repository,
-                                 rules=discover_cdd_rules(health_repository))
+                                 indexes=build_cdd_indexes(
+                                     discover_cdd_rules(health_repository)))
         dd_imputer = make_dd_imputer(health_repository,
                                      discover_dd_rules(health_repository))
         cdd_imputer.impute(incomplete_health_record)

@@ -663,10 +663,10 @@ def test_engine_surface():
         "max_pivots", "entropy_buckets", "min_entropy", "grid_cells_per_dim",
         "use_topic_pruning", "use_similarity_pruning",
         "use_instance_pruning"]
-    # The state passthroughs are read-only: a swapped rule list or index
-    # map would bypass RuntimeContext.install_rules and leave the imputer
-    # and the CDD-indexes on different rules.
-    for name in ("rules", "cdd_indexes", "imputer", "timestamps_processed"):
+    # The state passthroughs are read-only: a swapped rule list or imputer
+    # would bypass RuntimeContext.install_rules and leave the rules and the
+    # imputer's CDD-indexes apart.
+    for name in ("rules", "imputer", "timestamps_processed"):
         assert getattr(TERiDSEngine, name).fset is None, name
 
 

@@ -38,6 +38,7 @@ from repro.imputation.cdd import (
     CONSTRAINT_MISSING,
     AttributeConstraint,
     CDDRule,
+    build_cdd_indexes,
     discover_cdd_rules,
 )
 from repro.imputation.imputer import (
@@ -240,18 +241,19 @@ def test_probe_follows_index_growth(citations_workload):
 def test_domain_columns_follow_domain_growth(health_repository, health_pivots):
     rules = discover_cdd_rules(health_repository)
     dr_index = DRIndex(health_repository, health_pivots)
-    packed = CDDImputer(repository=health_repository, rules=rules,
-                        sample_retriever=dr_index.make_retriever())
-    packed.packed_index = dr_index
-    scalar = CDDImputer(repository=health_repository, rules=rules,
-                        sample_retriever=dr_index.make_retriever())
+    packed = CDDImputer(repository=health_repository,
+                        indexes=build_cdd_indexes(rules), dr_index=dr_index)
+    packed.packed_index = True
+    scalar = CDDImputer(repository=health_repository,
+                        indexes=build_cdd_indexes(rules), dr_index=dr_index)
     record = Record("q", {"gender": "male", "symptom": "thirst weight loss",
                           "diagnosis": None, "treatment": None})
 
     def compare():
         for attribute in ("diagnosis", "treatment"):
-            got = packed.candidate_distribution(record, attribute)
-            want = scalar.candidate_distribution(record, attribute)
+            rules = scalar.select_rules(record, attribute)
+            got = packed.candidate_distribution(record, attribute, rules)
+            want = scalar.candidate_distribution(record, attribute, rules)
             assert list(got.items()) == list(want.items())
         assert packed.stats.as_dict() == scalar.stats.as_dict()
 
@@ -271,18 +273,18 @@ def test_domain_columns_follow_domain_growth(health_repository, health_pivots):
 def _record_imputations(engine):
     """Capture every ImputedRecord's candidates, keys in order, exact reprs."""
     seen = []
-    stage = engine.pipeline.imputation
-    impute = stage.impute
+    imputer = engine.imputer
+    impute = imputer.impute
 
-    def recording(record, selected_rules):
-        imputed = impute(record, selected_rules)
+    def recording(record, selected=None):
+        imputed = impute(record, selected)
         seen.append((record.source, record.rid,
                      [(attribute, [(value, repr(probability))
                                    for value, probability in values.items()])
                       for attribute, values in imputed.candidates.items()]))
         return imputed
 
-    stage.impute = recording
+    imputer.impute = recording
     return seen
 
 
@@ -369,15 +371,15 @@ def test_executors_impute_identically_while_absorbing_stream_tuples():
 
 def test_swapped_in_imputer_stays_on_the_scalar_path(health_repository,
                                                      health_config):
-    """The packed probe stands in for the DR-index retriever only: an
-    imputer that retrieves some other way keeps its own sample order."""
+    """The packed probe stands in for retrieval through a DR-index only: an
+    imputer without one scans the repository in its own sample order."""
     engine = TERiDSEngine(repository=health_repository, config=health_config,
                           executor=MicroBatchExecutor(batch_size=4))
     engine.ctx.imputer = CDDImputer(repository=health_repository,
-                                    rules=engine.rules)  # scans the repository
+                                    indexes=build_cdd_indexes(engine.rules))
     engine.process_batch([Record("a1", {
         "gender": "male", "symptom": "thirst weight loss", "diagnosis": None,
         "treatment": "insulin"}, source="stream-a")])
-    assert engine.imputer.packed_index is None
+    assert engine.imputer.packed_index is False
     assert engine.dr_index.packed_probes == 0
     assert engine.imputer.stats.samples_scanned > 0

@@ -443,53 +443,58 @@ class TestRepositoryMaintenance:
 class TestScopedImputation:
     def test_rules_override_matches_scoped_imputer(self, health_repository,
                                                    health_config):
-        """The ``rules=`` override equals a per-attribute scoped CDDImputer.
-
-        This is the exact pattern the seed hot path used (one throwaway
-        imputer per missing attribute); the override must produce identical
-        distributions and counters without the construction cost.
-        """
+        """Rules chosen ahead (``impute(record, selected)``, the engine's
+        split of rule selection from imputation) impute exactly as the
+        imputer's own selection, counters included, and each attribute's
+        distribution equals an imputer whose CDD-index holds only them."""
         from repro.imputation.imputer import CDDImputer
 
         engine = TERiDSEngine(repository=health_repository, config=health_config)
+
+        def imputer(indexes):
+            return CDDImputer(repository=engine.repository, indexes=indexes,
+                              dr_index=engine.dr_index)
+
+        ahead = imputer(engine.imputer.indexes)
+        own = imputer(engine.imputer.indexes)
         incomplete = [
             _post("q1", "male", "thirst weight loss", None, None),
             _post("q2", "male", "blurred vision fatigue", None, "drug therapy"),
             _post("q3", "female", "fever cough", None, "rest"),
         ]
+        applied = 0
         for record in incomplete:
-            for attribute in record.missing_attributes(engine.schema):
-                index = engine.cdd_indexes.get(attribute)
-                selected = index.candidate_rules(record) if index else []
-                if not selected:
-                    continue
-                # Seed-style throwaway scoped imputer.
-                scoped = CDDImputer(
-                    repository=engine.repository,
-                    rules=selected,
-                    max_candidates_per_sample=engine.imputer.max_candidates_per_sample,
-                    max_rules_per_attribute=engine.imputer.max_rules_per_attribute,
-                    max_candidate_values=engine.imputer.max_candidate_values,
-                    sample_retriever=engine.imputer.sample_retriever,
-                )
-                expected = scoped.candidate_distribution(record, attribute)
-                got = engine.imputer.candidate_distribution(record, attribute,
-                                                            rules=selected)
-                assert got == expected
+            selected = engine.pipeline.rule_selection.select(record)
+            imputed = ahead.impute(record, selected)
+            assert imputed.candidates == own.impute(record).candidates
+            for attribute, rules in selected.items():
+                scoped = imputer({attribute: rules})
+                assert (scoped.candidate_distribution(
+                            record, attribute,
+                            scoped.select_rules(record, attribute))
+                        == imputed.candidates.get(attribute, {}))
+                applied += bool(rules)
+        assert applied > 0
+        assert ahead.stats.records_imputed == len(incomplete)
+        assert ahead.stats.as_dict() == own.stats.as_dict()
 
     def test_candidate_cache_does_not_change_distributions(
             self, health_repository, health_config):
-        from repro.imputation.cdd import discover_cdd_rules
+        from repro.imputation.cdd import build_cdd_indexes, discover_cdd_rules
         from repro.imputation.imputer import CDDImputer
 
         rules = discover_cdd_rules(health_repository)
-        plain = CDDImputer(repository=health_repository, rules=rules)
-        cached = CDDImputer(repository=health_repository, rules=rules,
+        plain = CDDImputer(repository=health_repository,
+                           indexes=build_cdd_indexes(rules))
+        cached = CDDImputer(repository=health_repository,
+                            indexes=build_cdd_indexes(rules),
                             candidate_cache={})
         record = _post("q1", "male", "thirst weight loss", None, None)
         for attribute in ("diagnosis", "treatment"):
-            assert (plain.candidate_distribution(record, attribute)
-                    == cached.candidate_distribution(record, attribute))
+            selected = plain.select_rules(record, attribute)
+            assert (plain.candidate_distribution(record, attribute, selected)
+                    == cached.candidate_distribution(record, attribute,
+                                                     selected))
         assert len(cached.candidate_cache) > 0
 
 
